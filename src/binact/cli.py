@@ -68,7 +68,6 @@ class RunConfig:
     """Validated launch parameters shared by the subcommand handlers."""
 
     command: str
-    threads: int
     out: Path | None
 
 
@@ -443,7 +442,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     threads_raw = os.environ.get("BINACT_THREADS")
-    threads = 1
     if threads_raw is not None:
         try:
             threads = int(threads_raw)
@@ -456,7 +454,6 @@ def main(argv=None) -> int:
 
     cfg = RunConfig(
         command=args.command,
-        threads=threads,
         out=Path(args.out) if getattr(args, "out", None) else None,
     )
     try:

@@ -8,11 +8,24 @@ point. The search therefore precomputes every homomorphism G -> S_X from
 images of a greedily chosen generating set (rows must be permutations,
 relations must hold), then assigns one homomorphism per row, pruning on
 the distributivity law over the cells assigned so far when asked to.
+
+Each found action is kept as a tuple of indices into that homomorphism
+list. Relabelling the carrier by sigma sends the homomorphism rho at row t
+to sigma rho sigma^-1 at row sigma(t), so one table of conjugate indices,
+built once per run, turns every relabelling of an action into m index
+lookups; a conjugate of a homomorphism is a homomorphism, so no relabelled
+table is rebuilt or re-validated. The canonical form of an action is its
+lexicographically least relabelled table, found by comparing relabellings
+through the permutation ranks of their g-major tables. The number of
+relabellings that reach the least table is the order of the action's
+automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
+count: the actions found number the sum of m!/|Aut(a)| over the classes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -164,9 +177,14 @@ class EnumerationResult:
     actions holds every emitted action in lexicographic table order (the
     canonical representatives instead when dedupe was on). raw_count counts
     emissions before dedupe; canonical_count counts biequimorphism classes
-    among them; distributive_count counts distributive emissions. When a
-    budget stopped the search, exhaustive is false and the counts describe
-    the explored part only.
+    among them, each represented by its lexicographically least table and
+    found on homomorphism indices without rebuilding relabelled tables;
+    distributive_count counts distributive emissions. An exhaustive result
+    has passed the orbit-stabilizer check: raw_count is the sum of
+    m!/|Aut(a)| over the classes. When a budget stopped the search or the
+    assembly of its result, exhaustive is false, the counts describe the
+    assembled part only, and that check is skipped, because such a part
+    need not be closed under relabelling.
     """
 
     task: EnumerationTask
@@ -195,23 +213,100 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
     return validate_action(a.group, table)
 
 
+def _inverse(sigma) -> tuple[int, ...]:
+    inv = [0] * len(sigma)
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
+    """sigma rho sigma^-1, elementwise over the homomorphism rho."""
+    return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
+
+
+class _Relabelling:
+    """The carrier relabellings acting on actions held as index tuples.
+
+    homs is a list of row homomorphisms G -> S_m closed under conjugation;
+    an action is a tuple whose entry t indexes the homomorphism at carrier
+    point t. For each relabelling sigma the conjugation table gives the
+    index of sigma rho sigma^-1 for every rho, and the rank columns give,
+    per non-identity group element g, the rank of rho(g) among all
+    permutations of the carrier. The identity slice is the same in every
+    table, so the ranks over the other slices, read g-major, order index
+    tuples exactly as their tables are ordered.
+    """
+
+    def __init__(self, group: FiniteGroup, homs, m: int):
+        self.group = group
+        self.homs = homs
+        self.index = {rho: i for i, rho in enumerate(homs)}
+        perms = list(itertools.permutations(range(m)))
+        rank = {p: r for r, p in enumerate(perms)}
+        self.columns = [[rank[rho[g]] for rho in homs]
+                        for g in group.elements() if g != group.identity]
+        self.moves = []
+        for sigma in perms:
+            inv = _inverse(sigma)
+            conj = []
+            for rho in homs:
+                c = self.index.get(_conjugate(sigma, inv, rho))
+                if c is None:
+                    raise InternalInconsistency(
+                        f"homomorphism list not closed under conjugation by {sigma}")
+                conj.append(c)
+            ranked = [[col[c] for c in conj] for col in self.columns]
+            self.moves.append((conj, inv, ranked))
+
+    def key(self, leaf) -> tuple[int, ...]:
+        """Sort key of the action's table."""
+        return tuple([col[i] for col in self.columns for i in leaf])
+
+    def least(self, leaf):
+        """The key and index tuple of the least relabelling of leaf, and the
+        number of relabellings reaching it, which is |Aut| of the action."""
+        best = None
+        hits = 0
+        for move in self.moves:
+            _, inv, ranked = move
+            cand = tuple([col[leaf[t]] for col in ranked for t in inv])
+            if best is None or cand < best:
+                best, best_move, hits = cand, move, 1
+            elif cand == best:
+                hits += 1
+        conj, inv, _ = best_move
+        return best, tuple(conj[leaf[t]] for t in inv), hits
+
+    def table(self, leaf) -> tuple:
+        return tuple(tuple(self.homs[i][g] for i in leaf) for g in self.group.elements())
+
+
 def canonicalize(a: BinaryAction) -> BinaryAction:
     """Lexicographically least relabelling of a; constant on biequimorphism
-    classes and idempotent."""
-    best = None
-    for sigma in itertools.permutations(range(a.carrier_size)):
-        cand = relabel_action(a, sigma).table
-        if best is None or cand < best:
-            best = cand
-    return validate_action(a.group, best)
+    classes and idempotent.
+
+    Runs the enumerator's index-based search over the conjugates of a's
+    own row homomorphisms, and validates only the result.
+    """
+    m = a.carrier_size
+    rows = [tuple(sl[t] for sl in a.table) for t in range(m)]
+    orbit = set()
+    for sigma in itertools.permutations(range(m)):
+        inv = _inverse(sigma)
+        orbit.update(_conjugate(sigma, inv, rho) for rho in rows)
+    rel = _Relabelling(a.group, sorted(orbit), m)
+    _, leaf, _ = rel.least(tuple(rel.index[rho] for rho in rows))
+    return validate_action(a.group, rel.table(leaf))
 
 
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
-    Emitted actions are sorted by table and re-validated; under
+    Emitted actions are sorted by table and validated; under
     require_distributive each one is re-checked with the exhaustive
-    distributivity scan as well. Budgets exhausted mid-search raise
+    distributivity scan as well. The time budget covers the search and
+    the assembly of its result. Budgets exhausted mid-search raise
     BudgetExceeded carrying the partial result.
     """
     g = task.group
@@ -219,8 +314,9 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     rowhoms = permutation_homomorphisms(g, m)
     deadline = time.monotonic() + task.time_budget_s
     nodes = 0
-    tables: list[tuple] = []
+    leaves: list[tuple[int, ...]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = [()] * m
+    chosen_idx = [0] * m
     order = list(g.elements())
 
     def distributivity_ok(depth: int) -> bool:
@@ -241,55 +337,81 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         return True
 
     def emit_partial(reason: str):
-        result = _assemble(task, g, m, tables, exhaustive=False)
+        result = _assemble(task, rowhoms, leaves, search_complete=False, deadline=math.inf)
         raise BudgetExceeded(reason, partial=result)
 
     def fill(t: int):
         nonlocal nodes
         if t == m:
-            tables.append(tuple(
-                tuple(chosen[x][gg] for x in range(m)) for gg in order
-            ))
+            leaves.append(tuple(chosen_idx))
             return
-        for rho in rowhoms:
+        for i, rho in enumerate(rowhoms):
             nodes += 1
             if nodes > task.node_budget:
                 emit_partial(f"node budget {task.node_budget} reached")
             if nodes % 1024 == 0 and time.monotonic() > deadline:
                 emit_partial(f"time budget {task.time_budget_s}s reached")
             chosen[t] = rho
+            chosen_idx[t] = i
             if task.require_distributive and not distributivity_ok(t + 1):
                 continue
             fill(t + 1)
 
     fill(0)
-    return _assemble(task, g, m, tables, exhaustive=True)
+    return _assemble(task, rowhoms, leaves, search_complete=True, deadline=deadline)
 
 
-def _assemble(task, g, m, tables, exhaustive: bool) -> EnumerationResult:
-    tables = sorted(tables)
-    actions = [validate_action(g, tbl) for tbl in tables]
+def _assemble(task, rowhoms, leaves, search_complete: bool, deadline: float) -> EnumerationResult:
+    """Validate, check and canonicalize the found actions in table order.
+
+    Past the deadline, the actions assembled so far make a partial result,
+    raised with BudgetExceeded. A result is exhaustive when the search was
+    complete and every action was assembled; it must then pass the
+    orbit-stabilizer count.
+    """
+    g = task.group
+    m = task.carrier_size
+    rel = _Relabelling(g, rowhoms, m)
+    actions = []
     distributive = 0
-    for a in actions:
+    classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
+    stopped = False
+    for leaf in sorted(leaves, key=rel.key):
+        if time.monotonic() > deadline:
+            stopped = True
+            break
+        a = validate_action(g, rel.table(leaf))
         w = is_distributive(a)
         if w is True:
             distributive += 1
         elif task.require_distributive:
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
-    canon: dict[tuple, BinaryAction] = {}
-    for a in actions:
-        c = canonicalize(a)
-        canon.setdefault(c.table, c)
-    out = tuple(canon[t] for t in sorted(canon)) if task.dedupe else tuple(actions)
-    return EnumerationResult(
+        actions.append(a)
+        key, canon, aut = rel.least(leaf)
+        classes.setdefault(key, (canon, aut))
+    exhaustive = search_complete and not stopped
+    if exhaustive:
+        orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
+        if orbit_total != len(actions):
+            raise InternalInconsistency(
+                f"orbit-stabilizer count {orbit_total} over {len(classes)} classes "
+                f"differs from the {len(actions)} actions found")
+    if task.dedupe:
+        out = tuple(validate_action(g, rel.table(classes[k][0])) for k in sorted(classes))
+    else:
+        out = tuple(actions)
+    result = EnumerationResult(
         task=task,
         actions=out,
         raw_count=len(actions),
-        canonical_count=len(canon),
+        canonical_count=len(classes),
         distributive_count=distributive,
         exhaustive=exhaustive,
     )
+    if stopped:
+        raise BudgetExceeded(f"time budget {task.time_budget_s}s reached", partial=result)
+    return result
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

@@ -6,7 +6,7 @@ cannot leak into its own check. All oracles are exhaustive at the scales the
 tests use them; none of them is expected to be fast.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def oracle_valid_action_tables(cayley, identity, m):
@@ -143,3 +143,25 @@ def oracle_min_bi_invariant(cayley, table, m, x):
         if nxt == s:
             return frozenset(s)
         s = nxt
+
+
+def oracle_canonical_form(table, m):
+    """Lexicographically least table among all m! relabellings of the
+    carrier, each rebuilt cell by cell: sigma sends g(x, x') = y to
+    g(sigma x, sigma x') = sigma y."""
+    best = None
+    for sigma in permutations(range(m)):
+        out = [[[0] * m for _ in range(m)] for _ in table]
+        for g, sl in enumerate(table):
+            for x in range(m):
+                for xp in range(m):
+                    out[g][sigma[x]][sigma[xp]] = sigma[sl[x][xp]]
+        cand = tuple(tuple(tuple(row) for row in sl) for sl in out)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def oracle_canonical_representatives(tables, m):
+    """The distinct canonical forms of the given tables, in table order."""
+    return sorted({oracle_canonical_form(t, m) for t in tables})

@@ -1,4 +1,10 @@
+import functools
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binact import (
     EnumerationTask,
@@ -9,13 +15,20 @@ from binact import (
     is_distributive,
     mine_counterexamples,
     permutation_homomorphisms,
+    search,
     subgroup_closure,
     validate_action,
 )
-from binact.errors import BudgetExceeded, MalformedTable
+from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable
 from binact.search import all_ordinary_actions, relabel_action, with_witnesses
 
-from oracles import oracle_hom_count, oracle_is_distributive, oracle_valid_action_tables
+from oracles import (
+    oracle_canonical_form,
+    oracle_canonical_representatives,
+    oracle_hom_count,
+    oracle_is_distributive,
+    oracle_valid_action_tables,
+)
 
 # raw / canonical / distributive counts, frozen after cross-checking against
 # the brute-force oracles below
@@ -56,6 +69,8 @@ def test_enumeration_counts():
         assert result.distributive_count == dist, (name, m)
         assert result.exhaustive
         assert len(result.actions) == raw
+        tables = [a.table for a in result.actions]
+        assert tables == sorted(tables), (name, m)
 
 
 def test_raw_count_is_hom_count_to_the_carrier_power():
@@ -94,13 +109,30 @@ def test_require_distributive_matches_filter(z2, s3):
             a.table for a in full.actions if is_distributive(a) is True}
 
 
-def test_canonicalize_idempotent_and_relabel_invariant(z2):
-    result = enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
-    sigma = (2, 0, 1)
-    for a in result.actions[:20]:
-        c = canonicalize(a)
-        assert canonicalize(c).table == c.table
-        assert canonicalize(relabel_action(a, sigma)).table == c.table
+@functools.lru_cache(maxsize=None)
+def _all_actions(name, m):
+    return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canonicalize_idempotent_and_relabel_invariant(data):
+    name, m = data.draw(st.sampled_from(
+        [("z2", 2), ("z2", 3), ("z3", 3), ("k4", 3), ("s3", 3), ("z2", 4)]))
+    a = data.draw(st.sampled_from(_all_actions(name, m)))
+    sigma = data.draw(st.permutations(range(m)))
+    c = canonicalize(a)
+    assert c.table == oracle_canonical_form(a.table, m)
+    assert canonicalize(c).table == c.table
+    assert canonicalize(relabel_action(a, sigma)).table == c.table
+
+
+def test_dedupe_matches_oracle_representatives():
+    for name, m in (("z2", 3), ("z3", 3), ("s3", 3), ("k4", 3)):
+        g = builtin_group(name)
+        reps = enumerate_actions(EnumerationTask(group=g, carrier_size=m, dedupe=True))
+        expect = oracle_canonical_representatives([a.table for a in _all_actions(name, m)], m)
+        assert [a.table for a in reps.actions] == expect, (name, m)
 
 
 def test_relabel_action_preserves_validity(s3):
@@ -126,6 +158,40 @@ def test_node_budget_exhaustion_carries_partial(s3):
     assert partial is not None
     assert not partial.exhaustive
     assert partial.raw_count < 1000
+
+
+def test_time_budget_bounds_assembly(z2, monkeypatch):
+    """The deadline is read once when the search starts and once before each
+    action is assembled; z2 on 3 points makes too few search nodes for the
+    search itself to read it."""
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=10))
+    assert next(ticks) == 12  # building the partial result read no clock
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.raw_count == 10
+    assert partial.actions == _all_actions("z2", 3)[:10]
+
+
+def test_unclosed_hom_list_raises(z2, monkeypatch):
+    homs = permutation_homomorphisms(z2, 3)
+    monkeypatch.setattr(search, "permutation_homomorphisms", lambda g, m: homs[:-1])
+    with pytest.raises(InternalInconsistency, match="not closed under conjugation"):
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+
+
+def test_orbit_stabilizer_count_rejects_unclosed_leaf_set(z2):
+    task = EnumerationTask(group=z2, carrier_size=3)
+    homs = permutation_homomorphisms(z2, 3)
+    leaves = list(itertools.product(range(len(homs)), repeat=3))
+    full = search._assemble(task, homs, leaves, search_complete=True, deadline=math.inf)
+    assert full.raw_count == 64 and full.exhaustive
+    # the last leaf puts one transposition on every row; its class also
+    # holds the two other transpositions on every row
+    with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
+        search._assemble(task, homs, leaves[:-1], search_complete=True, deadline=math.inf)
 
 
 def test_task_validation(z2):
