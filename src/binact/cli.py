@@ -33,6 +33,7 @@ from .binops import identity_op, invertible_group, op_from_json, op_to_json, sta
 from .errors import (
     BinactError,
     BudgetExceeded,
+    CapExceeded,
     NotContinuous,
     NotInvertible,
     TheoremViolation,
@@ -96,6 +97,8 @@ def _resolve_group(ref: str):
         return group_from_json(_read_json(ref))
     try:
         return builtin_group(ref)
+    except CapExceeded:
+        raise
     except BinactError:
         raise CliFailure(2, f"group {ref!r} is neither a readable file nor a known name") from None
 

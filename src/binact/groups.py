@@ -7,11 +7,13 @@ only ride along in the optional ``labels`` field.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
+    CapExceeded,
     MalformedTable,
     NoIdentity,
     NoInverse,
@@ -187,6 +189,16 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 # --- catalog -----------------------------------------------------------------
 
+# Largest group order builtin_group builds: make_group's associativity check
+# is cubic in the order, about 0.15 s at 128 and over a second at 256.
+CATALOG_ORDER_CAP = 128
+
+
+def _check_catalog_order(order: int) -> None:
+    if order > CATALOG_ORDER_CAP:
+        raise CapExceeded(order, CATALOG_ORDER_CAP, "catalog group order")
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedTable("cyclic group order must be >= 1")
@@ -294,11 +306,19 @@ def klein_four() -> FiniteGroup:
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Resolve a catalog name such as z6, s3, k4, d4, q8, or a product z4xz2."""
+    """Resolve a catalog name such as z6, s3, k4, d4, q8, or a product z4xz2.
+
+    Raises CapExceeded before building any table whose group order would
+    pass CATALOG_ORDER_CAP; a product is refused as soon as the factors
+    built so far pass it.
+    """
     key = name.strip().lower()
     parts = key.split("x")
     if len(parts) > 1:
-        groups = [builtin_group(p) for p in parts]
+        groups = []
+        for part in parts:
+            groups.append(builtin_group(part))
+            _check_catalog_order(math.prod(g.order for g in groups))
         out = groups[0]
         for g in groups[1:]:
             out = direct_product(out, g)
@@ -309,12 +329,14 @@ def builtin_group(name: str) -> FiniteGroup:
         return quaternion_group()
     m = re.fullmatch(r"z(\d+)", key)
     if m:
+        _check_catalog_order(int(m.group(1)))
         return cyclic(int(m.group(1)))
     m = re.fullmatch(r"s(\d+)", key)
     if m:
         return symmetric(int(m.group(1)))
     m = re.fullmatch(r"d(\d+)", key)
     if m:
+        _check_catalog_order(2 * int(m.group(1)))
         return dihedral(int(m.group(1)))
     raise MalformedTable(f"unknown group name {name!r}")
 

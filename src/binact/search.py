@@ -4,10 +4,17 @@ The search backtracks over whole rows rather than single cells. Because
 star composition works row by row, fixing a carrier point t and letting g
 vary gives an ordinary permutation action of G (a homomorphism G -> S_X),
 and a binary action is exactly one such row homomorphism per carrier
-point. The search therefore precomputes every homomorphism G -> S_X from
-images of a greedily chosen generating set (rows must be permutations,
-relations must hold), then assigns one homomorphism per row, pruning on
-the distributivity law over the cells assigned so far when asked to.
+point. The search therefore precomputes every homomorphism G -> S_X, then
+assigns one homomorphism per row, pruning on the distributivity law over
+the cells assigned so far when asked to.
+
+A homomorphism is fixed by its images of a greedily chosen generating
+set. Each generator s may only go to a permutation whose order divides
+the order of s, and an assignment is kept when rho(x s) = rho(x) rho(s)
+holds for every element x and generator s, |G| k checks for k
+generators instead of the |G|^2 of the whole Cayley table, made
+breadth-first and stopped at the first that fails. The homomorphisms
+come out lexicographic in the tuple of generator images.
 
 Each found action is kept as a tuple of indices into that homomorphism
 list. Relabelling the carrier by sigma sends the homomorphism rho at row t
@@ -32,7 +39,7 @@ from dataclasses import dataclass, replace
 from .actions import BinaryAction, is_distributive, validate_action
 from .binops import compose_perm, identity_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable
-from .groups import FiniteGroup, subgroup_closure
+from .groups import FiniteGroup, element_order, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
 
 
@@ -62,34 +69,71 @@ def _element_words(g: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, ...
     return [words[x] for x in g.elements()]
 
 
+def _perm_order(p) -> int:
+    """Order of the permutation p, the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All homomorphisms G -> S_degree, each as a tuple of permutations
-    indexed by group element, in a fixed deterministic order.
+    indexed by group element, lexicographic in the tuple of images of the
+    greedy generators.
 
-    Built by assigning permutations to a generating set, deriving the rest
-    through generator words, and keeping assignments that respect the whole
-    multiplication table.
+    Each generator s is sent to the permutations, in lexicographic order,
+    whose order divides the order of s; every homomorphism does this, so
+    the filter loses none, and walking the candidate lists as an odometer
+    visits the surviving image tuples in the same lexicographic order as
+    walking all tuples of permutations would.
+
+    For one tuple of images, rho(e) = id, and the edges x -> x s of the
+    Cayley graph (x an element, s a generator) are walked breadth-first in
+    the order that gives every element its generator word. An edge that
+    reaches a new element defines rho(x s) = rho(x) rho(s); every other
+    edge checks that equation, and the tuple is dropped at the first one
+    that fails. Each edge is thus one of |G| k equations for k generators,
+    instead of the |G|^2 of the whole Cayley table, and they are enough: by
+    induction on the length of a word w in the generators,
+    rho(x w) = rho(x) rho(w) for every x, and every element y is such a
+    word, so rho(x y) = rho(x) rho(y). A homomorphism satisfies every
+    equation, so exactly the homomorphisms come out.
     """
     if degree < 1:
         raise MalformedTable("degree must be >= 1")
     gens = greedy_generators(g)
     words = _element_words(g, gens)
     perms = sorted(itertools.permutations(range(degree)))
+    perm_order = {p: _perm_order(p) for p in perms}
+    candidates = [[p for p in perms if n % perm_order[p] == 0]
+                  for n in (element_order(g, s) for s in gens)]
+    # breadth-first order is shortlex order on the words; an edge is new
+    # when it is the last letter of its target's word
+    edges = [
+        (x, j, g.mul(x, s), words[g.mul(x, s)] == words[x] + (j,))
+        for x in sorted(g.elements(), key=lambda x: (len(words[x]), words[x]))
+        for j, s in enumerate(gens)
+    ]
     ident = identity_perm(degree)
     out = []
-    for images in itertools.product(perms, repeat=len(gens)):
-        rho = []
-        for word in words:
-            acc = ident
-            for j in word:
-                acc = compose_perm(acc, images[j])
-            rho.append(acc)
-        ok = all(
-            rho[g.cayley[a][b]] == compose_perm(rho[a], rho[b])
-            for a in g.elements()
-            for b in g.elements()
-        )
-        if ok:
+    for images in itertools.product(*candidates):
+        rho = [ident] * g.order
+        for x, j, xs, new in edges:
+            p = compose_perm(rho[x], images[j])
+            if new:
+                rho[xs] = p
+            elif rho[xs] != p:
+                break
+        else:
             out.append(tuple(rho))
     return tuple(out)
 
@@ -305,14 +349,15 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
 
     Emitted actions are sorted by table and validated; under
     require_distributive each one is re-checked with the exhaustive
-    distributivity scan as well. The time budget covers the search and
-    the assembly of its result. Budgets exhausted mid-search raise
-    BudgetExceeded carrying the partial result.
+    distributivity scan as well. The time budget counts from before the
+    row homomorphisms are generated and bounds the search and the assembly
+    of its result. Budgets exhausted mid-search raise BudgetExceeded
+    carrying the partial result.
     """
     g = task.group
     m = task.carrier_size
-    rowhoms = permutation_homomorphisms(g, m)
     deadline = time.monotonic() + task.time_budget_s
+    rowhoms = permutation_homomorphisms(g, m)
     nodes = 0
     leaves: list[tuple[int, ...]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = [()] * m

@@ -6,7 +6,10 @@ cannot leak into its own check. All oracles are exhaustive at the scales the
 tests use them; none of them is expected to be fast.
 """
 
-from itertools import permutations, product
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import factorial
 
 
 def oracle_valid_action_tables(cayley, identity, m):
@@ -92,6 +95,75 @@ def oracle_hom_count(cayley, identity, degree):
         if good:
             count += 1
     return count
+
+
+def _closure(cayley, members):
+    """Least subset containing members and closed under the product; a
+    subgroup when members holds the identity, the group being finite."""
+    s = set(members)
+    while True:
+        nxt = s | {cayley[a][b] for a in s for b in s}
+        if nxt == s:
+            return frozenset(s)
+        s = nxt
+
+
+def oracle_permutation_homomorphisms(cayley, identity, degree):
+    """All homomorphisms into S_degree in generation order: images of the
+    greedy generators (repeatedly adjoin the least element not yet
+    generated) range over every tuple of permutations in lexicographic
+    order, the other elements follow along breadth-first generator words,
+    and a tuple is kept when the whole multiplication table holds.
+    Cost (degree!) ** |gens| * |G| ** 2."""
+    n = len(cayley)
+    gens = []
+    closed = _closure(cayley, {identity})
+    while len(closed) < n:
+        gens.append(min(x for x in range(n) if x not in closed))
+        closed = _closure(cayley, {identity, *gens})
+    words = {identity: ()}
+    queue = [identity]
+    for x in queue:
+        for j, s in enumerate(gens):
+            y = cayley[x][s]
+            if y not in words:
+                words[y] = words[x] + (j,)
+                queue.append(y)
+
+    def comp(p, q):  # apply q first
+        return tuple(p[q[i]] for i in range(degree))
+
+    out = []
+    for images in product(sorted(permutations(range(degree))), repeat=len(gens)):
+        rho = []
+        for x in range(n):
+            acc = tuple(range(degree))
+            for j in words[x]:
+                acc = comp(acc, images[j])
+            rho.append(acc)
+        if all(rho[cayley[a][b]] == comp(rho[a], rho[b]) for a in range(n) for b in range(n)):
+            out.append(tuple(rho))
+    return tuple(out)
+
+
+def oracle_dey_count(cayley, identity, n):
+    """Number of homomorphisms into S_n by Dey's formula: with a_k the count
+    for S_k over k!, sum_k a_k x^k = exp(sum over subgroups H of
+    x^[G:H] / [G:H]), so k a_k = sum_d c_d a_(k-d), where c_d counts the
+    subgroups of index d. Subgroups are the closures of all subsets."""
+    order = len(cayley)
+    subgroups = {
+        _closure(cayley, {identity, *subset})
+        for size in range(order + 1)
+        for subset in combinations(range(order), size)
+    }
+    c = Counter(order // len(h) for h in subgroups)
+    a = [Fraction(1)]
+    for k in range(1, n + 1):
+        a.append(sum(c[d] * a[k - d] for d in c if d <= k) / k)
+    count = a[n] * factorial(n)
+    assert count.denominator == 1
+    return int(count)
 
 
 def oracle_topology_count(n):

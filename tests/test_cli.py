@@ -71,6 +71,11 @@ def test_validate_bad_table_exits_one(tmp_path, capsys):
     assert "AxiomTwoViolated" in capsys.readouterr().out
 
 
+def test_catalog_order_cap_exits_one(capsys):
+    assert main(["enumerate", "--group", "z129", "--carrier", "2"]) == 1
+    assert "catalog group order 129 exceeds configured cap 128" in capsys.readouterr().out
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["validate", "--action", "no_such_file.json"]) == 2
     assert "no_such_file.json" in capsys.readouterr().err

@@ -19,7 +19,15 @@ from binact import (
     subgroup_closure,
     symmetric,
 )
-from binact.errors import MalformedTable, NoIdentity, NoInverse, NotASubgroup, NotAssociative
+from binact import groups
+from binact.errors import (
+    CapExceeded,
+    MalformedTable,
+    NoIdentity,
+    NoInverse,
+    NotASubgroup,
+    NotAssociative,
+)
 
 
 def test_cyclic_basics():
@@ -123,6 +131,28 @@ def test_builtin_group_names():
     assert builtin_group("z2xz3").order == 6
     with pytest.raises(Exception):
         builtin_group("nonsense")
+
+
+def test_catalog_order_cap_refuses_before_building(monkeypatch):
+    cap = groups.CATALOG_ORDER_CAP
+    assert builtin_group(f"z{cap}").order == cap
+    with pytest.raises(CapExceeded) as exc:
+        builtin_group("z16xz16")
+    assert (exc.value.requested, exc.value.cap) == (256, cap)
+    with pytest.raises(CapExceeded) as exc:
+        builtin_group("x".join(["z16"] * 1000))
+    assert exc.value.requested == 256
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for constructor in ("cyclic", "dihedral", "direct_product", "make_group"):
+        monkeypatch.setattr(groups, constructor, no_table)
+    for name, order in ((f"z{cap + 1}", cap + 1), ("z10000000000", 10**10),
+                        ("d1000000", 2 * 10**6)):
+        with pytest.raises(CapExceeded, match="catalog group order") as exc:
+            builtin_group(name)
+        assert exc.value.requested == order
 
 
 def test_group_json_round_trip():

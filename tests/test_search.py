@@ -13,6 +13,8 @@ from binact import (
     enumerate_actions,
     greedy_generators,
     is_distributive,
+    make_group,
+    make_ordinary_action,
     mine_counterexamples,
     permutation_homomorphisms,
     search,
@@ -25,8 +27,10 @@ from binact.search import all_ordinary_actions, relabel_action, with_witnesses
 from oracles import (
     oracle_canonical_form,
     oracle_canonical_representatives,
+    oracle_dey_count,
     oracle_hom_count,
     oracle_is_distributive,
+    oracle_permutation_homomorphisms,
     oracle_valid_action_tables,
 )
 
@@ -58,6 +62,47 @@ def test_permutation_homomorphism_counts_match_oracle():
             homs = permutation_homomorphisms(g, degree)
             assert len(homs) == oracle_hom_count(g.cayley, g.identity, degree), (
                 name, degree)
+
+
+def test_permutation_homomorphism_counts_match_dey():
+    """Counts past brute-force scale against Dey's formula."""
+    expect = {("k4", 6): 1216, ("s3", 5): 146, ("d4", 5): 316, ("z2xz2xz2", 4): 232,
+              ("z2xz2xz2", 5): 1016, ("s3", 6): 1036, ("q8", 5): 196}
+    for (name, degree), count in expect.items():
+        g = builtin_group(name)
+        assert oracle_dey_count(g.cayley, g.identity, degree) == count, (name, degree)
+        assert len(permutation_homomorphisms(g, degree)) == count, (name, degree)
+
+
+def test_permutation_homomorphisms_match_oracle_order():
+    assert permutation_homomorphisms(builtin_group("z1"), 3) == (((0, 1, 2),),)
+    for name in ("z1", "z2", "z3", "k4", "s3", "d4", "z2xz2xz2"):
+        g = builtin_group(name)
+        for degree in (1, 2, 3, 4):
+            assert permutation_homomorphisms(g, degree) == oracle_permutation_homomorphisms(
+                g.cayley, g.identity, degree), (name, degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permutation_homomorphisms_relabel_property(data):
+    """On relabelled groups, whose greedy generators and words differ from
+    the catalog's, the output matches the oracle in order and every
+    homomorphism is an ordinary action."""
+    g = builtin_group(data.draw(st.sampled_from(["s3", "d4", "k4"])))
+    others = [x for x in g.elements() if x != g.identity]
+    pi = dict(zip(others, data.draw(st.permutations(others))))
+    pi[g.identity] = g.identity
+    cayley = [[0] * g.order for _ in g.elements()]
+    for a in g.elements():
+        for b in g.elements():
+            cayley[pi[a]][pi[b]] = pi[g.mul(a, b)]
+    h = make_group(cayley)
+    degree = data.draw(st.integers(1, 3 if len(greedy_generators(h)) == 3 else 4))
+    homs = permutation_homomorphisms(h, degree)
+    assert homs == oracle_permutation_homomorphisms(h.cayley, h.identity, degree)
+    for rho in homs:
+        make_ordinary_action(h, rho)
 
 
 def test_enumeration_counts():
@@ -173,6 +218,25 @@ def test_time_budget_bounds_assembly(z2, monkeypatch):
     assert not partial.exhaustive
     assert partial.raw_count == 10
     assert partial.actions == _all_actions("z2", 3)[:10]
+
+
+def test_time_budget_covers_hom_generation(z2, monkeypatch):
+    """The clock starts before the row homomorphisms are generated, so
+    generation that outlasts the budget stops the run."""
+    clock = [0.0]
+    monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
+    generate = search.permutation_homomorphisms
+
+    def slow_generation(g, m):
+        clock[0] += 100.0
+        return generate(g, m)
+
+    monkeypatch.setattr(search, "permutation_homomorphisms", slow_generation)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=10))
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.raw_count == 0
 
 
 def test_unclosed_hom_list_raises(z2, monkeypatch):
