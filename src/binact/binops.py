@@ -10,6 +10,7 @@ map is a bijection, and the invertible operations form a group of order
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, CarrierMismatch, MalformedTable, NotInvertible
@@ -107,15 +108,22 @@ def invertible_group(size: int, cap: int = DEFAULT_INVERTIBLE_CAP) -> tuple[Bina
 
     There are (size!)^size of them, hence the cap.
     """
-    if size < 1:
-        raise MalformedTable("carrier size must be >= 1")
-    if size > cap:
-        raise CapExceeded(size, cap)
+    invertible_group_order(size, cap)  # refuses bad sizes before building anything
     perms = sorted(itertools.permutations(range(size)))
     return tuple(
         BinaryOp(size=size, table=rows)
         for rows in itertools.product(perms, repeat=size)
     )
+
+
+def invertible_group_order(size: int, cap: int = DEFAULT_INVERTIBLE_CAP) -> int:
+    """(size!)^size, the order of invertible_group(size, cap), under the
+    same size checks but without building a single operation."""
+    if size < 1:
+        raise MalformedTable("carrier size must be >= 1")
+    if size > cap:
+        raise CapExceeded(size, cap)
+    return math.factorial(size) ** size
 
 
 # --- serialization -----------------------------------------------------------

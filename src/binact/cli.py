@@ -29,7 +29,14 @@ from .actions import (
     ordinary_to_json,
     validate_action,
 )
-from .binops import identity_op, invertible_group, op_from_json, op_to_json, star, try_invert
+from .binops import (
+    identity_op,
+    invertible_group_order,
+    op_from_json,
+    op_to_json,
+    star,
+    try_invert,
+)
 from .errors import (
     BinactError,
     BudgetExceeded,
@@ -210,8 +217,8 @@ def _cmd_quotient(cfg: RunConfig, args) -> int:
 
 def _cmd_monoid(cfg: RunConfig, args) -> int:
     if args.size is not None:
-        ops = invertible_group(args.size, cap=args.cap)
-        print(f"carrier={args.size} invertible_operations={len(ops)}")
+        order = invertible_group_order(args.size, cap=args.cap)
+        print(f"carrier={args.size} invertible_operations={order}")
         return 0
     if not args.op:
         raise CliFailure(2, "monoid needs --size or --op")
@@ -237,6 +244,16 @@ def _cmd_monoid(cfg: RunConfig, args) -> int:
     raise CliFailure(2, "monoid --op needs --invert or --star")
 
 
+def _report_budget_stop(exc: BudgetExceeded) -> int:
+    """A budget stop: where it stopped and the counts of the partial result."""
+    partial = exc.partial
+    print(f"non-exhaustive: {exc}")
+    if partial is not None:
+        print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
+              f"distributive_count={partial.distributive_count} exhaustive=no")
+    return 1
+
+
 def _cmd_enumerate(cfg: RunConfig, args) -> int:
     g = _resolve_group(args.group)
     task = EnumerationTask(
@@ -250,12 +267,7 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
     try:
         result = enumerate_actions(task)
     except BudgetExceeded as exc:
-        partial = exc.partial
-        print(f"non-exhaustive: {exc}")
-        if partial is not None:
-            print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
-                  f"distributive_count={partial.distributive_count} exhaustive=no")
-        return 1
+        return _report_budget_stop(exc)
     print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
           f"distributive_count={result.distributive_count} exhaustive=yes")
     if cfg.out is not None:
@@ -290,7 +302,10 @@ def _cmd_witnesses(cfg: RunConfig, args) -> int:
     g = _resolve_group(args.group)
     task = EnumerationTask(group=g, carrier_size=args.carrier,
                            node_budget=args.node_budget, time_budget_s=args.time_budget)
-    result = enumerate_actions(task)
+    try:
+        result = enumerate_actions(task)
+    except BudgetExceeded as exc:
+        return _report_budget_stop(exc)
     report = mine_counterexamples(result)
     w = report.intersecting_orbits
     if w is None:

@@ -88,11 +88,18 @@ def orbit_space(a: BinaryAction) -> OrbitSpace:
     """Compute all orbits and verify they are pairwise disjoint or equal.
 
     A failed partition check raises PartitionViolation; for a distributive
-    action that would mean an implementation bug, not bad input.
+    action that would mean an implementation bug, not bad input. The
+    returned space is the proof that a is distributive: code holding it
+    need not scan the law again.
     """
     witness = is_distributive(a)
     if witness is not True:
         raise NotDistributive(witness)
+    return _orbit_space(a)
+
+
+def _orbit_space(a: BinaryAction) -> OrbitSpace:
+    """orbit_space for an action already known to be distributive."""
     everyone = a.group.elements()
     orbits = [k_set(a, everyone, (x,), (x,)) for x in range(a.carrier_size)]
     for x in range(a.carrier_size):
@@ -125,6 +132,12 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
         raise NotDistributive(witness)
     if not 0 <= g < a.group.order:
         raise ShapeMismatch(f"group element {g} out of range 0..{a.group.order - 1}")
+    return _diagonal(a, g)
+
+
+def _diagonal(a: BinaryAction, g: int) -> tuple[int, ...]:
+    """delta for an action already known to be distributive and an element
+    known to be in range; the bijection is still verified."""
     d = tuple(a.table[g][x][x] for x in range(a.carrier_size))
     if not is_perm(d):
         raise NotBijective(g)
@@ -143,16 +156,12 @@ def induced_quotient_map(a: BinaryAction, b: BinaryAction, f) -> tuple[int, ...]
     raises IllDefined, which for a biequivariant map between distributive
     actions would contradict a theorem.
     """
-    for act in (a, b):
-        witness = is_distributive(act)
-        if witness is not True:
-            raise NotDistributive(witness)
+    os_a = orbit_space(a)
+    os_b = orbit_space(b)
     w = is_biequivariant(a, b, f)
     if w is not True:
         raise NotBiequivariant(w)
     mapping = tuple(int(v) for v in f)
-    os_a = orbit_space(a)
-    os_b = orbit_space(b)
     out = []
     for members in os_a.classes:
         targets = [os_b.projection[mapping[x]] for x in members]

@@ -20,7 +20,7 @@ on finite carriers and carry a caveat flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -36,17 +36,29 @@ from .errors import (
     NotDistributive,
     ShapeMismatch,
 )
-from .orbits import orbit_space
+from .orbits import OrbitSpace, _diagonal, _orbit_space, orbit_space
 
 TOPOLOGY_ENUM_CAP = 5
 
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A topology on points 0..carrier_size-1; construct via validate_topology."""
+    """A topology on points 0..carrier_size-1; construct via validate_topology.
+
+    open_bits is the family as one membership set, built once: bit u is
+    set iff the mask u is open. It is derived from opens and takes no part
+    in equality or hashing.
+    """
 
     carrier_size: int
     opens: tuple[int, ...]
+    open_bits: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bits = bytearray(max(self.opens, default=0) // 8 + 1)
+        for u in self.opens:
+            bits[u >> 3] |= 1 << (u & 7)
+        object.__setattr__(self, "open_bits", int.from_bytes(bits, "little"))
 
     @property
     def full_mask(self) -> int:
@@ -111,11 +123,11 @@ def indiscrete_topology(n: int) -> FiniteTopology:
 
 
 def is_open(t: FiniteTopology, mask: int) -> bool:
-    return mask in set(t.opens)
+    return mask >= 0 and t.open_bits >> mask & 1 == 1
 
 
 def is_closed(t: FiniteTopology, mask: int) -> bool:
-    return (t.full_mask & ~mask) in set(t.opens)
+    return t.open_bits >> (t.full_mask & ~mask) & 1 == 1
 
 
 def closed_sets(t: FiniteTopology) -> tuple[int, ...]:
@@ -249,28 +261,44 @@ def is_continuous(s: TopologicalBinaryGSpace):
     """True, or the first open V (ascending bitmask) whose preimage under
     the action is not open in discrete(G) x X x X.
 
-    Openness of the preimage is checked through minimal neighborhoods:
-    every (g, x, x') that lands in V must have g({x's nbhd}, {x''s nbhd})
-    inside V. Compare the result with ``is True``.
+    The minimal open neighbourhood of (g, x, x') in the product is
+    {g} x N(x) x N(x'), so the preimage of V is open iff every (g, x, x')
+    that lands in V has g(N(x), N(x')) inside V. One pass over the product
+    collects reach[y], the union of g(N(x), N(x')) over every (g, x, x')
+    with g(x, x') = y; then V fails iff some y in V has reach[y] outside V.
+    Every open containing y contains N(y), so a point whose reach stays
+    inside N(y) fails no open: if that holds at every point the action is
+    continuous. (The identity adds e(N(x), N(x')) = N(x') to reach[x'],
+    which never leaves N(x'), so it is skipped.) Otherwise the opens are
+    tried in ascending order and the first failing one is returned, which
+    is the open an open-by-open scan of the product finds first. Compare
+    the result with ``is True``.
     """
     a = s.action
     t = s.topology
     nbhd = minimal_neighborhoods(t)
     m = a.carrier_size
+    pts = [points_of(n) for n in nbhd]
+    reach = [0] * m
+    for g in a.group.elements():
+        if g == a.group.identity:
+            continue
+        tg = a.table[g]
+        for x in range(m):
+            rows = [tg[u] for u in pts[x]]
+            row_x = tg[x]
+            for xp in range(m):
+                image = 0
+                for row in rows:
+                    for w in pts[xp]:
+                        image |= 1 << row[w]
+                reach[row_x[xp]] |= image
+    if all(reach[y] & ~nbhd[y] == 0 for y in range(m)):
+        return True
     for v in t.opens:
-        for g in a.group.elements():
-            tg = a.table[g]
-            for x in range(m):
-                for xp in range(m):
-                    if not v >> tg[x][xp] & 1:
-                        continue
-                    ok = all(
-                        v >> tg[u][w] & 1
-                        for u in points_of(nbhd[x])
-                        for w in points_of(nbhd[xp])
-                    )
-                    if not ok:
-                        return v
+        for y in points_of(v):
+            if reach[y] & ~v:
+                return v
     return True
 
 
@@ -279,13 +307,12 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     mapping = tuple(int(v) for v in f)
     if len(mapping) != src.carrier_size:
         raise ShapeMismatch(f"map has length {len(mapping)}, expected {src.carrier_size}")
-    src_opens = set(src.opens)
     for v in dst.opens:
         pre = 0
         for x, fx in enumerate(mapping):
             if v >> fx & 1:
                 pre |= 1 << x
-        if pre not in src_opens:
+        if not is_open(src, pre):
             return False
     return True
 
@@ -296,38 +323,50 @@ def _require_continuous(s: TopologicalBinaryGSpace):
         raise NotContinuous(witness)
 
 
-def _require_distributive(a: BinaryAction):
-    witness = is_distributive(a)
-    if witness is not True:
-        raise NotDistributive(witness)
+# --- checks ------------------------------------------------------------------
+#
+# Each public check verifies its own hypotheses (continuity, distributivity,
+# the kind of set it is handed) and then calls a private core. A core trusts
+# its caller: it takes the verified orbit space, which exists only for a
+# distributive action, and it assumes its set arguments are what its name
+# says. run_topology_battery verifies continuity and distributivity once and
+# calls the cores directly.
+
+def _pair_image(a: BinaryAction, mask: int) -> int:
+    """G(A, A) as a mask, for the set A given as a mask."""
+    pts = points_of(mask)
+    image = 0
+    for tg in a.table:
+        for x in pts:
+            row = tg[x]
+            for y in pts:
+                image |= 1 << row[y]
+    return image
+
+
+def _diagonal_image(a: BinaryAction, K: Iterable[int], mask: int) -> int:
+    """K(A) = {g(x, x) : g in K, x in A} as a mask."""
+    pts = points_of(mask)
+    image = 0
+    for g in K:
+        tg = a.table[g]
+        for x in pts:
+            image |= 1 << tg[x][x]
+    return image
 
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
     if not is_open(s.topology, u_mask):
         raise MalformedTable(f"bitmask {u_mask} is not open in this topology")
-    pts = points_of(u_mask)
-    image = 0
-    for g in s.action.group.elements():
-        tg = s.action.table[g]
-        for x in pts:
-            for y in pts:
-                image |= 1 << tg[x][y]
-    return is_open(s.topology, image)
+    return is_open(s.topology, _pair_image(s.action, u_mask))
 
 
 def check_gaa_closed(s: TopologicalBinaryGSpace, a_mask: int) -> bool:
     """Is G(A, A) closed for the closed set A?"""
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    pts = points_of(a_mask)
-    image = 0
-    for g in s.action.group.elements():
-        tg = s.action.table[g]
-        for x in pts:
-            for y in pts:
-                image |= 1 << tg[x][y]
-    return is_closed(s.topology, image)
+    return is_closed(s.topology, _pair_image(s.action, a_mask))
 
 
 def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -> bool:
@@ -336,34 +375,33 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     Requires a distributive action; with K the whole group this is the
     saturation of A, the union of the orbits of its points.
     """
-    _require_distributive(s.action)
+    witness = is_distributive(s.action)
+    if witness is not True:
+        raise NotDistributive(witness)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    image = 0
-    for g in K:
-        tg = s.action.table[g]
-        for x in points_of(a_mask):
-            image |= 1 << tg[x][x]
-    return is_closed(s.topology, image)
+    return is_closed(s.topology, _diagonal_image(s.action, K, a_mask))
 
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     """Finest topology on the orbit classes making the projection continuous:
     a class set is open iff its preimage is open."""
-    _require_distributive(s.action)
-    _require_continuous(s)
     space = orbit_space(s.action)
+    _require_continuous(s)
+    return _quotient(s.topology, space)
+
+
+def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
     k = len(space.classes)
-    src_opens = set(s.topology.opens)
     opens = []
     for cmask in range(1 << k):
         pre = 0
         for x, cls in enumerate(space.projection):
             if cmask >> cls & 1:
                 pre |= 1 << x
-        if pre in src_opens:
+        if is_open(t, pre):
             opens.append(cmask)
-    qt = FiniteTopology(carrier_size=k, opens=tuple(sorted(opens)))
+    qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
         validate_topology(k, qt.opens)
     except Exception as exc:  # preimage commutes with union/intersection
@@ -383,12 +421,15 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
     Properness adds compact fibers, which is automatic here, so proper
     simply coincides with closed on finite carriers.
     """
-    _require_distributive(s.action)
-    _require_continuous(s)
     space = orbit_space(s.action)
-    qt = quotient_topology(s)
+    _require_continuous(s)
+    return _projection_checks(s.topology, space, _quotient(s.topology, space))
+
+
+def _projection_checks(t: FiniteTopology, space: OrbitSpace,
+                       qt: FiniteTopology) -> ProjectionChecks:
     closed = True
-    for amask in closed_sets(s.topology):
+    for amask in closed_sets(t):
         img = 0
         for x in points_of(amask):
             img |= 1 << space.projection[x]
@@ -412,7 +453,10 @@ def check_quotient_hausdorff_compact(s: TopologicalBinaryGSpace) -> QuotientChec
     compact and locally_compact are degenerately true for finite carriers;
     the flag says so explicitly so reports cannot oversell them.
     """
-    qt = quotient_topology(s)
+    return _quotient_checks(quotient_topology(s))
+
+
+def _quotient_checks(qt: FiniteTopology) -> QuotientChecks:
     return QuotientChecks(
         hausdorff=is_hausdorff(qt),
         compact=is_compact(qt),
@@ -453,6 +497,9 @@ def run_topology_battery(
     and Hausdorffness of the quotient; elsewhere those are recorded as
     probes (dropped entirely when include_probes is false). An asserted
     check that comes back false raises InternalInconsistency.
+
+    Continuity and distributivity are each scanned once; the orbit space
+    and the quotient topology are built once and handed to the cores.
     """
     s = make_space(action, topology)
     _require_continuous(s)
@@ -470,36 +517,39 @@ def run_topology_battery(
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=hypotheses_met))
 
+    closed = closed_sets(topology)
     add("guu_open",
-        all(check_guu_open(s, u) for u in topology.opens),
+        all(is_open(topology, _pair_image(action, u)) for u in topology.opens),
         asserted=haus, hypotheses_met=haus)
     add("gaa_closed",
-        all(check_gaa_closed(s, c) for c in closed_sets(topology)),
+        all(is_closed(topology, _pair_image(action, c)) for c in closed),
         asserted=haus, hypotheses_met=haus)
 
     if is_distributive(action) is True:
-        from .orbits import delta  # local import avoids a cycle at module load
+        space = _orbit_space(action)
+        group = action.group
 
         homeo = True
-        for g in action.group.elements():
-            d = delta(action, g)
-            dinv = delta(action, action.group.inv(g))
+        for g in group.elements():
+            d = _diagonal(action, g)
+            dinv = _diagonal(action, group.inv(g))
             if not (is_continuous_map(topology, topology, d)
                     and is_continuous_map(topology, topology, dinv)):
                 homeo = False
                 break
         add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
 
-        everyone = list(action.group.elements())
+        everyone = list(group.elements())
         add("ka_closed",
-            all(check_ka_closed(s, everyone, c) for c in closed_sets(topology)),
+            all(is_closed(topology, _diagonal_image(action, everyone, c)) for c in closed),
             asserted=True, hypotheses_met=True)
 
-        proj = check_projection_closed_proper(s)
+        qt = _quotient(topology, space)
+        proj = _projection_checks(topology, space, qt)
         add("projection_closed", proj.closed, asserted=True, hypotheses_met=True)
         add("projection_proper", proj.proper, asserted=True, hypotheses_met=True)
 
-        quot = check_quotient_hausdorff_compact(s)
+        quot = _quotient_checks(qt)
         add("quotient_hausdorff", quot.hausdorff, asserted=haus, hypotheses_met=haus)
         add("quotient_compact", quot.compact, asserted=True, hypotheses_met=True)
         add("quotient_locally_compact", quot.locally_compact, asserted=True, hypotheses_met=True)

@@ -237,3 +237,34 @@ def oracle_canonical_form(table, m):
 def oracle_canonical_representatives(tables, m):
     """The distinct canonical forms of the given tables, in table order."""
     return sorted({oracle_canonical_form(t, m) for t in tables})
+
+
+def oracle_is_continuous(table, m, opens):
+    """True, or the first open V (ascending bitmask) whose preimage under
+    the action table is not open, scanned open by open.
+
+    A (g, x, x') landing in V has an open preimage around it iff g maps the
+    product of the minimal neighbourhoods of x and x' into V; a minimal
+    neighbourhood is the intersection of the opens containing the point.
+    """
+    full = (1 << m) - 1
+    opens = sorted(opens)
+    nbhd = []
+    for x in range(m):
+        acc = full
+        for u in opens:
+            if u >> x & 1:
+                acc &= u
+        nbhd.append([p for p in range(m) if acc >> p & 1])
+    for v in opens:
+        for sl in table:
+            for x in range(m):
+                for xp in range(m):
+                    if not v >> sl[x][xp] & 1:
+                        continue
+                    for u in nbhd[x]:
+                        for w in nbhd[xp]:
+                            if not v >> sl[u][w] & 1:
+                                return v
+    return True
+

@@ -218,3 +218,40 @@ def test_byte_determinism(files, tmp_path):
 def test_usage_error_exit_code():
     assert main(["enumerate", "--group", "z2"]) == 2  # missing --carrier
     assert main(["no-such-command"]) == 2
+
+
+def test_monoid_size_counts_without_building(monkeypatch, capsys):
+    """(N!)^N is printed, not counted: nothing may build the operations."""
+    import binact.binops
+    import binact.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invertible_group must not be called")
+
+    monkeypatch.setattr(binact.binops, "invertible_group", refuse)
+    monkeypatch.setattr(binact.cli, "invertible_group", refuse, raising=False)
+    assert main(["monoid", "--size", "3"]) == 0
+    assert capsys.readouterr().out == "carrier=3 invertible_operations=216\n"
+    assert main(["monoid", "--size", "5", "--cap", "5"]) == 0
+    assert capsys.readouterr().out == "carrier=5 invertible_operations=24883200000\n"
+    assert main(["monoid", "--size", "5"]) == 1  # default cap 4
+    assert capsys.readouterr().out == "CapExceeded: carrier size 5 exceeds configured cap 4\n"
+    assert main(["monoid", "--size", "0"]) == 1
+    assert capsys.readouterr().out == "MalformedTable: carrier size must be >= 1\n"
+
+
+def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
+    """Every clock read advances one second, so a 10 s budget runs out while
+    the actions are assembled; the stop is reported like enumerate's. Of the
+    first ten actions of z2 on 3 points, 3 are distributive and they fall
+    into 6 classes (by the oracles in tests/oracles.py)."""
+    import itertools
+
+    import binact.search
+
+    ticks = itertools.count()
+    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
+    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "10"]) == 1
+    assert capsys.readouterr().out == (
+        "non-exhaustive: enumeration budget exceeded: time budget 10.0s reached\n"
+        "raw_count=10 canonical_count=6 distributive_count=3 exhaustive=no\n")

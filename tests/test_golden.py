@@ -1,10 +1,14 @@
 """Byte-identical CLI output: SHA-256 digests of stdout and of the --out file
-for fixed invocations, recorded with the brute-force canonicalization that
-tests/oracles.py keeps. A change to any of them changes the output format,
-the enumeration order or the canonical representatives, and needs a
-deliberate new recording."""
+for fixed invocations. The enumerate and witnesses digests were recorded
+with the brute-force canonicalization that tests/oracles.py keeps, the
+quotient and topology-check digests with the open-by-open continuity scan
+and the per-check re-verification that the battery used before it verified
+each fact once. A change to any of them changes the output format, the
+enumeration order, the canonical representatives or a check's verdict, and
+needs a deliberate new recording."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -41,3 +45,50 @@ def test_golden_output(argv, stdout_sha256, out_sha256, tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha256
+
+
+# A distributive z2 action on four points, classes {0}, {1}, {2, 3}, under a
+# non-Hausdorff topology on which it is continuous, and a topology on which
+# it is not (the open {0} passes, {2} is the first whose preimage is not open).
+MODEL_ACTION = {"group": "z2", "carrier": 4,
+                "table": [[[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]],
+                          [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 3, 2]]]}
+CONTINUOUS_TOPOLOGY = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 2, 3], [0, 1, 2, 3]]}
+BROKEN_TOPOLOGY = {"size": 4, "opens": [[], [0], [2], [0, 2], [0, 1, 2, 3]]}
+
+GOLDEN_MODELS = [
+    pytest.param(
+        ["quotient", "--action", "action.json", "--topology", "continuous.json"], 0,
+        "c44cc6d5cb05924ae9db7cc2dcb3e0ea8bf6e8c77dc04a0031b927f5e21554de",
+        "d7631c4402dd316649dd1b51e4fb041190e1add23e4167260e94ff305b9efa34",
+        id="quotient-continuous"),
+    pytest.param(
+        ["topology-check", "--action", "action.json", "--topology", "continuous.json",
+         "--probe-non-hausdorff"], 0,
+        "601f3eace976ad6e9a1685238796bd0cde607e55516f6c61c5d8af15d4d5782c",
+        "9c8201c25f0151822df8414dc6a320790c0f09fabf1457e38fbb6b63420586aa",
+        id="topology-check-continuous"),
+    pytest.param(
+        ["topology-check", "--action", "action.json", "--topology", "broken.json",
+         "--probe-non-hausdorff"], 1,
+        "68c66813afd16cf786dc1e3b863bca146642d276c830402c1070eec040fd8876",
+        None,
+        id="topology-check-not-continuous"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha256, out_sha256", GOLDEN_MODELS)
+def test_golden_model_output(argv, code, stdout_sha256, out_sha256, tmp_path,
+                             monkeypatch, capsys):
+    """Relative paths keep the model ids, which name the input files, fixed."""
+    for name, obj in (("action.json", MODEL_ACTION), ("continuous.json", CONTINUOUS_TOPOLOGY),
+                      ("broken.json", BROKEN_TOPOLOGY)):
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == code
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
+    if out_sha256 is None:
+        assert not (tmp_path / "out").exists()
+    else:
+        assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == out_sha256

@@ -1,30 +1,43 @@
+import functools
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binact import (
+    EnumerationTask,
     all_topologies,
     builtin_group,
     check_guu_open,
     closure,
     conjugation_coset_action,
+    check_projection_closed_proper,
+    check_quotient_hausdorff_compact,
     discrete_topology,
+    enumerate_actions,
     indiscrete_topology,
     interior,
     is_compact,
     is_continuous,
     is_continuous_map,
     is_discrete,
+    is_distributive,
     is_hausdorff,
     is_locally_compact,
     make_space,
     minimal_neighborhoods,
+    orbit_space,
     points_of,
     quotient_topology,
     run_topology_battery,
     topology_from_json,
     topology_to_json,
     trivial_action,
+    validate_action,
     validate_topology,
 )
+from binact.search import relabel_action
 from binact.errors import (
     CapExceeded,
     MalformedTable,
@@ -35,7 +48,7 @@ from binact.errors import (
     ShapeMismatch,
 )
 
-from oracles import oracle_topology_count
+from oracles import oracle_is_continuous, oracle_topology_count
 
 SIERPINSKI = [[], [0], [0, 1]]
 
@@ -187,3 +200,92 @@ def test_topology_json_round_trip():
     assert topology_from_json(topology_to_json(t)) == t
     data = topology_to_json(t)
     assert data == {"size": 3, "opens": [[], [0], [0, 1], [0, 1, 2]]}
+
+
+@functools.lru_cache(maxsize=None)
+def _actions(name, m):
+    return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
+
+
+@pytest.mark.parametrize("name", ["z2", "s3"])
+def test_is_continuous_matches_open_by_open_oracle(name):
+    """Same verdict and, on failure, the same first failing open as the
+    open-by-open scan, for every action on 3 points and every topology."""
+    topologies = all_topologies(3)
+    failures = 0
+    for a in _actions(name, 3):
+        for t in topologies:
+            got = is_continuous(make_space(a, t))
+            assert got == oracle_is_continuous(a.table, 3, t.opens)
+            failures += got is not True
+    assert 0 < failures < len(_actions(name, 3)) * len(topologies)
+
+
+def _relabel_mask(mask, sigma):
+    return sum(1 << sigma[p] for p in points_of(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_continuity_distributivity_and_orbit_sizes(data):
+    name, m = data.draw(st.sampled_from([("z2", 3), ("z3", 3), ("s3", 3), ("z2", 4)]))
+    a = data.draw(st.sampled_from(_actions(name, m)))
+    t = data.draw(st.sampled_from(all_topologies(m)))
+    sigma = data.draw(st.permutations(range(m)))
+    b = relabel_action(a, sigma)
+    u = validate_topology(m, [_relabel_mask(v, sigma) for v in t.opens])
+    assert (is_continuous(make_space(a, t)) is True) == (is_continuous(make_space(b, u)) is True)
+    distributive = is_distributive(a) is True
+    assert distributive == (is_distributive(b) is True)
+    if distributive:
+        sizes = sorted(len(c) for c in orbit_space(a).classes)
+        assert sizes == sorted(len(c) for c in orbit_space(b).classes)
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace fn in every binact module that holds it with a counting
+    wrapper, so calls through any module's binding are seen."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "binact" or modname.startswith("binact."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["xor-discrete", "z2-on-4"])
+def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch):
+    """One distributivity scan and one continuity scan per public call on a
+    continuous distributive model, with unchanged results."""
+    if model == "xor-discrete":
+        a, t = xor_action, discrete_topology(2)
+    else:
+        a = validate_action(z2, (((0, 1, 2, 3),) * 4,
+                                 ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 3, 2))))
+        t = validate_topology(4, [[], [0], [1], [0, 1], [0, 2, 3], [0, 1, 2, 3]])
+    s = make_space(a, t)
+    expected = {
+        "battery": run_topology_battery(a, t, model_id="m"),
+        "quotient": quotient_topology(s),
+        "projection": check_projection_closed_proper(s),
+        "hausdorff": check_quotient_hausdorff_compact(s),
+    }
+    distributive = _count_calls(monkeypatch, is_distributive)
+    continuous = _count_calls(monkeypatch, is_continuous)
+    calls = {
+        "battery": lambda: run_topology_battery(a, t, model_id="m"),
+        "quotient": lambda: quotient_topology(s),
+        "projection": lambda: check_projection_closed_proper(s),
+        "hausdorff": lambda: check_quotient_hausdorff_compact(s),
+    }
+    for name, call in calls.items():
+        distributive.clear()
+        continuous.clear()
+        assert call() == expected[name]
+        assert (len(distributive), len(continuous)) == (1, 1), name
