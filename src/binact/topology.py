@@ -20,7 +20,8 @@ on finite carriers and carry a caveat flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -45,20 +46,12 @@ TOPOLOGY_ENUM_CAP = 5
 class FiniteTopology:
     """A topology on points 0..carrier_size-1; construct via validate_topology.
 
-    open_bits is the family as one membership set, built once: bit u is
-    set iff the mask u is open. It is derived from opens and takes no part
-    in equality or hashing.
+    opens is ascending without repeats, as every constructor here builds
+    it; is_open and is_closed look masks up in it by binary search.
     """
 
     carrier_size: int
     opens: tuple[int, ...]
-    open_bits: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bits = bytearray(max(self.opens, default=0) // 8 + 1)
-        for u in self.opens:
-            bits[u >> 3] |= 1 << (u & 7)
-        object.__setattr__(self, "open_bits", int.from_bytes(bits, "little"))
 
     @property
     def full_mask(self) -> int:
@@ -123,11 +116,12 @@ def indiscrete_topology(n: int) -> FiniteTopology:
 
 
 def is_open(t: FiniteTopology, mask: int) -> bool:
-    return mask >= 0 and t.open_bits >> mask & 1 == 1
+    i = bisect_left(t.opens, mask)
+    return i < len(t.opens) and t.opens[i] == mask
 
 
 def is_closed(t: FiniteTopology, mask: int) -> bool:
-    return t.open_bits >> (t.full_mask & ~mask) & 1 == 1
+    return is_open(t, t.full_mask & ~mask)
 
 
 def closed_sets(t: FiniteTopology) -> tuple[int, ...]:

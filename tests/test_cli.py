@@ -52,6 +52,13 @@ def test_validate_action_golden_line(files, capsys):
     assert capsys.readouterr().out == "axioms (1),(2): OK\n"
 
 
+def test_validate_large_topology(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"size": 64, "opens": [[], list(range(64))]}))
+    assert main(["validate", "--topology", str(path)]) == 0
+    assert capsys.readouterr().out == "topology: OK (size=64 opens=2)\n"
+
+
 def test_validate_each_kind(files, capsys):
     assert main(["validate", "--group", files["z2.json"]]) == 0
     assert main(["validate", "--group", "s3"]) == 0

@@ -38,6 +38,7 @@ from binact import (
     validate_topology,
 )
 from binact.search import relabel_action
+from binact.topology import is_closed, is_open
 from binact.errors import (
     CapExceeded,
     MalformedTable,
@@ -63,6 +64,18 @@ def test_validate_topology_normalizes_and_checks():
     assert exc.value.pair == (1, 2)
     with pytest.raises(NotClosedUnderIntersection):
         validate_topology(3, [[], [0, 1], [1, 2], [0, 1, 2]])
+
+
+def test_large_carrier_membership_is_per_open():
+    # Membership is looked up among the opens, never in a 2^carrier_size table.
+    full = (1 << 64) - 1
+    for t in (indiscrete_topology(64),
+              validate_topology(64, [[], [0], list(range(64))])):
+        assert is_open(t, 0) and is_open(t, full)
+        assert not is_open(t, 2) and not is_open(t, -1)
+        assert is_closed(t, 0) and is_closed(t, full)
+        assert not is_closed(t, 1)
+    assert is_closed(t, full & ~1) and is_open(t, 1)
 
 
 def test_sierpinski_interior_closure():
