@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .binops import BinaryOp, identity_op, star
+from .binops import BinaryOp, _int, _int_table, _ints, identity_op, star
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -24,7 +24,14 @@ from .errors import (
     NotBiequivariant,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, restrict, subgroup_closure
+from .groups import (
+    FiniteGroup,
+    builtin_group,
+    group_from_json,
+    group_to_json,
+    restrict,
+    subgroup_closure,
+)
 
 
 @dataclass(frozen=True)
@@ -63,38 +70,13 @@ class OrdinaryAction:
         return self.table[g][x]
 
 
-def _check_shape(order: int, table, carrier_size: int | None = None):
-    try:
-        cube = tuple(
-            tuple(tuple(int(v) for v in row) for row in sl) for sl in table
-        )
-    except TypeError as exc:
-        raise ShapeMismatch(f"action table is not a cube of integers: {exc}") from None
-    if len(cube) != order:
-        raise ShapeMismatch(f"got {len(cube)} slices for a group of order {order}")
-    if not cube or not cube[0]:
-        raise ShapeMismatch("carrier must be non-empty")
-    m = len(cube[0]) if carrier_size is None else carrier_size
-    for g, sl in enumerate(cube):
-        if len(sl) != m:
-            raise ShapeMismatch(f"slice {g} has {len(sl)} rows, expected {m}")
-        for x, row in enumerate(sl):
-            if len(row) != m:
-                raise ShapeMismatch(f"slice {g} row {x} has length {len(row)}, expected {m}")
-            for xp, v in enumerate(row):
-                if not 0 <= v < m:
-                    raise ShapeMismatch(
-                        f"entry table[{g}][{x}][{xp}] = {v} out of range 0..{m - 1}")
-    return cube, m
-
-
 def validate_action(group: FiniteGroup, table, group_embedding=None) -> BinaryAction:
     """Check axioms (2) then (1) and return the action.
 
     The first violating tuple in lexicographic order is reported:
     AxiomTwoViolated(x, x') or AxiomOneViolated(g, h, x, x').
     """
-    cube, m = _check_shape(group.order, table)
+    cube, m = _int_table(table, ShapeMismatch, 3, lead=group.order)
 
     e = group.identity
     for x in range(m):
@@ -143,20 +125,7 @@ def is_distributive(a: BinaryAction):
 
 def make_ordinary_action(group: FiniteGroup, table) -> OrdinaryAction:
     """Validate a left-action table: e.x = x and (gh).x = g.(h.x)."""
-    try:
-        rows = tuple(tuple(int(v) for v in row) for row in table)
-    except TypeError as exc:
-        raise ShapeMismatch(f"action table is not a table of integers: {exc}") from None
-    if len(rows) != group.order:
-        raise ShapeMismatch(f"got {len(rows)} rows for a group of order {group.order}")
-    if not rows or not rows[0]:
-        raise ShapeMismatch("carrier must be non-empty")
-    m = len(rows[0])
-    for g, row in enumerate(rows):
-        if len(row) != m:
-            raise ShapeMismatch(f"row {g} has length {len(row)}, expected {m}")
-        if any(not 0 <= v < m for v in row):
-            raise ShapeMismatch(f"row {g} has an out-of-range entry")
+    rows, m = _int_table(table, ShapeMismatch, 2, lead=group.order)
     for x in range(m):
         if rows[group.identity][x] != x:
             raise MalformedTable(f"not a left action: e.{x} != {x}")
@@ -308,8 +277,6 @@ def biequivariance_implies_equivariance_check(a: BinaryAction, b: BinaryAction, 
 # --- serialization -----------------------------------------------------------
 
 def action_to_json(a: BinaryAction) -> dict:
-    from .groups import group_to_json
-
     out = {
         "group": group_to_json(a.group),
         "carrier": a.carrier_size,
@@ -326,29 +293,16 @@ def action_from_json(data: dict, group_resolver=None) -> BinaryAction:
     The group field may be an inline group record or a name; names are
     resolved through group_resolver (defaults to the built-in catalog).
     """
-    from .groups import builtin_group, group_from_json
+    def build(group, table):
+        embedding = data.get("group_embedding")
+        if embedding is not None:
+            embedding = _ints(embedding, ShapeMismatch, "group_embedding")
+        return validate_action(group, table, group_embedding=embedding)
 
-    if not isinstance(data, dict) or "table" not in data or "group" not in data:
-        raise ShapeMismatch("action record must be an object with 'group' and 'table'")
-    raw_group = data["group"]
-    if isinstance(raw_group, str):
-        resolver = group_resolver or builtin_group
-        group = resolver(raw_group)
-    else:
-        group = group_from_json(raw_group)
-    embedding = data.get("group_embedding")
-    if embedding is not None:
-        embedding = tuple(int(v) for v in embedding)
-    a = validate_action(group, data["table"], group_embedding=embedding)
-    if "carrier" in data and int(data["carrier"]) != a.carrier_size:
-        raise ShapeMismatch(
-            f"declared carrier {data['carrier']} does not match table carrier {a.carrier_size}")
-    return a
+    return _record_from_json(data, group_resolver, build)
 
 
 def ordinary_to_json(o: OrdinaryAction) -> dict:
-    from .groups import group_to_json
-
     return {
         "group": group_to_json(o.group),
         "carrier": o.carrier_size,
@@ -357,18 +311,23 @@ def ordinary_to_json(o: OrdinaryAction) -> dict:
 
 
 def ordinary_from_json(data: dict, group_resolver=None) -> OrdinaryAction:
-    from .groups import builtin_group, group_from_json
+    """Rebuild and re-validate an ordinary action record, read like
+    action_from_json."""
+    return _record_from_json(data, group_resolver, make_ordinary_action)
 
+
+def _record_from_json(data, group_resolver, build):
+    """Check the record's shape, resolve its group, build(group, table) and
+    check the declared carrier against the result."""
     if not isinstance(data, dict) or "table" not in data or "group" not in data:
         raise ShapeMismatch("action record must be an object with 'group' and 'table'")
     raw_group = data["group"]
     if isinstance(raw_group, str):
-        resolver = group_resolver or builtin_group
-        group = resolver(raw_group)
+        group = (group_resolver or builtin_group)(raw_group)
     else:
         group = group_from_json(raw_group)
-    o = make_ordinary_action(group, data["table"])
-    if "carrier" in data and int(data["carrier"]) != o.carrier_size:
+    out = build(group, data["table"])
+    if "carrier" in data and _int(data["carrier"], ShapeMismatch, "carrier") != out.carrier_size:
         raise ShapeMismatch(
-            f"declared carrier {data['carrier']} does not match table carrier {o.carrier_size}")
-    return o
+            f"declared carrier {data['carrier']} does not match table carrier {out.carrier_size}")
+    return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, CarrierMismatch, MalformedTable, NotInvertible
@@ -51,20 +52,67 @@ class BinaryOp:
         return self.table[t]
 
 
-def make_binary_op(table) -> BinaryOp:
+def _int_table(table, error, depth: int, lead: int | None = None, name: str = "table"):
+    """A depth-2 or depth-3 table of integers as nested tuples, and its m.
+
+    The first axis has length lead, or is square when lead is None; every
+    other axis has length m; every entry lies in 0..m-1. Otherwise error,
+    the caller's exception class, names the first offending index and value.
+    """
     try:
-        rows = tuple(tuple(int(v) for v in row) for row in table)
-    except TypeError as exc:
-        raise MalformedTable(f"operation table is not a table of integers: {exc}") from None
-    n = len(rows)
-    if n == 0:
-        raise MalformedTable("operation table must be non-empty")
-    for t, row in enumerate(rows):
-        if len(row) != n:
-            raise MalformedTable(f"row {t} has length {len(row)}, expected {n}")
-        for x, v in enumerate(row):
-            if not 0 <= v < n:
-                raise MalformedTable(f"entry table[{t}][{x}] = {v} out of range 0..{n - 1}")
+        if depth == 2:
+            out = tuple([tuple(map(operator.index, row)) for row in table])
+        else:
+            out = tuple([tuple([tuple(map(operator.index, row)) for row in sl]) for sl in table])
+    except TypeError:
+        _ints(table, error, name, depth)
+        raise error(f"{name} is not a table of integers") from None
+    n = len(out)
+    if lead is not None and n != lead:
+        raise error(f"{name} has length {n}, expected {lead}")
+    if not n or not out[0]:
+        raise error(f"{name} must be non-empty")
+    m = n if lead is None else len(out[0])
+    if depth == 2:
+        rows = out
+    else:
+        for g, sl in enumerate(out):
+            if len(sl) != m:
+                raise error(f"{name}[{g}] has length {len(sl)}, expected {m}")
+        rows = [row for sl in out for row in sl]
+    if set(map(len, rows)) != {m} or min(map(min, rows)) < 0 or max(map(max, rows)) >= m:
+        for k, row in enumerate(rows):
+            at = f"{name}[{k}]" if depth == 2 else "%s[%d][%d]" % (name, *divmod(k, m))
+            if len(row) != m:
+                raise error(f"{at} has length {len(row)}, expected {m}")
+            for x, v in enumerate(row):
+                if not 0 <= v < m:
+                    raise error(f"entry {at}[{x}] = {v} out of range 0..{m - 1}")
+    return out, m
+
+
+def _int(value, error, at: str) -> int:
+    """A number read from outside as an int; strings and floats are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{at} = {value!r} is not an integer") from None
+
+
+def _ints(values, error, at: str, depth: int = 1) -> tuple:
+    """A list (depth 1) or a table (depth 2 or 3) of integers read from
+    outside as nested tuples of ints, refused like _int."""
+    try:
+        items = list(values)
+    except TypeError:
+        raise error(f"{at} = {values!r} is not a list") from None
+    if depth == 1:
+        return tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(items)])
+    return tuple([_ints(v, error, f"{at}[{i}]", depth - 1) for i, v in enumerate(items)])
+
+
+def make_binary_op(table) -> BinaryOp:
+    rows, n = _int_table(table, MalformedTable, 2)
     return BinaryOp(size=n, table=rows)
 
 
@@ -136,6 +184,6 @@ def op_from_json(data: dict) -> BinaryOp:
     if not isinstance(data, dict) or "table" not in data:
         raise MalformedTable("operation record must be an object with a 'table' field")
     f = make_binary_op(data["table"])
-    if "size" in data and int(data["size"]) != f.size:
+    if "size" in data and _int(data["size"], MalformedTable, "size") != f.size:
         raise MalformedTable(f"declared size {data['size']} does not match table size {f.size}")
     return f

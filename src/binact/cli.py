@@ -27,7 +27,6 @@ from .actions import (
     is_distributive,
     ordinary_from_json,
     ordinary_to_json,
-    validate_action,
 )
 from .binops import (
     identity_op,
@@ -45,7 +44,7 @@ from .errors import (
     NotInvertible,
     TheoremViolation,
 )
-from .groups import builtin_group, group_from_json, group_to_json, subgroup_closure
+from .groups import builtin_group, group_from_json, subgroup_closure
 from .orbits import orbit_report_json, orbit_space
 from .search import (
     EnumerationTask,
@@ -53,10 +52,11 @@ from .search import (
     mine_counterexamples,
 )
 from .topology import (
-    is_continuous,
+    _battery,
+    _quotient,
+    _require_continuous,
     make_space,
     points_of,
-    quotient_topology,
     run_topology_battery,
     topology_from_json,
     topology_to_json,
@@ -75,7 +75,6 @@ class CliFailure(Exception):
 class RunConfig:
     """Validated launch parameters shared by the subcommand handlers."""
 
-    command: str
     out: Path | None
 
 
@@ -110,7 +109,9 @@ def _resolve_group(ref: str):
         raise CliFailure(2, f"group {ref!r} is neither a readable file nor a known name") from None
 
 
-def _load_action(path: str):
+def _load(path: str, from_json):
+    """An action record read by from_json; a group name in it is a file
+    beside the record if one exists, else a catalog name."""
     data = _read_json(path)
 
     def resolver(name: str):
@@ -119,19 +120,7 @@ def _load_action(path: str):
             return group_from_json(_read_json(str(rel)))
         return builtin_group(name)
 
-    return action_from_json(data, group_resolver=resolver)
-
-
-def _load_ordinary(path: str):
-    data = _read_json(path)
-
-    def resolver(name: str):
-        rel = Path(path).parent / name
-        if rel.is_file():
-            return group_from_json(_read_json(str(rel)))
-        return builtin_group(name)
-
-    return ordinary_from_json(data, group_resolver=resolver)
+    return from_json(data, group_resolver=resolver)
 
 
 def _dump(obj) -> str:
@@ -154,7 +143,7 @@ def _parse_members(text: str) -> list[int]:
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
     if args.action:
-        _load_action(args.action)
+        _load(args.action, action_from_json)
         print("axioms (1),(2): OK")
     elif args.group:
         g = _resolve_group(args.group)
@@ -171,7 +160,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_distributive(cfg: RunConfig, args) -> int:
-    a = _load_action(args.action)
+    a = _load(args.action, action_from_json)
     witness = is_distributive(a)
     if witness is True:
         print("distributive: yes")
@@ -181,7 +170,7 @@ def _cmd_distributive(cfg: RunConfig, args) -> int:
 
 
 def _cmd_orbits(cfg: RunConfig, args) -> int:
-    a = _load_action(args.action)
+    a = _load(args.action, action_from_json)
     witness = is_distributive(a)
     if witness is not True:
         print(f"action is not distributive; witness (g, h, x, x', x'') = {witness}")
@@ -198,17 +187,16 @@ def _cmd_orbits(cfg: RunConfig, args) -> int:
 
 
 def _cmd_quotient(cfg: RunConfig, args) -> int:
-    a = _load_action(args.action)
+    a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
     s = make_space(a, t)
-    w = is_continuous(s)
-    if w is not True:
-        raise NotContinuous(w)
-    qt = quotient_topology(s)
+    _require_continuous(s)
+    space = orbit_space(a)
+    qt = _quotient(t, space)
     print(f"quotient classes: {qt.carrier_size}")
     print("quotient opens: " + "; ".join(
         "{" + ",".join(str(p) for p in points_of(u)) + "}" for u in qt.opens))
-    for rec in run_topology_battery(a, t, model_id=f"action={args.action};topology={args.topology}"):
+    for rec in _battery(s, space, model_id=f"action={args.action};topology={args.topology}"):
         print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
               f"hypotheses_met={'true' if rec.hypotheses_met else 'false'}")
     _emit(cfg, topology_to_json(qt))
@@ -285,7 +273,7 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_topology_check(cfg: RunConfig, args) -> int:
-    a = _load_action(args.action)
+    a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
     model_id = f"action={args.action};topology={args.topology}"
     records = run_topology_battery(
@@ -327,7 +315,7 @@ def _cmd_witnesses(cfg: RunConfig, args) -> int:
 
 
 def _cmd_induce(cfg: RunConfig, args) -> int:
-    a = _load_action(args.action)
+    a = _load(args.action, action_from_json)
     o = induced_action(a, args.point)
     print(f"induced ordinary action at t={args.point}: group={o.group.name} carrier={o.carrier_size}")
     sys.stdout.write(_dump(ordinary_to_json(o)))
@@ -336,7 +324,7 @@ def _cmd_induce(cfg: RunConfig, args) -> int:
 
 
 def _cmd_embed(cfg: RunConfig, args) -> int:
-    o = _load_ordinary(args.ordinary)
+    o = _load(args.ordinary, ordinary_from_json)
     a = from_ordinary(o)
     print(f"embedded binary action: group={a.group.name} carrier={a.carrier_size}")
     sys.stdout.write(_dump(action_to_json(a)))
@@ -470,10 +458,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    cfg = RunConfig(
-        command=args.command,
-        out=Path(args.out) if getattr(args, "out", None) else None,
-    )
+    cfg = RunConfig(out=Path(args.out) if getattr(args, "out", None) else None)
     try:
         return _HANDLERS[args.command](cfg, args)
     except CliFailure as exc:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .binops import _int_table
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -53,32 +54,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _normalize_table(cayley) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    try:
-        rows = [tuple(int(v) for v in row) for row in cayley]
-    except TypeError as exc:
-        raise MalformedTable(f"Cayley table is not a table of integers: {exc}") from None
-    n = len(rows)
-    if n == 0:
-        raise MalformedTable("Cayley table must be non-empty")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise MalformedTable(f"entry cayley[{i}][{j}] = {v} out of range 0..{n - 1}")
-    return tuple(rows)
-
-
 def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a Cayley table and return the group it defines.
 
     Checks run in a fixed order: table shape, two-sided identity,
     associativity (first violating triple reported), two-sided inverses.
     """
-    table = _normalize_table(cayley)
-    n = len(table)
+    table, n = _int_table(cayley, MalformedTable, 2, name="cayley")
 
     identity = None
     for e in range(n):

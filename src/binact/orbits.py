@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import compose_perm, identity_perm, invert_perm, is_perm
+from .binops import _ints, compose_perm, identity_perm, is_perm
 from .errors import (
     IllDefined,
     LawViolated,
+    MalformedTable,
     NotBiequivariant,
     NotBijective,
     NotDistributive,
@@ -27,10 +28,47 @@ from .errors import (
 )
 
 
+def mask_of(points: Iterable[int], carrier_size: int) -> int:
+    mask = 0
+    for p in _ints(points, MalformedTable, "points"):
+        if not 0 <= p < carrier_size:
+            raise MalformedTable(f"point {p} out of range 0..{carrier_size - 1}")
+        mask |= 1 << p
+    return mask
+
+
+def points_of(mask: int) -> list[int]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def k_mask(a: BinaryAction, K: Iterable[int], A: Sequence[int], B: Sequence[int]) -> int:
+    """K(A, B) = {g(x, y) : g in K, x in A, y in B} as a bitmask.
+
+    Every image set here is one: orbits G({x}, {x}), saturations
+    K(A) = union over x in A of K({x}, {x}), and G(A, A). A and B are
+    iterated once per element of K.
+    """
+    t = a.table
+    mask = 0
+    for g in K:
+        tg = t[g]
+        for x in A:
+            row = tg[x]
+            for y in B:
+                mask |= 1 << row[y]
+    return mask
+
+
 def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     """K(A, B) = {g(x, y) : g in K, x in A, y in B}; empty inputs give empty output."""
-    t = a.table
-    return frozenset(t[g][x][y] for g in K for x in A for y in B)
+    return frozenset(points_of(k_mask(a, K, tuple(A), tuple(B))))
 
 
 def is_bi_invariant(a: BinaryAction, A: Iterable[int]) -> bool:
@@ -101,7 +139,7 @@ def orbit_space(a: BinaryAction) -> OrbitSpace:
 def _orbit_space(a: BinaryAction) -> OrbitSpace:
     """orbit_space for an action already known to be distributive."""
     everyone = a.group.elements()
-    orbits = [k_set(a, everyone, (x,), (x,)) for x in range(a.carrier_size)]
+    orbits = [k_mask(a, everyone, (x,), (x,)) for x in range(a.carrier_size)]
     for x in range(a.carrier_size):
         for y in range(x + 1, a.carrier_size):
             inter = orbits[x] & orbits[y]
@@ -113,7 +151,7 @@ def _orbit_space(a: BinaryAction) -> OrbitSpace:
     for x in range(a.carrier_size):
         if projection[x] >= 0:
             continue
-        members = tuple(sorted(orbits[x]))
+        members = tuple(points_of(orbits[x]))
         idx = len(classes)
         classes.append(members)
         for y in members:

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .actions import BinaryAction, is_distributive, validate_action
-from .binops import compose_perm, identity_perm
+from .binops import compose_perm, identity_perm, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable
 from .groups import FiniteGroup, element_order, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
@@ -257,13 +257,6 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
     return validate_action(a.group, table)
 
 
-def _inverse(sigma) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for x, y in enumerate(sigma):
-        inv[y] = x
-    return tuple(inv)
-
-
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     """sigma rho sigma^-1, elementwise over the homomorphism rho."""
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
@@ -292,7 +285,7 @@ class _Relabelling:
                         for g in group.elements() if g != group.identity]
         self.moves = []
         for sigma in perms:
-            inv = _inverse(sigma)
+            inv = invert_perm(sigma)
             conj = []
             for rho in homs:
                 c = self.index.get(_conjugate(sigma, inv, rho))
@@ -337,7 +330,7 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     rows = [tuple(sl[t] for sl in a.table) for t in range(m)]
     orbit = set()
     for sigma in itertools.permutations(range(m)):
-        inv = _inverse(sigma)
+        inv = invert_perm(sigma)
         orbit.update(_conjugate(sigma, inv, rho) for rho in rows)
     rel = _Relabelling(a.group, sorted(orbit), m)
     _, leaf, _ = rel.least(tuple(rel.index[rho] for rho in rows))

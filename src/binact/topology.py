@@ -37,7 +37,8 @@ from .errors import (
     NotDistributive,
     ShapeMismatch,
 )
-from .orbits import OrbitSpace, _diagonal, _orbit_space, orbit_space
+from .binops import _int
+from .orbits import OrbitSpace, _diagonal, _orbit_space, k_mask, mask_of, orbit_space, points_of
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -56,26 +57,6 @@ class FiniteTopology:
     @property
     def full_mask(self) -> int:
         return (1 << self.carrier_size) - 1
-
-
-def mask_of(points: Iterable[int], carrier_size: int) -> int:
-    mask = 0
-    for p in points:
-        if not 0 <= p < carrier_size:
-            raise MalformedTable(f"point {p} out of range 0..{carrier_size - 1}")
-        mask |= 1 << p
-    return mask
-
-
-def points_of(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _coerce_mask(item, carrier_size: int) -> int:
@@ -324,43 +305,22 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 # its caller: it takes the verified orbit space, which exists only for a
 # distributive action, and it assumes its set arguments are what its name
 # says. run_topology_battery verifies continuity and distributivity once and
-# calls the cores directly.
-
-def _pair_image(a: BinaryAction, mask: int) -> int:
-    """G(A, A) as a mask, for the set A given as a mask."""
-    pts = points_of(mask)
-    image = 0
-    for tg in a.table:
-        for x in pts:
-            row = tg[x]
-            for y in pts:
-                image |= 1 << row[y]
-    return image
-
-
-def _diagonal_image(a: BinaryAction, K: Iterable[int], mask: int) -> int:
-    """K(A) = {g(x, x) : g in K, x in A} as a mask."""
-    pts = points_of(mask)
-    image = 0
-    for g in K:
-        tg = a.table[g]
-        for x in pts:
-            image |= 1 << tg[x][x]
-    return image
-
+# hands the orbit space to _battery, the core that calls the others.
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
     if not is_open(s.topology, u_mask):
         raise MalformedTable(f"bitmask {u_mask} is not open in this topology")
-    return is_open(s.topology, _pair_image(s.action, u_mask))
+    pts = points_of(u_mask)
+    return is_open(s.topology, k_mask(s.action, s.action.group.elements(), pts, pts))
 
 
 def check_gaa_closed(s: TopologicalBinaryGSpace, a_mask: int) -> bool:
     """Is G(A, A) closed for the closed set A?"""
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    return is_closed(s.topology, _pair_image(s.action, a_mask))
+    pts = points_of(a_mask)
+    return is_closed(s.topology, k_mask(s.action, s.action.group.elements(), pts, pts))
 
 
 def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -> bool:
@@ -374,7 +334,11 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
         raise NotDistributive(witness)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    return is_closed(s.topology, _diagonal_image(s.action, K, a_mask))
+    K = tuple(K)
+    image = 0
+    for x in points_of(a_mask):
+        image |= k_mask(s.action, K, (x,), (x,))
+    return is_closed(s.topology, image)
 
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
@@ -497,6 +461,16 @@ def run_topology_battery(
     """
     s = make_space(action, topology)
     _require_continuous(s)
+    space = _orbit_space(action) if is_distributive(action) is True else None
+    return _battery(s, space, model_id, include_probes)
+
+
+def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None,
+             model_id: str | None = None, include_probes: bool = True) -> list[ProbeRecord]:
+    """run_topology_battery for a model already known to be continuous,
+    given the verified orbit space of its action, or None when the action
+    is not distributive."""
+    action, topology = s.action, s.topology
     haus = is_hausdorff(topology)
     if model_id is None:
         flat = ",".join(str(v) for sl in action.table for row in sl for v in row)
@@ -511,18 +485,19 @@ def run_topology_battery(
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=hypotheses_met))
 
+    group = action.group
+
+    def pair_image(mask: int) -> int:
+        pts = points_of(mask)
+        return k_mask(action, group.elements(), pts, pts)
+
     closed = closed_sets(topology)
-    add("guu_open",
-        all(is_open(topology, _pair_image(action, u)) for u in topology.opens),
+    add("guu_open", all(is_open(topology, pair_image(u)) for u in topology.opens),
         asserted=haus, hypotheses_met=haus)
-    add("gaa_closed",
-        all(is_closed(topology, _pair_image(action, c)) for c in closed),
+    add("gaa_closed", all(is_closed(topology, pair_image(c)) for c in closed),
         asserted=haus, hypotheses_met=haus)
 
-    if is_distributive(action) is True:
-        space = _orbit_space(action)
-        group = action.group
-
+    if space is not None:
         homeo = True
         for g in group.elements():
             d = _diagonal(action, g)
@@ -533,9 +508,17 @@ def run_topology_battery(
                 break
         add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
 
-        everyone = list(group.elements())
-        add("ka_closed",
-            all(is_closed(topology, _diagonal_image(action, everyone, c)) for c in closed),
+        # the saturation G(A) is the union of the orbits of A's points
+        class_masks = [sum(1 << x for x in members) for members in space.classes]
+        orbit_of = [class_masks[c] for c in space.projection]
+
+        def saturation(mask: int) -> int:
+            out = 0
+            for x in points_of(mask):
+                out |= orbit_of[x]
+            return out
+
+        add("ka_closed", all(is_closed(topology, saturation(c)) for c in closed),
             asserted=True, hypotheses_met=True)
 
         qt = _quotient(topology, space)
@@ -560,4 +543,4 @@ def topology_to_json(t: FiniteTopology) -> dict:
 def topology_from_json(data: dict) -> FiniteTopology:
     if not isinstance(data, dict) or "size" not in data or "opens" not in data:
         raise MalformedTable("topology record must be an object with 'size' and 'opens'")
-    return validate_topology(int(data["size"]), data["opens"])
+    return validate_topology(_int(data["size"], MalformedTable, "size"), data["opens"])

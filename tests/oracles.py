@@ -204,6 +204,12 @@ def oracle_left_cosets(cayley, members):
     return {frozenset(cayley[x][h] for h in members) for x in range(n)}
 
 
+def oracle_k_set(table, K, A, B):
+    """K(A, B) = {g(x, y) : g in K, x in A, y in B}, by a set comprehension
+    over the raw table."""
+    return frozenset(table[g][x][y] for g in K for x in A for y in B)
+
+
 def oracle_min_bi_invariant(cayley, table, m, x):
     """Least S containing x with {g(a,b): g, a in S, b in S} == S, by
     repeated expansion."""

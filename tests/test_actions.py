@@ -182,6 +182,27 @@ def test_ordinary_json_round_trip(s3):
     assert ordinary_from_json(ordinary_to_json(o)).table == o.table
 
 
+@pytest.mark.parametrize("load, table", [
+    (action_from_json, [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]),
+    (ordinary_from_json, [[0, 1], [1, 0]]),
+], ids=["action", "ordinary"])
+def test_json_loaders_share_group_and_carrier_handling(z2, load, table):
+    """Both loaders resolve a group name through the resolver and refuse a
+    declared carrier that differs from the table's or is not an integer."""
+    asked = []
+
+    def resolver(name):
+        asked.append(name)
+        return z2
+
+    record = {"group": "local-z2", "carrier": 2, "table": table}
+    assert load(record, group_resolver=resolver).group is z2
+    assert asked == ["local-z2"]
+    for carrier in (3, "2", 2.0):
+        with pytest.raises(ShapeMismatch):
+            load(dict(record, carrier=carrier), group_resolver=resolver)
+
+
 def test_every_slice_pair_satisfies_axiom_one(k4):
     """Spot check the axiom directly on a handwritten k4 action: the two
     generators act by swap, so their product falls back to the identity."""

@@ -5,16 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binact import (
+    builtin_group,
     identity_op,
     invertible_group,
     is_invertible,
     make_binary_op,
+    make_group,
+    make_ordinary_action,
     op_from_json,
     op_to_json,
     star,
     try_invert,
+    validate_action,
 )
-from binact.errors import CapExceeded, CarrierMismatch, MalformedTable, NotInvertible
+from binact.errors import (
+    CapExceeded,
+    CarrierMismatch,
+    MalformedTable,
+    NotInvertible,
+    ShapeMismatch,
+)
 
 
 def all_ops(n):
@@ -87,6 +97,35 @@ def test_make_binary_op_rejects_ragged_or_out_of_range():
         make_binary_op(((0, 1), (0,)))
     with pytest.raises(MalformedTable):
         make_binary_op(((0, 2), (0, 1)))
+
+
+# bad rows for a group or operation, a Z2 ordinary action, or (as both
+# slices) a Z2 binary action, and the part of the message that names the
+# offending index and value, where there is one
+BAD_TABLES = {
+    "ragged row": ([[0, 1], [0]], "[1] has length 1, expected 2"),
+    "out-of-range entry": ([[0, 1], [1, 2]], "[1][1] = 2 out of range 0..1"),
+    "empty table": ([], None),
+    "wrong leading length": ([[0, 1], [1, 0], [0, 1]], None),
+    "string entry": ([[0, 1], [1, "x"]], "[1][1] = 'x' is not an integer"),
+    "float entry": ([[0, 1], [1, 1.9]], "[1][1] = 1.9 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TABLES))
+@pytest.mark.parametrize("caller, error", [
+    (make_group, MalformedTable),
+    (make_binary_op, MalformedTable),
+    (lambda rows: validate_action(builtin_group("z2"), [rows, rows]), ShapeMismatch),
+    (lambda rows: make_ordinary_action(builtin_group("z2"), rows), ShapeMismatch),
+], ids=["make_group", "make_binary_op", "validate_action", "make_ordinary_action"])
+def test_one_table_validator_for_every_caller(case, caller, error):
+    rows, named = BAD_TABLES[case]
+    with pytest.raises(error) as exc:
+        caller(rows)
+    assert type(exc.value) is error
+    if named is not None:
+        assert named in str(exc.value)
 
 
 def test_op_json_round_trip():

@@ -78,6 +78,47 @@ def test_validate_bad_table_exits_one(tmp_path, capsys):
     assert "AxiomTwoViolated" in capsys.readouterr().out
 
 
+Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("kind, record, line", [
+    ("action", {"group": "z2", "table": [[[0, 1], [0, 1]], [[1, 0], [1, "x"]]]},
+     "ShapeMismatch: table[1][1][1] = 'x' is not an integer"),
+    ("action", {"group": "z2", "table": [[[0, 1], [0, 1]], [[1, 0], [1.9, 0]]]},
+     "ShapeMismatch: table[1][1][0] = 1.9 is not an integer"),
+    ("action", {"group": "z2", "carrier": "2", "table": Z2_ACTION},
+     "ShapeMismatch: carrier = '2' is not an integer"),
+    ("action", {"group": "z2", "group_embedding": [0, 1.0], "table": Z2_ACTION},
+     "ShapeMismatch: group_embedding[1] = 1.0 is not an integer"),
+    ("group", {"cayley": [[0, 1], [1, "y"]]},
+     "MalformedTable: cayley[1][1] = 'y' is not an integer"),
+    ("group", {"cayley": [[0, 1], [1, 0.0]]},
+     "MalformedTable: cayley[1][1] = 0.0 is not an integer"),
+    ("op", {"table": [[0, "1"], [1, 0]]},
+     "MalformedTable: table[0][1] = '1' is not an integer"),
+    ("op", {"table": [[0, 1.5], [1, 0]]},
+     "MalformedTable: table[0][1] = 1.5 is not an integer"),
+    ("op", {"size": 2.0, "table": [[0, 1], [1, 0]]},
+     "MalformedTable: size = 2.0 is not an integer"),
+    ("topology", {"size": 2, "opens": [[], ["q"], [0, 1]]},
+     "MalformedTable: points[0] = 'q' is not an integer"),
+    ("topology", {"size": 2, "opens": [[], [0.0], [0, 1]]},
+     "MalformedTable: points[0] = 0.0 is not an integer"),
+    ("topology", {"size": 2, "opens": [[], 1.5, [0, 1]]},
+     "MalformedTable: points = 1.5 is not a list"),
+    ("topology", {"size": "2", "opens": [[], [0, 1]]},
+     "MalformedTable: size = '2' is not an integer"),
+], ids=["action-string", "action-float", "action-carrier", "action-embedding",
+        "group-string", "group-float", "op-string", "op-float", "op-size",
+        "topology-string-point", "topology-float-point", "topology-float-open",
+        "topology-size"])
+def test_validate_refuses_non_integer_entries(tmp_path, capsys, kind, record, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["validate", f"--{kind}", str(path)]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_catalog_order_cap_exits_one(capsys):
     assert main(["enumerate", "--group", "z129", "--carrier", "2"]) == 1
     assert "catalog group order 129 exceeds configured cap 128" in capsys.readouterr().out

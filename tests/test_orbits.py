@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,14 @@ from binact import (
     orbit,
     orbit_report_json,
     orbit_space,
+    points_of,
     trivial_action,
     validate_action,
 )
 from binact.errors import NotBiequivariant, NotDistributive
+from binact.orbits import k_mask
 
-from oracles import oracle_left_cosets, oracle_min_bi_invariant
+from oracles import oracle_k_set, oracle_left_cosets, oracle_min_bi_invariant
 
 
 def test_k_set_on_mixed_action(mixed_action):
@@ -160,3 +164,27 @@ def test_closure_trace_last_stage_is_bi_invariant(x, seed):
         for g in range(3)))
     trace = bi_invariant_closure_trace(a, x)
     assert is_bi_invariant(a, trace[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _actions(name, m):
+    return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_k_mask_matches_oracle_and_is_monotone(data):
+    """K(A, B) as a mask equals the set comprehension, k_set is that set,
+    and enlarging K, A or B never shrinks the image."""
+    name, m = data.draw(st.sampled_from([("z2", 3), ("z3", 3), ("s3", 3), ("k4", 2)]))
+    a = data.draw(st.sampled_from(_actions(name, m)))
+    elements = st.sets(st.integers(0, a.group.order - 1))
+    points = st.sets(st.integers(0, m - 1))
+    K, A, B = data.draw(elements), data.draw(points), data.draw(points)
+    expected = oracle_k_set(a.table, K, A, B)
+    mask = k_mask(a, K, tuple(A), tuple(B))
+    assert frozenset(points_of(mask)) == expected
+    assert k_set(a, K, A, B) == expected
+    bigger = (K | data.draw(elements), A | data.draw(points), B | data.draw(points))
+    grown = k_mask(a, bigger[0], tuple(bigger[1]), tuple(bigger[2]))
+    assert mask & ~grown == 0

@@ -1,4 +1,5 @@
 import functools
+import json
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from binact import (
     EnumerationTask,
+    action_to_json,
     all_topologies,
     builtin_group,
     check_guu_open,
@@ -37,6 +39,7 @@ from binact import (
     validate_action,
     validate_topology,
 )
+from binact.cli import main
 from binact.search import relabel_action
 from binact.topology import is_closed, is_open
 from binact.errors import (
@@ -273,9 +276,10 @@ def _count_calls(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("model", ["xor-discrete", "z2-on-4"])
-def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch):
-    """One distributivity scan and one continuity scan per public call on a
-    continuous distributive model, with unchanged results."""
+def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_path, capsys):
+    """One distributivity scan and one continuity scan per public call, and
+    per `binact quotient` command, on a continuous distributive model, with
+    unchanged results."""
     if model == "xor-discrete":
         a, t = xor_action, discrete_topology(2)
     else:
@@ -283,20 +287,25 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch):
                                  ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 3, 2))))
         t = validate_topology(4, [[], [0], [1], [0, 1], [0, 2, 3], [0, 1, 2, 3]])
     s = make_space(a, t)
-    expected = {
-        "battery": run_topology_battery(a, t, model_id="m"),
-        "quotient": quotient_topology(s),
-        "projection": check_projection_closed_proper(s),
-        "hausdorff": check_quotient_hausdorff_compact(s),
-    }
-    distributive = _count_calls(monkeypatch, is_distributive)
-    continuous = _count_calls(monkeypatch, is_continuous)
+    action_file, topology_file = tmp_path / "a.json", tmp_path / "t.json"
+    action_file.write_text(json.dumps(action_to_json(a)))
+    topology_file.write_text(json.dumps(topology_to_json(t)))
+
+    def quotient_command():
+        code = main(["quotient", "--action", str(action_file), "--topology", str(topology_file)])
+        return code, capsys.readouterr().out
+
     calls = {
         "battery": lambda: run_topology_battery(a, t, model_id="m"),
         "quotient": lambda: quotient_topology(s),
         "projection": lambda: check_projection_closed_proper(s),
         "hausdorff": lambda: check_quotient_hausdorff_compact(s),
+        "quotient command": quotient_command,
     }
+    expected = {name: call() for name, call in calls.items()}
+    assert expected["quotient command"][0] == 0
+    distributive = _count_calls(monkeypatch, is_distributive)
+    continuous = _count_calls(monkeypatch, is_continuous)
     for name, call in calls.items():
         distributive.clear()
         continuous.clear()
