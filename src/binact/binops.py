@@ -99,13 +99,18 @@ def _int(value, error, at: str) -> int:
         raise error(f"{at} = {value!r} is not an integer") from None
 
 
+def _list(values, error, at: str) -> list:
+    """A list read from outside; a value that is not iterable is refused."""
+    try:
+        return list(values)
+    except TypeError:
+        raise error(f"{at} = {values!r} is not a list") from None
+
+
 def _ints(values, error, at: str, depth: int = 1) -> tuple:
     """A list (depth 1) or a table (depth 2 or 3) of integers read from
     outside as nested tuples of ints, refused like _int."""
-    try:
-        items = list(values)
-    except TypeError:
-        raise error(f"{at} = {values!r} is not a list") from None
+    items = _list(values, error, at)
     if depth == 1:
         return tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(items)])
     return tuple([_ints(v, error, f"{at}[{i}]", depth - 1) for i, v in enumerate(items)])

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _int_table
+from .binops import _int_table, _list
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -90,7 +90,7 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
         inverse.append(found)
 
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(str(s) for s in _list(labels, MalformedTable, "labels"))
         if len(labels) != n:
             raise MalformedTable(f"got {len(labels)} labels for {n} elements")
 

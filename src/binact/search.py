@@ -6,7 +6,24 @@ vary gives an ordinary permutation action of G (a homomorphism G -> S_X),
 and a binary action is exactly one such row homomorphism per carrier
 point. The search therefore precomputes every homomorphism G -> S_X, then
 assigns one homomorphism per row, pruning on the distributivity law over
-the cells assigned so far when asked to.
+the rows assigned so far when asked to.
+
+The law g(h(x, x'), h(x, x'')) = h(x, g(x', x'')) is a statement about row
+homomorphisms. Write rho_y for the row at y, rho_y(g) = g(y, -), and
+c = h(x, -), a permutation of the carrier. As functions of x'', the two
+sides are rho_c(x')(g) c and c rho_x'(g); c is invertible, so they agree
+for every x'' exactly when rho_c(x')(g) = c rho_x'(g) c^-1, and for every g
+exactly when rho_c(x') = c rho_x' c^-1 as homomorphisms. So one
+comparison of homomorphism indices, through the conjugation table of c,
+settles the instance (h, x, x') for every g at once. For h = e, c is the
+identity and the instance always holds, so only h != e is checked.
+
+Row t, assigned at depth t, adds the instances that name t as x, x' or
+h(x, x') and whose three rows are assigned; the parent node passed every
+instance over earlier rows. Those with x = t (and x' <= t) or with x < t
+and x' = t are checked directly. The rest have x, x' < t and h(x, x') = t.
+By axioms (1) and (2), h^-1(x, -) = c^-1, so the instance (h^-1, x, t)
+reads rho_x' = c^-1 rho_t c, the same equation; it has x < t and x' = t.
 
 A homomorphism is fixed by its images of a greedily chosen generating
 set. Each generator s may only go to a permutation whose order divides
@@ -281,8 +298,8 @@ class _Relabelling:
         self.index = {rho: i for i, rho in enumerate(homs)}
         perms = list(itertools.permutations(range(m)))
         rank = {p: r for r, p in enumerate(perms)}
-        self.columns = [[rank[rho[g]] for rho in homs]
-                        for g in group.elements() if g != group.identity]
+        self.nonidentity = [g for g in group.elements() if g != group.identity]
+        self.columns = [[rank[rho[g]] for rho in homs] for g in self.nonidentity]
         self.moves = []
         for sigma in perms:
             inv = invert_perm(sigma)
@@ -295,6 +312,13 @@ class _Relabelling:
                 conj.append(c)
             ranked = [[col[c] for c in conj] for col in self.columns]
             self.moves.append((conj, inv, ranked))
+
+    def law_rows(self):
+        """For each homomorphism rho, the pair (rho(h), conjugation table
+        of rho(h)) for every non-identity h: the row h(x, -) at a point x
+        holding rho, and the index map rho' -> rho(h) rho' rho(h)^-1."""
+        return [[(rho[h], self.moves[col[i]][0]) for h, col in zip(self.nonidentity, self.columns)]
+                for i, rho in enumerate(self.homs)]
 
     def key(self, leaf) -> tuple[int, ...]:
         """Sort key of the action's table."""
@@ -351,31 +375,31 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     rowhoms = permutation_homomorphisms(g, m)
+    rel = _Relabelling(g, rowhoms, m)
+    law_rows = rel.law_rows() if task.require_distributive else None
     nodes = 0
     leaves: list[tuple[int, ...]] = []
-    chosen: list[tuple[tuple[int, ...], ...]] = [()] * m
     chosen_idx = [0] * m
-    order = list(g.elements())
 
-    def distributivity_ok(depth: int) -> bool:
-        # check every law instance whose three row indices are already assigned
-        for gg in order:
-            for hh in order:
-                for x in range(depth):
-                    hrow = chosen[x][hh]
-                    for xp in range(depth):
-                        a_idx = hrow[xp]
-                        if a_idx >= depth:
-                            continue
-                        grow_a = chosen[a_idx][gg]
-                        grow_xp = chosen[xp][gg]
-                        for xpp in range(m):
-                            if grow_a[hrow[xpp]] != hrow[grow_xp[xpp]]:
-                                return False
+    def distributivity_ok(t: int) -> bool:
+        # the law instances (h, x, x') that row t adds, h != e, each one
+        # comparison: row h(x, x') is row x' conjugated by c = h(x, -)
+        depth = t + 1
+        it = chosen_idx[t]
+        for c, conj in law_rows[it]:  # x = t, x' <= t
+            for xp in range(depth):
+                y = c[xp]
+                if y < depth and chosen_idx[y] != conj[chosen_idx[xp]]:
+                    return False
+        for x in range(t):  # x < t, x' = t
+            for c, conj in law_rows[chosen_idx[x]]:
+                y = c[t]
+                if y < depth and chosen_idx[y] != conj[it]:
+                    return False
         return True
 
     def emit_partial(reason: str):
-        result = _assemble(task, rowhoms, leaves, search_complete=False, deadline=math.inf)
+        result = _assemble(task, rel, leaves, search_complete=False, deadline=math.inf)
         raise BudgetExceeded(reason, partial=result)
 
     def fill(t: int):
@@ -383,23 +407,23 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         if t == m:
             leaves.append(tuple(chosen_idx))
             return
-        for i, rho in enumerate(rowhoms):
+        for i in range(len(rowhoms)):
             nodes += 1
             if nodes > task.node_budget:
                 emit_partial(f"node budget {task.node_budget} reached")
             if nodes % 1024 == 0 and time.monotonic() > deadline:
                 emit_partial(f"time budget {task.time_budget_s}s reached")
-            chosen[t] = rho
             chosen_idx[t] = i
-            if task.require_distributive and not distributivity_ok(t + 1):
+            if task.require_distributive and not distributivity_ok(t):
                 continue
             fill(t + 1)
 
     fill(0)
-    return _assemble(task, rowhoms, leaves, search_complete=True, deadline=deadline)
+    return _assemble(task, rel, leaves, search_complete=True, deadline=deadline)
 
 
-def _assemble(task, rowhoms, leaves, search_complete: bool, deadline: float) -> EnumerationResult:
+def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
+              deadline: float) -> EnumerationResult:
     """Validate, check and canonicalize the found actions in table order.
 
     Past the deadline, the actions assembled so far make a partial result,
@@ -409,7 +433,6 @@ def _assemble(task, rowhoms, leaves, search_complete: bool, deadline: float) -> 
     """
     g = task.group
     m = task.carrier_size
-    rel = _Relabelling(g, rowhoms, m)
     actions = []
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)

@@ -37,7 +37,7 @@ from .errors import (
     NotDistributive,
     ShapeMismatch,
 )
-from .binops import _int
+from .binops import _int, _list
 from .orbits import OrbitSpace, _diagonal, _orbit_space, k_mask, mask_of, orbit_space, points_of
 
 TOPOLOGY_ENUM_CAP = 5
@@ -75,7 +75,7 @@ def validate_topology(carrier_size: int, opens) -> FiniteTopology:
     """
     if carrier_size < 1:
         raise MalformedTable("carrier size must be >= 1")
-    masks = sorted({_coerce_mask(u, carrier_size) for u in opens})
+    masks = sorted({_coerce_mask(u, carrier_size) for u in _list(opens, MalformedTable, "opens")})
     family = set(masks)
     full = (1 << carrier_size) - 1
     if 0 not in family or full not in family:

@@ -52,7 +52,10 @@ def oracle_valid_action_tables(cayley, identity, m):
     return found
 
 
-def oracle_is_distributive(cayley, table, m):
+def oracle_distributivity_witness(cayley, table, m):
+    """True, or the first (g, h, x, x', x'') violating
+    g(h(x, x'), h(x, x'')) = h(x, g(x', x'')), over every tuple, the
+    identity included."""
     n = len(cayley)
     for g in range(n):
         for h in range(n):
@@ -62,8 +65,12 @@ def oracle_is_distributive(cayley, table, m):
                         left = table[g][table[h][x][xp]][table[h][x][xpp]]
                         right = table[h][x][table[g][xp][xpp]]
                         if left != right:
-                            return False
+                            return (g, h, x, xp, xpp)
     return True
+
+
+def oracle_is_distributive(cayley, table, m):
+    return oracle_distributivity_witness(cayley, table, m) is True
 
 
 def oracle_hom_count(cayley, identity, degree):

@@ -108,10 +108,14 @@ Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
      "MalformedTable: points = 1.5 is not a list"),
     ("topology", {"size": "2", "opens": [[], [0, 1]]},
      "MalformedTable: size = '2' is not an integer"),
+    ("group", {"cayley": [[0]], "labels": 5},
+     "MalformedTable: labels = 5 is not a list"),
+    ("topology", {"size": 2, "opens": 5},
+     "MalformedTable: opens = 5 is not a list"),
 ], ids=["action-string", "action-float", "action-carrier", "action-embedding",
         "group-string", "group-float", "op-string", "op-float", "op-size",
         "topology-string-point", "topology-float-point", "topology-float-open",
-        "topology-size"])
+        "topology-size", "group-labels", "topology-opens"])
 def test_validate_refuses_non_integer_entries(tmp_path, capsys, kind, record, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))

@@ -3,7 +3,10 @@ for fixed invocations. The enumerate and witnesses digests were recorded
 with the brute-force canonicalization that tests/oracles.py keeps, the
 quotient and topology-check digests with the open-by-open continuity scan
 and the per-check re-verification that the battery used before it verified
-each fact once. A change to any of them changes the output format, the
+each fact once, and the two raw `--require-distributive` enumerations
+(no --dedupe, so the raw order is pinned) with the search that re-checked
+every assigned law instance at each depth, before it checked only the
+instances a new row adds. A change to any of them changes the output format, the
 enumeration order, the canonical representatives or a check's verdict, and
 needs a deliberate new recording."""
 
@@ -30,6 +33,16 @@ GOLDEN = [
         "db1ee5f524148ddd8273a858cd8bd119f87436ed62f108b7d86828b0639aaf21",
         "210f1509ee99087555c090296fecdc5d1aa7581ee1f2a91548fde5a0f8e41496",
         id="enumerate-s3-3-distributive-dedupe"),
+    pytest.param(
+        ["enumerate", "--group", "k4", "--carrier", "3", "--require-distributive"],
+        "f57344c92b73ad6f5c902baeda681a37c6d1fe81b88795185e36264e88850998",
+        "6bf31264c9f010baa232d58d69070bf799225142fdc815b6891d008023645cc6",
+        id="enumerate-k4-3-distributive"),
+    pytest.param(
+        ["enumerate", "--group", "z3", "--carrier", "4", "--require-distributive"],
+        "e8109e5bd9baf6346714e7f36fd62ebe6fec8dddddb8999ba7ebbeec5301d91b",
+        "75cfc6b6ebd41e204fd4d48d9ef2941399e3dfeb611ff402e87d9e5e8626d6b8",
+        id="enumerate-z3-4-distributive"),
     pytest.param(
         ["witnesses", "--group", "s3", "--carrier", "3"],
         "8cada431d8cce24b3fdd1c9e4c8c8a87d070e81e6c64206c41a1e95b355f4089",

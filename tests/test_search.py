@@ -28,6 +28,7 @@ from oracles import (
     oracle_canonical_form,
     oracle_canonical_representatives,
     oracle_dey_count,
+    oracle_distributivity_witness,
     oracle_hom_count,
     oracle_is_distributive,
     oracle_permutation_homomorphisms,
@@ -144,19 +145,51 @@ def test_enumeration_matches_brute_force_z3_m2(z3):
         tuple(tuple((0, 1) for _ in range(2)) for _ in range(3))}
 
 
-def test_require_distributive_matches_filter(z2, s3):
-    for g, m in [(z2, 3), (s3, 3)]:
-        full = enumerate_actions(EnumerationTask(group=g, carrier_size=m))
-        filt = enumerate_actions(
-            EnumerationTask(group=g, carrier_size=m, require_distributive=True))
-        assert filt.raw_count == full.distributive_count
-        assert {a.table for a in filt.actions} == {
-            a.table for a in full.actions if is_distributive(a) is True}
-
-
 @functools.lru_cache(maxsize=None)
 def _all_actions(name, m):
     return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
+
+
+def test_require_distributive_matches_filter():
+    """The pruned search keeps exactly the distributive actions of the
+    unfiltered one, in the same order. Of these cases only z2 on 4 points
+    needs the instances (h, t, x') with x' < t."""
+    for name, m in [("z2", 3), ("s3", 3), ("z2", 4), ("z3", 3), ("k4", 3)]:
+        g = builtin_group(name)
+        filt = enumerate_actions(
+            EnumerationTask(group=g, carrier_size=m, require_distributive=True))
+        expect = [a.table for a in _all_actions(name, m)
+                  if oracle_is_distributive(g.cayley, a.table, m)]
+        assert [a.table for a in filt.actions] == expect, (name, m)
+        assert filt.raw_count == filt.distributive_count == len(expect), (name, m)
+
+
+@pytest.mark.parametrize("name, m, budget, raw, canonical", [
+    ("k4", 4, 20_000, 309, 83),
+    ("z3", 5, 5_000, 138, 11),
+    ("s3", 4, 3_000, 62, 13),
+])
+def test_node_budget_partial_under_require_distributive(name, m, budget, raw, canonical):
+    """A node passes the pruned check exactly when every law instance over
+    its assigned rows holds, so the nodes counted before a budget stop, and
+    the partial result, are those of the scan over all assigned instances
+    (the counts were recorded with that scan)."""
+    g = builtin_group(name)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
+                                          node_budget=budget))
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert (partial.raw_count, partial.canonical_count) == (raw, canonical)
+    assert all(oracle_is_distributive(g.cayley, a.table, m) for a in partial.actions)
+
+
+def test_is_distributive_matches_witness_oracle():
+    """Skipping g = e and h = e keeps the first witness of the full scan."""
+    for name, m in [("z2", 3), ("z2", 4), ("s3", 3)]:
+        cayley = builtin_group(name).cayley
+        for a in _all_actions(name, m):
+            assert is_distributive(a) == oracle_distributivity_witness(cayley, a.table, m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -249,13 +282,14 @@ def test_unclosed_hom_list_raises(z2, monkeypatch):
 def test_orbit_stabilizer_count_rejects_unclosed_leaf_set(z2):
     task = EnumerationTask(group=z2, carrier_size=3)
     homs = permutation_homomorphisms(z2, 3)
+    rel = search._Relabelling(z2, homs, 3)
     leaves = list(itertools.product(range(len(homs)), repeat=3))
-    full = search._assemble(task, homs, leaves, search_complete=True, deadline=math.inf)
+    full = search._assemble(task, rel, leaves, search_complete=True, deadline=math.inf)
     assert full.raw_count == 64 and full.exhaustive
     # the last leaf puts one transposition on every row; its class also
     # holds the two other transpositions on every row
     with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
-        search._assemble(task, homs, leaves[:-1], search_complete=True, deadline=math.inf)
+        search._assemble(task, rel, leaves[:-1], search_complete=True, deadline=math.inf)
 
 
 def test_task_validation(z2):
