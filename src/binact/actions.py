@@ -106,26 +106,39 @@ def is_distributive(a: BinaryAction):
     With c = h(x, -), the law at (h, x, x') for every g and x'' says that
     the row homomorphism at h(x, x') is c rho c^-1 for the row rho at x'
     (see binact.search). It always holds for g = e or h = e, by axiom (2):
-    both sides are then h(x, x'') or g(x', x''). The scan skips those and
-    checks the other (|G| - 1)^2 * |X|^3 tuples, so the first witness in
-    (g, h, x, x', x'') order is the one a full scan finds. Compare the
-    result with ``is True``; a witness tuple is truthy.
+    both sides are then h(x, x'') or g(x', x''). The scan skips those, so
+    the first witness in (g, h, x, x', x'') order is the one a full scan
+    finds.
+
+    Written with c, the law at (g, h, x) reads g(c(x'), c(x'')) =
+    c(g(x', x'')) for all x', x'': it depends on g and c only. So per g the
+    scan keeps the rows c that already passed, starting with the identity,
+    for which both sides are g(x', x''), and skips a (g, h, x) whose row is
+    among them. A skipped triple would pass, and a row that fails ends the
+    scan the first time it is met, so the first witness is unchanged.
+    Compare the result with ``is True``; a witness tuple is truthy.
     """
     t = a.table
     m = a.carrier_size
-    others = [g for g in a.group.elements() if g != a.group.identity]
-    for g in others:
-        tg = t[g]
-        for h in others:
-            th = t[h]
-            for x in range(m):
-                throw = th[x]
+    e = a.group.identity
+    ident = t[e][0]  # e(0, -), the identity by axiom (2)
+    for g, tg in enumerate(t):
+        if g == e:
+            continue
+        passed = {ident}
+        for h, th in enumerate(t):
+            if h == e:
+                continue
+            for x, c in enumerate(th):
+                if c in passed:
+                    continue
                 for xp in range(m):
-                    lhs_row = tg[throw[xp]]
+                    lhs_row = tg[c[xp]]
                     gxp = tg[xp]
                     for xpp in range(m):
-                        if lhs_row[throw[xpp]] != throw[gxp[xpp]]:
+                        if lhs_row[c[xpp]] != c[gxp[xpp]]:
                             return (g, h, x, xp, xpp)
+                passed.add(c)
     return True
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, CarrierMismatch, MalformedTable, NotInvertible
@@ -100,11 +101,15 @@ def _int(value, error, at: str) -> int:
 
 
 def _list(values, error, at: str) -> list:
-    """A list read from outside; a value that is not iterable is refused."""
-    try:
-        return list(values)
-    except TypeError:
-        raise error(f"{at} = {values!r} is not a list") from None
+    """A list read from outside; a string, bytes, a mapping or a value that
+    is not iterable is refused rather than split into its characters or
+    keys."""
+    if not isinstance(values, (str, bytes, Mapping)):
+        try:
+            return list(values)
+        except TypeError:
+            pass
+    raise error(f"{at} = {values!r} is not a list")
 
 
 def _ints(values, error, at: str, depth: int = 1) -> tuple:

@@ -279,6 +279,10 @@ def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
+class _DeadlinePassed(Exception):
+    """The deadline passed while a _Relabelling was being built."""
+
+
 class _Relabelling:
     """The carrier relabellings acting on actions held as index tuples.
 
@@ -289,10 +293,12 @@ class _Relabelling:
     per non-identity group element g, the rank of rho(g) among all
     permutations of the carrier. The identity slice is the same in every
     table, so the ranks over the other slices, read g-major, order index
-    tuples exactly as their tables are ordered.
+    tuples exactly as their tables are ordered. Building the m! tables
+    reads the clock once per relabelling and raises _DeadlinePassed past
+    the deadline.
     """
 
-    def __init__(self, group: FiniteGroup, homs, m: int):
+    def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.group = group
         self.homs = homs
         self.index = {rho: i for i, rho in enumerate(homs)}
@@ -302,6 +308,8 @@ class _Relabelling:
         self.columns = [[rank[rho[g]] for rho in homs] for g in self.nonidentity]
         self.moves = []
         for sigma in perms:
+            if time.monotonic() > deadline:
+                raise _DeadlinePassed()
             inv = invert_perm(sigma)
             conj = []
             for rho in homs:
@@ -367,15 +375,21 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     Emitted actions are sorted by table and validated; under
     require_distributive each one is re-checked with the exhaustive
     distributivity scan as well. The time budget counts from before the
-    row homomorphisms are generated and bounds the search and the assembly
-    of its result. Budgets exhausted mid-search raise BudgetExceeded
-    carrying the partial result.
+    row homomorphisms are generated and bounds the relabelling tables, the
+    search and the assembly of its result. Budgets exhausted mid-search
+    raise BudgetExceeded carrying the partial result, which is empty when
+    the deadline passed before the search began.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     rowhoms = permutation_homomorphisms(g, m)
-    rel = _Relabelling(g, rowhoms, m)
+    try:
+        rel = _Relabelling(g, rowhoms, m, deadline)
+    except _DeadlinePassed:
+        empty = EnumerationResult(task=task, actions=(), raw_count=0, canonical_count=0,
+                                  distributive_count=0, exhaustive=False)
+        raise BudgetExceeded(f"time budget {task.time_budget_s}s reached", partial=empty) from None
     law_rows = rel.law_rows() if task.require_distributive else None
     nodes = 0
     leaves: list[tuple[int, ...]] = []

@@ -237,37 +237,44 @@ def is_continuous(s: TopologicalBinaryGSpace):
     the action is not open in discrete(G) x X x X.
 
     The minimal open neighbourhood of (g, x, x') in the product is
-    {g} x N(x) x N(x'), so the preimage of V is open iff every (g, x, x')
-    that lands in V has g(N(x), N(x')) inside V. One pass over the product
-    collects reach[y], the union of g(N(x), N(x')) over every (g, x, x')
-    with g(x, x') = y; then V fails iff some y in V has reach[y] outside V.
-    Every open containing y contains N(y), so a point whose reach stays
-    inside N(y) fails no open: if that holds at every point the action is
-    continuous. (The identity adds e(N(x), N(x')) = N(x') to reach[x'],
-    which never leaves N(x'), so it is skipped.) Otherwise the opens are
-    tried in ascending order and the first failing one is returned, which
-    is the open an open-by-open scan of the product finds first. Compare
-    the result with ``is True``.
+    {g} x N(x) x N(x'), so V fails exactly when some (g, x, x') lands in V
+    while some g(u, w) with u in N(x), w in N(x') does not. That happens
+    exactly when some one-argument map f, a row x' -> g(x, x') or a column
+    x -> g(x, x') with g != e, has f(w) in V and f(u) outside V for some
+    u in N(w): a failing row or column is a failing triple, and if
+    g(x, x') is in V and g(u, w) is not, then either g(u, x') is outside
+    V, and the column at x' fails at x, or it is in V, and the row at u
+    fails at x'. (On a preorder, a map of two arguments is monotone exactly
+    when it is monotone in each argument.) The identity's rows are the
+    identity and its columns are constant, so they never fail.
+
+    So the scan collects reach[y], the union of f(N(w) - {w}) over the
+    distinct rows and columns f and the points w with f(w) = y; V fails
+    iff some y in V has reach[y] outside V, the same opens as an
+    open-by-open scan of the product. Every open containing y contains
+    N(y), so if every reach[y] stays inside N(y) the action is continuous.
+    Otherwise the opens are tried in ascending order and the first failing
+    one is returned, which is the open the open-by-open scan finds first.
+    Compare the result with ``is True``.
     """
     a = s.action
     t = s.topology
     nbhd = minimal_neighborhoods(t)
     m = a.carrier_size
-    pts = [points_of(n) for n in nbhd]
+    e = a.group.identity
+    maps = set()
+    for g, tg in enumerate(a.table):
+        if g != e:
+            maps.update(tg)
+            maps.update(zip(*tg))
+    spread = [(w, points_of(nbhd[w] & ~(1 << w))) for w in range(m) if nbhd[w] != 1 << w]
     reach = [0] * m
-    for g in a.group.elements():
-        if g == a.group.identity:
-            continue
-        tg = a.table[g]
-        for x in range(m):
-            rows = [tg[u] for u in pts[x]]
-            row_x = tg[x]
-            for xp in range(m):
-                image = 0
-                for row in rows:
-                    for w in pts[xp]:
-                        image |= 1 << row[w]
-                reach[row_x[xp]] |= image
+    for f in maps:
+        for w, others in spread:
+            image = 0
+            for u in others:
+                image |= 1 << f[u]
+            reach[f[w]] |= image
     if all(reach[y] & ~nbhd[y] == 0 for y in range(m)):
         return True
     for v in t.opens:
@@ -278,17 +285,25 @@ def is_continuous(s: TopologicalBinaryGSpace):
 
 
 def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
-    """Plain continuity of f: src -> dst (preimages of opens are open)."""
+    """Plain continuity of f: src -> dst (preimages of opens are open).
+
+    f is continuous iff it sends every minimal neighbourhood N(x) into
+    N(f(x)): the preimage of the open N(f(x)) contains x, so it contains
+    N(x) when it is open; and then the preimage of any open V is the union
+    of the N(x) with f(x) in V, since V contains N(f(x)).
+    """
     mapping = tuple(int(v) for v in f)
     if len(mapping) != src.carrier_size:
         raise ShapeMismatch(f"map has length {len(mapping)}, expected {src.carrier_size}")
-    for v in dst.opens:
-        pre = 0
-        for x, fx in enumerate(mapping):
-            if v >> fx & 1:
-                pre |= 1 << x
-        if not is_open(src, pre):
-            return False
+    if any(not 0 <= v < dst.carrier_size for v in mapping):
+        raise ShapeMismatch("map has an out-of-range value")
+    src_nbhd = minimal_neighborhoods(src)
+    dst_nbhd = minimal_neighborhoods(dst)
+    for x, fx in enumerate(mapping):
+        target = dst_nbhd[fx]
+        for u in points_of(src_nbhd[x]):
+            if not target >> mapping[u] & 1:
+                return False
     return True
 
 
@@ -498,14 +513,9 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None,
         asserted=haus, hypotheses_met=haus)
 
     if space is not None:
-        homeo = True
-        for g in group.elements():
-            d = _diagonal(action, g)
-            dinv = _diagonal(action, group.inv(g))
-            if not (is_continuous_map(topology, topology, d)
-                    and is_continuous_map(topology, topology, dinv)):
-                homeo = False
-                break
+        # d_g and d_{g^-1} run over the same maps, so each is tested once
+        homeo = all(is_continuous_map(topology, topology, _diagonal(action, g))
+                    for g in group.elements())
         add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
 
         # the saturation G(A) is the union of the orbits of A's points

@@ -281,3 +281,17 @@ def oracle_is_continuous(table, m, opens):
                                 return v
     return True
 
+
+
+def oracle_is_continuous_map(m_src, src_opens, dst_opens, f):
+    """Is the preimage under f of every open of dst an open of src? Scanned
+    open by open, with each preimage looked up among src's opens."""
+    src = set(src_opens)
+    for v in dst_opens:
+        pre = 0
+        for x in range(m_src):
+            if v >> f[x] & 1:
+                pre |= 1 << x
+        if pre not in src:
+            return False
+    return True

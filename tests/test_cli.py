@@ -112,10 +112,26 @@ Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
      "MalformedTable: labels = 5 is not a list"),
     ("topology", {"size": 2, "opens": 5},
      "MalformedTable: opens = 5 is not a list"),
+    ("group", {"cayley": [[0, 1], [1, 0]], "labels": "ab"},
+     "MalformedTable: labels = 'ab' is not a list"),
+    ("group", {"cayley": [[0]], "labels": {"0": "e"}},
+     "MalformedTable: labels = {'0': 'e'} is not a list"),
+    ("topology", {"size": 2, "opens": "01"},
+     "MalformedTable: opens = '01' is not a list"),
+    ("topology", {"size": 2, "opens": {"0": [0]}},
+     "MalformedTable: opens = {'0': [0]} is not a list"),
+    ("action", {"group": "z2", "group_embedding": "01", "table": Z2_ACTION},
+     "ShapeMismatch: group_embedding = '01' is not a list"),
+    ("topology", {"size": 2, "opens": [[], "0", [0, 1]]},
+     "MalformedTable: points = '0' is not a list"),
+    ("topology", {"size": 2, "opens": [[], {"0": 1}, [0, 1]]},
+     "MalformedTable: points = {'0': 1} is not a list"),
 ], ids=["action-string", "action-float", "action-carrier", "action-embedding",
         "group-string", "group-float", "op-string", "op-float", "op-size",
         "topology-string-point", "topology-float-point", "topology-float-open",
-        "topology-size", "group-labels", "topology-opens"])
+        "topology-size", "group-labels", "topology-opens", "group-labels-string",
+        "group-labels-mapping", "topology-opens-string", "topology-opens-mapping",
+        "action-embedding-string", "topology-point-string", "topology-point-mapping"])
 def test_validate_refuses_non_integer_entries(tmp_path, capsys, kind, record, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
@@ -293,8 +309,9 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
 
 
 def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
-    """Every clock read advances one second, so a 10 s budget runs out while
-    the actions are assembled; the stop is reported like enumerate's. Of the
+    """Every clock read advances one second, so a 16 s budget (six reads for
+    the relabellings of 3 points, then one per action) runs out while the
+    actions are assembled; the stop is reported like enumerate's. Of the
     first ten actions of z2 on 3 points, 3 are distributive and they fall
     into 6 classes (by the oracles in tests/oracles.py)."""
     import itertools
@@ -303,7 +320,7 @@ def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
 
     ticks = itertools.count()
     monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
-    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "10"]) == 1
+    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "16"]) == 1
     assert capsys.readouterr().out == (
-        "non-exhaustive: enumeration budget exceeded: time budget 10.0s reached\n"
+        "non-exhaustive: enumeration budget exceeded: time budget 16.0s reached\n"
         "raw_count=10 canonical_count=6 distributive_count=3 exhaustive=no\n")

@@ -185,8 +185,9 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
 
 
 def test_is_distributive_matches_witness_oracle():
-    """Skipping g = e and h = e keeps the first witness of the full scan."""
-    for name, m in [("z2", 3), ("z2", 4), ("s3", 3)]:
+    """Skipping g = e and h = e, and the rows h(x, -) that already passed
+    for g, keeps the first witness of the full scan."""
+    for name, m in [("z2", 3), ("z2", 4), ("s3", 3), ("z3", 3), ("k4", 3)]:
         cayley = builtin_group(name).cayley
         for a in _all_actions(name, m):
             assert is_distributive(a) == oracle_distributivity_witness(cayley, a.table, m)
@@ -239,18 +240,33 @@ def test_node_budget_exhaustion_carries_partial(s3):
 
 
 def test_time_budget_bounds_assembly(z2, monkeypatch):
-    """The deadline is read once when the search starts and once before each
-    action is assembled; z2 on 3 points makes too few search nodes for the
-    search itself to read it."""
+    """The deadline is read once when the search starts, once per relabelling
+    of the carrier (six on 3 points) and once before each action is
+    assembled; z2 on 3 points makes too few search nodes for the search
+    itself to read it."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=10))
-    assert next(ticks) == 12  # building the partial result read no clock
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=16))
+    assert next(ticks) == 18  # building the partial result read no clock
     partial = exc.value.partial
     assert not partial.exhaustive
     assert partial.raw_count == 10
     assert partial.actions == _all_actions("z2", 3)[:10]
+
+
+def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
+    """The deadline is read before each of the m! relabelling tables is
+    built; a stop there raises an empty, non-exhaustive partial."""
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded, match="time budget 2s reached") as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=2))
+    assert next(ticks) == 4  # the third relabelling read 3 > 2 and stopped the run
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.actions == ()
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
 
 
 def test_time_budget_covers_hom_generation(z2, monkeypatch):

@@ -30,6 +30,7 @@ from binact import (
     make_space,
     minimal_neighborhoods,
     orbit_space,
+    permutation_homomorphisms,
     points_of,
     quotient_topology,
     run_topology_battery,
@@ -52,7 +53,7 @@ from binact.errors import (
     ShapeMismatch,
 )
 
-from oracles import oracle_is_continuous, oracle_topology_count
+from oracles import oracle_is_continuous, oracle_is_continuous_map, oracle_topology_count
 
 SIERPINSKI = [[], [0], [0, 1]]
 
@@ -147,6 +148,12 @@ def test_is_continuous_map_basics():
     assert not is_continuous_map(sierp, sierp, (1, 0))
 
 
+@pytest.mark.parametrize("f", [(5, 0), (-1, 0), (0, 2)])
+def test_is_continuous_map_refuses_out_of_range_values(f):
+    with pytest.raises(ShapeMismatch, match="out-of-range"):
+        is_continuous_map(discrete_topology(2), indiscrete_topology(2), f)
+
+
 def test_quotient_of_trivial_action_is_source_topology(z2):
     a = trivial_action(z2, 2)
     sierp = validate_topology(2, SIERPINSKI)
@@ -223,7 +230,7 @@ def _actions(name, m):
     return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
 
 
-@pytest.mark.parametrize("name", ["z2", "s3"])
+@pytest.mark.parametrize("name", ["z2", "s3", "z3", "k4"])
 def test_is_continuous_matches_open_by_open_oracle(name):
     """Same verdict and, on failure, the same first failing open as the
     open-by-open scan, for every action on 3 points and every topology."""
@@ -235,6 +242,52 @@ def test_is_continuous_matches_open_by_open_oracle(name):
             assert got == oracle_is_continuous(a.table, 3, t.opens)
             failures += got is not True
     assert 0 < failures < len(_actions(name, 3)) * len(topologies)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_homs(name, m):
+    return permutation_homomorphisms(builtin_group(name), m)
+
+
+@functools.lru_cache(maxsize=None)
+def _topologies(m):
+    return all_topologies(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_is_continuous_matches_oracle_on_4_points(data):
+    """A drawn action on 4 points (a drawn row homomorphism at each point,
+    which is always an action) on a drawn topology: the same verdict and
+    first failing open as the open-by-open scan."""
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    homs = _row_homs(name, 4)
+    rows = data.draw(st.lists(st.sampled_from(homs), min_size=4, max_size=4))
+    g = builtin_group(name)
+    a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
+    t = data.draw(st.sampled_from(_topologies(4)))
+    assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 4, t.opens)
+
+
+def test_is_continuous_map_matches_preimage_oracle():
+    """Minimal neighbourhoods into minimal neighbourhoods agrees with the
+    open-by-open preimage scan on every diagonal and row map of the z2, z3
+    and s3 actions on 3 points, between any two topologies on 3 points."""
+    maps = set()
+    for name in ("z2", "z3", "s3"):
+        for a in _actions(name, 3):
+            for sl in a.table:
+                maps.add(tuple(sl[x][x] for x in range(3)))
+                maps.update(sl)
+    topologies = all_topologies(3)
+    verdicts = set()
+    for src in topologies:
+        for dst in topologies:
+            for f in sorted(maps):
+                got = is_continuous_map(src, dst, f)
+                assert got == oracle_is_continuous_map(3, src.opens, dst.opens, f)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def _relabel_mask(mask, sigma):
