@@ -36,7 +36,11 @@ from .groups import (
 
 @dataclass(frozen=True)
 class BinaryAction:
-    """A validated binary action; construct through validate_action.
+    """A binary action: its table satisfies axioms (1) and (2).
+
+    validate_action checks them on any table. The enumerator in
+    binact.search builds actions directly, from row homomorphisms it checked
+    once per run; those axioms hold row by row, so no other check is needed.
 
     group_embedding is set when the acting group was re-indexed from a
     subgroup of some larger group (see conjugation_coset_action): entry i
@@ -267,6 +271,8 @@ def is_equivariant(o1: OrdinaryAction, o2: OrdinaryAction, f):
     mapping = tuple(int(v) for v in f)
     if len(mapping) != o1.carrier_size:
         raise ShapeMismatch(f"map has length {len(mapping)}, expected {o1.carrier_size}")
+    if any(not 0 <= v < o2.carrier_size for v in mapping):
+        raise ShapeMismatch("map has an out-of-range value")
     for g in o1.group.elements():
         for x in range(o1.carrier_size):
             if mapping[o1.table[g][x]] != o2.table[g][mapping[x]]:

@@ -196,7 +196,7 @@ def _cmd_quotient(cfg: RunConfig, args) -> int:
     print(f"quotient classes: {qt.carrier_size}")
     print("quotient opens: " + "; ".join(
         "{" + ",".join(str(p) for p in points_of(u)) + "}" for u in qt.opens))
-    for rec in _battery(s, space, model_id=f"action={args.action};topology={args.topology}"):
+    for rec in _battery(s, space, qt, model_id=f"action={args.action};topology={args.topology}"):
         print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
               f"hypotheses_met={'true' if rec.hypotheses_met else 'false'}")
     _emit(cfg, topology_to_json(qt))

@@ -44,6 +44,16 @@ through the permutation ranks of their g-major tables. The number of
 relabellings that reach the least table is the order of the action's
 automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
 count: the actions found number the sum of m!/|Aut(a)| over the classes.
+The least relabelling is searched once per class, on the first of its
+actions in table order; that action's m! relabelled index tuples then
+mark the rest of its class, and their number times |Aut| must be m!.
+
+Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
+(gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
+t is a homomorphism G -> S_m. Each homomorphism in the list is checked as
+an ordinary action once, when the relabelling tables are built, and every
+table assembled from the list is then a binary action without passing
+through validate_action.
 """
 
 from __future__ import annotations
@@ -53,9 +63,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .actions import BinaryAction, is_distributive, validate_action
+from .actions import BinaryAction, is_distributive, make_ordinary_action, validate_action
 from .binops import compose_perm, identity_perm, invert_perm
-from .errors import BudgetExceeded, InternalInconsistency, MalformedTable
+from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
 from .groups import FiniteGroup, element_order, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
 
@@ -236,16 +246,19 @@ class EnumerationResult:
     """Outcome of one enumeration run.
 
     actions holds every emitted action in lexicographic table order (the
-    canonical representatives instead when dedupe was on). raw_count counts
+    canonical representatives instead when dedupe was on). Each one is
+    assembled from row homomorphisms that were checked once per run, which
+    makes it a binary action; none is re-validated. raw_count counts
     emissions before dedupe; canonical_count counts biequimorphism classes
     among them, each represented by its lexicographically least table and
     found on homomorphism indices without rebuilding relabelled tables;
     distributive_count counts distributive emissions. An exhaustive result
     has passed the orbit-stabilizer check: raw_count is the sum of
-    m!/|Aut(a)| over the classes. When a budget stopped the search or the
-    assembly of its result, exhaustive is false, the counts describe the
-    assembled part only, and that check is skipped, because such a part
-    need not be closed under relabelling.
+    m!/|Aut(a)| over the classes. Each class met has m!/|Aut(a)|
+    relabellings, exhaustive or not. When a budget stopped the search or
+    the assembly of its result, exhaustive is false, the counts describe
+    the assembled part only, and the count over all classes is skipped,
+    because such a part need not be closed under relabelling.
     """
 
     task: EnumerationTask
@@ -293,14 +306,22 @@ class _Relabelling:
     per non-identity group element g, the rank of rho(g) among all
     permutations of the carrier. The identity slice is the same in every
     table, so the ranks over the other slices, read g-major, order index
-    tuples exactly as their tables are ordered. Building the m! tables
-    reads the clock once per relabelling and raises _DeadlinePassed past
-    the deadline.
+    tuples exactly as their tables are ordered. Every homomorphism is
+    checked as an ordinary action on m points first, which is what lets
+    action() skip validation. Building the m! tables reads the clock once
+    per relabelling and raises _DeadlinePassed past the deadline.
     """
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.group = group
         self.homs = homs
+        for rho in homs:
+            try:
+                ok = make_ordinary_action(group, rho).carrier_size == m
+            except (MalformedTable, ShapeMismatch):
+                ok = False
+            if not ok:
+                raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
         self.index = {rho: i for i, rho in enumerate(homs)}
         perms = list(itertools.permutations(range(m)))
         rank = {p: r for r, p in enumerate(perms)}
@@ -347,8 +368,18 @@ class _Relabelling:
         conj, inv, _ = best_move
         return best, tuple(conj[leaf[t]] for t in inv), hits
 
+    def orbit(self, leaf) -> set[tuple[int, ...]]:
+        """The index tuples of every relabelling of leaf."""
+        return {tuple([conj[leaf[t]] for t in inv]) for conj, inv, _ in self.moves}
+
     def table(self, leaf) -> tuple:
-        return tuple(tuple(self.homs[i][g] for i in leaf) for g in self.group.elements())
+        """The g-major table: slice g holds rho(g) of the row at each point."""
+        return tuple(zip(*[self.homs[i] for i in leaf]))
+
+    def action(self, leaf) -> BinaryAction:
+        """The action with row homs[leaf[t]] at each point t; a binary action
+        because every row is a homomorphism, checked in __init__."""
+        return BinaryAction(group=self.group, carrier_size=len(leaf), table=self.table(leaf))
 
 
 def canonicalize(a: BinaryAction) -> BinaryAction:
@@ -356,7 +387,8 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     classes and idempotent.
 
     Runs the enumerator's index-based search over the conjugates of a's
-    own row homomorphisms, and validates only the result.
+    own row homomorphisms, each checked once as a homomorphism; the result
+    is built from them without re-validation.
     """
     m = a.carrier_size
     rows = [tuple(sl[t] for sl in a.table) for t in range(m)]
@@ -366,17 +398,19 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
         orbit.update(_conjugate(sigma, inv, rho) for rho in rows)
     rel = _Relabelling(a.group, sorted(orbit), m)
     _, leaf, _ = rel.least(tuple(rel.index[rho] for rho in rows))
-    return validate_action(a.group, rel.table(leaf))
+    return rel.action(leaf)
 
 
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
-    Emitted actions are sorted by table and validated; under
-    require_distributive each one is re-checked with the exhaustive
-    distributivity scan as well. The time budget counts from before the
-    row homomorphisms are generated and bounds the relabelling tables, the
-    search and the assembly of its result. Budgets exhausted mid-search
+    Emitted actions are sorted by table. Each is a binary action because
+    each of its rows is one of the row homomorphisms, checked once per run
+    when the relabelling tables are built; under require_distributive each
+    one is re-checked with the exhaustive distributivity scan as well. The
+    time budget counts from before the row homomorphisms are generated and
+    bounds the relabelling tables, the search and the assembly of its
+    result. Budgets exhausted mid-search
     raise BudgetExceeded carrying the partial result, which is empty when
     the deadline passed before the search began.
     """
@@ -438,24 +472,27 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
 
 def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
               deadline: float) -> EnumerationResult:
-    """Validate, check and canonicalize the found actions in table order.
+    """Build, check and canonicalize the found actions in table order.
 
-    Past the deadline, the actions assembled so far make a partial result,
-    raised with BudgetExceeded. A result is exhaustive when the search was
-    complete and every action was assembled; it must then pass the
-    orbit-stabilizer count.
+    Tables are built from the row homomorphisms _Relabelling checked, not
+    re-validated. The first action of a class in table order is
+    canonicalized and its relabellings mark the rest of the class, which
+    must number m!/|Aut|. Past the deadline, the actions assembled so far
+    make a partial result, raised with BudgetExceeded. A result is
+    exhaustive when the search was complete and every action was
+    assembled; it must then pass the orbit-stabilizer count.
     """
-    g = task.group
     m = task.carrier_size
     actions = []
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
+    met: set[tuple] = set()  # the relabellings of every class found so far
     stopped = False
     for leaf in sorted(leaves, key=rel.key):
         if time.monotonic() > deadline:
             stopped = True
             break
-        a = validate_action(g, rel.table(leaf))
+        a = rel.action(leaf)
         w = is_distributive(a)
         if w is True:
             distributive += 1
@@ -463,8 +500,15 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
         actions.append(a)
-        key, canon, aut = rel.least(leaf)
-        classes.setdefault(key, (canon, aut))
+        if leaf not in met:
+            key, canon, aut = rel.least(leaf)
+            orbit = rel.orbit(leaf)
+            if len(orbit) * aut != math.factorial(m):
+                raise InternalInconsistency(
+                    f"class of {canon}: {len(orbit)} relabellings times {aut} "
+                    f"automorphisms is not {m}!")
+            classes[key] = (canon, aut)
+            met |= orbit
     exhaustive = search_complete and not stopped
     if exhaustive:
         orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
@@ -473,7 +517,7 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
                 f"orbit-stabilizer count {orbit_total} over {len(classes)} classes "
                 f"differs from the {len(actions)} actions found")
     if task.dedupe:
-        out = tuple(validate_action(g, rel.table(classes[k][0])) for k in sorted(classes))
+        out = tuple(rel.action(classes[k][0]) for k in sorted(classes))
     else:
         out = tuple(actions)
     result = EnumerationResult(
@@ -491,8 +535,6 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):
     """Every ordinary action of g on the carrier, via row homomorphisms."""
-    from .actions import make_ordinary_action
-
     return tuple(
         make_ordinary_action(g, rho)
         for rho in permutation_homomorphisms(g, carrier_size)

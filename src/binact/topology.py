@@ -320,7 +320,8 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 # its caller: it takes the verified orbit space, which exists only for a
 # distributive action, and it assumes its set arguments are what its name
 # says. run_topology_battery verifies continuity and distributivity once and
-# hands the orbit space to _battery, the core that calls the others.
+# hands the orbit space and quotient topology to _battery, the core that
+# calls the others.
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
@@ -476,15 +477,19 @@ def run_topology_battery(
     """
     s = make_space(action, topology)
     _require_continuous(s)
-    space = _orbit_space(action) if is_distributive(action) is True else None
-    return _battery(s, space, model_id, include_probes)
+    if is_distributive(action) is True:
+        space = _orbit_space(action)
+        qt = _quotient(topology, space)
+    else:
+        space = qt = None
+    return _battery(s, space, qt, model_id, include_probes)
 
 
-def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None,
+def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTopology | None,
              model_id: str | None = None, include_probes: bool = True) -> list[ProbeRecord]:
     """run_topology_battery for a model already known to be continuous,
-    given the verified orbit space of its action, or None when the action
-    is not distributive."""
+    given the verified orbit space of its action and its quotient topology,
+    or None for both when the action is not distributive."""
     action, topology = s.action, s.topology
     haus = is_hausdorff(topology)
     if model_id is None:
@@ -531,7 +536,6 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None,
         add("ka_closed", all(is_closed(topology, saturation(c)) for c in closed),
             asserted=True, hypotheses_met=True)
 
-        qt = _quotient(topology, space)
         proj = _projection_checks(topology, space, qt)
         add("projection_closed", proj.closed, asserted=True, hypotheses_met=True)
         add("projection_proper", proj.proper, asserted=True, hypotheses_met=True)

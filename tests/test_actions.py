@@ -152,6 +152,15 @@ def test_equivariant_maps_between_ordinary_actions(z2):
     assert w == (1, 0)
 
 
+def test_is_equivariant_refuses_maps_off_the_target(z2):
+    """A value outside the target carrier is refused, not read through
+    Python's negative indexing or left to raise IndexError."""
+    ident = induced_action(trivial_action(z2, 2), 0)
+    for f in ((5, 0), (-1, 0), (0,), (0, 0, 0)):
+        with pytest.raises(ShapeMismatch):
+            is_equivariant(ident, ident, f)
+
+
 def test_action_json_round_trip(s3):
     a = conjugation_coset_action(s3, [0, 2])
     data = action_to_json(a)

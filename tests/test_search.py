@@ -308,6 +308,51 @@ def test_orbit_stabilizer_count_rejects_unclosed_leaf_set(z2):
         search._assemble(task, rel, leaves[:-1], search_complete=True, deadline=math.inf)
 
 
+@pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4), ("z3", 3), ("s3", 3), ("k4", 3)])
+def test_emitted_actions_pass_validate_action(name, m):
+    """The enumerator builds its actions from row homomorphisms checked once
+    per run, not through validate_action; every one it emits, raw or
+    deduplicated, filtered or not, is a binary action all the same."""
+    g = builtin_group(name)
+    for dedupe, dist in itertools.product((False, True), repeat=2):
+        result = enumerate_actions(EnumerationTask(
+            group=g, carrier_size=m, dedupe=dedupe, require_distributive=dist))
+        assert result.actions, (dedupe, dist)
+        for a in result.actions:
+            assert validate_action(g, a.table) == a, (dedupe, dist)
+
+
+def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
+    homs = list(permutation_homomorphisms(z2, 3))
+    homs[-1] = ((0, 1, 2), (1, 2, 0))  # a 3-cycle squares to itself^-1, not e
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        search._Relabelling(z2, homs, 3)
+
+
+def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
+    calls = []
+    least = search._Relabelling.least
+    monkeypatch.setattr(search._Relabelling, "least",
+                        lambda self, leaf: calls.append(leaf) or least(self, leaf))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_action called during enumeration")
+
+    monkeypatch.setattr(search, "validate_action", refuse)
+    result = enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+    assert (result.raw_count, result.canonical_count) == (64, 16)
+    assert len(calls) == len(set(calls)) == 16
+
+
+def test_per_class_orbit_stabilizer_check(z2, monkeypatch):
+    """An orbit that loses one relabelling no longer has m!/|Aut| members."""
+    orbit = search._Relabelling.orbit
+    monkeypatch.setattr(search._Relabelling, "orbit",
+                        lambda self, leaf: set(sorted(orbit(self, leaf))[1:]))
+    with pytest.raises(InternalInconsistency, match="relabellings times"):
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+
+
 def test_task_validation(z2):
     with pytest.raises(MalformedTable):
         EnumerationTask(group=z2, carrier_size=0)
