@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .binops import BinaryOp, _int, _int_table, _ints, identity_op, star
+from .binops import BinaryOp, _int, _int_map, _int_table, _ints, identity_op, star
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -239,11 +239,7 @@ def is_biequivariant(a: BinaryAction, b: BinaryAction, f):
     """
     if a.group.cayley != b.group.cayley or a.group.identity != b.group.identity:
         raise ShapeMismatch("actions are over different groups")
-    mapping = tuple(int(v) for v in f)
-    if len(mapping) != a.carrier_size:
-        raise ShapeMismatch(f"map has length {len(mapping)}, expected {a.carrier_size}")
-    if any(not 0 <= v < b.carrier_size for v in mapping):
-        raise ShapeMismatch("map has an out-of-range value")
+    mapping = _int_map(f, a.carrier_size, b.carrier_size, ShapeMismatch)
     for g in a.group.elements():
         ta = a.table[g]
         tb = b.table[g]
@@ -268,11 +264,7 @@ def is_equivariant(o1: OrdinaryAction, o2: OrdinaryAction, f):
     """True, or the first (g, x) with f(g.x) != g.f(x), for ordinary actions."""
     if o1.group.cayley != o2.group.cayley:
         raise ShapeMismatch("actions are over different groups")
-    mapping = tuple(int(v) for v in f)
-    if len(mapping) != o1.carrier_size:
-        raise ShapeMismatch(f"map has length {len(mapping)}, expected {o1.carrier_size}")
-    if any(not 0 <= v < o2.carrier_size for v in mapping):
-        raise ShapeMismatch("map has an out-of-range value")
+    mapping = _int_map(f, o1.carrier_size, o2.carrier_size, ShapeMismatch)
     for g in o1.group.elements():
         for x in range(o1.carrier_size):
             if mapping[o1.table[g][x]] != o2.table[g][mapping[x]]:
@@ -288,7 +280,7 @@ def biequivariance_implies_equivariance_check(a: BinaryAction, b: BinaryAction, 
     witness = is_biequivariant(a, b, f)
     if witness is not True:
         raise NotBiequivariant(witness)
-    mapping = tuple(int(v) for v in f)
+    mapping = _int_map(f, a.carrier_size, b.carrier_size, ShapeMismatch)
     for t in range(a.carrier_size):
         o1 = induced_action(a, t)
         o2 = induced_action(b, mapping[t])

@@ -115,10 +115,26 @@ def _list(values, error, at: str) -> list:
 def _ints(values, error, at: str, depth: int = 1) -> tuple:
     """A list (depth 1) or a table (depth 2 or 3) of integers read from
     outside as nested tuples of ints, refused like _int."""
+    if depth == 1 and isinstance(values, (list, tuple)):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass  # the loop below names the first entry that is not an integer
     items = _list(values, error, at)
     if depth == 1:
         return tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(items)])
     return tuple([_ints(v, error, f"{at}[{i}]", depth - 1) for i, v in enumerate(items)])
+
+
+def _int_map(f, n: int, m: int, error) -> tuple[int, ...]:
+    """A map from n points to m points, read like _ints and checked for
+    its length and range."""
+    mapping = _ints(f, error, "map")
+    if len(mapping) != n:
+        raise error(f"map has length {len(mapping)}, expected {n}")
+    if any(not 0 <= v < m for v in mapping):
+        raise error("map has an out-of-range value")
+    return mapping
 
 
 def make_binary_op(table) -> BinaryOp:

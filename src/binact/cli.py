@@ -44,7 +44,7 @@ from .errors import (
     NotInvertible,
     TheoremViolation,
 )
-from .groups import builtin_group, group_from_json, subgroup_closure
+from .groups import builtin_group, group_from_json, group_to_json, subgroup_closure
 from .orbits import orbit_report_json, orbit_space
 from .search import (
     EnumerationTask,
@@ -259,7 +259,6 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
     print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
           f"distributive_count={result.distributive_count} exhaustive=yes")
     if cfg.out is not None:
-        lines = [json.dumps(action_to_json(a)) for a in result.actions]
         summary = {
             "raw_count": result.raw_count,
             "canonical_count": result.canonical_count,
@@ -267,9 +266,39 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
             "witnesses": None,
             "exhaustive": result.exhaustive,
         }
-        lines.append(json.dumps(summary))
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+        try:
+            with cfg.out.open("w") as fh:
+                for line in _action_lines(g, args.carrier, result.actions):
+                    fh.write(line)
+                fh.write(json.dumps(summary) + "\n")
+        except OSError as exc:
+            raise CliFailure(2, f"cannot write {cfg.out}: {exc.strerror or exc}") from exc
     return 0
+
+
+def _action_lines(g, m: int, actions):
+    """The JSONL line of each action of g on m points with no
+    group_embedding, as every enumerated action is: byte for byte
+    json.dumps(action_to_json(a)) + "\n".
+
+    The record head, group included, is encoded once. json.dumps with its
+    default separators writes a list as its items' encodings joined by
+    ", " inside brackets, so a table is written by joining the encodings
+    of its rows, each a permutation encoded the first time it is met.
+    """
+    head = f'{{"group": {json.dumps(group_to_json(g))}, "carrier": {m}, "table": '
+    rows: dict[tuple, str] = {}
+    for a in actions:
+        slices = []
+        for sl in a.table:
+            texts = []
+            for row in sl:
+                text = rows.get(row)
+                if text is None:
+                    text = rows[row] = json.dumps(list(row))
+                texts.append(text)
+            slices.append("[" + ", ".join(texts) + "]")
+        yield head + "[" + ", ".join(slices) + "]}\n"
 
 
 def _cmd_topology_check(cfg: RunConfig, args) -> int:

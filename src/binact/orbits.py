@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _ints, compose_perm, identity_perm, is_perm
+from .binops import _int_map, _ints, compose_perm, identity_perm, is_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -199,7 +199,7 @@ def induced_quotient_map(a: BinaryAction, b: BinaryAction, f) -> tuple[int, ...]
     w = is_biequivariant(a, b, f)
     if w is not True:
         raise NotBiequivariant(w)
-    mapping = tuple(int(v) for v in f)
+    mapping = _int_map(f, a.carrier_size, b.carrier_size, ShapeMismatch)
     out = []
     for members in os_a.classes:
         targets = [os_b.projection[mapping[x]] for x in members]

@@ -64,7 +64,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .actions import BinaryAction, is_distributive, make_ordinary_action, validate_action
-from .binops import compose_perm, identity_perm, invert_perm
+from .binops import _ints, compose_perm, identity_perm, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
 from .groups import FiniteGroup, element_order, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
@@ -252,13 +252,14 @@ class EnumerationResult:
     emissions before dedupe; canonical_count counts biequimorphism classes
     among them, each represented by its lexicographically least table and
     found on homomorphism indices without rebuilding relabelled tables;
-    distributive_count counts distributive emissions. An exhaustive result
-    has passed the orbit-stabilizer check: raw_count is the sum of
-    m!/|Aut(a)| over the classes. Each class met has m!/|Aut(a)|
-    relabellings, exhaustive or not. When a budget stopped the search or
-    the assembly of its result, exhaustive is false, the counts describe
-    the assembled part only, and the count over all classes is skipped,
-    because such a part need not be closed under relabelling.
+    distributive_count counts distributive emissions, from one scan per
+    class. An exhaustive result has passed the orbit-stabilizer check:
+    raw_count is the sum of m!/|Aut(a)| over the classes. Each class met
+    has m!/|Aut(a)| relabellings, exhaustive or not. When a budget stopped
+    the search or the assembly of its result, exhaustive is false, the
+    counts describe the assembled part only, and the count over all
+    classes is skipped, because such a part need not be closed under
+    relabelling.
     """
 
     task: EnumerationTask
@@ -273,7 +274,7 @@ class EnumerationResult:
 def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
     """The action carried across the carrier bijection sigma, which makes
     sigma a biequimorphism from a to the result."""
-    sg = tuple(int(v) for v in sigma)
+    sg = _ints(sigma, MalformedTable, "sigma")
     m = a.carrier_size
     if sorted(sg) != list(range(m)):
         raise MalformedTable("sigma is not a carrier bijection")
@@ -406,13 +407,14 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
 
     Emitted actions are sorted by table. Each is a binary action because
     each of its rows is one of the row homomorphisms, checked once per run
-    when the relabelling tables are built; under require_distributive each
-    one is re-checked with the exhaustive distributivity scan as well. The
-    time budget counts from before the row homomorphisms are generated and
-    bounds the relabelling tables, the search and the assembly of its
-    result. Budgets exhausted mid-search
-    raise BudgetExceeded carrying the partial result, which is empty when
-    the deadline passed before the search began.
+    when the relabelling tables are built. The first action of each
+    class is scanned for distributivity, which settles its class; under
+    require_distributive a non-distributive one raises. The time budget
+    counts from before the row homomorphisms are generated and bounds the
+    relabelling tables, the search and the assembly of its result.
+    Budgets exhausted mid-search raise BudgetExceeded carrying the
+    partial result, which is empty when the deadline passed before the
+    search began.
     """
     g = task.group
     m = task.carrier_size
@@ -475,9 +477,14 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     """Build, check and canonicalize the found actions in table order.
 
     Tables are built from the row homomorphisms _Relabelling checked, not
-    re-validated. The first action of a class in table order is
-    canonicalized and its relabellings mark the rest of the class, which
-    must number m!/|Aut|. Past the deadline, the actions assembled so far
+    re-validated. The first action of a class in table order is scanned
+    for distributivity and canonicalized, and its relabellings mark the
+    rest of the class, which must number m!/|Aut|, with that verdict. A
+    relabelling is a biequimorphism and keeps distributivity, so the
+    verdict holds for the whole class; and the first non-distributive
+    action in table order is the first of its class, so under the filter
+    the scan raises on the action, and with the witness, that scanning
+    every action would. Past the deadline, the actions assembled so far
     make a partial result, raised with BudgetExceeded. A result is
     exhaustive when the search was complete and every action was
     assembled; it must then pass the orbit-stabilizer count.
@@ -486,21 +493,19 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     actions = []
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
-    met: set[tuple] = set()  # the relabellings of every class found so far
+    met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
     stopped = False
     for leaf in sorted(leaves, key=rel.key):
         if time.monotonic() > deadline:
             stopped = True
             break
         a = rel.action(leaf)
-        w = is_distributive(a)
-        if w is True:
-            distributive += 1
-        elif task.require_distributive:
-            raise InternalInconsistency(
-                f"search emitted a non-distributive action under the filter, witness {w}")
-        actions.append(a)
-        if leaf not in met:
+        verdict = met.get(leaf)
+        if verdict is None:
+            w = is_distributive(a)
+            if w is not True and task.require_distributive:
+                raise InternalInconsistency(
+                    f"search emitted a non-distributive action under the filter, witness {w}")
             key, canon, aut = rel.least(leaf)
             orbit = rel.orbit(leaf)
             if len(orbit) * aut != math.factorial(m):
@@ -508,7 +513,10 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
                     f"class of {canon}: {len(orbit)} relabellings times {aut} "
                     f"automorphisms is not {m}!")
             classes[key] = (canon, aut)
-            met |= orbit
+            verdict = w is True
+            met.update(dict.fromkeys(orbit, verdict))
+        distributive += verdict
+        actions.append(a)
     exhaustive = search_complete and not stopped
     if exhaustive:
         orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())

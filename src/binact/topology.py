@@ -37,7 +37,7 @@ from .errors import (
     NotDistributive,
     ShapeMismatch,
 )
-from .binops import _int, _list
+from .binops import _int, _int_map, _list
 from .orbits import OrbitSpace, _diagonal, _orbit_space, k_mask, mask_of, orbit_space, points_of
 
 TOPOLOGY_ENUM_CAP = 5
@@ -292,11 +292,7 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     N(x) when it is open; and then the preimage of any open V is the union
     of the N(x) with f(x) in V, since V contains N(f(x)).
     """
-    mapping = tuple(int(v) for v in f)
-    if len(mapping) != src.carrier_size:
-        raise ShapeMismatch(f"map has length {len(mapping)}, expected {src.carrier_size}")
-    if any(not 0 <= v < dst.carrier_size for v in mapping):
-        raise ShapeMismatch("map has an out-of-range value")
+    mapping = _int_map(f, src.carrier_size, dst.carrier_size, ShapeMismatch)
     src_nbhd = minimal_neighborhoods(src)
     dst_nbhd = minimal_neighborhoods(dst)
     for x, fx in enumerate(mapping):

@@ -9,12 +9,15 @@ from binact import (
     biequivariance_implies_equivariance_check,
     builtin_group,
     conjugation_coset_action,
+    discrete_topology,
     from_ordinary,
     induced_action,
     is_biequivariant,
     is_distributive,
     is_equivariant,
     identity_op,
+    induced_quotient_map,
+    is_continuous_map,
     make_ordinary_action,
     morphism_to_monoid,
     ordinary_from_json,
@@ -26,10 +29,12 @@ from binact import (
 from binact.errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
+    MalformedTable,
     NotASubgroup,
     NotBiequivariant,
     ShapeMismatch,
 )
+from binact.search import relabel_action
 
 
 def test_validate_reports_axiom_two_first(z2):
@@ -226,3 +231,26 @@ def test_every_slice_pair_satisfies_axiom_one(k4):
         gh = k4.mul(g, h)
         for x, xp in product(range(2), repeat=2):
             assert a(gh, x, xp) == a(g, x, a(h, x, xp))
+
+
+@pytest.mark.parametrize("f", [(1.9, 0.2), (1.0, 0), ("1", "0"), "10"],
+                         ids=["float", "integral-float", "digit-strings", "string"])
+def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
+    """Every function that takes a carrier map reads it with one reader:
+    each of these is the swap (1, 0), biequivariant on the swap action,
+    once truncated or parsed, and each is refused instead."""
+    o = induced_action(xor_action, 0)
+    t = discrete_topology(2)
+    calls = [
+        lambda: is_biequivariant(xor_action, xor_action, f),
+        lambda: is_equivariant(o, o, f),
+        lambda: biequivariance_implies_equivariance_check(xor_action, xor_action, f),
+        lambda: induced_quotient_map(xor_action, xor_action, f),
+        lambda: is_continuous_map(t, t, f),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match="not an integer|not a list"):
+            call()
+    with pytest.raises(MalformedTable, match="not an integer|not a list"):
+        relabel_action(xor_action, f)
+    assert relabel_action(xor_action, (1, 0)).table == xor_action.table

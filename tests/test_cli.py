@@ -3,20 +3,24 @@ import json
 import pytest
 
 from binact import (
+    EnumerationTask,
     action_from_json,
     action_to_json,
     builtin_group,
     conjugation_coset_action,
     discrete_topology,
+    enumerate_actions,
     from_ordinary,
+    group_from_json,
     group_to_json,
+    make_group,
     make_ordinary_action,
     op_to_json,
     make_binary_op,
     topology_to_json,
     trivial_action,
 )
-from binact.cli import main
+from binact.cli import _action_lines, main
 
 
 @pytest.fixture
@@ -215,6 +219,63 @@ def test_enumerate_summary_and_round_trip(files, capsys, tmp_path):
     # every emitted action re-validates when fed back in
     for line in lines[:-1]:
         action_from_json(json.loads(line))
+
+
+def _enumerated_lines(g, m, **flags):
+    """The lines enumerate --out must write: each action's record, then
+    the summary."""
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m, **flags))
+    summary = {"raw_count": result.raw_count, "canonical_count": result.canonical_count,
+               "distributive_count": result.distributive_count, "witnesses": None,
+               "exhaustive": True}
+    return [json.dumps(action_to_json(a)) for a in result.actions] + [json.dumps(summary)]
+
+
+@pytest.mark.parametrize("name, m, flags", [
+    ("z2", 4, {}),
+    ("s3", 3, {}),
+    ("k4", 3, {}),
+    ("s3", 3, {"dedupe": True}),
+    ("k4", 3, {"require_distributive": True}),
+])
+def test_enumerate_out_lines_are_action_records(name, m, flags, tmp_path, capsys):
+    out = tmp_path / "enum.jsonl"
+    argv = ["enumerate", "--group", name, "--carrier", str(m), "--out", str(out)]
+    argv += ["--" + flag.replace("_", "-") for flag in flags]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert text.endswith("\n")
+    assert text.split("\n")[:-1] == _enumerated_lines(builtin_group(name), m, **flags)
+
+
+def test_enumerate_out_escapes_group_labels(tmp_path, capsys):
+    """Labels and a name that JSON must escape are written as json.dumps
+    writes them, and read back."""
+    g = make_group(builtin_group("z2").cayley, name='z2 "\u00e9"', labels=["\u00e9", '"'])
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_to_json(g)))
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", str(path), "--carrier", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines == _enumerated_lines(group_from_json(json.loads(path.read_text())), 3)
+    assert '"labels": ["\\u00e9", "\\""]' in lines[0]
+    assert action_from_json(json.loads(lines[0])).group.labels == ("\u00e9", '"')
+
+
+def test_action_lines_write_multi_digit_entries():
+    """Entries of ten and more, on a carrier too large to enumerate
+    (11! relabellings), are encoded like json.dumps encodes them."""
+    z2 = builtin_group("z2")
+    swap = (10,) + tuple(range(1, 10)) + (0,)
+    actions = [trivial_action(z2, 11),
+               from_ordinary(make_ordinary_action(z2, (tuple(range(11)), swap)))]
+    assert list(_action_lines(z2, 11, actions)) == [
+        json.dumps(action_to_json(a)) + "\n" for a in actions]
+
+
+def test_enumerate_out_unwritable_exits_two(tmp_path, capsys):
+    assert main(["enumerate", "--group", "z2", "--carrier", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {tmp_path}: ")
 
 
 def test_enumerate_accepts_group_file(files, capsys):

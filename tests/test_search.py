@@ -22,6 +22,7 @@ from binact import (
     validate_action,
 )
 from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable
+from binact.binops import invert_perm
 from binact.search import all_ordinary_actions, relabel_action, with_witnesses
 
 from oracles import (
@@ -219,6 +220,71 @@ def test_relabel_action_preserves_validity(s3):
     for a in result.actions:
         b = relabel_action(a, (1, 0))
         validate_action(b.group, b.table)  # must not raise
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relabelling_preserves_validity_and_distributivity(data):
+    """Any choice of one row homomorphism per carrier point is a binary
+    action; relabelling it by sigma gives a valid action, sigma^-1 brings
+    it back, and the distributivity verdict is the same on both, which is
+    what lets the enumerator scan one action per class."""
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    m = data.draw(st.integers(1, 4))
+    g = builtin_group(name)
+    homs = permutation_homomorphisms(g, m)
+    rows = [data.draw(st.sampled_from(homs)) for _ in range(m)]
+    a = validate_action(g, tuple(zip(*rows)))
+    sigma = data.draw(st.permutations(range(m)))
+    b = relabel_action(a, sigma)
+    assert validate_action(g, b.table) == b
+    assert relabel_action(b, invert_perm(sigma)) == a
+    assert (is_distributive(a) is True) == (is_distributive(b) is True)
+
+
+def _counting_is_distributive(monkeypatch):
+    calls = []
+    scan = search.is_distributive
+    monkeypatch.setattr(search, "is_distributive", lambda a: calls.append(a) or scan(a))
+    return calls
+
+
+@pytest.mark.parametrize("name, m, classes", [("z2", 3, 16), ("z2", 4, 475)])
+def test_distributivity_scanned_once_per_class(name, m, classes, monkeypatch):
+    calls = _counting_is_distributive(monkeypatch)
+    result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m))
+    assert result.canonical_count == classes
+    assert len(calls) == classes
+    assert len({canonicalize(a).table for a in calls}) == classes
+
+
+@pytest.mark.parametrize("name, m", [("z2", 4), ("z3", 3), ("s3", 3), ("k4", 3)])
+def test_distributive_count_matches_oracle(name, m):
+    g = builtin_group(name)
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m))
+    assert result.distributive_count == sum(
+        oracle_is_distributive(g.cayley, a.table, m) for a in result.actions)
+
+
+def test_filter_recheck_raises_with_the_scan_witness(z2, monkeypatch):
+    """Under require_distributive, a class the scan calls non-distributive
+    stops assembly at its first action, with the witness the scan gave."""
+    filtered = enumerate_actions(
+        EnumerationTask(group=z2, carrier_size=4, require_distributive=True))
+    target = canonicalize(filtered.actions[-1]).table
+    first = next(a for a in filtered.actions if canonicalize(a).table == target)
+    calls = []
+    scan = search.is_distributive
+
+    def scan_with_fault(a):
+        calls.append(a)
+        return (1, 1, 0, 2, 3) if canonicalize(a).table == target else scan(a)
+
+    monkeypatch.setattr(search, "is_distributive", scan_with_fault)
+    with pytest.raises(InternalInconsistency, match=r"witness \(1, 1, 0, 2, 3\)$"):
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=4, require_distributive=True))
+    assert calls[-1] == first
+    assert len(calls) == filtered.canonical_count
 
 
 def test_dedupe_keeps_one_per_class(z2):
