@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _int_map, _ints, compose_perm, identity_perm, is_perm
+from .binops import _int_map, _ints, identity_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -175,15 +175,15 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
 
 def _diagonal(a: BinaryAction, g: int) -> tuple[int, ...]:
     """delta for an action already known to be distributive and an element
-    known to be in range; the bijection is still verified."""
-    d = tuple(a.table[g][x][x] for x in range(a.carrier_size))
-    if not is_perm(d):
-        raise NotBijective(g)
-    ginv = a.group.inv(g)
-    dinv = tuple(a.table[ginv][x][x] for x in range(a.carrier_size))
-    ident = identity_perm(a.carrier_size)
-    if compose_perm(d, dinv) != ident or compose_perm(dinv, d) != ident:
-        raise NotBijective(g)
+    known to be in range; the bijection is still verified: the diagonal of
+    g^-1 must undo d at every point, which makes d one to one, hence a
+    bijection of the finite carrier, with that diagonal as its inverse."""
+    tg = a.table[g]
+    tinv = a.table[a.group.inv(g)]
+    d = tuple(tg[x][x] for x in range(a.carrier_size))
+    for x, y in enumerate(d):
+        if tinv[y][y] != x:
+            raise NotBijective(g)
     return d
 
 

@@ -139,10 +139,15 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[
         raise MalformedTable("degree must be >= 1")
     gens = greedy_generators(g)
     words = _element_words(g, gens)
-    perms = sorted(itertools.permutations(range(degree)))
-    perm_order = {p: _perm_order(p) for p in perms}
-    candidates = [[p for p in perms if n % perm_order[p] == 0]
-                  for n in (element_order(g, s) for s in gens)]
+    orders = [element_order(g, s) for s in gens]
+    candidates = [[] for _ in gens]
+    # permutations come out in lexicographic order; a group with no
+    # generators (the trivial group) needs none of them
+    for p in itertools.permutations(range(degree)) if gens else ():
+        k = _perm_order(p)
+        for n, cands in zip(orders, candidates):
+            if n % k == 0:
+                cands.append(p)
     # breadth-first order is shortlex order on the words; an edge is new
     # when it is the last letter of its target's word
     edges = [
@@ -293,6 +298,17 @@ def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
+def _perm_rank(p) -> int:
+    """Rank of the permutation p among all permutations of its points in
+    lexicographic order, by its Lehmer code: entry i counts the later
+    entries smaller than p[i], and weighs (n - 1 - i)!."""
+    n = len(p)
+    rank = 0
+    for i, v in enumerate(p):
+        rank = rank * (n - i) + sum(1 for w in p[i + 1:] if w < v)
+    return rank
+
+
 class _DeadlinePassed(Exception):
     """The deadline passed while a _Relabelling was being built."""
 
@@ -324,12 +340,10 @@ class _Relabelling:
             if not ok:
                 raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
         self.index = {rho: i for i, rho in enumerate(homs)}
-        perms = list(itertools.permutations(range(m)))
-        rank = {p: r for r, p in enumerate(perms)}
         self.nonidentity = [g for g in group.elements() if g != group.identity]
-        self.columns = [[rank[rho[g]] for rho in homs] for g in self.nonidentity]
+        self.columns = [[_perm_rank(rho[g]) for rho in homs] for g in self.nonidentity]
         self.moves = []
-        for sigma in perms:
+        for sigma in itertools.permutations(range(m)):
             if time.monotonic() > deadline:
                 raise _DeadlinePassed()
             inv = invert_perm(sigma)
@@ -487,10 +501,13 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     every action would. Past the deadline, the actions assembled so far
     make a partial result, raised with BudgetExceeded. A result is
     exhaustive when the search was complete and every action was
-    assembled; it must then pass the orbit-stabilizer count.
+    assembled; it must then pass the orbit-stabilizer count. Under dedupe
+    the other actions of a class are only counted: a BinaryAction is built
+    for the first action of each class and for each representative.
     """
     m = task.carrier_size
     actions = []
+    raw = 0
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
     met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
@@ -499,9 +516,10 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
         if time.monotonic() > deadline:
             stopped = True
             break
-        a = rel.action(leaf)
+        a = None
         verdict = met.get(leaf)
         if verdict is None:
+            a = rel.action(leaf)
             w = is_distributive(a)
             if w is not True and task.require_distributive:
                 raise InternalInconsistency(
@@ -516,14 +534,16 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
             verdict = w is True
             met.update(dict.fromkeys(orbit, verdict))
         distributive += verdict
-        actions.append(a)
+        raw += 1
+        if not task.dedupe:
+            actions.append(a or rel.action(leaf))
     exhaustive = search_complete and not stopped
     if exhaustive:
         orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
-        if orbit_total != len(actions):
+        if orbit_total != raw:
             raise InternalInconsistency(
                 f"orbit-stabilizer count {orbit_total} over {len(classes)} classes "
-                f"differs from the {len(actions)} actions found")
+                f"differs from the {raw} actions found")
     if task.dedupe:
         out = tuple(rel.action(classes[k][0]) for k in sorted(classes))
     else:
@@ -531,7 +551,7 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     result = EnumerationResult(
         task=task,
         actions=out,
-        raw_count=len(actions),
+        raw_count=raw,
         canonical_count=len(classes),
         distributive_count=distributive,
         exhaustive=exhaustive,

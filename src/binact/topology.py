@@ -232,6 +232,32 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
     return TopologicalBinaryGSpace(action=action, topology=topology)
 
 
+# keeps the pair images of the 16 tables met last; battery-sized runs meet
+# one table for many topologies in a row
+@lru_cache(maxsize=16)
+def _pair_images(table, identity: int) -> tuple[tuple[int, ...], ...]:
+    """pairs[w][u] = OR of 1 << (f(w) m + f(u)) over the table's distinct
+    one-argument maps f: the rows x' -> g(x, x') and the columns
+    x -> g(x, x') of every g != identity. Bit y m + v says that some map
+    sends w to y and u to v. Derived from the table alone, so it is kept
+    per table, never a verdict about a topology."""
+    m = len(table[0])
+    maps = set()
+    for g, tg in enumerate(table):
+        if g != identity:
+            maps.update(tg)
+            maps.update(zip(*tg))
+    pairs = []
+    for w in range(m):
+        row = [0] * m
+        for f in maps:
+            base = f[w] * m
+            for u in range(m):
+                row[u] |= 1 << (base + f[u])
+        pairs.append(tuple(row))
+    return tuple(pairs)
+
+
 def is_continuous(s: TopologicalBinaryGSpace):
     """True, or the first open V (ascending bitmask) whose preimage under
     the action is not open in discrete(G) x X x X.
@@ -251,35 +277,35 @@ def is_continuous(s: TopologicalBinaryGSpace):
     So the scan collects reach[y], the union of f(N(w) - {w}) over the
     distinct rows and columns f and the points w with f(w) = y; V fails
     iff some y in V has reach[y] outside V, the same opens as an
-    open-by-open scan of the product. Every open containing y contains
-    N(y), so if every reach[y] stays inside N(y) the action is continuous.
-    Otherwise the opens are tried in ascending order and the first failing
-    one is returned, which is the open the open-by-open scan finds first.
-    Compare the result with ``is True``.
+    open-by-open scan of the product. Every reach[y] is read at once from
+    the table's pair images (_pair_images): reach, packed with reach[y] at
+    bits y m .. y m + m - 1, is the OR of pairs[w][u] over the edges
+    u in N(w) - {w}. Every open containing y contains N(y), so if reach
+    lies inside N packed the same way the action is continuous. Otherwise
+    the opens are tried in ascending order and the first failing one is
+    returned, which is the open the open-by-open scan finds first. Compare
+    the result with ``is True``.
     """
     a = s.action
     t = s.topology
     nbhd = minimal_neighborhoods(t)
     m = a.carrier_size
-    e = a.group.identity
-    maps = set()
-    for g, tg in enumerate(a.table):
-        if g != e:
-            maps.update(tg)
-            maps.update(zip(*tg))
-    spread = [(w, points_of(nbhd[w] & ~(1 << w))) for w in range(m) if nbhd[w] != 1 << w]
-    reach = [0] * m
-    for f in maps:
-        for w, others in spread:
-            image = 0
-            for u in others:
-                image |= 1 << f[u]
-            reach[f[w]] |= image
-    if all(reach[y] & ~nbhd[y] == 0 for y in range(m)):
+    pairs = _pair_images(a.table, a.group.identity)
+    reach = allowed = 0
+    for w, nw in enumerate(nbhd):
+        allowed |= nw << w * m
+        rest = nw & ~(1 << w)
+        if rest:
+            pw = pairs[w]
+            for u in points_of(rest):
+                reach |= pw[u]
+    if reach & ~allowed == 0:
         return True
+    full = t.full_mask
+    reach_of = [reach >> y * m & full for y in range(m)]
     for v in t.opens:
         for y in points_of(v):
-            if reach[y] & ~v:
+            if reach_of[y] & ~v:
                 return v
     return True
 
@@ -293,8 +319,12 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     of the N(x) with f(x) in V, since V contains N(f(x)).
     """
     mapping = _int_map(f, src.carrier_size, dst.carrier_size, ShapeMismatch)
-    src_nbhd = minimal_neighborhoods(src)
-    dst_nbhd = minimal_neighborhoods(dst)
+    return _is_continuous_map(minimal_neighborhoods(src), minimal_neighborhoods(dst), mapping)
+
+
+def _is_continuous_map(src_nbhd, dst_nbhd, mapping) -> bool:
+    """is_continuous_map on the two minimal-neighbourhood tuples, for a map
+    already known to be in range."""
     for x, fx in enumerate(mapping):
         target = dst_nbhd[fx]
         for u in points_of(src_nbhd[x]):
@@ -362,15 +392,23 @@ def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
 
 
 def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
-    k = len(space.classes)
+    """The quotient opens are the class sets pi(U) of the saturated opens U,
+    those equal to the union of the classes they meet: a class set C is
+    open iff its preimage, a saturated set, is open, and pi sends saturated
+    sets one to one onto class sets. The family is still validated."""
+    proj = space.projection
+    class_masks = [sum(1 << x for x in members) for members in space.classes]
     opens = []
-    for cmask in range(1 << k):
-        pre = 0
-        for x, cls in enumerate(space.projection):
-            if cmask >> cls & 1:
-                pre |= 1 << x
-        if is_open(t, pre):
-            opens.append(cmask)
+    for u in t.opens:
+        image = saturation = 0
+        for x in points_of(u):
+            c = proj[x]
+            image |= 1 << c
+            saturation |= class_masks[c]
+        if saturation == u:
+            opens.append(image)
+    opens.sort()
+    k = len(space.classes)
     qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
         validate_topology(k, qt.opens)
@@ -489,7 +527,8 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
     action, topology = s.action, s.topology
     haus = is_hausdorff(topology)
     if model_id is None:
-        flat = ",".join(str(v) for sl in action.table for row in sl for v in row)
+        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(action.table))
+        flat = ",".join(map(str, cells))
         model_id = (f"group={action.group.name};carrier={action.carrier_size};"
                     f"table={flat};opens={list(topology.opens)}")
     records: list[ProbeRecord] = []
@@ -501,11 +540,22 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=hypotheses_met))
 
-    group = action.group
+    # pair[x][y] = G({x}, {y}), so G(A, A) is the OR of pair[x][y] over x, y in A
+    m = action.carrier_size
+    pair = [[0] * m for _ in range(m)]
+    for tg in action.table:
+        for px, row in zip(pair, tg):
+            for y, v in enumerate(row):
+                px[y] |= 1 << v
 
     def pair_image(mask: int) -> int:
         pts = points_of(mask)
-        return k_mask(action, group.elements(), pts, pts)
+        out = 0
+        for x in pts:
+            px = pair[x]
+            for y in pts:
+                out |= px[y]
+        return out
 
     closed = closed_sets(topology)
     add("guu_open", all(is_open(topology, pair_image(u)) for u in topology.opens),
@@ -514,9 +564,12 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
         asserted=haus, hypotheses_met=haus)
 
     if space is not None:
-        # d_g and d_{g^-1} run over the same maps, so each is tested once
-        homeo = all(is_continuous_map(topology, topology, _diagonal(action, g))
-                    for g in group.elements())
+        # every diagonal is verified a bijection inverse to its group
+        # inverse's; d_g and d_{g^-1} run over the same maps as g does, so
+        # testing each distinct diagonal's continuity once tests every inverse
+        nbhd = minimal_neighborhoods(topology)
+        diagonals = {_diagonal(action, g) for g in action.group.elements()}
+        homeo = all(_is_continuous_map(nbhd, nbhd, d) for d in diagonals)
         add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
 
         # the saturation G(A) is the union of the orbits of A's points

@@ -282,7 +282,6 @@ def oracle_is_continuous(table, m, opens):
     return True
 
 
-
 def oracle_is_continuous_map(m_src, src_opens, dst_opens, f):
     """Is the preimage under f of every open of dst an open of src? Scanned
     open by open, with each preimage looked up among src's opens."""
@@ -295,3 +294,26 @@ def oracle_is_continuous_map(m_src, src_opens, dst_opens, f):
         if pre not in src:
             return False
     return True
+
+
+def oracle_quotient_opens(table, m, opens):
+    """Opens of the orbit space of a distributive action, as ascending class
+    bitmasks: classes are the orbits {g(x, x) : g}, numbered by smallest
+    member, and every one of the 2^k class sets is kept when its preimage
+    is among the opens."""
+    classes = []
+    for x in range(m):
+        orbit = {sl[x][x] for sl in table}
+        if not any(x in c for c in classes):
+            classes.append(orbit)
+    projection = [next(i for i, c in enumerate(classes) if x in c) for x in range(m)]
+    src = set(opens)
+    out = []
+    for cmask in range(1 << len(classes)):
+        pre = 0
+        for x in range(m):
+            if cmask >> projection[x] & 1:
+                pre |= 1 << x
+        if pre in src:
+            out.append(cmask)
+    return tuple(out)

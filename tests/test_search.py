@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +334,48 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
     assert not partial.exhaustive
     assert partial.actions == ()
     assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
+
+
+def test_time_budget_bounds_relabelling_memory():
+    """The m! relabellings are generated one at a time under the deadline,
+    and the rank columns come from Lehmer codes, not a table of all
+    permutations: the trivial group on 8 points stops within a 0.01 s
+    budget with an empty partial, where building all 8! permutations and
+    their rank dict first peaked at about 7 MB traced."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_actions(EnumerationTask(
+                group=builtin_group("z1"), carrier_size=8, time_budget_s=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.actions == ()
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
+    assert peak < 1_000_000
+
+
+def test_perm_rank_is_lexicographic_position():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        assert [search._perm_rank(p) for p in perms] == list(range(len(perms)))
+
+
+def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
+    """z2 on 4 points: 10000 actions in 475 classes, and under dedupe one
+    BinaryAction for the first action of each class and one for each
+    representative, with the counts and representatives unchanged."""
+    calls = []
+    action = search._Relabelling.action
+    monkeypatch.setattr(search._Relabelling, "action",
+                        lambda self, leaf: calls.append(leaf) or action(self, leaf))
+    result = enumerate_actions(EnumerationTask(group=z2, carrier_size=4, dedupe=True))
+    assert (result.raw_count, result.canonical_count, result.distributive_count) == (10000, 475, 74)
+    assert len(calls) == 2 * 475
+    assert [a.table for a in result.actions] == [
+        canonicalize(a).table for a in result.actions]
 
 
 def test_time_budget_covers_hom_generation(z2, monkeypatch):

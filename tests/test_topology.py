@@ -27,6 +27,7 @@ from binact import (
     is_distributive,
     is_hausdorff,
     is_locally_compact,
+    make_group,
     make_space,
     minimal_neighborhoods,
     orbit_space,
@@ -42,6 +43,7 @@ from binact import (
 )
 from binact.cli import main
 from binact.search import relabel_action
+from binact import topology
 from binact.topology import is_closed, is_open
 from binact.errors import (
     CapExceeded,
@@ -53,7 +55,12 @@ from binact.errors import (
     ShapeMismatch,
 )
 
-from oracles import oracle_is_continuous, oracle_is_continuous_map, oracle_topology_count
+from oracles import (
+    oracle_is_continuous,
+    oracle_is_continuous_map,
+    oracle_quotient_opens,
+    oracle_topology_count,
+)
 
 SIERPINSKI = [[], [0], [0, 1]]
 
@@ -267,6 +274,62 @@ def test_is_continuous_matches_oracle_on_4_points(data):
     a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
     t = data.draw(st.sampled_from(_topologies(4)))
     assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 4, t.opens)
+
+
+@functools.lru_cache(maxsize=None)
+def _distributive_actions(name, m):
+    return enumerate_actions(EnumerationTask(
+        group=builtin_group(name), carrier_size=m, require_distributive=True)).actions
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_topology_matches_class_set_oracle(data):
+    """A drawn distributive action on 4 points, any labelling, on a drawn
+    topology it is continuous for: the quotient opens are those of the scan
+    of all 2^k class sets."""
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    a = data.draw(st.sampled_from(_distributive_actions(name, 4)))
+    continuous = [t for t in _topologies(4) if is_continuous(make_space(a, t)) is True]
+    t = data.draw(st.sampled_from(continuous))
+    assert quotient_topology(make_space(a, t)).opens == oracle_quotient_opens(a.table, 4, t.opens)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
+    """More distinct tables than the pair-image cache holds, interleaved
+    over a few topologies and then met again in another order: the cache
+    evicts and refills, and every verdict and first failing open is still
+    the open-by-open scan's."""
+    size = topology._pair_images.cache_info().maxsize
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    pool = _actions(name, 3)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=size + 2,
+                               max_size=size + 6, unique=True))
+    tops = data.draw(st.lists(st.sampled_from(_topologies(3)), min_size=2, max_size=4))
+    order = data.draw(st.permutations(picks))
+    for i in [*picks, *order]:
+        a = pool[i]
+        for t in tops:
+            assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 3, t.opens)
+    assert topology._pair_images.cache_info().currsize <= size
+
+
+def test_pair_images_are_keyed_on_the_identity(z2):
+    """The trivial action has the same table over z2 whichever element is
+    the identity; the two actions get separate cache entries."""
+    z2_swapped = make_group([[1, 0], [0, 1]], name="z2'")
+    assert z2_swapped.identity == 1
+    a = trivial_action(z2, 2)
+    b = validate_action(z2_swapped, a.table)
+    assert a.table == b.table
+    topology._pair_images.cache_clear()
+    sierp = validate_topology(2, SIERPINSKI)
+    for act in (a, b, a, b):
+        assert is_continuous(make_space(act, sierp)) is True
+    info = topology._pair_images.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 def test_is_continuous_map_matches_preimage_oracle():
