@@ -122,18 +122,22 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 
 def subgroup_closure(g: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
-    """Smallest subset containing the generators closed under mul and inverse."""
+    """Smallest subgroup containing the generators: the identity grown by
+    right multiplication by them. In a finite group the powers of a reach
+    its inverse, so no inverses are taken."""
     gens = list(generators)
     for a in gens:
         if not 0 <= a < g.order:
             raise MalformedTable(f"generator {a} out of range 0..{g.order - 1}")
-    members = {g.identity, *gens}
-    while True:
-        new = {g.inverse[a] for a in members}
-        new.update(g.cayley[a][b] for a in members for b in members)
-        if new <= members:
-            return frozenset(members)
-        members |= new
+    members = {g.identity}
+    queue = [g.identity]
+    for x in queue:
+        for a in gens:
+            y = g.cayley[x][a]
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
 
 
 def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):
@@ -154,18 +158,24 @@ def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup of g as an element set, sorted by (size, members)."""
-    seen = {subgroup_closure(g, ())}
-    frontier = [frozenset({g.identity})]
+    """Every subgroup of g as an element set, sorted by (size, members).
+
+    Each subgroup found keeps one generating tuple and is grown by one
+    element a per left coset a H outside it: for h in H, the closure of
+    H and a equals the closure of H and a h."""
+    seen = {frozenset({g.identity})}
+    frontier = [((), frozenset({g.identity}))]
     while frontier:
-        base = frontier.pop()
+        gens, base = frontier.pop()
+        covered = set(base)
         for a in g.elements():
-            if a in base:
+            if a in covered:
                 continue
-            grown = subgroup_closure(g, set(base) | {a})
+            covered.update(g.cayley[a][h] for h in base)
+            grown = subgroup_closure(g, (*gens, a))
             if grown not in seen:
                 seen.add(grown)
-                frontier.append(grown)
+                frontier.append(((*gens, a), grown))
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 

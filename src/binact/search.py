@@ -25,13 +25,14 @@ and x' = t are checked directly. The rest have x, x' < t and h(x, x') = t.
 By axioms (1) and (2), h^-1(x, -) = c^-1, so the instance (h^-1, x, t)
 reads rho_x' = c^-1 rho_t c, the same equation; it has x < t and x' = t.
 
-A homomorphism is fixed by its images of a greedily chosen generating
-set. Each generator s may only go to a permutation whose order divides
-the order of s, and an assignment is kept when rho(x s) = rho(x) rho(s)
-holds for every element x and generator s, |G| k checks for k
-generators instead of the |G|^2 of the whole Cayley table, made
-breadth-first and stopped at the first that fails. The homomorphisms
-come out lexicographic in the tuple of generator images.
+A homomorphism G -> S_m is a labelled G-set, a disjoint union of coset
+spaces G/H with x (yH) = (xy)H, and is generated as one: the least point
+not yet placed takes a subgroup H and its other cosets take an injective
+choice of points not yet placed. The stabiliser of that point and the map
+yH -> y . point recover both choices from the homomorphism, so each comes
+out once, and the terms are those of Dey's formula for |Hom(G, S_m)|. The
+list is then sorted on the images of a greedily chosen generating set,
+which fix the homomorphism.
 
 Each found action is kept as a tuple of indices into that homomorphism
 list. Relabelling the carrier by sigma sends the homomorphism rho at row t
@@ -64,9 +65,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .actions import BinaryAction, is_distributive, make_ordinary_action, validate_action
-from .binops import _ints, compose_perm, identity_perm, invert_perm
+from .binops import _ints, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
-from .groups import FiniteGroup, element_order, subgroup_closure
+from .groups import FiniteGroup, all_subgroups, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
 
 
@@ -81,92 +82,57 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _element_words(g: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """For every element, a word in generator indices multiplying out to it."""
-    words: dict[int, tuple[int, ...]] = {g.identity: ()}
-    queue = [g.identity]
-    for x in queue:
-        for j, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in words:
-                words[y] = words[x] + (j,)
-                queue.append(y)
-    if len(words) != g.order:
-        raise InternalInconsistency("generating set does not generate the group")
-    return [words[x] for x in g.elements()]
-
-
-def _perm_order(p) -> int:
-    """Order of the permutation p, the lcm of its cycle lengths."""
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
-
-
 def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All homomorphisms G -> S_degree, each as a tuple of permutations
     indexed by group element, lexicographic in the tuple of images of the
     greedy generators.
 
-    Each generator s is sent to the permutations, in lexicographic order,
-    whose order divides the order of s; every homomorphism does this, so
-    the filter loses none, and walking the candidate lists as an odometer
-    visits the surviving image tuples in the same lexicographic order as
-    walking all tuples of permutations would.
-
-    For one tuple of images, rho(e) = id, and the edges x -> x s of the
-    Cayley graph (x an element, s a generator) are walked breadth-first in
-    the order that gives every element its generator word. An edge that
-    reaches a new element defines rho(x s) = rho(x) rho(s); every other
-    edge checks that equation, and the tuple is dropped at the first one
-    that fails. Each edge is thus one of |G| k equations for k generators,
-    instead of the |G|^2 of the whole Cayley table, and they are enough: by
-    induction on the length of a word w in the generators,
-    rho(x w) = rho(x) rho(w) for every x, and every element y is such a
-    word, so rho(x y) = rho(x) rho(y). A homomorphism satisfies every
-    equation, so exactly the homomorphisms come out.
+    Each one is built as a labelled G-set. The least point p not yet placed
+    gets a subgroup H of index k at most the number of points left, the
+    other k - 1 left cosets of H go injectively to other points left, and
+    x (yH) = (xy)H fills those k points of every row; the points still left
+    recurse. Each homomorphism rho is built exactly once: its H is the
+    stabiliser of p, and its placement is yH -> rho(y)(p), a bijection of
+    the cosets onto the orbit of p. A homomorphism is fixed by its images
+    of the greedy generators, so sorting on them gives distinct keys.
     """
     if degree < 1:
         raise MalformedTable("degree must be >= 1")
-    gens = greedy_generators(g)
-    words = _element_words(g, gens)
-    orders = [element_order(g, s) for s in gens]
-    candidates = [[] for _ in gens]
-    # permutations come out in lexicographic order; a group with no
-    # generators (the trivial group) needs none of them
-    for p in itertools.permutations(range(degree)) if gens else ():
-        k = _perm_order(p)
-        for n, cands in zip(orders, candidates):
-            if n % k == 0:
-                cands.append(p)
-    # breadth-first order is shortlex order on the words; an edge is new
-    # when it is the last letter of its target's word
-    edges = [
-        (x, j, g.mul(x, s), words[g.mul(x, s)] == words[x] + (j,))
-        for x in sorted(g.elements(), key=lambda x: (len(words[x]), words[x]))
-        for j, s in enumerate(gens)
-    ]
-    ident = identity_perm(degree)
+    # per subgroup H of index at most degree, coset_actions[x][c] is the
+    # coset x C of the c-th left coset C of H, and H itself is coset 0
+    coset_actions = []
+    for h in all_subgroups(g):
+        if len(h) * degree < g.order:
+            continue
+        coset_of = [-1] * g.order
+        reps = []
+        for y in (g.identity, *g.elements()):
+            if coset_of[y] < 0:
+                for z in h:
+                    coset_of[g.mul(y, z)] = len(reps)
+                reps.append(y)
+        coset_actions.append([[coset_of[g.mul(x, y)] for y in reps] for x in g.elements()])
+    rows = [[0] * degree for _ in g.elements()]
     out = []
-    for images in itertools.product(*candidates):
-        rho = [ident] * g.order
-        for x, j, xs, new in edges:
-            p = compose_perm(rho[x], images[j])
-            if new:
-                rho[xs] = p
-            elif rho[xs] != p:
-                break
-        else:
-            out.append(tuple(rho))
+
+    def place(free):
+        if not free:
+            out.append(tuple(map(tuple, rows)))
+            return
+        for action in coset_actions:
+            k = len(action[0])
+            if k > len(free):
+                continue
+            for rest in itertools.permutations(free[1:], k - 1):
+                points = (free[0], *rest)
+                for row, images in zip(rows, action):
+                    for c, d in enumerate(images):
+                        row[points[c]] = points[d]
+                place([q for q in free[1:] if q not in rest])
+
+    place(list(range(degree)))
+    gens = greedy_generators(g)
+    out.sort(key=lambda rho: [rho[s] for s in gens])
     return tuple(out)
 
 

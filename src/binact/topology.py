@@ -123,7 +123,10 @@ def closure(t: FiniteTopology, mask: int) -> int:
     return t.full_mask & ~interior(t, t.full_mask & ~mask)
 
 
-@lru_cache(maxsize=None)
+# bounded, yet above the 355 topologies on 4 points: a battery sweep cycles
+# through all of them, and an LRU cache smaller than the cycle misses on
+# every call
+@lru_cache(maxsize=512)
 def minimal_neighborhoods(t: FiniteTopology) -> tuple[int, ...]:
     """min_nbhd[x] = intersection of all opens containing x (itself open)."""
     out = []

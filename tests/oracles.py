@@ -153,18 +153,24 @@ def oracle_permutation_homomorphisms(cayley, identity, degree):
     return tuple(out)
 
 
+def oracle_subgroups(cayley, identity):
+    """Every subgroup as an element set: the closures of all subsets.
+    Cost 2 ** |G| closures."""
+    order = len(cayley)
+    return {
+        _closure(cayley, {identity, *subset})
+        for size in range(order + 1)
+        for subset in combinations(range(order), size)
+    }
+
+
 def oracle_dey_count(cayley, identity, n):
     """Number of homomorphisms into S_n by Dey's formula: with a_k the count
     for S_k over k!, sum_k a_k x^k = exp(sum over subgroups H of
     x^[G:H] / [G:H]), so k a_k = sum_d c_d a_(k-d), where c_d counts the
     subgroups of index d. Subgroups are the closures of all subsets."""
     order = len(cayley)
-    subgroups = {
-        _closure(cayley, {identity, *subset})
-        for size in range(order + 1)
-        for subset in combinations(range(order), size)
-    }
-    c = Counter(order // len(h) for h in subgroups)
+    c = Counter(order // len(h) for h in oracle_subgroups(cayley, identity))
     a = [Fraction(1)]
     for k in range(1, n + 1):
         a.append(sum(c[d] * a[k - d] for d in c if d <= k) / k)

@@ -29,6 +29,8 @@ from binact.errors import (
     NotAssociative,
 )
 
+from oracles import oracle_subgroups
+
 
 def test_cyclic_basics():
     z4 = cyclic(4)
@@ -116,13 +118,16 @@ def test_restrict_gives_dense_subgroup_with_embedding():
 
 def test_all_subgroups_counts():
     expect = {"z8": 4, "s3": 6, "k4": 5, "z6": 4, "q8": 6, "d4": 10,
-              "z4xz2": 8, "z2xz2xz2": 16}
+              "z4xz2": 8, "z2xz2xz2": 16, "s4": 30, "z2xs4": 98, "z2xz2xz2xz2xz2": 374}
     for name, n in expect.items():
-        subs = all_subgroups(builtin_group(name))
+        g = builtin_group(name)
+        subs = all_subgroups(g)
         assert len(subs) == n, name
         # Lagrange: every subgroup order divides the group order
-        order = builtin_group(name).order
-        assert all(order % len(s) == 0 for s in subs)
+        assert all(g.order % len(s) == 0 for s in subs)
+        assert subs == sorted(set(subs), key=lambda s: (len(s), sorted(s)))
+        if g.order <= 8:
+            assert set(subs) == oracle_subgroups(g.cayley, g.identity), name
 
 
 def test_builtin_group_names():

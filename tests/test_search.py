@@ -70,7 +70,8 @@ def test_permutation_homomorphism_counts_match_oracle():
 def test_permutation_homomorphism_counts_match_dey():
     """Counts past brute-force scale against Dey's formula."""
     expect = {("k4", 6): 1216, ("s3", 5): 146, ("d4", 5): 316, ("z2xz2xz2", 4): 232,
-              ("z2xz2xz2", 5): 1016, ("s3", 6): 1036, ("q8", 5): 196}
+              ("z2xz2xz2", 5): 1016, ("s3", 6): 1036, ("q8", 5): 196, ("q8", 6): 1216,
+              ("q8", 7): 5944, ("d4", 6): 2656, ("z2xz2xz2", 6): 12496}
     for (name, degree), count in expect.items():
         g = builtin_group(name)
         assert oracle_dey_count(g.cayley, g.identity, degree) == count, (name, degree)
@@ -79,9 +80,13 @@ def test_permutation_homomorphism_counts_match_dey():
 
 def test_permutation_homomorphisms_match_oracle_order():
     assert permutation_homomorphisms(builtin_group("z1"), 3) == (((0, 1, 2),),)
-    for name in ("z1", "z2", "z3", "k4", "s3", "d4", "z2xz2xz2"):
+    # highest degree per group: the oracle tries (degree!) ** k image tuples
+    # for k greedy generators (q8 has 3, z2^5 has 5 and 374 subgroups)
+    top = {"z1": 4, "z2": 4, "z3": 4, "k4": 4, "s3": 4, "d4": 4, "z2xz2xz2": 4,
+           "q8": 3, "z4xz2": 4, "z2xz2xz2xz2xz2": 2}
+    for name, highest in top.items():
         g = builtin_group(name)
-        for degree in (1, 2, 3, 4):
+        for degree in range(1, highest + 1):
             assert permutation_homomorphisms(g, degree) == oracle_permutation_homomorphisms(
                 g.cayley, g.identity, degree), (name, degree)
 
@@ -265,6 +270,31 @@ def test_distributive_count_matches_oracle(name, m):
     result = enumerate_actions(EnumerationTask(group=g, carrier_size=m))
     assert result.distributive_count == sum(
         oracle_is_distributive(g.cayley, a.table, m) for a in result.actions)
+
+
+# (raw, classes) of distributive actions of the abelianization
+ABELIANIZATION_COUNTS = {("z2", 3): (11, 5), ("z2", 4): (74, 13),
+                         ("k4", 3): (49, 19), ("k4", 4): (1072, 164)}
+
+
+@pytest.mark.parametrize("name, ab, m", [
+    ("s3", "z2", 3), ("s3", "z2", 4), ("d4", "k4", 3), ("d4", "k4", 4),
+    ("q8", "k4", 3), ("q8", "k4", 4)])
+def test_distributive_actions_are_trivial_on_the_commutator_subgroup(name, ab, m):
+    """The commutator conjecture at these sizes: every row homomorphism of
+    every distributive action is the identity on [G, G], and G has as many
+    distributive actions and classes as its abelianization G^ab."""
+    g = builtin_group(name)
+    commutators = subgroup_closure(g, {
+        g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b)) for a in g.elements() for b in g.elements()})
+    assert len(commutators) == g.order // builtin_group(ab).order
+    result = enumerate_actions(EnumerationTask(
+        group=g, carrier_size=m, require_distributive=True, dedupe=True))
+    assert result.exhaustive
+    identity = tuple(range(m))
+    for a in result.actions:
+        assert all(row == identity for c in commutators for row in a.table[c]), a.table
+    assert (result.raw_count, result.canonical_count) == ABELIANIZATION_COUNTS[ab, m]
 
 
 def test_filter_recheck_raises_with_the_scan_witness(z2, monkeypatch):

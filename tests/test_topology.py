@@ -316,6 +316,29 @@ def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
     assert topology._pair_images.cache_info().currsize <= size
 
 
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_is_continuous_matches_oracle_past_the_neighborhood_cache(data):
+    """More distinct 5-point topologies than the minimal-neighbourhood
+    cache holds, met twice in different orders: the cache evicts and
+    refills, and every verdict and first failing open is still the
+    open-by-open scan's."""
+    size = topology.minimal_neighborhoods.cache_info().maxsize
+    name = data.draw(st.sampled_from(["z2", "z3"]))
+    homs = _row_homs(name, 5)
+    rows = data.draw(st.lists(st.sampled_from(homs), min_size=5, max_size=5))
+    g = builtin_group(name)
+    a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
+    tops = _topologies(5)
+    picks = data.draw(st.lists(st.sampled_from(range(len(tops))), min_size=size + 2,
+                               max_size=size + 40, unique=True))
+    order = data.draw(st.permutations(picks))
+    for i in [*picks, *order]:
+        t = tops[i]
+        assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 5, t.opens)
+    assert topology.minimal_neighborhoods.cache_info().currsize <= size
+
+
 def test_pair_images_are_keyed_on_the_identity(z2):
     """The trivial action has the same table over z2 whichever element is
     the identity; the two actions get separate cache entries."""
