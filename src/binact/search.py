@@ -46,8 +46,10 @@ relabellings that reach the least table is the order of the action's
 automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
 count: the actions found number the sum of m!/|Aut(a)| over the classes.
 The least relabelling is searched once per class, on the first of its
-actions in table order; that action's m! relabelled index tuples then
-mark the rest of its class, and their number times |Aut| must be m!.
+actions in table order, in one pass over that action's m! relabelled
+index tuples: their set is the class and marks the rest of it, the least
+of the set by rank key is the canonical form, and the number of tuples
+equal to it is |Aut|, so the size of the set times |Aut| must be m!.
 
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
@@ -62,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .actions import BinaryAction, is_distributive, make_ordinary_action, validate_action
 from .binops import _ints, invert_perm
@@ -150,7 +152,7 @@ class EnumerationTask:
     def __post_init__(self):
         if self.carrier_size < 1:
             raise MalformedTable("carrier size must be >= 1")
-        if self.node_budget < 1 or self.time_budget_s <= 0:
+        if self.node_budget < 1 or not self.time_budget_s > 0:
             raise MalformedTable("budgets must be positive")
 
 
@@ -239,7 +241,6 @@ class EnumerationResult:
     canonical_count: int
     distributive_count: int
     exhaustive: bool
-    witnesses: WitnessReport | None = None
 
 
 def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
@@ -289,7 +290,12 @@ class _Relabelling:
     per non-identity group element g, the rank of rho(g) among all
     permutations of the carrier. The identity slice is the same in every
     table, so the ranks over the other slices, read g-major, order index
-    tuples exactly as their tables are ordered. Every homomorphism is
+    tuples exactly as their tables are ordered. A move keeps only the
+    conjugation table of sigma and sigma^-1; classify() relabels an index
+    tuple by every move in one pass and calls key() only on the distinct
+    results. key() is injective on index tuples, since a homomorphism is
+    fixed by its images of g != e and a permutation by its rank, so the
+    moves reaching the least key number |Aut|. Every homomorphism is
     checked as an ordinary action on m points first, which is what lets
     action() skip validation. Building the m! tables reads the clock once
     per relabelling and raises _DeadlinePassed past the deadline.
@@ -320,8 +326,7 @@ class _Relabelling:
                     raise InternalInconsistency(
                         f"homomorphism list not closed under conjugation by {sigma}")
                 conj.append(c)
-            ranked = [[col[c] for c in conj] for col in self.columns]
-            self.moves.append((conj, inv, ranked))
+            self.moves.append((conj, inv))
 
     def law_rows(self):
         """For each homomorphism rho, the pair (rho(h), conjugation table
@@ -334,24 +339,14 @@ class _Relabelling:
         """Sort key of the action's table."""
         return tuple([col[i] for col in self.columns for i in leaf])
 
-    def least(self, leaf):
-        """The key and index tuple of the least relabelling of leaf, and the
-        number of relabellings reaching it, which is |Aut| of the action."""
-        best = None
-        hits = 0
-        for move in self.moves:
-            _, inv, ranked = move
-            cand = tuple([col[leaf[t]] for col in ranked for t in inv])
-            if best is None or cand < best:
-                best, best_move, hits = cand, move, 1
-            elif cand == best:
-                hits += 1
-        conj, inv, _ = best_move
-        return best, tuple(conj[leaf[t]] for t in inv), hits
-
-    def orbit(self, leaf) -> set[tuple[int, ...]]:
-        """The index tuples of every relabelling of leaf."""
-        return {tuple([conj[leaf[t]] for t in inv]) for conj, inv, _ in self.moves}
+    def classify(self, leaf):
+        """One pass over the m! relabellings of leaf: the key and index tuple
+        of the least one, the number of relabellings reaching it, which is
+        |Aut| of the action, and the set of all of them, its class."""
+        images = [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
+        orbit = set(images)
+        canon = min(orbit, key=self.key)
+        return self.key(canon), canon, images.count(canon), orbit
 
     def table(self, leaf) -> tuple:
         """The g-major table: slice g holds rho(g) of the row at each point."""
@@ -378,7 +373,7 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
         inv = invert_perm(sigma)
         orbit.update(_conjugate(sigma, inv, rho) for rho in rows)
     rel = _Relabelling(a.group, sorted(orbit), m)
-    _, leaf, _ = rel.least(tuple(rel.index[rho] for rho in rows))
+    _, leaf, _, _ = rel.classify(tuple(rel.index[rho] for rho in rows))
     return rel.action(leaf)
 
 
@@ -490,8 +485,7 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
             if w is not True and task.require_distributive:
                 raise InternalInconsistency(
                     f"search emitted a non-distributive action under the filter, witness {w}")
-            key, canon, aut = rel.least(leaf)
-            orbit = rel.orbit(leaf)
+            key, canon, aut, orbit = rel.classify(leaf)
             if len(orbit) * aut != math.factorial(m):
                 raise InternalInconsistency(
                     f"class of {canon}: {len(orbit)} relabellings times {aut} "
@@ -586,7 +580,3 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
 def _subsets(m: int):
     for mask in range(1 << m):
         yield tuple(i for i in range(m) if mask >> i & 1)
-
-
-def with_witnesses(result: EnumerationResult) -> EnumerationResult:
-    return replace(result, witnesses=mine_counterexamples(result))

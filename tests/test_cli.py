@@ -385,3 +385,14 @@ def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "non-exhaustive: enumeration budget exceeded: time budget 16.0s reached\n"
         "raw_count=10 canonical_count=6 distributive_count=3 exhaustive=no\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["witnesses", "--group", "s3", "--carrier", "3"],
+    ["enumerate", "--group", "z2", "--carrier", "5"],
+])
+def test_nan_time_budget_is_refused(command, capsys):
+    """NaN compares false with every bound, so it must be refused outright
+    rather than switch the time budget off."""
+    assert main([*command, "--time-budget", "nan"]) == 1
+    assert capsys.readouterr().out == "MalformedTable: budgets must be positive\n"

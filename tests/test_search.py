@@ -24,7 +24,7 @@ from binact import (
 )
 from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable
 from binact.binops import invert_perm
-from binact.search import all_ordinary_actions, relabel_action, with_witnesses
+from binact.search import all_ordinary_actions, relabel_action
 
 from oracles import (
     oracle_canonical_form,
@@ -470,9 +470,9 @@ def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
 
 def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
     calls = []
-    least = search._Relabelling.least
-    monkeypatch.setattr(search._Relabelling, "least",
-                        lambda self, leaf: calls.append(leaf) or least(self, leaf))
+    classify = search._Relabelling.classify
+    monkeypatch.setattr(search._Relabelling, "classify",
+                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
 
     def refuse(*args, **kwargs):
         raise AssertionError("validate_action called during enumeration")
@@ -485,9 +485,13 @@ def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
 
 def test_per_class_orbit_stabilizer_check(z2, monkeypatch):
     """An orbit that loses one relabelling no longer has m!/|Aut| members."""
-    orbit = search._Relabelling.orbit
-    monkeypatch.setattr(search._Relabelling, "orbit",
-                        lambda self, leaf: set(sorted(orbit(self, leaf))[1:]))
+    classify = search._Relabelling.classify
+
+    def lose_one(self, leaf):
+        key, canon, aut, orbit = classify(self, leaf)
+        return key, canon, aut, set(sorted(orbit)[1:])
+
+    monkeypatch.setattr(search._Relabelling, "classify", lose_one)
     with pytest.raises(InternalInconsistency, match="relabellings times"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
@@ -499,11 +503,13 @@ def test_task_validation(z2):
         EnumerationTask(group=z2, carrier_size=2, node_budget=0)
     with pytest.raises(MalformedTable):
         EnumerationTask(group=z2, carrier_size=2, time_budget_s=0.0)
+    with pytest.raises(MalformedTable):
+        EnumerationTask(group=z2, carrier_size=2, time_budget_s=math.nan)
+    EnumerationTask(group=z2, carrier_size=2, time_budget_s=math.inf)
 
 
 def test_witness_mining_z2_m2(z2):
-    result = with_witnesses(enumerate_actions(EnumerationTask(group=z2, carrier_size=2)))
-    report = result.witnesses
+    report = mine_counterexamples(enumerate_actions(EnumerationTask(group=z2, carrier_size=2)))
     w = report.intersecting_orbits
     assert w.action.table == (((0, 1), (0, 1)), ((0, 1), (1, 0)))
     assert (w.x, w.xp) == (0, 1)

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from binact import (
     EnumerationTask,
     action_to_json,
+    all_subgroups,
     all_topologies,
     builtin_group,
+    check_gaa_closed,
     check_guu_open,
+    check_ka_closed,
     closure,
     conjugation_coset_action,
     check_projection_closed_proper,
@@ -52,11 +55,13 @@ from binact.errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotContinuous,
+    NotDistributive,
     ShapeMismatch,
 )
 
 from oracles import (
     oracle_is_continuous,
+    oracle_k_set,
     oracle_is_continuous_map,
     oracle_quotient_opens,
     oracle_topology_count,
@@ -181,6 +186,64 @@ def test_check_guu_open_requires_open_argument(xor_action):
                              validate_topology(2, SIERPINSKI))
     with pytest.raises(MalformedTable):
         check_guu_open(sierp_space, 2)  # {1} is not open there
+
+
+@pytest.mark.parametrize("name", ["z2", "s3"])
+def test_closed_set_checks_match_k_set_oracle_and_battery(name):
+    """check_gaa_closed and check_ka_closed, over every z2 action and every
+    distributive s3 action on 3 points, on every closed set of every
+    topology on 3 points, against closedness of the oracle's G(A, A) and of
+    K(A), the union of K({x}, {x}) over x in A, for K the whole group and
+    each proper subgroup; on continuous models, the conjunctions over the
+    closed sets against the battery's gaa_closed and ka_closed records,
+    which it reads off its pair table and orbit masks instead."""
+    g = builtin_group(name)
+    elements = tuple(g.elements())
+    subgroups = [elements] + [tuple(h) for h in all_subgroups(g) if len(h) < g.order]
+    topologies = all_topologies(3)
+    assert len(topologies) == 29
+    models = enumerate_actions(EnumerationTask(
+        group=g, carrier_size=3, require_distributive=name == "s3")).actions
+    for a in models:
+        distributive = is_distributive(a) is True
+        for t in topologies:
+            s = make_space(a, t)
+            opens = set(t.opens)
+            closed = [t.full_mask ^ u for u in t.opens]
+
+            def oracle_closed(points):
+                return t.full_mask ^ sum(1 << x for x in points) in opens
+
+            gaa, ka = [], []
+            for c in closed:
+                pts = points_of(c)
+                gaa.append(check_gaa_closed(s, c))
+                assert gaa[-1] == oracle_closed(oracle_k_set(a.table, elements, pts, pts))
+                if not distributive:
+                    with pytest.raises(NotDistributive):
+                        check_ka_closed(s, elements, c)
+                    continue
+                for K in subgroups:
+                    image = set().union(*(oracle_k_set(a.table, K, (x,), (x,)) for x in pts))
+                    verdict = check_ka_closed(s, K, c)
+                    assert verdict == oracle_closed(image)
+                    if K == elements:
+                        ka.append(verdict)
+            if is_continuous(s) is True:
+                by_check = {r.check: r.outcome for r in run_topology_battery(a, t)}
+                assert by_check["gaa_closed"] == all(gaa)
+                if distributive:
+                    assert by_check["ka_closed"] == all(ka)
+
+
+def test_closed_set_checks_refuse_bad_arguments(z2, xor_action, mixed_action):
+    s = make_space(xor_action, validate_topology(2, SIERPINSKI))
+    for check in (lambda m: check_gaa_closed(s, m),
+                  lambda m: check_ka_closed(s, z2.elements(), m)):
+        with pytest.raises(MalformedTable):
+            check(1)  # {0} is open, not closed, in the Sierpinski space
+    with pytest.raises(NotDistributive):
+        check_ka_closed(make_space(mixed_action, discrete_topology(2)), z2.elements(), 1)
 
 
 def test_battery_on_discrete_model_asserts_everything(xor_action):
