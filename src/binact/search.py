@@ -25,6 +25,16 @@ and x' = t are checked directly. The rest have x, x' < t and h(x, x') = t.
 By axioms (1) and (2), h^-1(x, -) = c^-1, so the instance (h^-1, x, t)
 reads rho_x' = c^-1 rho_t c, the same equation; it has x < t and x' = t.
 
+So such an instance forces the row at t: it can only be c rho_x' c^-1,
+index conj[chosen[x']] in the conjugation table of c. Every other
+candidate fails the check on (h^-1, x, t), so every leaf of the search
+that tries all homomorphisms at t holds the forced index there. When one
+instance with x, x' < t lands on t, the search tries that index alone,
+still through the full check; only when none does are all homomorphisms
+tried. No leaf is lost, leaves come in the same order, and every node
+visited is checked as before; the node budget counts fewer nodes (k4 on
+4 points: 83980 -> 9316).
+
 A homomorphism G -> S_m is a labelled G-set, a disjoint union of coset
 spaces G/H with x (yH) = (xy)H, and is generated as one: the least point
 not yet placed takes a subgroup H and its other cosets take an injective
@@ -73,6 +83,11 @@ from .groups import FiniteGroup, all_subgroups, subgroup_closure
 from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
 
 
+class _DeadlinePassed(Exception):
+    """The deadline passed while the row homomorphisms or a _Relabelling
+    were being built."""
+
+
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Generating set built greedily: repeatedly adjoin the smallest element
     not yet generated. Small in practice, deterministic always."""
@@ -84,7 +99,8 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = math.inf,
+                              ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All homomorphisms G -> S_degree, each as a tuple of permutations
     indexed by group element, lexicographic in the tuple of images of the
     greedy generators.
@@ -97,6 +113,8 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[
     stabiliser of p, and its placement is yH -> rho(y)(p), a bijection of
     the cosets onto the orbit of p. A homomorphism is fixed by its images
     of the greedy generators, so sorting on them gives distinct keys.
+    Given a finite deadline, every 1024th placement reads the clock and
+    raises _DeadlinePassed once it has passed; the default reads no clock.
     """
     if degree < 1:
         raise MalformedTable("degree must be >= 1")
@@ -116,8 +134,13 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int) -> tuple[tuple[tuple[
         coset_actions.append([[coset_of[g.mul(x, y)] for y in reps] for x in g.elements()])
     rows = [[0] * degree for _ in g.elements()]
     out = []
+    placed = 0
 
     def place(free):
+        nonlocal placed
+        placed += 1
+        if placed % 1024 == 0 and deadline < math.inf and time.monotonic() > deadline:
+            raise _DeadlinePassed()
         if not free:
             out.append(tuple(map(tuple, rows)))
             return
@@ -276,10 +299,6 @@ def _perm_rank(p) -> int:
     return rank
 
 
-class _DeadlinePassed(Exception):
-    """The deadline passed while a _Relabelling was being built."""
-
-
 class _Relabelling:
     """The carrier relabellings acting on actions held as index tuples.
 
@@ -297,23 +316,28 @@ class _Relabelling:
     fixed by its images of g != e and a permutation by its rank, so the
     moves reaching the least key number |Aut|. Every homomorphism is
     checked as an ordinary action on m points first, which is what lets
-    action() skip validation. Building the m! tables reads the clock once
-    per relabelling and raises _DeadlinePassed past the deadline.
+    action() skip validation. Checking and ranking the homomorphisms reads
+    the clock every 1024 of them, and building the m! tables once per
+    relabelling; past the deadline either raises _DeadlinePassed.
     """
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.group = group
         self.homs = homs
-        for rho in homs:
+        self.nonidentity = [g for g in group.elements() if g != group.identity]
+        ranks = []
+        for i, rho in enumerate(homs):
+            if i % 1024 == 1023 and time.monotonic() > deadline:
+                raise _DeadlinePassed()
             try:
                 ok = make_ordinary_action(group, rho).carrier_size == m
             except (MalformedTable, ShapeMismatch):
                 ok = False
             if not ok:
                 raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
+            ranks.append([_perm_rank(rho[g]) for g in self.nonidentity])
         self.index = {rho: i for i, rho in enumerate(homs)}
-        self.nonidentity = [g for g in group.elements() if g != group.identity]
-        self.columns = [[_perm_rank(rho[g]) for rho in homs] for g in self.nonidentity]
+        self.columns = list(zip(*ranks))
         self.moves = []
         for sigma in itertools.permutations(range(m)):
             if time.monotonic() > deadline:
@@ -384,8 +408,10 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     each of its rows is one of the row homomorphisms, checked once per run
     when the relabelling tables are built. The first action of each
     class is scanned for distributivity, which settles its class; under
-    require_distributive a non-distributive one raises. The time budget
-    counts from before the row homomorphisms are generated and bounds the
+    require_distributive a non-distributive one raises, and a row the law
+    forces is the only candidate tried at its depth. The time budget
+    counts from before the row homomorphisms are generated and bounds
+    their generation (not the subgroup lattice it starts from), the
     relabelling tables, the search and the assembly of its result.
     Budgets exhausted mid-search raise BudgetExceeded carrying the
     partial result, which is empty when the deadline passed before the
@@ -394,8 +420,8 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
-    rowhoms = permutation_homomorphisms(g, m)
     try:
+        rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
         rel = _Relabelling(g, rowhoms, m, deadline)
     except _DeadlinePassed:
         empty = EnumerationResult(task=task, actions=(), raw_count=0, canonical_count=0,
@@ -427,12 +453,23 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         result = _assemble(task, rel, leaves, search_complete=False, deadline=math.inf)
         raise BudgetExceeded(reason, partial=result)
 
+    def forced_row(t: int):
+        # the index the law dictates at row t through some instance
+        # (h, x, x') with x, x' < t and h(x, x') = t, or None if none does
+        for x in range(t):
+            for c, conj in law_rows[chosen_idx[x]]:
+                xp = c.index(t)
+                if xp < t:
+                    return conj[chosen_idx[xp]]
+        return None
+
     def fill(t: int):
         nonlocal nodes
         if t == m:
             leaves.append(tuple(chosen_idx))
             return
-        for i in range(len(rowhoms)):
+        forced = forced_row(t) if task.require_distributive else None
+        for i in range(len(rowhoms)) if forced is None else (forced,):
             nodes += 1
             if nodes > task.node_budget:
                 emit_partial(f"node budget {task.node_budget} reached")

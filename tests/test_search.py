@@ -172,15 +172,16 @@ def test_require_distributive_matches_filter():
 
 
 @pytest.mark.parametrize("name, m, budget, raw, canonical", [
-    ("k4", 4, 20_000, 309, 83),
-    ("z3", 5, 5_000, 138, 11),
-    ("s3", 4, 3_000, 62, 13),
+    ("k4", 4, 5_000, 518, 127),
+    ("z3", 5, 1_500, 159, 11),
+    ("s3", 4, 600, 38, 10),
 ])
 def test_node_budget_partial_under_require_distributive(name, m, budget, raw, canonical):
     """A node passes the pruned check exactly when every law instance over
-    its assigned rows holds, so the nodes counted before a budget stop, and
-    the partial result, are those of the scan over all assigned instances
-    (the counts were recorded with that scan)."""
+    its assigned rows holds, and a row the law forces is the only candidate
+    tried, so the nodes counted before a budget stop, and the partial
+    result, are those of the forced-row search (the counts were recorded
+    with it; the full searches take 9316, 2725 and 1206 nodes)."""
     g = builtin_group(name)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
@@ -189,6 +190,19 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
     assert not partial.exhaustive
     assert (partial.raw_count, partial.canonical_count) == (raw, canonical)
     assert all(oracle_is_distributive(g.cayley, a.table, m) for a in partial.actions)
+
+
+@pytest.mark.parametrize("name, m, raw, canonical", [
+    ("k4", 5, 63634, 2182), ("z2", 6, 17572, 180), ("s3", 5, 962, 42)])
+def test_forced_rows_finish_under_default_budgets(name, m, raw, canonical):
+    """Trying only the row the law forces brings these sizes under the
+    default node budget; the unforced search needs 19.9M nodes for k4 on
+    5 points and 3.27M for z2 on 6."""
+    result = enumerate_actions(EnumerationTask(
+        group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
+    assert result.exhaustive
+    assert (result.raw_count, result.canonical_count) == (raw, canonical)
+    assert result.distributive_count == raw
 
 
 def test_is_distributive_matches_witness_oracle():
@@ -274,12 +288,13 @@ def test_distributive_count_matches_oracle(name, m):
 
 # (raw, classes) of distributive actions of the abelianization
 ABELIANIZATION_COUNTS = {("z2", 3): (11, 5), ("z2", 4): (74, 13),
-                         ("k4", 3): (49, 19), ("k4", 4): (1072, 164)}
+                         ("k4", 3): (49, 19), ("k4", 4): (1072, 164),
+                         ("k4", 5): (63634, 2182)}
 
 
 @pytest.mark.parametrize("name, ab, m", [
     ("s3", "z2", 3), ("s3", "z2", 4), ("d4", "k4", 3), ("d4", "k4", 4),
-    ("q8", "k4", 3), ("q8", "k4", 4)])
+    ("q8", "k4", 3), ("q8", "k4", 4), ("d4", "k4", 5), ("q8", "k4", 5)])
 def test_distributive_actions_are_trivial_on_the_commutator_subgroup(name, ab, m):
     """The commutator conjecture at these sizes: every row homomorphism of
     every distributive action is the identity on [G, G], and G has as many
@@ -415,9 +430,9 @@ def test_time_budget_covers_hom_generation(z2, monkeypatch):
     monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
     generate = search.permutation_homomorphisms
 
-    def slow_generation(g, m):
+    def slow_generation(g, m, deadline):
         clock[0] += 100.0
-        return generate(g, m)
+        return generate(g, m, deadline=deadline)
 
     monkeypatch.setattr(search, "permutation_homomorphisms", slow_generation)
     with pytest.raises(BudgetExceeded) as exc:
@@ -427,9 +442,63 @@ def test_time_budget_covers_hom_generation(z2, monkeypatch):
     assert partial.raw_count == 0
 
 
+def test_hom_generation_stops_at_a_passed_deadline(z2, monkeypatch):
+    """The generator reads the clock every 1024 placements, so a passed
+    deadline stops it before it returns; without one it reads no clock.
+    z2 on 8 points takes 1716 placements for its 764 homomorphisms."""
+    with pytest.raises(search._DeadlinePassed):
+        permutation_homomorphisms(z2, 8, deadline=-math.inf)
+
+    def refuse():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(search.time, "monotonic", refuse)
+    assert len(permutation_homomorphisms(z2, 8)) == 764
+
+
+def test_enumeration_stops_inside_hom_generation(z2, monkeypatch):
+    """A deadline that passes while the homomorphisms are generated stops
+    the generator before it returns, and the run with an empty partial."""
+    clock = [0.0]
+    generate = search.permutation_homomorphisms
+    returned = []
+
+    def tick():
+        clock[0] += 1.0
+        return clock[0]
+
+    def generation(g, m, deadline):
+        homs = generate(g, m, deadline=deadline)
+        returned.append(len(homs))
+        return homs
+
+    monkeypatch.setattr(search.time, "monotonic", tick)
+    monkeypatch.setattr(search, "permutation_homomorphisms", generation)
+    with pytest.raises(BudgetExceeded, match="time budget") as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=8, time_budget_s=0.5))
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.raw_count == 0 and partial.actions == ()
+    assert returned == []
+
+
+def test_relabelling_checks_stop_at_a_passed_deadline(z2, monkeypatch):
+    """Checking the homomorphisms reads the clock every 1024 of them, so a
+    passed deadline stops it before the rest of z2's 2620 on 9 points."""
+    homs = permutation_homomorphisms(z2, 9)
+    checked = []
+    check = search.make_ordinary_action
+    monkeypatch.setattr(search, "make_ordinary_action",
+                        lambda g, rho: checked.append(rho) or check(g, rho))
+    with pytest.raises(search._DeadlinePassed):
+        search._Relabelling(z2, homs, 9, deadline=-math.inf)
+    assert len(checked) == 1023
+
+
 def test_unclosed_hom_list_raises(z2, monkeypatch):
     homs = permutation_homomorphisms(z2, 3)
-    monkeypatch.setattr(search, "permutation_homomorphisms", lambda g, m: homs[:-1])
+    monkeypatch.setattr(search, "permutation_homomorphisms",
+                        lambda g, m, deadline: homs[:-1])
     with pytest.raises(InternalInconsistency, match="not closed under conjugation"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
