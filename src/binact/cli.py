@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -41,6 +40,7 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     NotContinuous,
+    NotDistributive,
     NotInvertible,
     TheoremViolation,
 )
@@ -69,13 +69,6 @@ class CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated launch parameters shared by the subcommand handlers."""
-
-    out: Path | None
 
 
 def _read_json(path: str):
@@ -127,9 +120,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(cfg: RunConfig, obj) -> None:
-    if cfg.out is not None:
-        _write_text(cfg.out, _dump(obj))
+def _emit(args, obj) -> None:
+    if args.out:
+        _write_text(Path(args.out), _dump(obj))
+
+
+def _print_records(records) -> None:
+    for rec in records:
+        print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
+              f"hypotheses_met={'true' if rec.hypotheses_met else 'false'}")
 
 
 def _parse_members(text: str) -> list[int]:
@@ -141,7 +140,7 @@ def _parse_members(text: str) -> list[int]:
 
 # --- subcommand handlers ------------------------------------------------------
 
-def _cmd_validate(cfg: RunConfig, args) -> int:
+def _cmd_validate(args) -> int:
     if args.action:
         _load(args.action, action_from_json)
         print("axioms (1),(2): OK")
@@ -159,7 +158,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_distributive(cfg: RunConfig, args) -> int:
+def _cmd_distributive(args) -> int:
     a = _load(args.action, action_from_json)
     witness = is_distributive(a)
     if witness is True:
@@ -169,24 +168,24 @@ def _cmd_distributive(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _cmd_orbits(cfg: RunConfig, args) -> int:
+def _cmd_orbits(args) -> int:
     a = _load(args.action, action_from_json)
-    witness = is_distributive(a)
-    if witness is not True:
-        print(f"action is not distributive; witness (g, h, x, x', x'') = {witness}")
+    try:
+        space = orbit_space(a)
+    except NotDistributive as exc:
+        print(f"action is not distributive; witness (g, h, x, x', x'') = {exc.witness}")
         print("orbit spaces are only defined for distributive actions; "
               "use the witnesses subcommand to inspect nesting")
         return 1
-    space = orbit_space(a)
     print(f"classes: {len(space.classes)}")
     for i, members in enumerate(space.classes):
         print(f"class {i} (size {len(members)}): " + " ".join(str(x) for x in members))
     print("projection: " + " ".join(str(c) for c in space.projection))
-    _emit(cfg, orbit_report_json(space))
+    _emit(args, orbit_report_json(space))
     return 0
 
 
-def _cmd_quotient(cfg: RunConfig, args) -> int:
+def _cmd_quotient(args) -> int:
     a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
     s = make_space(a, t)
@@ -196,14 +195,13 @@ def _cmd_quotient(cfg: RunConfig, args) -> int:
     print(f"quotient classes: {qt.carrier_size}")
     print("quotient opens: " + "; ".join(
         "{" + ",".join(str(p) for p in points_of(u)) + "}" for u in qt.opens))
-    for rec in _battery(s, space, qt, model_id=f"action={args.action};topology={args.topology}"):
-        print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
-              f"hypotheses_met={'true' if rec.hypotheses_met else 'false'}")
-    _emit(cfg, topology_to_json(qt))
+    model_id = f"action={args.action};topology={args.topology}"
+    _print_records(_battery(s, space, qt, model_id=model_id))
+    _emit(args, topology_to_json(qt))
     return 0
 
 
-def _cmd_monoid(cfg: RunConfig, args) -> int:
+def _cmd_monoid(args) -> int:
     if args.size is not None:
         order = invertible_group_order(args.size, cap=args.cap)
         print(f"carrier={args.size} invertible_operations={order}")
@@ -216,7 +214,7 @@ def _cmd_monoid(cfg: RunConfig, args) -> int:
         result = star(f, g)
         print(f"star: size={result.size}")
         sys.stdout.write(_dump(op_to_json(result)))
-        _emit(cfg, op_to_json(result))
+        _emit(args, op_to_json(result))
         return 0
     if args.invert:
         try:
@@ -227,7 +225,7 @@ def _cmd_monoid(cfg: RunConfig, args) -> int:
         check = star(f, inv) == identity_op(f.size) and star(inv, f) == identity_op(f.size)
         print(f"invertible: yes (two-sided check {'passed' if check else 'failed'})")
         sys.stdout.write(_dump(op_to_json(inv)))
-        _emit(cfg, op_to_json(inv))
+        _emit(args, op_to_json(inv))
         return 0 if check else 1
     raise CliFailure(2, "monoid --op needs --invert or --star")
 
@@ -242,7 +240,7 @@ def _report_budget_stop(exc: BudgetExceeded) -> int:
     return 1
 
 
-def _cmd_enumerate(cfg: RunConfig, args) -> int:
+def _cmd_enumerate(args) -> int:
     g = _resolve_group(args.group)
     task = EnumerationTask(
         group=g,
@@ -258,7 +256,8 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
         return _report_budget_stop(exc)
     print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
           f"distributive_count={result.distributive_count} exhaustive=yes")
-    if cfg.out is not None:
+    if args.out:
+        path = Path(args.out)
         summary = {
             "raw_count": result.raw_count,
             "canonical_count": result.canonical_count,
@@ -267,12 +266,12 @@ def _cmd_enumerate(cfg: RunConfig, args) -> int:
             "exhaustive": result.exhaustive,
         }
         try:
-            with cfg.out.open("w") as fh:
+            with path.open("w") as fh:
                 for line in _action_lines(g, args.carrier, result.actions):
                     fh.write(line)
                 fh.write(json.dumps(summary) + "\n")
         except OSError as exc:
-            raise CliFailure(2, f"cannot write {cfg.out}: {exc.strerror or exc}") from exc
+            raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -301,21 +300,19 @@ def _action_lines(g, m: int, actions):
         yield head + "[" + ", ".join(slices) + "]}\n"
 
 
-def _cmd_topology_check(cfg: RunConfig, args) -> int:
+def _cmd_topology_check(args) -> int:
     a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
     model_id = f"action={args.action};topology={args.topology}"
     records = run_topology_battery(
         a, t, model_id=model_id, include_probes=args.probe_non_hausdorff)
-    for rec in records:
-        print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
-              f"hypotheses_met={'true' if rec.hypotheses_met else 'false'}")
-    if cfg.out is not None:
-        _write_text(cfg.out, "\n".join(json.dumps(r.to_json()) for r in records) + "\n")
+    _print_records(records)
+    if args.out:
+        _write_text(Path(args.out), "\n".join(json.dumps(r.to_json()) for r in records) + "\n")
     return 0
 
 
-def _cmd_witnesses(cfg: RunConfig, args) -> int:
+def _cmd_witnesses(args) -> int:
     g = _resolve_group(args.group)
     task = EnumerationTask(group=g, carrier_size=args.carrier,
                            node_budget=args.node_budget, time_budget_s=args.time_budget)
@@ -339,29 +336,29 @@ def _cmd_witnesses(cfg: RunConfig, args) -> int:
               f"G(AuB,AuB)={sorted(u.union_image)} "
               f"action_table={[[list(r) for r in sl] for sl in u.action.table]}")
     print(f"actions_scanned: {report.actions_scanned}")
-    _emit(cfg, report.to_json())
+    _emit(args, report.to_json())
     return 0
 
 
-def _cmd_induce(cfg: RunConfig, args) -> int:
+def _cmd_induce(args) -> int:
     a = _load(args.action, action_from_json)
     o = induced_action(a, args.point)
     print(f"induced ordinary action at t={args.point}: group={o.group.name} carrier={o.carrier_size}")
     sys.stdout.write(_dump(ordinary_to_json(o)))
-    _emit(cfg, ordinary_to_json(o))
+    _emit(args, ordinary_to_json(o))
     return 0
 
 
-def _cmd_embed(cfg: RunConfig, args) -> int:
+def _cmd_embed(args) -> int:
     o = _load(args.ordinary, ordinary_from_json)
     a = from_ordinary(o)
     print(f"embedded binary action: group={a.group.name} carrier={a.carrier_size}")
     sys.stdout.write(_dump(action_to_json(a)))
-    _emit(cfg, action_to_json(a))
+    _emit(args, action_to_json(a))
     return 0
 
 
-def _cmd_conjugation(cfg: RunConfig, args) -> int:
+def _cmd_conjugation(args) -> int:
     g = _resolve_group(args.group)
     if args.subgroup:
         members = _parse_members(args.subgroup)
@@ -373,7 +370,7 @@ def _cmd_conjugation(cfg: RunConfig, args) -> int:
     print(f"conjugation-coset action: subgroup_size={a.group.order} carrier={a.carrier_size} "
           f"distributive=yes")
     sys.stdout.write(_dump(action_to_json(a)))
-    _emit(cfg, action_to_json(a))
+    _emit(args, action_to_json(a))
     return 0
 
 
@@ -487,9 +484,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    cfg = RunConfig(out=Path(args.out) if getattr(args, "out", None) else None)
     try:
-        return _HANDLERS[args.command](cfg, args)
+        return _HANDLERS[args.command](args)
     except CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

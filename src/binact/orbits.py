@@ -12,6 +12,7 @@ properly nested orbits; see the witness miner in the search module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
@@ -39,21 +40,20 @@ def mask_of(points: Iterable[int], carrier_size: int) -> int:
 
 def points_of(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask  # the least point left
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
 def k_mask(a: BinaryAction, K: Iterable[int], A: Sequence[int], B: Sequence[int]) -> int:
     """K(A, B) = {g(x, y) : g in K, x in A, y in B} as a bitmask.
 
-    Every image set here is one: orbits G({x}, {x}), saturations
-    K(A) = union over x in A of K({x}, {x}), and G(A, A). A and B are
-    iterated once per element of K.
+    Every image set is formed in this module, by this primitive or from
+    image_table, its values on pairs of points: orbits G({x}, {x}),
+    saturations K(A) = union over x in A of K({x}, {x}), and G(A, A). A
+    and B are iterated once per element of K.
     """
     t = a.table
     mask = 0
@@ -64,6 +64,45 @@ def k_mask(a: BinaryAction, K: Iterable[int], A: Sequence[int], B: Sequence[int]
             for y in B:
                 mask |= 1 << row[y]
     return mask
+
+
+def image_table(a: BinaryAction) -> list[list[int]]:
+    """images[x][y] = G({x}, {y}) as a bitmask, from one pass over the
+    table; G(A, B) is the OR of images[x][y] over x in A and y in B."""
+    m = a.carrier_size
+    images = [[0] * m for _ in range(m)]
+    for tg in a.table:
+        for ix, row in zip(images, tg):
+            for y, v in enumerate(row):
+                ix[y] |= 1 << v
+    return images
+
+
+def square_image(images, mask: int) -> int:
+    """G(A, A) for the set A given as a bitmask, read off image_table."""
+    pts = points_of(mask)
+    out = 0
+    for x in pts:
+        ix = images[x]
+        for y in pts:
+            out |= ix[y]
+    return out
+
+
+def k_orbits(a: BinaryAction, K: Iterable[int]) -> tuple[int, ...]:
+    """K({x}, {x}) for every point x as a bitmask; for the whole group and
+    a distributive action, the orbits."""
+    K = tuple(K)
+    return tuple([k_mask(a, K, (x,), (x,)) for x in range(a.carrier_size)])
+
+
+def saturation(orbit_masks: Sequence[int], mask: int) -> int:
+    """K(A), the union of orbit_masks[x] = K({x}, {x}) over the points x of
+    the bitmask A; with OrbitSpace.orbit_masks, the saturation G(A)."""
+    out = 0
+    for x in points_of(mask):
+        out |= orbit_masks[x]
+    return out
 
 
 def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
@@ -84,12 +123,16 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
     """
     if not 0 <= x < a.carrier_size:
         raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
-    everyone = a.group.elements()
-    trace = [frozenset({x})]
+    return [frozenset(points_of(s)) for s in closure_masks(image_table(a), 1 << x)]
+
+
+def closure_masks(images, mask: int) -> list[int]:
+    """The stages of S <- G(S, S) from the bitmask S = mask until stable,
+    read off image_table."""
+    trace = [mask]
     while True:
-        cur = trace[-1]
-        nxt = k_set(a, everyone, cur, cur)
-        if nxt == cur:
+        nxt = square_image(images, trace[-1])
+        if nxt == trace[-1]:
             return trace
         trace.append(nxt)
 
@@ -99,11 +142,15 @@ def minimal_bi_invariant(a: BinaryAction, x: int) -> frozenset[int]:
     return bi_invariant_closure_trace(a, x)[-1]
 
 
-def orbit(a: BinaryAction, x: int) -> frozenset[int]:
-    """The orbit G(x, x) of a distributive action."""
+def _require_distributive(a: BinaryAction) -> None:
     witness = is_distributive(a)
     if witness is not True:
         raise NotDistributive(witness)
+
+
+def orbit(a: BinaryAction, x: int) -> frozenset[int]:
+    """The orbit G(x, x) of a distributive action."""
+    _require_distributive(a)
     if not 0 <= x < a.carrier_size:
         raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
     return k_set(a, a.group.elements(), (x,), (x,))
@@ -112,14 +159,23 @@ def orbit(a: BinaryAction, x: int) -> frozenset[int]:
 @dataclass(frozen=True)
 class OrbitSpace:
     """The quotient of a distributive action: disjoint classes covering the
-    carrier, ordered by smallest member, plus the projection map."""
+    carrier, ordered by smallest member, the projection map, and the orbit
+    of each point as a bitmask."""
 
     source: BinaryAction
     classes: tuple[tuple[int, ...], ...]
     projection: tuple[int, ...]
+    orbit_masks: tuple[int, ...]
 
     def class_of(self, x: int) -> int:
         return self.projection[x]
+
+    def project(self, mask: int) -> int:
+        """The classes met by the bitmask, as a bitmask over class indices."""
+        out = 0
+        for x in points_of(mask):
+            out |= 1 << self.projection[x]
+        return out
 
 
 def orbit_space(a: BinaryAction) -> OrbitSpace:
@@ -130,33 +186,21 @@ def orbit_space(a: BinaryAction) -> OrbitSpace:
     returned space is the proof that a is distributive: code holding it
     need not scan the law again.
     """
-    witness = is_distributive(a)
-    if witness is not True:
-        raise NotDistributive(witness)
+    _require_distributive(a)
     return _orbit_space(a)
 
 
 def _orbit_space(a: BinaryAction) -> OrbitSpace:
     """orbit_space for an action already known to be distributive."""
-    everyone = a.group.elements()
-    orbits = [k_mask(a, everyone, (x,), (x,)) for x in range(a.carrier_size)]
+    orbits = k_orbits(a, a.group.elements())
     for x in range(a.carrier_size):
         for y in range(x + 1, a.carrier_size):
-            inter = orbits[x] & orbits[y]
-            if inter and orbits[x] != orbits[y]:
+            if orbits[x] & orbits[y] and orbits[x] != orbits[y]:
                 raise PartitionViolation(x, y)
-
-    classes: list[tuple[int, ...]] = []
-    projection = [-1] * a.carrier_size
-    for x in range(a.carrier_size):
-        if projection[x] >= 0:
-            continue
-        members = tuple(points_of(orbits[x]))
-        idx = len(classes)
-        classes.append(members)
-        for y in members:
-            projection[y] = idx
-    return OrbitSpace(source=a, classes=tuple(classes), projection=tuple(projection))
+    # a point lies in its orbit, so an orbit first occurs at its least member
+    index = {o: i for i, o in enumerate(dict.fromkeys(orbits))}
+    return OrbitSpace(source=a, classes=tuple([tuple(points_of(o)) for o in index]),
+                      projection=tuple([index[o] for o in orbits]), orbit_masks=orbits)
 
 
 def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
@@ -165,9 +209,7 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
     Verified to be a bijection whose inverse is the diagonal of g^-1;
     a failure raises NotBijective since it would contradict a theorem.
     """
-    witness = is_distributive(a)
-    if witness is not True:
-        raise NotDistributive(witness)
+    _require_distributive(a)
     if not 0 <= g < a.group.order:
         raise ShapeMismatch(f"group element {g} out of range 0..{a.group.order - 1}")
     return _diagonal(a, g)
@@ -194,12 +236,17 @@ def induced_quotient_map(a: BinaryAction, b: BinaryAction, f) -> tuple[int, ...]
     raises IllDefined, which for a biequivariant map between distributive
     actions would contradict a theorem.
     """
-    os_a = orbit_space(a)
-    os_b = orbit_space(b)
-    w = is_biequivariant(a, b, f)
+    return _induced_map(orbit_space(a), orbit_space(b), f)
+
+
+def _induced_map(os_a: OrbitSpace, os_b: OrbitSpace, f) -> tuple[int, ...]:
+    """induced_quotient_map given the verified orbit spaces of both
+    actions; f is still checked for biequivariance."""
+    a = os_a.source
+    w = is_biequivariant(a, os_b.source, f)
     if w is not True:
         raise NotBiequivariant(w)
-    mapping = _int_map(f, a.carrier_size, b.carrier_size, ShapeMismatch)
+    mapping = _int_map(f, a.carrier_size, os_b.source.carrier_size, ShapeMismatch)
     out = []
     for members in os_a.classes:
         targets = [os_b.projection[mapping[x]] for x in members]
@@ -239,32 +286,36 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
     on every action appearing as a source or target. Composition law: for
     every composable pair, the induced map of the composite equals the
     composite of the induced maps. Violations raise LawViolated.
+
+    Each distinct action's orbit space is built once, in order of first
+    appearance, and each map's induced class map once, when first needed,
+    so a bad input raises at the first use the checks above make of it.
     """
-    actions: list[BinaryAction] = []
-    for cm in maps:
-        for act in (cm.source, cm.target):
-            if act not in actions:
-                actions.append(act)
+    spaces = dict.fromkeys(act for cm in maps for act in (cm.source, cm.target))
 
     identity_checks = []
-    for idx, act in enumerate(actions):
-        ident = identity_perm(act.carrier_size)
-        induced = induced_quotient_map(act, act, ident)
-        space = orbit_space(act)
+    for idx, act in enumerate(spaces):
+        space = spaces[act] = orbit_space(act)
+        induced = _induced_map(space, space, identity_perm(act.carrier_size))
         if induced != identity_perm(len(space.classes)):
             raise LawViolated(
                 f"identity map on action {idx} does not induce the identity class map")
         identity_checks.append((idx, len(space.classes)))
 
+    @cache
+    def star(i: int) -> tuple[int, ...]:
+        cm = maps[i]
+        return _induced_map(spaces[cm.source], spaces[cm.target], cm.mapping)
+
     composition_checks = []
     for i, first in enumerate(maps):
-        fstar = induced_quotient_map(first.source, first.target, first.mapping)
+        fstar = star(i)
         for j, second in enumerate(maps):
             if second.source != first.target:
                 continue
-            gstar = induced_quotient_map(second.source, second.target, second.mapping)
+            gstar = star(j)
             composite = tuple(second.mapping[v] for v in first.mapping)
-            comp_star = induced_quotient_map(first.source, second.target, composite)
+            comp_star = _induced_map(spaces[first.source], spaces[second.target], composite)
             if comp_star != tuple(gstar[v] for v in fstar):
                 raise LawViolated(
                     f"composition law fails for maps ({i}, {j})")

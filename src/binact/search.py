@@ -80,7 +80,7 @@ from .actions import BinaryAction, is_distributive, make_ordinary_action, valida
 from .binops import _ints, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
 from .groups import FiniteGroup, all_subgroups, subgroup_closure
-from .orbits import is_bi_invariant, k_set, minimal_bi_invariant
+from .orbits import closure_masks, image_table, points_of, square_image
 
 
 class _DeadlinePassed(Exception):
@@ -412,10 +412,10 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     forces is the only candidate tried at its depth. The time budget
     counts from before the row homomorphisms are generated and bounds
     their generation (not the subgroup lattice it starts from), the
-    relabelling tables, the search and the assembly of its result.
-    Budgets exhausted mid-search raise BudgetExceeded carrying the
-    partial result, which is empty when the deadline passed before the
-    search began.
+    relabelling tables, the search and the assembly of its result, the
+    partial one after a budget stop included. Budgets exhausted mid-search
+    raise BudgetExceeded carrying the partial result, which is empty when
+    the deadline passed before the search began or ended.
     """
     g = task.group
     m = task.carrier_size
@@ -450,7 +450,7 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         return True
 
     def emit_partial(reason: str):
-        result = _assemble(task, rel, leaves, search_complete=False, deadline=math.inf)
+        result = _assemble(task, rel, leaves, search_complete=False, deadline=deadline)
         raise BudgetExceeded(reason, partial=result)
 
     def forced_row(t: int):
@@ -496,7 +496,8 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     verdict holds for the whole class; and the first non-distributive
     action in table order is the first of its class, so under the filter
     the scan raises on the action, and with the witness, that scanning
-    every action would. Past the deadline, the actions assembled so far
+    every action would. The clock is read before the sort and then before
+    every further action; past the deadline, the actions assembled so far
     make a partial result, raised with BudgetExceeded. A result is
     exhaustive when the search was complete and every action was
     assembled; it must then pass the orbit-stabilizer count. Under dedupe
@@ -509,9 +510,10 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
     met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
-    stopped = False
-    for leaf in sorted(leaves, key=rel.key):
-        if time.monotonic() > deadline:
+    # the first clock read comes before the sort, in place of the first leaf's
+    stopped = time.monotonic() > deadline
+    for i, leaf in enumerate([] if stopped else sorted(leaves, key=rel.key)):
+        if i and time.monotonic() > deadline:
             stopped = True
             break
         a = None
@@ -577,31 +579,31 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     """
     intersecting = None
     union = None
+
+    def points(mask: int) -> frozenset[int]:
+        return frozenset(points_of(mask))
+
     for a in result.actions:
         m = a.carrier_size
+        images = image_table(a)
         if intersecting is None:
-            sets = [minimal_bi_invariant(a, x) for x in range(m)]
+            sets = [closure_masks(images, 1 << x)[-1] for x in range(m)]
             for x in range(m):
                 for xp in range(x + 1, m):
                     if sets[x] & sets[xp] and sets[x] != sets[xp]:
                         intersecting = IntersectingOrbitsWitness(
-                            action=a, x=x, xp=xp, set_x=sets[x], set_xp=sets[xp])
+                            action=a, x=x, xp=xp, set_x=points(sets[x]), set_xp=points(sets[xp]))
                         break
                 if intersecting:
                     break
         if union is None:
-            invariant_masks = [
-                frozenset(pts)
-                for pts in _subsets(m)
-                if is_bi_invariant(a, pts)
-            ]
-            for i, sa in enumerate(invariant_masks):
-                for sb in invariant_masks[i + 1:]:
-                    u = sa | sb
-                    if not is_bi_invariant(a, u):
-                        union = UnionWitness(
-                            action=a, set_a=sa, set_b=sb,
-                            union_image=k_set(a, a.group.elements(), u, u))
+            invariant = [s for s in range(1 << m) if square_image(images, s) == s]
+            for i, sa in enumerate(invariant):
+                for sb in invariant[i + 1:]:
+                    image = square_image(images, sa | sb)
+                    if image != sa | sb:
+                        union = UnionWitness(action=a, set_a=points(sa), set_b=points(sb),
+                                             union_image=points(image))
                         break
                 if union:
                     break
@@ -612,8 +614,3 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
         non_bi_invariant_union=union,
         actions_scanned=len(result.actions),
     )
-
-
-def _subsets(m: int):
-    for mask in range(1 << m):
-        yield tuple(i for i in range(m) if mask >> i & 1)

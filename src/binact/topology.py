@@ -34,11 +34,11 @@ from .errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotContinuous,
-    NotDistributive,
     ShapeMismatch,
 )
 from .binops import _int, _int_map, _list
-from .orbits import OrbitSpace, _diagonal, _orbit_space, k_mask, mask_of, orbit_space, points_of
+from .orbits import (OrbitSpace, _diagonal, _orbit_space, _require_distributive, image_table,
+                     k_orbits, mask_of, orbit_space, points_of, saturation, square_image)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -356,16 +356,14 @@ def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
     if not is_open(s.topology, u_mask):
         raise MalformedTable(f"bitmask {u_mask} is not open in this topology")
-    pts = points_of(u_mask)
-    return is_open(s.topology, k_mask(s.action, s.action.group.elements(), pts, pts))
+    return is_open(s.topology, square_image(image_table(s.action), u_mask))
 
 
 def check_gaa_closed(s: TopologicalBinaryGSpace, a_mask: int) -> bool:
     """Is G(A, A) closed for the closed set A?"""
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    pts = points_of(a_mask)
-    return is_closed(s.topology, k_mask(s.action, s.action.group.elements(), pts, pts))
+    return is_closed(s.topology, square_image(image_table(s.action), a_mask))
 
 
 def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -> bool:
@@ -374,16 +372,10 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     Requires a distributive action; with K the whole group this is the
     saturation of A, the union of the orbits of its points.
     """
-    witness = is_distributive(s.action)
-    if witness is not True:
-        raise NotDistributive(witness)
+    _require_distributive(s.action)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    K = tuple(K)
-    image = 0
-    for x in points_of(a_mask):
-        image |= k_mask(s.action, K, (x,), (x,))
-    return is_closed(s.topology, image)
+    return is_closed(s.topology, saturation(k_orbits(s.action, K), a_mask))
 
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
@@ -399,18 +391,7 @@ def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
     those equal to the union of the classes they meet: a class set C is
     open iff its preimage, a saturated set, is open, and pi sends saturated
     sets one to one onto class sets. The family is still validated."""
-    proj = space.projection
-    class_masks = [sum(1 << x for x in members) for members in space.classes]
-    opens = []
-    for u in t.opens:
-        image = saturation = 0
-        for x in points_of(u):
-            c = proj[x]
-            image |= 1 << c
-            saturation |= class_masks[c]
-        if saturation == u:
-            opens.append(image)
-    opens.sort()
+    opens = sorted(space.project(u) for u in t.opens if saturation(space.orbit_masks, u) == u)
     k = len(space.classes)
     qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
@@ -439,14 +420,7 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
 
 def _projection_checks(t: FiniteTopology, space: OrbitSpace,
                        qt: FiniteTopology) -> ProjectionChecks:
-    closed = True
-    for amask in closed_sets(t):
-        img = 0
-        for x in points_of(amask):
-            img |= 1 << space.projection[x]
-        if not is_closed(qt, img):
-            closed = False
-            break
+    closed = all(is_closed(qt, space.project(amask)) for amask in closed_sets(t))
     return ProjectionChecks(closed=closed, proper=closed)
 
 
@@ -543,27 +517,11 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=hypotheses_met))
 
-    # pair[x][y] = G({x}, {y}), so G(A, A) is the OR of pair[x][y] over x, y in A
-    m = action.carrier_size
-    pair = [[0] * m for _ in range(m)]
-    for tg in action.table:
-        for px, row in zip(pair, tg):
-            for y, v in enumerate(row):
-                px[y] |= 1 << v
-
-    def pair_image(mask: int) -> int:
-        pts = points_of(mask)
-        out = 0
-        for x in pts:
-            px = pair[x]
-            for y in pts:
-                out |= px[y]
-        return out
-
+    images = image_table(action)
     closed = closed_sets(topology)
-    add("guu_open", all(is_open(topology, pair_image(u)) for u in topology.opens),
+    add("guu_open", all(is_open(topology, square_image(images, u)) for u in topology.opens),
         asserted=haus, hypotheses_met=haus)
-    add("gaa_closed", all(is_closed(topology, pair_image(c)) for c in closed),
+    add("gaa_closed", all(is_closed(topology, square_image(images, c)) for c in closed),
         asserted=haus, hypotheses_met=haus)
 
     if space is not None:
@@ -576,16 +534,8 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
         add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
 
         # the saturation G(A) is the union of the orbits of A's points
-        class_masks = [sum(1 << x for x in members) for members in space.classes]
-        orbit_of = [class_masks[c] for c in space.projection]
-
-        def saturation(mask: int) -> int:
-            out = 0
-            for x in points_of(mask):
-                out |= orbit_of[x]
-            return out
-
-        add("ka_closed", all(is_closed(topology, saturation(c)) for c in closed),
+        orbits = space.orbit_masks
+        add("ka_closed", all(is_closed(topology, saturation(orbits, c)) for c in closed),
             asserted=True, hypotheses_met=True)
 
         proj = _projection_checks(topology, space, qt)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from binact import (
     CarrierMap,
     EnumerationTask,
+    all_biequivariant_maps,
     bi_invariant_closure_trace,
     builtin_group,
     conjugation_coset_action,
@@ -25,6 +26,7 @@ from binact import (
     validate_action,
 )
 from binact.errors import NotBiequivariant, NotDistributive
+from binact import orbits
 from binact.orbits import k_mask
 
 from oracles import oracle_k_set, oracle_left_cosets, oracle_min_bi_invariant
@@ -188,3 +190,34 @@ def test_k_mask_matches_oracle_and_is_monotone(data):
     bigger = (K | data.draw(elements), A | data.draw(points), B | data.draw(points))
     grown = k_mask(a, bigger[0], tuple(bigger[1]), tuple(bigger[2]))
     assert mask & ~grown == 0
+
+
+def test_functor_laws_scan_each_action_once(z2, monkeypatch):
+    """The 13 biequivariant maps between the distributive z2 actions on 1
+    and 2 points meet 3 actions; each is scanned for distributivity once,
+    in order of first appearance, not once per induced map."""
+    acts = [a for m in (1, 2) for a in enumerate_actions(EnumerationTask(
+        group=z2, carrier_size=m, require_distributive=True)).actions]
+    maps = [CarrierMap(source=a, target=b, mapping=f)
+            for a in acts for b in acts for f in all_biequivariant_maps(a, b)]
+    assert (len(acts), len(maps)) == (3, 13)
+    expected = functor_laws_check(maps)
+    calls = []
+    scan = orbits.is_distributive
+    monkeypatch.setattr(orbits, "is_distributive", lambda a: calls.append(a) or scan(a))
+    assert functor_laws_check(maps) == expected
+    assert calls == acts
+
+
+def test_functor_laws_raise_at_the_first_map_used(z2, xor_action):
+    """Induced maps are built when first needed: map 2 is met while map 0
+    is composed, so its NotBiequivariant is raised, not the ShapeMismatch
+    of map 1, which is listed earlier but used later."""
+    tr2 = trivial_action(z2, 2)
+    maps = [
+        CarrierMap(source=xor_action, target=xor_action, mapping=(0, 1)),
+        CarrierMap(source=tr2, target=xor_action, mapping=(0, 1, 0)),
+        CarrierMap(source=xor_action, target=tr2, mapping=(0, 1)),
+    ]
+    with pytest.raises(NotBiequivariant):
+        functor_laws_check(maps)

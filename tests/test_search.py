@@ -367,6 +367,28 @@ def test_time_budget_bounds_assembly(z2, monkeypatch):
     assert partial.actions == _all_actions("z2", 3)[:10]
 
 
+def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
+    """After a node-budget stop the partial result is assembled under the
+    run's deadline: the clock is read once when the run starts, six times
+    for the relabellings, once before the leaves are sorted and once
+    before every further action, so the 60 leaves found by 80 nodes give
+    a partial of 4 actions after 12 reads."""
+    with pytest.raises(BudgetExceeded, match="node budget 80 reached") as stop:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80))
+    full = stop.value.partial
+    assert full.raw_count == 60
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded, match="time budget 10s reached") as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80,
+                                          time_budget_s=10))
+    assert next(ticks) == 12
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert partial.raw_count == 4
+    assert partial.actions == full.actions[:4]
+
+
 def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
     """The deadline is read before each of the m! relabelling tables is
     built; a stop there raises an empty, non-exhaustive partial."""

@@ -513,3 +513,46 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         continuous.clear()
         assert call() == expected[name]
         assert (len(distributive), len(continuous)) == (1, 1), name
+
+
+@pytest.mark.parametrize("model, code, out", [
+    ("xor", 0, "classes: 1\nclass 0 (size 2): 0 1\nprojection: 0 0\n"),
+    ("mixed", 1, "action is not distributive; witness (g, h, x, x', x'') = (1, 1, 1, 0, 0)\n"
+                 "orbit spaces are only defined for distributive actions; "
+                 "use the witnesses subcommand to inspect nesting\n"),
+])
+def test_orbits_command_scans_once(model, code, out, xor_action, mixed_action, monkeypatch,
+                                   tmp_path, capsys):
+    """`binact orbits` scans distributivity once, on a distributive action
+    and on one that is not; the witness it prints is the one orbit_space
+    refuses the action with."""
+    a = {"xor": xor_action, "mixed": mixed_action}[model]
+    action_file = tmp_path / "a.json"
+    action_file.write_text(json.dumps(action_to_json(a)))
+    distributive = _count_calls(monkeypatch, is_distributive)
+    assert main(["orbits", "--action", str(action_file)]) == code
+    assert capsys.readouterr().out == out
+    assert len(distributive) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_battery_records_and_quotient_size(data):
+    """Relabelling the action and the topology by one sigma keeps every
+    battery record's check, outcome and hypotheses_met, in order, and the
+    number of quotient opens."""
+    name, m = data.draw(st.sampled_from([("z2", 3), ("z3", 3), ("s3", 3), ("z2", 4)]))
+    a = data.draw(st.sampled_from(_actions(name, m)))
+    continuous = [t for t in _topologies(m) if is_continuous(make_space(a, t)) is True]
+    t = data.draw(st.sampled_from(continuous))
+    sigma = data.draw(st.permutations(range(m)))
+    b = relabel_action(a, sigma)
+    u = validate_topology(m, [_relabel_mask(v, sigma) for v in t.opens])
+
+    def summary(act, top):
+        return [(r.check, r.outcome, r.hypotheses_met) for r in run_topology_battery(act, top)]
+
+    assert summary(a, t) == summary(b, u)
+    if is_distributive(a) is True:
+        opens = len(quotient_topology(make_space(a, t)).opens)
+        assert opens == len(quotient_topology(make_space(b, u)).opens)
