@@ -234,9 +234,8 @@ def _report_budget_stop(exc: BudgetExceeded) -> int:
     """A budget stop: where it stopped and the counts of the partial result."""
     partial = exc.partial
     print(f"non-exhaustive: {exc}")
-    if partial is not None:
-        print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
-              f"distributive_count={partial.distributive_count} exhaustive=no")
+    print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
+          f"distributive_count={partial.distributive_count} exhaustive=no")
     return 1
 
 

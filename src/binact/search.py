@@ -83,9 +83,9 @@ from .groups import FiniteGroup, all_subgroups, subgroup_closure
 from .orbits import closure_masks, image_table, points_of, square_image
 
 
-class _DeadlinePassed(Exception):
-    """The deadline passed while the row homomorphisms or a _Relabelling
-    were being built."""
+class _BudgetStop(Exception):
+    """A budget stopped the run: the node budget, named by the message, or
+    the deadline, which gives no message."""
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
     the cosets onto the orbit of p. A homomorphism is fixed by its images
     of the greedy generators, so sorting on them gives distinct keys.
     Given a finite deadline, every 1024th placement reads the clock and
-    raises _DeadlinePassed once it has passed; the default reads no clock.
+    raises _BudgetStop once it has passed; the default reads no clock.
     """
     if degree < 1:
         raise MalformedTable("degree must be >= 1")
@@ -140,7 +140,7 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
         nonlocal placed
         placed += 1
         if placed % 1024 == 0 and deadline < math.inf and time.monotonic() > deadline:
-            raise _DeadlinePassed()
+            raise _BudgetStop()
         if not free:
             out.append(tuple(map(tuple, rows)))
             return
@@ -251,11 +251,11 @@ class EnumerationResult:
     distributive_count counts distributive emissions, from one scan per
     class. An exhaustive result has passed the orbit-stabilizer check:
     raw_count is the sum of m!/|Aut(a)| over the classes. Each class met
-    has m!/|Aut(a)| relabellings, exhaustive or not. When a budget stopped
-    the search or the assembly of its result, exhaustive is false, the
-    counts describe the assembled part only, and the count over all
-    classes is skipped, because such a part need not be closed under
-    relabelling.
+    has m!/|Aut(a)| relabellings, exhaustive or not. After a budget stop,
+    the one BudgetExceeded carries a result with exhaustive false that
+    holds the actions assembled before the deadline, and its message says
+    how many the search found; the count over all classes is skipped,
+    because such a part need not be closed under relabelling.
     """
 
     task: EnumerationTask
@@ -316,9 +316,9 @@ class _Relabelling:
     fixed by its images of g != e and a permutation by its rank, so the
     moves reaching the least key number |Aut|. Every homomorphism is
     checked as an ordinary action on m points first, which is what lets
-    action() skip validation. Checking and ranking the homomorphisms reads
-    the clock every 1024 of them, and building the m! tables once per
-    relabelling; past the deadline either raises _DeadlinePassed.
+    action() skip validation. Only with a finite deadline, checking the
+    homomorphisms reads the clock every 1024 of them and building the m!
+    tables once per relabelling, raising _BudgetStop once it has passed.
     """
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
@@ -327,8 +327,8 @@ class _Relabelling:
         self.nonidentity = [g for g in group.elements() if g != group.identity]
         ranks = []
         for i, rho in enumerate(homs):
-            if i % 1024 == 1023 and time.monotonic() > deadline:
-                raise _DeadlinePassed()
+            if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
+                raise _BudgetStop()
             try:
                 ok = make_ordinary_action(group, rho).carrier_size == m
             except (MalformedTable, ShapeMismatch):
@@ -340,8 +340,8 @@ class _Relabelling:
         self.columns = list(zip(*ranks))
         self.moves = []
         for sigma in itertools.permutations(range(m)):
-            if time.monotonic() > deadline:
-                raise _DeadlinePassed()
+            if deadline < math.inf and time.monotonic() > deadline:
+                raise _BudgetStop()
             inv = invert_perm(sigma)
             conj = []
             for rho in homs:
@@ -412,25 +412,22 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     forces is the only candidate tried at its depth. The time budget
     counts from before the row homomorphisms are generated and bounds
     their generation (not the subgroup lattice it starts from), the
-    relabelling tables, the search and the assembly of its result, the
-    partial one after a budget stop included. Budgets exhausted mid-search
-    raise BudgetExceeded carrying the partial result, which is empty when
-    the deadline passed before the search began or ended.
+    relabelling tables, the search and the assembly of its result.
+    Every budget check raises _BudgetStop, caught here alone: the leaves
+    found so far (none if it came before the search) are assembled under
+    the deadline, and one BudgetExceeded carries them. Its message names
+    the budget that stopped the search, and the time budget if the
+    deadline then cut the assembly, with the actions found and assembled;
+    it names only the time budget when the search had finished.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
-    try:
-        rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
-        rel = _Relabelling(g, rowhoms, m, deadline)
-    except _DeadlinePassed:
-        empty = EnumerationResult(task=task, actions=(), raw_count=0, canonical_count=0,
-                                  distributive_count=0, exhaustive=False)
-        raise BudgetExceeded(f"time budget {task.time_budget_s}s reached", partial=empty) from None
-    law_rows = rel.law_rows() if task.require_distributive else None
+    time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
     leaves: list[tuple[int, ...]] = []
     chosen_idx = [0] * m
+    rel = reason = None
 
     def distributivity_ok(t: int) -> bool:
         # the law instances (h, x, x') that row t adds, h != e, each one
@@ -448,10 +445,6 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
                 if y < depth and chosen_idx[y] != conj[it]:
                     return False
         return True
-
-    def emit_partial(reason: str):
-        result = _assemble(task, rel, leaves, search_complete=False, deadline=deadline)
-        raise BudgetExceeded(reason, partial=result)
 
     def forced_row(t: int):
         # the index the law dictates at row t through some instance
@@ -472,19 +465,32 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         for i in range(len(rowhoms)) if forced is None else (forced,):
             nodes += 1
             if nodes > task.node_budget:
-                emit_partial(f"node budget {task.node_budget} reached")
+                raise _BudgetStop(f"node budget {task.node_budget} reached")
             if nodes % 1024 == 0 and time.monotonic() > deadline:
-                emit_partial(f"time budget {task.time_budget_s}s reached")
+                raise _BudgetStop()
             chosen_idx[t] = i
             if task.require_distributive and not distributivity_ok(t):
                 continue
             fill(t + 1)
 
-    fill(0)
-    return _assemble(task, rel, leaves, search_complete=True, deadline=deadline)
+    try:
+        rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
+        rel = _Relabelling(g, rowhoms, m, deadline)
+        law_rows = rel.law_rows() if task.require_distributive else None
+        fill(0)
+    except _BudgetStop as stop:
+        reason = str(stop) or time_reason
+    result = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
+    if result.exhaustive:
+        return result
+    if reason is not None:  # None: the search finished, the deadline cut its assembly
+        if result.raw_count < len(leaves) and reason != time_reason:
+            reason += f"; {time_reason}"
+        reason += f" ({len(leaves)} actions found, {result.raw_count} assembled)"
+    raise BudgetExceeded(reason or time_reason, partial=result)
 
 
-def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
+def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
               deadline: float) -> EnumerationResult:
     """Build, check and canonicalize the found actions in table order.
 
@@ -497,10 +503,10 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     action in table order is the first of its class, so under the filter
     the scan raises on the action, and with the witness, that scanning
     every action would. The clock is read before the sort and then before
-    every further action; past the deadline, the actions assembled so far
-    make a partial result, raised with BudgetExceeded. A result is
-    exhaustive when the search was complete and every action was
-    assembled; it must then pass the orbit-stabilizer count. Under dedupe
+    every further action (never without leaves, and rel is then unused);
+    past the deadline, the actions assembled so far make the result. It
+    is exhaustive when the search was complete and every action was
+    assembled, and must then pass the orbit-stabilizer count. Under dedupe
     the other actions of a class are only counted: a BinaryAction is built
     for the first action of each class and for each representative.
     """
@@ -511,10 +517,9 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
     met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
     # the first clock read comes before the sort, in place of the first leaf's
-    stopped = time.monotonic() > deadline
-    for i, leaf in enumerate([] if stopped else sorted(leaves, key=rel.key)):
+    ordered = sorted(leaves, key=rel.key) if leaves and time.monotonic() <= deadline else ()
+    for i, leaf in enumerate(ordered):
         if i and time.monotonic() > deadline:
-            stopped = True
             break
         a = None
         verdict = met.get(leaf)
@@ -536,7 +541,7 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
         raw += 1
         if not task.dedupe:
             actions.append(a or rel.action(leaf))
-    exhaustive = search_complete and not stopped
+    exhaustive = search_complete and raw == len(leaves)
     if exhaustive:
         orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
         if orbit_total != raw:
@@ -547,7 +552,7 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
         out = tuple(rel.action(classes[k][0]) for k in sorted(classes))
     else:
         out = tuple(actions)
-    result = EnumerationResult(
+    return EnumerationResult(
         task=task,
         actions=out,
         raw_count=raw,
@@ -555,9 +560,6 @@ def _assemble(task, rel: _Relabelling, leaves, search_complete: bool,
         distributive_count=distributive,
         exhaustive=exhaustive,
     )
-    if stopped:
-        raise BudgetExceeded(f"time budget {task.time_budget_s}s reached", partial=result)
-    return result
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

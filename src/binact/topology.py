@@ -510,19 +510,18 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
                     f"table={flat};opens={list(topology.opens)}")
     records: list[ProbeRecord] = []
 
-    def add(check: str, outcome: bool, asserted: bool, hypotheses_met: bool):
+    def add(check: str, outcome: bool, asserted: bool):
+        # a check is asserted exactly where its hypotheses are met
         if asserted and not outcome:
             raise InternalInconsistency(f"{model_id}: asserted check {check} came back false")
-        if hypotheses_met or include_probes:
+        if asserted or include_probes:
             records.append(ProbeRecord(model=model_id, check=check,
-                                       outcome=outcome, hypotheses_met=hypotheses_met))
+                                       outcome=outcome, hypotheses_met=asserted))
 
     images = image_table(action)
     closed = closed_sets(topology)
-    add("guu_open", all(is_open(topology, square_image(images, u)) for u in topology.opens),
-        asserted=haus, hypotheses_met=haus)
-    add("gaa_closed", all(is_closed(topology, square_image(images, c)) for c in closed),
-        asserted=haus, hypotheses_met=haus)
+    add("guu_open", all(is_open(topology, square_image(images, u)) for u in topology.opens), haus)
+    add("gaa_closed", all(is_closed(topology, square_image(images, c)) for c in closed), haus)
 
     if space is not None:
         # every diagonal is verified a bijection inverse to its group
@@ -531,21 +530,20 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
         nbhd = minimal_neighborhoods(topology)
         diagonals = {_diagonal(action, g) for g in action.group.elements()}
         homeo = all(_is_continuous_map(nbhd, nbhd, d) for d in diagonals)
-        add("delta_homeomorphism", homeo, asserted=True, hypotheses_met=True)
+        add("delta_homeomorphism", homeo, True)
 
         # the saturation G(A) is the union of the orbits of A's points
         orbits = space.orbit_masks
-        add("ka_closed", all(is_closed(topology, saturation(orbits, c)) for c in closed),
-            asserted=True, hypotheses_met=True)
+        add("ka_closed", all(is_closed(topology, saturation(orbits, c)) for c in closed), True)
 
         proj = _projection_checks(topology, space, qt)
-        add("projection_closed", proj.closed, asserted=True, hypotheses_met=True)
-        add("projection_proper", proj.proper, asserted=True, hypotheses_met=True)
+        add("projection_closed", proj.closed, True)
+        add("projection_proper", proj.proper, True)
 
         quot = _quotient_checks(qt)
-        add("quotient_hausdorff", quot.hausdorff, asserted=haus, hypotheses_met=haus)
-        add("quotient_compact", quot.compact, asserted=True, hypotheses_met=True)
-        add("quotient_locally_compact", quot.locally_compact, asserted=True, hypotheses_met=True)
+        add("quotient_hausdorff", quot.hausdorff, haus)
+        add("quotient_compact", quot.compact, True)
+        add("quotient_locally_compact", quot.locally_compact, True)
 
     return records
 

@@ -387,6 +387,28 @@ def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
         "raw_count=10 canonical_count=6 distributive_count=3 exhaustive=no\n")
 
 
+def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
+    """The node budget stops the search of z2 on 3 points after 60 of its
+    64 actions; every clock read then advances one second, so a 10 s
+    budget (six reads for the relabellings, one before the sort and one
+    per further action) cuts the assembly after 4. The line names both
+    budgets, the node budget first. Of the first four actions of z2 on 3
+    points, 2 are distributive and they fall into 3 classes (by the
+    oracles in tests/oracles.py)."""
+    import itertools
+
+    import binact.search
+
+    ticks = itertools.count()
+    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
+    assert main(["enumerate", "--group", "z2", "--carrier", "3",
+                 "--node-budget", "80", "--time-budget", "10"]) == 1
+    assert capsys.readouterr().out == (
+        "non-exhaustive: enumeration budget exceeded: node budget 80 reached; "
+        "time budget 10.0s reached (60 actions found, 4 assembled)\n"
+        "raw_count=4 canonical_count=3 distributive_count=2 exhaustive=no\n")
+
+
 @pytest.mark.parametrize("command", [
     ["witnesses", "--group", "s3", "--carrier", "3"],
     ["enumerate", "--group", "z2", "--carrier", "5"],

@@ -372,9 +372,12 @@ def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
     run's deadline: the clock is read once when the run starts, six times
     for the relabellings, once before the leaves are sorted and once
     before every further action, so the 60 leaves found by 80 nodes give
-    a partial of 4 actions after 12 reads."""
+    a partial of 4 actions after 12 reads. The message names the node
+    budget, which stopped the search, and the time budget, which cut the
+    assembly, with both counts."""
     with pytest.raises(BudgetExceeded, match="node budget 80 reached") as stop:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80))
+    assert str(stop.value).endswith("node budget 80 reached (60 actions found, 60 assembled)")
     full = stop.value.partial
     assert full.raw_count == 60
     ticks = itertools.count()
@@ -383,10 +386,44 @@ def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80,
                                           time_budget_s=10))
     assert next(ticks) == 12
+    assert str(exc.value) == ("enumeration budget exceeded: node budget 80 reached; "
+                              "time budget 10s reached (60 actions found, 4 assembled)")
     partial = exc.value.partial
     assert not partial.exhaustive
     assert partial.raw_count == 4
     assert partial.actions == full.actions[:4]
+
+
+def test_time_budget_stop_in_the_search_reports_actions_found(z2, monkeypatch):
+    """z2 on 4 points has 10 row homomorphisms, so its unpruned search
+    visits 1 + 10 + 100 + 1000 nodes per first row, and the first clock
+    read of the search, at node 1024, comes after 920 leaves. The clock is
+    read at the start and for the 24 relabellings before that, so a 24.5 s
+    budget stops the search there; the assembly's first read is past the
+    deadline too, and assembles none of the 920."""
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=24.5))
+    assert next(ticks) == 27
+    assert str(exc.value) == ("enumeration budget exceeded: time budget 24.5s reached "
+                              "(920 actions found, 0 assembled)")
+    partial = exc.value.partial
+    assert not partial.exhaustive
+    assert (partial.raw_count, partial.actions) == (0, ())
+
+
+def test_canonicalize_reads_no_clock(monkeypatch):
+    """canonicalize has no deadline, so building its relabelling tables
+    must not read the clock once per relabelling."""
+    actions = _all_actions("z2", 3)[::7]
+
+    def refuse():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(search.time, "monotonic", refuse)
+    assert [canonicalize(a).table for a in actions] == [
+        oracle_canonical_form(a.table, 3) for a in actions]
 
 
 def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
@@ -468,7 +505,7 @@ def test_hom_generation_stops_at_a_passed_deadline(z2, monkeypatch):
     """The generator reads the clock every 1024 placements, so a passed
     deadline stops it before it returns; without one it reads no clock.
     z2 on 8 points takes 1716 placements for its 764 homomorphisms."""
-    with pytest.raises(search._DeadlinePassed):
+    with pytest.raises(search._BudgetStop):
         permutation_homomorphisms(z2, 8, deadline=-math.inf)
 
     def refuse():
@@ -512,7 +549,7 @@ def test_relabelling_checks_stop_at_a_passed_deadline(z2, monkeypatch):
     check = search.make_ordinary_action
     monkeypatch.setattr(search, "make_ordinary_action",
                         lambda g, rho: checked.append(rho) or check(g, rho))
-    with pytest.raises(search._DeadlinePassed):
+    with pytest.raises(search._BudgetStop):
         search._Relabelling(z2, homs, 9, deadline=-math.inf)
     assert len(checked) == 1023
 
