@@ -7,6 +7,14 @@ bi-invariant set containing x; for distributive actions it equals
 G({x}, {x}) and the orbits partition the carrier, which is what makes
 the orbit space well defined. Non-distributive actions can have
 properly nested orbits; see the witness miner in the search module.
+
+Sets asked for again and again, as a topology check asks for the image of
+every open and closed set, are read from lazily filled tables:
+UnionTable(values)[A] is the OR of values[x] over the points x of A (the
+saturation, with the orbits as values; the projection, with the classes),
+and SquareTable(images)[A] is G(A, A). An entry is filled in on first
+use and is the only one stored, so a table holds the sets asked of it,
+never all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -94,6 +102,66 @@ def k_orbits(a: BinaryAction, K: Iterable[int]) -> tuple[int, ...]:
     a distributive action, the orbits."""
     K = tuple(K)
     return tuple([k_mask(a, K, (x,), (x,)) for x in range(a.carrier_size)])
+
+
+class UnionTable(dict):
+    """table[A] = the OR of values[x] over the points x of the bitmask A.
+
+    A missing entry is filled in on first use, without recursion: A's least
+    points are dropped, ORing in their values, until the set left is stored
+    (the empty set always is), and its entry is ORed in. Only A is stored,
+    so the table holds the empty set and the sets asked of it.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[int]):
+        super().__init__({0: 0})
+        self.values = values
+
+    def __missing__(self, mask: int) -> int:
+        values = self.values
+        out = 0
+        rest = mask
+        while rest not in self:
+            low = rest & -rest
+            out |= values[low.bit_length() - 1]
+            rest ^= low
+        out |= self[rest]
+        self[mask] = out
+        return out
+
+
+class SquareTable(dict):
+    """table[A] = G(A, A) for the bitmask A, read off image_table.
+
+    With x the least point of A and R = A - {x}, the pairs of A are (x, x),
+    (x, y) and (y, x) for y in R, and the pairs of R, so
+    G(A, A) = images[x][x] | cross[x][R] | G(R, R), where cross[x] is the
+    UnionTable of images[x][y] | images[y][x] over y. Entries are filled in
+    as in UnionTable.
+    """
+
+    __slots__ = ("diagonal", "cross")
+
+    def __init__(self, images: Sequence[Sequence[int]]):
+        super().__init__({0: 0})
+        self.diagonal = [ix[x] for x, ix in enumerate(images)]
+        self.cross = [UnionTable([ix[y] | iy[x] for y, iy in enumerate(images)])
+                      for x, ix in enumerate(images)]
+
+    def __missing__(self, mask: int) -> int:
+        diagonal, cross = self.diagonal, self.cross
+        out = 0
+        rest = mask
+        while rest not in self:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            out |= diagonal[x] | cross[x][rest]
+        out |= self[rest]
+        self[mask] = out
+        return out
 
 
 def saturation(orbit_masks: Sequence[int], mask: int) -> int:

@@ -37,8 +37,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .binops import _int, _int_map, _list
-from .orbits import (OrbitSpace, _diagonal, _orbit_space, _require_distributive, image_table,
-                     k_orbits, mask_of, orbit_space, points_of, saturation, square_image)
+from .orbits import (OrbitSpace, SquareTable, UnionTable, _diagonal, _orbit_space,
+                     _require_distributive, image_table, k_orbits, mask_of, orbit_space, points_of,
+                     saturation, square_image)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -238,12 +239,14 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
 # keeps the pair images of the 16 tables met last; battery-sized runs meet
 # one table for many topologies in a row
 @lru_cache(maxsize=16)
-def _pair_images(table, identity: int) -> tuple[tuple[int, ...], ...]:
-    """pairs[w][u] = OR of 1 << (f(w) m + f(u)) over the table's distinct
-    one-argument maps f: the rows x' -> g(x, x') and the columns
-    x -> g(x, x') of every g != identity. Bit y m + v says that some map
-    sends w to y and u to v. Derived from the table alone, so it is kept
-    per table, never a verdict about a topology."""
+def _pair_images(table, identity: int) -> tuple[UnionTable, ...]:
+    """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
+    bitmask U and the table's distinct one-argument maps f: the rows
+    x' -> g(x, x') and the columns x -> g(x, x') of every g != identity.
+    Bit y m + v says that some map sends w to y and some u in U to v. Each
+    pairs[w] is a UnionTable over u, filled in for the sets U = N(w) - {w}
+    the topologies met so far asked for. Derived from the table alone, so
+    it is kept per table, never a verdict about a topology."""
     m = len(table[0])
     maps = set()
     for g, tg in enumerate(table):
@@ -257,7 +260,7 @@ def _pair_images(table, identity: int) -> tuple[tuple[int, ...], ...]:
             base = f[w] * m
             for u in range(m):
                 row[u] |= 1 << (base + f[u])
-        pairs.append(tuple(row))
+        pairs.append(UnionTable(row))
     return tuple(pairs)
 
 
@@ -282,8 +285,8 @@ def is_continuous(s: TopologicalBinaryGSpace):
     iff some y in V has reach[y] outside V, the same opens as an
     open-by-open scan of the product. Every reach[y] is read at once from
     the table's pair images (_pair_images): reach, packed with reach[y] at
-    bits y m .. y m + m - 1, is the OR of pairs[w][u] over the edges
-    u in N(w) - {w}. Every open containing y contains N(y), so if reach
+    bits y m .. y m + m - 1, is the OR over w of pairs[w][N(w) - {w}], one
+    table entry per point. Every open containing y contains N(y), so if reach
     lies inside N packed the same way the action is continuous. Otherwise
     the opens are tried in ascending order and the first failing one is
     returned, which is the open the open-by-open scan finds first. Compare
@@ -297,11 +300,7 @@ def is_continuous(s: TopologicalBinaryGSpace):
     reach = allowed = 0
     for w, nw in enumerate(nbhd):
         allowed |= nw << w * m
-        rest = nw & ~(1 << w)
-        if rest:
-            pw = pairs[w]
-            for u in points_of(rest):
-                reach |= pw[u]
+        reach |= pairs[w][nw & ~(1 << w)]
     if reach & ~allowed == 0:
         return True
     full = t.full_mask
@@ -386,12 +385,32 @@ def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     return _quotient(s.topology, space)
 
 
+# the tables of the 16 actions and orbit spaces met last, as for _pair_images;
+# each is filled in only for the sets a check asks for
+@lru_cache(maxsize=16)
+def _square_table(action: BinaryAction) -> SquareTable:
+    """G(A, A) = table[A], for the guu_open and gaa_closed checks."""
+    return SquareTable(image_table(action))
+
+
+@lru_cache(maxsize=16)
+def _orbit_tables(orbit_masks: tuple[int, ...],
+                  projection: tuple[int, ...]) -> tuple[UnionTable, UnionTable]:
+    """The saturation table, G(A) = saturated[A], and the projection table,
+    pi(A) = projected[A] as a bitmask over class indices, of the orbit space
+    with these orbit masks and projection (OrbitSpace.project)."""
+    return UnionTable(orbit_masks), UnionTable([1 << c for c in projection])
+
+
 def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
     """The quotient opens are the class sets pi(U) of the saturated opens U,
     those equal to the union of the classes they meet: a class set C is
     open iff its preimage, a saturated set, is open, and pi sends saturated
-    sets one to one onto class sets. The family is still validated."""
-    opens = sorted(space.project(u) for u in t.opens if saturation(space.orbit_masks, u) == u)
+    sets one to one onto class sets. Saturations and projections are read
+    from the orbit space's tables (_orbit_tables). The family is still
+    validated."""
+    saturated, projected = _orbit_tables(space.orbit_masks, space.projection)
+    opens = sorted(projected[u] for u in t.opens if saturated[u] == u)
     k = len(space.classes)
     qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
@@ -420,7 +439,8 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
 
 def _projection_checks(t: FiniteTopology, space: OrbitSpace,
                        qt: FiniteTopology) -> ProjectionChecks:
-    closed = all(is_closed(qt, space.project(amask)) for amask in closed_sets(t))
+    projected = _orbit_tables(space.orbit_masks, space.projection)[1]
+    closed = all(is_closed(qt, projected[amask]) for amask in closed_sets(t))
     return ProjectionChecks(closed=closed, proper=closed)
 
 
@@ -500,7 +520,10 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
              model_id: str | None = None, include_probes: bool = True) -> list[ProbeRecord]:
     """run_topology_battery for a model already known to be continuous,
     given the verified orbit space of its action and its quotient topology,
-    or None for both when the action is not distributive."""
+    or None for both when the action is not distributive. G(A, A) and the
+    saturations G(A) are read from the action's and the orbit space's
+    lazily filled tables (_square_table, _orbit_tables), which the other
+    topologies of the same action share."""
     action, topology = s.action, s.topology
     haus = is_hausdorff(topology)
     if model_id is None:
@@ -518,10 +541,10 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=asserted))
 
-    images = image_table(action)
+    square = _square_table(action)
     closed = closed_sets(topology)
-    add("guu_open", all(is_open(topology, square_image(images, u)) for u in topology.opens), haus)
-    add("gaa_closed", all(is_closed(topology, square_image(images, c)) for c in closed), haus)
+    add("guu_open", all(is_open(topology, square[u]) for u in topology.opens), haus)
+    add("gaa_closed", all(is_closed(topology, square[c]) for c in closed), haus)
 
     if space is not None:
         # every diagonal is verified a bijection inverse to its group
@@ -533,8 +556,8 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
         add("delta_homeomorphism", homeo, True)
 
         # the saturation G(A) is the union of the orbits of A's points
-        orbits = space.orbit_masks
-        add("ka_closed", all(is_closed(topology, saturation(orbits, c)) for c in closed), True)
+        saturated = _orbit_tables(space.orbit_masks, space.projection)[0]
+        add("ka_closed", all(is_closed(topology, saturated[c]) for c in closed), True)
 
         proj = _projection_checks(topology, space, qt)
         add("projection_closed", proj.closed, True)

@@ -27,7 +27,8 @@ from binact import (
 )
 from binact.errors import NotBiequivariant, NotDistributive
 from binact import orbits
-from binact.orbits import k_mask
+from binact.orbits import (SquareTable, UnionTable, image_table, k_mask, saturation,
+                           square_image)
 
 from oracles import oracle_k_set, oracle_left_cosets, oracle_min_bi_invariant
 
@@ -190,6 +191,35 @@ def test_k_mask_matches_oracle_and_is_monotone(data):
     bigger = (K | data.draw(elements), A | data.draw(points), B | data.draw(points))
     grown = k_mask(a, bigger[0], tuple(bigger[1]), tuple(bigger[2]))
     assert mask & ~grown == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _distributive_actions(name, m):
+    return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m,
+                                             require_distributive=True, dedupe=True)).actions
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lazy_tables_match_the_images_they_replace(data):
+    """The UnionTable of the orbit masks is the saturation, the UnionTable of
+    the classes is OrbitSpace.project, and SquareTable is square_image and
+    G(A, A), whichever masks are asked first and however often."""
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    m = data.draw(st.integers(1, 5))
+    a = data.draw(st.sampled_from(_distributive_actions(name, m)))
+    space = orbit_space(a)
+    images = image_table(a)
+    saturated = UnionTable(space.orbit_masks)
+    projected = UnionTable([1 << c for c in space.projection])
+    square = SquareTable(images)
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    # cold in the drawn order, then warm in reverse
+    for mask in masks + masks[::-1]:
+        pts = points_of(mask)
+        assert saturated[mask] == saturation(space.orbit_masks, mask)
+        assert projected[mask] == space.project(mask)
+        assert square[mask] == square_image(images, mask) == k_mask(a, a.group.elements(), pts, pts)
 
 
 def test_functor_laws_scan_each_action_once(z2, monkeypatch):

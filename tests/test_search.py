@@ -11,6 +11,7 @@ from binact import (
     EnumerationTask,
     builtin_group,
     canonicalize,
+    conjugation_coset_action,
     enumerate_actions,
     greedy_generators,
     is_distributive,
@@ -296,9 +297,11 @@ ABELIANIZATION_COUNTS = {("z2", 3): (11, 5), ("z2", 4): (74, 13),
     ("s3", "z2", 3), ("s3", "z2", 4), ("d4", "k4", 3), ("d4", "k4", 4),
     ("q8", "k4", 3), ("q8", "k4", 4), ("d4", "k4", 5), ("q8", "k4", 5)])
 def test_distributive_actions_are_trivial_on_the_commutator_subgroup(name, ab, m):
-    """The commutator conjecture at these sizes: every row homomorphism of
-    every distributive action is the identity on [G, G], and G has as many
-    distributive actions and classes as its abelianization G^ab."""
+    """At these sizes every row homomorphism of every distributive action is
+    the identity on [G, G], and G has as many distributive actions and
+    classes as its abelianization G^ab. The conjecture that this holds at
+    every size is false (see the next test): s3 on 6 points has
+    17692 / 181 against z2's 17572 / 180."""
     g = builtin_group(name)
     commutators = subgroup_closure(g, {
         g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b)) for a in g.elements() for b in g.elements()})
@@ -310,6 +313,40 @@ def test_distributive_actions_are_trivial_on_the_commutator_subgroup(name, ab, m
     for a in result.actions:
         assert all(row == identity for c in commutators for row in a.table[c]), a.table
     assert (result.raw_count, result.canonical_count) == ABELIANIZATION_COUNTS[ab, m]
+
+
+def test_commutator_conjecture_fails_on_the_conjugation_coset_action(s3):
+    """h(x, y) = x h x^-1 y on the carrier s3 is distributive, yet its row
+    at x is left multiplication by x h x^-1, which is the identity only at
+    h = e: of the 3 x 6 rows at elements of [G, G] = a3, 12 move points."""
+    a = conjugation_coset_action(s3, s3.elements())
+    assert is_distributive(a) is True
+    g = a.group
+    commutators = subgroup_closure(g, {
+        g.mul(g.mul(g.inv(x), g.inv(y)), g.mul(x, y)) for x in g.elements() for y in g.elements()})
+    assert len(commutators) == 3
+    identity = tuple(range(a.carrier_size))
+    assert sum(row != identity for c in commutators for row in a.table[c]) == 12
+
+
+# Racks and quandles of order m, up to isomorphism: OEIS A181771 and A181769
+# (P. Vojtěchovský and S. Y. Yang, "Enumeration of racks and quandles up to
+# isomorphism", Math. Comp. 88 (2019)). A distributive action of Z_n on m
+# points is a rack whose left translations 1(x, -) have order dividing n,
+# and relabelling the carrier is rack isomorphism; n = 6, 12, 60 is
+# divisible by the order of every permutation of 3, 4, 5 points, so every
+# rack counts. The quandles are the racks whose diagonals are the identity.
+RACK_QUANDLE_COUNTS = {("z6", 3): (6, 3), ("z12", 4): (19, 7), ("z60", 5): (74, 22)}
+
+
+@pytest.mark.parametrize("name, m", sorted(RACK_QUANDLE_COUNTS))
+def test_distributive_cyclic_actions_count_racks_and_quandles(name, m):
+    result = enumerate_actions(EnumerationTask(
+        group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
+    assert result.exhaustive
+    quandles = sum(all(a.table[g][x][x] == x for g in a.group.elements() for x in range(m))
+                   for a in result.actions)
+    assert (result.canonical_count, quandles) == RACK_QUANDLE_COUNTS[name, m]
 
 
 def test_filter_recheck_raises_with_the_scan_witness(z2, monkeypatch):

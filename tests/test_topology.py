@@ -46,7 +46,7 @@ from binact import (
 )
 from binact.cli import main
 from binact.search import relabel_action
-from binact import topology
+from binact import orbits, topology
 from binact.topology import is_closed, is_open
 from binact.errors import (
     CapExceeded,
@@ -92,6 +92,71 @@ def test_large_carrier_membership_is_per_open():
         assert is_closed(t, 0) and is_closed(t, full)
         assert not is_closed(t, 1)
     assert is_closed(t, full & ~1) and is_open(t, 1)
+
+
+def _recording(table_class):
+    """table_class that also keeps every instance built, with the masks
+    asked of it from outside its own fill-in."""
+
+    class Recording(table_class):
+        __slots__ = ("asked", "filling")
+        built = []
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.asked, self.filling = set(), False
+            Recording.built.append(self)
+
+        def __getitem__(self, mask):
+            if not self.filling:
+                self.asked.add(mask)
+            return super().__getitem__(mask)
+
+        def __missing__(self, mask):
+            self.filling = True
+            try:
+                return super().__missing__(mask)
+            finally:
+                self.filling = False
+
+    return Recording
+
+
+def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
+    """The battery and the quotient on 64 points give the records and
+    quotient they gave before the image tables were lazy, and every table
+    built holds at most 64 entries per mask asked of it, never one per
+    subset of the carrier."""
+    union, square = _recording(orbits.UnionTable), _recording(orbits.SquareTable)
+    monkeypatch.setattr(orbits, "UnionTable", union)
+    monkeypatch.setattr(topology, "UnionTable", union)
+    monkeypatch.setattr(topology, "SquareTable", square)
+    caches = (topology._pair_images, topology._square_table, topology._orbit_tables)
+    for cache in caches:
+        cache.cache_clear()
+    a = trivial_action(z2, 64)
+    t = validate_topology(64, [[], [0], range(64)])
+    full = (1 << 64) - 1
+    try:
+        records = run_topology_battery(a, t, model_id="trivial z2/64")
+        qt = quotient_topology(make_space(a, t))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert [(r.check, r.outcome, r.hypotheses_met) for r in records] == [
+        ("guu_open", True, False), ("gaa_closed", True, False),
+        ("delta_homeomorphism", True, True), ("ka_closed", True, True),
+        ("projection_closed", True, True), ("projection_proper", True, True),
+        ("quotient_hausdorff", False, False), ("quotient_compact", True, True),
+        ("quotient_locally_compact", True, True)]
+    assert (qt.carrier_size, qt.opens) == (64, (0, 1, full))
+    # 64 pair-image rows, the saturation and projection tables, and the
+    # square table with its 64 cross tables
+    built = union.built + square.built
+    assert len(square.built) == 1 and len(built) == 64 + 2 + 1 + 64
+    for table in built:
+        # a table starts with the empty set stored
+        assert len(table) <= 64 * max(1, len(table.asked))
 
 
 def test_sierpinski_interior_closure():
