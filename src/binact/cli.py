@@ -53,9 +53,6 @@ from .search import (
 )
 from .topology import (
     _battery,
-    _quotient,
-    _require_continuous,
-    make_space,
     points_of,
     run_topology_battery,
     topology_from_json,
@@ -188,15 +185,14 @@ def _cmd_orbits(args) -> int:
 def _cmd_quotient(args) -> int:
     a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
-    s = make_space(a, t)
-    _require_continuous(s)
-    space = orbit_space(a)
-    qt = _quotient(t, space)
+    model_id = f"action={args.action};topology={args.topology}"
+    qt, witness, records = _battery(a, t, model_id)
+    if qt is None:
+        raise NotDistributive(witness)
     print(f"quotient classes: {qt.carrier_size}")
     print("quotient opens: " + "; ".join(
         "{" + ",".join(str(p) for p in points_of(u)) + "}" for u in qt.opens))
-    model_id = f"action={args.action};topology={args.topology}"
-    _print_records(_battery(s, space, qt, model_id=model_id))
+    _print_records(records)
     _emit(args, topology_to_json(qt))
     return 0
 

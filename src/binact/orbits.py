@@ -173,13 +173,25 @@ def saturation(orbit_masks: Sequence[int], mask: int) -> int:
     return out
 
 
+def _in_range(values, n: int, at: str, kind: str) -> tuple[int, ...]:
+    """Group elements or points read from outside, integers in 0..n-1, or ShapeMismatch."""
+    out = _ints(values, ShapeMismatch, at)
+    for v in out:
+        if not 0 <= v < n:
+            raise ShapeMismatch(f"{kind} {v} out of range 0..{n - 1}")
+    return out
+
+
 def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     """K(A, B) = {g(x, y) : g in K, x in A, y in B}; empty inputs give empty output."""
-    return frozenset(points_of(k_mask(a, K, tuple(A), tuple(B))))
+    K = _in_range(K, a.group.order, "K", "group element")
+    A = _in_range(A, a.carrier_size, "A", "point")
+    B = _in_range(B, a.carrier_size, "B", "point")
+    return frozenset(points_of(k_mask(a, K, A, B)))
 
 
 def is_bi_invariant(a: BinaryAction, A: Iterable[int]) -> bool:
-    s = frozenset(A)
+    s = frozenset(_in_range(A, a.carrier_size, "A", "point"))
     return k_set(a, a.group.elements(), s, s) == s
 
 
@@ -219,8 +231,6 @@ def _require_distributive(a: BinaryAction) -> None:
 def orbit(a: BinaryAction, x: int) -> frozenset[int]:
     """The orbit G(x, x) of a distributive action."""
     _require_distributive(a)
-    if not 0 <= x < a.carrier_size:
-        raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
     return k_set(a, a.group.elements(), (x,), (x,))
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple
 
 from .actions import BinaryAction, is_distributive
 from .errors import (
@@ -37,9 +37,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .binops import _int, _int_map, _list
-from .orbits import (OrbitSpace, SquareTable, UnionTable, _diagonal, _orbit_space,
-                     _require_distributive, image_table, k_orbits, mask_of, orbit_space, points_of,
-                     saturation, square_image)
+from .orbits import (OrbitSpace, SquareTable, UnionTable, _diagonal, _in_range, _orbit_space,
+                     _require_distributive, image_table, k_orbits, mask_of, points_of, saturation)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -344,25 +343,61 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 # --- checks ------------------------------------------------------------------
 #
 # Each public check verifies its own hypotheses (continuity, distributivity,
-# the kind of set it is handed) and then calls a private core. A core trusts
-# its caller: it takes the verified orbit space, which exists only for a
-# distributive action, and it assumes its set arguments are what its name
-# says. run_topology_battery verifies continuity and distributivity once and
-# hands the orbit space and quotient topology to _battery, the core that
-# calls the others.
+# the kind of set it is handed) once per call, and reads what the action alone
+# determines from the action's record (_record). _battery, behind
+# run_topology_battery and `binact quotient`, scans each hypothesis once and
+# runs every check on the model.
+
+class _Orbits(NamedTuple):
+    """A distributive action's orbit space, its saturation and projection
+    tables (G(A) and OrbitSpace.project) and its distinct, verified diagonals."""
+
+    space: OrbitSpace
+    saturated: UnionTable
+    projected: UnionTable
+    diagonals: frozenset
+
+
+class _ActionRecord:
+    """What the checks derive from one action, shared by every topology on
+    its carrier: G(A, A) = square[A], the table part of the default model id,
+    and the orbit part (orbits), built on first use. Read orbits only after a
+    distributivity scan has passed: on an action that is not distributive
+    the partition check may raise PartitionViolation, which is a bug."""
+
+    def __init__(self, action: BinaryAction):
+        self.action = action
+        self.square = SquareTable(image_table(action))
+        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(action.table))
+        self.table_id = (f"group={action.group.name};carrier={action.carrier_size};"
+                         f"table={','.join(map(str, cells))}")
+
+    @cached_property
+    def orbits(self) -> _Orbits:
+        a = self.action
+        space = _orbit_space(a)
+        return _Orbits(space, UnionTable(space.orbit_masks),
+                       UnionTable([1 << c for c in space.projection]),
+                       frozenset(_diagonal(a, g) for g in a.group.elements()))
+
+
+# _record(action): the records of the 16 actions met last, as for _pair_images;
+# each table in a record is filled in only for the sets a check asks for
+_record = lru_cache(maxsize=16)(_ActionRecord)
+
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
     if not is_open(s.topology, u_mask):
         raise MalformedTable(f"bitmask {u_mask} is not open in this topology")
-    return is_open(s.topology, square_image(image_table(s.action), u_mask))
+    return is_open(s.topology, _record(s.action).square[u_mask])
 
 
 def check_gaa_closed(s: TopologicalBinaryGSpace, a_mask: int) -> bool:
     """Is G(A, A) closed for the closed set A?"""
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    return is_closed(s.topology, square_image(image_table(s.action), a_mask))
+    return is_closed(s.topology, _record(s.action).square[a_mask])
 
 
 def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -> bool:
@@ -372,6 +407,7 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     saturation of A, the union of the orbits of its points.
     """
     _require_distributive(s.action)
+    K = _in_range(K, s.action.group.order, "K", "group element")
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
     return is_closed(s.topology, saturation(k_orbits(s.action, K), a_mask))
@@ -380,38 +416,20 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     """Finest topology on the orbit classes making the projection continuous:
     a class set is open iff its preimage is open."""
-    space = orbit_space(s.action)
+    _require_distributive(s.action)
     _require_continuous(s)
-    return _quotient(s.topology, space)
+    return _quotient(s.topology, _record(s.action).orbits)
 
 
-# the tables of the 16 actions and orbit spaces met last, as for _pair_images;
-# each is filled in only for the sets a check asks for
-@lru_cache(maxsize=16)
-def _square_table(action: BinaryAction) -> SquareTable:
-    """G(A, A) = table[A], for the guu_open and gaa_closed checks."""
-    return SquareTable(image_table(action))
-
-
-@lru_cache(maxsize=16)
-def _orbit_tables(orbit_masks: tuple[int, ...],
-                  projection: tuple[int, ...]) -> tuple[UnionTable, UnionTable]:
-    """The saturation table, G(A) = saturated[A], and the projection table,
-    pi(A) = projected[A] as a bitmask over class indices, of the orbit space
-    with these orbit masks and projection (OrbitSpace.project)."""
-    return UnionTable(orbit_masks), UnionTable([1 << c for c in projection])
-
-
-def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
+def _quotient(t: FiniteTopology, orbits: _Orbits) -> FiniteTopology:
     """The quotient opens are the class sets pi(U) of the saturated opens U,
     those equal to the union of the classes they meet: a class set C is
     open iff its preimage, a saturated set, is open, and pi sends saturated
     sets one to one onto class sets. Saturations and projections are read
-    from the orbit space's tables (_orbit_tables). The family is still
-    validated."""
-    saturated, projected = _orbit_tables(space.orbit_masks, space.projection)
+    from the record's tables. The family is still validated."""
+    saturated, projected = orbits.saturated, orbits.projected
     opens = sorted(projected[u] for u in t.opens if saturated[u] == u)
-    k = len(space.classes)
+    k = len(orbits.space.classes)
     qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
         validate_topology(k, qt.opens)
@@ -432,15 +450,9 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
     Properness adds compact fibers, which is automatic here, so proper
     simply coincides with closed on finite carriers.
     """
-    space = orbit_space(s.action)
-    _require_continuous(s)
-    return _projection_checks(s.topology, space, _quotient(s.topology, space))
-
-
-def _projection_checks(t: FiniteTopology, space: OrbitSpace,
-                       qt: FiniteTopology) -> ProjectionChecks:
-    projected = _orbit_tables(space.orbit_masks, space.projection)[1]
-    closed = all(is_closed(qt, projected[amask]) for amask in closed_sets(t))
+    qt = quotient_topology(s)
+    projected = _record(s.action).orbits.projected
+    closed = all(is_closed(qt, projected[amask]) for amask in closed_sets(s.topology))
     return ProjectionChecks(closed=closed, proper=closed)
 
 
@@ -458,16 +470,9 @@ def check_quotient_hausdorff_compact(s: TopologicalBinaryGSpace) -> QuotientChec
     compact and locally_compact are degenerately true for finite carriers;
     the flag says so explicitly so reports cannot oversell them.
     """
-    return _quotient_checks(quotient_topology(s))
-
-
-def _quotient_checks(qt: FiniteTopology) -> QuotientChecks:
-    return QuotientChecks(
-        hausdorff=is_hausdorff(qt),
-        compact=is_compact(qt),
-        locally_compact=is_locally_compact(qt),
-        compactness_degenerate=True,
-    )
+    qt = quotient_topology(s)
+    return QuotientChecks(hausdorff=is_hausdorff(qt), compact=is_compact(qt),
+                          locally_compact=is_locally_compact(qt))
 
 
 @dataclass(frozen=True)
@@ -503,34 +508,26 @@ def run_topology_battery(
     probes (dropped entirely when include_probes is false). An asserted
     check that comes back false raises InternalInconsistency.
 
-    Continuity and distributivity are each scanned once; the orbit space
-    and the quotient topology are built once and handed to the cores.
+    Continuity and distributivity are each scanned once; the quotient
+    topology is built once.
     """
+    return _battery(action, topology, model_id, include_probes)[2]
+
+
+def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | None = None,
+             include_probes: bool = True):
+    """run_topology_battery, returning (quotient topology, True, records) for
+    a distributive action and (None, distributivity witness, records) for
+    any other: make_space, one continuity scan, one distributivity scan, and
+    the checks, which read G(A, A), the saturations G(A) and the diagonals
+    from the action's record."""
     s = make_space(action, topology)
     _require_continuous(s)
-    if is_distributive(action) is True:
-        space = _orbit_space(action)
-        qt = _quotient(topology, space)
-    else:
-        space = qt = None
-    return _battery(s, space, qt, model_id, include_probes)
-
-
-def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTopology | None,
-             model_id: str | None = None, include_probes: bool = True) -> list[ProbeRecord]:
-    """run_topology_battery for a model already known to be continuous,
-    given the verified orbit space of its action and its quotient topology,
-    or None for both when the action is not distributive. G(A, A) and the
-    saturations G(A) are read from the action's and the orbit space's
-    lazily filled tables (_square_table, _orbit_tables), which the other
-    topologies of the same action share."""
-    action, topology = s.action, s.topology
+    witness = is_distributive(action)
+    record = _record(action)
     haus = is_hausdorff(topology)
     if model_id is None:
-        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(action.table))
-        flat = ",".join(map(str, cells))
-        model_id = (f"group={action.group.name};carrier={action.carrier_size};"
-                    f"table={flat};opens={list(topology.opens)}")
+        model_id = f"{record.table_id};opens={list(topology.opens)}"
     records: list[ProbeRecord] = []
 
     def add(check: str, outcome: bool, asserted: bool):
@@ -541,34 +538,29 @@ def _battery(s: TopologicalBinaryGSpace, space: OrbitSpace | None, qt: FiniteTop
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=asserted))
 
-    square = _square_table(action)
     closed = closed_sets(topology)
-    add("guu_open", all(is_open(topology, square[u]) for u in topology.opens), haus)
-    add("gaa_closed", all(is_closed(topology, square[c]) for c in closed), haus)
+    add("guu_open", all(is_open(topology, record.square[u]) for u in topology.opens), haus)
+    add("gaa_closed", all(is_closed(topology, record.square[c]) for c in closed), haus)
+    if witness is not True:
+        return None, witness, records
 
-    if space is not None:
-        # every diagonal is verified a bijection inverse to its group
-        # inverse's; d_g and d_{g^-1} run over the same maps as g does, so
-        # testing each distinct diagonal's continuity once tests every inverse
-        nbhd = minimal_neighborhoods(topology)
-        diagonals = {_diagonal(action, g) for g in action.group.elements()}
-        homeo = all(_is_continuous_map(nbhd, nbhd, d) for d in diagonals)
-        add("delta_homeomorphism", homeo, True)
+    # d_g and d_{g^-1} run over the same maps as g does, so testing each
+    # distinct diagonal's continuity once tests every inverse
+    orbits = record.orbits
+    nbhd = minimal_neighborhoods(topology)
+    add("delta_homeomorphism",
+        all(_is_continuous_map(nbhd, nbhd, d) for d in orbits.diagonals), True)
+    # the saturation G(A) is the union of the orbits of A's points
+    add("ka_closed", all(is_closed(topology, orbits.saturated[c]) for c in closed), True)
 
-        # the saturation G(A) is the union of the orbits of A's points
-        saturated = _orbit_tables(space.orbit_masks, space.projection)[0]
-        add("ka_closed", all(is_closed(topology, saturated[c]) for c in closed), True)
-
-        proj = _projection_checks(topology, space, qt)
-        add("projection_closed", proj.closed, True)
-        add("projection_proper", proj.proper, True)
-
-        quot = _quotient_checks(qt)
-        add("quotient_hausdorff", quot.hausdorff, haus)
-        add("quotient_compact", quot.compact, True)
-        add("quotient_locally_compact", quot.locally_compact, True)
-
-    return records
+    qt = _quotient(topology, orbits)
+    closed_map = all(is_closed(qt, orbits.projected[c]) for c in closed)
+    add("projection_closed", closed_map, True)
+    add("projection_proper", closed_map, True)
+    add("quotient_hausdorff", is_hausdorff(qt), haus)
+    add("quotient_compact", is_compact(qt), True)
+    add("quotient_locally_compact", is_locally_compact(qt), True)
+    return qt, witness, records
 
 
 # --- serialization -----------------------------------------------------------

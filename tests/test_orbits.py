@@ -10,13 +10,16 @@ from binact import (
     all_biequivariant_maps,
     bi_invariant_closure_trace,
     builtin_group,
+    check_ka_closed,
     conjugation_coset_action,
     delta,
+    discrete_topology,
     enumerate_actions,
     functor_laws_check,
     induced_quotient_map,
     is_bi_invariant,
     k_set,
+    make_space,
     minimal_bi_invariant,
     orbit,
     orbit_report_json,
@@ -25,7 +28,7 @@ from binact import (
     trivial_action,
     validate_action,
 )
-from binact.errors import NotBiequivariant, NotDistributive
+from binact.errors import NotBiequivariant, NotDistributive, ShapeMismatch
 from binact import orbits
 from binact.orbits import (SquareTable, UnionTable, image_table, k_mask, saturation,
                            square_image)
@@ -44,6 +47,28 @@ def test_bi_invariance_on_mixed_action(mixed_action):
     assert is_bi_invariant(mixed_action, {0})
     assert not is_bi_invariant(mixed_action, {1})
     assert is_bi_invariant(mixed_action, {0, 1})
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 0.5, "1"],
+                         ids=["negative", "too-large", "float", "digit-string"])
+@pytest.mark.parametrize("call", ["k_set-K", "k_set-A", "k_set-B", "is_bi_invariant",
+                                  "check_ka_closed"])
+def test_image_inputs_are_checked_elements_and_points(call, bad, z3):
+    """K is read as group elements and A, B as points, each an integer in
+    range: a negative value raises ShapeMismatch instead of wrapping round
+    to the last element or point, and a value too large, a float or a digit
+    string raises it instead of IndexError or TypeError."""
+    a = trivial_action(z3, 3)
+    s = make_space(a, discrete_topology(3))
+    run = {
+        "k_set-K": lambda: k_set(a, [bad], [0], [0]),
+        "k_set-A": lambda: k_set(a, [0], [bad], [0]),
+        "k_set-B": lambda: k_set(a, [0], [0], [bad]),
+        "is_bi_invariant": lambda: is_bi_invariant(a, [bad]),
+        "check_ka_closed": lambda: check_ka_closed(s, [bad], 1),
+    }[call]
+    with pytest.raises(ShapeMismatch):
+        run()
 
 
 def test_minimal_bi_invariant_nesting(mixed_action):

@@ -131,7 +131,7 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     monkeypatch.setattr(orbits, "UnionTable", union)
     monkeypatch.setattr(topology, "UnionTable", union)
     monkeypatch.setattr(topology, "SquareTable", square)
-    caches = (topology._pair_images, topology._square_table, topology._orbit_tables)
+    caches = (topology._pair_images, topology._record)
     for cache in caches:
         cache.cache_clear()
     a = trivial_action(z2, 64)
@@ -578,6 +578,72 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         continuous.clear()
         assert call() == expected[name]
         assert (len(distributive), len(continuous)) == (1, 1), name
+
+
+def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
+    """The battery and the quotient on 20 topologies of one distributive
+    action build one record: one orbit space, one diagonal per group
+    element, and one record, whose constructor joins the table part of the
+    default model id. The quotients are still the oracle's."""
+    a = validate_action(z2, (((0, 1, 2, 3),) * 4,
+                             ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 3, 2))))
+    tops = [t for t in _topologies(4) if is_continuous(make_space(a, t)) is True][:20]
+    assert len(tops) == 20
+    topology._record.cache_clear()
+    spaces = _count_calls(monkeypatch, orbits._orbit_space)
+    diagonals = _count_calls(monkeypatch, orbits._diagonal)
+    try:
+        for t in tops:
+            assert len(run_topology_battery(a, t)) == 9
+            qt = quotient_topology(make_space(a, t))
+            assert qt.opens == oracle_quotient_opens(a.table, 4, t.opens)
+        records = topology._record.cache_info().misses
+    finally:
+        topology._record.cache_clear()
+    assert (records, len(spaces), len(diagonals)) == (1, 1, z2.order)
+
+
+def test_battery_on_a_non_distributive_action_builds_no_orbit_part(mixed_action, monkeypatch):
+    """On a continuous action that is not distributive the battery runs the
+    two image checks only and never builds the record's orbit part, whose
+    partition check is meant for distributive actions alone."""
+    topology._record.cache_clear()
+    spaces = _count_calls(monkeypatch, orbits._orbit_space)
+    try:
+        for t in (discrete_topology(2), indiscrete_topology(2)):
+            records = run_topology_battery(mixed_action, t)
+            assert [r.check for r in records] == ["guu_open", "gaa_closed"]
+        assert "orbits" not in vars(topology._record(mixed_action))
+    finally:
+        topology._record.cache_clear()
+    assert spaces == []
+
+
+def test_battery_default_model_id(z2):
+    """Without a model_id every record names the group, the carrier, the
+    flattened table and the topology's opens."""
+    a = trivial_action(z2, 2)
+    table = "group=Z2;carrier=2;table=0,1,0,1,0,1,0,1"
+    for t, opens in ((discrete_topology(2), "[0, 1, 2, 3]"),
+                     (validate_topology(2, SIERPINSKI), "[0, 1, 3]")):
+        assert {r.model for r in run_topology_battery(a, t)} == {f"{table};opens={opens}"}
+
+
+@pytest.mark.parametrize("topology_opens, out", [
+    ((3, [[], [0, 1, 2]]), "ShapeMismatch: action carrier 2 != topology carrier 3\n"),
+    ((2, SIERPINSKI), "not continuous: witness open {0}\n"),
+    ((2, [[], [0], [1], [0, 1]]),
+     "NotDistributive: action is not distributive; witness (g, h, x, x', x'') = (1, 1, 1, 0, 0)\n"),
+])
+def test_quotient_command_errors_in_order(topology_opens, out, mixed_action, tmp_path, capsys):
+    """`binact quotient` on an action that is not distributive reports a
+    carrier mismatch first, then discontinuity, then the distributivity
+    witness, and prints nothing else."""
+    action_file, topology_file = tmp_path / "a.json", tmp_path / "t.json"
+    action_file.write_text(json.dumps(action_to_json(mixed_action)))
+    topology_file.write_text(json.dumps(topology_to_json(validate_topology(*topology_opens))))
+    assert main(["quotient", "--action", str(action_file), "--topology", str(topology_file)]) == 1
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("model, code, out", [
