@@ -64,7 +64,12 @@ class BinaryAction:
 
 @dataclass(frozen=True)
 class OrdinaryAction:
-    """A left action table[g][x] = g.x; construct through make_ordinary_action."""
+    """A left action table[g][x] = g.x.
+
+    make_ordinary_action checks any table. binact.search.all_ordinary_actions
+    builds these directly, from row homomorphisms it checked once each on
+    the greedy generators (the proof is at search._homomorphism_check).
+    """
 
     group: FiniteGroup
     carrier_size: int

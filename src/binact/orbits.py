@@ -24,7 +24,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _int_map, _ints, identity_perm
+from .binops import _int, _int_map, _ints, identity_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -201,6 +201,7 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
     The iteration is monotone (axiom (2) keeps S inside G(S, S)) and
     stabilizes within |X| rounds, at the minimal bi-invariant superset.
     """
+    x = _int(x, ShapeMismatch, "point")
     if not 0 <= x < a.carrier_size:
         raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
     return [frozenset(points_of(s)) for s in closure_masks(image_table(a), 1 << x)]
@@ -288,6 +289,7 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
     a failure raises NotBijective since it would contradict a theorem.
     """
     _require_distributive(a)
+    g = _int(g, ShapeMismatch, "group element")
     if not 0 <= g < a.group.order:
         raise ShapeMismatch(f"group element {g} out of range 0..{a.group.order - 1}")
     return _diagonal(a, g)

@@ -63,22 +63,27 @@ equal to it is |Aut|, so the size of the set times |Aut| must be m!.
 
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
-t is a homomorphism G -> S_m. Each homomorphism in the list is checked as
-an ordinary action once, when the relabelling tables are built, and every
-table assembled from the list is then a binary action without passing
-through validate_action.
+t is a homomorphism G -> S_m. Each homomorphism in the list is checked
+once, when the relabelling tables are built, and every table assembled
+from the list is then a binary action without passing through
+validate_action. The check (_homomorphism_check, where the proof is)
+compares rho[x s] with rho[x] o rho[s] for every x and each greedy
+generator s, and the identity row: |G| |S| row compositions that prove
+what make_ordinary_action's |G|^2 m cell comparisons do.
+all_ordinary_actions runs the same check once per homomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
-from .actions import BinaryAction, is_distributive, make_ordinary_action, validate_action
-from .binops import _ints, invert_perm
-from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
+from .actions import BinaryAction, OrdinaryAction, is_distributive, validate_action
+from .binops import _int, _ints, invert_perm
+from .errors import BudgetExceeded, InternalInconsistency, MalformedTable
 from .groups import FiniteGroup, all_subgroups, subgroup_closure
 from .orbits import closure_masks, image_table, points_of, square_image
 
@@ -99,6 +104,55 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _homomorphism_check(g: FiniteGroup, m: int):
+    """A check that rho is a homomorphism G -> S_m, for the lists that
+    permutation_homomorphisms builds. The returned function raises
+    InternalInconsistency unless len(rho) == |G|, rho[e] is the identity
+    row and rho[x s] == rho[x] o rho[s] (rho[s] applied first) for every x
+    in G and every greedy generator s; a malformed row never leaks an
+    IndexError or TypeError.
+
+    That proves it. The x = e instances read rho[s] = rho[e] o rho[s], so
+    every entry v of rho[s] has rho[e][v] == v: it lies in 0..m-1 (a
+    negative v reads v + m, a larger one raises IndexError). The x = s^-1
+    instances give rho[s] the length of rho[e], m, so every row rho[x s]
+    has length m; and its entries are entries of rho[x], so by induction
+    on the length of a word for x s every row maps 0..m-1 into itself. In
+    a finite group the inverse of a generator is one of its powers, so the
+    generators generate G as a monoid, and induction on the length of a
+    word for h gives rho(x h) = rho(x) rho(h) for all x and h. Then
+    rho(g) rho(g^-1) = rho(e) = id = rho(g^-1) rho(g), so every row is a
+    bijection: rho is what make_ordinary_action accepts. Per homomorphism
+    that is |G| |S| row compositions, each an itemgetter over a whole row,
+    in place of its |G|^2 m cell comparisons. Entries compare with ==, so
+    unlike make_ordinary_action, which reads outside tables, this does not
+    refuse a float equal to an int outside the generator rows.
+    """
+    identity_row = tuple(range(m))
+    # per generator s, the getter that lists rho[x s] in x order; |G| >= 2
+    # when there is a generator, so it returns a tuple
+    right = [(s, operator.itemgetter(*[g.mul(x, s) for x in g.elements()]))
+             for s in greedy_generators(g)]
+
+    def check(rho) -> None:
+        try:
+            ok = len(rho) == g.order and rho[g.identity] == identity_row
+            for s, times_s in right:
+                if not ok:
+                    break
+                row = rho[s]
+                images = map(operator.itemgetter(*row), rho)
+                if len(row) == 1:  # a one-index itemgetter returns the entry itself
+                    images = zip(images)
+                ok = tuple(images) == times_s(rho)
+        except (IndexError, TypeError):
+            ok = False
+        if not ok:
+            raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
+
+    return check
+
+
 def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = math.inf,
                               ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All homomorphisms G -> S_degree, each as a tuple of permutations
@@ -116,6 +170,7 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
     Given a finite deadline, every 1024th placement reads the clock and
     raises _BudgetStop once it has passed; the default reads no clock.
     """
+    degree = _int(degree, MalformedTable, "degree")
     if degree < 1:
         raise MalformedTable("degree must be >= 1")
     # per subgroup H of index at most degree, coset_actions[x][c] is the
@@ -173,6 +228,8 @@ class EnumerationTask:
     time_budget_s: float = 120.0
 
     def __post_init__(self):
+        object.__setattr__(self, "carrier_size",
+                           _int(self.carrier_size, MalformedTable, "carrier size"))
         if self.carrier_size < 1:
             raise MalformedTable("carrier size must be >= 1")
         if self.node_budget < 1 or not self.time_budget_s > 0:
@@ -315,8 +372,9 @@ class _Relabelling:
     results. key() is injective on index tuples, since a homomorphism is
     fixed by its images of g != e and a permutation by its rank, so the
     moves reaching the least key number |Aut|. Every homomorphism is
-    checked as an ordinary action on m points first, which is what lets
-    action() skip validation. Only with a finite deadline, checking the
+    checked once first, on the greedy generators by _homomorphism_check,
+    which proves it a homomorphism G -> S_m; that is what lets action()
+    skip validation. Only with a finite deadline, checking the
     homomorphisms reads the clock every 1024 of them and building the m!
     tables once per relabelling, raising _BudgetStop once it has passed.
     """
@@ -325,16 +383,12 @@ class _Relabelling:
         self.group = group
         self.homs = homs
         self.nonidentity = [g for g in group.elements() if g != group.identity]
+        check = _homomorphism_check(group, m)
         ranks = []
         for i, rho in enumerate(homs):
             if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
-            try:
-                ok = make_ordinary_action(group, rho).carrier_size == m
-            except (MalformedTable, ShapeMismatch):
-                ok = False
-            if not ok:
-                raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
+            check(rho)
             ranks.append([_perm_rank(rho[g]) for g in self.nonidentity])
         self.index = {rho: i for i, rho in enumerate(homs)}
         self.columns = list(zip(*ranks))
@@ -563,11 +617,18 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):
-    """Every ordinary action of g on the carrier, via row homomorphisms."""
-    return tuple(
-        make_ordinary_action(g, rho)
-        for rho in permutation_homomorphisms(g, carrier_size)
-    )
+    """Every ordinary action of g on the carrier, via row homomorphisms.
+
+    Each homomorphism passes _homomorphism_check once, which proves it an
+    ordinary action, and its immutable table is shared, not copied.
+    """
+    m = _int(carrier_size, MalformedTable, "carrier size")
+    check = _homomorphism_check(g, m)
+    out = []
+    for rho in permutation_homomorphisms(g, m):
+        check(rho)
+        out.append(OrdinaryAction(group=g, carrier_size=m, table=rho))
+    return tuple(out)
 
 
 def mine_counterexamples(result: EnumerationResult) -> WitnessReport:

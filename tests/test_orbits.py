@@ -276,3 +276,10 @@ def test_functor_laws_raise_at_the_first_map_used(z2, xor_action):
     ]
     with pytest.raises(NotBiequivariant):
         functor_laws_check(maps)
+
+
+@pytest.mark.parametrize("value", [1.5, "1", 0.0])
+@pytest.mark.parametrize("fn", [delta, bi_invariant_closure_trace, minimal_bi_invariant])
+def test_element_and_point_refuse_floats_and_strings(z2, fn, value):
+    with pytest.raises(ShapeMismatch, match="is not an integer"):
+        fn(trivial_action(z2, 2), value)

@@ -23,7 +23,7 @@ from binact import (
     subgroup_closure,
     validate_action,
 )
-from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable
+from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
 from binact.binops import invert_perm
 from binact.search import all_ordinary_actions, relabel_action
 
@@ -583,9 +583,13 @@ def test_relabelling_checks_stop_at_a_passed_deadline(z2, monkeypatch):
     passed deadline stops it before the rest of z2's 2620 on 9 points."""
     homs = permutation_homomorphisms(z2, 9)
     checked = []
-    check = search.make_ordinary_action
-    monkeypatch.setattr(search, "make_ordinary_action",
-                        lambda g, rho: checked.append(rho) or check(g, rho))
+    factory = search._homomorphism_check
+
+    def counting_check(g, m):
+        check = factory(g, m)
+        return lambda rho: checked.append(rho) or check(rho)
+
+    monkeypatch.setattr(search, "_homomorphism_check", counting_check)
     with pytest.raises(search._BudgetStop):
         search._Relabelling(z2, homs, 9, deadline=-math.inf)
     assert len(checked) == 1023
@@ -705,3 +709,131 @@ def test_all_ordinary_actions_count(s3):
 def test_permutation_homomorphisms_rejects_bad_degree(s3):
     with pytest.raises(MalformedTable):
         permutation_homomorphisms(s3, 0)
+
+
+@pytest.mark.parametrize("m", [2.0, "2"])
+@pytest.mark.parametrize("entry", [
+    permutation_homomorphisms,
+    all_ordinary_actions,
+    lambda g, m: enumerate_actions(EnumerationTask(group=g, carrier_size=m)),
+], ids=["permutation_homomorphisms", "all_ordinary_actions", "enumerate_actions"])
+def test_degree_and_carrier_size_refuse_floats_and_digit_strings(z2, entry, m):
+    with pytest.raises(MalformedTable, match="is not an integer"):
+        entry(z2, m)
+
+
+@pytest.mark.parametrize("name, m", [("k4", 6), ("s3", 5), ("d4", 5), ("z2xz2xz2", 4)])
+def test_all_ordinary_actions_match_make_ordinary_action(name, m):
+    g = builtin_group(name)
+    assert all_ordinary_actions(g, m) == tuple(
+        make_ordinary_action(g, rho) for rho in permutation_homomorphisms(g, m))
+
+
+def _accepts(check, rho) -> bool:
+    try:
+        check(rho)
+    except InternalInconsistency:
+        return False
+    return True
+
+
+def _make_ordinary_accepts(g, rho) -> bool:
+    try:
+        make_ordinary_action(g, rho)
+    except (MalformedTable, ShapeMismatch):
+        return False
+    return True
+
+
+@functools.cache
+def _homs(name, m):
+    return permutation_homomorphisms(builtin_group(name), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_homomorphism_check_accepts_what_make_ordinary_action_accepts(data):
+    """On random tuples of permutations, and on homomorphisms with one
+    entry changed (to a value in -1..m, so negative and out-of-range ones
+    too, or to itself), the check on the greedy generators accepts exactly
+    the inputs that make_ordinary_action's full check accepts."""
+    name = data.draw(st.sampled_from(["z2", "z3", "k4", "s3"]))
+    m = data.draw(st.integers(1, 4))
+    g = builtin_group(name)
+    if data.draw(st.booleans()):
+        rho = tuple(tuple(data.draw(st.permutations(range(m)))) for _ in g.elements())
+    else:
+        rows = [list(row) for row in data.draw(st.sampled_from(_homs(name, m)))]
+        rows[data.draw(st.sampled_from(g.elements()))][data.draw(
+            st.integers(0, m - 1))] = data.draw(st.integers(-1, m))
+        rho = tuple(map(tuple, rows))
+    check = search._homomorphism_check(g, m)
+    assert _accepts(check, rho) == _make_ordinary_accepts(g, rho)
+
+
+def _corrupted(rho, g, m, case):
+    """rho with one fault: a changed row of the first greedy generator or of
+    a group element that is no generator, a short or long rho, a short or
+    long row, a negative or out-of-range entry, or a row that is no
+    permutation."""
+    rows = list(rho)
+    s = greedy_generators(g)[0]
+    y = max(set(g.elements()) - set(greedy_generators(g)) - {g.identity})
+    if case == "generator row":
+        rows[s] = rows[s][1:] + rows[s][:1]
+    elif case == "non-generator row":
+        rows[y] = rows[y][1:] + rows[y][:1]
+    elif case == "short rho":
+        rows.pop()
+    elif case == "long rho":
+        rows.append(rows[0])
+    elif case == "short row":
+        rows[y] = rows[y][:-1]
+    elif case == "long row":
+        rows[s] = rows[s] + (0,)
+    elif case == "negative entry":
+        rows[y] = (-1, *rows[y][1:])
+    elif case == "out-of-range entry":
+        rows[s] = (*rows[s][:-1], m)
+    elif case == "not a permutation":
+        rows[y] = (0,) * m
+    return tuple(rows)
+
+
+CORRUPTIONS = ["generator row", "non-generator row", "short rho", "long rho", "short row",
+               "long row", "negative entry", "out-of-range entry", "not a permutation"]
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_relabelling_rejects_each_malformed_row(s3, case):
+    homs = permutation_homomorphisms(s3, 3)
+    bad = _corrupted(homs[-1], s3, 3, case)
+    assert not _make_ordinary_accepts(s3, bad)
+    with pytest.raises(InternalInconsistency, match="not a homomorphism G -> S_3"):
+        search._Relabelling(s3, [*homs[:-1], bad], 3)
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_all_ordinary_actions_rejects_each_malformed_row(s3, case, monkeypatch):
+    homs = permutation_homomorphisms(s3, 3)
+    bad = _corrupted(homs[-1], s3, 3, case)
+    monkeypatch.setattr(search, "permutation_homomorphisms", lambda g, m: [*homs[:-1], bad])
+    with pytest.raises(InternalInconsistency, match="not a homomorphism G -> S_3"):
+        all_ordinary_actions(s3, 3)
+
+
+def test_homomorphism_check_on_the_trivial_group_and_one_point(z2):
+    z1 = builtin_group("z1")
+    assert all_ordinary_actions(z1, 3) == (make_ordinary_action(z1, ((0, 1, 2),)),)
+    assert all_ordinary_actions(z1, 1) == (make_ordinary_action(z1, ((0,),)),)
+    assert all_ordinary_actions(z2, 1) == (make_ordinary_action(z2, ((0,), (0,))),)
+    assert all_ordinary_actions(builtin_group("s3"), 1) == (
+        make_ordinary_action(builtin_group("s3"), ((0,),) * 6),)
+    on_z1 = search._homomorphism_check(z1, 3)
+    assert _accepts(on_z1, ((0, 1, 2),))
+    for bad in [((1, 0, 2),), ((0, 1),), ((0, 1, 2), (0, 1, 2)), ()]:
+        assert not _accepts(on_z1, bad), bad
+    on_one_point = search._homomorphism_check(z2, 1)
+    assert _accepts(on_one_point, ((0,), (0,)))
+    for bad in [((0,), (1,)), ((0,), (-1,)), ((0,), (0, 0)), ((0,), ()), ((0,), 0), ((1,), (0,))]:
+        assert not _accepts(on_one_point, bad), bad
