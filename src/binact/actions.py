@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .binops import BinaryOp, _int, _int_map, _int_table, _ints, identity_op, star
+from .binops import BinaryOp, _int, _int_map, _int_table, _ints, _size, identity_op, star
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -169,6 +169,7 @@ def make_ordinary_action(group: FiniteGroup, table) -> OrdinaryAction:
 
 def induced_action(a: BinaryAction, t: int) -> OrdinaryAction:
     """The ordinary action at carrier point t: g.x = g(t, x)."""
+    t = _int(t, ShapeMismatch, "point")
     if not 0 <= t < a.carrier_size:
         raise ShapeMismatch(f"point {t} out of range 0..{a.carrier_size - 1}")
     table = tuple(a.table[g][t] for g in a.group.elements())
@@ -206,7 +207,7 @@ def from_ordinary(o: OrdinaryAction) -> BinaryAction:
 
 def trivial_action(group: FiniteGroup, carrier_size: int) -> BinaryAction:
     """Embedding of the do-nothing ordinary action: g(x, x') = x'."""
-    row = tuple(range(carrier_size))
+    row = tuple(range(_size(carrier_size, "carrier size")))
     o = make_ordinary_action(group, tuple(row for _ in group.elements()))
     return from_ordinary(o)
 
@@ -218,7 +219,7 @@ def conjugation_coset_action(g: FiniteGroup, subgroup_members) -> BinaryAction:
     returned action. The result is always distributive and its orbits are
     the left cosets xH (checked by callers and by the test suite).
     """
-    members = sorted(set(subgroup_members))
+    members = sorted(set(_ints(subgroup_members, MalformedTable, "subgroup members")))
     if subgroup_closure(g, members) != set(members):
         raise NotASubgroup(members)
     sub, embedding = restrict(g, members, name=f"{g.name}-conj{len(members)}")

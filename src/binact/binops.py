@@ -100,6 +100,14 @@ def _int(value, error, at: str) -> int:
         raise error(f"{at} = {value!r} is not an integer") from None
 
 
+def _size(value, at: str) -> int:
+    """A size read from outside like _int, and at least 1, or MalformedTable."""
+    value = _int(value, MalformedTable, at)
+    if value < 1:
+        raise MalformedTable(f"{at} must be >= 1")
+    return value
+
+
 def _list(values, error, at: str) -> list:
     """A list read from outside; a string, bytes, a mapping or a value that
     is not iterable is refused rather than split into its characters or
@@ -144,8 +152,7 @@ def make_binary_op(table) -> BinaryOp:
 
 def identity_op(size: int) -> BinaryOp:
     """The star identity e(x, x') = x'."""
-    if size < 1:
-        raise MalformedTable("carrier size must be >= 1")
+    size = _size(size, "carrier size")
     row = tuple(range(size))
     return BinaryOp(size=size, table=tuple(row for _ in range(size)))
 
@@ -193,8 +200,7 @@ def invertible_group(size: int, cap: int = DEFAULT_INVERTIBLE_CAP) -> tuple[Bina
 def invertible_group_order(size: int, cap: int = DEFAULT_INVERTIBLE_CAP) -> int:
     """(size!)^size, the order of invertible_group(size, cap), under the
     same size checks but without building a single operation."""
-    if size < 1:
-        raise MalformedTable("carrier size must be >= 1")
+    size = _size(size, "carrier size")
     if size > cap:
         raise CapExceeded(size, cap)
     return math.factorial(size) ** size

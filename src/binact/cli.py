@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carrier", type=int, required=True)
     p.add_argument("--require-distributive", action="store_true")
     p.add_argument("--dedupe", action="store_true")
-    p.add_argument("--node-budget", type=int, default=2_000_000)
-    p.add_argument("--time-budget", type=float, default=120.0)
+    p.add_argument("--node-budget", type=int, default=EnumerationTask.node_budget)
+    p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
     p.add_argument("--out")
 
     p = sub.add_parser("topology-check", help="run the theorem battery on a model")
@@ -424,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witnesses", help="mine counterexamples from an enumeration")
     p.add_argument("--group", required=True)
     p.add_argument("--carrier", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=2_000_000)
-    p.add_argument("--time-budget", type=float, default=120.0)
+    p.add_argument("--node-budget", type=int, default=EnumerationTask.node_budget)
+    p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
     p.add_argument("--out")
 
     p = sub.add_parser("induce", help="ordinary action induced at a carrier point")

@@ -125,6 +125,12 @@ class BudgetExceeded(BinactError):
         self.partial = partial
 
 
+class _BudgetStop(Exception):
+    """A budget stopped the run: the node budget, named by the message, or
+    the deadline, which gives no message. The enumerator turns it into
+    BudgetExceeded."""
+
+
 class TheoremViolation(BinactError):
     """A re-verified theorem failed, which always means a bug somewhere."""
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _int_table, _list
+from .binops import _int, _int_table, _ints, _list, _size
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -20,6 +21,7 @@ from .errors import (
     NoInverse,
     NotASubgroup,
     NotAssociative,
+    _BudgetStop,
 )
 
 
@@ -105,6 +107,9 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
 
 
 def element_order(g: FiniteGroup, a: int) -> int:
+    a = _int(a, MalformedTable, "element")
+    if not 0 <= a < g.order:
+        raise MalformedTable(f"element {a} out of range 0..{g.order - 1}")
     n = 1
     x = a
     while x != g.identity:
@@ -125,7 +130,7 @@ def subgroup_closure(g: FiniteGroup, generators: Iterable[int]) -> frozenset[int
     """Smallest subgroup containing the generators: the identity grown by
     right multiplication by them. In a finite group the powers of a reach
     its inverse, so no inverses are taken."""
-    gens = list(generators)
+    gens = _ints(generators, MalformedTable, "generators")
     for a in gens:
         if not 0 <= a < g.order:
             raise MalformedTable(f"generator {a} out of range 0..{g.order - 1}")
@@ -157,14 +162,17 @@ def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):
     return sub, tuple(mem)
 
 
-def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
+def all_subgroups(g: FiniteGroup, deadline: float = math.inf) -> list[frozenset[int]]:
     """Every subgroup of g as an element set, sorted by (size, members).
 
     Each subgroup found keeps one generating tuple and is grown by one
     element a per left coset a H outside it: for h in H, the closure of
-    H and a equals the closure of H and a h."""
+    H and a equals the closure of H and a h. Given a finite deadline,
+    every 1024th closure reads the clock and raises _BudgetStop once it
+    has passed; the default reads no clock."""
     seen = {frozenset({g.identity})}
     frontier = [((), frozenset({g.identity}))]
+    closures = 0
     while frontier:
         gens, base = frontier.pop()
         covered = set(base)
@@ -173,6 +181,9 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
                 continue
             covered.update(g.cayley[a][h] for h in base)
             grown = subgroup_closure(g, (*gens, a))
+            closures += 1
+            if closures % 1024 == 0 and deadline < math.inf and time.monotonic() > deadline:
+                raise _BudgetStop()
             if grown not in seen:
                 seen.add(grown)
                 frontier.append(((*gens, a), grown))
@@ -192,8 +203,7 @@ def _check_catalog_order(order: int) -> None:
 
 
 def cyclic(n: int) -> FiniteGroup:
-    if n < 1:
-        raise MalformedTable("cyclic group order must be >= 1")
+    n = _size(n, "cyclic group order")
     cayley = [[(a + b) % n for b in range(n)] for a in range(n)]
     return make_group(cayley, name=f"Z{n}", labels=[str(a) for a in range(n)])
 
@@ -218,6 +228,7 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n points; elements are the n! permutations in lex order."""
+    n = _int(n, MalformedTable, "symmetric group n")
     if not 1 <= n <= 4:
         raise MalformedTable("symmetric(n) supported for 1 <= n <= 4")
     perms = sorted(itertools.permutations(range(n)))
@@ -232,8 +243,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon, order 2n; x -> sx + k mod n with s = +-1."""
-    if n < 1:
-        raise MalformedTable("dihedral group needs n >= 1")
+    n = _size(n, "dihedral group n")
 
     def mul(e1, e2):
         j1, k1 = divmod(e1, n)
@@ -304,6 +314,8 @@ def builtin_group(name: str) -> FiniteGroup:
     pass CATALOG_ORDER_CAP; a product is refused as soon as the factors
     built so far pass it.
     """
+    if not isinstance(name, str):
+        raise MalformedTable(f"group name {name!r} is not a string")
     key = name.strip().lower()
     parts = key.split("x")
     if len(parts) > 1:

@@ -8,19 +8,19 @@ G({x}, {x}) and the orbits partition the carrier, which is what makes
 the orbit space well defined. Non-distributive actions can have
 properly nested orbits; see the witness miner in the search module.
 
-Sets asked for again and again, as a topology check asks for the image of
-every open and closed set, are read from lazily filled tables:
-UnionTable(values)[A] is the OR of values[x] over the points x of A (the
-saturation, with the orbits as values; the projection, with the classes),
-and SquareTable(images)[A] is G(A, A). An entry is filled in on first
-use and is the only one stored, so a table holds the sets asked of it,
-never all 2^m subsets.
+Each image set of a subset A has one implementation, a lazily filled
+table: UnionTable(values)[A] is the OR of values[x] over the points x of
+A, which is the saturation G(A) with the orbits as values
+(OrbitSpace.saturated) and the projection pi(A) with the classes
+(OrbitSpace.projected), and SquareTable(image_table(a))[A] is G(A, A). An
+entry is filled in on first use and is the only one stored, so a table
+holds the sets asked of it, never all 2^m subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
@@ -47,6 +47,8 @@ def mask_of(points: Iterable[int], carrier_size: int) -> int:
 
 
 def points_of(mask: int) -> list[int]:
+    if mask < 0:
+        raise MalformedTable(f"bitmask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask  # the least point left
@@ -59,9 +61,9 @@ def k_mask(a: BinaryAction, K: Iterable[int], A: Sequence[int], B: Sequence[int]
     """K(A, B) = {g(x, y) : g in K, x in A, y in B} as a bitmask.
 
     Every image set is formed in this module, by this primitive or from
-    image_table, its values on pairs of points: orbits G({x}, {x}),
-    saturations K(A) = union over x in A of K({x}, {x}), and G(A, A). A
-    and B are iterated once per element of K.
+    image_table, its values on pairs of points: orbits G({x}, {x}), and
+    through the tables below saturations K(A) = union over x in A of
+    K({x}, {x}) and G(A, A). A and B are iterated once per element of K.
     """
     t = a.table
     mask = 0
@@ -84,17 +86,6 @@ def image_table(a: BinaryAction) -> list[list[int]]:
             for y, v in enumerate(row):
                 ix[y] |= 1 << v
     return images
-
-
-def square_image(images, mask: int) -> int:
-    """G(A, A) for the set A given as a bitmask, read off image_table."""
-    pts = points_of(mask)
-    out = 0
-    for x in pts:
-        ix = images[x]
-        for y in pts:
-            out |= ix[y]
-    return out
 
 
 def k_orbits(a: BinaryAction, K: Iterable[int]) -> tuple[int, ...]:
@@ -164,15 +155,6 @@ class SquareTable(dict):
         return out
 
 
-def saturation(orbit_masks: Sequence[int], mask: int) -> int:
-    """K(A), the union of orbit_masks[x] = K({x}, {x}) over the points x of
-    the bitmask A; with OrbitSpace.orbit_masks, the saturation G(A)."""
-    out = 0
-    for x in points_of(mask):
-        out |= orbit_masks[x]
-    return out
-
-
 def _in_range(values, n: int, at: str, kind: str) -> tuple[int, ...]:
     """Group elements or points read from outside, integers in 0..n-1, or ShapeMismatch."""
     out = _ints(values, ShapeMismatch, at)
@@ -204,15 +186,14 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
     x = _int(x, ShapeMismatch, "point")
     if not 0 <= x < a.carrier_size:
         raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
-    return [frozenset(points_of(s)) for s in closure_masks(image_table(a), 1 << x)]
+    return [frozenset(points_of(s)) for s in closure_masks(SquareTable(image_table(a)), 1 << x)]
 
 
-def closure_masks(images, mask: int) -> list[int]:
-    """The stages of S <- G(S, S) from the bitmask S = mask until stable,
-    read off image_table."""
+def closure_masks(square: SquareTable, mask: int) -> list[int]:
+    """The stages of S <- G(S, S) = square[S] from the bitmask S = mask until stable."""
     trace = [mask]
     while True:
-        nxt = square_image(images, trace[-1])
+        nxt = square[trace[-1]]
         if nxt == trace[-1]:
             return trace
         trace.append(nxt)
@@ -239,7 +220,8 @@ def orbit(a: BinaryAction, x: int) -> frozenset[int]:
 class OrbitSpace:
     """The quotient of a distributive action: disjoint classes covering the
     carrier, ordered by smallest member, the projection map, and the orbit
-    of each point as a bitmask."""
+    of each point as a bitmask. The saturation G(A) = saturated[A] and the
+    projection pi(A) = projected[A] are UnionTables built on first use."""
 
     source: BinaryAction
     classes: tuple[tuple[int, ...], ...]
@@ -249,12 +231,17 @@ class OrbitSpace:
     def class_of(self, x: int) -> int:
         return self.projection[x]
 
+    @cached_property
+    def saturated(self) -> UnionTable:
+        return UnionTable(self.orbit_masks)
+
+    @cached_property
+    def projected(self) -> UnionTable:
+        return UnionTable([1 << c for c in self.projection])
+
     def project(self, mask: int) -> int:
         """The classes met by the bitmask, as a bitmask over class indices."""
-        out = 0
-        for x in points_of(mask):
-            out |= 1 << self.projection[x]
-        return out
+        return self.projected[mask]
 
 
 def orbit_space(a: BinaryAction) -> OrbitSpace:

@@ -82,15 +82,10 @@ import time
 from dataclasses import dataclass
 
 from .actions import BinaryAction, OrdinaryAction, is_distributive, validate_action
-from .binops import _int, _ints, invert_perm
-from .errors import BudgetExceeded, InternalInconsistency, MalformedTable
+from .binops import _int, _ints, _size, invert_perm
+from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, subgroup_closure
-from .orbits import closure_masks, image_table, points_of, square_image
-
-
-class _BudgetStop(Exception):
-    """A budget stopped the run: the node budget, named by the message, or
-    the deadline, which gives no message."""
+from .orbits import SquareTable, closure_masks, image_table, points_of
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
@@ -167,16 +162,15 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
     stabiliser of p, and its placement is yH -> rho(y)(p), a bijection of
     the cosets onto the orbit of p. A homomorphism is fixed by its images
     of the greedy generators, so sorting on them gives distinct keys.
-    Given a finite deadline, every 1024th placement reads the clock and
-    raises _BudgetStop once it has passed; the default reads no clock.
+    Given a finite deadline, the clock is read every 1024 subgroup
+    closures (in all_subgroups) and every 1024 placements, and _BudgetStop
+    is raised once it has passed; the default reads no clock.
     """
-    degree = _int(degree, MalformedTable, "degree")
-    if degree < 1:
-        raise MalformedTable("degree must be >= 1")
+    degree = _size(degree, "degree")
     # per subgroup H of index at most degree, coset_actions[x][c] is the
     # coset x C of the c-th left coset C of H, and H itself is coset 0
     coset_actions = []
-    for h in all_subgroups(g):
+    for h in all_subgroups(g, deadline=deadline):
         if len(h) * degree < g.order:
             continue
         coset_of = [-1] * g.order
@@ -228,10 +222,11 @@ class EnumerationTask:
     time_budget_s: float = 120.0
 
     def __post_init__(self):
-        object.__setattr__(self, "carrier_size",
-                           _int(self.carrier_size, MalformedTable, "carrier size"))
-        if self.carrier_size < 1:
-            raise MalformedTable("carrier size must be >= 1")
+        object.__setattr__(self, "carrier_size", _size(self.carrier_size, "carrier size"))
+        budget = _int(self.node_budget, MalformedTable, "node budget")
+        object.__setattr__(self, "node_budget", budget)
+        if not isinstance(self.time_budget_s, (int, float)):
+            raise MalformedTable(f"time budget = {self.time_budget_s!r} is not a number")
         if self.node_budget < 1 or not self.time_budget_s > 0:
             raise MalformedTable("budgets must be positive")
 
@@ -648,9 +643,9 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
 
     for a in result.actions:
         m = a.carrier_size
-        images = image_table(a)
+        square = SquareTable(image_table(a))
         if intersecting is None:
-            sets = [closure_masks(images, 1 << x)[-1] for x in range(m)]
+            sets = [closure_masks(square, 1 << x)[-1] for x in range(m)]
             for x in range(m):
                 for xp in range(x + 1, m):
                     if sets[x] & sets[xp] and sets[x] != sets[xp]:
@@ -660,10 +655,10 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
                 if intersecting:
                     break
         if union is None:
-            invariant = [s for s in range(1 << m) if square_image(images, s) == s]
+            invariant = [s for s in range(1 << m) if square[s] == s]
             for i, sa in enumerate(invariant):
                 for sb in invariant[i + 1:]:
-                    image = square_image(images, sa | sb)
+                    image = square[sa | sb]
                     if image != sa | sb:
                         union = UnionWitness(action=a, set_a=points(sa), set_b=points(sb),
                                              union_image=points(image))

@@ -23,7 +23,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .actions import BinaryAction, is_distributive
 from .errors import (
@@ -36,9 +36,9 @@ from .errors import (
     NotContinuous,
     ShapeMismatch,
 )
-from .binops import _int, _int_map, _list
+from .binops import _int, _int_map, _list, _size
 from .orbits import (OrbitSpace, SquareTable, UnionTable, _diagonal, _in_range, _orbit_space,
-                     _require_distributive, image_table, k_orbits, mask_of, points_of, saturation)
+                     _require_distributive, image_table, k_orbits, mask_of, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -67,14 +67,18 @@ def _coerce_mask(item, carrier_size: int) -> int:
     return mask_of(item, carrier_size)
 
 
+def _mask(mask, carrier_size: int) -> int:
+    """A bitmask read from outside: an int in 0..2^carrier_size - 1, or MalformedTable."""
+    return _coerce_mask(_int(mask, MalformedTable, "bitmask"), carrier_size)
+
+
 def validate_topology(carrier_size: int, opens) -> FiniteTopology:
     """Normalize (sort, deduplicate) and check the open-set family.
 
     Requires the empty set and full carrier, and closure under pairwise
     union and intersection; the first failing pair is reported.
     """
-    if carrier_size < 1:
-        raise MalformedTable("carrier size must be >= 1")
+    carrier_size = _size(carrier_size, "carrier size")
     masks = sorted({_coerce_mask(u, carrier_size) for u in _list(opens, MalformedTable, "opens")})
     family = set(masks)
     full = (1 << carrier_size) - 1
@@ -89,10 +93,12 @@ def validate_topology(carrier_size: int, opens) -> FiniteTopology:
 
 
 def discrete_topology(n: int) -> FiniteTopology:
+    n = _size(n, "carrier size")
     return FiniteTopology(carrier_size=n, opens=tuple(range(1 << n)))
 
 
 def indiscrete_topology(n: int) -> FiniteTopology:
+    n = _size(n, "carrier size")
     return FiniteTopology(carrier_size=n, opens=(0, (1 << n) - 1))
 
 
@@ -102,7 +108,8 @@ def is_open(t: FiniteTopology, mask: int) -> bool:
 
 
 def is_closed(t: FiniteTopology, mask: int) -> bool:
-    return is_open(t, t.full_mask & ~mask)
+    # a mask with points outside the carrier leaves full ^ mask with them, never open
+    return is_open(t, t.full_mask ^ mask)
 
 
 def closed_sets(t: FiniteTopology) -> tuple[int, ...]:
@@ -111,6 +118,7 @@ def closed_sets(t: FiniteTopology) -> tuple[int, ...]:
 
 
 def interior(t: FiniteTopology, mask: int) -> int:
+    mask = _mask(mask, t.carrier_size)
     out = 0
     for u in t.opens:
         if u & ~mask == 0:
@@ -120,7 +128,7 @@ def interior(t: FiniteTopology, mask: int) -> int:
 
 def closure(t: FiniteTopology, mask: int) -> int:
     """Smallest closed superset: complement of the interior of the complement."""
-    return t.full_mask & ~interior(t, t.full_mask & ~mask)
+    return t.full_mask ^ interior(t, t.full_mask ^ _mask(mask, t.carrier_size))
 
 
 # bounded, yet above the 355 topologies on 4 points: a battery sweep cycles
@@ -176,8 +184,7 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
     exactly a system of minimal neighborhoods; the opens are the unions
     of N-values. Counts grow fast (6942 already at n = 5), hence the cap.
     """
-    if n < 1:
-        raise MalformedTable("carrier size must be >= 1")
+    n = _size(n, "carrier size")
     if n > cap:
         raise CapExceeded(n, cap)
     # candidate masks for N(x): all masks containing bit x, ascending
@@ -348,22 +355,13 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 # run_topology_battery and `binact quotient`, scans each hypothesis once and
 # runs every check on the model.
 
-class _Orbits(NamedTuple):
-    """A distributive action's orbit space, its saturation and projection
-    tables (G(A) and OrbitSpace.project) and its distinct, verified diagonals."""
-
-    space: OrbitSpace
-    saturated: UnionTable
-    projected: UnionTable
-    diagonals: frozenset
-
-
 class _ActionRecord:
     """What the checks derive from one action, shared by every topology on
     its carrier: G(A, A) = square[A], the table part of the default model id,
-    and the orbit part (orbits), built on first use. Read orbits only after a
-    distributivity scan has passed: on an action that is not distributive
-    the partition check may raise PartitionViolation, which is a bug."""
+    and, built on first use, the orbit space (orbits) and the distinct,
+    verified diagonals. Read those two only after a distributivity scan has
+    passed: on an action that is not distributive the partition check may
+    raise PartitionViolation, which is a bug."""
 
     def __init__(self, action: BinaryAction):
         self.action = action
@@ -373,12 +371,13 @@ class _ActionRecord:
                          f"table={','.join(map(str, cells))}")
 
     @cached_property
-    def orbits(self) -> _Orbits:
+    def orbits(self) -> OrbitSpace:
+        return _orbit_space(self.action)
+
+    @cached_property
+    def diagonals(self) -> frozenset:
         a = self.action
-        space = _orbit_space(a)
-        return _Orbits(space, UnionTable(space.orbit_masks),
-                       UnionTable([1 << c for c in space.projection]),
-                       frozenset(_diagonal(a, g) for g in a.group.elements()))
+        return frozenset(_diagonal(a, g) for g in a.group.elements())
 
 
 # _record(action): the records of the 16 actions met last, as for _pair_images;
@@ -388,6 +387,7 @@ _record = lru_cache(maxsize=16)(_ActionRecord)
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
     """Is G(U, U) open for the open set U?"""
+    u_mask = _mask(u_mask, s.topology.carrier_size)
     if not is_open(s.topology, u_mask):
         raise MalformedTable(f"bitmask {u_mask} is not open in this topology")
     return is_open(s.topology, _record(s.action).square[u_mask])
@@ -395,6 +395,7 @@ def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
 
 def check_gaa_closed(s: TopologicalBinaryGSpace, a_mask: int) -> bool:
     """Is G(A, A) closed for the closed set A?"""
+    a_mask = _mask(a_mask, s.topology.carrier_size)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
     return is_closed(s.topology, _record(s.action).square[a_mask])
@@ -404,13 +405,14 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     """Is K(A) = {g(x, x) : g in K, x in A} closed for the closed set A?
 
     Requires a distributive action; with K the whole group this is the
-    saturation of A, the union of the orbits of its points.
+    saturation of A; K(A) is read from the UnionTable of the K({x}, {x}).
     """
     _require_distributive(s.action)
     K = _in_range(K, s.action.group.order, "K", "group element")
+    a_mask = _mask(a_mask, s.topology.carrier_size)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    return is_closed(s.topology, saturation(k_orbits(s.action, K), a_mask))
+    return is_closed(s.topology, UnionTable(k_orbits(s.action, K))[a_mask])
 
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
@@ -421,15 +423,15 @@ def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     return _quotient(s.topology, _record(s.action).orbits)
 
 
-def _quotient(t: FiniteTopology, orbits: _Orbits) -> FiniteTopology:
+def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
     """The quotient opens are the class sets pi(U) of the saturated opens U,
     those equal to the union of the classes they meet: a class set C is
     open iff its preimage, a saturated set, is open, and pi sends saturated
     sets one to one onto class sets. Saturations and projections are read
-    from the record's tables. The family is still validated."""
-    saturated, projected = orbits.saturated, orbits.projected
+    from the orbit space's tables. The family is still validated."""
+    saturated, projected = space.saturated, space.projected
     opens = sorted(projected[u] for u in t.opens if saturated[u] == u)
-    k = len(orbits.space.classes)
+    k = len(space.classes)
     qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
     try:
         validate_topology(k, qt.opens)
@@ -520,7 +522,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     a distributive action and (None, distributivity witness, records) for
     any other: make_space, one continuity scan, one distributivity scan, and
     the checks, which read G(A, A), the saturations G(A) and the diagonals
-    from the action's record."""
+    from the action's record and its orbit space."""
     s = make_space(action, topology)
     _require_continuous(s)
     witness = is_distributive(action)
@@ -546,15 +548,15 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
 
     # d_g and d_{g^-1} run over the same maps as g does, so testing each
     # distinct diagonal's continuity once tests every inverse
-    orbits = record.orbits
+    space = record.orbits
     nbhd = minimal_neighborhoods(topology)
     add("delta_homeomorphism",
-        all(_is_continuous_map(nbhd, nbhd, d) for d in orbits.diagonals), True)
+        all(_is_continuous_map(nbhd, nbhd, d) for d in record.diagonals), True)
     # the saturation G(A) is the union of the orbits of A's points
-    add("ka_closed", all(is_closed(topology, orbits.saturated[c]) for c in closed), True)
+    add("ka_closed", all(is_closed(topology, space.saturated[c]) for c in closed), True)
 
-    qt = _quotient(topology, orbits)
-    closed_map = all(is_closed(qt, orbits.projected[c]) for c in closed)
+    qt = _quotient(topology, space)
+    closed_map = all(is_closed(qt, space.projected[c]) for c in closed)
     add("projection_closed", closed_map, True)
     add("projection_proper", closed_map, True)
     add("quotient_hausdorff", is_hausdorff(qt), haus)

@@ -3,28 +3,38 @@ from itertools import product
 import pytest
 
 from binact import (
+    EnumerationTask,
     action_from_json,
     action_to_json,
     all_biequivariant_maps,
     biequivariance_implies_equivariance_check,
     builtin_group,
     conjugation_coset_action,
+    all_topologies,
+    cyclic,
+    dihedral,
     discrete_topology,
+    element_order,
+    enumerate_actions,
     from_ordinary,
     induced_action,
     is_biequivariant,
     is_distributive,
     is_equivariant,
     identity_op,
+    indiscrete_topology,
     induced_quotient_map,
+    invertible_group,
     is_continuous_map,
     make_ordinary_action,
     morphism_to_monoid,
     ordinary_from_json,
     ordinary_to_json,
     star,
+    subgroup_closure,
     trivial_action,
     validate_action,
+    validate_topology,
 )
 from binact.errors import (
     AxiomOneViolated,
@@ -34,6 +44,7 @@ from binact.errors import (
     NotBiequivariant,
     ShapeMismatch,
 )
+from binact.binops import invertible_group_order
 from binact.search import relabel_action
 
 
@@ -254,3 +265,43 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
     with pytest.raises(MalformedTable, match="not an integer|not a list"):
         relabel_action(xor_action, f)
     assert relabel_action(xor_action, (1, 0)).table == xor_action.table
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda a: cyclic(2.0), MalformedTable),
+    (lambda a: cyclic("2"), MalformedTable),
+    (lambda a: dihedral(2.5), MalformedTable),
+    (lambda a: element_order(a.group, 5), MalformedTable),
+    (lambda a: subgroup_closure(a.group, ["1"]), MalformedTable),
+    (lambda a: builtin_group(5), MalformedTable),
+    (lambda a: validate_topology(2.0, [[], [0, 1]]), MalformedTable),
+    (lambda a: all_topologies(2.0), MalformedTable),
+    (lambda a: discrete_topology(2.0), MalformedTable),
+    (lambda a: discrete_topology(-1), MalformedTable),
+    (lambda a: discrete_topology(0), MalformedTable),
+    (lambda a: indiscrete_topology(-1), MalformedTable),
+    (lambda a: indiscrete_topology(0), MalformedTable),
+    (lambda a: trivial_action(a.group, 2.0), MalformedTable),
+    (lambda a: induced_action(a, 1.0), ShapeMismatch),
+    (lambda a: induced_action(a, "1"), ShapeMismatch),
+    (lambda a: conjugation_coset_action(a.group, [0, 1.0]), MalformedTable),
+    (lambda a: identity_op(2.0), MalformedTable),
+    (lambda a: invertible_group(2.0), MalformedTable),
+    (lambda a: invertible_group_order(2.0), MalformedTable),
+    (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
+                                                 node_budget="10")), MalformedTable),
+    (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
+                                                 time_budget_s="1")), MalformedTable),
+], ids=["cyclic-float", "cyclic-string", "dihedral-float", "element_order-range",
+        "subgroup_closure-string", "builtin_group-int", "validate_topology-float",
+        "all_topologies-float", "discrete-float", "discrete-negative", "discrete-zero",
+        "indiscrete-negative", "indiscrete-zero", "trivial_action-float", "induced-float",
+        "induced-string", "conjugation-float", "identity_op-float", "invertible_group-float",
+        "invertible_group_order-float", "node_budget-string", "time_budget-string"])
+def test_sizes_elements_and_budgets_are_read_as_integers(xor_action, call, error):
+    """Sizes, group elements and budgets are read like the degree: a float,
+    a string or an out-of-range value raises MalformedTable (ShapeMismatch
+    for a carrier point), never a TypeError, IndexError or AttributeError,
+    and a topology needs at least one point."""
+    with pytest.raises(error):
+        call(xor_action)

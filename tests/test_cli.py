@@ -20,7 +20,7 @@ from binact import (
     topology_to_json,
     trivial_action,
 )
-from binact.cli import _action_lines, main
+from binact.cli import _action_lines, build_parser, main
 
 
 @pytest.fixture
@@ -418,3 +418,17 @@ def test_nan_time_budget_is_refused(command, capsys):
     rather than switch the time budget off."""
     assert main([*command, "--time-budget", "nan"]) == 1
     assert capsys.readouterr().out == "MalformedTable: budgets must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "witnesses"])
+def test_budget_defaults_are_the_tasks(command, monkeypatch):
+    """The budget options default to EnumerationTask's own defaults, read
+    from the task when the parser is built, so each is written once."""
+    argv = [command, "--group", "z2", "--carrier", "2"]
+    args = build_parser().parse_args(argv)
+    task = EnumerationTask(group=builtin_group("z2"), carrier_size=2)
+    assert (args.node_budget, args.time_budget) == (task.node_budget, task.time_budget_s)
+    monkeypatch.setattr(EnumerationTask, "node_budget", 12345)
+    monkeypatch.setattr(EnumerationTask, "time_budget_s", 6.5)
+    args = build_parser().parse_args(argv)
+    assert (args.node_budget, args.time_budget) == (12345, 6.5)

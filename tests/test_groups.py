@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from binact import (
     subgroup_closure,
     symmetric,
 )
-from binact import groups
+from binact import errors, groups, search
 from binact.errors import (
     CapExceeded,
     MalformedTable,
@@ -114,6 +116,33 @@ def test_restrict_gives_dense_subgroup_with_embedding():
     assert a3.mul(1, 1) == 2  # (123)(123) = (132)
     with pytest.raises(NotASubgroup):
         restrict(s3, [0, 1, 3])
+
+
+def test_all_subgroups_stop_at_a_passed_deadline(monkeypatch):
+    """all_subgroups reads the clock every 1024 closures, so a passed
+    deadline stops it after 1024 of the 2077 closures that find the 374
+    subgroups of z2^5, directly and inside permutation_homomorphisms,
+    which passes its deadline in; without one it reads no clock."""
+    g = builtin_group("z2xz2xz2xz2xz2")
+    closures = []
+    closure = groups.subgroup_closure
+    monkeypatch.setattr(groups, "subgroup_closure",
+                        lambda g, gens: closures.append(gens) or closure(g, gens))
+    assert search._BudgetStop is errors._BudgetStop
+    with pytest.raises(errors._BudgetStop):
+        all_subgroups(g, deadline=-math.inf)
+    assert len(closures) == 1024
+    closures.clear()
+    with pytest.raises(errors._BudgetStop):
+        search.permutation_homomorphisms(g, 2, deadline=-math.inf)
+    assert len(closures) == 1024
+
+    def refuse():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(groups.time, "monotonic", refuse)
+    closures.clear()
+    assert (len(all_subgroups(g)), len(closures)) == (374, 2077)
 
 
 def test_all_subgroups_counts():

@@ -30,8 +30,7 @@ from binact import (
 )
 from binact.errors import NotBiequivariant, NotDistributive, ShapeMismatch
 from binact import orbits
-from binact.orbits import (SquareTable, UnionTable, image_table, k_mask, saturation,
-                           square_image)
+from binact.orbits import SquareTable, image_table, k_mask
 
 from oracles import oracle_k_set, oracle_left_cosets, oracle_min_bi_invariant
 
@@ -227,24 +226,31 @@ def _distributive_actions(name, m):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_lazy_tables_match_the_images_they_replace(data):
-    """The UnionTable of the orbit masks is the saturation, the UnionTable of
-    the classes is OrbitSpace.project, and SquareTable is square_image and
-    G(A, A), whichever masks are asked first and however often."""
+    """OrbitSpace.saturated is the saturation G(A), the union of the sets
+    G({x}, {x}) over x in A, OrbitSpace.project sends A to the classes it
+    meets, and SquareTable is G(A, A), each as k_mask and oracle_k_set
+    give it, whichever masks are asked first and however often."""
     name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
     m = data.draw(st.integers(1, 5))
     a = data.draw(st.sampled_from(_distributive_actions(name, m)))
+    G = a.group.elements()
     space = orbit_space(a)
-    images = image_table(a)
-    saturated = UnionTable(space.orbit_masks)
-    projected = UnionTable([1 << c for c in space.projection])
-    square = SquareTable(images)
+    square = SquareTable(image_table(a))
     masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+
+    def mask(points):
+        return sum(1 << p for p in points)
+
     # cold in the drawn order, then warm in reverse
-    for mask in masks + masks[::-1]:
-        pts = points_of(mask)
-        assert saturated[mask] == saturation(space.orbit_masks, mask)
-        assert projected[mask] == space.project(mask)
-        assert square[mask] == square_image(images, mask) == k_mask(a, a.group.elements(), pts, pts)
+    for a_mask in masks + masks[::-1]:
+        pts = points_of(a_mask)
+        orbits_of_pts = [oracle_k_set(a.table, G, [x], [x]) for x in pts]
+        saturation = mask(set().union(*orbits_of_pts))
+        assert space.saturated[a_mask] == saturation
+        assert saturation == functools.reduce(int.__or__, [k_mask(a, G, [x], [x]) for x in pts], 0)
+        met = [i for i, members in enumerate(space.classes) if set(members) & set(pts)]
+        assert space.project(a_mask) == space.projected[a_mask] == mask(met)
+        assert square[a_mask] == k_mask(a, G, pts, pts) == mask(oracle_k_set(a.table, G, pts, pts))
 
 
 def test_functor_laws_scan_each_action_once(z2, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -34,6 +35,8 @@ from oracles import (
     oracle_distributivity_witness,
     oracle_hom_count,
     oracle_is_distributive,
+    oracle_k_set,
+    oracle_min_bi_invariant,
     oracle_permutation_homomorphisms,
     oracle_valid_action_tables,
 )
@@ -700,6 +703,40 @@ def test_witness_mining_z2_m3(z2):
     assert u.set_b == frozenset({2})
     assert u.union_image == frozenset({0, 1, 2})
     assert report.to_json()["actions_scanned"] == 64
+
+
+def _brute_force_witnesses(actions):
+    """mine_counterexamples by brute force on oracle_k_set: minimal
+    bi-invariant sets by repeated expansion, bi-invariant sets by testing
+    every subset, each kind's first witness in action order, then in
+    lexicographic order of points or of subset bitmasks."""
+    intersecting = union = None
+    for a in actions:
+        m, G, table = a.carrier_size, a.group.elements(), a.table
+        sets = [oracle_min_bi_invariant(a.group.cayley, table, m, x) for x in range(m)]
+        if intersecting is None:
+            intersecting = next((search.IntersectingOrbitsWitness(a, x, xp, sets[x], sets[xp])
+                                 for x, xp in itertools.combinations(range(m), 2)
+                                 if sets[x] & sets[xp] and sets[x] != sets[xp]), None)
+        subsets = [frozenset(p for p in range(m) if s >> p & 1) for s in range(1 << m)]
+        invariant = [s for s in subsets if oracle_k_set(table, G, s, s) == s]
+        if union is None:
+            union = next((search.UnionWitness(a, sa, sb, oracle_k_set(table, G, sa | sb, sa | sb))
+                          for sa, sb in itertools.combinations(invariant, 2)
+                          if oracle_k_set(table, G, sa | sb, sa | sb) != sa | sb), None)
+    return search.WitnessReport(intersecting_orbits=intersecting, non_bi_invariant_union=union,
+                                actions_scanned=len(actions))
+
+
+@pytest.mark.parametrize("name", ["z2", "s3"])
+def test_mined_witnesses_match_a_brute_force_miner(name):
+    """On every action of z2 and of s3 on 3 points, alone and as the whole
+    enumeration, the miner's witnesses are the brute-force miner's."""
+    result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=3))
+    assert mine_counterexamples(result) == _brute_force_witnesses(result.actions)
+    for a in result.actions:
+        alone = dataclasses.replace(result, actions=(a,))
+        assert mine_counterexamples(alone) == _brute_force_witnesses((a,))
 
 
 def test_all_ordinary_actions_count(s3):

@@ -1,5 +1,6 @@
 import functools
 import json
+import signal
 import sys
 
 import pytest
@@ -157,6 +158,49 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     for table in built:
         # a table starts with the empty set stored
         assert len(table) <= 64 * max(1, len(table.asked))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, t: points_of(-1),
+    lambda s, t: check_ka_closed(s, [0], -2),
+    lambda s, t: check_gaa_closed(s, 7),
+    lambda s, t: check_gaa_closed(s, -2),
+    lambda s, t: check_ka_closed(s, [0], 6),
+    lambda s, t: closure(t, 6),
+    lambda s, t: check_guu_open(s, 1.0),
+    lambda s, t: interior(t, "1"),
+    lambda s, t: closure(t, 1.5),
+], ids=["points_of-negative", "ka_closed-negative", "gaa_closed-too-large",
+        "gaa_closed-negative", "ka_closed-too-large", "closure-too-large", "guu_open-float",
+        "interior-string", "closure-float"])
+def test_masks_from_outside_are_read_as_bitmasks_of_the_carrier(z2, call):
+    """A mask handed in from outside is an int in 0..2^m - 1: a negative
+    mask, one past the carrier, a float or a string raises MalformedTable,
+    never an IndexError or TypeError, and never loops (a negative mask has
+    no last point; the alarm turns a hang into a failure)."""
+    t = validate_topology(2, [[], [0], [0, 1]])
+    s = make_space(trivial_action(z2, 2), t)
+
+    def hang(signum, frame):
+        raise TimeoutError("no return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        with pytest.raises(MalformedTable):
+            call(s, t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_masks_outside_the_carrier_are_neither_open_nor_closed():
+    """is_closed tests full ^ mask, so a mask with a point past the carrier
+    or a negative one is never closed, as it is never open."""
+    t = validate_topology(2, [[], [0], [0, 1]])
+    assert [is_closed(t, u) for u in range(4)] == [True, False, True, True]
+    for mask in (4, 7, -1, -2):
+        assert not is_open(t, mask) and not is_closed(t, mask)
 
 
 def test_sierpinski_interior_closure():
@@ -605,15 +649,16 @@ def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
 
 def test_battery_on_a_non_distributive_action_builds_no_orbit_part(mixed_action, monkeypatch):
     """On a continuous action that is not distributive the battery runs the
-    two image checks only and never builds the record's orbit part, whose
-    partition check is meant for distributive actions alone."""
+    two image checks only and never builds the record's orbit space or
+    diagonals, whose checks are meant for distributive actions alone."""
     topology._record.cache_clear()
     spaces = _count_calls(monkeypatch, orbits._orbit_space)
     try:
         for t in (discrete_topology(2), indiscrete_topology(2)):
             records = run_topology_battery(mixed_action, t)
             assert [r.check for r in records] == ["guu_open", "gaa_closed"]
-        assert "orbits" not in vars(topology._record(mixed_action))
+        built = vars(topology._record(mixed_action))
+        assert "orbits" not in built and "diagonals" not in built
     finally:
         topology._record.cache_clear()
     assert spaces == []
