@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .binops import BinaryOp, _int, _int_map, _int_table, _ints, _size, identity_op, star
+from .binops import BinaryOp, _index, _int, _int_map, _int_table, _ints, _size, identity_op, star
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -41,6 +41,8 @@ class BinaryAction:
     validate_action checks them on any table. The enumerator in
     binact.search builds actions directly, from row homomorphisms it checked
     once per run; those axioms hold row by row, so no other check is needed.
+    from_ordinary, trivial_action and binact.search.relabel_action build
+    them directly too, from actions whose axioms carry over.
 
     group_embedding is set when the acting group was re-indexed from a
     subgroup of some larger group (see conjugation_coset_action): entry i
@@ -169,9 +171,7 @@ def make_ordinary_action(group: FiniteGroup, table) -> OrdinaryAction:
 
 def induced_action(a: BinaryAction, t: int) -> OrdinaryAction:
     """The ordinary action at carrier point t: g.x = g(t, x)."""
-    t = _int(t, ShapeMismatch, "point")
-    if not 0 <= t < a.carrier_size:
-        raise ShapeMismatch(f"point {t} out of range 0..{a.carrier_size - 1}")
+    t = _index(t, a.carrier_size, ShapeMismatch, "point")
     table = tuple(a.table[g][t] for g in a.group.elements())
     try:
         return make_ordinary_action(a.group, table)
@@ -197,19 +197,18 @@ def morphism_to_monoid(a: BinaryAction) -> tuple[BinaryOp, ...]:
 
 
 def from_ordinary(o: OrdinaryAction) -> BinaryAction:
-    """Embed an ordinary action as the binary action g(x, x') = g.x'."""
-    table = tuple(
-        tuple(o.table[g] for _ in range(o.carrier_size))
-        for g in o.group.elements()
-    )
-    return validate_action(o.group, table)
+    """Embed an ordinary action as the binary action g(x, x') = g.x', with
+    no validation: axioms (2) and (1) read e.x' = x' and (gh).x' = g.(h.x')."""
+    m = o.carrier_size
+    return BinaryAction(group=o.group, carrier_size=m,
+                        table=tuple((row,) * m for row in o.table))
 
 
 def trivial_action(group: FiniteGroup, carrier_size: int) -> BinaryAction:
     """Embedding of the do-nothing ordinary action: g(x, x') = x'."""
-    row = tuple(range(_size(carrier_size, "carrier size")))
-    o = make_ordinary_action(group, tuple(row for _ in group.elements()))
-    return from_ordinary(o)
+    m = _size(carrier_size, "carrier size")
+    return BinaryAction(group=group, carrier_size=m,
+                        table=((tuple(range(m)),) * m,) * group.order)
 
 
 def conjugation_coset_action(g: FiniteGroup, subgroup_members) -> BinaryAction:

@@ -100,6 +100,14 @@ def _int(value, error, at: str) -> int:
         raise error(f"{at} = {value!r} is not an integer") from None
 
 
+def _index(value, n: int, error, kind: str) -> int:
+    """An index read from outside like _int, in 0..n-1, or error."""
+    value = _int(value, error, kind)
+    if not 0 <= value < n:
+        raise error(f"{kind} {value} out of range 0..{n - 1}")
+    return value
+
+
 def _size(value, at: str) -> int:
     """A size read from outside like _int, and at least 1, or MalformedTable."""
     value = _int(value, MalformedTable, at)
@@ -201,6 +209,7 @@ def invertible_group_order(size: int, cap: int = DEFAULT_INVERTIBLE_CAP) -> int:
     """(size!)^size, the order of invertible_group(size, cap), under the
     same size checks but without building a single operation."""
     size = _size(size, "carrier size")
+    cap = _int(cap, MalformedTable, "cap")
     if size > cap:
         raise CapExceeded(size, cap)
     return math.factorial(size) ** size

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _int, _int_table, _ints, _list, _size
+from .binops import _index, _int, _int_table, _ints, _list, _size
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -107,9 +107,7 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
 
 
 def element_order(g: FiniteGroup, a: int) -> int:
-    a = _int(a, MalformedTable, "element")
-    if not 0 <= a < g.order:
-        raise MalformedTable(f"element {a} out of range 0..{g.order - 1}")
+    a = _index(a, g.order, MalformedTable, "element")
     n = 1
     x = a
     while x != g.identity:

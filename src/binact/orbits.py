@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _int, _int_map, _ints, identity_perm
+from .binops import _index, _int, _int_map, _ints, identity_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -44,6 +44,19 @@ def mask_of(points: Iterable[int], carrier_size: int) -> int:
             raise MalformedTable(f"point {p} out of range 0..{carrier_size - 1}")
         mask |= 1 << p
     return mask
+
+
+def _coerce_mask(item, carrier_size: int) -> int:
+    if isinstance(item, int):
+        if not 0 <= item < (1 << carrier_size):
+            raise MalformedTable(f"bitmask {item} out of range for carrier {carrier_size}")
+        return item
+    return mask_of(item, carrier_size)
+
+
+def _mask(mask, carrier_size: int) -> int:
+    """A bitmask read from outside: an int in 0..2^carrier_size - 1, or MalformedTable."""
+    return _coerce_mask(_int(mask, MalformedTable, "bitmask"), carrier_size)
 
 
 def points_of(mask: int) -> list[int]:
@@ -183,9 +196,7 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
     The iteration is monotone (axiom (2) keeps S inside G(S, S)) and
     stabilizes within |X| rounds, at the minimal bi-invariant superset.
     """
-    x = _int(x, ShapeMismatch, "point")
-    if not 0 <= x < a.carrier_size:
-        raise ShapeMismatch(f"point {x} out of range 0..{a.carrier_size - 1}")
+    x = _index(x, a.carrier_size, ShapeMismatch, "point")
     return [frozenset(points_of(s)) for s in closure_masks(SquareTable(image_table(a)), 1 << x)]
 
 
@@ -229,7 +240,7 @@ class OrbitSpace:
     orbit_masks: tuple[int, ...]
 
     def class_of(self, x: int) -> int:
-        return self.projection[x]
+        return self.projection[_index(x, len(self.projection), ShapeMismatch, "point")]
 
     @cached_property
     def saturated(self) -> UnionTable:
@@ -241,7 +252,7 @@ class OrbitSpace:
 
     def project(self, mask: int) -> int:
         """The classes met by the bitmask, as a bitmask over class indices."""
-        return self.projected[mask]
+        return self.projected[_mask(mask, len(self.projection))]
 
 
 def orbit_space(a: BinaryAction) -> OrbitSpace:
@@ -276,10 +287,7 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
     a failure raises NotBijective since it would contradict a theorem.
     """
     _require_distributive(a)
-    g = _int(g, ShapeMismatch, "group element")
-    if not 0 <= g < a.group.order:
-        raise ShapeMismatch(f"group element {g} out of range 0..{a.group.order - 1}")
-    return _diagonal(a, g)
+    return _diagonal(a, _index(g, a.group.order, ShapeMismatch, "group element"))
 
 
 def _diagonal(a: BinaryAction, g: int) -> tuple[int, ...]:

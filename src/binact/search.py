@@ -81,7 +81,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .actions import BinaryAction, OrdinaryAction, is_distributive, validate_action
+from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, subgroup_closure
@@ -320,7 +320,9 @@ class EnumerationResult:
 
 def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
     """The action carried across the carrier bijection sigma, which makes
-    sigma a biequimorphism from a to the result."""
+    sigma a biequimorphism from a to the result. Axioms (1) and (2) are
+    carried across sigma with the table, so the result is built without
+    validate_action."""
     sg = _ints(sigma, MalformedTable, "sigma")
     m = a.carrier_size
     if sorted(sg) != list(range(m)):
@@ -332,7 +334,7 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
             for xp in range(m):
                 out[g][sg[x]][sg[xp]] = sg[sl[x][xp]]
     table = tuple(tuple(tuple(row) for row in sl) for sl in out)
-    return validate_action(a.group, table)
+    return BinaryAction(group=a.group, carrier_size=m, table=table)
 
 
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:

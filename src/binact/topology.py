@@ -4,7 +4,8 @@ Open sets are ints: bit x set means carrier point x is in the set. On a
 finite carrier every point has a minimal open neighborhood (the
 intersection of all opens containing it), which makes continuity checks
 exact: a map out of a product with a discrete factor is continuous iff
-it maps minimal neighborhoods into minimal neighborhoods.
+it maps minimal neighborhoods into minimal neighborhoods. Each topology
+carries its own, computed on first use.
 
 Check discipline: a finite Hausdorff space is discrete, so statements
 whose hypotheses include Hausdorff are only asserted on discrete models
@@ -37,8 +38,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .binops import _int, _int_map, _list, _size
-from .orbits import (OrbitSpace, SquareTable, UnionTable, _diagonal, _in_range, _orbit_space,
-                     _require_distributive, image_table, k_orbits, mask_of, points_of)
+from .orbits import (OrbitSpace, SquareTable, UnionTable, _coerce_mask, _diagonal, _in_range,
+                     _mask, _orbit_space, _require_distributive, image_table, k_orbits, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -49,6 +50,8 @@ class FiniteTopology:
 
     opens is ascending without repeats, as every constructor here builds
     it; is_open and is_closed look masks up in it by binary search.
+    minimal_neighborhoods is computed on first use and carried outside
+    the fields, which alone decide equality, hashing and repr.
     """
 
     carrier_size: int
@@ -58,18 +61,17 @@ class FiniteTopology:
     def full_mask(self) -> int:
         return (1 << self.carrier_size) - 1
 
-
-def _coerce_mask(item, carrier_size: int) -> int:
-    if isinstance(item, int):
-        if not 0 <= item < (1 << carrier_size):
-            raise MalformedTable(f"bitmask {item} out of range for carrier {carrier_size}")
-        return item
-    return mask_of(item, carrier_size)
-
-
-def _mask(mask, carrier_size: int) -> int:
-    """A bitmask read from outside: an int in 0..2^carrier_size - 1, or MalformedTable."""
-    return _coerce_mask(_int(mask, MalformedTable, "bitmask"), carrier_size)
+    @cached_property
+    def minimal_neighborhoods(self) -> tuple[int, ...]:
+        """nbhd[x] = intersection of all opens containing x (itself open)."""
+        out = []
+        for x in range(self.carrier_size):
+            acc = self.full_mask
+            for u in self.opens:
+                if u >> x & 1:
+                    acc &= u
+            out.append(acc)
+        return tuple(out)
 
 
 def validate_topology(carrier_size: int, opens) -> FiniteTopology:
@@ -131,35 +133,20 @@ def closure(t: FiniteTopology, mask: int) -> int:
     return t.full_mask ^ interior(t, t.full_mask ^ _mask(mask, t.carrier_size))
 
 
-# bounded, yet above the 355 topologies on 4 points: a battery sweep cycles
-# through all of them, and an LRU cache smaller than the cycle misses on
-# every call
-@lru_cache(maxsize=512)
 def minimal_neighborhoods(t: FiniteTopology) -> tuple[int, ...]:
-    """min_nbhd[x] = intersection of all opens containing x (itself open)."""
-    out = []
-    for x in range(t.carrier_size):
-        acc = t.full_mask
-        for u in t.opens:
-            if u >> x & 1:
-                acc &= u
-        out.append(acc)
-    return tuple(out)
-
-
-def is_hausdorff(t: FiniteTopology) -> bool:
-    """Points separated by disjoint opens; on finite carriers this forces
-    the discrete topology (singleton minimal neighborhoods)."""
-    nbhd = minimal_neighborhoods(t)
-    for x in range(t.carrier_size):
-        for y in range(x + 1, t.carrier_size):
-            if nbhd[x] & nbhd[y]:
-                return False
-    return True
+    """The minimal neighbourhoods t carries (FiniteTopology.minimal_neighborhoods)."""
+    return t.minimal_neighborhoods
 
 
 def is_discrete(t: FiniteTopology) -> bool:
     return len(t.opens) == 1 << t.carrier_size
+
+
+def is_hausdorff(t: FiniteTopology) -> bool:
+    """Points separated by disjoint opens. A finite Hausdorff space is T1,
+    so every point, hence every finite union of points, is closed: the
+    space is discrete, and a discrete space is Hausdorff."""
+    return is_discrete(t)
 
 
 def is_compact(t: FiniteTopology) -> bool:
@@ -185,6 +172,7 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
     of N-values. Counts grow fast (6942 already at n = 5), hence the cap.
     """
     n = _size(n, "carrier size")
+    cap = _int(cap, MalformedTable, "cap")
     if n > cap:
         raise CapExceeded(n, cap)
     # candidate masks for N(x): all masks containing bit x, ascending
@@ -245,20 +233,20 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
 # keeps the pair images of the 16 tables met last; battery-sized runs meet
 # one table for many topologies in a row
 @lru_cache(maxsize=16)
-def _pair_images(table, identity: int) -> tuple[UnionTable, ...]:
+def _pair_images(table) -> tuple[UnionTable, ...]:
     """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
     bitmask U and the table's distinct one-argument maps f: the rows
-    x' -> g(x, x') and the columns x -> g(x, x') of every g != identity.
-    Bit y m + v says that some map sends w to y and some u in U to v. Each
+    x' -> g(x, x') and the columns x -> g(x, x') of every slice g, the
+    identity's too (is_continuous says why they change nothing). Bit
+    y m + v says that some map sends w to y and some u in U to v. Each
     pairs[w] is a UnionTable over u, filled in for the sets U = N(w) - {w}
-    the topologies met so far asked for. Derived from the table alone, so
-    it is kept per table, never a verdict about a topology."""
+    the topologies met so far asked for. Derived from the table alone and
+    keyed on it, never a verdict about a topology."""
     m = len(table[0])
     maps = set()
-    for g, tg in enumerate(table):
-        if g != identity:
-            maps.update(tg)
-            maps.update(zip(*tg))
+    for tg in table:
+        maps.update(tg)
+        maps.update(zip(*tg))
     pairs = []
     for w in range(m):
         row = [0] * m
@@ -278,13 +266,14 @@ def is_continuous(s: TopologicalBinaryGSpace):
     {g} x N(x) x N(x'), so V fails exactly when some (g, x, x') lands in V
     while some g(u, w) with u in N(x), w in N(x') does not. That happens
     exactly when some one-argument map f, a row x' -> g(x, x') or a column
-    x -> g(x, x') with g != e, has f(w) in V and f(u) outside V for some
+    x -> g(x, x'), has f(w) in V and f(u) outside V for some
     u in N(w): a failing row or column is a failing triple, and if
     g(x, x') is in V and g(u, w) is not, then either g(u, x') is outside
     V, and the column at x' fails at x, or it is in V, and the row at u
     fails at x'. (On a preorder, a map of two arguments is monotone exactly
     when it is monotone in each argument.) The identity's rows are the
-    identity and its columns are constant, so they never fail.
+    identity and its columns are constant, so they never fail, and they
+    add to reach[y] below only points of N(y).
 
     So the scan collects reach[y], the union of f(N(w) - {w}) over the
     distinct rows and columns f and the points w with f(w) = y; V fails
@@ -298,11 +287,10 @@ def is_continuous(s: TopologicalBinaryGSpace):
     returned, which is the open the open-by-open scan finds first. Compare
     the result with ``is True``.
     """
-    a = s.action
     t = s.topology
-    nbhd = minimal_neighborhoods(t)
-    m = a.carrier_size
-    pairs = _pair_images(a.table, a.group.identity)
+    nbhd = t.minimal_neighborhoods
+    m = t.carrier_size
+    pairs = _pair_images(s.action.table)
     reach = allowed = 0
     for w, nw in enumerate(nbhd):
         allowed |= nw << w * m
@@ -327,7 +315,7 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     of the N(x) with f(x) in V, since V contains N(f(x)).
     """
     mapping = _int_map(f, src.carrier_size, dst.carrier_size, ShapeMismatch)
-    return _is_continuous_map(minimal_neighborhoods(src), minimal_neighborhoods(dst), mapping)
+    return _is_continuous_map(src.minimal_neighborhoods, dst.minimal_neighborhoods, mapping)
 
 
 def _is_continuous_map(src_nbhd, dst_nbhd, mapping) -> bool:
@@ -549,7 +537,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     # d_g and d_{g^-1} run over the same maps as g does, so testing each
     # distinct diagonal's continuity once tests every inverse
     space = record.orbits
-    nbhd = minimal_neighborhoods(topology)
+    nbhd = topology.minimal_neighborhoods
     add("delta_homeomorphism",
         all(_is_continuous_map(nbhd, nbhd, d) for d in record.diagonals), True)
     # the saturation G(A) is the union of the orbits of A's points

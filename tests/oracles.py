@@ -302,6 +302,15 @@ def oracle_is_continuous_map(m_src, src_opens, dst_opens, f):
     return True
 
 
+def oracle_is_hausdorff(m, opens):
+    """Does every pair of distinct points lie in two disjoint opens? Each
+    pair is tried against every pair of opens."""
+    for x, y in combinations(range(m), 2):
+        if not any(u >> x & 1 and v >> y & 1 and not u & v for u in opens for v in opens):
+            return False
+    return True
+
+
 def oracle_quotient_opens(table, m, opens):
     """Opens of the orbit space of a distributive action, as ascending class
     bitmasks: classes are the orbits {g(x, x) : g}, numbered by smallest

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -45,7 +46,7 @@ from binact.errors import (
     ShapeMismatch,
 )
 from binact.binops import invertible_group_order
-from binact.search import relabel_action
+from binact.search import all_ordinary_actions, relabel_action
 
 
 def test_validate_reports_axiom_two_first(z2):
@@ -102,6 +103,50 @@ def test_from_ordinary_ignores_first_argument(z3):
     assert all(a(g, x, xp) == a(g, 0, xp)
                for g in range(3) for x in range(3) for xp in range(3))
     assert is_distributive(a) is True
+
+
+def test_actions_valid_by_construction_are_built_without_validation(z2, s3):
+    """from_ordinary, trivial_action and relabel_action build their actions
+    without validate_action or make_ordinary_action, and each equals what
+    validate_action returns on the table built cell by cell, with no group
+    embedding, even when relabelling an action that has one."""
+    ordinary = [o for g in (z2, s3) for o in all_ordinary_actions(g, 3)]
+    sources = [*enumerate_actions(EnumerationTask(group=z2, carrier_size=3)).actions[::5],
+               conjugation_coset_action(s3, [0, 1])]
+    calls = []
+
+    def counting(fn):
+        return lambda *args, **kw: calls.append(fn) or fn(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # every binding of the two checks in every binact module
+        for fn in (validate_action, make_ordinary_action):
+            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "binact"]:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        mp.setattr(module, attr, counting(fn))
+        embedded = [from_ordinary(o) for o in ordinary]
+        trivial = [trivial_action(g, m) for g in (z2, s3) for m in (1, 2, 4)]
+        relabelled = [(src, sigma, relabel_action(src, sigma)) for src in sources
+                      for sigma in [head + tuple(range(3, src.carrier_size))
+                                    for head in ((1, 2, 0), (2, 1, 0))]]
+    assert calls == []
+    for o, a in zip(ordinary, embedded):
+        m = o.carrier_size
+        cells = [[[o.table[g][xp] for xp in range(m)] for _ in range(m)] for g in o.group.elements()]
+        assert a == validate_action(o.group, cells)
+    for a in trivial:
+        m = a.carrier_size
+        assert a == validate_action(a.group, [[list(range(m))] * m] * a.group.order)
+    for src, sigma, a in relabelled:
+        m = src.carrier_size
+        cells = [[[0] * m for _ in range(m)] for _ in src.group.elements()]
+        for g, x, xp in product(src.group.elements(), range(m), range(m)):
+            cells[g][sigma[x]][sigma[xp]] = sigma[src(g, x, xp)]
+        assert a == validate_action(src.group, cells)
+    assert all(a.group_embedding is None
+               for a in embedded + trivial + [a for *_, a in relabelled])
+    assert sources[-1].group_embedding is not None
 
 
 def test_morphism_to_monoid_satisfies_star_law(s3):
@@ -288,6 +333,9 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
     (lambda a: identity_op(2.0), MalformedTable),
     (lambda a: invertible_group(2.0), MalformedTable),
     (lambda a: invertible_group_order(2.0), MalformedTable),
+    (lambda a: all_topologies(3, cap="5"), MalformedTable),
+    (lambda a: invertible_group(2, cap="4"), MalformedTable),
+    (lambda a: invertible_group_order(2, cap=4.0), MalformedTable),
     (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
                                                  node_budget="10")), MalformedTable),
     (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
@@ -297,7 +345,9 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
         "all_topologies-float", "discrete-float", "discrete-negative", "discrete-zero",
         "indiscrete-negative", "indiscrete-zero", "trivial_action-float", "induced-float",
         "induced-string", "conjugation-float", "identity_op-float", "invertible_group-float",
-        "invertible_group_order-float", "node_budget-string", "time_budget-string"])
+        "invertible_group_order-float", "all_topologies-cap-string",
+        "invertible_group-cap-string", "invertible_group_order-cap-float",
+        "node_budget-string", "time_budget-string"])
 def test_sizes_elements_and_budgets_are_read_as_integers(xor_action, call, error):
     """Sizes, group elements and budgets are read like the degree: a float,
     a string or an out-of-range value raises MalformedTable (ShapeMismatch

@@ -51,12 +51,13 @@ def test_bi_invariance_on_mixed_action(mixed_action):
 @pytest.mark.parametrize("bad", [-1, 3, 0.5, "1"],
                          ids=["negative", "too-large", "float", "digit-string"])
 @pytest.mark.parametrize("call", ["k_set-K", "k_set-A", "k_set-B", "is_bi_invariant",
-                                  "check_ka_closed"])
+                                  "check_ka_closed", "class_of"])
 def test_image_inputs_are_checked_elements_and_points(call, bad, z3):
-    """K is read as group elements and A, B as points, each an integer in
-    range: a negative value raises ShapeMismatch instead of wrapping round
-    to the last element or point, and a value too large, a float or a digit
-    string raises it instead of IndexError or TypeError."""
+    """K is read as group elements and A, B and the point of class_of as
+    points, each an integer in range: a negative value raises ShapeMismatch
+    instead of wrapping round to the last element or point, and a value too
+    large, a float or a digit string raises it instead of IndexError or
+    TypeError."""
     a = trivial_action(z3, 3)
     s = make_space(a, discrete_topology(3))
     run = {
@@ -65,6 +66,7 @@ def test_image_inputs_are_checked_elements_and_points(call, bad, z3):
         "k_set-B": lambda: k_set(a, [0], [0], [bad]),
         "is_bi_invariant": lambda: is_bi_invariant(a, [bad]),
         "check_ka_closed": lambda: check_ka_closed(s, [bad], 1),
+        "class_of": lambda: orbit_space(a).class_of(bad),
     }[call]
     with pytest.raises(ShapeMismatch):
         run()

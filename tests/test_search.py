@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binact.actions
 from binact import (
     EnumerationTask,
     builtin_group,
@@ -649,7 +650,9 @@ def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate_action called during enumeration")
 
-    monkeypatch.setattr(search, "validate_action", refuse)
+    # search no longer imports validate_action, so refusing it where it is
+    # defined covers every path
+    monkeypatch.setattr(binact.actions, "validate_action", refuse)
     result = enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
     assert (result.raw_count, result.canonical_count) == (64, 16)
     assert len(calls) == len(set(calls)) == 16

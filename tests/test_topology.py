@@ -48,7 +48,7 @@ from binact import (
 from binact.cli import main
 from binact.search import relabel_action
 from binact import orbits, topology
-from binact.topology import is_closed, is_open
+from binact.topology import FiniteTopology, is_closed, is_open
 from binact.errors import (
     CapExceeded,
     MalformedTable,
@@ -64,6 +64,7 @@ from oracles import (
     oracle_is_continuous,
     oracle_k_set,
     oracle_is_continuous_map,
+    oracle_is_hausdorff,
     oracle_quotient_opens,
     oracle_topology_count,
 )
@@ -170,9 +171,13 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     lambda s, t: check_guu_open(s, 1.0),
     lambda s, t: interior(t, "1"),
     lambda s, t: closure(t, 1.5),
+    lambda s, t: orbit_space(s.action).project(4),
+    lambda s, t: orbit_space(s.action).project(-1),
+    lambda s, t: orbit_space(s.action).project(1.5),
 ], ids=["points_of-negative", "ka_closed-negative", "gaa_closed-too-large",
         "gaa_closed-negative", "ka_closed-too-large", "closure-too-large", "guu_open-float",
-        "interior-string", "closure-float"])
+        "interior-string", "closure-float", "project-too-large", "project-negative",
+        "project-float"])
 def test_masks_from_outside_are_read_as_bitmasks_of_the_carrier(z2, call):
     """A mask handed in from outside is an int in 0..2^m - 1: a negative
     mask, one past the carrier, a float or a string raises MalformedTable,
@@ -212,9 +217,15 @@ def test_sierpinski_interior_closure():
 
 
 def test_hausdorff_iff_discrete_small():
-    for n in (1, 2, 3):
+    """is_hausdorff agrees with the search for disjoint opens around every
+    pair of points on every topology on 1-4 points, and those Hausdorff
+    topologies are exactly the discrete ones."""
+    verdicts = []
+    for n in (1, 2, 3, 4):
         for t in all_topologies(n):
-            assert is_hausdorff(t) == is_discrete(t)
+            assert is_hausdorff(t) == oracle_is_hausdorff(n, t.opens) == is_discrete(t)
+            verdicts.append(is_hausdorff(t))
+    assert verdicts.count(True) == 4 and len(verdicts) == 1 + 4 + 29 + 355
 
 
 def test_degenerate_compactness():
@@ -490,30 +501,35 @@ def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
 
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
-def test_is_continuous_matches_oracle_past_the_neighborhood_cache(data):
-    """More distinct 5-point topologies than the minimal-neighbourhood
-    cache holds, met twice in different orders: the cache evicts and
-    refills, and every verdict and first failing open is still the
-    open-by-open scan's."""
-    size = topology.minimal_neighborhoods.cache_info().maxsize
+def test_is_continuous_matches_oracle_with_carried_neighborhoods(data):
+    """Hundreds of fresh 5-point topologies, each met twice in different
+    orders: every verdict and first failing open is the open-by-open
+    scan's, and each topology computes its minimal neighbourhoods once,
+    on first use, and then carries them."""
     name = data.draw(st.sampled_from(["z2", "z3"]))
     homs = _row_homs(name, 5)
     rows = data.draw(st.lists(st.sampled_from(homs), min_size=5, max_size=5))
     g = builtin_group(name)
     a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
     tops = _topologies(5)
-    picks = data.draw(st.lists(st.sampled_from(range(len(tops))), min_size=size + 2,
-                               max_size=size + 40, unique=True))
+    picks = data.draw(st.lists(st.sampled_from(range(len(tops))), min_size=300,
+                               max_size=340, unique=True))
     order = data.draw(st.permutations(picks))
-    for i in [*picks, *order]:
-        t = tops[i]
-        assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 5, t.opens)
-    assert topology.minimal_neighborhoods.cache_info().currsize <= size
+    fresh = {i: FiniteTopology(5, tops[i].opens) for i in picks}
+    computed = []
+    prop = FiniteTopology.__dict__["minimal_neighborhoods"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prop, "func", lambda t, func=prop.func: computed.append(t) or func(t))
+        for i in [*picks, *order]:
+            t = fresh[i]
+            assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 5, t.opens)
+    assert sorted(map(id, computed)) == sorted(map(id, fresh.values()))
 
 
-def test_pair_images_are_keyed_on_the_identity(z2):
+def test_pair_images_are_keyed_on_the_table(z2):
     """The trivial action has the same table over z2 whichever element is
-    the identity; the two actions get separate cache entries."""
+    the identity; the two actions share one pair-image entry, and both are
+    still continuous."""
     z2_swapped = make_group([[1, 0], [0, 1]], name="z2'")
     assert z2_swapped.identity == 1
     a = trivial_action(z2, 2)
@@ -524,7 +540,7 @@ def test_pair_images_are_keyed_on_the_identity(z2):
     for act in (a, b, a, b):
         assert is_continuous(make_space(act, sierp)) is True
     info = topology._pair_images.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 def test_is_continuous_map_matches_preimage_oracle():
