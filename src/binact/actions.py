@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .binops import BinaryOp, _index, _int, _int_map, _int_table, _ints, _size, identity_op, star
+from .binops import BinaryOp, _int, _int_map, _int_table, _ints, _size, identity_op, star
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -171,7 +171,7 @@ def make_ordinary_action(group: FiniteGroup, table) -> OrdinaryAction:
 
 def induced_action(a: BinaryAction, t: int) -> OrdinaryAction:
     """The ordinary action at carrier point t: g.x = g(t, x)."""
-    t = _index(t, a.carrier_size, ShapeMismatch, "point")
+    t = _int(t, ShapeMismatch, "point", a.carrier_size)
     table = tuple(a.table[g][t] for g in a.group.elements())
     try:
         return make_ordinary_action(a.group, table)

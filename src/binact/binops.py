@@ -59,6 +59,8 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
     The first axis has length lead, or is square when lead is None; every
     other axis has length m; every entry lies in 0..m-1. Otherwise error,
     the caller's exception class, names the first offending index and value.
+    The range check is its own, not _ints' bounded one: its message names
+    the entry's position, entry table[i][j] = v out of range 0..m-1.
     """
     try:
         if depth == 2:
@@ -92,19 +94,15 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
     return out, m
 
 
-def _int(value, error, at: str) -> int:
-    """A number read from outside as an int; strings and floats are refused."""
+def _int(value, error, at: str, below: int | None = None) -> int:
+    """A number read from outside as an int; strings and floats are refused.
+    Given below, the int must also lie in 0..below-1, as an index does."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{at} = {value!r} is not an integer") from None
-
-
-def _index(value, n: int, error, kind: str) -> int:
-    """An index read from outside like _int, in 0..n-1, or error."""
-    value = _int(value, error, kind)
-    if not 0 <= value < n:
-        raise error(f"{kind} {value} out of range 0..{n - 1}")
+    if below is not None and not 0 <= value < below:
+        raise error(f"{at} {value} out of range 0..{below - 1}")
     return value
 
 
@@ -128,23 +126,32 @@ def _list(values, error, at: str) -> list:
     raise error(f"{at} = {values!r} is not a list")
 
 
-def _ints(values, error, at: str, depth: int = 1) -> tuple:
+def _ints(values, error, at: str, depth: int = 1, below: int | None = None,
+          kind: str = "point") -> tuple:
     """A list (depth 1) or a table (depth 2 or 3) of integers read from
-    outside as nested tuples of ints, refused like _int."""
-    if depth == 1 and isinstance(values, (list, tuple)):
-        try:
-            return tuple(map(operator.index, values))
-        except TypeError:
-            pass  # the loop below names the first entry that is not an integer
-    items = _list(values, error, at)
-    if depth == 1:
-        return tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(items)])
-    return tuple([_ints(v, error, f"{at}[{i}]", depth - 1) for i, v in enumerate(items)])
+    outside as nested tuples of ints, refused like _int. Given below, a
+    list's entries, once all are read, must lie in 0..below-1; the first
+    that does not is named as a kind."""
+    if depth > 1:
+        return tuple([_ints(v, error, f"{at}[{i}]", depth - 1)
+                      for i, v in enumerate(_list(values, error, at))])
+    try:
+        out = tuple(map(operator.index, values)) if isinstance(values, (list, tuple)) else None
+    except TypeError:
+        out = None  # the loop below names the first entry that is not an integer
+    if out is None:
+        out = tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(_list(values, error, at))])
+    if below is not None:
+        for v in out:
+            if not 0 <= v < below:
+                raise error(f"{kind} {v} out of range 0..{below - 1}")
+    return out
 
 
 def _int_map(f, n: int, m: int, error) -> tuple[int, ...]:
     """A map from n points to m points, read like _ints and checked for
-    its length and range."""
+    its length and range. Its range error is not _ints' bounded one: the
+    message "map has an out-of-range value" is part of the interface."""
     mapping = _ints(f, error, "map")
     if len(mapping) != n:
         raise error(f"map has length {len(mapping)}, expected {n}")

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _index, _int, _int_table, _ints, _list, _size
+from .binops import _int, _int_table, _ints, _list, _size
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -107,7 +107,7 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
 
 
 def element_order(g: FiniteGroup, a: int) -> int:
-    a = _index(a, g.order, MalformedTable, "element")
+    a = _int(a, MalformedTable, "element", g.order)
     n = 1
     x = a
     while x != g.identity:
@@ -128,10 +128,7 @@ def subgroup_closure(g: FiniteGroup, generators: Iterable[int]) -> frozenset[int
     """Smallest subgroup containing the generators: the identity grown by
     right multiplication by them. In a finite group the powers of a reach
     its inverse, so no inverses are taken."""
-    gens = _ints(generators, MalformedTable, "generators")
-    for a in gens:
-        if not 0 <= a < g.order:
-            raise MalformedTable(f"generator {a} out of range 0..{g.order - 1}")
+    gens = _ints(generators, MalformedTable, "generators", below=g.order, kind="generator")
     members = {g.identity}
     queue = [g.identity]
     for x in queue:
@@ -149,7 +146,7 @@ def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):
     Returns (subgroup, embedding) where embedding[i] is the index in g of
     the subgroup element i. Raises NotASubgroup when members is not closed.
     """
-    mem = sorted(set(members))
+    mem = sorted(set(_ints(members, MalformedTable, "members")))
     memset = set(mem)
     if not mem or subgroup_closure(g, mem) != memset:
         raise NotASubgroup(mem)

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _index, _int, _int_map, _ints, identity_perm
+from .binops import _int, _int_map, _ints, _list, identity_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -37,21 +37,18 @@ from .errors import (
 )
 
 
-def mask_of(points: Iterable[int], carrier_size: int) -> int:
-    mask = 0
-    for p in _ints(points, MalformedTable, "points"):
-        if not 0 <= p < carrier_size:
-            raise MalformedTable(f"point {p} out of range 0..{carrier_size - 1}")
-        mask |= 1 << p
-    return mask
-
-
 def _coerce_mask(item, carrier_size: int) -> int:
+    """An open read from outside: a bitmask, or a list of points. The int
+    branch keeps its own range test, inline, because it is hot: one more
+    call per open measurably slows a topology sweep."""
     if isinstance(item, int):
         if not 0 <= item < (1 << carrier_size):
             raise MalformedTable(f"bitmask {item} out of range for carrier {carrier_size}")
         return item
-    return mask_of(item, carrier_size)
+    mask = 0
+    for p in _ints(item, MalformedTable, "points", below=carrier_size):
+        mask |= 1 << p
+    return mask
 
 
 def _mask(mask, carrier_size: int) -> int:
@@ -168,25 +165,16 @@ class SquareTable(dict):
         return out
 
 
-def _in_range(values, n: int, at: str, kind: str) -> tuple[int, ...]:
-    """Group elements or points read from outside, integers in 0..n-1, or ShapeMismatch."""
-    out = _ints(values, ShapeMismatch, at)
-    for v in out:
-        if not 0 <= v < n:
-            raise ShapeMismatch(f"{kind} {v} out of range 0..{n - 1}")
-    return out
-
-
 def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     """K(A, B) = {g(x, y) : g in K, x in A, y in B}; empty inputs give empty output."""
-    K = _in_range(K, a.group.order, "K", "group element")
-    A = _in_range(A, a.carrier_size, "A", "point")
-    B = _in_range(B, a.carrier_size, "B", "point")
+    K = _ints(K, ShapeMismatch, "K", below=a.group.order, kind="group element")
+    A = _ints(A, ShapeMismatch, "A", below=a.carrier_size)
+    B = _ints(B, ShapeMismatch, "B", below=a.carrier_size)
     return frozenset(points_of(k_mask(a, K, A, B)))
 
 
 def is_bi_invariant(a: BinaryAction, A: Iterable[int]) -> bool:
-    s = frozenset(_in_range(A, a.carrier_size, "A", "point"))
+    s = frozenset(_ints(A, ShapeMismatch, "A", below=a.carrier_size))
     return k_set(a, a.group.elements(), s, s) == s
 
 
@@ -196,7 +184,7 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
     The iteration is monotone (axiom (2) keeps S inside G(S, S)) and
     stabilizes within |X| rounds, at the minimal bi-invariant superset.
     """
-    x = _index(x, a.carrier_size, ShapeMismatch, "point")
+    x = _int(x, ShapeMismatch, "point", a.carrier_size)
     return [frozenset(points_of(s)) for s in closure_masks(SquareTable(image_table(a)), 1 << x)]
 
 
@@ -240,7 +228,7 @@ class OrbitSpace:
     orbit_masks: tuple[int, ...]
 
     def class_of(self, x: int) -> int:
-        return self.projection[_index(x, len(self.projection), ShapeMismatch, "point")]
+        return self.projection[_int(x, ShapeMismatch, "point", len(self.projection))]
 
     @cached_property
     def saturated(self) -> UnionTable:
@@ -287,7 +275,7 @@ def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
     a failure raises NotBijective since it would contradict a theorem.
     """
     _require_distributive(a)
-    return _diagonal(a, _index(g, a.group.order, ShapeMismatch, "group element"))
+    return _diagonal(a, _int(g, ShapeMismatch, "group element", a.group.order))
 
 
 def _diagonal(a: BinaryAction, g: int) -> tuple[int, ...]:
@@ -366,6 +354,7 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
     appearance, and each map's induced class map once, when first needed,
     so a bad input raises at the first use the checks above make of it.
     """
+    maps = _list(maps, ShapeMismatch, "maps")
     spaces = dict.fromkeys(act for cm in maps for act in (cm.source, cm.target))
 
     identity_checks = []

@@ -619,7 +619,7 @@ def all_ordinary_actions(g: FiniteGroup, carrier_size: int):
     Each homomorphism passes _homomorphism_check once, which proves it an
     ordinary action, and its immutable table is shared, not copied.
     """
-    m = _int(carrier_size, MalformedTable, "carrier size")
+    m = _size(carrier_size, "carrier size")
     check = _homomorphism_check(g, m)
     out = []
     for rho in permutation_homomorphisms(g, m):

@@ -37,9 +37,9 @@ from .errors import (
     NotContinuous,
     ShapeMismatch,
 )
-from .binops import _int, _int_map, _list, _size
-from .orbits import (OrbitSpace, SquareTable, UnionTable, _coerce_mask, _diagonal, _in_range,
-                     _mask, _orbit_space, _require_distributive, image_table, k_orbits, points_of)
+from .binops import _int, _int_map, _ints, _list, _size
+from .orbits import (OrbitSpace, SquareTable, UnionTable, _coerce_mask, _diagonal, _mask,
+                     _orbit_space, _require_distributive, image_table, k_orbits, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -396,7 +396,7 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     saturation of A; K(A) is read from the UnionTable of the K({x}, {x}).
     """
     _require_distributive(s.action)
-    K = _in_range(K, s.action.group.order, "K", "group element")
+    K = _ints(K, ShapeMismatch, "K", below=s.action.group.order, kind="group element")
     a_mask = _mask(a_mask, s.topology.carrier_size)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")

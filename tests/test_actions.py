@@ -31,6 +31,7 @@ from binact import (
     morphism_to_monoid,
     ordinary_from_json,
     ordinary_to_json,
+    restrict,
     star,
     subgroup_closure,
     trivial_action,
@@ -318,6 +319,9 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
     (lambda a: dihedral(2.5), MalformedTable),
     (lambda a: element_order(a.group, 5), MalformedTable),
     (lambda a: subgroup_closure(a.group, ["1"]), MalformedTable),
+    (lambda a: restrict(builtin_group("s3"), [0, "a"]), MalformedTable),
+    (lambda a: restrict(builtin_group("s3"), 5), MalformedTable),
+    (lambda a: restrict(builtin_group("s3"), {0: 1}), MalformedTable),
     (lambda a: builtin_group(5), MalformedTable),
     (lambda a: validate_topology(2.0, [[], [0, 1]]), MalformedTable),
     (lambda a: all_topologies(2.0), MalformedTable),
@@ -341,7 +345,8 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
     (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
                                                  time_budget_s="1")), MalformedTable),
 ], ids=["cyclic-float", "cyclic-string", "dihedral-float", "element_order-range",
-        "subgroup_closure-string", "builtin_group-int", "validate_topology-float",
+        "subgroup_closure-string", "restrict-string", "restrict-int", "restrict-dict",
+        "builtin_group-int", "validate_topology-float",
         "all_topologies-float", "discrete-float", "discrete-negative", "discrete-zero",
         "indiscrete-negative", "indiscrete-zero", "trivial_action-float", "induced-float",
         "induced-string", "conjugation-float", "identity_op-float", "invertible_group-float",

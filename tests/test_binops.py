@@ -5,18 +5,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binact import (
+    bi_invariant_closure_trace,
     builtin_group,
+    check_ka_closed,
+    conjugation_coset_action,
+    delta,
+    discrete_topology,
+    element_order,
     identity_op,
+    induced_action,
     invertible_group,
+    is_bi_invariant,
     is_invertible,
+    k_set,
     make_binary_op,
     make_group,
     make_ordinary_action,
+    make_space,
     op_from_json,
     op_to_json,
+    orbit_space,
+    restrict,
     star,
+    subgroup_closure,
     try_invert,
     validate_action,
+    validate_topology,
 )
 from binact.errors import (
     CapExceeded,
@@ -126,6 +140,73 @@ def test_one_table_validator_for_every_caller(case, caller, error):
     assert type(exc.value) is error
     if named is not None:
         assert named in str(exc.value)
+
+
+# every integer read with a bound, as (call on s3 and its distributive
+# action on the cosets of a subgroup of order 3, error, full message)
+BOUNDED_READS = {
+    "element_order-big": (lambda g, a: element_order(g, 6),
+                          MalformedTable, "element 6 out of range 0..5"),
+    "element_order-float": (lambda g, a: element_order(g, 1.0),
+                            MalformedTable, "element = 1.0 is not an integer"),
+    "induced_action-big": (lambda g, a: induced_action(a, 6),
+                           ShapeMismatch, "point 6 out of range 0..5"),
+    "induced_action-float": (lambda g, a: induced_action(a, 1.5),
+                             ShapeMismatch, "point = 1.5 is not an integer"),
+    "class_of-big": (lambda g, a: orbit_space(a).class_of(6),
+                     ShapeMismatch, "point 6 out of range 0..5"),
+    "class_of-negative": (lambda g, a: orbit_space(a).class_of(-1),
+                          ShapeMismatch, "point -1 out of range 0..5"),
+    "class_of-float": (lambda g, a: orbit_space(a).class_of(0.0),
+                       ShapeMismatch, "point = 0.0 is not an integer"),
+    "delta-big": (lambda g, a: delta(a, 6),
+                  ShapeMismatch, "group element 6 out of range 0..2"),
+    "delta-float": (lambda g, a: delta(a, 2.0),
+                    ShapeMismatch, "group element = 2.0 is not an integer"),
+    "closure_trace-big": (lambda g, a: bi_invariant_closure_trace(a, 7),
+                          ShapeMismatch, "point 7 out of range 0..5"),
+    "closure_trace-string": (lambda g, a: bi_invariant_closure_trace(a, "1"),
+                             ShapeMismatch, "point = '1' is not an integer"),
+    "k_set-K": (lambda g, a: k_set(a, [0, 6], [0], [0]),
+                ShapeMismatch, "group element 6 out of range 0..2"),
+    "k_set-A": (lambda g, a: k_set(a, [0], [0, 6], [0]),
+                ShapeMismatch, "point 6 out of range 0..5"),
+    "k_set-B": (lambda g, a: k_set(a, [0], [0], [-1]),
+                ShapeMismatch, "point -1 out of range 0..5"),
+    "k_set-K-float": (lambda g, a: k_set(a, [0, 1.0], [0], [0]),
+                      ShapeMismatch, "K[1] = 1.0 is not an integer"),
+    "is_bi_invariant": (lambda g, a: is_bi_invariant(a, [9]),
+                        ShapeMismatch, "point 9 out of range 0..5"),
+    "is_bi_invariant-string": (lambda g, a: is_bi_invariant(a, [0, "x"]),
+                               ShapeMismatch, "A[1] = 'x' is not an integer"),
+    "check_ka_closed-K": (lambda g, a: check_ka_closed(make_space(a, discrete_topology(6)), [0, 6], 0),
+                          ShapeMismatch, "group element 6 out of range 0..2"),
+    "check_ka_closed-K-float": (
+        lambda g, a: check_ka_closed(make_space(a, discrete_topology(6)), [0.5], 0),
+        ShapeMismatch, "K[0] = 0.5 is not an integer"),
+    "subgroup_closure": (lambda g, a: subgroup_closure(g, [1, 9]),
+                         MalformedTable, "generator 9 out of range 0..5"),
+    "subgroup_closure-float": (lambda g, a: subgroup_closure(g, [1, 2.0]),
+                               MalformedTable, "generators[1] = 2.0 is not an integer"),
+    "restrict-member": (lambda g, a: restrict(g, [0, 9]),
+                        MalformedTable, "generator 9 out of range 0..5"),
+    "open-point": (lambda g, a: validate_topology(3, [[], [0, 3], [0, 1, 2]]),
+                   MalformedTable, "point 3 out of range 0..2"),
+    "open-float": (lambda g, a: validate_topology(3, [[], [0, 1.0], [0, 1, 2]]),
+                   MalformedTable, "points[1] = 1.0 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_READS))
+def test_every_bounded_read_keeps_its_message(s3, case):
+    """Group elements, points and generators read from outside raise the
+    caller's error with the whole message pinned, for a value out of range
+    and for one that is not an integer."""
+    call, error, message = BOUNDED_READS[case]
+    with pytest.raises(error) as exc:
+        call(s3, conjugation_coset_action(s3, [0, 3, 4]))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_op_json_round_trip():

@@ -171,6 +171,13 @@ def test_functor_laws_on_z2_family(z2, xor_action):
     report = functor_laws_check(maps)
     assert len(report.identity_checks) == 2  # two distinct actions appear
     assert len(report.composition_checks) >= 4
+    # maps is read once, so any iterable gives the list's report, the
+    # composition law included; a string or a mapping is refused
+    for same in (tuple(maps), iter(maps), (cm for cm in maps)):
+        assert functor_laws_check(same) == report
+    for bad in ("maps", {0: maps[0]}):
+        with pytest.raises(ShapeMismatch, match="is not a list"):
+            functor_laws_check(bad)
 
 
 def test_orbit_report_json(s3):

@@ -746,6 +746,13 @@ def test_all_ordinary_actions_count(s3):
     assert len(list(all_ordinary_actions(s3, 3))) == 10
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_all_ordinary_actions_blames_the_carrier_size(s3, m):
+    with pytest.raises(MalformedTable) as exc:
+        all_ordinary_actions(s3, m)
+    assert str(exc.value) == "carrier size must be >= 1"
+
+
 def test_permutation_homomorphisms_rejects_bad_degree(s3):
     with pytest.raises(MalformedTable):
         permutation_homomorphisms(s3, 0)
