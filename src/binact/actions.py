@@ -218,7 +218,8 @@ def conjugation_coset_action(g: FiniteGroup, subgroup_members) -> BinaryAction:
     returned action. The result is always distributive and its orbits are
     the left cosets xH (checked by callers and by the test suite).
     """
-    members = sorted(set(_ints(subgroup_members, MalformedTable, "subgroup members")))
+    members = sorted(set(_ints(subgroup_members, MalformedTable, "subgroup members",
+                               below=g.order, kind="member")))
     if subgroup_closure(g, members) != set(members):
         raise NotASubgroup(members)
     sub, embedding = restrict(g, members, name=f"{g.name}-conj{len(members)}")

@@ -64,9 +64,9 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
     """
     try:
         if depth == 2:
-            out = tuple([tuple(map(operator.index, row)) for row in table])
+            out = tuple([_int_row(row) for row in table])
         else:
-            out = tuple([tuple([tuple(map(operator.index, row)) for row in sl]) for sl in table])
+            out = tuple([tuple([_int_row(row) for row in sl]) for sl in table])
     except TypeError:
         _ints(table, error, name, depth)
         raise error(f"{name} is not a table of integers") from None
@@ -94,10 +94,22 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
     return out, m
 
 
+def _int_row(values) -> tuple[int, ...]:
+    """values as a tuple of ints, or TypeError if one is not an integer or
+    is a bool, which operator.index would read as 0 or 1."""
+    values = tuple(values)
+    if bool in map(type, values):
+        raise TypeError
+    return tuple(map(operator.index, values))
+
+
 def _int(value, error, at: str, below: int | None = None) -> int:
-    """A number read from outside as an int; strings and floats are refused.
-    Given below, the int must also lie in 0..below-1, as an index does."""
+    """A number read from outside as an int; strings, floats and bools are
+    refused. Given below, the int must also lie in 0..below-1, as an index
+    does."""
     try:
+        if type(value) is bool:
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise error(f"{at} = {value!r} is not an integer") from None
@@ -136,7 +148,7 @@ def _ints(values, error, at: str, depth: int = 1, below: int | None = None,
         return tuple([_ints(v, error, f"{at}[{i}]", depth - 1)
                       for i, v in enumerate(_list(values, error, at))])
     try:
-        out = tuple(map(operator.index, values)) if isinstance(values, (list, tuple)) else None
+        out = _int_row(values) if isinstance(values, (list, tuple)) else None
     except TypeError:
         out = None  # the loop below names the first entry that is not an integer
     if out is None:

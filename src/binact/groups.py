@@ -146,7 +146,7 @@ def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):
     Returns (subgroup, embedding) where embedding[i] is the index in g of
     the subgroup element i. Raises NotASubgroup when members is not closed.
     """
-    mem = sorted(set(_ints(members, MalformedTable, "members")))
+    mem = sorted(set(_ints(members, MalformedTable, "members", below=g.order, kind="member")))
     memset = set(mem)
     if not mem or subgroup_closure(g, mem) != memset:
         raise NotASubgroup(mem)

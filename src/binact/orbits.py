@@ -20,7 +20,7 @@ holds the sets asked of it, never all 2^m subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
@@ -40,8 +40,9 @@ from .errors import (
 def _coerce_mask(item, carrier_size: int) -> int:
     """An open read from outside: a bitmask, or a list of points. The int
     branch keeps its own range test, inline, because it is hot: one more
-    call per open measurably slows a topology sweep."""
-    if isinstance(item, int):
+    call per open measurably slows a topology sweep. A bool is not an int
+    here, and the list branch refuses it."""
+    if type(item) is int:
         if not 0 <= item < (1 << carrier_size):
             raise MalformedTable(f"bitmask {item} out of range for carrier {carrier_size}")
         return item
@@ -204,7 +205,7 @@ def minimal_bi_invariant(a: BinaryAction, x: int) -> frozenset[int]:
 
 
 def _require_distributive(a: BinaryAction) -> None:
-    witness = is_distributive(a)
+    witness = _record(a).distributive
     if witness is not True:
         raise NotDistributive(witness)
 
@@ -249,23 +250,9 @@ def orbit_space(a: BinaryAction) -> OrbitSpace:
     A failed partition check raises PartitionViolation; for a distributive
     action that would mean an implementation bug, not bad input. The
     returned space is the proof that a is distributive: code holding it
-    need not scan the law again.
+    need not scan the law again. It is the one a's record carries.
     """
-    _require_distributive(a)
-    return _orbit_space(a)
-
-
-def _orbit_space(a: BinaryAction) -> OrbitSpace:
-    """orbit_space for an action already known to be distributive."""
-    orbits = k_orbits(a, a.group.elements())
-    for x in range(a.carrier_size):
-        for y in range(x + 1, a.carrier_size):
-            if orbits[x] & orbits[y] and orbits[x] != orbits[y]:
-                raise PartitionViolation(x, y)
-    # a point lies in its orbit, so an orbit first occurs at its least member
-    index = {o: i for i, o in enumerate(dict.fromkeys(orbits))}
-    return OrbitSpace(source=a, classes=tuple([tuple(points_of(o)) for o in index]),
-                      projection=tuple([index[o] for o in orbits]), orbit_masks=orbits)
+    return _record(a).orbits
 
 
 def delta(a: BinaryAction, g: int) -> tuple[int, ...]:
@@ -299,17 +286,11 @@ def induced_quotient_map(a: BinaryAction, b: BinaryAction, f) -> tuple[int, ...]
     raises IllDefined, which for a biequivariant map between distributive
     actions would contradict a theorem.
     """
-    return _induced_map(orbit_space(a), orbit_space(b), f)
-
-
-def _induced_map(os_a: OrbitSpace, os_b: OrbitSpace, f) -> tuple[int, ...]:
-    """induced_quotient_map given the verified orbit spaces of both
-    actions; f is still checked for biequivariance."""
-    a = os_a.source
-    w = is_biequivariant(a, os_b.source, f)
+    os_a, os_b = orbit_space(a), orbit_space(b)
+    w = is_biequivariant(a, b, f)
     if w is not True:
         raise NotBiequivariant(w)
-    mapping = _int_map(f, a.carrier_size, os_b.source.carrier_size, ShapeMismatch)
+    mapping = _int_map(f, a.carrier_size, b.carrier_size, ShapeMismatch)
     out = []
     for members in os_a.classes:
         targets = [os_b.projection[mapping[x]] for x in members]
@@ -350,26 +331,25 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
     every composable pair, the induced map of the composite equals the
     composite of the induced maps. Violations raise LawViolated.
 
-    Each distinct action's orbit space is built once, in order of first
-    appearance, and each map's induced class map once, when first needed,
-    so a bad input raises at the first use the checks above make of it.
+    The distinct actions are checked in order of first appearance, and
+    each map's induced class map is built once, when first needed, so a
+    bad input raises at the first use the checks above make of it.
     """
     maps = _list(maps, ShapeMismatch, "maps")
-    spaces = dict.fromkeys(act for cm in maps for act in (cm.source, cm.target))
+    acts = dict.fromkeys(act for cm in maps for act in (cm.source, cm.target))
 
     identity_checks = []
-    for idx, act in enumerate(spaces):
-        space = spaces[act] = orbit_space(act)
-        induced = _induced_map(space, space, identity_perm(act.carrier_size))
-        if induced != identity_perm(len(space.classes)):
+    for idx, act in enumerate(acts):
+        k = len(orbit_space(act).classes)
+        if induced_quotient_map(act, act, identity_perm(act.carrier_size)) != identity_perm(k):
             raise LawViolated(
                 f"identity map on action {idx} does not induce the identity class map")
-        identity_checks.append((idx, len(space.classes)))
+        identity_checks.append((idx, k))
 
     @cache
     def star(i: int) -> tuple[int, ...]:
         cm = maps[i]
-        return _induced_map(spaces[cm.source], spaces[cm.target], cm.mapping)
+        return induced_quotient_map(cm.source, cm.target, cm.mapping)
 
     composition_checks = []
     for i, first in enumerate(maps):
@@ -379,7 +359,7 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
                 continue
             gstar = star(j)
             composite = tuple(second.mapping[v] for v in first.mapping)
-            comp_star = _induced_map(spaces[first.source], spaces[second.target], composite)
+            comp_star = induced_quotient_map(first.source, second.target, composite)
             if comp_star != tuple(gstar[v] for v in fstar):
                 raise LawViolated(
                     f"composition law fails for maps ({i}, {j})")
@@ -389,6 +369,54 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
         identity_checks=tuple(identity_checks),
         composition_checks=tuple(composition_checks),
     )
+
+
+class _ActionRecord:
+    """What one action determines: G(A, A) = square[A] and, each built on
+    first use, the distributivity verdict (True or the first witness), the
+    orbit space (orbits), the distinct verified diagonals and the table
+    part of the default model id. orbits and diagonals raise NotDistributive
+    unless the action is distributive, so the partition check is never run
+    on an action that may fail it."""
+
+    def __init__(self, action: BinaryAction):
+        self.action = action
+        self.square = SquareTable(image_table(action))
+
+    @cached_property
+    def distributive(self):
+        return is_distributive(self.action)
+
+    @cached_property
+    def table_id(self) -> str:
+        a = self.action
+        cells = (str(v) for tg in a.table for row in tg for v in row)
+        return f"group={a.group.name};carrier={a.carrier_size};table={','.join(cells)}"
+
+    @cached_property
+    def orbits(self) -> OrbitSpace:
+        a = self.action
+        _require_distributive(a)
+        orbits = k_orbits(a, a.group.elements())
+        for x in range(a.carrier_size):
+            for y in range(x + 1, a.carrier_size):
+                if orbits[x] & orbits[y] and orbits[x] != orbits[y]:
+                    raise PartitionViolation(x, y)
+        # a point lies in its orbit, so an orbit first occurs at its least member
+        index = {o: i for i, o in enumerate(dict.fromkeys(orbits))}
+        return OrbitSpace(source=a, classes=tuple([tuple(points_of(o)) for o in index]),
+                          projection=tuple([index[o] for o in orbits]), orbit_masks=orbits)
+
+    @cached_property
+    def diagonals(self) -> frozenset:
+        a = self.action
+        _require_distributive(a)
+        return frozenset(_diagonal(a, g) for g in a.group.elements())
+
+
+# _record(action): the records of the 16 actions met last, as for the pair images
+# in topology; each table in a record is filled in only for the sets asked of it
+_record = lru_cache(maxsize=16)(_ActionRecord)
 
 
 def orbit_report_json(space: OrbitSpace) -> dict:

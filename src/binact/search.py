@@ -225,7 +225,7 @@ class EnumerationTask:
         object.__setattr__(self, "carrier_size", _size(self.carrier_size, "carrier size"))
         budget = _int(self.node_budget, MalformedTable, "node budget")
         object.__setattr__(self, "node_budget", budget)
-        if not isinstance(self.time_budget_s, (int, float)):
+        if type(self.time_budget_s) is bool or not isinstance(self.time_budget_s, (int, float)):
             raise MalformedTable(f"time budget = {self.time_budget_s!r} is not a number")
         if self.node_budget < 1 or not self.time_budget_s > 0:
             raise MalformedTable("budgets must be positive")

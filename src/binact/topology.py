@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .actions import BinaryAction, is_distributive
+from .actions import BinaryAction
 from .errors import (
     CapExceeded,
     InternalInconsistency,
@@ -38,8 +38,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .binops import _int, _int_map, _ints, _list, _size
-from .orbits import (OrbitSpace, SquareTable, UnionTable, _coerce_mask, _diagonal, _mask,
-                     _orbit_space, _require_distributive, image_table, k_orbits, points_of)
+from .orbits import (OrbitSpace, UnionTable, _coerce_mask, _mask, _record, _require_distributive,
+                     k_orbits, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -337,40 +337,11 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 
 # --- checks ------------------------------------------------------------------
 #
-# Each public check verifies its own hypotheses (continuity, distributivity,
-# the kind of set it is handed) once per call, and reads what the action alone
-# determines from the action's record (_record). _battery, behind
-# run_topology_battery and `binact quotient`, scans each hypothesis once and
-# runs every check on the model.
-
-class _ActionRecord:
-    """What the checks derive from one action, shared by every topology on
-    its carrier: G(A, A) = square[A], the table part of the default model id,
-    and, built on first use, the orbit space (orbits) and the distinct,
-    verified diagonals. Read those two only after a distributivity scan has
-    passed: on an action that is not distributive the partition check may
-    raise PartitionViolation, which is a bug."""
-
-    def __init__(self, action: BinaryAction):
-        self.action = action
-        self.square = SquareTable(image_table(action))
-        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(action.table))
-        self.table_id = (f"group={action.group.name};carrier={action.carrier_size};"
-                         f"table={','.join(map(str, cells))}")
-
-    @cached_property
-    def orbits(self) -> OrbitSpace:
-        return _orbit_space(self.action)
-
-    @cached_property
-    def diagonals(self) -> frozenset:
-        a = self.action
-        return frozenset(_diagonal(a, g) for g in a.group.elements())
-
-
-# _record(action): the records of the 16 actions met last, as for _pair_images;
-# each table in a record is filled in only for the sets a check asks for
-_record = lru_cache(maxsize=16)(_ActionRecord)
+# Each public check verifies its own hypotheses (continuity, the kind of set
+# it is handed) once per call, and reads what the action alone determines,
+# distributivity included, from the action's record (orbits._record).
+# _battery, behind run_topology_battery and `binact quotient`, scans
+# continuity once and runs every check on the model.
 
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
@@ -498,8 +469,9 @@ def run_topology_battery(
     probes (dropped entirely when include_probes is false). An asserted
     check that comes back false raises InternalInconsistency.
 
-    Continuity and distributivity are each scanned once; the quotient
-    topology is built once.
+    Continuity is scanned once per call and distributivity once per
+    action (its record carries the verdict); the quotient topology is
+    built once.
     """
     return _battery(action, topology, model_id, include_probes)[2]
 
@@ -508,13 +480,13 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
              include_probes: bool = True):
     """run_topology_battery, returning (quotient topology, True, records) for
     a distributive action and (None, distributivity witness, records) for
-    any other: make_space, one continuity scan, one distributivity scan, and
-    the checks, which read G(A, A), the saturations G(A) and the diagonals
-    from the action's record and its orbit space."""
+    any other: make_space, one continuity scan, and the checks, which read
+    the distributivity verdict, G(A, A), the saturations G(A) and the
+    diagonals from the action's record and its orbit space."""
     s = make_space(action, topology)
     _require_continuous(s)
-    witness = is_distributive(action)
     record = _record(action)
+    witness = record.distributive
     haus = is_hausdorff(topology)
     if model_id is None:
         model_id = f"{record.table_id};opens={list(topology.opens)}"

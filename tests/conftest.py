@@ -6,6 +6,16 @@ from binact import (
     make_ordinary_action,
     validate_action,
 )
+from binact import orbits, topology
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    """Every test starts with no action records and no pair images, so a
+    verdict carried from one test never answers for another, for example
+    past a monkeypatched is_distributive."""
+    orbits._record.cache_clear()
+    topology._pair_images.cache_clear()
 
 
 @pytest.fixture(scope="session")

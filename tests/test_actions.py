@@ -27,6 +27,8 @@ from binact import (
     induced_quotient_map,
     invertible_group,
     is_continuous_map,
+    k_set,
+    make_binary_op,
     make_ordinary_action,
     morphism_to_monoid,
     ordinary_from_json,
@@ -344,6 +346,17 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
                                                  node_budget="10")), MalformedTable),
     (lambda a: enumerate_actions(EnumerationTask(group=a.group, carrier_size=2,
                                                  time_budget_s="1")), MalformedTable),
+    (lambda a: make_binary_op([[False, True], [True, False]]), MalformedTable),
+    (lambda a: validate_action(a.group, [[[0, 1], [0, 1]], [[1, 0], [True, 0]]]), ShapeMismatch),
+    (lambda a: element_order(builtin_group("s3"), True), MalformedTable),
+    (lambda a: subgroup_closure(a.group, [True]), MalformedTable),
+    (lambda a: k_set(a, [True], [0], [0]), ShapeMismatch),
+    (lambda a: trivial_action(a.group, True), MalformedTable),
+    (lambda a: EnumerationTask(group=a.group, carrier_size=2, node_budget=True), MalformedTable),
+    (lambda a: EnumerationTask(group=a.group, carrier_size=2, time_budget_s=True),
+     MalformedTable),
+    (lambda a: validate_topology(2, [0, True, 3]), MalformedTable),
+    (lambda a: validate_topology(2, [[], [True], [0, 1]]), MalformedTable),
 ], ids=["cyclic-float", "cyclic-string", "dihedral-float", "element_order-range",
         "subgroup_closure-string", "restrict-string", "restrict-int", "restrict-dict",
         "builtin_group-int", "validate_topology-float",
@@ -352,11 +365,13 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
         "induced-string", "conjugation-float", "identity_op-float", "invertible_group-float",
         "invertible_group_order-float", "all_topologies-cap-string",
         "invertible_group-cap-string", "invertible_group_order-cap-float",
-        "node_budget-string", "time_budget-string"])
+        "node_budget-string", "time_budget-string", "binary_op-bool", "action-bool",
+        "element_order-bool", "subgroup_closure-bool", "k_set-bool", "trivial_action-bool",
+        "node_budget-bool", "time_budget-bool", "open-mask-bool", "open-point-bool"])
 def test_sizes_elements_and_budgets_are_read_as_integers(xor_action, call, error):
     """Sizes, group elements and budgets are read like the degree: a float,
-    a string or an out-of-range value raises MalformedTable (ShapeMismatch
-    for a carrier point), never a TypeError, IndexError or AttributeError,
-    and a topology needs at least one point."""
+    a string, a bool or an out-of-range value raises MalformedTable
+    (ShapeMismatch for a carrier point), never a TypeError, IndexError or
+    AttributeError, and a topology needs at least one point."""
     with pytest.raises(error):
         call(xor_action)

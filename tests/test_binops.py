@@ -189,11 +189,27 @@ BOUNDED_READS = {
     "subgroup_closure-float": (lambda g, a: subgroup_closure(g, [1, 2.0]),
                                MalformedTable, "generators[1] = 2.0 is not an integer"),
     "restrict-member": (lambda g, a: restrict(g, [0, 9]),
-                        MalformedTable, "generator 9 out of range 0..5"),
+                        MalformedTable, "member 9 out of range 0..5"),
+    "conjugation-member": (lambda g, a: conjugation_coset_action(g, [0, 9]),
+                           MalformedTable, "member 9 out of range 0..5"),
     "open-point": (lambda g, a: validate_topology(3, [[], [0, 3], [0, 1, 2]]),
                    MalformedTable, "point 3 out of range 0..2"),
     "open-float": (lambda g, a: validate_topology(3, [[], [0, 1.0], [0, 1, 2]]),
                    MalformedTable, "points[1] = 1.0 is not an integer"),
+    "element_order-bool": (lambda g, a: element_order(g, True),
+                           MalformedTable, "element = True is not an integer"),
+    "k_set-K-bool": (lambda g, a: k_set(a, [0, True], [0], [0]),
+                     ShapeMismatch, "K[1] = True is not an integer"),
+    "subgroup_closure-bool": (lambda g, a: subgroup_closure(g, (False,)),
+                              MalformedTable, "generators[0] = False is not an integer"),
+    "binary_op-bool": (lambda g, a: make_binary_op([[0, 1], [1, True]]),
+                       MalformedTable, "table[1][1] = True is not an integer"),
+    "action-bool": (lambda g, a: validate_action(a.group, [[[0]], [[False]], [[0]]]),
+                    ShapeMismatch, "table[1][0][0] = False is not an integer"),
+    "open-mask-bool": (lambda g, a: validate_topology(2, [0, True, 3]),
+                       MalformedTable, "points = True is not a list"),
+    "open-point-bool": (lambda g, a: validate_topology(2, [[], [True], [0, 1]]),
+                        MalformedTable, "points[0] = True is not an integer"),
 }
 
 
@@ -201,7 +217,7 @@ BOUNDED_READS = {
 def test_every_bounded_read_keeps_its_message(s3, case):
     """Group elements, points and generators read from outside raise the
     caller's error with the whole message pinned, for a value out of range
-    and for one that is not an integer."""
+    and for one that is not an integer, a bool included."""
     call, error, message = BOUNDED_READS[case]
     with pytest.raises(error) as exc:
         call(s3, conjugation_coset_action(s3, [0, 3, 4]))

@@ -18,6 +18,7 @@ from binact import (
     check_ka_closed,
     closure,
     conjugation_coset_action,
+    delta,
     check_projection_closed_proper,
     check_quotient_hausdorff_compact,
     discrete_topology,
@@ -48,7 +49,7 @@ from binact import (
 from binact.cli import main
 from binact.search import relabel_action
 from binact import orbits, topology
-from binact.topology import FiniteTopology, is_closed, is_open
+from binact.topology import FiniteTopology, closed_sets, is_closed, is_open
 from binact.errors import (
     CapExceeded,
     MalformedTable,
@@ -61,6 +62,7 @@ from binact.errors import (
 )
 
 from oracles import (
+    oracle_distributivity_witness,
     oracle_is_continuous,
     oracle_k_set,
     oracle_is_continuous_map,
@@ -132,8 +134,8 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     union, square = _recording(orbits.UnionTable), _recording(orbits.SquareTable)
     monkeypatch.setattr(orbits, "UnionTable", union)
     monkeypatch.setattr(topology, "UnionTable", union)
-    monkeypatch.setattr(topology, "SquareTable", square)
-    caches = (topology._pair_images, topology._record)
+    monkeypatch.setattr(orbits, "SquareTable", square)
+    caches = (topology._pair_images, orbits._record)
     for cache in caches:
         cache.cache_clear()
     a = trivial_action(z2, 64)
@@ -499,6 +501,60 @@ def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
     assert topology._pair_images.cache_info().currsize <= size
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_carried_verdicts_match_oracles_past_the_action_record_cache(data):
+    """More distinct actions than the action-record cache holds, distributive
+    or not, each met twice in different orders through orbit_space,
+    quotient_topology and run_topology_battery over a few topologies: the
+    cache evicts and refills, and every verdict and witness is the full
+    scan's, every refusal comes in the same order, and every quotient is
+    the class-set scan's."""
+    size = orbits._record.cache_info().maxsize
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    pool = _actions(name, 3)
+    cayley = builtin_group(name).cayley
+    witness = [oracle_distributivity_witness(cayley, a.table, 3) for a in pool]
+    dist = [i for i, w in enumerate(witness) if w is True]
+    rest = [i for i, w in enumerate(witness) if w is not True]
+    picks = data.draw(st.lists(st.sampled_from(dist), min_size=1, max_size=3, unique=True))
+    picks += data.draw(st.lists(st.sampled_from(rest), min_size=size + 2, max_size=size + 4,
+                                unique=True))
+    picks = data.draw(st.permutations(picks))
+    tops = data.draw(st.lists(st.sampled_from(_topologies(3)), min_size=2, max_size=4))
+    order = data.draw(st.permutations(picks))
+    for i in [*picks, *order]:
+        a, w = pool[i], witness[i]
+        if w is True:
+            orbit_sets = [sorted(oracle_k_set(a.table, range(len(cayley)), [x], [x]))
+                          for x in range(3)]
+            assert orbit_space(a).classes == tuple(dict.fromkeys(map(tuple, orbit_sets)))
+        else:
+            with pytest.raises(NotDistributive) as exc:
+                orbit_space(a)
+            assert exc.value.witness == w
+        for t in tops:
+            continuous = oracle_is_continuous(a.table, 3, t.opens) is True
+            s = make_space(a, t)
+            if w is not True:
+                with pytest.raises(NotDistributive) as exc:
+                    quotient_topology(s)
+                assert exc.value.witness == w
+            elif not continuous:
+                with pytest.raises(NotContinuous):
+                    quotient_topology(s)
+            else:
+                assert quotient_topology(s).opens == oracle_quotient_opens(a.table, 3, t.opens)
+            if not continuous:
+                with pytest.raises(NotContinuous):
+                    run_topology_battery(a, t)
+                continue
+            checks = [r.check for r in run_topology_battery(a, t)]
+            assert len(checks) == (9 if w is True else 2)
+        assert orbits._record(a).distributive == w
+    assert orbits._record.cache_info().currsize <= size
+
+
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_is_continuous_matches_oracle_with_carried_neighborhoods(data):
@@ -590,9 +646,9 @@ def _count_calls(monkeypatch, fn):
     wrapper, so calls through any module's binding are seen."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
 
     for modname, mod in list(sys.modules.items()):
         if modname == "binact" or modname.startswith("binact."):
@@ -604,9 +660,10 @@ def _count_calls(monkeypatch, fn):
 
 @pytest.mark.parametrize("model", ["xor-discrete", "z2-on-4"])
 def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_path, capsys):
-    """One distributivity scan and one continuity scan per public call, and
-    per `binact quotient` command, on a continuous distributive model, with
-    unchanged results."""
+    """On a continuous distributive model every public entry point, and the
+    `binact quotient` and `binact orbits` commands, scan distributivity
+    once on a cleared action record and never on a repeat, while each call
+    that needs continuity scans it once, with unchanged results."""
     if model == "xor-discrete":
         a, t = xor_action, discrete_topology(2)
     else:
@@ -618,66 +675,77 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
     action_file.write_text(json.dumps(action_to_json(a)))
     topology_file.write_text(json.dumps(topology_to_json(t)))
 
-    def quotient_command():
-        code = main(["quotient", "--action", str(action_file), "--topology", str(topology_file)])
+    def command(*args):
+        code = main([*args, "--action", str(action_file)])
         return code, capsys.readouterr().out
 
-    calls = {
-        "battery": lambda: run_topology_battery(a, t, model_id="m"),
-        "quotient": lambda: quotient_topology(s),
-        "projection": lambda: check_projection_closed_proper(s),
-        "hausdorff": lambda: check_quotient_hausdorff_compact(s),
-        "quotient command": quotient_command,
+    closed = closed_sets(t)[0]
+    calls = {  # entry point: (call, continuity scans per call)
+        "orbit_space": (lambda: orbit_space(a), 0),
+        "delta": (lambda: delta(a, 1), 0),
+        "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), 0),
+        "battery": (lambda: run_topology_battery(a, t, model_id="m"), 1),
+        "quotient": (lambda: quotient_topology(s), 1),
+        "projection": (lambda: check_projection_closed_proper(s), 1),
+        "hausdorff": (lambda: check_quotient_hausdorff_compact(s), 1),
+        "quotient command": (lambda: command("quotient", "--topology", str(topology_file)), 1),
+        "orbits command": (lambda: command("orbits"), 0),
     }
-    expected = {name: call() for name, call in calls.items()}
-    assert expected["quotient command"][0] == 0
+    expected = {name: call() for name, (call, _) in calls.items()}
+    assert expected["quotient command"][0] == expected["orbits command"][0] == 0
     distributive = _count_calls(monkeypatch, is_distributive)
     continuous = _count_calls(monkeypatch, is_continuous)
-    for name, call in calls.items():
-        distributive.clear()
-        continuous.clear()
-        assert call() == expected[name]
-        assert (len(distributive), len(continuous)) == (1, 1), name
+    for name, (call, continuity) in calls.items():
+        orbits._record.cache_clear()
+        for scans in (1, 0):
+            distributive.clear()
+            continuous.clear()
+            assert call() == expected[name]
+            assert (len(distributive), len(continuous)) == (scans, continuity), name
 
 
 def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
     """The battery and the quotient on 20 topologies of one distributive
-    action build one record: one orbit space, one diagonal per group
-    element, and one record, whose constructor joins the table part of the
-    default model id. The quotients are still the oracle's."""
+    action build one record: one distributivity scan, one orbit space, one
+    diagonal per group element, and one record, which joins the table part
+    of the default model id. The quotients are still the oracle's."""
     a = validate_action(z2, (((0, 1, 2, 3),) * 4,
                              ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 3, 2))))
     tops = [t for t in _topologies(4) if is_continuous(make_space(a, t)) is True][:20]
     assert len(tops) == 20
-    topology._record.cache_clear()
-    spaces = _count_calls(monkeypatch, orbits._orbit_space)
+    orbits._record.cache_clear()
+    distributive = _count_calls(monkeypatch, is_distributive)
+    spaces = _count_calls(monkeypatch, orbits.OrbitSpace)
     diagonals = _count_calls(monkeypatch, orbits._diagonal)
     try:
         for t in tops:
             assert len(run_topology_battery(a, t)) == 9
             qt = quotient_topology(make_space(a, t))
             assert qt.opens == oracle_quotient_opens(a.table, 4, t.opens)
-        records = topology._record.cache_info().misses
+        records = orbits._record.cache_info().misses
     finally:
-        topology._record.cache_clear()
-    assert (records, len(spaces), len(diagonals)) == (1, 1, z2.order)
+        orbits._record.cache_clear()
+    assert (records, len(distributive), len(spaces), len(diagonals)) == (1, 1, 1, z2.order)
 
 
 def test_battery_on_a_non_distributive_action_builds_no_orbit_part(mixed_action, monkeypatch):
     """On a continuous action that is not distributive the battery runs the
     two image checks only and never builds the record's orbit space or
-    diagonals, whose checks are meant for distributive actions alone."""
-    topology._record.cache_clear()
-    spaces = _count_calls(monkeypatch, orbits._orbit_space)
+    diagonals, whose checks are meant for distributive actions alone. The
+    record carries the first witness as its verdict, from one scan."""
+    orbits._record.cache_clear()
+    distributive = _count_calls(monkeypatch, is_distributive)
+    spaces = _count_calls(monkeypatch, orbits.OrbitSpace)
     try:
         for t in (discrete_topology(2), indiscrete_topology(2)):
             records = run_topology_battery(mixed_action, t)
             assert [r.check for r in records] == ["guu_open", "gaa_closed"]
-        built = vars(topology._record(mixed_action))
+        built = vars(orbits._record(mixed_action))
         assert "orbits" not in built and "diagonals" not in built
+        assert built["distributive"] == (1, 1, 1, 0, 0)
     finally:
-        topology._record.cache_clear()
-    assert spaces == []
+        orbits._record.cache_clear()
+    assert (len(distributive), spaces) == (1, [])
 
 
 def test_battery_default_model_id(z2):
@@ -715,16 +783,19 @@ def test_quotient_command_errors_in_order(topology_opens, out, mixed_action, tmp
 ])
 def test_orbits_command_scans_once(model, code, out, xor_action, mixed_action, monkeypatch,
                                    tmp_path, capsys):
-    """`binact orbits` scans distributivity once, on a distributive action
-    and on one that is not; the witness it prints is the one orbit_space
-    refuses the action with."""
+    """`binact orbits` scans distributivity once on a cleared action record
+    and never on a repeat, on a distributive action and on one that is not;
+    the witness it prints is the one orbit_space refuses the action with."""
     a = {"xor": xor_action, "mixed": mixed_action}[model]
     action_file = tmp_path / "a.json"
     action_file.write_text(json.dumps(action_to_json(a)))
     distributive = _count_calls(monkeypatch, is_distributive)
-    assert main(["orbits", "--action", str(action_file)]) == code
-    assert capsys.readouterr().out == out
-    assert len(distributive) == 1
+    orbits._record.cache_clear()
+    for scans in (1, 0):
+        distributive.clear()
+        assert main(["orbits", "--action", str(action_file)]) == code
+        assert capsys.readouterr().out == out
+        assert len(distributive) == scans
 
 
 @settings(max_examples=60, deadline=None)
