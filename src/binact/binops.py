@@ -62,6 +62,7 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
     The range check is its own, not _ints' bounded one: its message names
     the entry's position, entry table[i][j] = v out of range 0..m-1.
     """
+    table = _tuples(table, depth)
     try:
         if depth == 2:
             out = tuple([_int_row(row) for row in table])
@@ -92,6 +93,20 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
                 if not 0 <= v < m:
                     raise error(f"entry {at}[{x}] = {v} out of range 0..{m - 1}")
     return out, m
+
+
+def _tuples(values, depth: int):
+    """values with each iterable down to depth read once into a tuple, so
+    that a second pass over a one-shot iterator sees what the first read;
+    strings, mappings and what is not iterable are kept for _list to
+    refuse."""
+    if isinstance(values, (str, bytes, Mapping)):
+        return values
+    try:
+        values = tuple(values)
+    except TypeError:
+        return values
+    return values if depth == 1 else tuple([_tuples(v, depth - 1) for v in values])
 
 
 def _int_row(values) -> tuple[int, ...]:

@@ -73,6 +73,25 @@ def oracle_is_distributive(cayley, table, m):
     return oracle_distributivity_witness(cayley, table, m) is True
 
 
+def oracle_stabiliser_commutator_witness(cayley, identity, table, m):
+    """True, or the first (x, h, g) with h(x, x) = x whose commutator
+    k = h g h^-1 g^-1 moves a point in the row k(x, -). In a distributive
+    action the row at x is the identity on every such commutator, so on
+    the subgroup [G_x, G] they generate, G_x = {h : h(x, x) = x}: the law
+    at (h, x, x) makes h(x, -) commute with every g(x, -)."""
+    n = len(cayley)
+    inv = [next(b for b in range(n) if cayley[a][b] == identity) for a in range(n)]
+    for x in range(m):
+        for h in range(n):
+            if table[h][x][x] != x:
+                continue
+            for g in range(n):
+                k = cayley[cayley[h][g]][cayley[inv[h]][inv[g]]]
+                if list(table[k][x]) != list(range(m)):
+                    return (x, h, g)
+    return True
+
+
 def oracle_hom_count(cayley, identity, degree):
     """Number of homomorphisms from the group into the symmetric group S_degree.
 

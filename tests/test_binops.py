@@ -206,6 +206,13 @@ BOUNDED_READS = {
                        MalformedTable, "table[1][1] = True is not an integer"),
     "action-bool": (lambda g, a: validate_action(a.group, [[[0]], [[False]], [[0]]]),
                     ShapeMismatch, "table[1][0][0] = False is not an integer"),
+    # a row given as a one-shot iterator is read once and still named
+    "binary_op-bool-in-iterator": (
+        lambda g, a: make_binary_op([[0, 1], (x for x in [True, 0])]),
+        MalformedTable, "table[1][0] = True is not an integer"),
+    "action-bool-in-iterator": (
+        lambda g, a: validate_action(a.group, [[[0]], [(x for x in [False])], [[0]]]),
+        ShapeMismatch, "table[1][0][0] = False is not an integer"),
     "open-mask-bool": (lambda g, a: validate_topology(2, [0, True, 3]),
                        MalformedTable, "points = True is not a list"),
     "open-point-bool": (lambda g, a: validate_topology(2, [[], [True], [0, 1]]),

@@ -39,6 +39,7 @@ from oracles import (
     oracle_k_set,
     oracle_min_bi_invariant,
     oracle_permutation_homomorphisms,
+    oracle_stabiliser_commutator_witness,
     oracle_valid_action_tables,
 )
 
@@ -162,6 +163,12 @@ def _all_actions(name, m):
     return enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m)).actions
 
 
+@functools.lru_cache(maxsize=None)
+def _distributive_classes(name, m):
+    return enumerate_actions(EnumerationTask(
+        group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
+
+
 def test_require_distributive_matches_filter():
     """The pruned search keeps exactly the distributive actions of the
     unfiltered one, in the same order. Of these cases only z2 on 4 points
@@ -179,14 +186,15 @@ def test_require_distributive_matches_filter():
 @pytest.mark.parametrize("name, m, budget, raw, canonical", [
     ("k4", 4, 5_000, 518, 127),
     ("z3", 5, 1_500, 159, 11),
-    ("s3", 4, 600, 38, 10),
+    ("s3", 4, 200, 38, 10),
 ])
 def test_node_budget_partial_under_require_distributive(name, m, budget, raw, canonical):
     """A node passes the pruned check exactly when every law instance over
     its assigned rows holds, and a row the law forces is the only candidate
-    tried, so the nodes counted before a budget stop, and the partial
-    result, are those of the forced-row search (the counts were recorded
-    with it; the full searches take 9316, 2725 and 1206 nodes)."""
+    tried, and otherwise only the rows that pass the instances (h, t, t),
+    so the nodes counted before a budget stop, and the partial result, are
+    those of that search (the counts were recorded with it; the full
+    searches take 9316, 2725 and 414 nodes)."""
     g = builtin_group(name)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
@@ -203,8 +211,7 @@ def test_forced_rows_finish_under_default_budgets(name, m, raw, canonical):
     """Trying only the row the law forces brings these sizes under the
     default node budget; the unforced search needs 19.9M nodes for k4 on
     5 points and 3.27M for z2 on 6."""
-    result = enumerate_actions(EnumerationTask(
-        group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
+    result = _distributive_classes(name, m)
     assert result.exhaustive
     assert (result.raw_count, result.canonical_count) == (raw, canonical)
     assert result.distributive_count == raw
@@ -310,8 +317,7 @@ def test_distributive_actions_are_trivial_on_the_commutator_subgroup(name, ab, m
     commutators = subgroup_closure(g, {
         g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b)) for a in g.elements() for b in g.elements()})
     assert len(commutators) == g.order // builtin_group(ab).order
-    result = enumerate_actions(EnumerationTask(
-        group=g, carrier_size=m, require_distributive=True, dedupe=True))
+    result = _distributive_classes(name, m)
     assert result.exhaustive
     identity = tuple(range(m))
     for a in result.actions:
@@ -333,6 +339,40 @@ def test_commutator_conjecture_fails_on_the_conjugation_coset_action(s3):
     assert sum(row != identity for c in commutators for row in a.table[c]) == 12
 
 
+def test_stabiliser_filter_finishes_s3_on_6_points_under_default_budgets(s3):
+    """Trying only the rows that pass the instances (h, t, t) brings s3 on
+    6 points under the default node budget (978196 nodes, against 5004316
+    with forced rows alone). It has one class more than z2, its
+    abelianization, and that class is the conjugation coset action of s3
+    on itself."""
+    result = _distributive_classes("s3", 6)
+    assert result.exhaustive
+    assert (result.raw_count, result.canonical_count) == (17692, 181)
+    assert result.distributive_count == 17692
+    coset = canonicalize(conjugation_coset_action(s3, s3.elements())).table
+    assert coset in [a.table for a in result.actions]
+
+
+# every size at which the tier-1 tests enumerate distributive actions
+DISTRIBUTIVE_SIZES = sorted(
+    {(name, m) for name in ("z1", "z2", "z3", "z4", "k4", "z5", "z6", "s3") for m in (1, 2, 3)}
+    | {(name, m) for name in ("z2", "z3", "s3") for m in (4, 5)}
+    | {("d4", 3), ("d4", 4), ("d4", 5), ("q8", 3), ("q8", 4), ("q8", 5), ("k4", 4), ("k4", 5),
+       ("z2", 6), ("s3", 6), ("z6", 3), ("z12", 4), ("z60", 5)})
+
+
+@pytest.mark.parametrize("name, m", DISTRIBUTIVE_SIZES)
+def test_distributive_rows_are_trivial_on_stabiliser_commutators(name, m):
+    """The stabiliser filter's theorem, on every distributive class: the row
+    at x is the identity on [G_x, G], G_x = {h : h(x, x) = x}. It is
+    proven, so a witness is a bug."""
+    g = builtin_group(name)
+    result = _distributive_classes(name, m)
+    assert result.exhaustive
+    for a in result.actions:
+        assert oracle_stabiliser_commutator_witness(g.cayley, g.identity, a.table, m) is True
+
+
 # Racks and quandles of order m, up to isomorphism: OEIS A181771 and A181769
 # (P. Vojtěchovský and S. Y. Yang, "Enumeration of racks and quandles up to
 # isomorphism", Math. Comp. 88 (2019)). A distributive action of Z_n on m
@@ -345,8 +385,7 @@ RACK_QUANDLE_COUNTS = {("z6", 3): (6, 3), ("z12", 4): (19, 7), ("z60", 5): (74, 
 
 @pytest.mark.parametrize("name, m", sorted(RACK_QUANDLE_COUNTS))
 def test_distributive_cyclic_actions_count_racks_and_quandles(name, m):
-    result = enumerate_actions(EnumerationTask(
-        group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
+    result = _distributive_classes(name, m)
     assert result.exhaustive
     quandles = sum(all(a.table[g][x][x] == x for g in a.group.elements() for x in range(m))
                    for a in result.actions)
@@ -500,6 +539,21 @@ def test_time_budget_bounds_relabelling_memory():
     assert partial.actions == ()
     assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("name, m", [("s3", 4), ("z2", 5), ("z3", 5), ("k4", 4), ("q8", 5)])
+def test_composed_conjugation_tables_match_direct_ones(name, m):
+    """The tables built from the adjacent transpositions are those of
+    conjugating every homomorphism by every relabelling, in the order of
+    itertools.permutations."""
+    g = builtin_group(name)
+    homs = permutation_homomorphisms(g, m)
+    rel = search._Relabelling(g, homs, m)
+    direct = []
+    for sigma in itertools.permutations(range(m)):
+        inv = invert_perm(sigma)
+        direct.append(([homs.index(search._conjugate(sigma, inv, rho)) for rho in homs], inv))
+    assert rel.moves == direct
 
 
 def test_perm_rank_is_lexicographic_position():
