@@ -204,10 +204,12 @@ def minimal_bi_invariant(a: BinaryAction, x: int) -> frozenset[int]:
     return bi_invariant_closure_trace(a, x)[-1]
 
 
-def _require_distributive(a: BinaryAction) -> None:
-    witness = _record(a).distributive
-    if witness is not True:
-        raise NotDistributive(witness)
+def _require_distributive(a: BinaryAction) -> _ActionRecord:
+    """a's record, or NotDistributive with the first witness."""
+    record = _record(a)
+    if record.distributive is not True:
+        raise NotDistributive(record.distributive)
+    return record
 
 
 def orbit(a: BinaryAction, x: int) -> frozenset[int]:

@@ -24,10 +24,12 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import lt
 from typing import Iterable
 
 from .actions import BinaryAction
 from .errors import (
+    BinactError,
     CapExceeded,
     InternalInconsistency,
     MalformedTable,
@@ -77,15 +79,23 @@ class FiniteTopology:
 def validate_topology(carrier_size: int, opens) -> FiniteTopology:
     """Normalize (sort, deduplicate) and check the open-set family.
 
-    Requires the empty set and full carrier, and closure under pairwise
-    union and intersection; the first failing pair is reported.
+    Each open is read through _coerce_mask, then checked by _family.
     """
     carrier_size = _size(carrier_size, "carrier size")
     masks = sorted({_coerce_mask(u, carrier_size) for u in _list(opens, MalformedTable, "opens")})
-    family = set(masks)
-    full = (1 << carrier_size) - 1
-    if 0 not in family or full not in family:
+    return _family(carrier_size, masks)
+
+
+def _family(carrier_size: int, masks: list[int]) -> FiniteTopology:
+    """The topology with these opens, which must be strictly ascending,
+    start with the empty set and end with the full carrier (so every mask
+    lies in 0..2^carrier_size - 1), and be closed under pairwise union and
+    intersection; the first failing pair is reported."""
+    if not all(map(lt, masks, masks[1:])):
+        raise MalformedTable("opens must be strictly ascending")
+    if not masks or masks[0] != 0 or masks[-1] != (1 << carrier_size) - 1:
         raise MissingEmptyOrFull()
+    family = set(masks)
     for u, v in itertools.combinations(masks, 2):
         if (u | v) not in family:
             raise NotClosedUnderUnion(u, v)
@@ -114,9 +124,10 @@ def is_closed(t: FiniteTopology, mask: int) -> bool:
     return is_open(t, t.full_mask ^ mask)
 
 
-def closed_sets(t: FiniteTopology) -> tuple[int, ...]:
+def closed_sets(t: FiniteTopology) -> frozenset[int]:
+    """The closed sets of t, the complements of its opens."""
     full = t.full_mask
-    return tuple(sorted(full & ~u for u in t.opens))
+    return frozenset([full ^ u for u in t.opens])
 
 
 def interior(t: FiniteTopology, mask: int) -> int:
@@ -377,9 +388,9 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     """Finest topology on the orbit classes making the projection continuous:
     a class set is open iff its preimage is open."""
-    _require_distributive(s.action)
+    record = _require_distributive(s.action)
     _require_continuous(s)
-    return _quotient(s.topology, _record(s.action).orbits)
+    return _quotient(s.topology, record.orbits)
 
 
 def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
@@ -387,16 +398,14 @@ def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
     those equal to the union of the classes they meet: a class set C is
     open iff its preimage, a saturated set, is open, and pi sends saturated
     sets one to one onto class sets. Saturations and projections are read
-    from the orbit space's tables. The family is still validated."""
+    from the orbit space's tables. The family is still checked, by the
+    core of validate_topology."""
     saturated, projected = space.saturated, space.projected
-    opens = sorted(projected[u] for u in t.opens if saturated[u] == u)
-    k = len(space.classes)
-    qt = FiniteTopology(carrier_size=k, opens=tuple(opens))
+    opens = sorted([projected[u] for u in t.opens if saturated[u] == u])
     try:
-        validate_topology(k, qt.opens)
-    except Exception as exc:  # preimage commutes with union/intersection
+        return _family(len(space.classes), opens)
+    except BinactError as exc:  # preimage commutes with union/intersection
         raise InternalInconsistency(f"quotient opens do not form a topology: {exc}") from exc
-    return qt
 
 
 @dataclass(frozen=True)
@@ -413,7 +422,7 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
     """
     qt = quotient_topology(s)
     projected = _record(s.action).orbits.projected
-    closed = all(is_closed(qt, projected[amask]) for amask in closed_sets(s.topology))
+    closed = closed_sets(qt).issuperset(map(projected.__getitem__, closed_sets(s.topology)))
     return ProjectionChecks(closed=closed, proper=closed)
 
 
@@ -500,9 +509,12 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
             records.append(ProbeRecord(model=model_id, check=check,
                                        outcome=outcome, hypotheses_met=asserted))
 
+    # each family check is one set inclusion, which stops at the first
+    # image outside the family, so the lazy tables fill only what is asked
+    square = record.square.__getitem__
     closed = closed_sets(topology)
-    add("guu_open", all(is_open(topology, record.square[u]) for u in topology.opens), haus)
-    add("gaa_closed", all(is_closed(topology, record.square[c]) for c in closed), haus)
+    add("guu_open", frozenset(topology.opens).issuperset(map(square, topology.opens)), haus)
+    add("gaa_closed", closed.issuperset(map(square, closed)), haus)
     if witness is not True:
         return None, witness, records
 
@@ -513,10 +525,10 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     add("delta_homeomorphism",
         all(_is_continuous_map(nbhd, nbhd, d) for d in record.diagonals), True)
     # the saturation G(A) is the union of the orbits of A's points
-    add("ka_closed", all(is_closed(topology, space.saturated[c]) for c in closed), True)
+    add("ka_closed", closed.issuperset(map(space.saturated.__getitem__, closed)), True)
 
     qt = _quotient(topology, space)
-    closed_map = all(is_closed(qt, space.projected[c]) for c in closed)
+    closed_map = closed_sets(qt).issuperset(map(space.projected.__getitem__, closed))
     add("projection_closed", closed_map, True)
     add("projection_proper", closed_map, True)
     add("quotient_hausdorff", is_hausdorff(qt), haus)

@@ -351,3 +351,59 @@ def oracle_quotient_opens(table, m, opens):
         if pre in src:
             out.append(cmask)
     return tuple(out)
+
+
+def oracle_battery(cayley, table, m, opens):
+    """The outcome of every check the theorem battery records on a
+    continuous model, by brute force. G(U, U) and G(A, A) come from
+    oracle_k_set over every open U and closed A (the complements of the
+    opens). For a distributive action also: every diagonal x -> g(x, x) a
+    bijection that oracle_is_continuous_map accepts; the saturation of
+    every closed A, the union of the orbits {g(x, x) : g} of its points,
+    closed; and, over the quotient opens of oracle_quotient_opens, the
+    projection of every closed A closed (which is also properness here),
+    the quotient Hausdorff by oracle_is_hausdorff, and the quotient opens
+    covering every class (compactness on a finite carrier)."""
+    full = (1 << m) - 1
+    src = set(opens)
+    closed = [full ^ u for u in opens]
+    elements = range(len(cayley))
+
+    def points(mask):
+        return [x for x in range(m) if mask >> x & 1]
+
+    def mask_of(pts):
+        return sum(1 << x for x in set(pts))
+
+    def square(mask):
+        return mask_of(oracle_k_set(table, elements, points(mask), points(mask)))
+
+    out = {"guu_open": all(square(u) in src for u in opens),
+           "gaa_closed": all(full ^ square(c) in src for c in closed)}
+    if not oracle_is_distributive(cayley, table, m):
+        return out
+    diagonals = [[sl[x][x] for x in range(m)] for sl in table]
+    orbits = [oracle_k_set(table, elements, [x], [x]) for x in range(m)]
+    classes = list(dict.fromkeys(orbits))  # numbered by smallest member
+    projection = [classes.index(o) for o in orbits]
+    k = len(classes)
+    qopens = oracle_quotient_opens(table, m, opens)
+    qfull = (1 << k) - 1
+    closed_map = all(qfull ^ mask_of(projection[x] for x in points(c)) in qopens
+                     for c in closed)
+    covered = 0
+    for u in qopens:
+        covered |= u
+    out.update({
+        "delta_homeomorphism": all(sorted(d) == list(range(m))
+                                   and oracle_is_continuous_map(m, opens, opens, d)
+                                   for d in diagonals),
+        "ka_closed": all(full ^ mask_of(y for x in points(c) for y in orbits[x]) in src
+                         for c in closed),
+        "projection_closed": closed_map,
+        "projection_proper": closed_map,
+        "quotient_hausdorff": oracle_is_hausdorff(k, qopens),
+        "quotient_compact": covered == qfull,
+        "quotient_locally_compact": covered == qfull,
+    })
+    return out

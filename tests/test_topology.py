@@ -52,6 +52,7 @@ from binact import orbits, topology
 from binact.topology import FiniteTopology, closed_sets, is_closed, is_open
 from binact.errors import (
     CapExceeded,
+    InternalInconsistency,
     MalformedTable,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
@@ -62,6 +63,7 @@ from binact.errors import (
 )
 
 from oracles import (
+    oracle_battery,
     oracle_distributivity_witness,
     oracle_is_continuous,
     oracle_k_set,
@@ -301,6 +303,31 @@ def test_quotient_of_xor_collapses_to_point(xor_action):
     assert q.opens == (0, 1)
 
 
+@pytest.mark.parametrize("classes, projected, cause", [
+    # 3 classes: the projections 1 and 2 are there, their union 3 is not
+    (3, {0: 0, 1: 1, 2: 2, 3: 4, 7: 7}, NotClosedUnderUnion),
+    # 2 classes: closed under union and intersection, but the last mask
+    # 7 = full | 1 << 2 lies past the full class set 3
+    (2, {0: 0, 1: 1, 2: 2, 3: 3, 7: 7}, MissingEmptyOrFull),
+    # two saturated opens sent to one class set: the masks repeat
+    (2, {0: 0, 1: 1, 2: 2, 3: 3, 7: 3}, MalformedTable),
+])
+def test_quotient_refuses_projected_masks_that_are_no_topology(z2, classes, projected, cause):
+    """_quotient checks the class sets it builds with the core of
+    validate_topology: a faked projection table whose images of the
+    saturated opens miss a union, run past the full class set or repeat
+    raises InternalInconsistency from the family check's own error."""
+    t = validate_topology(3, [[], [0], [1], [0, 1], [0, 1, 2]])
+    space = orbits.OrbitSpace(source=trivial_action(z2, 3),
+                              classes=tuple((c,) for c in range(classes)),
+                              projection=(0, 1, classes - 1), orbit_masks=(1, 2, 4))
+    space.__dict__["projected"] = projected  # every open is saturated: orbits are points
+    with pytest.raises(InternalInconsistency,
+                       match="quotient opens do not form a topology") as exc:
+        topology._quotient(t, space)
+    assert type(exc.value.__cause__) is cause
+
+
 def test_check_guu_open_requires_open_argument(xor_action):
     s = make_space(xor_action, discrete_topology(2))
     assert check_guu_open(s, 3)
@@ -318,7 +345,10 @@ def test_closed_set_checks_match_k_set_oracle_and_battery(name):
     K(A), the union of K({x}, {x}) over x in A, for K the whole group and
     each proper subgroup; on continuous models, the conjunctions over the
     closed sets against the battery's gaa_closed and ka_closed records,
-    which it reads off its pair table and orbit masks instead."""
+    which it reads off its pair table and orbit masks instead, and every
+    record of the battery against the brute-force oracle_battery, with
+    check_projection_closed_proper and check_quotient_hausdorff_compact
+    agreeing with those records."""
     g = builtin_group(name)
     elements = tuple(g.elements())
     subgroups = [elements] + [tuple(h) for h in all_subgroups(g) if len(h) < g.order]
@@ -354,8 +384,16 @@ def test_closed_set_checks_match_k_set_oracle_and_battery(name):
             if is_continuous(s) is True:
                 by_check = {r.check: r.outcome for r in run_topology_battery(a, t)}
                 assert by_check["gaa_closed"] == all(gaa)
+                assert by_check == oracle_battery(g.cayley, a.table, 3, t.opens)
                 if distributive:
                     assert by_check["ka_closed"] == all(ka)
+                    projection = check_projection_closed_proper(s)
+                    assert (projection.closed, projection.proper) == (
+                        by_check["projection_closed"], by_check["projection_proper"])
+                    quotient = check_quotient_hausdorff_compact(s)
+                    assert (quotient.hausdorff, quotient.compact, quotient.locally_compact) == (
+                        by_check["quotient_hausdorff"], by_check["quotient_compact"],
+                        by_check["quotient_locally_compact"])
 
 
 def test_closed_set_checks_refuse_bad_arguments(z2, xor_action, mixed_action):
@@ -679,7 +717,7 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         code = main([*args, "--action", str(action_file)])
         return code, capsys.readouterr().out
 
-    closed = closed_sets(t)[0]
+    closed = min(closed_sets(t))
     calls = {  # entry point: (call, continuity scans per call)
         "orbit_space": (lambda: orbit_space(a), 0),
         "delta": (lambda: delta(a, 1), 0),
