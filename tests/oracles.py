@@ -73,6 +73,62 @@ def oracle_is_distributive(cayley, table, m):
     return oracle_distributivity_witness(cayley, table, m) is True
 
 
+def oracle_action_axiom_witness(cayley, identity, table, m):
+    """None for a binary action, else its first failure: (x, x') with
+    e(x, x') != x' for axiom (2), checked first, or else (g, h, x, x')
+    with (gh)(x, x') != g(x, h(x, x')) for axiom (1), each first in
+    lexicographic order."""
+    for x in range(m):
+        for xp in range(m):
+            if table[identity][x][xp] != xp:
+                return (x, xp)
+    n = len(cayley)
+    for g in range(n):
+        for h in range(n):
+            for x in range(m):
+                for xp in range(m):
+                    if table[cayley[g][h]][x][xp] != table[g][x][table[h][x][xp]]:
+                        return (g, h, x, xp)
+    return None
+
+
+def oracle_left_action_witness(cayley, identity, rows, m):
+    """None for a left action rows[g][x] = g.x, else its first failure:
+    (x,) with e.x != x, checked first, or else (g, h, x) with
+    (gh).x != g.(h.x), each first in lexicographic order."""
+    for x in range(m):
+        if rows[identity][x] != x:
+            return (x,)
+    n = len(cayley)
+    for g in range(n):
+        for h in range(n):
+            for x in range(m):
+                if rows[cayley[g][h]][x] != rows[g][rows[h][x]]:
+                    return (g, h, x)
+    return None
+
+
+def oracle_identity(cayley):
+    """The first two-sided identity of the table, or None."""
+    n = len(cayley)
+    for e in range(n):
+        if all(cayley[e][a] == a and cayley[a][e] == a for a in range(n)):
+            return e
+    return None
+
+
+def oracle_associativity_witness(cayley):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
+    None when the table is associative."""
+    n = len(cayley)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
+                    return (a, b, c)
+    return None
+
+
 def oracle_stabiliser_commutator_witness(cayley, identity, table, m):
     """True, or the first (x, h, g) with h(x, x) = x whose commutator
     k = h g h^-1 g^-1 moves a point in the row k(x, -). In a distributive

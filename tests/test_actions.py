@@ -175,8 +175,16 @@ def test_conjugation_coset_action_s3_a3(s3):
 
 
 def test_conjugation_requires_subgroup(s3):
+    """The members must form a subgroup; the empty set does not, and a
+    repeated member is read once, so the message names the set."""
     with pytest.raises(NotASubgroup):
         conjugation_coset_action(s3, [0, 1, 3])
+    with pytest.raises(NotASubgroup) as exc:
+        conjugation_coset_action(s3, [])
+    assert str(exc.value) == "element set [] is not a subgroup"
+    with pytest.raises(NotASubgroup) as exc:
+        conjugation_coset_action(s3, [0, 0, 3])
+    assert str(exc.value) == "element set [0, 3] is not a subgroup"
 
 
 def test_biequivariant_maps_xor_to_xor(xor_action):

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binact import (
+    EnumerationTask,
     bi_invariant_closure_trace,
     builtin_group,
     check_ka_closed,
@@ -12,6 +14,7 @@ from binact import (
     delta,
     discrete_topology,
     element_order,
+    enumerate_actions,
     identity_op,
     induced_action,
     invertible_group,
@@ -33,11 +36,24 @@ from binact import (
     validate_topology,
 )
 from binact.errors import (
+    AxiomOneViolated,
+    AxiomTwoViolated,
     CapExceeded,
     CarrierMismatch,
     MalformedTable,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
     NotInvertible,
     ShapeMismatch,
+)
+from binact.search import all_ordinary_actions
+
+from oracles import (
+    oracle_action_axiom_witness,
+    oracle_associativity_witness,
+    oracle_identity,
+    oracle_left_action_witness,
 )
 
 
@@ -140,6 +156,81 @@ def test_one_table_validator_for_every_caller(case, caller, error):
     assert type(exc.value) is error
     if named is not None:
         assert named in str(exc.value)
+
+
+@functools.lru_cache(maxsize=None)
+def _law_tables(kind, name, m):
+    """Valid tables to corrupt: binary actions of the group on m points,
+    its ordinary actions on m points, or its Cayley table."""
+    g = builtin_group(name)
+    if kind == "binary":
+        return g, [a.table for a in enumerate_actions(
+            EnumerationTask(group=g, carrier_size=m)).actions]
+    if kind == "ordinary":
+        return g, [o.table for o in all_ordinary_actions(g, m)]
+    return g, [g.cayley]
+
+
+def _corrupt(data, table, m, kind):
+    """table as lists, with 0 to 3 of its cells set to values drawn in 0..m-1."""
+    cells = [[list(row) for row in sl] for sl in (table if kind == "binary" else [table])]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows = data.draw(st.sampled_from(cells))
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.integers(0, m - 1))
+    return cells if kind == "binary" else cells[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_law_checks_report_the_first_witness(data):
+    """validate_action, make_ordinary_action and make_group share one scan
+    of the left-action law; on tables with up to 3 corrupted cells each
+    reports exactly the first failure the plain-loop oracles find, with
+    its error type and message, and accepts the table when they find none."""
+    kind, name, m = data.draw(st.sampled_from([
+        ("binary", "z2", 3), ("binary", "z3", 2), ("binary", "s3", 2), ("binary", "k4", 2),
+        ("ordinary", "z3", 3), ("ordinary", "s3", 3), ("ordinary", "k4", 3),
+        ("ordinary", "z2", 4), ("group", "z3", 3), ("group", "s3", 6), ("group", "k4", 4),
+        ("group", "z4", 4), ("group", "q8", 8),
+        ("binary", "s3", 1), ("ordinary", "z3", 1), ("group", "z1", 1)]))
+    g, tables = _law_tables(kind, name, m)
+    table = _corrupt(data, data.draw(st.sampled_from(tables)), m, kind)
+    if kind == "binary":
+        witness = oracle_action_axiom_witness(g.cayley, g.identity, table, m)
+        if witness is None:
+            assert validate_action(g, table).table == tuple(tuple(map(tuple, sl)) for sl in table)
+            return
+        error = AxiomTwoViolated if len(witness) == 2 else AxiomOneViolated
+        with pytest.raises(error) as exc:
+            validate_action(g, table)
+        assert exc.value.witness == witness
+    elif kind == "ordinary":
+        witness = oracle_left_action_witness(g.cayley, g.identity, table, m)
+        if witness is None:
+            assert make_ordinary_action(g, table).table == tuple(map(tuple, table))
+            return
+        with pytest.raises(MalformedTable) as exc:
+            make_ordinary_action(g, table)
+        assert str(exc.value) == (
+            "not a left action: e.%d != %d" % (witness * 2) if len(witness) == 1 else
+            "not a left action: (g h).x != g.(h.x) at (g, h, x) = (%d, %d, %d)" % witness)
+    else:
+        if oracle_identity(table) is None:
+            with pytest.raises(NoIdentity):
+                make_group(table)
+            return
+        witness = oracle_associativity_witness(table)
+        if witness is None:
+            try:
+                assert make_group(table).cayley == tuple(map(tuple, table))
+            except NoInverse:
+                pass
+            return
+        with pytest.raises(NotAssociative) as exc:
+            make_group(table)
+        assert exc.value.triple == witness
+        assert str(exc.value) == "(a*b)*c != a*(b*c) at (a, b, c) = (%d, %d, %d)" % witness
 
 
 # every integer read with a bound, as (call on s3 and its distributive

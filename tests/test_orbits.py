@@ -30,7 +30,7 @@ from binact import (
 )
 from binact.errors import NotBiequivariant, NotDistributive, ShapeMismatch
 from binact import orbits
-from binact.orbits import SquareTable, image_table, k_mask
+from binact.orbits import SquareTable, image_table
 
 from oracles import oracle_k_set, oracle_left_cosets, oracle_min_bi_invariant
 
@@ -209,21 +209,24 @@ def _actions(name, m):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_k_mask_matches_oracle_and_is_monotone(data):
-    """K(A, B) as a mask equals the set comprehension, k_set is that set,
-    and enlarging K, A or B never shrinks the image."""
+def test_k_set_and_image_table_match_oracle_and_are_monotone(data):
+    """K(A, B) as k_set gives it equals the set comprehension, each entry
+    images[x][y] of image_table(a, K) is K({x}, {y}), the whole group
+    being the default K, and enlarging K, A or B never shrinks the image."""
     name, m = data.draw(st.sampled_from([("z2", 3), ("z3", 3), ("s3", 3), ("k4", 2)]))
     a = data.draw(st.sampled_from(_actions(name, m)))
     elements = st.sets(st.integers(0, a.group.order - 1))
     points = st.sets(st.integers(0, m - 1))
     K, A, B = data.draw(elements), data.draw(points), data.draw(points)
-    expected = oracle_k_set(a.table, K, A, B)
-    mask = k_mask(a, K, tuple(A), tuple(B))
-    assert frozenset(points_of(mask)) == expected
-    assert k_set(a, K, A, B) == expected
+    expected = k_set(a, K, A, B)
+    assert expected == oracle_k_set(a.table, K, A, B)
+    images = image_table(a, K)
+    for x in range(m):
+        for y in range(m):
+            assert frozenset(points_of(images[x][y])) == oracle_k_set(a.table, K, [x], [y])
+    assert image_table(a) == image_table(a, a.group.elements())
     bigger = (K | data.draw(elements), A | data.draw(points), B | data.draw(points))
-    grown = k_mask(a, bigger[0], tuple(bigger[1]), tuple(bigger[2]))
-    assert mask & ~grown == 0
+    assert expected <= k_set(a, *bigger)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,14 +240,17 @@ def _distributive_actions(name, m):
 def test_lazy_tables_match_the_images_they_replace(data):
     """OrbitSpace.saturated is the saturation G(A), the union of the sets
     G({x}, {x}) over x in A, OrbitSpace.project sends A to the classes it
-    meets, and SquareTable is G(A, A), each as k_mask and oracle_k_set
-    give it, whichever masks are asked first and however often."""
+    meets, and SquareTable is G(A, A), each as k_set, the diagonal of
+    image_table and oracle_k_set give it, whichever masks are asked first
+    and however often."""
     name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
     m = data.draw(st.integers(1, 5))
     a = data.draw(st.sampled_from(_distributive_actions(name, m)))
     G = a.group.elements()
     space = orbit_space(a)
-    square = SquareTable(image_table(a))
+    images = image_table(a)
+    square = SquareTable(images)
+    assert space.orbit_masks == tuple([images[x][x] for x in range(m)])
     masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
 
     def mask(points):
@@ -256,10 +262,11 @@ def test_lazy_tables_match_the_images_they_replace(data):
         orbits_of_pts = [oracle_k_set(a.table, G, [x], [x]) for x in pts]
         saturation = mask(set().union(*orbits_of_pts))
         assert space.saturated[a_mask] == saturation
-        assert saturation == functools.reduce(int.__or__, [k_mask(a, G, [x], [x]) for x in pts], 0)
+        assert saturation == functools.reduce(int.__or__, [images[x][x] for x in pts], 0)
         met = [i for i, members in enumerate(space.classes) if set(members) & set(pts)]
         assert space.project(a_mask) == space.projected[a_mask] == mask(met)
-        assert square[a_mask] == k_mask(a, G, pts, pts) == mask(oracle_k_set(a.table, G, pts, pts))
+        expected = mask(oracle_k_set(a.table, G, pts, pts))
+        assert square[a_mask] == mask(k_set(a, G, pts, pts)) == expected
 
 
 def test_functor_laws_scan_each_action_once(z2, monkeypatch):
