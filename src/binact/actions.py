@@ -206,8 +206,11 @@ def conjugation_coset_action(g: FiniteGroup, subgroup_members) -> BinaryAction:
 
     H is re-indexed densely; the embedding back into g is recorded on the
     returned action. The result is always distributive and its orbits are
-    the left cosets xH (checked by callers and by the test suite).
+    the left cosets xH (checked by callers and by the test suite). The
+    distributivity scan is the one the action's record in binact.orbits
+    carries, so a later orbit_space does not scan the law again.
     """
+    from .orbits import _record  # binact.orbits imports this module
     members = sorted(set(_ints(subgroup_members, MalformedTable, "subgroup members",
                                below=g.order, kind="member")))
     sub, embedding = restrict(g, members, name=f"{g.name}-conj{len(members)}")
@@ -219,7 +222,7 @@ def conjugation_coset_action(g: FiniteGroup, subgroup_members) -> BinaryAction:
         for h in embedding
     )
     action = validate_action(sub, table, group_embedding=embedding)
-    witness = is_distributive(action)
+    witness = _record(action).distributive
     if witness is not True:
         raise InternalInconsistency(
             f"conjugation-coset action unexpectedly not distributive at {witness}")

@@ -48,6 +48,7 @@ from .groups import builtin_group, group_from_json, group_to_json, subgroup_clos
 from .orbits import orbit_report_json, orbit_space
 from .search import (
     EnumerationTask,
+    _enumerate,
     enumerate_actions,
     mine_counterexamples,
 )
@@ -226,12 +227,11 @@ def _cmd_monoid(args) -> int:
     raise CliFailure(2, "monoid --op needs --invert or --star")
 
 
-def _report_budget_stop(exc: BudgetExceeded) -> int:
+def _report_budget_stop(exc: BudgetExceeded, counts) -> int:
     """A budget stop: where it stopped and the counts of the partial result."""
-    partial = exc.partial
     print(f"non-exhaustive: {exc}")
-    print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
-          f"distributive_count={partial.distributive_count} exhaustive=no")
+    print(f"raw_count={counts.raw_count} canonical_count={counts.canonical_count} "
+          f"distributive_count={counts.distributive_count} exhaustive=no")
     return 1
 
 
@@ -245,54 +245,51 @@ def _cmd_enumerate(args) -> int:
         node_budget=args.node_budget,
         time_budget_s=args.time_budget,
     )
-    try:
-        result = enumerate_actions(task)
-    except BudgetExceeded as exc:
-        return _report_budget_stop(exc)
-    print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
-          f"distributive_count={result.distributive_count} exhaustive=yes")
+    run = _enumerate(task)
+    if run.stop is not None:
+        return _report_budget_stop(BudgetExceeded(run.stop), run)
+    print(f"raw_count={run.raw_count} canonical_count={run.canonical_count} "
+          f"distributive_count={run.distributive_count} exhaustive=yes")
     if args.out:
         path = Path(args.out)
         summary = {
-            "raw_count": result.raw_count,
-            "canonical_count": result.canonical_count,
-            "distributive_count": result.distributive_count,
+            "raw_count": run.raw_count,
+            "canonical_count": run.canonical_count,
+            "distributive_count": run.distributive_count,
             "witnesses": None,
-            "exhaustive": result.exhaustive,
+            "exhaustive": run.exhaustive,
         }
         try:
             with path.open("w") as fh:
-                for line in _action_lines(g, args.carrier, result.actions):
-                    fh.write(line)
+                fh.writelines(_action_lines(g, args.carrier, run.rel.homs, run.rows))
                 fh.write(json.dumps(summary) + "\n")
         except OSError as exc:
             raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
     return 0
 
 
-def _action_lines(g, m: int, actions):
-    """The JSONL line of each action of g on m points with no
-    group_embedding, as every enumerated action is: byte for byte
-    json.dumps(action_to_json(a)) + "\n".
+def _action_lines(g, m: int, homs, rows):
+    """The JSONL line of the action of g on m points whose row at point t
+    is homs[row[t]], for each index tuple row: byte for byte
+    json.dumps(action_to_json(a)) + "\n" for the action a with no
+    group_embedding that enumerate_actions builds from it.
 
     The record head, group included, is encoded once. json.dumps with its
     default separators writes a list as its items' encodings joined by
-    ", " inside brackets, so a table is written by joining the encodings
-    of its rows, each a permutation encoded the first time it is met.
+    ", " inside brackets, so the slice of element h is written by joining
+    the encodings of rho(h) over the rows rho. texts[i] holds them for
+    homs[i], one per element, encoded the first time a row uses it.
     """
-    head = f'{{"group": {json.dumps(group_to_json(g))}, "carrier": {m}, "table": '
-    rows: dict[tuple, str] = {}
-    for a in actions:
-        slices = []
-        for sl in a.table:
-            texts = []
-            for row in sl:
-                text = rows.get(row)
-                if text is None:
-                    text = rows[row] = json.dumps(list(row))
-                texts.append(text)
-            slices.append("[" + ", ".join(texts) + "]")
-        yield head + "[" + ", ".join(slices) + "]}\n"
+    head = f'{{"group": {json.dumps(group_to_json(g))}, "carrier": {m}, "table": [['
+    texts = [None] * len(homs)
+
+    def encode(i: int) -> list[str]:
+        texts[i] = [json.dumps(list(p)) for p in homs[i]]
+        return texts[i]
+
+    for row in rows:
+        slices = zip(*[texts[i] or encode(i) for i in row])
+        yield head + "], [".join(map(", ".join, slices)) + "]]}\n"
 
 
 def _cmd_topology_check(args) -> int:
@@ -314,7 +311,7 @@ def _cmd_witnesses(args) -> int:
     try:
         result = enumerate_actions(task)
     except BudgetExceeded as exc:
-        return _report_budget_stop(exc)
+        return _report_budget_stop(exc, exc.partial)
     report = mine_counterexamples(result)
     w = report.intersecting_orbits
     if w is None:

@@ -71,6 +71,13 @@ index tuples: their set is the class and marks the rest of it, the least
 of the set by rank key is the canonical form, and the number of tuples
 equal to it is |Aut|, so the size of the set times |Aut| must be m!.
 
+The emitted actions stay index tuples through the search and its
+assembly (_enumerate); the only BinaryAction built there is the first
+action of each class, for its distributivity scan. enumerate_actions
+then builds one per emitted tuple, and the CLI's enumerate --out builds
+none: it joins each JSON line from per-element texts of the rows'
+homomorphisms.
+
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
 t is a homomorphism G -> S_m. Each homomorphism in the list is checked
@@ -89,7 +96,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
@@ -305,8 +312,10 @@ class EnumerationResult:
 
     actions holds every emitted action in lexicographic table order (the
     canonical representatives instead when dedupe was on). Each one is
-    assembled from row homomorphisms that were checked once per run, which
-    makes it a binary action; none is re-validated. raw_count counts
+    built, after the assembly, from its index tuple of row homomorphisms
+    that were checked once per run, which makes it a binary action; none
+    is re-validated. The CLI's enumerate --out writes the same actions
+    from those tuples without building them. raw_count counts
     emissions before dedupe; canonical_count counts biequimorphism classes
     among them, each represented by its lexicographically least table and
     found on homomorphism indices without rebuilding relabelled tables;
@@ -486,22 +495,64 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     return rel.action(leaf)
 
 
+@dataclass(frozen=True)
+class _Enumeration:
+    """One run of the search and its assembly, before any emitted action
+    is built. rows holds each emitted action as its index tuple into
+    rel.homs, in table order (the class representatives instead under
+    dedupe); the counts are those of EnumerationResult. stop is the
+    reason a budget gave, the message of the run's BudgetExceeded, or
+    None when the run is exhaustive. rel is None only when a budget
+    stopped the run before the relabelling tables were built, and rows is
+    then empty."""
+
+    rel: _Relabelling | None
+    rows: list[tuple[int, ...]]
+    raw_count: int
+    canonical_count: int
+    distributive_count: int
+    exhaustive: bool
+    stop: str | None = None
+
+
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
     Emitted actions are sorted by table. Each is a binary action because
     each of its rows is one of the row homomorphisms, checked once per run
-    when the relabelling tables are built. The first action of each
-    class is scanned for distributivity, which settles its class; under
-    require_distributive a non-distributive one raises, a row the law
-    forces is the only candidate tried at its depth, and otherwise only
-    the rows that pass the instances (h, t, t) are tried. The time budget
-    counts from before the row homomorphisms are generated and bounds
-    their generation (not the subgroup lattice it starts from), the
-    relabelling tables, the search and the assembly of its result.
-    Every budget check raises _BudgetStop, caught here alone: the leaves
-    found so far (none if it came before the search) are assembled under
-    the deadline, and one BudgetExceeded carries them. Its message names
+    when the relabelling tables are built. _enumerate runs the search and
+    its assembly on index tuples; this builds one BinaryAction per emitted
+    tuple, and after a budget stop raises the one BudgetExceeded that
+    carries those built so far.
+    """
+    run = _enumerate(task)
+    result = EnumerationResult(
+        task=task,
+        actions=tuple([run.rel.action(row) for row in run.rows]),
+        raw_count=run.raw_count,
+        canonical_count=run.canonical_count,
+        distributive_count=run.distributive_count,
+        exhaustive=run.exhaustive,
+    )
+    if run.stop is not None:
+        raise BudgetExceeded(run.stop, partial=result)
+    return result
+
+
+def _enumerate(task: EnumerationTask) -> _Enumeration:
+    """The search and its assembly, with every emitted action held as an
+    index tuple.
+
+    The first action of each class is scanned for distributivity, which
+    settles its class; under require_distributive a non-distributive one
+    raises, a row the law forces is the only candidate tried at its depth,
+    and otherwise only the rows that pass the instances (h, t, t) are
+    tried. The time budget counts from before the row homomorphisms are
+    generated and bounds their generation (not the subgroup lattice it
+    starts from), the relabelling tables, the search and the assembly of
+    its result. Every budget check raises _BudgetStop, caught here alone:
+    the leaves found so far (none if it came before the search) are
+    assembled under the deadline, and the run's stop says why. It names
     the budget that stopped the search, and the time budget if the
     deadline then cut the assembly, with the actions found and assembled;
     it names only the time budget when the search had finished.
@@ -570,24 +621,25 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         fill(0)
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
-    if result.exhaustive:
-        return result
+    run = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
+    if run.exhaustive:
+        return run
     if reason is not None:  # None: the search finished, the deadline cut its assembly
-        if result.raw_count < len(leaves) and reason != time_reason:
+        if run.raw_count < len(leaves) and reason != time_reason:
             reason += f"; {time_reason}"
-        reason += f" ({len(leaves)} actions found, {result.raw_count} assembled)"
-    raise BudgetExceeded(reason or time_reason, partial=result)
+        reason += f" ({len(leaves)} actions found, {run.raw_count} assembled)"
+    return replace(run, stop=reason or time_reason)
 
 
 def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
-              deadline: float) -> EnumerationResult:
-    """Build, check and canonicalize the found actions in table order.
+              deadline: float) -> _Enumeration:
+    """Check and canonicalize the found actions in table order, on their
+    index tuples.
 
-    Tables are built from the row homomorphisms _Relabelling checked, not
-    re-validated. The first action of a class in table order is scanned
-    for distributivity and canonicalized, and its relabellings mark the
-    rest of the class, which must number m!/|Aut|, with that verdict. A
+    The first action of a class in table order is built from the row
+    homomorphisms _Relabelling checked, not re-validated, scanned for
+    distributivity and canonicalized, and its relabellings mark the rest
+    of the class, which must number m!/|Aut|, with that verdict. A
     relabelling is a biequimorphism and keeps distributivity, so the
     verdict holds for the whole class; and the first non-distributive
     action in table order is the first of its class, so under the filter
@@ -596,26 +648,24 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
     every further action (never without leaves, and rel is then unused);
     past the deadline, the actions assembled so far make the result. It
     is exhaustive when the search was complete and every action was
-    assembled, and must then pass the orbit-stabilizer count. Under dedupe
-    the other actions of a class are only counted: a BinaryAction is built
-    for the first action of each class and for each representative.
+    assembled, and must then pass the orbit-stabilizer count. That one
+    scanned action per class is the only BinaryAction built here; the
+    emitted actions stay index tuples, the assembled leaves in table
+    order, or the class representatives sorted by key under dedupe.
     """
     m = task.carrier_size
-    actions = []
     raw = 0
     distributive = 0
     classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
     met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
     # the first clock read comes before the sort, in place of the first leaf's
-    ordered = sorted(leaves, key=rel.key) if leaves and time.monotonic() <= deadline else ()
+    ordered = sorted(leaves, key=rel.key) if leaves and time.monotonic() <= deadline else []
     for i, leaf in enumerate(ordered):
         if i and time.monotonic() > deadline:
             break
-        a = None
         verdict = met.get(leaf)
         if verdict is None:
-            a = rel.action(leaf)
-            w = is_distributive(a)
+            w = is_distributive(rel.action(leaf))
             if w is not True and task.require_distributive:
                 raise InternalInconsistency(
                     f"search emitted a non-distributive action under the filter, witness {w}")
@@ -629,8 +679,6 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
             met.update(dict.fromkeys(orbit, verdict))
         distributive += verdict
         raw += 1
-        if not task.dedupe:
-            actions.append(a or rel.action(leaf))
     exhaustive = search_complete and raw == len(leaves)
     if exhaustive:
         orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
@@ -639,17 +687,12 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
                 f"orbit-stabilizer count {orbit_total} over {len(classes)} classes "
                 f"differs from the {raw} actions found")
     if task.dedupe:
-        out = tuple(rel.action(classes[k][0]) for k in sorted(classes))
+        rows = [classes[k][0] for k in sorted(classes)]
     else:
-        out = tuple(actions)
-    return EnumerationResult(
-        task=task,
-        actions=out,
-        raw_count=raw,
-        canonical_count=len(classes),
-        distributive_count=distributive,
-        exhaustive=exhaustive,
-    )
+        rows = ordered
+        del rows[raw:]
+    return _Enumeration(rel=rel, rows=rows, raw_count=raw, canonical_count=len(classes),
+                        distributive_count=distributive, exhaustive=exhaustive)
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

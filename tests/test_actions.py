@@ -174,6 +174,23 @@ def test_conjugation_coset_action_s3_a3(s3):
             assert a(i, 0, y) == s3.mul(g, y)
 
 
+def test_conjugation_coset_action_scans_the_law_once(s3, monkeypatch):
+    """The verdict conjugation_coset_action checks is the one the action's
+    record carries, so orbit_space after it scans the law no second time."""
+    import binact.actions
+    import binact.orbits
+
+    calls = []
+    scan = binact.actions.is_distributive
+    counted = lambda a: calls.append(a) or scan(a)  # noqa: E731
+    monkeypatch.setattr(binact.actions, "is_distributive", counted)
+    monkeypatch.setattr(binact.orbits, "is_distributive", counted)
+    binact.orbits._record.cache_clear()
+    a = conjugation_coset_action(s3, [0, 3, 4])
+    assert binact.orbits.orbit_space(a).classes == ((0, 3, 4), (1, 2, 5))
+    assert calls == [a]
+
+
 def test_conjugation_requires_subgroup(s3):
     """The members must form a subgroup; the empty set does not, and a
     repeated member is read once, so the message names the set."""

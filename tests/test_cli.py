@@ -231,21 +231,61 @@ def _enumerated_lines(g, m, **flags):
     return [json.dumps(action_to_json(a)) for a in result.actions] + [json.dumps(summary)]
 
 
+def _relabelled_group_file(tmp_path, g):
+    """g written as JSON with its non-identity elements numbered in reverse."""
+    order = [g.identity] + [x for x in reversed(g.elements()) if x != g.identity]
+    new = {x: i for i, x in enumerate(order)}
+    cayley = [[new[g.mul(a, b)] for b in order] for a in order]
+    path = tmp_path / f"{g.name}-relabelled.json"
+    path.write_text(json.dumps({"name": g.name, "cayley": cayley}))
+    return path
+
+
 @pytest.mark.parametrize("name, m, flags", [
     ("z2", 4, {}),
     ("s3", 3, {}),
     ("k4", 3, {}),
     ("s3", 3, {"dedupe": True}),
     ("k4", 3, {"require_distributive": True}),
+    ("z3", 4, {}),
+    pytest.param("s3", 3, {"relabelled": True}, id="s3-3-relabelled-group-file"),
 ])
 def test_enumerate_out_lines_are_action_records(name, m, flags, tmp_path, capsys):
+    """relabelled: the group is read from a JSON file in which its
+    non-identity elements are numbered in reverse."""
+    flags = dict(flags)
+    g = builtin_group(name)
+    ref = name
+    if flags.pop("relabelled", False):
+        path = _relabelled_group_file(tmp_path, g)
+        g = group_from_json(json.loads(path.read_text()))
+        assert g.cayley != builtin_group(name).cayley
+        ref = str(path)
     out = tmp_path / "enum.jsonl"
-    argv = ["enumerate", "--group", name, "--carrier", str(m), "--out", str(out)]
+    argv = ["enumerate", "--group", ref, "--carrier", str(m), "--out", str(out)]
     argv += ["--" + flag.replace("_", "-") for flag in flags]
     assert main(argv) == 0
     text = out.read_text()
     assert text.endswith("\n")
-    assert text.split("\n")[:-1] == _enumerated_lines(builtin_group(name), m, **flags)
+    assert text.split("\n")[:-1] == _enumerated_lines(g, m, **flags)
+
+
+def test_enumerate_out_builds_one_action_per_class(monkeypatch, tmp_path, capsys):
+    """enumerate --out writes its lines from index tuples: of the 10000
+    actions of z2 on 4 points, only the first of each of the 475 classes
+    is built as a BinaryAction, for its distributivity scan."""
+    import binact.search
+
+    built = []
+    action = binact.search._Relabelling.action
+    monkeypatch.setattr(binact.search._Relabelling, "action",
+                        lambda self, row: built.append(row) or action(self, row))
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", "z2", "--carrier", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "raw_count=10000 canonical_count=475 distributive_count=74 exhaustive=yes\n")
+    assert len(built) == 475 == len(set(built))
+    assert len(out.read_text().splitlines()) == 10001
 
 
 def test_enumerate_out_escapes_group_labels(tmp_path, capsys):
@@ -264,12 +304,14 @@ def test_enumerate_out_escapes_group_labels(tmp_path, capsys):
 
 def test_action_lines_write_multi_digit_entries():
     """Entries of ten and more, on a carrier too large to enumerate
-    (11! relabellings), are encoded like json.dumps encodes them."""
+    (11! relabellings), are encoded like json.dumps encodes them; each
+    line is written from the action's index tuple into the homomorphisms."""
     z2 = builtin_group("z2")
+    identity = tuple(range(11))
     swap = (10,) + tuple(range(1, 10)) + (0,)
-    actions = [trivial_action(z2, 11),
-               from_ordinary(make_ordinary_action(z2, (tuple(range(11)), swap)))]
-    assert list(_action_lines(z2, 11, actions)) == [
+    homs = [(identity, identity), (identity, swap)]
+    actions = [trivial_action(z2, 11), from_ordinary(make_ordinary_action(z2, homs[1]))]
+    assert list(_action_lines(z2, 11, homs, [(0,) * 11, (1,) * 11])) == [
         json.dumps(action_to_json(a)) + "\n" for a in actions]
 
 
@@ -283,10 +325,13 @@ def test_enumerate_accepts_group_file(files, capsys):
     assert "raw_count=4" in capsys.readouterr().out
 
 
-def test_enumerate_budget_exhaustion_exits_one(files, capsys):
+def test_enumerate_budget_exhaustion_exits_one(tmp_path, capsys):
+    """A budget stop exits 1 and writes no --out file."""
+    out = tmp_path / "enum.jsonl"
     assert main(["enumerate", "--group", "s3", "--carrier", "3",
-                 "--node-budget", "5"]) == 1
+                 "--node-budget", "5", "--out", str(out)]) == 1
     assert "non-exhaustive" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_unknown_group_exits_two(capsys):
