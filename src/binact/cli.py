@@ -46,12 +46,7 @@ from .errors import (
 )
 from .groups import builtin_group, group_from_json, group_to_json, subgroup_closure
 from .orbits import orbit_report_json, orbit_space
-from .search import (
-    EnumerationTask,
-    _enumerate,
-    enumerate_actions,
-    mine_counterexamples,
-)
+from .search import EnumerationTask, enumerate_actions, mine_counterexamples
 from .topology import (
     _battery,
     points_of,
@@ -227,11 +222,12 @@ def _cmd_monoid(args) -> int:
     raise CliFailure(2, "monoid --op needs --invert or --star")
 
 
-def _report_budget_stop(exc: BudgetExceeded, counts) -> int:
+def _report_budget_stop(exc: BudgetExceeded) -> int:
     """A budget stop: where it stopped and the counts of the partial result."""
+    partial = exc.partial
     print(f"non-exhaustive: {exc}")
-    print(f"raw_count={counts.raw_count} canonical_count={counts.canonical_count} "
-          f"distributive_count={counts.distributive_count} exhaustive=no")
+    print(f"raw_count={partial.raw_count} canonical_count={partial.canonical_count} "
+          f"distributive_count={partial.distributive_count} exhaustive=no")
     return 1
 
 
@@ -245,23 +241,24 @@ def _cmd_enumerate(args) -> int:
         node_budget=args.node_budget,
         time_budget_s=args.time_budget,
     )
-    run = _enumerate(task)
-    if run.stop is not None:
-        return _report_budget_stop(BudgetExceeded(run.stop), run)
-    print(f"raw_count={run.raw_count} canonical_count={run.canonical_count} "
-          f"distributive_count={run.distributive_count} exhaustive=yes")
+    try:
+        result = enumerate_actions(task)
+    except BudgetExceeded as exc:
+        return _report_budget_stop(exc)
+    print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
+          f"distributive_count={result.distributive_count} exhaustive=yes")
     if args.out:
         path = Path(args.out)
         summary = {
-            "raw_count": run.raw_count,
-            "canonical_count": run.canonical_count,
-            "distributive_count": run.distributive_count,
+            "raw_count": result.raw_count,
+            "canonical_count": result.canonical_count,
+            "distributive_count": result.distributive_count,
             "witnesses": None,
-            "exhaustive": run.exhaustive,
+            "exhaustive": result.exhaustive,
         }
         try:
             with path.open("w") as fh:
-                fh.writelines(_action_lines(g, args.carrier, run.rel.homs, run.rows))
+                fh.writelines(_action_lines(g, args.carrier, result.homs, result.rows))
                 fh.write(json.dumps(summary) + "\n")
         except OSError as exc:
             raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -272,7 +269,7 @@ def _action_lines(g, m: int, homs, rows):
     """The JSONL line of the action of g on m points whose row at point t
     is homs[row[t]], for each index tuple row: byte for byte
     json.dumps(action_to_json(a)) + "\n" for the action a with no
-    group_embedding that enumerate_actions builds from it.
+    group_embedding that EnumerationResult.actions builds from it.
 
     The record head, group included, is encoded once. json.dumps with its
     default separators writes a list as its items' encodings joined by
@@ -311,7 +308,7 @@ def _cmd_witnesses(args) -> int:
     try:
         result = enumerate_actions(task)
     except BudgetExceeded as exc:
-        return _report_budget_stop(exc, exc.partial)
+        return _report_budget_stop(exc)
     report = mine_counterexamples(result)
     w = report.intersecting_orbits
     if w is None:

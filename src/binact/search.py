@@ -71,12 +71,12 @@ index tuples: their set is the class and marks the rest of it, the least
 of the set by rank key is the canonical form, and the number of tuples
 equal to it is |Aut|, so the size of the set times |Aut| must be m!.
 
-The emitted actions stay index tuples through the search and its
-assembly (_enumerate); the only BinaryAction built there is the first
-action of each class, for its distributivity scan. enumerate_actions
-then builds one per emitted tuple, and the CLI's enumerate --out builds
-none: it joins each JSON line from per-element texts of the rows'
-homomorphisms.
+The emitted actions stay index tuples through the search, its assembly
+and the EnumerationResult that holds them; the only BinaryAction built
+in enumerate_actions is the first action of each class, for its
+distributivity scan. The result builds one per emitted tuple the first
+time its actions are read, and the CLI's enumerate --out reads none: it
+joins each JSON line from per-element texts of the rows' homomorphisms.
 
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
@@ -92,11 +92,12 @@ all_ordinary_actions runs the same check once per homomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
@@ -240,6 +241,9 @@ class EnumerationTask:
 
     def __post_init__(self):
         object.__setattr__(self, "carrier_size", _size(self.carrier_size, "carrier size"))
+        for name in ("require_distributive", "dedupe"):
+            if type(getattr(self, name)) is not bool:
+                raise MalformedTable(f"{name} = {getattr(self, name)!r} is not a bool")
         budget = _int(self.node_budget, MalformedTable, "node budget")
         object.__setattr__(self, "node_budget", budget)
         if type(self.time_budget_s) is bool or not isinstance(self.time_budget_s, (int, float)):
@@ -310,31 +314,38 @@ class WitnessReport:
 class EnumerationResult:
     """Outcome of one enumeration run.
 
-    actions holds every emitted action in lexicographic table order (the
-    canonical representatives instead when dedupe was on). Each one is
-    built, after the assembly, from its index tuple of row homomorphisms
-    that were checked once per run, which makes it a binary action; none
-    is re-validated. The CLI's enumerate --out writes the same actions
-    from those tuples without building them. raw_count counts
-    emissions before dedupe; canonical_count counts biequimorphism classes
-    among them, each represented by its lexicographically least table and
-    found on homomorphism indices without rebuilding relabelled tables;
-    distributive_count counts distributive emissions, from one scan per
-    class. An exhaustive result has passed the orbit-stabilizer check:
-    raw_count is the sum of m!/|Aut(a)| over the classes. Each class met
-    has m!/|Aut(a)| relabellings, exhaustive or not. After a budget stop,
-    the one BudgetExceeded carries a result with exhaustive false that
-    holds the actions assembled before the deadline, and its message says
-    how many the search found; the count over all classes is skipped,
-    because such a part need not be closed under relabelling.
+    raw_count counts emissions before dedupe; canonical_count counts
+    biequimorphism classes among them, each represented by its
+    lexicographically least table and found on homomorphism indices
+    without rebuilding relabelled tables; distributive_count counts
+    distributive emissions, from one scan per class. An exhaustive result
+    has passed the orbit-stabilizer check: raw_count is the sum of
+    m!/|Aut(a)| over the classes. Each class met has m!/|Aut(a)|
+    relabellings, exhaustive or not. After a budget stop, the one
+    BudgetExceeded carries a result with exhaustive false that holds the
+    actions assembled before the deadline, and its message says how many
+    the search found; the count over all classes is skipped, because such
+    a part need not be closed under relabelling.
+
+    rows holds every emitted action in lexicographic table order (the
+    canonical representatives instead when dedupe was on) as its tuple of
+    indices into homs, the row homomorphisms the run checked once. actions
+    builds them as BinaryActions the first time it is read, none
+    re-validated, and keeps them; the CLI's enumerate --out writes the
+    same actions from rows without building them.
     """
 
     task: EnumerationTask
-    actions: tuple[BinaryAction, ...]
     raw_count: int
     canonical_count: int
     distributive_count: int
     exhaustive: bool
+    homs: tuple
+    rows: list[tuple[int, ...]] = field(hash=False)  # a list: compared, not hashed
+
+    @functools.cached_property
+    def actions(self) -> tuple[BinaryAction, ...]:
+        return tuple([_action(self.task.group, self.homs, row) for row in self.rows])
 
 
 def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
@@ -463,14 +474,17 @@ class _Relabelling:
         canon = min(orbit, key=self.key)
         return self.key(canon), canon, images.count(canon), orbit
 
-    def table(self, leaf) -> tuple:
-        """The g-major table: slice g holds rho(g) of the row at each point."""
-        return tuple(zip(*[self.homs[i] for i in leaf]))
-
     def action(self, leaf) -> BinaryAction:
         """The action with row homs[leaf[t]] at each point t; a binary action
         because every row is a homomorphism, checked in __init__."""
-        return BinaryAction(group=self.group, carrier_size=len(leaf), table=self.table(leaf))
+        return _action(self.group, self.homs, leaf)
+
+
+def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
+    """The action with row homs[leaf[t]] at each point t, unvalidated: its
+    g-major table has slice g hold rho(g) of the row at each point."""
+    return BinaryAction(group=group, carrier_size=len(leaf),
+                        table=tuple(zip(*[homs[i] for i in leaf])))
 
 
 def canonicalize(a: BinaryAction) -> BinaryAction:
@@ -495,53 +509,12 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     return rel.action(leaf)
 
 
-@dataclass(frozen=True)
-class _Enumeration:
-    """One run of the search and its assembly, before any emitted action
-    is built. rows holds each emitted action as its index tuple into
-    rel.homs, in table order (the class representatives instead under
-    dedupe); the counts are those of EnumerationResult. stop is the
-    reason a budget gave, the message of the run's BudgetExceeded, or
-    None when the run is exhaustive. rel is None only when a budget
-    stopped the run before the relabelling tables were built, and rows is
-    then empty."""
-
-    rel: _Relabelling | None
-    rows: list[tuple[int, ...]]
-    raw_count: int
-    canonical_count: int
-    distributive_count: int
-    exhaustive: bool
-    stop: str | None = None
-
-
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
-    Emitted actions are sorted by table. Each is a binary action because
-    each of its rows is one of the row homomorphisms, checked once per run
-    when the relabelling tables are built. _enumerate runs the search and
-    its assembly on index tuples; this builds one BinaryAction per emitted
-    tuple, and after a budget stop raises the one BudgetExceeded that
-    carries those built so far.
-    """
-    run = _enumerate(task)
-    result = EnumerationResult(
-        task=task,
-        actions=tuple([run.rel.action(row) for row in run.rows]),
-        raw_count=run.raw_count,
-        canonical_count=run.canonical_count,
-        distributive_count=run.distributive_count,
-        exhaustive=run.exhaustive,
-    )
-    if run.stop is not None:
-        raise BudgetExceeded(run.stop, partial=result)
-    return result
-
-
-def _enumerate(task: EnumerationTask) -> _Enumeration:
-    """The search and its assembly, with every emitted action held as an
-    index tuple.
+    Emitted actions are sorted by table and held as index tuples into the
+    row homomorphisms, checked once per run when the relabelling tables
+    are built; the result builds BinaryActions from them on first use.
 
     The first action of each class is scanned for distributivity, which
     settles its class; under require_distributive a non-distributive one
@@ -552,10 +525,10 @@ def _enumerate(task: EnumerationTask) -> _Enumeration:
     starts from), the relabelling tables, the search and the assembly of
     its result. Every budget check raises _BudgetStop, caught here alone:
     the leaves found so far (none if it came before the search) are
-    assembled under the deadline, and the run's stop says why. It names
-    the budget that stopped the search, and the time budget if the
-    deadline then cut the assembly, with the actions found and assembled;
-    it names only the time budget when the search had finished.
+    assembled under the deadline, and one BudgetExceeded carries them. Its
+    message names the budget that stopped the search, and the time budget
+    if the deadline then cut the assembly, with the actions found and
+    assembled; it names only the time budget when the search had finished.
     """
     g = task.group
     m = task.carrier_size
@@ -621,18 +594,18 @@ def _enumerate(task: EnumerationTask) -> _Enumeration:
         fill(0)
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    run = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
-    if run.exhaustive:
-        return run
+    result = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
+    if result.exhaustive:
+        return result
     if reason is not None:  # None: the search finished, the deadline cut its assembly
-        if run.raw_count < len(leaves) and reason != time_reason:
+        if result.raw_count < len(leaves) and reason != time_reason:
             reason += f"; {time_reason}"
-        reason += f" ({len(leaves)} actions found, {run.raw_count} assembled)"
-    return replace(run, stop=reason or time_reason)
+        reason += f" ({len(leaves)} actions found, {result.raw_count} assembled)"
+    raise BudgetExceeded(reason or time_reason, partial=result)
 
 
 def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
-              deadline: float) -> _Enumeration:
+              deadline: float) -> EnumerationResult:
     """Check and canonicalize the found actions in table order, on their
     index tuples.
 
@@ -691,8 +664,9 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
     else:
         rows = ordered
         del rows[raw:]
-    return _Enumeration(rel=rel, rows=rows, raw_count=raw, canonical_count=len(classes),
-                        distributive_count=distributive, exhaustive=exhaustive)
+    return EnumerationResult(task=task, raw_count=raw, canonical_count=len(classes),
+                             distributive_count=distributive, exhaustive=exhaustive,
+                             homs=rel.homs if rel else (), rows=rows)
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

@@ -563,18 +563,38 @@ def test_perm_rank_is_lexicographic_position():
 
 
 def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
-    """z2 on 4 points: 10000 actions in 475 classes, and under dedupe one
-    BinaryAction for the first action of each class and one for each
-    representative, with the counts and representatives unchanged."""
+    """z2 on 4 points: 10000 actions in 475 classes. Under dedupe the run
+    builds one BinaryAction for the first action of each class, and the
+    first read of result.actions one for each representative; a second
+    read builds none. The counts and representatives are unchanged."""
     calls = []
-    action = search._Relabelling.action
-    monkeypatch.setattr(search._Relabelling, "action",
-                        lambda self, leaf: calls.append(leaf) or action(self, leaf))
+    action = search._action
+    monkeypatch.setattr(search, "_action",
+                        lambda group, homs, leaf: calls.append(leaf) or action(group, homs, leaf))
     result = enumerate_actions(EnumerationTask(group=z2, carrier_size=4, dedupe=True))
     assert (result.raw_count, result.canonical_count, result.distributive_count) == (10000, 475, 74)
+    assert len(calls) == 475
+    actions = result.actions
     assert len(calls) == 2 * 475
-    assert [a.table for a in result.actions] == [
-        canonicalize(a).table for a in result.actions]
+    assert result.actions is actions
+    assert len(calls) == 2 * 475
+    assert [a.table for a in actions] == [canonicalize(a).table for a in actions]
+
+
+@pytest.mark.parametrize("name, m, budget, classes", [("k4", 3, 50, 31), ("s3", 3, 200, 90)])
+def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, classes):
+    """A budget-stopped partial under dedupe lists its representatives in
+    table order, not in the order their classes were met. On these
+    partials the orders differ: a class whose least table the search has
+    not reached is met at a later member."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m, node_budget=budget)
+    with pytest.raises(BudgetExceeded, match=f"node budget {budget} reached") as raw:
+        enumerate_actions(task)
+    met = list(dict.fromkeys(canonicalize(a).table for a in raw.value.partial.actions))
+    assert len(met) == classes and met != sorted(met)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_actions(dataclasses.replace(task, dedupe=True))
+    assert [a.table for a in exc.value.partial.actions] == sorted(met)
 
 
 def test_time_budget_covers_hom_generation(z2, monkeypatch):
@@ -737,6 +757,14 @@ def test_task_validation(z2):
     EnumerationTask(group=z2, carrier_size=2, time_budget_s=math.inf)
 
 
+@pytest.mark.parametrize("field", ["require_distributive", "dedupe"])
+@pytest.mark.parametrize("value", ["no", 0.5, 1, None])
+def test_task_refuses_a_non_bool_flag(z2, field, value):
+    """A non-bool flag is refused: "no" would silently switch it on."""
+    with pytest.raises(MalformedTable, match=field):
+        EnumerationTask(group=z2, carrier_size=2, **{field: value})
+
+
 def test_witness_mining_z2_m2(z2):
     report = mine_counterexamples(enumerate_actions(EnumerationTask(group=z2, carrier_size=2)))
     w = report.intersecting_orbits
@@ -791,8 +819,8 @@ def test_mined_witnesses_match_a_brute_force_miner(name):
     enumeration, the miner's witnesses are the brute-force miner's."""
     result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=3))
     assert mine_counterexamples(result) == _brute_force_witnesses(result.actions)
-    for a in result.actions:
-        alone = dataclasses.replace(result, actions=(a,))
+    for a, row in zip(result.actions, result.rows):
+        alone = dataclasses.replace(result, rows=[row])
         assert mine_counterexamples(alone) == _brute_force_witnesses((a,))
 
 
