@@ -61,7 +61,8 @@ built once per run, turns every relabelling of an action into m index
 lookups; a conjugate of a homomorphism is a homomorphism, so no relabelled
 table is rebuilt or re-validated. The canonical form of an action is its
 lexicographically least relabelled table, found by comparing relabellings
-through the permutation ranks of their g-major tables. The number of
+through the permutation ranks of their g-major tables, each rank a place
+in the lexicographic list of relabellings. The number of
 relabellings that reach the least table is the order of the action's
 automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
 count: the actions found number the sum of m!/|Aut(a)| over the classes.
@@ -97,7 +98,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
@@ -352,7 +353,7 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
     """The action carried across the carrier bijection sigma, which makes
     sigma a biequimorphism from a to the result. Axioms (1) and (2) are
     carried across sigma with the table, so the result is built without
-    validate_action."""
+    validate_action; the acting group, and its group_embedding, are a's."""
     sg = _ints(sigma, MalformedTable, "sigma")
     m = a.carrier_size
     if sorted(sg) != list(range(m)):
@@ -364,7 +365,8 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
             for xp in range(m):
                 out[g][sg[x]][sg[xp]] = sg[sl[x][xp]]
     table = tuple(tuple(tuple(row) for row in sl) for sl in out)
-    return BinaryAction(group=a.group, carrier_size=m, table=table)
+    return BinaryAction(group=a.group, carrier_size=m, table=table,
+                        group_embedding=a.group_embedding)
 
 
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
@@ -372,78 +374,72 @@ def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
-def _perm_rank(p) -> int:
-    """Rank of the permutation p among all permutations of its points in
-    lexicographic order, by its Lehmer code: entry i counts the later
-    entries smaller than p[i], and weighs (n - 1 - i)!."""
-    n = len(p)
-    rank = 0
-    for i, v in enumerate(p):
-        rank = rank * (n - i) + sum(1 for w in p[i + 1:] if w < v)
-    return rank
-
-
 class _Relabelling:
     """The carrier relabellings acting on actions held as index tuples.
 
     homs is a list of row homomorphisms G -> S_m closed under conjugation;
     an action is a tuple whose entry t indexes the homomorphism at carrier
-    point t. For each relabelling sigma the conjugation table gives the
-    index of sigma rho sigma^-1 for every rho, and the rank columns give,
-    per non-identity group element g, the rank of rho(g) among all
-    permutations of the carrier. The identity slice is the same in every
-    table, so the ranks over the other slices, read g-major, order index
-    tuples exactly as their tables are ordered. A move keeps only the
-    conjugation table of sigma and sigma^-1; classify() relabels an index
-    tuple by every move in one pass and calls key() only on the distinct
-    results. key() is injective on index tuples, since a homomorphism is
-    fixed by its images of g != e and a permutation by its rank, so the
-    moves reaching the least key number |Aut|. Every homomorphism is
-    checked once first, on the greedy generators by _homomorphism_check,
-    which proves it a homomorphism G -> S_m; that is what lets action()
-    skip validation. Only with a finite deadline, checking the
-    homomorphisms reads the clock every 1024 of them and building the m!
-    tables once per relabelling, raising _BudgetStop once it has passed.
+    point t. moves lists the relabellings sigma in the lexicographic order
+    of itertools.permutations, each with the conjugation table that gives
+    the index of sigma rho sigma^-1 for every rho, and its inverse. The
+    rank columns give, per non-identity group element g, the rank of
+    rho(g) among all permutations of the carrier: its position in moves.
+    The identity slice is the same in every table, so the ranks over the
+    other slices, read g-major, order index tuples exactly as their tables
+    are ordered. classify() relabels an index tuple by every move in one
+    pass and calls key() only on the distinct results. key() is injective
+    on index tuples, since a homomorphism is fixed by its images of g != e
+    and a permutation by its rank, so the moves reaching the least key
+    number |Aut|. Every homomorphism is checked once first, on the greedy
+    generators by _homomorphism_check, which proves it a homomorphism
+    G -> S_m; that is what lets _action skip validation on its rows. Only
+    with a finite deadline, checking the homomorphisms reads the clock
+    every 1024 of them and building the m! tables once per relabelling,
+    raising _BudgetStop once it has passed.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
-    conjugate is in the list. Every other sigma, in the lexicographic order
-    of itertools.permutations that law_rows indexes moves by, has some
-    value j + 1 before j. Swapping those two values gives q with
-    sigma = s_j o q and q < sigma, and s_j <= sigma (the first place they
-    differ holds a larger value in sigma), so both tables are built and
+    conjugate is in the list. Every other sigma has some value j + 1
+    before j. Swapping those two values gives q with sigma = s_j o q and
+    q < sigma, and s_j <= sigma (the first place they differ holds a
+    larger value in sigma), so both tables are built and
     sigma rho sigma^-1 = s_j (q rho q^-1) s_j^-1 gives
     table(sigma)[i] = table(s_j)[table(q)[i]]. A composition of total
     index maps is total, so closure under the transpositions, which
     generate S_m, gives closure under every conjugation.
+
+    The rank of q, its place in moves, is read off sigma's. In the Lehmer
+    code, digit i counts the later entries below entry i and weighs
+    (m - 1 - i)!. sigma and q differ only at a = inv[j + 1] < b = inv[j],
+    which hold j + 1 and j in sigma and the reverse in q; any other value
+    is below j exactly when it is below j + 1, so only digit a changes,
+    losing the j at b: rank(q) = rank(sigma) - (m - 1 - a)!.
     """
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
-        self.group = group
         self.homs = homs
         self.nonidentity = [g for g in group.elements() if g != group.identity]
         check = _homomorphism_check(group, m)
-        ranks = []
+        rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
         for i, rho in enumerate(homs):
             if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
             check(rho)
-            ranks.append([_perm_rank(rho[g]) for g in self.nonidentity])
+            rank.update(dict.fromkeys(rho))
         self.index = {rho: i for i, rho in enumerate(homs)}
-        self.columns = list(zip(*ranks))
         self.moves = []
         swaps = {}  # j -> conjugation table of the transposition of j and j + 1
         for sigma in itertools.permutations(range(m)):
             if deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
+            if sigma in rank:
+                rank[sigma] = len(self.moves)
             inv = invert_perm(sigma)
             j = next((j for j in range(m - 1) if inv[j + 1] < inv[j]), None)
             if j is None:  # the identity
                 conj = list(range(len(homs)))
             else:
-                q = list(sigma)
-                q[inv[j]], q[inv[j + 1]] = j + 1, j
-                r = _perm_rank(q)
+                r = len(self.moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q
                 if r == 0:  # sigma is the transposition of j and j + 1, an involution
                     conj = [self.index.get(_conjugate(sigma, sigma, rho)) for rho in homs]
                     if None in conj:
@@ -453,6 +449,7 @@ class _Relabelling:
                 else:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
+        self.columns = [[rank[rho[g]] for rho in homs] for g in self.nonidentity]
 
     def law_rows(self):
         """For each homomorphism rho, the pair (rho(h), conjugation table
@@ -474,15 +471,11 @@ class _Relabelling:
         canon = min(orbit, key=self.key)
         return self.key(canon), canon, images.count(canon), orbit
 
-    def action(self, leaf) -> BinaryAction:
-        """The action with row homs[leaf[t]] at each point t; a binary action
-        because every row is a homomorphism, checked in __init__."""
-        return _action(self.group, self.homs, leaf)
-
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
     """The action with row homs[leaf[t]] at each point t, unvalidated: its
-    g-major table has slice g hold rho(g) of the row at each point."""
+    g-major table has slice g hold rho(g) of the row at each point, and it
+    is a binary action because _Relabelling checked every row."""
     return BinaryAction(group=group, carrier_size=len(leaf),
                         table=tuple(zip(*[homs[i] for i in leaf])))
 
@@ -495,6 +488,8 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     own row homomorphisms, each checked once as a homomorphism; the result
     is built from them without re-validation. The conjugates are found by
     closing the rows under the adjacent transpositions, which generate S_m.
+    The acting group and its group_embedding are a's: a carrier bijection
+    leaves them alone.
     """
     m = a.carrier_size
     rows = [tuple(sl[t] for sl in a.table) for t in range(m)]
@@ -506,7 +501,7 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
         orbit |= new
     rel = _Relabelling(a.group, sorted(orbit), m)
     _, leaf, _, _ = rel.classify(tuple(rel.index[rho] for rho in rows))
-    return rel.action(leaf)
+    return replace(_action(a.group, rel.homs, leaf), group_embedding=a.group_embedding)
 
 
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
@@ -638,7 +633,7 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
             break
         verdict = met.get(leaf)
         if verdict is None:
-            w = is_distributive(rel.action(leaf))
+            w = is_distributive(_action(task.group, rel.homs, leaf))
             if w is not True and task.require_distributive:
                 raise InternalInconsistency(
                     f"search emitted a non-distributive action under the filter, witness {w}")
@@ -691,7 +686,8 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
 
     Actions are scanned in their deterministic result order and pairs in
     lexicographic order, so the reported witnesses are the smallest ones.
-    Fields are None when the scale admits no witness.
+    Each is built from its index tuple only when scanned. Fields are None
+    when the scale admits no witness.
     """
     intersecting = None
     union = None
@@ -699,7 +695,8 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     def points(mask: int) -> frozenset[int]:
         return frozenset(points_of(mask))
 
-    for a in result.actions:
+    for row in result.rows:
+        a = _action(result.task.group, result.homs, row)
         m = a.carrier_size
         square = SquareTable(image_table(a))
         if intersecting is None:
@@ -728,5 +725,5 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     return WitnessReport(
         intersecting_orbits=intersecting,
         non_bi_invariant_union=union,
-        actions_scanned=len(result.actions),
+        actions_scanned=len(result.rows),
     )

@@ -180,7 +180,8 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
 
     A function N with x in N(x) and (y in N(x) implies N(y) <= N(x)) is
     exactly a system of minimal neighborhoods; the opens are the unions
-    of N-values. Counts grow fast (6942 already at n = 5), hence the cap.
+    of N-values, the sets U equal to the union of N(x) over x in U.
+    Counts grow fast (6942 already at n = 5), hence the cap.
     """
     n = _size(n, "carrier size")
     cap = _int(cap, MalformedTable, "cap")
@@ -206,10 +207,8 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
 
     def fill(x: int):
         if x == n:
-            opens = tuple(
-                u for u in range(1 << n)
-                if all(chosen[p] & ~u == 0 for p in points_of(u))
-            )
+            hull = UnionTable(chosen)  # hull[u] = the union of N(p) over p in u
+            opens = tuple(u for u in range(1 << n) if hull[u] == u)
             out.append(FiniteTopology(carrier_size=n, opens=opens))
             return
         for mask in candidates[x]:

@@ -111,8 +111,9 @@ def test_from_ordinary_ignores_first_argument(z3):
 def test_actions_valid_by_construction_are_built_without_validation(z2, s3):
     """from_ordinary, trivial_action and relabel_action build their actions
     without validate_action or make_ordinary_action, and each equals what
-    validate_action returns on the table built cell by cell, with no group
-    embedding, even when relabelling an action that has one."""
+    validate_action returns on the table built cell by cell. Only a
+    relabelled action has a group embedding, its source's: the last source
+    has one."""
     ordinary = [o for g in (z2, s3) for o in all_ordinary_actions(g, 3)]
     sources = [*enumerate_actions(EnumerationTask(group=z2, carrier_size=3)).actions[::5],
                conjugation_coset_action(s3, [0, 1])]
@@ -146,9 +147,8 @@ def test_actions_valid_by_construction_are_built_without_validation(z2, s3):
         cells = [[[0] * m for _ in range(m)] for _ in src.group.elements()]
         for g, x, xp in product(src.group.elements(), range(m), range(m)):
             cells[g][sigma[x]][sigma[xp]] = sigma[src(g, x, xp)]
-        assert a == validate_action(src.group, cells)
-    assert all(a.group_embedding is None
-               for a in embedded + trivial + [a for *_, a in relabelled])
+        assert a == validate_action(src.group, cells, group_embedding=src.group_embedding)
+    assert all(a.group_embedding is None for a in embedded + trivial)
     assert sources[-1].group_embedding is not None
 
 

@@ -277,9 +277,9 @@ def test_enumerate_out_builds_one_action_per_class(monkeypatch, tmp_path, capsys
     import binact.search
 
     built = []
-    action = binact.search._Relabelling.action
-    monkeypatch.setattr(binact.search._Relabelling, "action",
-                        lambda self, row: built.append(row) or action(self, row))
+    action = binact.search._action
+    monkeypatch.setattr(binact.search, "_action",
+                        lambda group, homs, row: built.append(row) or action(group, homs, row))
     out = tmp_path / "enum.jsonl"
     assert main(["enumerate", "--group", "z2", "--carrier", "4", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import binact.actions
 from binact import (
     EnumerationTask,
+    action_to_json,
     builtin_group,
     canonicalize,
     conjugation_coset_action,
@@ -522,10 +523,11 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
 
 def test_time_budget_bounds_relabelling_memory():
     """The m! relabellings are generated one at a time under the deadline,
-    and the rank columns come from Lehmer codes, not a table of all
-    permutations: the trivial group on 8 points stops within a 0.01 s
-    budget with an empty partial, where building all 8! permutations and
-    their rank dict first peaked at about 7 MB traced."""
+    and the rank columns are read from a dict keyed on the permutations
+    the homomorphisms use, not on all of them: the trivial group on 8
+    points stops within a 0.01 s budget with an empty partial, where
+    building all 8! permutations and their rank dict first peaked at
+    about 7 MB traced."""
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
@@ -545,21 +547,22 @@ def test_time_budget_bounds_relabelling_memory():
 def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
-    itertools.permutations."""
+    itertools.permutations, and each rank column holds the position of
+    rho(g) in that order."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
+    perms = list(itertools.permutations(range(m)))
     direct = []
-    for sigma in itertools.permutations(range(m)):
+    for sigma in perms:
         inv = invert_perm(sigma)
         direct.append(([homs.index(search._conjugate(sigma, inv, rho)) for rho in homs], inv))
     assert rel.moves == direct
-
-
-def test_perm_rank_is_lexicographic_position():
-    for n in range(1, 6):
-        perms = list(itertools.permutations(range(n)))
-        assert [search._perm_rank(p) for p in perms] == list(range(len(perms)))
+    position = {p: r for r, p in enumerate(perms)}
+    nonidentity = [x for x in g.elements() if x != g.identity]
+    assert len(rel.columns) == len(nonidentity)
+    for x, col in zip(nonidentity, rel.columns):
+        assert list(col) == [position[rho[x]] for rho in homs]
 
 
 def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
@@ -822,6 +825,33 @@ def test_mined_witnesses_match_a_brute_force_miner(name):
     for a, row in zip(result.actions, result.rows):
         alone = dataclasses.replace(result, rows=[row])
         assert mine_counterexamples(alone) == _brute_force_witnesses((a,))
+
+
+@pytest.mark.parametrize("name, m, built, scanned", [("s3", 3, 6, 1000), ("z2", 4, 3, 10000)])
+def test_witness_mining_builds_only_the_actions_it_scans(monkeypatch, name, m, built, scanned):
+    """The miner builds each action from its index tuple when it reaches
+    it, and stops at the last witness: of the 1000 actions of s3 on 3
+    points it builds 6, of the 10000 of z2 on 4 points 3."""
+    result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m))
+    rows = []
+    action = search._action
+    monkeypatch.setattr(search, "_action", lambda *args: rows.append(args[2]) or action(*args))
+    report = mine_counterexamples(result)
+    assert rows == result.rows[:built]
+    assert report.actions_scanned == scanned
+
+
+def test_relabelling_keeps_the_group_embedding(s3):
+    """A carrier bijection leaves the acting group alone, so relabel_action
+    and canonicalize carry its group_embedding over."""
+    a = conjugation_coset_action(s3, [0, 1])
+    assert a.group_embedding is not None
+    assert relabel_action(a, range(a.carrier_size)) == a
+    b = relabel_action(a, [*range(1, a.carrier_size), 0])
+    assert b.group_embedding == a.group_embedding
+    c = canonicalize(b)
+    assert c.group_embedding == a.group_embedding
+    assert action_to_json(c)["group_embedding"] == list(a.group_embedding)
 
 
 def test_all_ordinary_actions_count(s3):
