@@ -27,6 +27,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     builtin_group,
+    greedy_generators,
     group_from_json,
     group_to_json,
     restrict,
@@ -109,31 +110,47 @@ def is_distributive(a: BinaryAction):
 
     With c = h(x, -), the law at (h, x, x') for every g and x'' says that
     the row homomorphism at h(x, x') is c rho c^-1 for the row rho at x'
-    (see binact.search). It always holds for g = e or h = e, by axiom (2):
-    both sides are then h(x, x'') or g(x', x''). The scan skips those, so
-    the first witness in (g, h, x, x', x'') order is the one a full scan
-    finds.
+    (see binact.search). Written with c, the law at (g, h, x) reads
+    g(c(x'), c(x'')) = c(g(x', x'')) for all x', x'': c is an endomorphism
+    of the operation g(-, -), and the law depends on g and c only.
 
-    Written with c, the law at (g, h, x) reads g(c(x'), c(x'')) =
-    c(g(x', x'')) for all x', x'': it depends on g and c only. So per g the
-    scan keeps the rows c that already passed, starting with the identity,
-    for which both sides are g(x', x''), and skips a (g, h, x) whose row is
-    among them. A skipped triple would pass, and a row that fails ends the
-    scan the first time it is met, so the first witness is unchanged.
-    Compare the result with ``is True``; a witness tuple is truthy.
+    The scan takes g and h from the greedy generators S alone, in order,
+    and still returns the first witness of a scan over all of G x G:
+    - The least element of G outside a proper subgroup K is a greedy
+      generator. Let s be the first generator outside K; the ones before
+      it lie in K, so every element outside K lies outside the subgroup
+      they generate, whose least outside element is s by the greedy
+      choice. So s is at most the least element outside K, and s is one.
+    - The g for which every row c is an endomorphism of g(-, -) form a
+      subgroup. By axiom (1), (g g')(c(x'), c(x'')) =
+      g(c(x'), g'(c(x'), c(x''))) = g(c(x'), c(g'(x', x''))) =
+      c(g(x', g'(x', x''))) = c((g g')(x', x'')), so they are closed under
+      products, and in a finite group that makes a subgroup. The g of the
+      first witness is the least g outside it, a generator.
+    - For that g, the h whose rows are all endomorphisms of g(-, -) form a
+      subgroup too: endomorphisms compose, and (h h')(x, -) =
+      h(x, -) o h'(x, -) by axiom (1). The h of the first witness is the
+      least h outside it, a generator.
+    The pairs of S before that (g, h) pass, and within it x, x' and x''
+    run in order, so the scan meets the same witness; with none, every g
+    and h pass. So at most |S|^2 m rows are scanned, not (|G| - 1)^2 m.
+
+    Per g the scan keeps the rows c that already passed, starting with
+    the identity, for which both sides are g(x', x''), and skips a
+    (g, h, x) whose row is among them. A skipped triple would pass, and a
+    row that fails ends the scan the first time it is met, so the first
+    witness is unchanged. Compare the result with ``is True``; a witness
+    tuple is truthy.
     """
     t = a.table
     m = a.carrier_size
-    e = a.group.identity
-    ident = t[e][0]  # e(0, -), the identity by axiom (2)
-    for g, tg in enumerate(t):
-        if g == e:
-            continue
+    ident = t[a.group.identity][0]  # e(0, -), the identity by axiom (2)
+    gens = greedy_generators(a.group)
+    for g in gens:
+        tg = t[g]
         passed = {ident}
-        for h, th in enumerate(t):
-            if h == e:
-                continue
-            for x, c in enumerate(th):
+        for h in gens:
+            for x, c in enumerate(t[h]):
                 if c in passed:
                     continue
                 for xp in range(m):

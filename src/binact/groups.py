@@ -6,6 +6,7 @@ only ride along in the optional ``labels`` field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -134,6 +135,19 @@ def subgroup_closure(g: FiniteGroup, generators: Iterable[int]) -> frozenset[int
                 members.add(y)
                 queue.append(y)
     return frozenset(members)
+
+
+@functools.lru_cache(maxsize=16)
+def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
+    """Generating set built greedily: repeatedly adjoin the smallest element
+    not yet generated. Small in practice, deterministic always; kept for
+    the last few groups, because every distributivity scan reads it."""
+    gens: list[int] = []
+    closed = subgroup_closure(g, gens)
+    while len(closed) < g.order:
+        gens.append(min(x for x in g.elements() if x not in closed))
+        closed = subgroup_closure(g, gens)
+    return tuple(gens)
 
 
 def restrict(g: FiniteGroup, members: Iterable[int], name: str | None = None):

@@ -15,8 +15,9 @@ sides are rho_c(x')(g) c and c rho_x'(g); c is invertible, so they agree
 for every x'' exactly when rho_c(x')(g) = c rho_x'(g) c^-1, and for every g
 exactly when rho_c(x') = c rho_x' c^-1 as homomorphisms. So one
 comparison of homomorphism indices, through the conjugation table of c,
-settles the instance (h, x, x') for every g at once. For h = e, c is the
-identity and the instance always holds, so only h != e is checked.
+settles the instance (h, x, x') for every g at once. It depends on h only
+through c, so the search keeps, per homomorphism at x, each distinct
+non-identity image c once; an identity c, as for h = e, always passes.
 
 Row t, assigned at depth t, adds the instances that name t as x, x' or
 h(x, x') and whose three rows are assigned; the parent node passed every
@@ -61,8 +62,9 @@ built once per run, turns every relabelling of an action into m index
 lookups; a conjugate of a homomorphism is a homomorphism, so no relabelled
 table is rebuilt or re-validated. The canonical form of an action is its
 lexicographically least relabelled table, found by comparing relabellings
-through the permutation ranks of their g-major tables, each rank a place
-in the lexicographic list of relabellings. The number of
+through one int per table, whose digits are the permutation ranks of
+its first slices, each rank a place in the lexicographic list of
+relabellings (see _Relabelling). The number of
 relabellings that reach the least table is the order of the action's
 automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
 count: the actions found number the sum of m!/|Aut(a)| over the classes.
@@ -103,19 +105,8 @@ from dataclasses import dataclass, field, replace
 from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
-from .groups import FiniteGroup, all_subgroups, subgroup_closure
+from .groups import FiniteGroup, all_subgroups, greedy_generators
 from .orbits import SquareTable, closure_masks, image_table, points_of
-
-
-def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
-    """Generating set built greedily: repeatedly adjoin the smallest element
-    not yet generated. Small in practice, deterministic always."""
-    gens: list[int] = []
-    closed = subgroup_closure(g, gens)
-    while len(closed) < g.order:
-        gens.append(min(x for x in g.elements() if x not in closed))
-        closed = subgroup_closure(g, gens)
-    return tuple(gens)
 
 
 def _homomorphism_check(g: FiniteGroup, m: int):
@@ -381,21 +372,32 @@ class _Relabelling:
     an action is a tuple whose entry t indexes the homomorphism at carrier
     point t. moves lists the relabellings sigma in the lexicographic order
     of itertools.permutations, each with the conjugation table that gives
-    the index of sigma rho sigma^-1 for every rho, and its inverse. The
-    rank columns give, per non-identity group element g, the rank of
-    rho(g) among all permutations of the carrier: its position in moves.
-    The identity slice is the same in every table, so the ranks over the
-    other slices, read g-major, order index tuples exactly as their tables
-    are ordered. classify() relabels an index tuple by every move in one
-    pass and calls key() only on the distinct results. key() is injective
-    on index tuples, since a homomorphism is fixed by its images of g != e
-    and a permutation by its rank, so the moves reaching the least key
-    number |Aut|. Every homomorphism is checked once first, on the greedy
-    generators by _homomorphism_check, which proves it a homomorphism
-    G -> S_m; that is what lets _action skip validation on its rows. Only
-    with a finite deadline, checking the homomorphisms reads the clock
-    every 1024 of them and building the m! tables once per relabelling,
-    raising _BudgetStop once it has passed.
+    the index of sigma rho sigma^-1 for every rho, and its inverse; rank
+    maps each permutation a homomorphism uses to its position in moves.
+    classify() relabels an index tuple by every move in one pass and calls
+    key() only on the distinct results. Every homomorphism is checked once
+    first, on the greedy generators by _homomorphism_check, which proves it
+    a homomorphism G -> S_m; that is what lets _action skip validation on
+    its rows. Only with a finite deadline, checking the homomorphisms reads
+    the clock every 1024 of them and building the m! tables once per
+    relabelling, raising _BudgetStop once it has passed.
+
+    key() is one int that orders index tuples as their g-major tables are
+    ordered. The identity slice is the same in every table. Let P be the
+    non-identity elements up to the largest greedy generator s, in element
+    order; P holds every greedy generator, and the elements below s lie in
+    the closure of the earlier generators, so P is the shortest such
+    prefix that generates G. Two different tuples differ at some point t,
+    and a homomorphism is fixed by its images of the generators, so their
+    tables differ in some slice of P. The first slice where they differ is
+    therefore in P, and it decides both the order of the tables and the
+    order of the rank tuples (rank(rho_t(g)) for g in P for t < m), since
+    a slice compares as the ranks of its rows do. That tuple is read as a
+    number in base m!, each rank being below m!, which keeps its order.
+    places[t][i] is the value of the digits that homs[i] puts at point t:
+    its ranks over P, one every m places, so a number in base (m!)^m,
+    shifted m - 1 - t places. So key(leaf) is the sum of m lookups, and it
+    is injective, so the moves reaching the least key number |Aut|.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
@@ -418,9 +420,8 @@ class _Relabelling:
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.homs = homs
-        self.nonidentity = [g for g in group.elements() if g != group.identity]
         check = _homomorphism_check(group, m)
-        rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
+        self.rank = rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
         for i, rho in enumerate(homs):
             if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
@@ -449,18 +450,37 @@ class _Relabelling:
                 else:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
-        self.columns = [[rank[rho[g]] for rho in homs] for g in self.nonidentity]
+        gens = greedy_generators(group)
+        prefix = [g for g in group.elements() if g != group.identity and g <= max(gens, default=-1)]
+        base = math.factorial(m)
+        values = []  # per homomorphism, its ranks over the prefix as digits in base (m!)^m
+        for rho in homs:
+            v = 0
+            for g in prefix:
+                v = v * base ** m + rank[rho[g]]
+            values.append(v)
+        self.places = [[v * base ** (m - 1 - t) for v in values] for t in range(m)]
 
     def law_rows(self):
-        """For each homomorphism rho, the pair (rho(h), conjugation table
-        of rho(h)) for every non-identity h: the row h(x, -) at a point x
-        holding rho, and the index map rho' -> rho(h) rho' rho(h)^-1."""
-        return [[(rho[h], self.moves[col[i]][0]) for h, col in zip(self.nonidentity, self.columns)]
-                for i, rho in enumerate(self.homs)]
+        """For each homomorphism rho, the pair (c, conjugation table of c)
+        for every distinct permutation c = rho(h) other than the identity,
+        in the order of the first h that reaches it: c is the row h(x, -)
+        at a point x holding rho, and the table is the index map
+        rho' -> c rho' c^-1.
 
-    def key(self, leaf) -> tuple[int, ...]:
-        """Sort key of the action's table."""
-        return tuple([col[i] for col in self.columns for i in leaf])
+        The search reads each law instance (h, x, x') through c alone, so
+        the h sharing one c give one instance, and an identity c (h = e,
+        or h in the kernel of rho) gives one that always holds, forces no
+        row and filters no candidate. Keeping each c once, at its first h,
+        gives every check the same verdict, and the same first forced row,
+        at the same node."""
+        identity = tuple(range(len(self.places)))  # places holds one table per point
+        return [[(c, self.moves[self.rank[c]][0]) for c in dict.fromkeys(rho) if c != identity]
+                for rho in self.homs]
+
+    def key(self, leaf) -> int:
+        """Sort key of the action's table, the sum of its points' place values."""
+        return sum(map(list.__getitem__, self.places, leaf))
 
     def classify(self, leaf):
         """One pass over the m! relabellings of leaf: the key and index tuple
@@ -535,8 +555,9 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     rel = reason = None
 
     def distributivity_ok(t: int) -> bool:
-        # the law instances (h, x, x') that row t adds, h != e, each one
-        # comparison: row h(x, x') is row x' conjugated by c = h(x, -)
+        # the law instances that row t adds, one per distinct non-identity
+        # c = h(x, -) and x', each one comparison: row c(x') is row x'
+        # conjugated by c
         depth = t + 1
         it = chosen_idx[t]
         for c, conj in law_rows[it]:  # x = t, x' <= t
@@ -624,7 +645,7 @@ def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
     m = task.carrier_size
     raw = 0
     distributive = 0
-    classes: dict[tuple, tuple] = {}  # canonical key -> (index tuple, |Aut|)
+    classes: dict[int, tuple] = {}  # canonical key -> (index tuple, |Aut|)
     met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
     # the first clock read comes before the sort, in place of the first leaf's
     ordered = sorted(leaves, key=rel.key) if leaves and time.monotonic() <= deadline else []

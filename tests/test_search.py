@@ -98,6 +98,15 @@ def test_permutation_homomorphisms_match_oracle_order():
                 g.cayley, g.identity, degree), (name, degree)
 
 
+def _relabelled_group(g, pi):
+    """g with each element x renamed pi[x]."""
+    cayley = [[0] * g.order for _ in g.elements()]
+    for a in g.elements():
+        for b in g.elements():
+            cayley[pi[a]][pi[b]] = pi[g.mul(a, b)]
+    return make_group(cayley)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_permutation_homomorphisms_relabel_property(data):
@@ -108,11 +117,7 @@ def test_permutation_homomorphisms_relabel_property(data):
     others = [x for x in g.elements() if x != g.identity]
     pi = dict(zip(others, data.draw(st.permutations(others))))
     pi[g.identity] = g.identity
-    cayley = [[0] * g.order for _ in g.elements()]
-    for a in g.elements():
-        for b in g.elements():
-            cayley[pi[a]][pi[b]] = pi[g.mul(a, b)]
-    h = make_group(cayley)
+    h = _relabelled_group(g, pi)
     degree = data.draw(st.integers(1, 3 if len(greedy_generators(h)) == 3 else 4))
     homs = permutation_homomorphisms(h, degree)
     assert homs == oracle_permutation_homomorphisms(h.cayley, h.identity, degree)
@@ -219,12 +224,28 @@ def test_forced_rows_finish_under_default_budgets(name, m, raw, canonical):
 
 
 def test_is_distributive_matches_witness_oracle():
-    """Skipping g = e and h = e, and the rows h(x, -) that already passed
-    for g, keeps the first witness of the full scan."""
+    """Scanning g and h over the greedy generators alone, and skipping the
+    rows h(x, -) that already passed for g, gives the verdict and the
+    first witness of the scan over every tuple, on every action."""
     for name, m in [("z2", 3), ("z2", 4), ("s3", 3), ("z3", 3), ("k4", 3)]:
         cayley = builtin_group(name).cayley
         for a in _all_actions(name, m):
             assert is_distributive(a) == oracle_distributivity_witness(cayley, a.table, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_distributive_matches_witness_oracle_on_relabelled_groups(data):
+    """On relabelled groups, whose greedy generators differ from the
+    catalog's and whose identity may be any index, the verdict and the
+    first witness still match the oracle's."""
+    g = builtin_group(data.draw(st.sampled_from(["z4", "k4", "s3", "d4", "q8"])))
+    h = _relabelled_group(g, data.draw(st.permutations(g.elements())))
+    m = data.draw(st.integers(1, 3))
+    homs = permutation_homomorphisms(h, m)
+    rows = [data.draw(st.sampled_from(homs)) for _ in range(m)]
+    a = validate_action(h, tuple(zip(*rows)))
+    assert is_distributive(a) == oracle_distributivity_witness(h.cayley, a.table, m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -523,7 +544,7 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
 
 def test_time_budget_bounds_relabelling_memory():
     """The m! relabellings are generated one at a time under the deadline,
-    and the rank columns are read from a dict keyed on the permutations
+    and the ranks are kept in a dict keyed on the permutations
     the homomorphisms use, not on all of them: the trivial group on 8
     points stops within a 0.01 s budget with an empty partial, where
     building all 8! permutations and their rank dict first peaked at
@@ -547,8 +568,9 @@ def test_time_budget_bounds_relabelling_memory():
 def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
-    itertools.permutations, and each rank column holds the position of
-    rho(g) in that order."""
+    itertools.permutations; rank holds each permutation's position in that
+    order, and places the positions of rho(g) over the key's prefix, read
+    g-major as digits in base m!."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
@@ -559,10 +581,62 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
         direct.append(([homs.index(search._conjugate(sigma, inv, rho)) for rho in homs], inv))
     assert rel.moves == direct
     position = {p: r for r, p in enumerate(perms)}
-    nonidentity = [x for x in g.elements() if x != g.identity]
-    assert len(rel.columns) == len(nonidentity)
-    for x, col in zip(nonidentity, rel.columns):
-        assert list(col) == [position[rho[x]] for rho in homs]
+    assert rel.rank == {p: position[p] for rho in homs for p in rho}
+    gens = greedy_generators(g)
+    prefix = [x for x in g.elements() if x != g.identity and x <= max(gens)]
+    base = math.factorial(m)
+    assert len(rel.places) == m
+    for t, place in enumerate(rel.places):
+        assert place == [sum(position[rho[x]] * base ** ((len(prefix) - p) * m - 1 - t)
+                             for p, x in enumerate(prefix)) for rho in homs]
+
+
+# (group, relabelling of its elements or None, carrier size, prefix length):
+# the rotations x -> x + k move the identity off index 0 and give the
+# greedy generators, and so the key's prefix, other sizes than the catalog's
+KEY_CASES = [
+    ("z1", None, 3, 0), ("z2", None, 3, 1), ("z3", None, 3, 1), ("z4", None, 3, 1),
+    ("k4", None, 3, 2), ("z6", None, 3, 1), ("s3", None, 3, 2), ("z8", None, 3, 1),
+    ("z4xz2", None, 3, 2), ("z2xz2xz2", None, 2, 4), ("d4", None, 3, 4), ("q8", None, 3, 4),
+    ("s3", 1, 3, 2), ("s3", 3, 3, 3), ("d4", 6, 3, 3), ("q8", 3, 3, 2), ("q8", 4, 3, 3),
+]
+
+
+@pytest.mark.parametrize("name, k, m, length", KEY_CASES)
+def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
+    """Sorting every index tuple by the int key gives the order of their
+    g-major tables, and no two tuples share a key, whatever the prefix of
+    slices the key ranks: empty for z1, one to four elements otherwise."""
+    g = builtin_group(name)
+    if k is not None:
+        g = _relabelled_group(g, [(x + k) % g.order for x in g.elements()])
+        assert g.identity == k
+    gens = greedy_generators(g)
+    assert len([x for x in g.elements() if x != g.identity and x <= max(gens, default=-1)]) == length
+    homs = permutation_homomorphisms(g, m)
+    rel = search._Relabelling(g, homs, m)
+    leaves = list(itertools.product(range(len(homs)), repeat=m))
+    tables = {leaf: search._action(g, homs, leaf).table for leaf in leaves}
+    assert sorted(leaves, key=rel.key) == sorted(leaves, key=tables.__getitem__)
+    assert len({rel.key(leaf) for leaf in leaves}) == len(leaves)
+
+
+@pytest.mark.parametrize("name, m, total", [("z60", 5, 351), ("k4", 4, 99), ("s3", 4, 129)])
+def test_law_rows_keep_each_distinct_nonidentity_image_once(name, m, total):
+    """Per homomorphism rho, law_rows holds each permutation rho(h) other
+    than the identity once, in the order of the first h reaching it, with
+    its conjugation table, the move at its place in the lexicographic
+    order (one entry per non-identity h would make 7080, 156 and 170)."""
+    g = builtin_group(name)
+    homs = permutation_homomorphisms(g, m)
+    rel = search._Relabelling(g, homs, m)
+    rows = rel.law_rows()
+    perms = list(itertools.permutations(range(m)))
+    for rho, row in zip(homs, rows):
+        images = [c for c, _ in row]
+        assert images == sorted(set(rho) - {perms[0]}, key=rho.index)
+        assert all(conj == rel.moves[perms.index(c)][0] for c, conj in row)
+    assert sum(map(len, rows)) == total
 
 
 def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
