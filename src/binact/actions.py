@@ -90,7 +90,19 @@ def validate_action(group: FiniteGroup, table, group_embedding=None) -> BinaryAc
     axiom (1) is the law (g h).p = g.(h.p) that binops._composition_failure
     scans. The first violating tuple in lexicographic order is reported:
     AxiomTwoViolated(x, x') or AxiomOneViolated(g, h, x, x').
+
+    A group_embedding is read first: one distinct index >= 0 per group
+    element, or ShapeMismatch names the first entry that is not one.
     """
+    if group_embedding is not None:
+        group_embedding = _ints(group_embedding, ShapeMismatch, "group_embedding")
+        if len(group_embedding) != group.order:
+            raise ShapeMismatch(
+                f"group_embedding has length {len(group_embedding)}, expected {group.order}")
+        for i, v in enumerate(group_embedding):
+            if v < 0 or v in group_embedding[:i]:
+                raise ShapeMismatch(
+                    f"group_embedding[{i}] = {v} is {'negative' if v < 0 else 'a repeat'}")
     cube, m = _int_table(table, ShapeMismatch, 3, lead=group.order)
     pairs = tuple([tuple([x * m + v for x, row in enumerate(sl) for v in row]) for sl in cube])
     for p, q in enumerate(pairs[group.identity]):
@@ -325,10 +337,7 @@ def action_from_json(data: dict, group_resolver=None) -> BinaryAction:
     resolved through group_resolver (defaults to the built-in catalog).
     """
     def build(group, table):
-        embedding = data.get("group_embedding")
-        if embedding is not None:
-            embedding = _ints(embedding, ShapeMismatch, "group_embedding")
-        return validate_action(group, table, group_embedding=embedding)
+        return validate_action(group, table, group_embedding=data.get("group_embedding"))
 
     return _record_from_json(data, group_resolver, build)
 

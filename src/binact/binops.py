@@ -78,21 +78,15 @@ class BinaryOp:
 def _int_table(table, error, depth: int, lead: int | None = None, name: str = "table"):
     """A depth-2 or depth-3 table of integers as nested tuples, and its m.
 
-    The first axis has length lead, or is square when lead is None; every
-    other axis has length m; every entry lies in 0..m-1. Otherwise error,
-    the caller's exception class, names the first offending index and value.
-    The range check is its own, not _ints' bounded one: its message names
-    the entry's position, entry table[i][j] = v out of range 0..m-1.
+    The entries are read by _ints, so a row given as a string or a mapping
+    is refused. The first axis has length lead, or is square when lead is
+    None; every other axis has length m; every entry lies in 0..m-1.
+    Otherwise error, the caller's exception class, names the first
+    offending index and value. The range check is its own, not _ints'
+    bounded one: its message names the entry's position, entry
+    table[i][j] = v out of range 0..m-1.
     """
-    table = _tuples(table, depth)
-    try:
-        if depth == 2:
-            out = tuple([_int_row(row) for row in table])
-        else:
-            out = tuple([tuple([_int_row(row) for row in sl]) for sl in table])
-    except TypeError:
-        _ints(table, error, name, depth)
-        raise error(f"{name} is not a table of integers") from None
+    out = _ints(table, error, name, depth)
     n = len(out)
     if lead is not None and n != lead:
         raise error(f"{name} has length {n}, expected {lead}")
@@ -115,29 +109,6 @@ def _int_table(table, error, depth: int, lead: int | None = None, name: str = "t
                 if not 0 <= v < m:
                     raise error(f"entry {at}[{x}] = {v} out of range 0..{m - 1}")
     return out, m
-
-
-def _tuples(values, depth: int):
-    """values with each iterable down to depth read once into a tuple, so
-    that a second pass over a one-shot iterator sees what the first read;
-    strings, mappings and what is not iterable are kept for _list to
-    refuse."""
-    if isinstance(values, (str, bytes, Mapping)):
-        return values
-    try:
-        values = tuple(values)
-    except TypeError:
-        return values
-    return values if depth == 1 else tuple([_tuples(v, depth - 1) for v in values])
-
-
-def _int_row(values) -> tuple[int, ...]:
-    """values as a tuple of ints, or TypeError if one is not an integer or
-    is a bool, which operator.index would read as 0 or 1."""
-    values = tuple(values)
-    if bool in map(type, values):
-        raise TypeError
-    return tuple(map(operator.index, values))
 
 
 def _int(value, error, at: str, below: int | None = None) -> int:
@@ -184,10 +155,12 @@ def _ints(values, error, at: str, depth: int = 1, below: int | None = None,
     if depth > 1:
         return tuple([_ints(v, error, f"{at}[{i}]", depth - 1)
                       for i, v in enumerate(_list(values, error, at))])
-    try:
-        out = _int_row(values) if isinstance(values, (list, tuple)) else None
-    except TypeError:
-        out = None  # the loop below names the first entry that is not an integer
+    out = None
+    if isinstance(values, (list, tuple)) and bool not in map(type, values):
+        try:  # operator.index would read a bool as 0 or 1
+            out = tuple(map(operator.index, values))
+        except TypeError:
+            pass  # the loop below names the first entry that is not an integer
     if out is None:
         out = tuple([_int(v, error, f"{at}[{i}]") for i, v in enumerate(_list(values, error, at))])
     if below is not None:

@@ -374,25 +374,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"binact {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a group/op/action/topology file")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("validate", _cmd_validate, "validate a group/op/action/topology file")
     p.add_argument("--action")
     p.add_argument("--group")
     p.add_argument("--op")
     p.add_argument("--topology")
 
-    p = sub.add_parser("distributive", help="check the distributivity law")
+    p = command("distributive", _cmd_distributive, "check the distributivity law")
     p.add_argument("--action", required=True)
 
-    p = sub.add_parser("orbits", help="orbit classes and projection of a distributive action")
+    p = command("orbits", _cmd_orbits, "orbit classes and projection of a distributive action")
     p.add_argument("--action", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("quotient", help="quotient topology of the orbit space")
+    p = command("quotient", _cmd_quotient, "quotient topology of the orbit space")
     p.add_argument("--action", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("monoid", help="star-monoid utilities")
+    p = command("monoid", _cmd_monoid, "star-monoid utilities")
     p.add_argument("--size", type=int)
     p.add_argument("--cap", type=int, default=4)
     p.add_argument("--op")
@@ -400,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star")
     p.add_argument("--out")
 
-    p = sub.add_parser("enumerate", help="enumerate all binary actions of a group")
+    p = command("enumerate", _cmd_enumerate, "enumerate all binary actions of a group")
     p.add_argument("--group", required=True)
     p.add_argument("--carrier", type=int, required=True)
     p.add_argument("--require-distributive", action="store_true")
@@ -409,50 +414,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
     p.add_argument("--out")
 
-    p = sub.add_parser("topology-check", help="run the theorem battery on a model")
+    p = command("topology-check", _cmd_topology_check, "run the theorem battery on a model")
     p.add_argument("--action", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--probe-non-hausdorff", action="store_true")
     p.add_argument("--out")
 
-    p = sub.add_parser("witnesses", help="mine counterexamples from an enumeration")
+    p = command("witnesses", _cmd_witnesses, "mine counterexamples from an enumeration")
     p.add_argument("--group", required=True)
     p.add_argument("--carrier", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=EnumerationTask.node_budget)
     p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
     p.add_argument("--out")
 
-    p = sub.add_parser("induce", help="ordinary action induced at a carrier point")
+    p = command("induce", _cmd_induce, "ordinary action induced at a carrier point")
     p.add_argument("--action", required=True)
     p.add_argument("--point", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("embed", help="embed an ordinary action as a binary action")
+    p = command("embed", _cmd_embed, "embed an ordinary action as a binary action")
     p.add_argument("--ordinary", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("conjugation", help="conjugation-coset action of a subgroup")
+    p = command("conjugation", _cmd_conjugation, "conjugation-coset action of a subgroup")
     p.add_argument("--group", required=True)
     p.add_argument("--subgroup")
     p.add_argument("--generators")
     p.add_argument("--out")
 
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "distributive": _cmd_distributive,
-    "orbits": _cmd_orbits,
-    "quotient": _cmd_quotient,
-    "monoid": _cmd_monoid,
-    "enumerate": _cmd_enumerate,
-    "topology-check": _cmd_topology_check,
-    "witnesses": _cmd_witnesses,
-    "induce": _cmd_induce,
-    "embed": _cmd_embed,
-    "conjugation": _cmd_conjugation,
-}
 
 
 def main(argv=None) -> int:
@@ -474,7 +464,7 @@ def main(argv=None) -> int:
             return 2
 
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

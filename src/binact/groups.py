@@ -61,16 +61,25 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
     """Validate a Cayley table and return the group it defines.
 
     Checks run in a fixed order: table shape, two-sided identity,
-    associativity (first violating triple reported), two-sided inverses.
+    associativity (first violating triple reported), two-sided inverses
+    (the first element without one reported).
+
+    The identity is the first row equal to 0..n-1, kept only if its column
+    is 0..n-1 too. A left identity e equals any two-sided identity f, as
+    e = e f = f; so when the first left identity is not two-sided, there
+    is no two-sided identity at all.
+
+    The inverse of a is the b with a b = e, found in row a. Once the table
+    is associative, such a b is two-sided: x -> a x is onto, as
+    a (b y) = y, hence one to one on the finite carrier, and
+    a (b a) = (a b) a = a e gives b a = e. So an a whose row lacks e has
+    no inverse, and one whose row holds e holds it once.
     """
     table, n = _int_table(cayley, MalformedTable, 2, name="cayley")
 
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
+    ident = tuple(range(n))
+    identity = table.index(ident) if ident in table else None
+    if identity is None or tuple([row[identity] for row in table]) != ident:
         raise NoIdentity()
 
     triple = _composition_failure(table, table)
@@ -78,15 +87,10 @@ def make_group(cayley, name: str = "G", labels: Sequence[str] | None = None) -> 
         raise NotAssociative(*triple)
 
     inverse = []
-    for a in range(n):
-        found = None
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                found = b
-                break
-        if found is None:
+    for a, row in enumerate(table):
+        if identity not in row:
             raise NoInverse(a)
-        inverse.append(found)
+        inverse.append(row.index(identity))
 
     if labels is not None:
         labels = tuple(str(s) for s in _list(labels, MalformedTable, "labels"))

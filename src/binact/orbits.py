@@ -15,9 +15,10 @@ Each image set of a subset A has one implementation, a lazily filled
 table: UnionTable(values)[A] is the OR of values[x] over the points x of
 A, which is the saturation G(A) with the orbits as values
 (OrbitSpace.saturated) and the projection pi(A) with the classes
-(OrbitSpace.projected), and SquareTable(image_table(a))[A] is G(A, A). An
-entry is filled in on first use and is the only one stored, so a table
-holds the sets asked of it, never all 2^m subsets.
+(OrbitSpace.projected), and SquareTable(image_table(a))[A] is G(A, A),
+built once per action by its record, _record(a).square. An entry is
+filled in on first use and is the only one stored, so a table holds the
+sets asked of it, never all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -160,8 +161,11 @@ def k_set(a: BinaryAction, K: Iterable[int], A: Iterable[int], B: Iterable[int])
 
 
 def is_bi_invariant(a: BinaryAction, A: Iterable[int]) -> bool:
-    s = frozenset(_ints(A, ShapeMismatch, "A", below=a.carrier_size))
-    return k_set(a, a.group.elements(), s, s) == s
+    """G(A, A) = A, read off the square table of a's record."""
+    mask = 0
+    for p in _ints(A, ShapeMismatch, "A", below=a.carrier_size):
+        mask |= 1 << p
+    return _record(a).square[mask] == mask
 
 
 def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
@@ -169,9 +173,10 @@ def bi_invariant_closure_trace(a: BinaryAction, x: int) -> list[frozenset[int]]:
 
     The iteration is monotone (axiom (2) keeps S inside G(S, S)) and
     stabilizes within |X| rounds, at the minimal bi-invariant superset.
+    G(S, S) is read off the square table of a's record.
     """
     x = _int(x, ShapeMismatch, "point", a.carrier_size)
-    return [frozenset(points_of(s)) for s in closure_masks(SquareTable(image_table(a)), 1 << x)]
+    return [frozenset(points_of(s)) for s in closure_masks(_record(a).square, 1 << x)]
 
 
 def closure_masks(square: SquareTable, mask: int) -> list[int]:

@@ -106,7 +106,7 @@ from .actions import BinaryAction, OrdinaryAction, is_distributive
 from .binops import _int, _ints, _size, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, greedy_generators
-from .orbits import SquareTable, closure_masks, image_table, points_of
+from .orbits import _record, closure_masks, points_of
 
 
 def _homomorphism_check(g: FiniteGroup, m: int):
@@ -719,7 +719,7 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     for row in result.rows:
         a = _action(result.task.group, result.homs, row)
         m = a.carrier_size
-        square = SquareTable(image_table(a))
+        square = _record(a).square
         if intersecting is None:
             sets = [closure_masks(square, 1 << x)[-1] for x in range(m)]
             for x in range(m):

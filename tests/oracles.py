@@ -129,6 +129,21 @@ def oracle_associativity_witness(cayley):
     return None
 
 
+def oracle_inverses(cayley, identity):
+    """The tuple of two-sided inverses, each the first b with ab = ba = e,
+    or the first element a that has no two-sided inverse."""
+    n = len(cayley)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            if cayley[a][b] == identity and cayley[b][a] == identity:
+                out.append(b)
+                break
+        else:
+            return a
+    return tuple(out)
+
+
 def oracle_stabiliser_commutator_witness(cayley, identity, table, m):
     """True, or the first (x, h, g) with h(x, x) = x whose commutator
     k = h g h^-1 g^-1 moves a point in the row k(x, -). In a distributive

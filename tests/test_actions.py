@@ -174,6 +174,25 @@ def test_conjugation_coset_action_s3_a3(s3):
             assert a(i, 0, y) == s3.mul(g, y)
 
 
+@pytest.mark.parametrize("embedding, message", [
+    ("xy", "group_embedding = 'xy' is not a list"),
+    ([0, 1.0], "group_embedding[1] = 1.0 is not an integer"),
+    ([5, 7, 9], "group_embedding has length 3, expected 2"),
+    ([-1], "group_embedding has length 1, expected 2"),
+    ([-1, 0], "group_embedding[0] = -1 is negative"),
+    ([3, 3], "group_embedding[1] = 3 is a repeat"),
+])
+def test_validate_action_checks_the_group_embedding(z2, embedding, message):
+    """A group_embedding names one distinct index >= 0 per group element;
+    it is read before the table, which here is bad too, and a good one is
+    kept as a tuple."""
+    table = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
+    with pytest.raises(ShapeMismatch) as exc:
+        validate_action(z2, [table[0], "x"], group_embedding=embedding)
+    assert str(exc.value) == message
+    assert validate_action(z2, table, group_embedding=[4, 2]).group_embedding == (4, 2)
+
+
 def test_conjugation_coset_action_scans_the_law_once(s3, monkeypatch):
     """The verdict conjugation_coset_action checks is the one the action's
     record carries, so orbit_space after it scans the law no second time."""

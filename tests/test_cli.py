@@ -130,12 +130,22 @@ Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
      "MalformedTable: points = '0' is not a list"),
     ("topology", {"size": 2, "opens": [[], {"0": 1}, [0, 1]]},
      "MalformedTable: points = {'0': 1} is not a list"),
+    ("action", {"group": "z2", "group_embedding": [5, 7, 9], "table": Z2_ACTION},
+     "ShapeMismatch: group_embedding has length 3, expected 2"),
+    ("action", {"group": "z2", "group_embedding": [0, -1], "table": Z2_ACTION},
+     "ShapeMismatch: group_embedding[1] = -1 is negative"),
+    ("action", {"group": "z2", "group_embedding": [3, 3], "table": Z2_ACTION},
+     "ShapeMismatch: group_embedding[1] = 3 is a repeat"),
+    ("action", {"group": "z2", "group_embedding": [3, 3], "table": [[[0, 1]], "x"]},
+     "ShapeMismatch: group_embedding[1] = 3 is a repeat"),
 ], ids=["action-string", "action-float", "action-carrier", "action-embedding",
         "group-string", "group-float", "op-string", "op-float", "op-size",
         "topology-string-point", "topology-float-point", "topology-float-open",
         "topology-size", "group-labels", "topology-opens", "group-labels-string",
         "group-labels-mapping", "topology-opens-string", "topology-opens-mapping",
-        "action-embedding-string", "topology-point-string", "topology-point-mapping"])
+        "action-embedding-string", "topology-point-string", "topology-point-mapping",
+        "action-embedding-length", "action-embedding-negative", "action-embedding-repeat",
+        "action-embedding-before-table"])
 def test_validate_refuses_non_integer_entries(tmp_path, capsys, kind, record, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))

@@ -48,6 +48,24 @@ def test_bi_invariance_on_mixed_action(mixed_action):
     assert is_bi_invariant(mixed_action, {0, 1})
 
 
+def test_closures_read_one_square_table_per_action(s3, monkeypatch):
+    """minimal_bi_invariant at every point, the closure trace and
+    is_bi_invariant read G(A, A) off the action's record: on a cleared
+    record cache they build one SquareTable between them, and give what
+    the oracle gives."""
+    built = []
+    square = orbits.SquareTable
+    monkeypatch.setattr(orbits, "SquareTable", lambda images: built.append(1) or square(images))
+    orbits._record.cache_clear()
+    a = enumerate_actions(EnumerationTask(group=s3, carrier_size=3)).actions[-1]
+    closures = [minimal_bi_invariant(a, x) for x in range(3)]
+    assert closures == [frozenset(oracle_min_bi_invariant(s3.cayley, a.table, 3, x))
+                        for x in range(3)]
+    assert bi_invariant_closure_trace(a, 0)[-1] == closures[0]
+    assert all(is_bi_invariant(a, c) for c in closures)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 0.5, "1"],
                          ids=["negative", "too-large", "float", "digit-string"])
 @pytest.mark.parametrize("call", ["k_set-K", "k_set-A", "k_set-B", "is_bi_invariant",
