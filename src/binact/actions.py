@@ -12,7 +12,8 @@ is an ordinary action in its own right (the action induced at t).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .binops import (BinaryOp, _composition_failure, _int, _int_map, _int_table, _ints, _size,
                      identity_op, star)
@@ -47,12 +48,28 @@ class BinaryAction:
     group_embedding is set when the acting group was re-indexed from a
     subgroup of some larger group (see conjugation_coset_action): entry i
     is the parent-group index of acting element i.
+
+    The hash is that of the four fields, computed on first use and then
+    carried on the instance, because the record caches of binact.orbits and
+    binact.topology look actions up by it and hashing the table costs more
+    than the lookup. It stays out of the pickled state and so out of
+    copies: a str hash differs between processes.
     """
 
     group: FiniteGroup
     carrier_size: int
     table: tuple[tuple[tuple[int, ...], ...], ...]
     group_embedding: tuple[int, ...] | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.carrier_size, self.table, self.group_embedding))
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __call__(self, g: int, x: int, xp: int) -> int:
         return self.table[g][x][xp]

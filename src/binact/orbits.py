@@ -367,10 +367,11 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
 class _ActionRecord:
     """What one action determines: G(A, A) = square[A] and, each built on
     first use, the distributivity verdict (True or the first witness), the
-    orbit space (orbits), the distinct verified diagonals and the table
-    part of the default model id. orbits and diagonals raise NotDistributive
-    unless the action is distributive, so the partition check is never run
-    on an action that may fail it."""
+    pair images of its one-argument maps (pairs), the orbit space (orbits),
+    the distinct verified diagonals, each with the UnionTable of its images
+    (diagonals), and the table part of the default model id. orbits and
+    diagonals raise NotDistributive unless the action is distributive, so
+    the partition check is never run on an action that may fail it."""
 
     def __init__(self, action: BinaryAction):
         self.action = action
@@ -387,6 +388,32 @@ class _ActionRecord:
         return f"group={a.group.name};carrier={a.carrier_size};table={','.join(cells)}"
 
     @cached_property
+    def pairs(self) -> tuple[UnionTable, ...]:
+        """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
+        bitmask U and the table's distinct one-argument maps f: the rows
+        x' -> g(x, x') and the columns x -> g(x, x') of every slice g, the
+        identity's too (topology.is_continuous says why they change
+        nothing). Bit y m + v says that some map sends w to y and some u in
+        U to v. Each pairs[w] is a UnionTable over u, filled in for the sets
+        U = N(w) - {w} the topologies met so far asked for. Derived from the
+        table alone, never a verdict about a topology."""
+        table = self.action.table
+        m = self.action.carrier_size
+        maps = set()
+        for tg in table:
+            maps.update(tg)
+            maps.update(zip(*tg))
+        pairs = []
+        for w in range(m):
+            row = [0] * m
+            for f in maps:
+                base = f[w] * m
+                for u in range(m):
+                    row[u] |= 1 << (base + f[u])
+            pairs.append(UnionTable(row))
+        return tuple(pairs)
+
+    @cached_property
     def orbits(self) -> OrbitSpace:
         a = self.action
         _require_distributive(a)
@@ -401,14 +428,17 @@ class _ActionRecord:
                           projection=tuple([index[o] for o in orbits]), orbit_masks=orbits)
 
     @cached_property
-    def diagonals(self) -> frozenset:
+    def diagonals(self) -> dict[tuple[int, ...], UnionTable]:
+        """d -> images, images[A] = d(A), for each distinct diagonal d."""
         a = self.action
         _require_distributive(a)
-        return frozenset(_diagonal(a, g) for g in a.group.elements())
+        ds = dict.fromkeys(_diagonal(a, g) for g in a.group.elements())
+        return {d: UnionTable([1 << y for y in d]) for d in ds}
 
 
-# _record(action): the records of the 16 actions met last, as for the pair images
-# in topology; each table in a record is filled in only for the sets asked of it
+# _record(action): the records of the 16 actions met last; battery-sized runs
+# meet one action for many topologies in a row, and each table in a record is
+# filled in only for the sets asked of it
 _record = lru_cache(maxsize=16)(_ActionRecord)
 
 

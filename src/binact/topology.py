@@ -240,34 +240,6 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
     return TopologicalBinaryGSpace(action=action, topology=topology)
 
 
-# keeps the pair images of the 16 tables met last; battery-sized runs meet
-# one table for many topologies in a row
-@lru_cache(maxsize=16)
-def _pair_images(table) -> tuple[UnionTable, ...]:
-    """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
-    bitmask U and the table's distinct one-argument maps f: the rows
-    x' -> g(x, x') and the columns x -> g(x, x') of every slice g, the
-    identity's too (is_continuous says why they change nothing). Bit
-    y m + v says that some map sends w to y and some u in U to v. Each
-    pairs[w] is a UnionTable over u, filled in for the sets U = N(w) - {w}
-    the topologies met so far asked for. Derived from the table alone and
-    keyed on it, never a verdict about a topology."""
-    m = len(table[0])
-    maps = set()
-    for tg in table:
-        maps.update(tg)
-        maps.update(zip(*tg))
-    pairs = []
-    for w in range(m):
-        row = [0] * m
-        for f in maps:
-            base = f[w] * m
-            for u in range(m):
-                row[u] |= 1 << (base + f[u])
-        pairs.append(UnionTable(row))
-    return tuple(pairs)
-
-
 def is_continuous(s: TopologicalBinaryGSpace):
     """True, or the first open V (ascending bitmask) whose preimage under
     the action is not open in discrete(G) x X x X.
@@ -289,18 +261,23 @@ def is_continuous(s: TopologicalBinaryGSpace):
     distinct rows and columns f and the points w with f(w) = y; V fails
     iff some y in V has reach[y] outside V, the same opens as an
     open-by-open scan of the product. Every reach[y] is read at once from
-    the table's pair images (_pair_images): reach, packed with reach[y] at
-    bits y m .. y m + m - 1, is the OR over w of pairs[w][N(w) - {w}], one
-    table entry per point. Every open containing y contains N(y), so if reach
-    lies inside N packed the same way the action is continuous. Otherwise
-    the opens are tried in ascending order and the first failing one is
-    returned, which is the open the open-by-open scan finds first. Compare
-    the result with ``is True``.
+    the pair images the action's record carries (orbits._record(a).pairs):
+    reach, packed with reach[y] at bits y m .. y m + m - 1, is the OR over
+    w of pairs[w][N(w) - {w}], one table entry per point. Every open
+    containing y contains N(y), so if reach lies inside N packed the same
+    way the action is continuous. Otherwise the opens are tried in
+    ascending order and the first failing one is returned, which is the
+    open the open-by-open scan finds first. Compare the result with
+    ``is True``.
+
+    Each call scans: a sweep meets most models once, so keeping every
+    verdict would cost more than it saves. The quotient and the battery
+    read the verdict their model record (_model) took from one scan.
     """
     t = s.topology
     nbhd = t.minimal_neighborhoods
     m = t.carrier_size
-    pairs = _pair_images(s.action.table)
+    pairs = _record(s.action).pairs
     reach = allowed = 0
     for w, nw in enumerate(nbhd):
         allowed |= nw << w * m
@@ -325,12 +302,7 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     of the N(x) with f(x) in V, since V contains N(f(x)).
     """
     mapping = _int_map(f, src.carrier_size, dst.carrier_size, ShapeMismatch)
-    return _is_continuous_map(src.minimal_neighborhoods, dst.minimal_neighborhoods, mapping)
-
-
-def _is_continuous_map(src_nbhd, dst_nbhd, mapping) -> bool:
-    """is_continuous_map on the two minimal-neighbourhood tuples, for a map
-    already known to be in range."""
+    src_nbhd, dst_nbhd = src.minimal_neighborhoods, dst.minimal_neighborhoods
     for x, fx in enumerate(mapping):
         target = dst_nbhd[fx]
         for u in points_of(src_nbhd[x]):
@@ -339,22 +311,50 @@ def _is_continuous_map(src_nbhd, dst_nbhd, mapping) -> bool:
     return True
 
 
-def _require_continuous(s: TopologicalBinaryGSpace):
-    witness = is_continuous(s)
-    if witness is not True:
-        raise NotContinuous(witness)
+class _ModelRecord:
+    """What one model (action, topology) determines, each part built on
+    first use: the continuity verdict (continuous, True or the first failing
+    open, from one is_continuous scan) and the quotient topology (quotient,
+    built and checked by _family once). make_space refuses a carrier
+    mismatch when the record is built; quotient raises NotDistributive, then
+    NotContinuous, before it builds anything."""
+
+    def __init__(self, action: BinaryAction, topology: FiniteTopology):
+        self.space = make_space(action, topology)
+
+    @cached_property
+    def continuous(self):
+        return is_continuous(self.space)
+
+    def require_continuous(self) -> None:
+        if self.continuous is not True:
+            raise NotContinuous(self.continuous)
+
+    @cached_property
+    def quotient(self) -> FiniteTopology:
+        record = _require_distributive(self.space.action)
+        self.require_continuous()
+        return _quotient(self.space.topology, record.orbits)
+
+
+# _model(action, topology): the records of the 16 models met last, keyed like
+# _record; a caller meets one model for a few checks in a row
+_model = lru_cache(maxsize=16)(_ModelRecord)
 
 
 # --- checks ------------------------------------------------------------------
 #
-# Each public check verifies its own hypotheses once per call, and none
-# of check_guu_open, check_gaa_closed and check_ka_closed checks continuity:
-# the first two check that their set is open or closed, check_ka_closed that
-# its set is closed and the action distributive. quotient_topology,
+# Each public check verifies its own hypotheses, and none of check_guu_open,
+# check_gaa_closed and check_ka_closed checks continuity: the first two check
+# that their set is open or closed, check_ka_closed that its set is closed
+# and the action distributive. quotient_topology,
 # check_projection_closed_proper and check_quotient_hausdorff_compact check
 # distributivity and then continuity. What the action alone determines is
-# read from its record (orbits._record). _battery, behind
-# run_topology_battery and `binact quotient`, scans continuity once and runs
+# read from its record (orbits._record), what the model determines from the
+# model's record (_model): the continuity verdict and the quotient, so a
+# model met again, by the same check or by another, is neither scanned for
+# continuity nor given a second quotient. _battery, behind
+# run_topology_battery and `binact quotient`, reads both records and runs
 # every check on the model.
 
 
@@ -392,10 +392,12 @@ def check_ka_closed(s: TopologicalBinaryGSpace, K: Iterable[int], a_mask: int) -
 
 def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     """Finest topology on the orbit classes making the projection continuous:
-    a class set is open iff its preimage is open."""
-    record = _require_distributive(s.action)
-    _require_continuous(s)
-    return _quotient(s.topology, record.orbits)
+    a class set is open iff its preimage is open.
+
+    Distributivity, then continuity, is checked and the quotient built once
+    per model, by its record (_model); a repeat call, or the battery on the
+    same model, reads them from there."""
+    return _model(s.action, s.topology).quotient
 
 
 def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
@@ -483,22 +485,31 @@ def run_topology_battery(
     probes (dropped entirely when include_probes is false). An asserted
     check that comes back false raises InternalInconsistency.
 
-    Continuity is scanned once per call and distributivity once per
-    action (its record carries the verdict); the quotient topology is
-    built once.
+    Distributivity is scanned once per action (its record carries the
+    verdict), and continuity and the quotient topology once per model (its
+    record, _model, carries both), so a repeat call or a quotient_topology
+    call on the same model scans and builds nothing again.
     """
     return _battery(action, topology, model_id, include_probes)[2]
+
+
+def _diagonal_continuous(d: tuple[int, ...], images: UnionTable, nbhd: tuple[int, ...]) -> bool:
+    """is_continuous_map(t, t, d) for a diagonal d, with images[A] = d(A) and
+    nbhd the minimal neighbourhoods of t: d(N(x)) must lie inside N(d(x)),
+    one table lookup per point."""
+    return all(not images[nx] & ~nbhd[y] for nx, y in zip(nbhd, d))
 
 
 def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | None = None,
              include_probes: bool = True):
     """run_topology_battery, returning (quotient topology, True, records) for
     a distributive action and (None, distributivity witness, records) for
-    any other: make_space, one continuity scan, and the checks, which read
-    the distributivity verdict, G(A, A), the saturations G(A) and the
-    diagonals from the action's record and its orbit space."""
-    s = make_space(action, topology)
-    _require_continuous(s)
+    any other: the model's record (make_space, the continuity verdict and
+    the quotient), and the checks, which read the distributivity verdict,
+    G(A, A), the saturations G(A) and the diagonals from the action's
+    record and its orbit space."""
+    model = _model(action, topology)
+    model.require_continuous()
     record = _record(action)
     witness = record.distributive
     haus = is_hausdorff(topology)
@@ -511,8 +522,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
         if asserted and not outcome:
             raise InternalInconsistency(f"{model_id}: asserted check {check} came back false")
         if asserted or include_probes:
-            records.append(ProbeRecord(model=model_id, check=check,
-                                       outcome=outcome, hypotheses_met=asserted))
+            records.append(ProbeRecord(model_id, check, outcome, asserted))
 
     # each family check is one set inclusion, which stops at the first
     # image outside the family, so the lazy tables fill only what is asked
@@ -528,11 +538,12 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     space = record.orbits
     nbhd = topology.minimal_neighborhoods
     add("delta_homeomorphism",
-        all(_is_continuous_map(nbhd, nbhd, d) for d in record.diagonals), True)
+        all(_diagonal_continuous(d, images, nbhd) for d, images in record.diagonals.items()),
+        True)
     # the saturation G(A) is the union of the orbits of A's points
     add("ka_closed", closed.issuperset(map(space.saturated.__getitem__, closed)), True)
 
-    qt = _quotient(topology, space)
+    qt = model.quotient
     closed_map = closed_sets(qt).issuperset(map(space.projected.__getitem__, closed))
     add("projection_closed", closed_map, True)
     add("projection_proper", closed_map, True)

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
 import sys
 from itertools import product
 
@@ -419,3 +424,31 @@ def test_sizes_elements_and_budgets_are_read_as_integers(xor_action, call, error
     AttributeError, and a topology needs at least one point."""
     with pytest.raises(error):
         call(xor_action)
+
+
+def test_cached_hash_stays_out_of_pickles_and_copies(s3):
+    """An action carries its hash once computed, but its pickled state holds
+    its four fields alone: an unpickled action, one pickled in a process
+    with another string-hash seed included, and a shallow or deep copy each
+    equal a fresh equal action, hash like it and find its dict entry.
+    dataclasses.replace gives an instance that computes its own hash."""
+    a = conjugation_coset_action(s3, [0, 3, 4])
+    assert a.group_embedding is not None
+    hash(a)
+    assert "_hash" in vars(a)
+    assert set(a.__getstate__()) == {"group", "carrier_size", "table", "group_embedding"}
+    fresh = validate_action(a.group, a.table, a.group_embedding)
+    entries = {fresh: "found"}
+    code = ("import pickle, sys; from binact import builtin_group, conjugation_coset_action; "
+            "a = conjugation_coset_action(builtin_group('s3'), [0, 3, 4]); hash(a); "
+            "sys.stdout.buffer.write(pickle.dumps(a))")
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    elsewhere = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               check=True).stdout
+    for other in (pickle.loads(pickle.dumps(a)), pickle.loads(elsewhere), copy.copy(a),
+                  copy.deepcopy(a)):
+        assert other is not a and "_hash" not in vars(other)
+        assert other == fresh and hash(other) == hash(fresh) and entries[other] == "found"
+    replaced = dataclasses.replace(a, group_embedding=None)
+    assert "_hash" not in vars(replaced)
+    assert hash(replaced) == hash(validate_action(a.group, a.table)) != hash(a)

@@ -49,7 +49,8 @@ from binact import (
 from binact.cli import main
 from binact.search import relabel_action
 from binact import orbits, topology
-from binact.topology import FiniteTopology, closed_sets, is_closed, is_open
+from binact.topology import (FiniteTopology, ProjectionChecks, QuotientChecks, closed_sets,
+                             is_closed, is_open)
 from binact.errors import (
     CapExceeded,
     InternalInconsistency,
@@ -137,7 +138,7 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     monkeypatch.setattr(orbits, "UnionTable", union)
     monkeypatch.setattr(topology, "UnionTable", union)
     monkeypatch.setattr(orbits, "SquareTable", square)
-    caches = (topology._pair_images, orbits._record)
+    caches = (orbits._record, topology._model)
     for cache in caches:
         cache.cache_clear()
     a = trivial_action(z2, 64)
@@ -156,10 +157,11 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
         ("quotient_hausdorff", False, False), ("quotient_compact", True, True),
         ("quotient_locally_compact", True, True)]
     assert (qt.carrier_size, qt.opens) == (64, (0, 1, full))
-    # 64 pair-image rows, the saturation and projection tables, and the
-    # square table with its 64 cross tables
+    # 64 pair-image rows, the saturation and projection tables, the
+    # square table with its 64 cross tables, and the image table of the
+    # action's one diagonal, the identity
     built = union.built + square.built
-    assert len(square.built) == 1 and len(built) == 64 + 2 + 1 + 64
+    assert len(square.built) == 1 and len(built) == 64 + 2 + 1 + 64 + 1
     for table in built:
         # a table starts with the empty set stored
         assert len(table) <= 64 * max(1, len(table.asked))
@@ -523,11 +525,11 @@ def test_quotient_topology_matches_class_set_oracle(data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
-    """More distinct tables than the pair-image cache holds, interleaved
-    over a few topologies and then met again in another order: the cache
-    evicts and refills, and every verdict and first failing open is still
-    the open-by-open scan's."""
-    size = topology._pair_images.cache_info().maxsize
+    """More distinct actions than the action-record cache, which carries the
+    pair images, holds, interleaved over a few topologies and then met
+    again in another order: the cache evicts and refills, and every verdict
+    and first failing open is still the open-by-open scan's."""
+    size = orbits._record.cache_info().maxsize
     name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
     pool = _actions(name, 3)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=size + 2,
@@ -538,7 +540,7 @@ def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
         a = pool[i]
         for t in tops:
             assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 3, t.opens)
-    assert topology._pair_images.cache_info().currsize <= size
+    assert orbits._record.cache_info().currsize <= size
 
 
 @settings(max_examples=20, deadline=None)
@@ -595,6 +597,111 @@ def test_carried_verdicts_match_oracles_past_the_action_record_cache(data):
     assert orbits._record.cache_info().currsize <= size
 
 
+@functools.lru_cache(maxsize=None)
+def _models_by_kind(name):
+    """Every model (action index, topology index) of _actions(name, 3) and
+    _topologies(3), keyed by (distributive, continuous) as the oracles say."""
+    cayley = builtin_group(name).cayley
+    kinds = {}
+    for i, a in enumerate(_actions(name, 3)):
+        distributive = oracle_distributivity_witness(cayley, a.table, 3) is True
+        for j, t in enumerate(_topologies(3)):
+            continuous = oracle_is_continuous(a.table, 3, t.opens) is True
+            kinds.setdefault((distributive, continuous), []).append((i, j))
+    return kinds
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
+    """More models on 3 points than the model-record cache holds, at least
+    one of each kind (distributive or not, continuous or not), each met
+    twice in different orders. A meeting is is_continuous,
+    quotient_topology, check_projection_closed_proper,
+    check_quotient_hausdorff_compact and run_topology_battery, in a row:
+    every verdict, witness, quotient and record is the oracles', every
+    refusal is NotDistributive before NotContinuous, and a meeting scans
+    continuity twice and builds the quotient once (continuous distributive
+    models only) on fresh records, and no more when met again, whether its
+    record was evicted in between or not."""
+    orbits._record.cache_clear()
+    topology._model.cache_clear()
+    size = topology._model.cache_info().maxsize
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    pool, tops, kinds = _actions(name, 3), _topologies(3), _models_by_kind(name)
+    cayley = builtin_group(name).cayley
+    assert len(kinds) == 4
+    models = [data.draw(st.sampled_from(kinds[kind])) for kind in sorted(kinds)]
+    models += data.draw(st.lists(st.sampled_from([m for ms in kinds.values() for m in ms]),
+                                 min_size=size + 2, max_size=size + 6, unique=True))
+    models = list(dict.fromkeys(models))
+    first = data.draw(st.permutations(models))
+    again = data.draw(st.permutations(models))
+    met = set()
+    with pytest.MonkeyPatch.context() as mp:
+        scans = _count_calls(mp, is_continuous)
+        quotients = _count_calls(mp, topology._quotient)
+        for i, j in [*first, *again]:
+            a, t = pool[i], tops[j]
+            s = make_space(a, t)
+            w = oracle_distributivity_witness(cayley, a.table, 3)
+            v = oracle_is_continuous(a.table, 3, t.opens)
+            want = oracle_battery(cayley, a.table, 3, t.opens) if v is True else None
+            scans.clear()
+            quotients.clear()
+            assert topology.is_continuous(s) == v
+            for check in (quotient_topology, check_projection_closed_proper,
+                          check_quotient_hausdorff_compact):
+                if w is not True:
+                    with pytest.raises(NotDistributive) as exc:
+                        check(s)
+                    assert exc.value.witness == w
+                elif v is not True:
+                    with pytest.raises(NotContinuous) as exc:
+                        check(s)
+                    assert exc.value.witness_open == v
+            if w is True and v is True:
+                assert quotient_topology(s).opens == oracle_quotient_opens(a.table, 3, t.opens)
+                assert check_projection_closed_proper(s) == ProjectionChecks(
+                    want["projection_closed"], want["projection_proper"])
+                assert check_quotient_hausdorff_compact(s) == QuotientChecks(
+                    want["quotient_hausdorff"], want["quotient_compact"],
+                    want["quotient_locally_compact"])
+            if v is not True:
+                with pytest.raises(NotContinuous) as exc:
+                    run_topology_battery(a, t)
+                assert exc.value.witness_open == v
+            else:
+                records = run_topology_battery(a, t)
+                assert [(r.check, r.outcome) for r in records] == list(want.items())
+            built = int(w is True and v is True)
+            if (i, j) in met:
+                assert 1 <= len(scans) <= 2 and len(quotients) <= built
+            else:
+                assert (len(scans), len(quotients)) == (2, built)
+            met.add((i, j))
+    assert topology._model.cache_info().currsize <= size
+
+
+def test_diagonal_image_tables_match_the_continuity_oracle():
+    """Every distinct diagonal of every distributive action of z2, z3 and
+    s3 on 3 points, with the image table its action record carries, under
+    every topology on 3 points: the battery's one lookup per point gives
+    the open-by-open preimage scan's verdict, and both verdicts occur."""
+    verdicts = set()
+    for name in ("z2", "z3", "s3"):
+        for a in _distributive_actions(name, 3):
+            diagonals = orbits._record(a).diagonals
+            assert list(diagonals) == list(dict.fromkeys(delta(a, g) for g in a.group.elements()))
+            for t in _topologies(3):
+                nbhd = t.minimal_neighborhoods
+                for d, images in diagonals.items():
+                    got = topology._diagonal_continuous(d, images, nbhd)
+                    assert got == oracle_is_continuous_map(3, t.opens, t.opens, d)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_is_continuous_matches_oracle_with_carried_neighborhoods(data):
@@ -622,21 +729,25 @@ def test_is_continuous_matches_oracle_with_carried_neighborhoods(data):
     assert sorted(map(id, computed)) == sorted(map(id, fresh.values()))
 
 
-def test_pair_images_are_keyed_on_the_table(z2):
-    """The trivial action has the same table over z2 whichever element is
-    the identity; the two actions share one pair-image entry, and both are
-    still continuous."""
+def test_pair_images_are_built_once_per_action_record(z2, monkeypatch):
+    """Every topology on 3 points met twice, for each of two actions with
+    one table, over z2 and over z2 with its elements swapped: each action's
+    record builds its pair images once, and every verdict and first failing
+    open is the open-by-open scan's."""
     z2_swapped = make_group([[1, 0], [0, 1]], name="z2'")
-    assert z2_swapped.identity == 1
-    a = trivial_action(z2, 2)
-    b = validate_action(z2_swapped, a.table)
-    assert a.table == b.table
-    topology._pair_images.cache_clear()
-    sierp = validate_topology(2, SIERPINSKI)
-    for act in (a, b, a, b):
-        assert is_continuous(make_space(act, sierp)) is True
-    info = topology._pair_images.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    a = validate_action(z2, (((0, 1, 2),) * 3, ((0, 2, 1), (0, 2, 1), (0, 2, 1))))
+    b = validate_action(z2_swapped, a.table[::-1])
+    prop = orbits._ActionRecord.__dict__["pairs"]
+    built = []
+    monkeypatch.setattr(prop, "func", lambda r, func=prop.func: built.append(r.action) or func(r))
+    verdicts = set()
+    for _ in range(2):
+        for t in _topologies(3):
+            for act in (a, b):
+                got = is_continuous(make_space(act, t))
+                assert got == oracle_is_continuous(act.table, 3, t.opens)
+                verdicts.add(got is True)
+    assert built == [a, b] and verdicts == {True, False}
 
 
 def test_is_continuous_map_matches_preimage_oracle():
@@ -702,8 +813,9 @@ def _count_calls(monkeypatch, fn):
 def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_path, capsys):
     """On a continuous distributive model every public entry point, and the
     `binact quotient` and `binact orbits` commands, scan distributivity
-    once on a cleared action record and never on a repeat, while each call
-    that needs continuity scans it once, with unchanged results."""
+    once on cleared action and model records and never on a repeat; each
+    call that needs continuity scans it once there and never on a repeat,
+    with unchanged results."""
     if model == "xor-discrete":
         a, t = xor_action, discrete_topology(2)
     else:
@@ -720,7 +832,7 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         return code, capsys.readouterr().out
 
     closed = min(closed_sets(t))
-    calls = {  # entry point: (call, continuity scans per call)
+    calls = {  # entry point: (call, continuity scans on cleared records)
         "orbit_space": (lambda: orbit_space(a), 0),
         "delta": (lambda: delta(a, 1), 0),
         "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), 0),
@@ -737,11 +849,12 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
     continuous = _count_calls(monkeypatch, is_continuous)
     for name, (call, continuity) in calls.items():
         orbits._record.cache_clear()
+        topology._model.cache_clear()
         for scans in (1, 0):
             distributive.clear()
             continuous.clear()
             assert call() == expected[name]
-            assert (len(distributive), len(continuous)) == (scans, continuity), name
+            assert (len(distributive), len(continuous)) == (scans, continuity * scans), name
 
 
 def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
