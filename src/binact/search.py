@@ -34,7 +34,7 @@ instance with x, x' < t lands on t, the search tries that index alone,
 still through the full check; only when none does are all homomorphisms
 tried. No leaf is lost, leaves come in the same order, and every node
 visited is checked as before; the node budget counts fewer nodes (k4 on
-4 points: 83980 -> 9316).
+4 points: 13364 -> 2093).
 
 The instances with x = x' = t filter the rows at t before any other row
 matters. If h(t, t) = t, then c = h(t, -) fixes t, and (h, t, t) reads
@@ -44,7 +44,7 @@ once per point t, the ascending list of indices i with conj[i] == i for
 every h != e with rho_i(h)(t) = t, and tries only those when no row is
 forced. A dropped index is one the check rejects at the same depth
 through (h, t, t), so no leaf is lost and leaves come in the same order;
-only fewer nodes are counted (s3 on 5 points: 46273 -> 9553).
+only fewer nodes are counted (s3 on 5 points: 4602 -> 882).
 
 A homomorphism G -> S_m is a labelled G-set, a disjoint union of coset
 spaces G/H with x (yH) = (xy)H, and is generated as one: the least point
@@ -66,17 +66,35 @@ through one int per table, whose digits are the permutation ranks of
 its first slices, each rank a place in the lexicographic list of
 relabellings (see _Relabelling). The number of
 relabellings that reach the least table is the order of the action's
-automorphism group, so an exhaustive run must satisfy the orbit-stabilizer
-count: the actions found number the sum of m!/|Aut(a)| over the classes.
-The least relabelling is searched once per class, on the first of its
-actions in table order, in one pass over that action's m! relabelled
-index tuples: their set is the class and marks the rest of it, the least
-of the set by rank key is the canonical form, and the number of tuples
-equal to it is |Aut|, so the size of the set times |Aut| must be m!.
+automorphism group.
+
+The search is orderly: it reaches one leaf per class, the least index
+tuple among the class's relabellings (an order on index tuples, not the
+table order of the canonical form). After row t is chosen, the prefix
+is rejected when some relabelling sigma with sigma({0..t}) = {0..t}
+maps it to a smaller prefix. The entry of sigma.L at s is
+conj_sigma[L[inv[s]]], inv = sigma^-1, and for s <= t it has
+inv[s] <= t, so the entries of sigma.L at 0..t read only the prefix; if
+they are smaller, every completion L has sigma.L < L and is not the
+least of its class. No relabelling of the least leaf of a class is
+smaller than it, so no prefix of it is rejected and it is always
+reached. At t = m - 1 every relabelling keeps 0..m-1, so a leaf that
+passes is the least of its class, and the search meets each class
+exactly once. The forced rows and the stabiliser filter prune only
+branches without a distributive leaf, and this test only branches
+without a least one, so under require_distributive the two compose:
+every least distributive leaf is reached.
+
+Each class is settled at its leaf, in one pass over the leaf's m!
+relabelled index tuples: their set is the class, the least of the set
+by rank key is the canonical form, and the number of tuples equal to it
+is |Aut|, so the size of the set times |Aut| must be m!, and a key met
+before means the search reached a class twice. Summing m!/|Aut| over the
+classes gives the actions found, and no leaf list is kept.
 
 The emitted actions stay index tuples through the search, its assembly
 and the EnumerationResult that holds them; the only BinaryAction built
-in enumerate_actions is the first action of each class, for its
+in enumerate_actions is the representative of each class, for its
 distributivity scan. The result builds one per emitted tuple the first
 time its actions are read, and the CLI's enumerate --out reads none: it
 joins each JSON line from per-element texts of the rows' homomorphisms.
@@ -310,14 +328,15 @@ class EnumerationResult:
     biequimorphism classes among them, each represented by its
     lexicographically least table and found on homomorphism indices
     without rebuilding relabelled tables; distributive_count counts
-    distributive emissions, from one scan per class. An exhaustive result
-    has passed the orbit-stabilizer check: raw_count is the sum of
-    m!/|Aut(a)| over the classes. Each class met has m!/|Aut(a)|
-    relabellings, exhaustive or not. After a budget stop, the one
-    BudgetExceeded carries a result with exhaustive false that holds the
-    actions assembled before the deadline, and its message says how many
-    the search found; the count over all classes is skipped, because such
-    a part need not be closed under relabelling.
+    distributive emissions, from one scan per class. raw_count is the sum
+    of m!/|Aut(a)| over the classes, and distributive_count the same sum
+    over the distributive ones; each class has passed the check that its
+    m!/|Aut(a)| relabellings times |Aut(a)| make m!. After a budget stop,
+    the one BudgetExceeded carries a result with exhaustive false, and
+    its message says how many actions the search found. That result is a
+    union of whole classes, every relabelling of each action in it being
+    in it too: under dedupe every class the search settled before the
+    stop, and without it those of them expanded before the deadline.
 
     rows holds every emitted action in lexicographic table order (the
     canonical representatives instead when dedupe was on) as its tuple of
@@ -374,8 +393,8 @@ class _Relabelling:
     of itertools.permutations, each with the conjugation table that gives
     the index of sigma rho sigma^-1 for every rho, and its inverse; rank
     maps each permutation a homomorphism uses to its position in moves.
-    classify() relabels an index tuple by every move in one pass and calls
-    key() only on the distinct results. Every homomorphism is checked once
+    classify() relabels an index tuple by every move in one pass and keys
+    only the distinct results. Every homomorphism is checked once
     first, on the greedy generators by _homomorphism_check, which proves it
     a homomorphism G -> S_m; that is what lets _action skip validation on
     its rows. Only with a finite deadline, checking the homomorphisms reads
@@ -478,6 +497,15 @@ class _Relabelling:
         return [[(c, self.moves[self.rank[c]][0]) for c in dict.fromkeys(rho) if c != identity]
                 for rho in self.homs]
 
+    def prefix_moves(self):
+        """Per point t, the relabellings other than the identity that map
+        0..t onto itself, each as its conjugation table and the first t + 1
+        entries of its inverse: the entries of the relabelled index tuple
+        at 0..t, conj[leaf[inv[s]]] for s <= t, read only the leaf's own
+        entries at 0..t."""
+        return [[(conj, inv[:t + 1]) for conj, inv in self.moves[1:] if max(inv[:t + 1]) == t]
+                for t in range(len(self.places))]
+
     def key(self, leaf) -> int:
         """Sort key of the action's table, the sum of its points' place values."""
         return sum(map(list.__getitem__, self.places, leaf))
@@ -488,8 +516,11 @@ class _Relabelling:
         |Aut| of the action, and the set of all of them, its class."""
         images = [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
         orbit = set(images)
-        canon = min(orbit, key=self.key)
-        return self.key(canon), canon, images.count(canon), orbit
+        places = self.places  # key() inlined: one call per relabelling costs more
+        keyed = {sum(map(list.__getitem__, places, image)): image for image in orbit}
+        least = min(keyed)
+        canon = keyed[least]
+        return least, canon, images.count(canon), orbit
 
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
@@ -527,30 +558,35 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
-    Emitted actions are sorted by table and held as index tuples into the
-    row homomorphisms, checked once per run when the relabelling tables
-    are built; the result builds BinaryActions from them on first use.
-
-    The first action of each class is scanned for distributivity, which
-    settles its class; under require_distributive a non-distributive one
+    The search reaches one leaf per relabelling class, the least index
+    tuple of the class, and settles the class there: one classify gives
+    its representative, |Aut| and the orbit, whose size times |Aut| must
+    be m!, and the representative is scanned for distributivity, which
+    settles the class. Under require_distributive a non-distributive one
     raises, a row the law forces is the only candidate tried at its depth,
     and otherwise only the rows that pass the instances (h, t, t) are
-    tried. The time budget counts from before the row homomorphisms are
+    tried. Emitted actions are sorted by table and held as index tuples
+    into the row homomorphisms, checked once per run when the relabelling
+    tables are built; the result builds BinaryActions from them on first
+    use.
+
+    The time budget counts from before the row homomorphisms are
     generated and bounds their generation (not the subgroup lattice it
-    starts from), the relabelling tables, the search and the assembly of
-    its result. Every budget check raises _BudgetStop, caught here alone:
-    the leaves found so far (none if it came before the search) are
-    assembled under the deadline, and one BudgetExceeded carries them. Its
-    message names the budget that stopped the search, and the time budget
-    if the deadline then cut the assembly, with the actions found and
-    assembled; it names only the time budget when the search had finished.
+    starts from), the relabelling tables, the search and the expansion of
+    its classes. Every budget check raises _BudgetStop, caught here alone:
+    the classes settled so far (none if it came before the search) are
+    assembled under the deadline, and one BudgetExceeded carries them, so
+    a partial result is a union of whole classes. Its message names the
+    budget that stopped the search, and the time budget if the deadline
+    then cut the assembly, with the actions found and assembled; it names
+    only the time budget when the search had finished.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
-    leaves: list[tuple[int, ...]] = []
+    classes: dict[int, tuple] = {}  # key -> (representative, |Aut|, distributive, orbit or None)
     chosen_idx = [0] * m
     rel = reason = None
 
@@ -582,10 +618,34 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
                     return conj[chosen_idx[xp]]
         return None
 
+    def least_so_far(t: int) -> bool:
+        # no relabelling that keeps 0..t as a set maps the prefix below itself
+        prefix = chosen_idx[:t + 1]
+        first = prefix[0]
+        for conj, inv in prefix_moves[t]:
+            y = conj[chosen_idx[inv[0]]]
+            if y < first or y == first and [conj[chosen_idx[s]] for s in inv] < prefix:
+                return False
+        return True
+
+    def settle():
+        key, canon, aut, orbit = rel.classify(tuple(chosen_idx))
+        if len(orbit) * aut != math.factorial(m):
+            raise InternalInconsistency(
+                f"class of {canon}: {len(orbit)} relabellings times {aut} "
+                f"automorphisms is not {m}!")
+        if key in classes:
+            raise InternalInconsistency(f"class of {canon} met twice")
+        w = is_distributive(_action(g, rel.homs, canon))
+        if w is not True and task.require_distributive:
+            raise InternalInconsistency(
+                f"search emitted a non-distributive action under the filter, witness {w}")
+        classes[key] = (canon, aut, w is True, None if task.dedupe else tuple(orbit))
+
     def fill(t: int):
         nonlocal nodes
         if t == m:
-            leaves.append(tuple(chosen_idx))
+            settle()
             return
         forced = forced_row(t) if task.require_distributive else None
         for i in candidates[t] if forced is None else (forced,):
@@ -597,11 +657,13 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
             chosen_idx[t] = i
             if task.require_distributive and not distributivity_ok(t):
                 continue
-            fill(t + 1)
+            if least_so_far(t):
+                fill(t + 1)
 
     try:
         rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
         rel = _Relabelling(g, rowhoms, m, deadline)
+        prefix_moves = rel.prefix_moves()
         law_rows = rel.law_rows() if task.require_distributive else None
         # per point t, the rows that pass the instances (h, t, t) with h(t, t) = t
         candidates = [[i for i, row in enumerate(law_rows)
@@ -610,78 +672,49 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
         fill(0)
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, leaves, search_complete=reason is None, deadline=deadline)
+    result = _assemble(task, rel, classes, search_complete=reason is None, deadline=deadline)
     if result.exhaustive:
         return result
+    found = sum(math.factorial(m) // aut for _, aut, _, _ in classes.values())
     if reason is not None:  # None: the search finished, the deadline cut its assembly
-        if result.raw_count < len(leaves) and reason != time_reason:
+        if result.raw_count < found and reason != time_reason:
             reason += f"; {time_reason}"
-        reason += f" ({len(leaves)} actions found, {result.raw_count} assembled)"
+        reason += f" ({found} actions found, {result.raw_count} assembled)"
     raise BudgetExceeded(reason or time_reason, partial=result)
 
 
-def _assemble(task, rel: _Relabelling | None, leaves, search_complete: bool,
+def _assemble(task, rel: _Relabelling | None, classes: dict, search_complete: bool,
               deadline: float) -> EnumerationResult:
-    """Check and canonicalize the found actions in table order, on their
-    index tuples.
+    """The result over the classes the search settled, each held as
+    classes[key] = (representative, |Aut|, distributive, orbit).
 
-    The first action of a class in table order is built from the row
-    homomorphisms _Relabelling checked, not re-validated, scanned for
-    distributivity and canonicalized, and its relabellings mark the rest
-    of the class, which must number m!/|Aut|, with that verdict. A
-    relabelling is a biequimorphism and keeps distributivity, so the
-    verdict holds for the whole class; and the first non-distributive
-    action in table order is the first of its class, so under the filter
-    the scan raises on the action, and with the witness, that scanning
-    every action would. The clock is read before the sort and then before
-    every further action (never without leaves, and rel is then unused);
-    past the deadline, the actions assembled so far make the result. It
-    is exhaustive when the search was complete and every action was
-    assembled, and must then pass the orbit-stabilizer count. That one
-    scanned action per class is the only BinaryAction built here; the
-    emitted actions stay index tuples, the assembled leaves in table
-    order, or the class representatives sorted by key under dedupe.
+    Under dedupe the rows are the representatives sorted by key. Otherwise
+    each class's orbit is expanded in the order the classes were met, the
+    clock read before each one; past the deadline, the classes expanded so
+    far make the result, so it is a union of whole classes. The expanded
+    rows are then sorted by key, which is table order. The counts are
+    those of the classes kept: raw_count sums m!/|Aut| over them,
+    distributive_count over the distributive ones. The result is
+    exhaustive when the search was complete and every class was kept.
     """
     m = task.carrier_size
-    raw = 0
-    distributive = 0
-    classes: dict[int, tuple] = {}  # canonical key -> (index tuple, |Aut|)
-    met: dict[tuple, bool] = {}  # relabellings of each class found so far -> distributive
-    # the first clock read comes before the sort, in place of the first leaf's
-    ordered = sorted(leaves, key=rel.key) if leaves and time.monotonic() <= deadline else []
-    for i, leaf in enumerate(ordered):
-        if i and time.monotonic() > deadline:
-            break
-        verdict = met.get(leaf)
-        if verdict is None:
-            w = is_distributive(_action(task.group, rel.homs, leaf))
-            if w is not True and task.require_distributive:
-                raise InternalInconsistency(
-                    f"search emitted a non-distributive action under the filter, witness {w}")
-            key, canon, aut, orbit = rel.classify(leaf)
-            if len(orbit) * aut != math.factorial(m):
-                raise InternalInconsistency(
-                    f"class of {canon}: {len(orbit)} relabellings times {aut} "
-                    f"automorphisms is not {m}!")
-            classes[key] = (canon, aut)
-            verdict = w is True
-            met.update(dict.fromkeys(orbit, verdict))
-        distributive += verdict
-        raw += 1
-    exhaustive = search_complete and raw == len(leaves)
-    if exhaustive:
-        orbit_total = sum(math.factorial(m) // aut for _, aut in classes.values())
-        if orbit_total != raw:
-            raise InternalInconsistency(
-                f"orbit-stabilizer count {orbit_total} over {len(classes)} classes "
-                f"differs from the {raw} actions found")
+    kept = list(classes.values())
     if task.dedupe:
         rows = [classes[k][0] for k in sorted(classes)]
     else:
-        rows = ordered
-        del rows[raw:]
-    return EnumerationResult(task=task, raw_count=raw, canonical_count=len(classes),
-                             distributive_count=distributive, exhaustive=exhaustive,
+        rows = []
+        for n, (_, _, _, orbit) in enumerate(kept):
+            if time.monotonic() > deadline:
+                del kept[n:]
+                break
+            rows += orbit
+        if rows:
+            rows.sort(key=rel.key)
+    sizes = [(math.factorial(m) // aut, distributive) for _, aut, distributive, _ in kept]
+    return EnumerationResult(task=task, raw_count=sum(n for n, _ in sizes),
+                             canonical_count=len(kept),
+                             distributive_count=sum(n for n, d in sizes if d),
+                             exhaustive=search_complete and len(kept) == len(classes),
                              homs=rel.homs if rel else (), rows=rows)
 
 

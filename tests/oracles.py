@@ -243,6 +243,62 @@ def oracle_permutation_homomorphisms(cayley, identity, degree):
     return tuple(out)
 
 
+def _partitions(m, largest=None):
+    """Every partition of m as a non-increasing tuple of parts."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part, *rest)
+
+
+def oracle_burnside_counts(cayley, identity, m):
+    """(raw, classes) of the binary actions of the group on m points.
+
+    A binary action is one homomorphism G -> S_m per point, so raw is
+    |Hom(G, S_m)| ** m. A relabelling sigma sends the row rho at t to
+    sigma rho sigma^-1 at sigma(t), so it fixes an action exactly when, on
+    each of its cycles, the row at one point t gives the others and
+    commutes with sigma^l, l the cycle's length. So sigma fixes
+    prod over its cycles of N(sigma^l) actions, N(tau) counting the
+    homomorphisms whose every image commutes with tau, and Burnside's
+    lemma over the m! / z_lambda permutations of each cycle type lambda
+    gives classes = sum over lambda of (1 / z_lambda) prod over the parts
+    l of N(sigma_lambda^l), z_lambda = prod over l of l ** k_l k_l!, k_l
+    the number of parts l."""
+    homs = oracle_permutation_homomorphisms(cayley, identity, m)
+
+    def power(sigma, l):
+        out = tuple(range(m))
+        for _ in range(l):
+            out = tuple(sigma[x] for x in out)
+        return out
+
+    def commuting(tau):
+        return sum(all(tuple(p[tau[x]] for x in range(m)) == tuple(tau[p[x]] for x in range(m))
+                       for p in rho)
+                   for rho in homs)
+
+    classes = Fraction(0)
+    for parts in _partitions(m):
+        sigma = [0] * m
+        start = 0
+        for l in parts:  # one cycle start -> start + 1 -> ... -> start
+            for x in range(start, start + l):
+                sigma[x] = start + (x - start + 1) % l
+            start += l
+        z = 1
+        for l, k in Counter(parts).items():
+            z *= l ** k * factorial(k)
+        fixed = 1
+        for l in parts:
+            fixed *= commuting(power(sigma, l))
+        classes += Fraction(fixed, z)
+    assert classes.denominator == 1
+    return len(homs) ** m, int(classes)
+
+
 def oracle_subgroups(cayley, identity):
     """Every subgroup as an element set: the closures of all subsets.
     Cost 2 ** |G| closures."""
@@ -326,21 +382,24 @@ def oracle_min_bi_invariant(cayley, table, m, x):
         s = nxt
 
 
-def oracle_canonical_form(table, m):
-    """Lexicographically least table among all m! relabellings of the
-    carrier, each rebuilt cell by cell: sigma sends g(x, x') = y to
+def oracle_relabellings(table, m):
+    """The set of the tables of all m! relabellings of the carrier, each
+    rebuilt cell by cell: sigma sends g(x, x') = y to
     g(sigma x, sigma x') = sigma y."""
-    best = None
+    found = set()
     for sigma in permutations(range(m)):
         out = [[[0] * m for _ in range(m)] for _ in table]
         for g, sl in enumerate(table):
             for x in range(m):
                 for xp in range(m):
                     out[g][sigma[x]][sigma[xp]] = sigma[sl[x][xp]]
-        cand = tuple(tuple(tuple(row) for row in sl) for sl in out)
-        if best is None or cand < best:
-            best = cand
-    return best
+        found.add(tuple(tuple(tuple(row) for row in sl) for sl in out))
+    return found
+
+
+def oracle_canonical_form(table, m):
+    """Lexicographically least table among all m! relabellings of the carrier."""
+    return min(oracle_relabellings(table, m))
 
 
 def oracle_canonical_representatives(tables, m):

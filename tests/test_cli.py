@@ -426,10 +426,10 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
 
 def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
     """Every clock read advances one second, so a 16 s budget (six reads for
-    the relabellings of 3 points, then one per action) runs out while the
-    actions are assembled; the stop is reported like enumerate's. Of the
-    first ten actions of z2 on 3 points, 3 are distributive and they fall
-    into 6 classes (by the oracles in tests/oracles.py)."""
+    the relabellings of 3 points, then one per class) runs out while the
+    classes are expanded; the stop is reported like enumerate's. The first
+    ten classes the search meets hold 40 actions of z2 on 3 points, 10 of
+    them distributive (by the oracles in tests/oracles.py)."""
     import itertools
 
     import binact.search
@@ -439,17 +439,16 @@ def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
     assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "16"]) == 1
     assert capsys.readouterr().out == (
         "non-exhaustive: enumeration budget exceeded: time budget 16.0s reached\n"
-        "raw_count=10 canonical_count=6 distributive_count=3 exhaustive=no\n")
+        "raw_count=40 canonical_count=10 distributive_count=10 exhaustive=no\n")
 
 
 def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
-    """The node budget stops the search of z2 on 3 points after 60 of its
-    64 actions; every clock read then advances one second, so a 10 s
-    budget (six reads for the relabellings, one before the sort and one
-    per further action) cuts the assembly after 4. The line names both
-    budgets, the node budget first. Of the first four actions of z2 on 3
-    points, 2 are distributive and they fall into 3 classes (by the
-    oracles in tests/oracles.py)."""
+    """The node budget stops the search of z2 on 3 points after 14 of its
+    16 classes, 56 of its 64 actions; every clock read then advances one
+    second, so a 10 s budget (six reads for the relabellings and one per
+    class) cuts the assembly after 4 classes, 13 actions. The line names
+    both budgets, the node budget first. Of those 13 actions, 7 are
+    distributive (by the oracles in tests/oracles.py)."""
     import itertools
 
     import binact.search
@@ -457,11 +456,11 @@ def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
     ticks = itertools.count()
     monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
     assert main(["enumerate", "--group", "z2", "--carrier", "3",
-                 "--node-budget", "80", "--time-budget", "10"]) == 1
+                 "--node-budget", "40", "--time-budget", "10"]) == 1
     assert capsys.readouterr().out == (
-        "non-exhaustive: enumeration budget exceeded: node budget 80 reached; "
-        "time budget 10.0s reached (60 actions found, 4 assembled)\n"
-        "raw_count=4 canonical_count=3 distributive_count=2 exhaustive=no\n")
+        "non-exhaustive: enumeration budget exceeded: node budget 40 reached; "
+        "time budget 10.0s reached (56 actions found, 13 assembled)\n"
+        "raw_count=13 canonical_count=4 distributive_count=7 exhaustive=no\n")
 
 
 @pytest.mark.parametrize("command", [

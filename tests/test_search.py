@@ -33,6 +33,7 @@ from binact.search import all_ordinary_actions, relabel_action
 from oracles import (
     oracle_canonical_form,
     oracle_canonical_representatives,
+    oracle_burnside_counts,
     oracle_dey_count,
     oracle_distributivity_witness,
     oracle_hom_count,
@@ -40,6 +41,7 @@ from oracles import (
     oracle_k_set,
     oracle_min_bi_invariant,
     oracle_permutation_homomorphisms,
+    oracle_relabellings,
     oracle_stabiliser_commutator_witness,
     oracle_valid_action_tables,
 )
@@ -175,6 +177,36 @@ def _distributive_classes(name, m):
         group=builtin_group(name), carrier_size=m, require_distributive=True, dedupe=True))
 
 
+@functools.lru_cache(maxsize=None)
+def _classes_in_search_order(name, m):
+    """The relabelling classes of the group's binary actions on m points,
+    each a frozenset of tables from the oracles, in the order of their
+    least index tuples into the oracle's homomorphism list: the order in
+    which the search meets them. An action is one homomorphism per point,
+    and the product lists the index tuples in order, so each class is met
+    first at its least one."""
+    g = builtin_group(name)
+    classes = []
+    held = set()
+    for rows in itertools.product(oracle_permutation_homomorphisms(g.cayley, g.identity, m),
+                                  repeat=m):
+        table = tuple(zip(*rows))
+        if table not in held:
+            classes.append(frozenset(oracle_relabellings(table, m)))
+            held |= classes[-1]
+    return classes
+
+
+def _assert_whole_classes(result):
+    """Every relabelling of every action in result is in it too, and its
+    actions come in table order."""
+    tables = [a.table for a in result.actions]
+    held = set(tables)
+    for table in tables:
+        assert oracle_relabellings(table, result.task.carrier_size) <= held
+    assert tables == sorted(held)
+
+
 def test_require_distributive_matches_filter():
     """The pruned search keeps exactly the distributive actions of the
     unfiltered one, in the same order. Of these cases only z2 on 4 points
@@ -190,17 +222,19 @@ def test_require_distributive_matches_filter():
 
 
 @pytest.mark.parametrize("name, m, budget, raw, canonical", [
-    ("k4", 4, 5_000, 518, 127),
-    ("z3", 5, 1_500, 159, 11),
-    ("s3", 4, 200, 38, 10),
+    ("k4", 4, 1_000, 499, 64),
+    ("z3", 5, 150, 191, 8),
+    ("s3", 4, 60, 47, 7),
 ])
 def test_node_budget_partial_under_require_distributive(name, m, budget, raw, canonical):
     """A node passes the pruned check exactly when every law instance over
-    its assigned rows holds, and a row the law forces is the only candidate
+    its assigned rows holds and no relabelling keeping its rows' points
+    maps them below themselves, a row the law forces is the only candidate
     tried, and otherwise only the rows that pass the instances (h, t, t),
     so the nodes counted before a budget stop, and the partial result, are
     those of that search (the counts were recorded with it; the full
-    searches take 9316, 2725 and 414 nodes)."""
+    searches take 2093, 275 and 127 nodes). The partial holds whole
+    classes, every action distributive by the oracle."""
     g = builtin_group(name)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
@@ -208,15 +242,31 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
     partial = exc.value.partial
     assert not partial.exhaustive
     assert (partial.raw_count, partial.canonical_count) == (raw, canonical)
+    assert partial.distributive_count == raw == len(partial.actions)
     assert all(oracle_is_distributive(g.cayley, a.table, m) for a in partial.actions)
+    _assert_whole_classes(partial)
+
+
+@pytest.mark.parametrize("name, m, nodes", [
+    ("k4", 4, 2093), ("z3", 5, 275), ("s3", 4, 127), ("s3", 6, 18196)])
+def test_distributive_node_counts_at_the_budget_edge(name, m, nodes):
+    """The distributive searches take exactly these many nodes: a node
+    budget of that many finishes them, one fewer stops them."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m,
+                           require_distributive=True, dedupe=True, node_budget=nodes)
+    assert enumerate_actions(task).exhaustive
+    with pytest.raises(BudgetExceeded, match=f"^enumeration budget exceeded: node budget "
+                                             f"{nodes - 1} reached"):
+        enumerate_actions(dataclasses.replace(task, node_budget=nodes - 1))
 
 
 @pytest.mark.parametrize("name, m, raw, canonical", [
     ("k4", 5, 63634, 2182), ("z2", 6, 17572, 180), ("s3", 5, 962, 42)])
 def test_forced_rows_finish_under_default_budgets(name, m, raw, canonical):
-    """Trying only the row the law forces brings these sizes under the
-    default node budget; the unforced search needs 19.9M nodes for k4 on
-    5 points and 3.27M for z2 on 6."""
+    """These sizes finish under the default node budget. Trying only the
+    row the law forces takes the search of k4 on 5 points from 682864
+    nodes to 61984 and of z2 on 6 from 33896 to 7271 (19.9M and 3.27M
+    unforced when the search reached every action, not one per class)."""
     result = _distributive_classes(name, m)
     assert result.exhaustive
     assert (result.raw_count, result.canonical_count) == (raw, canonical)
@@ -362,9 +412,10 @@ def test_commutator_conjecture_fails_on_the_conjugation_coset_action(s3):
 
 
 def test_stabiliser_filter_finishes_s3_on_6_points_under_default_budgets(s3):
-    """Trying only the rows that pass the instances (h, t, t) brings s3 on
-    6 points under the default node budget (978196 nodes, against 5004316
-    with forced rows alone). It has one class more than z2, its
+    """Trying only the rows that pass the instances (h, t, t) takes the
+    search of s3 on 6 points to 18196 nodes, against 94636 with forced
+    rows alone (978196 and 5004316 when the search reached every action,
+    not one per class). It has one class more than z2, its
     abelianization, and that class is the conjugation coset action of s3
     on itself."""
     result = _distributive_classes("s3", 6)
@@ -416,7 +467,8 @@ def test_distributive_cyclic_actions_count_racks_and_quandles(name, m):
 
 def test_filter_recheck_raises_with_the_scan_witness(z2, monkeypatch):
     """Under require_distributive, a class the scan calls non-distributive
-    stops assembly at its first action, with the witness the scan gave."""
+    stops the run at its representative, its first action in table order,
+    with the witness the scan gave."""
     filtered = enumerate_actions(
         EnumerationTask(group=z2, carrier_size=4, require_distributive=True))
     target = canonicalize(filtered.actions[-1]).table
@@ -455,64 +507,82 @@ def test_node_budget_exhaustion_carries_partial(s3):
 
 def test_time_budget_bounds_assembly(z2, monkeypatch):
     """The deadline is read once when the search starts, once per relabelling
-    of the carrier (six on 3 points) and once before each action is
-    assembled; z2 on 3 points makes too few search nodes for the search
-    itself to read it."""
+    of the carrier (six on 3 points) and once before each class is
+    expanded; z2 on 3 points makes too few search nodes for the search
+    itself to read it. The 11th class read 17 > 16, so the partial holds
+    the first 10 classes the search met, 40 actions, 10 of them
+    distributive (by the oracles)."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=16))
     assert next(ticks) == 18  # building the partial result read no clock
+    assert str(exc.value) == "enumeration budget exceeded: time budget 16s reached"
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert partial.raw_count == 10
-    assert partial.actions == _all_actions("z2", 3)[:10]
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (40, 10, 10)
+    expect = sorted(t for c in _classes_in_search_order("z2", 3)[:10] for t in c)
+    assert [a.table for a in partial.actions] == expect
+    assert partial.distributive_count == sum(
+        oracle_is_distributive(z2.cayley, t, 3) for t in expect)
+    _assert_whole_classes(partial)
 
 
 def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
     """After a node-budget stop the partial result is assembled under the
     run's deadline: the clock is read once when the run starts, six times
-    for the relabellings, once before the leaves are sorted and once
-    before every further action, so the 60 leaves found by 80 nodes give
-    a partial of 4 actions after 12 reads. The message names the node
+    for the relabellings and once before each class is expanded, so of
+    the 14 classes (56 actions) settled by 40 nodes, the first 4 (13
+    actions) make the partial after 12 reads. The message names the node
     budget, which stopped the search, and the time budget, which cut the
     assembly, with both counts."""
-    with pytest.raises(BudgetExceeded, match="node budget 80 reached") as stop:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80))
-    assert str(stop.value).endswith("node budget 80 reached (60 actions found, 60 assembled)")
+    with pytest.raises(BudgetExceeded, match="node budget 40 reached") as stop:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40))
+    assert str(stop.value).endswith("node budget 40 reached (56 actions found, 56 assembled)")
     full = stop.value.partial
-    assert full.raw_count == 60
+    assert (full.raw_count, full.canonical_count) == (56, 14)
+    classes = _classes_in_search_order("z2", 3)
+    assert [a.table for a in full.actions] == sorted(t for c in classes[:14] for t in c)
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     with pytest.raises(BudgetExceeded, match="time budget 10s reached") as exc:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=80,
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40,
                                           time_budget_s=10))
     assert next(ticks) == 12
-    assert str(exc.value) == ("enumeration budget exceeded: node budget 80 reached; "
-                              "time budget 10s reached (60 actions found, 4 assembled)")
+    assert str(exc.value) == ("enumeration budget exceeded: node budget 40 reached; "
+                              "time budget 10s reached (56 actions found, 13 assembled)")
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert partial.raw_count == 4
-    assert partial.actions == full.actions[:4]
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (13, 4, 7)
+    assert [a.table for a in partial.actions] == sorted(t for c in classes[:4] for t in c)
+    _assert_whole_classes(partial)
 
 
 def test_time_budget_stop_in_the_search_reports_actions_found(z2, monkeypatch):
-    """z2 on 4 points has 10 row homomorphisms, so its unpruned search
-    visits 1 + 10 + 100 + 1000 nodes per first row, and the first clock
-    read of the search, at node 1024, comes after 920 leaves. The clock is
-    read at the start and for the 24 relabellings before that, so a 24.5 s
-    budget stops the search there; the assembly's first read is past the
-    deadline too, and assembles none of the 920."""
+    """The full search of z2 on 4 points takes 1430 nodes, so it reads the
+    clock once, at node 1024, when it has settled 383 classes of
+    8116 actions (the first ones by the oracles). The clock is read at
+    the start and for the 24 relabellings before that, so a 24.5 s budget
+    stops the search there; the assembly's first read is past the deadline
+    too, and expands none of them. A node budget of 1023 stops the search
+    at the same node, and its partial holds those classes."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=24.5))
     assert next(ticks) == 27
     assert str(exc.value) == ("enumeration budget exceeded: time budget 24.5s reached "
-                              "(920 actions found, 0 assembled)")
+                              "(8116 actions found, 0 assembled)")
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert (partial.raw_count, partial.actions) == (0, ())
+    assert (partial.raw_count, partial.canonical_count, partial.actions) == (0, 0, ())
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded) as stop:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=4, node_budget=1023))
+    found = stop.value.partial
+    assert (found.raw_count, found.canonical_count) == (8116, 383)
+    assert [a.table for a in found.actions] == sorted(
+        t for c in _classes_in_search_order("z2", 4)[:383] for t in c)
 
 
 def test_canonicalize_reads_no_clock(monkeypatch):
@@ -658,20 +728,29 @@ def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
     assert [a.table for a in actions] == [canonicalize(a).table for a in actions]
 
 
-@pytest.mark.parametrize("name, m, budget, classes", [("k4", 3, 50, 31), ("s3", 3, 200, 90)])
-def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, classes):
+@pytest.mark.parametrize("name, m, budget, classes", [("k4", 3, 200, 93),
+                                                       ("s3", 3, 200, 91)])
+def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, classes,
+                                                             monkeypatch):
     """A budget-stopped partial under dedupe lists its representatives in
-    table order, not in the order their classes were met. On these
-    partials the orders differ: a class whose least table the search has
-    not reached is met at a later member."""
+    table order, not in the order their classes were met, which is the
+    order of their least index tuples; each class is scanned once, at its
+    representative, so the scans give the order met. On these partials the
+    orders differ. The partial without dedupe holds exactly those classes,
+    whole."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, node_budget=budget)
     with pytest.raises(BudgetExceeded, match=f"node budget {budget} reached") as raw:
         enumerate_actions(task)
-    met = list(dict.fromkeys(canonicalize(a).table for a in raw.value.partial.actions))
-    assert len(met) == classes and met != sorted(met)
+    _assert_whole_classes(raw.value.partial)
+    calls = _counting_is_distributive(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(dataclasses.replace(task, dedupe=True))
+    met = [a.table for a in calls]
+    assert len(met) == classes and met != sorted(met)
+    assert met == [min(c) for c in _classes_in_search_order(name, m)[:classes]]
     assert [a.table for a in exc.value.partial.actions] == sorted(met)
+    assert sorted(met) == oracle_canonical_representatives(
+        [a.table for a in raw.value.partial.actions], m)
 
 
 def test_time_budget_covers_hom_generation(z2, monkeypatch):
@@ -758,17 +837,31 @@ def test_unclosed_hom_list_raises(z2, monkeypatch):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
 
-def test_orbit_stabilizer_count_rejects_unclosed_leaf_set(z2):
-    task = EnumerationTask(group=z2, carrier_size=3)
-    homs = permutation_homomorphisms(z2, 3)
-    rel = search._Relabelling(z2, homs, 3)
-    leaves = list(itertools.product(range(len(homs)), repeat=3))
-    full = search._assemble(task, rel, leaves, search_complete=True, deadline=math.inf)
-    assert full.raw_count == 64 and full.exhaustive
-    # the last leaf puts one transposition on every row; its class also
-    # holds the two other transpositions on every row
-    with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
-        search._assemble(task, rel, leaves[:-1], search_complete=True, deadline=math.inf)
+def test_a_class_met_twice_raises(z2, monkeypatch):
+    """Without the prefix test every index tuple reaches a leaf, so the
+    second member of a class met is refused: z2 on 3 points has the rows
+    0 (the identity), 1, 2 and 3 (the transpositions fixing 0, 2 and 1),
+    and its leaves (0, 0, 1) and (0, 0, 3) swap into each other with the
+    points 0 and 1, so the fourth leaf settles the class of the second."""
+    monkeypatch.setattr(search._Relabelling, "prefix_moves",
+                        lambda self: [[] for _ in self.places])
+    with pytest.raises(InternalInconsistency, match=r"^class of \(.*\) met twice$"):
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+
+
+@pytest.mark.parametrize("name, m, dedupe", [
+    *[(name, m, False) for name in ("z1", "z2", "z3", "k4", "s3") for m in (1, 2, 3)],
+    ("z2", 4, False), ("z3", 4, False), ("s3", 4, True)])
+def test_full_counts_match_burnside(name, m, dedupe):
+    """raw_count is |Hom(G, S_m)| ** m and canonical_count the number of
+    orbits of the relabellings, by Burnside's lemma over cycle types (in
+    tests/oracles.py), at every size whose full enumeration tier-1 runs;
+    s3 on 4 points has 55981 classes among 1336336 actions."""
+    g = builtin_group(name)
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m, dedupe=dedupe))
+    assert result.exhaustive
+    assert (result.raw_count, result.canonical_count) == oracle_burnside_counts(
+        g.cayley, g.identity, m)
 
 
 @pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4), ("z3", 3), ("s3", 3), ("k4", 3)])
