@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import lt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .actions import BinaryAction
 from .errors import (
@@ -52,8 +52,11 @@ class FiniteTopology:
 
     opens is ascending without repeats, as every constructor here builds
     it; is_open and is_closed look masks up in it by binary search.
-    minimal_neighborhoods is computed on first use and carried outside
-    the fields, which alone decide equality, hashing and repr.
+    Three values are computed on first use and carried outside the
+    fields, which alone decide equality, hashing and repr: the minimal
+    neighbourhoods, the masks is_continuous reads them through
+    (_continuity_masks), and the opens part of the battery's default
+    model id (_opens_id).
     """
 
     carrier_size: int
@@ -74,6 +77,22 @@ class FiniteTopology:
                     acc &= u
             out.append(acc)
         return tuple(out)
+
+    @cached_property
+    def _continuity_masks(self) -> tuple[tuple[int, ...], int]:
+        """(punctured, allowed): punctured[w] = N(w) - {w}, and allowed packs
+        every N(y) at bits y m .. y m + m - 1, m the carrier size."""
+        m = self.carrier_size
+        nbhd = self.minimal_neighborhoods
+        allowed = 0
+        for y, ny in enumerate(nbhd):
+            allowed |= ny << y * m
+        return tuple([nw & ~(1 << w) for w, nw in enumerate(nbhd)]), allowed
+
+    @cached_property
+    def _opens_id(self) -> str:
+        """The opens part of the battery's default model id."""
+        return f";opens={list(self.opens)}"
 
 
 def validate_topology(carrier_size: int, opens) -> FiniteTopology:
@@ -263,11 +282,17 @@ def is_continuous(s: TopologicalBinaryGSpace):
     open-by-open scan of the product. Every reach[y] is read at once from
     the pair images the action's record carries (orbits._record(a).pairs):
     reach, packed with reach[y] at bits y m .. y m + m - 1, is the OR over
-    w of pairs[w][N(w) - {w}], one table entry per point. Every open
-    containing y contains N(y), so if reach lies inside N packed the same
-    way the action is continuous. Otherwise the opens are tried in
-    ascending order and the first failing one is returned, which is the
-    open the open-by-open scan finds first. Compare the result with
+    w of pairs[w][N(w) - {w}], one table entry per point. The topology
+    carries both the sets N(w) - {w} and allowed, N packed the same way
+    (FiniteTopology._continuity_masks).
+
+    Every open containing y contains N(y). So a point y whose reach[y]
+    lies inside N(y) fails no open, and only the bad points, those whose
+    reach[y] leaves N(y), can. If there are none the action is continuous.
+    Otherwise the opens are tried in ascending order, each against the
+    bad points it contains, and the first failing one is returned: it is
+    the open the open-by-open scan finds first. One is always found, since
+    the open N(y) of a bad point y fails. Compare the result with
     ``is True``.
 
     Each call scans: a sweep meets most models once, so keeping every
@@ -275,22 +300,24 @@ def is_continuous(s: TopologicalBinaryGSpace):
     read the verdict their model record (_model) took from one scan.
     """
     t = s.topology
-    nbhd = t.minimal_neighborhoods
-    m = t.carrier_size
+    punctured, allowed = t._continuity_masks
     pairs = _record(s.action).pairs
-    reach = allowed = 0
-    for w, nw in enumerate(nbhd):
-        allowed |= nw << w * m
-        reach |= pairs[w][nw & ~(1 << w)]
+    reach = 0
+    for w, pw in enumerate(punctured):
+        reach |= pairs[w][pw]
     if reach & ~allowed == 0:
         return True
-    full = t.full_mask
-    reach_of = [reach >> y * m & full for y in range(m)]
+    m, full = t.carrier_size, t.full_mask
+    bad = []  # (bit of y, reach[y]) for the bad points y
+    for y, ny in enumerate(t.minimal_neighborhoods):
+        reach_y = reach >> y * m & full
+        if reach_y & ~ny:
+            bad.append((1 << y, reach_y))
     for v in t.opens:
-        for y in points_of(v):
-            if reach_of[y] & ~v:
+        for bit, reach_y in bad:
+            if v & bit and reach_y & ~v:
                 return v
-    return True
+    raise InternalInconsistency("no open fails at a point whose reach leaves its neighbourhood")
 
 
 def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
@@ -312,29 +339,33 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
 
 
 class _ModelRecord:
-    """What one model (action, topology) determines, each part built on
-    first use: the continuity verdict (continuous, True or the first failing
-    open, from one is_continuous scan) and the quotient topology (quotient,
-    built and checked by _family once). make_space refuses a carrier
-    mismatch when the record is built; quotient raises NotDistributive, then
-    NotContinuous, before it builds anything."""
+    """What one model (action, topology) determines: the continuity verdict
+    (continuous, True or the first failing open, from the one is_continuous
+    scan made when the record is built) and the quotient topology (quotient,
+    built and checked by _family on first read). make_space refuses a
+    carrier mismatch when the record is built; quotient raises
+    NotDistributive, then NotContinuous, before it builds anything. A
+    slotted class with plain attributes: a sweep builds one record per
+    continuous model."""
+
+    __slots__ = ("space", "continuous", "_quotient")
 
     def __init__(self, action: BinaryAction, topology: FiniteTopology):
         self.space = make_space(action, topology)
-
-    @cached_property
-    def continuous(self):
-        return is_continuous(self.space)
+        self.continuous = is_continuous(self.space)
+        self._quotient = None
 
     def require_continuous(self) -> None:
         if self.continuous is not True:
             raise NotContinuous(self.continuous)
 
-    @cached_property
+    @property
     def quotient(self) -> FiniteTopology:
-        record = _require_distributive(self.space.action)
-        self.require_continuous()
-        return _quotient(self.space.topology, record.orbits)
+        if self._quotient is None:
+            record = _require_distributive(self.space.action)
+            self.require_continuous()
+            self._quotient = _quotient(self.space.topology, record.orbits)
+        return self._quotient
 
 
 # _model(action, topology): the records of the 16 models met last, keyed like
@@ -452,20 +483,22 @@ def check_quotient_hausdorff_compact(s: TopologicalBinaryGSpace) -> QuotientChec
                           locally_compact=is_locally_compact(qt))
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
+    """One battery record: the model, the check, its outcome, and whether
+    the check's hypotheses are met (then the outcome is asserted).
+
+    A named tuple, immutable and hashable: it unpacks into its four fields
+    and compares equal to the plain 4-tuple of them. A sweep builds one per
+    check and model, and a tuple is built in about half the time of a
+    frozen dataclass and holds no instance dict."""
+
     model: str
     check: str
     outcome: bool
     hypotheses_met: bool
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "check": self.check,
-            "outcome": self.outcome,
-            "hypotheses_met": self.hypotheses_met,
-        }
+        return self._asdict()
 
 
 def run_topology_battery(
@@ -514,7 +547,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     witness = record.distributive
     haus = is_hausdorff(topology)
     if model_id is None:
-        model_id = f"{record.table_id};opens={list(topology.opens)}"
+        model_id = record.table_id + topology._opens_id
     records: list[ProbeRecord] = []
 
     def add(check: str, outcome: bool, asserted: bool):

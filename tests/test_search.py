@@ -248,10 +248,11 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
 
 
 @pytest.mark.parametrize("name, m, nodes", [
-    ("k4", 4, 2093), ("z3", 5, 275), ("s3", 4, 127), ("s3", 6, 18196)])
+    ("k4", 4, 2093), ("z3", 5, 275), ("s3", 4, 127), ("s3", 5, 882), ("s3", 6, 18196)])
 def test_distributive_node_counts_at_the_budget_edge(name, m, nodes):
     """The distributive searches take exactly these many nodes: a node
-    budget of that many finishes them, one fewer stops them."""
+    budget of that many finishes them, one fewer stops them. s3 on 5
+    points is the count the search module's docstring quotes."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m,
                            require_distributive=True, dedupe=True, node_budget=nodes)
     assert enumerate_actions(task).exhaustive
@@ -862,6 +863,19 @@ def test_full_counts_match_burnside(name, m, dedupe):
     assert result.exhaustive
     assert (result.raw_count, result.canonical_count) == oracle_burnside_counts(
         g.cayley, g.identity, m)
+
+
+@pytest.mark.parametrize("name, m, raw, classes", [
+    ("z2", 6, 192699928576, 267954164),
+    ("s3", 5, 66338290976, 552932618),
+    ("k4", 5, 289254654976, 2411636032)])
+def test_burnside_counts_past_any_listing(name, m, raw, classes):
+    """The Burnside oracle's counts at sizes no enumeration in tier-1 can
+    list, pinned; raw is also the m-th power of Dey's homomorphism count,
+    which the oracle computes another way (by listing G -> S_m)."""
+    g = builtin_group(name)
+    assert oracle_burnside_counts(g.cayley, g.identity, m) == (raw, classes)
+    assert oracle_dey_count(g.cayley, g.identity, m) ** m == raw
 
 
 @pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4), ("z3", 3), ("s3", 3), ("k4", 3)])

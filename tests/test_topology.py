@@ -4,7 +4,7 @@ import signal
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binact import (
@@ -38,6 +38,7 @@ from binact import (
     orbit_space,
     permutation_homomorphisms,
     points_of,
+    ProbeRecord,
     quotient_topology,
     run_topology_battery,
     topology_from_json,
@@ -75,6 +76,12 @@ from oracles import (
 )
 
 SIERPINSKI = [[], [0], [0, 1]]
+
+
+def _verdict(v):
+    """A continuity verdict as a pair that tells True from the open {0}:
+    True == 1 in Python."""
+    return v is True, v
 
 
 def test_validate_topology_normalizes_and_checks():
@@ -452,6 +459,25 @@ def test_probe_record_json(z2):
                              "outcome": True, "hypotheses_met": True}
 
 
+def test_probe_record_is_an_immutable_hashable_named_tuple(z2):
+    """A battery record keeps its fields, JSON keys in order, and repr; no
+    field can be set; it hashes, unpacks, and equals the plain tuple of its
+    fields."""
+    rec = run_topology_battery(trivial_action(z2, 2), indiscrete_topology(2), model_id="demo")[0]
+    assert type(rec) is ProbeRecord
+    assert list(rec.to_json()) == ["model", "check", "outcome", "hypotheses_met"]
+    assert repr(rec) == ("ProbeRecord(model='demo', check='guu_open', outcome=True, "
+                         "hypotheses_met=False)")
+    for field in ("model", "check", "outcome", "hypotheses_met", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert rec == ("demo", "guu_open", True, False) == tuple(rec.to_json().values())
+    model, check, outcome, hypotheses_met = rec
+    assert (model, check, outcome, hypotheses_met) == (rec.model, rec.check, rec.outcome,
+                                                       rec.hypotheses_met)
+    assert len({rec, ProbeRecord(*rec), ("demo", "guu_open", True, False)}) == 1
+
+
 def test_topology_json_round_trip():
     t = validate_topology(3, [[], [0], [0, 1], [0, 1, 2]])
     assert topology_from_json(topology_to_json(t)) == t
@@ -473,7 +499,7 @@ def test_is_continuous_matches_open_by_open_oracle(name):
     for a in _actions(name, 3):
         for t in topologies:
             got = is_continuous(make_space(a, t))
-            assert got == oracle_is_continuous(a.table, 3, t.opens)
+            assert _verdict(got) == _verdict(oracle_is_continuous(a.table, 3, t.opens))
             failures += got is not True
     assert 0 < failures < len(_actions(name, 3)) * len(topologies)
 
@@ -500,7 +526,38 @@ def test_is_continuous_matches_oracle_on_4_points(data):
     g = builtin_group(name)
     a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
     t = data.draw(st.sampled_from(_topologies(4)))
-    assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 4, t.opens)
+    assert _verdict(is_continuous(make_space(a, t))) == _verdict(
+        oracle_is_continuous(a.table, 4, t.opens))
+
+
+def _bad_points(a, t):
+    """The points y with some row x' -> g(x, x') or column x -> g(x, x') f
+    of the table and points w, u with f(w) = y, u in N(w) and f(u) outside
+    N(y), N read off the opens: the only points at which an open can fail
+    continuity."""
+    m = a.carrier_size
+    nbhd = [functools.reduce(int.__and__, (u for u in t.opens if u >> x & 1)) for x in range(m)]
+    maps = {f for sl in a.table for f in (*sl, *zip(*sl))}
+    return {f[w] for f in maps for w in range(m) for u in points_of(nbhd[w])
+            if not nbhd[f[w]] >> f[u] & 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_continuous_matches_oracle_with_several_bad_points(data):
+    """A drawn action on 4 points on a drawn topology at which two or more
+    points are bad: is_continuous tries only those points against each
+    open, and its first failing open is still the open-by-open scan's."""
+    name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
+    homs = _row_homs(name, 4)
+    rows = data.draw(st.lists(st.sampled_from(homs), min_size=4, max_size=4))
+    g = builtin_group(name)
+    a = validate_action(g, tuple(tuple(rho[h] for rho in rows) for h in g.elements()))
+    candidates = [t for t in _topologies(4) if len(_bad_points(a, t)) >= 2]
+    assume(candidates)
+    t = data.draw(st.sampled_from(candidates))
+    got, want = is_continuous(make_space(a, t)), oracle_is_continuous(a.table, 4, t.opens)
+    assert got is not True and want is not True and got == want
 
 
 @functools.lru_cache(maxsize=None)
@@ -539,7 +596,8 @@ def test_is_continuous_matches_oracle_past_the_pair_image_cache(data):
     for i in [*picks, *order]:
         a = pool[i]
         for t in tops:
-            assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 3, t.opens)
+            assert _verdict(is_continuous(make_space(a, t))) == _verdict(
+                oracle_is_continuous(a.table, 3, t.opens))
     assert orbits._record.cache_info().currsize <= size
 
 
@@ -725,7 +783,8 @@ def test_is_continuous_matches_oracle_with_carried_neighborhoods(data):
         mp.setattr(prop, "func", lambda t, func=prop.func: computed.append(t) or func(t))
         for i in [*picks, *order]:
             t = fresh[i]
-            assert is_continuous(make_space(a, t)) == oracle_is_continuous(a.table, 5, t.opens)
+            assert _verdict(is_continuous(make_space(a, t))) == _verdict(
+                oracle_is_continuous(a.table, 5, t.opens))
     assert sorted(map(id, computed)) == sorted(map(id, fresh.values()))
 
 
@@ -745,7 +804,7 @@ def test_pair_images_are_built_once_per_action_record(z2, monkeypatch):
         for t in _topologies(3):
             for act in (a, b):
                 got = is_continuous(make_space(act, t))
-                assert got == oracle_is_continuous(act.table, 3, t.opens)
+                assert _verdict(got) == _verdict(oracle_is_continuous(act.table, 3, t.opens))
                 verdicts.add(got is True)
     assert built == [a, b] and verdicts == {True, False}
 
