@@ -336,11 +336,16 @@ def biequivariance_implies_equivariance_check(a: BinaryAction, b: BinaryAction, 
 
 # --- serialization -----------------------------------------------------------
 
+def _table_json(a: BinaryAction) -> list:
+    """a's g-major table as nested JSON lists."""
+    return [[list(row) for row in sl] for sl in a.table]
+
+
 def action_to_json(a: BinaryAction) -> dict:
     out = {
         "group": group_to_json(a.group),
         "carrier": a.carrier_size,
-        "table": [[list(row) for row in sl] for sl in a.table],
+        "table": _table_json(a),
     }
     if a.group_embedding is not None:
         out["group_embedding"] = list(a.group_embedding)

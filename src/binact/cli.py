@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .actions import (
+    _table_json,
     action_from_json,
     action_to_json,
     conjugation_coset_action,
@@ -231,20 +232,16 @@ def _report_budget_stop(exc: BudgetExceeded) -> int:
     return 1
 
 
+def _enumerate(args, **flags):
+    """The enumeration that the group, carrier and budget arguments name; a
+    budget stop propagates to main, which reports it."""
+    return enumerate_actions(EnumerationTask(
+        group=_resolve_group(args.group), carrier_size=args.carrier,
+        node_budget=args.node_budget, time_budget_s=args.time_budget, **flags))
+
+
 def _cmd_enumerate(args) -> int:
-    g = _resolve_group(args.group)
-    task = EnumerationTask(
-        group=g,
-        carrier_size=args.carrier,
-        require_distributive=args.require_distributive,
-        dedupe=args.dedupe,
-        node_budget=args.node_budget,
-        time_budget_s=args.time_budget,
-    )
-    try:
-        result = enumerate_actions(task)
-    except BudgetExceeded as exc:
-        return _report_budget_stop(exc)
+    result = _enumerate(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
     print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
           f"distributive_count={result.distributive_count} exhaustive=yes")
     if args.out:
@@ -258,7 +255,8 @@ def _cmd_enumerate(args) -> int:
         }
         try:
             with path.open("w") as fh:
-                fh.writelines(_action_lines(g, args.carrier, result.homs, result.rows))
+                fh.writelines(_action_lines(result.task.group, args.carrier, result.homs,
+                                            result.rows))
                 fh.write(json.dumps(summary) + "\n")
         except OSError as exc:
             raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -302,28 +300,21 @@ def _cmd_topology_check(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    g = _resolve_group(args.group)
-    task = EnumerationTask(group=g, carrier_size=args.carrier,
-                           node_budget=args.node_budget, time_budget_s=args.time_budget)
-    try:
-        result = enumerate_actions(task)
-    except BudgetExceeded as exc:
-        return _report_budget_stop(exc)
-    report = mine_counterexamples(result)
+    report = mine_counterexamples(_enumerate(args))
     w = report.intersecting_orbits
     if w is None:
         print("intersecting_orbits: none at this scale")
     else:
         print(f"intersecting_orbits: x={w.x} x'={w.xp} "
               f"sets {sorted(w.set_x)} vs {sorted(w.set_xp)} "
-              f"action_table={[[list(r) for r in sl] for sl in w.action.table]}")
+              f"action_table={_table_json(w.action)}")
     u = report.non_bi_invariant_union
     if u is None:
         print("non_bi_invariant_union: none at this scale")
     else:
         print(f"non_bi_invariant_union: A={sorted(u.set_a)} B={sorted(u.set_b)} "
               f"G(AuB,AuB)={sorted(u.union_image)} "
-              f"action_table={[[list(r) for r in sl] for sl in u.action.table]}")
+              f"action_table={_table_json(u.action)}")
     print(f"actions_scanned: {report.actions_scanned}")
     _emit(args, report.to_json())
     return 0
@@ -474,6 +465,8 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"theorem check failed (this is a bug): {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        return _report_budget_stop(exc)
     except BinactError as exc:
         print(f"{type(exc).__name__}: {exc}")
         return 1

@@ -66,7 +66,9 @@ through one int per table, whose digits are the permutation ranks of
 its first slices, each rank a place in the lexicographic list of
 relabellings (see _Relabelling). The number of
 relabellings that reach the least table is the order of the action's
-automorphism group.
+automorphism group. canonicalize finds the same form for one action
+without these tables: a minimum over the relabellings of its slices over
+_deciding_elements.
 
 The search is orderly: it reaches one leaf per class, the least index
 tuple among the class's relabellings (an order on index tuples, not the
@@ -118,9 +120,9 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .actions import BinaryAction, OrdinaryAction, is_distributive
+from .actions import BinaryAction, OrdinaryAction, _table_json, is_distributive
 from .binops import _int, _ints, _size, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, greedy_generators
@@ -275,7 +277,7 @@ class IntersectingOrbitsWitness:
     def to_json(self) -> dict:
         return {
             "kind": "intersecting_orbits",
-            "action_table": [[list(r) for r in sl] for sl in self.action.table],
+            "action_table": _table_json(self.action),
             "x": self.x,
             "x_prime": self.xp,
             "minimal_set_x": sorted(self.set_x),
@@ -295,7 +297,7 @@ class UnionWitness:
     def to_json(self) -> dict:
         return {
             "kind": "non_bi_invariant_union",
-            "action_table": [[list(r) for r in sl] for sl in self.action.table],
+            "action_table": _table_json(self.action),
             "set_a": sorted(self.set_a),
             "set_b": sorted(self.set_b),
             "union_image": sorted(self.union_image),
@@ -379,13 +381,32 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
                         group_embedding=a.group_embedding)
 
 
+def _deciding_elements(g: FiniteGroup) -> list[int]:
+    """P, the elements whose slices decide the order of two g-major action
+    tables on one carrier: the non-identity elements up to the largest
+    greedy generator s, in element order.
+
+    The identity slice is the same in every table, by axiom (2). P holds
+    every greedy generator, and the elements below s lie in the closure of
+    the earlier generators, so P is the shortest such prefix that
+    generates G. Two different actions differ in the row homomorphism at
+    some point t, and a homomorphism is fixed by its images of the
+    generators, so their tables differ in some slice of P. The first slice
+    where they differ is therefore in P and decides their order; and two
+    tables that agree on every slice of P are equal.
+    """
+    gens = greedy_generators(g)
+    return [x for x in g.elements() if x != g.identity and x <= max(gens, default=-1)]
+
+
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     """sigma rho sigma^-1, elementwise over the homomorphism rho."""
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
 class _Relabelling:
-    """The carrier relabellings acting on actions held as index tuples.
+    """The carrier relabellings acting on actions held as index tuples, the
+    enumerator's alone: its m! tables serve a whole run, not one action.
 
     homs is a list of row homomorphisms G -> S_m closed under conjugation;
     an action is a tuple whose entry t indexes the homomorphism at carrier
@@ -402,16 +423,11 @@ class _Relabelling:
     relabelling, raising _BudgetStop once it has passed.
 
     key() is one int that orders index tuples as their g-major tables are
-    ordered. The identity slice is the same in every table. Let P be the
-    non-identity elements up to the largest greedy generator s, in element
-    order; P holds every greedy generator, and the elements below s lie in
-    the closure of the earlier generators, so P is the shortest such
-    prefix that generates G. Two different tuples differ at some point t,
-    and a homomorphism is fixed by its images of the generators, so their
-    tables differ in some slice of P. The first slice where they differ is
-    therefore in P, and it decides both the order of the tables and the
-    order of the rank tuples (rank(rho_t(g)) for g in P for t < m), since
-    a slice compares as the ranks of its rows do. That tuple is read as a
+    ordered. Two different tuples are two different actions, so the first
+    slice where their tables differ is one of P = _deciding_elements(group)
+    and decides both the order of the tables and the order of the rank
+    tuples (rank(rho_t(g)) for g in P for t < m), since a slice compares
+    as the ranks of its rows do. That tuple is read as a
     number in base m!, each rank being below m!, which keeps its order.
     places[t][i] is the value of the digits that homs[i] puts at point t:
     its ranks over P, one every m places, so a number in base (m!)^m,
@@ -469,8 +485,7 @@ class _Relabelling:
                 else:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
-        gens = greedy_generators(group)
-        prefix = [g for g in group.elements() if g != group.identity and g <= max(gens, default=-1)]
+        prefix = _deciding_elements(group)
         base = math.factorial(m)
         values = []  # per homomorphism, its ranks over the prefix as digits in base (m!)^m
         for rho in homs:
@@ -535,24 +550,20 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     """Lexicographically least relabelling of a; constant on biequimorphism
     classes and idempotent.
 
-    Runs the enumerator's index-based search over the conjugates of a's
-    own row homomorphisms, each checked once as a homomorphism; the result
-    is built from them without re-validation. The conjugates are found by
-    closing the rows under the adjacent transpositions, which generate S_m.
-    The acting group and its group_embedding are a's: a carrier bijection
-    leaves them alone.
+    A direct minimum over the m! carrier bijections sigma. Each is compared
+    by the slices of its relabelled table over _deciding_elements, the
+    only slices that can decide table order; equal slices there mean equal
+    tables, so a tie is the same table. The winner is built once by
+    relabel_action, which keeps the acting group and its group_embedding:
+    a carrier bijection leaves them alone.
     """
-    m = a.carrier_size
-    rows = [tuple(sl[t] for sl in a.table) for t in range(m)]
-    swaps = [(*range(j), j + 1, j, *range(j + 2, m)) for j in range(m - 1)]
-    orbit = set(rows)
-    new = orbit
-    while new:
-        new = {_conjugate(s, s, rho) for rho in new for s in swaps} - orbit
-        orbit |= new
-    rel = _Relabelling(a.group, sorted(orbit), m)
-    _, leaf, _, _ = rel.classify(tuple(rel.index[rho] for rho in rows))
-    return replace(_action(a.group, rel.homs, leaf), group_embedding=a.group_embedding)
+    slices = [a.table[g] for g in _deciding_elements(a.group)]
+
+    def relabelled(sigma):  # slice g of the relabelled table holds sigma g(inv x, inv x')
+        inv = invert_perm(sigma)
+        return [sigma[sl[x][xp]] for sl in slices for x in inv for xp in inv]
+
+    return relabel_action(a, min(itertools.permutations(range(a.carrier_size)), key=relabelled))
 
 
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
@@ -745,35 +756,26 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     """
     intersecting = None
     union = None
+    m = result.task.carrier_size
 
     def points(mask: int) -> frozenset[int]:
         return frozenset(points_of(mask))
 
     for row in result.rows:
         a = _action(result.task.group, result.homs, row)
-        m = a.carrier_size
         square = _record(a).square
         if intersecting is None:
             sets = [closure_masks(square, 1 << x)[-1] for x in range(m)]
-            for x in range(m):
-                for xp in range(x + 1, m):
-                    if sets[x] & sets[xp] and sets[x] != sets[xp]:
-                        intersecting = IntersectingOrbitsWitness(
-                            action=a, x=x, xp=xp, set_x=points(sets[x]), set_xp=points(sets[xp]))
-                        break
-                if intersecting:
-                    break
+            intersecting = next((IntersectingOrbitsWitness(
+                action=a, x=x, xp=xp, set_x=points(sets[x]), set_xp=points(sets[xp]))
+                for x, xp in itertools.combinations(range(m), 2)
+                if sets[x] & sets[xp] and sets[x] != sets[xp]), None)
         if union is None:
             invariant = [s for s in range(1 << m) if square[s] == s]
-            for i, sa in enumerate(invariant):
-                for sb in invariant[i + 1:]:
-                    image = square[sa | sb]
-                    if image != sa | sb:
-                        union = UnionWitness(action=a, set_a=points(sa), set_b=points(sb),
-                                             union_image=points(image))
-                        break
-                if union:
-                    break
+            union = next((UnionWitness(action=a, set_a=points(sa), set_b=points(sb),
+                                       union_image=points(square[sa | sb]))
+                          for sa, sb in itertools.combinations(invariant, 2)
+                          if square[sa | sb] != sa | sb), None)
         if intersecting and union:
             break
     return WitnessReport(

@@ -329,13 +329,16 @@ def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
     of the N(x) with f(x) in V, since V contains N(f(x)).
     """
     mapping = _int_map(f, src.carrier_size, dst.carrier_size, ShapeMismatch)
-    src_nbhd, dst_nbhd = src.minimal_neighborhoods, dst.minimal_neighborhoods
-    for x, fx in enumerate(mapping):
-        target = dst_nbhd[fx]
-        for u in points_of(src_nbhd[x]):
-            if not target >> mapping[u] & 1:
-                return False
-    return True
+    return _sends_into(mapping, UnionTable([1 << y for y in mapping]),
+                       src.minimal_neighborhoods, dst.minimal_neighborhoods)
+
+
+def _sends_into(f: tuple[int, ...], images: UnionTable, src_nbhd: tuple[int, ...],
+                dst_nbhd: tuple[int, ...]) -> bool:
+    """Whether f maps every source neighbourhood N(x) into the target
+    neighbourhood N(f(x)), the continuity criterion of is_continuous_map,
+    with images[A] = f(A): one table lookup per point."""
+    return all(not images[nx] & ~dst_nbhd[y] for nx, y in zip(src_nbhd, f))
 
 
 class _ModelRecord:
@@ -526,13 +529,6 @@ def run_topology_battery(
     return _battery(action, topology, model_id, include_probes)[2]
 
 
-def _diagonal_continuous(d: tuple[int, ...], images: UnionTable, nbhd: tuple[int, ...]) -> bool:
-    """is_continuous_map(t, t, d) for a diagonal d, with images[A] = d(A) and
-    nbhd the minimal neighbourhoods of t: d(N(x)) must lie inside N(d(x)),
-    one table lookup per point."""
-    return all(not images[nx] & ~nbhd[y] for nx, y in zip(nbhd, d))
-
-
 def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | None = None,
              include_probes: bool = True):
     """run_topology_battery, returning (quotient topology, True, records) for
@@ -571,7 +567,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     space = record.orbits
     nbhd = topology.minimal_neighborhoods
     add("delta_homeomorphism",
-        all(_diagonal_continuous(d, images, nbhd) for d, images in record.diagonals.items()),
+        all(_sends_into(d, images, nbhd, nbhd) for d, images in record.diagonals.items()),
         True)
     # the saturation G(A) is the union of the orbits of A's points
     add("ka_closed", closed.issuperset(map(space.saturated.__getitem__, closed)), True)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -310,6 +311,48 @@ def test_canonicalize_idempotent_and_relabel_invariant(data):
     assert c.table == oracle_canonical_form(a.table, m)
     assert canonicalize(c).table == c.table
     assert canonicalize(relabel_action(a, sigma)).table == c.table
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonicalize_matches_the_oracle_at_five_points(data):
+    """canonicalize at m = 5, past the exhaustive lists above: on an action
+    with one drawn row homomorphism per point it gives the oracle's least
+    relabelled table, and the same table for a drawn relabelling."""
+    g = builtin_group(data.draw(st.sampled_from(["z2", "s3", "k4"])))
+    homs = permutation_homomorphisms(g, 5)
+    a = validate_action(g, tuple(zip(*[data.draw(st.sampled_from(homs)) for _ in range(5)])))
+    sigma = data.draw(st.permutations(range(5)))
+    c = canonicalize(a)
+    assert c.table == oracle_canonical_form(a.table, 5)
+    assert canonicalize(relabel_action(a, sigma)).table == c.table
+
+
+@pytest.mark.parametrize("name, m, distributive, classes", [
+    ("s3", 3, False, 180), ("k4", 4, True, 164), ("z3", 5, True, 11), ("s3", 5, True, 42)])
+def test_canonicalize_returns_the_enumerators_representatives(name, m, distributive, classes):
+    """Every class representative the enumerator emits, fed in under a
+    seeded random relabelling, comes back from canonicalize unchanged."""
+    reps = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m,
+                                             require_distributive=distributive,
+                                             dedupe=True)).actions
+    assert len(reps) == classes
+    rng = random.Random(m * 100 + classes)
+    for a in reps:
+        assert canonicalize(relabel_action(a, rng.sample(range(m), m))).table == a.table
+
+
+def test_canonicalize_builds_no_relabelling_tables(monkeypatch):
+    """canonicalize takes its minimum straight from the action's table: the
+    enumerator's m!-sized relabelling tables are never built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonicalize built relabelling tables")
+
+    actions = [*_all_actions("z2", 3)[::9], *_all_actions("s3", 3)[::97],
+               *_distributive_classes("z3", 5).actions]
+    monkeypatch.setattr(search, "_Relabelling", refuse)
+    for a in actions:
+        assert canonicalize(a).table == oracle_canonical_form(a.table, a.carrier_size)
 
 
 def test_dedupe_matches_oracle_representatives():

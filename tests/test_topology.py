@@ -754,7 +754,7 @@ def test_diagonal_image_tables_match_the_continuity_oracle():
             for t in _topologies(3):
                 nbhd = t.minimal_neighborhoods
                 for d, images in diagonals.items():
-                    got = topology._diagonal_continuous(d, images, nbhd)
+                    got = topology._sends_into(d, images, nbhd, nbhd)
                     assert got == oracle_is_continuous_map(3, t.opens, t.opens, d)
                     verdicts.add(got)
     assert verdicts == {True, False}
