@@ -6,11 +6,16 @@ Output is deterministic byte for byte for a given input and flag set; no
 subcommand uses randomness. The BINACT_THREADS environment variable caps
 worker parallelism; evaluation is currently sequential, which respects
 any cap, and the variable is still validated so misuse fails loudly.
+
+main() builds its argument parser on its first call and keeps it for the
+rest of the process, since parsing leaves no state on a parser;
+build_parser() builds a fresh one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,6 +362,8 @@ def _cmd_conjugation(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; the budget options take EnumerationTask's defaults as
+    they are at this call."""
     parser = argparse.ArgumentParser(
         prog="binact",
         description="Binary actions of finite groups: validation, orbits, "
@@ -436,10 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code. The parser is built on the
+    first call and shared by every later call in the process: each parse
+    fills a fresh Namespace, and the defaults and handlers are fixed when
+    the parser is built."""
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors with code 2
         return int(exc.code or 0)
 

@@ -1,7 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import binact.cli
 from binact import (
     EnumerationTask,
     action_from_json,
@@ -486,3 +492,87 @@ def test_budget_defaults_are_the_tasks(command, monkeypatch):
     monkeypatch.setattr(EnumerationTask, "time_budget_s", 6.5)
     args = build_parser().parse_args(argv)
     assert (args.node_budget, args.time_budget) == (12345, 6.5)
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    """Only the first main() call builds parsers (the top-level one and one
+    per subcommand); build_parser() still builds a new one each call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    binact.cli._shared_parser.cache_clear()
+    per_call = []
+    for argv in (["enumerate", "--group", "z2", "--carrier", "2"],
+                 ["witnesses", "--group", "z2", "--carrier", "2"],
+                 ["validate", "--group", "z2"],
+                 ["enumerate", "--group", "z2", "--carrier", "2"]):
+        before = len(built)
+        assert main(argv) == 0
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    assert per_call == [12, 0, 0, 0]
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_calls_match_fresh_parser_calls(tmp_path, monkeypatch, capsys):
+    """Usage errors, --version, a budget stop and a refused BINACT_THREADS
+    between two identical enumerations leave the shared parser as it was:
+    every call gives the exit code and output it gives on a fresh parser."""
+    out = tmp_path / "actions.jsonl"
+    enumerate_argv = ["enumerate", "--group", "z2", "--carrier", "3", "--out", str(out)]
+    calls = [
+        (enumerate_argv, None),
+        (["enumerate", "--group", "z2"], None),  # missing --carrier
+        (["no-such-command"], None),
+        (["--version"], None),
+        (["enumerate", "--group", "z2", "--carrier", "3", "--node-budget", "40"], None),
+        (["validate", "--group", "z2"], "0"),  # BINACT_THREADS
+        (enumerate_argv, None),
+    ]
+
+    def run_all(fresh):
+        results = []
+        for argv, threads in calls:
+            if fresh:
+                binact.cli._shared_parser.cache_clear()
+            if threads is None:
+                monkeypatch.delenv("BINACT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("BINACT_THREADS", threads)
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_bytes() if argv is enumerate_argv else None
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    shared = run_all(fresh=False)
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 1, 2, 0]
+    counts = "raw_count=64 canonical_count=16 distributive_count=11 exhaustive=yes\n"
+    assert shared[0][1] == shared[-1][1] == counts
+    assert shared[0][3] == shared[-1][3]
+    assert shared == run_all(fresh=True)
+
+
+def test_entry_runs_as_a_console_script():
+    """entry(), the [project.scripts] target, reads sys.argv and exits with
+    main()'s code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(binact.__file__).resolve().parents[1])}
+    env.pop("BINACT_THREADS", None)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", "from binact.cli import entry; entry()",
+                               *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"binact {binact.__version__}\n")
+    counts = run("enumerate", "--group", "z2", "--carrier", "3")
+    assert (counts.returncode, counts.stdout) == (
+        0, "raw_count=64 canonical_count=16 distributive_count=11 exhaustive=yes\n")
+    usage = run("enumerate", "--group", "z2")
+    assert usage.returncode == 2
+    assert "the following arguments are required: --carrier" in usage.stderr

@@ -630,8 +630,8 @@ def test_time_budget_stop_in_the_search_reports_actions_found(z2, monkeypatch):
 
 
 def test_canonicalize_reads_no_clock(monkeypatch):
-    """canonicalize has no deadline, so building its relabelling tables
-    must not read the clock once per relabelling."""
+    """canonicalize has no deadline, so its minimum over the m!
+    relabellings must not read the clock once per relabelling."""
     actions = _all_actions("z2", 3)[::7]
 
     def refuse():
