@@ -87,15 +87,52 @@ branches without a distributive leaf, and this test only branches
 without a least one, so under require_distributive the two compose:
 every least distributive leaf is reached.
 
-Each class is settled at its leaf, in one pass over the leaf's m!
-relabelled index tuples: their set is the class, the least of the set
-by rank key is the canonical form, and the number of tuples equal to it
-is |Aut|, so the size of the set times |Aut| must be m!, and a key met
-before means the search reached a class twice. Summing m!/|Aut| over the
-classes gives the actions found, and no leaf list is kept.
+Each class is settled at its leaf, from what the leaf test found. At
+t = m - 1 every relabelling maps 0..m-1 onto itself, so the test
+compares the leaf whole with every relabelling but the identity, and a
+leaf that passes was mapped below itself by none. One that maps it onto
+itself fixes its index tuple, so fixes the action (one tuple is one
+action): an automorphism. The ties, counted at the leaf depth alone,
+plus the identity are therefore |Aut|, for every group.
 
-The emitted actions stay index tuples through the search, its assembly
-and the EnumerationResult that holds them; the only BinaryAction built
+When P = _deciding_elements(G) is one element g1 (z2, z3, z60: a cyclic
+group generated by its least non-identity element), the leaf is the
+canonical form. Then g1 is the only greedy generator, so the
+homomorphism list is sorted on rho(g1), each image once; a rank is a
+place in the lexicographic order of permutations, so index order on
+homomorphisms is the order of rank(rho(g1)), and the key of an index
+tuple, its ranks over g1 read as digits, orders index tuples
+lexicographically. The least index tuple of a class, the one leaf the
+search reaches, is then its least table: the representative, with key
+rel.key(leaf), and no pass over the relabellings is made. For other
+groups the least index tuple need not be the least table, and one
+classify, a pass over the leaf's m! relabelled tuples, gives the
+representative and the orbit; its |Aut| must equal the ties + 1, and the
+orbit's size times |Aut| must be m!. A key met before means the search
+reached a class twice. Summing m!/|Aut| over the classes gives the
+actions found, and no leaf list is kept; after a full search that sum
+must be |Hom(G, S_m)|^m, every action being in one class. That check
+covers the classes whose orbit no one builds.
+
+A full listing without dedupe is walked in table order (_walk), with no
+class, key or sort. Two different tables first differ in a slice of P.
+Let gens[k] be the first greedy generator whose images differ at some
+point. Every element below gens[k] is in the closure of gens[:k] (the
+greedy choice took the least element outside it), where both rows at
+every point agree, a homomorphism being fixed on a subgroup by its
+images of the subgroup's generators. So the first slice that differs is
+that of gens[k], and in it the first point t where rho_t(gens[k])
+differs decides, by the permutation order of the two images. Table
+order is thus the lexicographic order of the blocks (rho_t(gens[0]) for
+t < m), (rho_t(gens[1]) for t < m), .... The homomorphism list is sorted
+on the generator images, so at each block and point the homomorphisms
+that share the images chosen so far are a contiguous run, split by
+their next image into runs in ascending order; the walk takes them in
+that order, one product over the points per block.
+
+The emitted actions stay index tuples through the search, the walk or
+the assembly, and the EnumerationResult that holds them; the only
+BinaryAction built
 in enumerate_actions is the representative of each class, for its
 distributivity scan. The result builds one per emitted tuple the first
 time its actions are read, and the CLI's enumerate --out reads none: it
@@ -332,16 +369,20 @@ class EnumerationResult:
     without rebuilding relabelled tables; distributive_count counts
     distributive emissions, from one scan per class. raw_count is the sum
     of m!/|Aut(a)| over the classes, and distributive_count the same sum
-    over the distributive ones; each class has passed the check that its
-    m!/|Aut(a)| relabellings times |Aut(a)| make m!. After a budget stop,
+    over the distributive ones. Each class whose orbit was built (by
+    classify, or to expand it) has passed the check that its m!/|Aut(a)|
+    relabellings times |Aut(a)| make m!, and a finished full search the
+    check that raw_count is |Hom(G, S_m)|^m. After a budget stop,
     the one BudgetExceeded carries a result with exhaustive false, and
     its message says how many actions the search found. That result is a
     union of whole classes, every relabelling of each action in it being
     in it too: under dedupe every class the search settled before the
     stop, and without it those of them expanded before the deadline.
 
-    rows holds every emitted action in lexicographic table order (the
-    canonical representatives instead when dedupe was on) as its tuple of
+    rows holds every emitted action in lexicographic table order, walked
+    in that order when the listing is full and finished and otherwise
+    expanded from the classes and sorted (the canonical representatives
+    instead, sorted, when dedupe was on), each as its tuple of
     indices into homs, the row homomorphisms the run checked once. actions
     builds them as BinaryActions the first time it is read, none
     re-validated, and keeps them; the CLI's enumerate --out writes the
@@ -486,6 +527,7 @@ class _Relabelling:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
         prefix = _deciding_elements(group)
+        self.leaf_is_canonical = len(prefix) == 1  # see the module docstring
         base = math.factorial(m)
         values = []  # per homomorphism, its ranks over the prefix as digits in base (m!)^m
         for rho in homs:
@@ -525,11 +567,15 @@ class _Relabelling:
         """Sort key of the action's table, the sum of its points' place values."""
         return sum(map(list.__getitem__, self.places, leaf))
 
+    def relabellings(self, leaf) -> list[tuple[int, ...]]:
+        """The m! relabelled index tuples of leaf, one per move."""
+        return [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
+
     def classify(self, leaf):
         """One pass over the m! relabellings of leaf: the key and index tuple
         of the least one, the number of relabellings reaching it, which is
         |Aut| of the action, and the set of all of them, its class."""
-        images = [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
+        images = self.relabellings(leaf)
         orbit = set(images)
         places = self.places  # key() inlined: one call per relabelling costs more
         keyed = {sum(map(list.__getitem__, places, image)): image for image in orbit}
@@ -570,36 +616,43 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
     The search reaches one leaf per relabelling class, the least index
-    tuple of the class, and settles the class there: one classify gives
-    its representative, |Aut| and the orbit, whose size times |Aut| must
-    be m!, and the representative is scanned for distributivity, which
+    tuple of the class, and settles the class there: the leaf test's ties
+    give |Aut|; when one slice decides table order the leaf is the
+    representative, and otherwise one classify gives it, with an orbit
+    whose size times |Aut| must be m! and an |Aut| that must equal the
+    ties + 1. The representative is scanned for distributivity, which
     settles the class. Under require_distributive a non-distributive one
     raises, a row the law forces is the only candidate tried at its depth,
     and otherwise only the rows that pass the instances (h, t, t) are
-    tried. Emitted actions are sorted by table and held as index tuples
+    tried. A full search that finishes must have found m!/|Aut| actions
+    per class summing to |Hom(G, S_m)|^m. Without dedupe or the filter, the
+    listing is then walked in table order (_walk); otherwise _assemble
+    builds it from the classes. Emitted actions are held as index tuples
     into the row homomorphisms, checked once per run when the relabelling
     tables are built; the result builds BinaryActions from them on first
     use.
 
     The time budget counts from before the row homomorphisms are
-    generated and bounds their generation (not the subgroup lattice it
-    starts from), the relabelling tables, the search and the expansion of
-    its classes. Every budget check raises _BudgetStop, caught here alone:
-    the classes settled so far (none if it came before the search) are
-    assembled under the deadline, and one BudgetExceeded carries them, so
-    a partial result is a union of whole classes. Its message names the
-    budget that stopped the search, and the time budget if the deadline
-    then cut the assembly, with the actions found and assembled; it names
-    only the time budget when the search had finished.
+    generated and bounds their generation, the subgroup lattice it starts
+    from (all_subgroups reads the deadline), the relabelling tables, the
+    search, the walk and the expansion of classes. Every budget check
+    raises _BudgetStop, caught here alone: the classes settled so far
+    (none if it came before the search) are assembled under the deadline,
+    and one BudgetExceeded carries them, so a partial result is a union of
+    whole classes. A deadline that cuts the walk has passed, so that
+    assembly keeps none. The message names the budget that stopped the
+    run, and the time budget if the deadline then cut the assembly, with
+    the actions found and assembled; it names only the time budget when
+    the search and any walk had finished.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
-    classes: dict[int, tuple] = {}  # key -> (representative, |Aut|, distributive, orbit or None)
+    classes: dict[int, tuple] = {}  # key -> (representative, |Aut|, distributive)
     chosen_idx = [0] * m
-    rel = reason = None
+    rel = reason = rows = None
 
     def distributivity_ok(t: int) -> bool:
         # the law instances that row t adds, one per distinct non-identity
@@ -639,25 +692,42 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
                 return False
         return True
 
-    def settle():
-        key, canon, aut, orbit = rel.classify(tuple(chosen_idx))
-        if len(orbit) * aut != math.factorial(m):
-            raise InternalInconsistency(
-                f"class of {canon}: {len(orbit)} relabellings times {aut} "
-                f"automorphisms is not {m}!")
+    def leaf_ties():
+        # least_so_far at t = m - 1, counting the relabellings that fix the
+        # leaf: None if one maps it below itself
+        first = chosen_idx[0]
+        ties = 0
+        for conj, inv in prefix_moves[-1]:
+            y = conj[chosen_idx[inv[0]]]
+            if y == first:
+                image = [conj[chosen_idx[s]] for s in inv]
+                if image < chosen_idx:
+                    return None
+                ties += image == chosen_idx
+            elif y < first:
+                return None
+        return ties
+
+    def settle(ties: int):
+        leaf = tuple(chosen_idx)
+        if rel.leaf_is_canonical:
+            key, canon, aut = rel.key(leaf), leaf, ties + 1
+        else:
+            key, canon, aut, orbit = rel.classify(leaf)
+            if aut != ties + 1:
+                raise InternalInconsistency(
+                    f"class of {canon}: {aut} automorphisms, but {ties} ties at its leaf")
+            _check_orbit(canon, len(orbit), aut, m)
         if key in classes:
             raise InternalInconsistency(f"class of {canon} met twice")
         w = is_distributive(_action(g, rel.homs, canon))
         if w is not True and task.require_distributive:
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
-        classes[key] = (canon, aut, w is True, None if task.dedupe else tuple(orbit))
+        classes[key] = (canon, aut, w is True)
 
     def fill(t: int):
         nonlocal nodes
-        if t == m:
-            settle()
-            return
         forced = forced_row(t) if task.require_distributive else None
         for i in candidates[t] if forced is None else (forced,):
             nodes += 1
@@ -668,8 +738,13 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
             chosen_idx[t] = i
             if task.require_distributive and not distributivity_ok(t):
                 continue
-            if least_so_far(t):
-                fill(t + 1)
+            if t < m - 1:
+                if least_so_far(t):
+                    fill(t + 1)
+            else:
+                ties = leaf_ties()
+                if ties is not None:
+                    settle(ties)
 
     try:
         rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
@@ -681,12 +756,21 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
                        if all(conj[i] == i for c, conj in row if c[t] == t)]
                       for t in range(m)] if law_rows else [range(len(rowhoms))] * m
         fill(0)
+        if not task.require_distributive:
+            found = sum(math.factorial(m) // aut for _, aut, _ in classes.values())
+            if found != len(rowhoms) ** m:
+                raise InternalInconsistency(
+                    f"the classes hold {found} actions, not |Hom(G, S_{m})|^{m} = "
+                    f"{len(rowhoms) ** m}")
+            if not task.dedupe:
+                rows = _walk(g, rowhoms, m, deadline)
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, classes, search_complete=reason is None, deadline=deadline)
+    result = _assemble(task, rel, classes, rows, search_complete=reason is None,
+                       deadline=deadline)
     if result.exhaustive:
         return result
-    found = sum(math.factorial(m) // aut for _, aut, _, _ in classes.values())
+    found = sum(math.factorial(m) // aut for _, aut, _ in classes.values())
     if reason is not None:  # None: the search finished, the deadline cut its assembly
         if result.raw_count < found and reason != time_reason:
             reason += f"; {time_reason}"
@@ -694,34 +778,92 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     raise BudgetExceeded(reason or time_reason, partial=result)
 
 
-def _assemble(task, rel: _Relabelling | None, classes: dict, search_complete: bool,
+def _check_orbit(canon, size: int, aut: int, m: int) -> None:
+    """Orbit-stabilizer for one class: its size times |Aut| is m!."""
+    if size * aut != math.factorial(m):
+        raise InternalInconsistency(
+            f"class of {canon}: {size} relabellings times {aut} automorphisms is not {m}!")
+
+
+def _walk(g: FiniteGroup, homs, m: int, deadline: float) -> list[tuple[int, ...]]:
+    """Every index tuple over homs, in table order, with no key and no
+    sort; the proof is in the module docstring.
+
+    homs is sorted on the images of the greedy generators gens, so the
+    homomorphisms that share their images of gens[:k] are a contiguous
+    run, and those that also share their gens[k] image are contiguous runs
+    inside it, in ascending order of that image. runs[k] maps the start of
+    each run of depth k to the starts of its runs of depth k + 1; a run of
+    depth len(gens) is one homomorphism, its start its index. Block k
+    picks a run of depth k + 1 at every point, one product over the
+    points, and each choice of the block is completed by the later blocks.
+    The clock is read before every 1024 rows, and _BudgetStop raised once
+    the deadline has passed.
+    """
+    gens = greedy_generators(g)
+    if not gens:  # the trivial group: one homomorphism, one action
+        return [(0,) * m]
+    runs = []
+    starts = [0]
+    for s in gens:
+        level = {}
+        for lo, hi in zip(starts, [*starts[1:], len(homs)]):
+            level[lo] = [i for i in range(lo, hi) if i == lo or homs[i][s] != homs[i - 1][s]]
+        runs.append(level)
+        starts = [i for kids in level.values() for i in kids]
+
+    def block(k: int, state):
+        choices = itertools.product(*map(runs[k].__getitem__, state))
+        if k == len(runs) - 1:
+            return choices
+        return itertools.chain.from_iterable(block(k + 1, c) for c in choices)
+
+    walk = block(0, (0,) * m)
+    rows = []
+    while True:
+        if time.monotonic() > deadline:
+            raise _BudgetStop()
+        held = len(rows)
+        rows += itertools.islice(walk, 1024)
+        if len(rows) - held < 1024:
+            return rows
+
+
+def _assemble(task, rel: _Relabelling | None, classes: dict, rows, search_complete: bool,
               deadline: float) -> EnumerationResult:
     """The result over the classes the search settled, each held as
-    classes[key] = (representative, |Aut|, distributive, orbit).
+    classes[key] = (representative, |Aut|, distributive).
 
-    Under dedupe the rows are the representatives sorted by key. Otherwise
-    each class's orbit is expanded in the order the classes were met, the
-    clock read before each one; past the deadline, the classes expanded so
-    far make the result, so it is a union of whole classes. The expanded
-    rows are then sorted by key, which is table order. The counts are
-    those of the classes kept: raw_count sums m!/|Aut| over them,
-    distributive_count over the distributive ones. The result is
-    exhaustive when the search was complete and every class was kept.
+    rows, when given, is the walked listing of a finished full search
+    without dedupe, and every class is kept. Under dedupe the rows are the
+    representatives sorted by key. Otherwise each class's orbit is
+    recomputed from its representative, in the order the classes were
+    met, the clock read before each one; past the deadline, the classes
+    expanded so far make the result, so it is a union of whole classes.
+    Each orbit's size times |Aut| must be m!. The expanded rows are then
+    sorted by key, which is table order. The counts are those of the
+    classes kept: raw_count sums m!/|Aut| over them, distributive_count
+    over the distributive ones. The result is exhaustive when the search
+    was complete and every class was kept.
     """
     m = task.carrier_size
     kept = list(classes.values())
-    if task.dedupe:
+    if rows is not None:
+        pass
+    elif task.dedupe:
         rows = [classes[k][0] for k in sorted(classes)]
     else:
         rows = []
-        for n, (_, _, _, orbit) in enumerate(kept):
+        for n, (canon, aut, _) in enumerate(kept):
             if time.monotonic() > deadline:
                 del kept[n:]
                 break
+            orbit = set(rel.relabellings(canon))
+            _check_orbit(canon, len(orbit), aut, m)
             rows += orbit
         if rows:
             rows.sort(key=rel.key)
-    sizes = [(math.factorial(m) // aut, distributive) for _, aut, distributive, _ in kept]
+    sizes = [(math.factorial(m) // aut, distributive) for _, aut, distributive in kept]
     return EnumerationResult(task=task, raw_count=sum(n for n, _ in sizes),
                              canonical_count=len(kept),
                              distributive_count=sum(n for n, d in sizes if d),

@@ -431,21 +431,21 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
 
 
 def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
-    """Every clock read advances one second, so a 16 s budget (six reads for
-    the relabellings of 3 points, then one per class) runs out while the
-    classes are expanded; the stop is reported like enumerate's. The first
-    ten classes the search meets hold 40 actions of z2 on 3 points, 10 of
-    them distributive (by the oracles in tests/oracles.py)."""
+    """Every clock read advances one second, so a 6.5 s budget (six reads
+    for the relabellings of 3 points, then one before the walk's first
+    row) runs out as the 64 actions of z2 on 3 points are walked; the stop
+    is reported like enumerate's, and the cut walk keeps no action."""
     import itertools
 
     import binact.search
 
     ticks = itertools.count()
     monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
-    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "16"]) == 1
+    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "6.5"]) == 1
     assert capsys.readouterr().out == (
-        "non-exhaustive: enumeration budget exceeded: time budget 16.0s reached\n"
-        "raw_count=40 canonical_count=10 distributive_count=10 exhaustive=no\n")
+        "non-exhaustive: enumeration budget exceeded: time budget 6.5s reached "
+        "(64 actions found, 0 assembled)\n"
+        "raw_count=0 canonical_count=0 distributive_count=0 exhaustive=no\n")
 
 
 def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):

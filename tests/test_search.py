@@ -550,26 +550,29 @@ def test_node_budget_exhaustion_carries_partial(s3):
 
 
 def test_time_budget_bounds_assembly(z2, monkeypatch):
-    """The deadline is read once when the search starts, once per relabelling
-    of the carrier (six on 3 points) and once before each class is
-    expanded; z2 on 3 points makes too few search nodes for the search
-    itself to read it. The 11th class read 17 > 16, so the partial holds
-    the first 10 classes the search met, 40 actions, 10 of them
-    distributive (by the oracles)."""
+    """The full listing without dedupe is walked, and the walk reads the
+    deadline before every 1024 rows. z2 on 4 points reads the clock once
+    when the run starts, once per relabelling (24), once in the search (at
+    node 1024) and ten times in the walk of its 10000 rows: a 35 s budget
+    lets the walk finish, a 34.5 s one cuts it before its last 784 rows.
+    A cut walk keeps no rows: the assembly's first clock read is past the
+    deadline too, so the partial is the empty union of classes, and the
+    message counts what the search found."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    result = enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=35))
+    assert next(ticks) == 36
+    assert result.exhaustive and len(result.rows) == result.raw_count == 10000
+    ticks = itertools.count()
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, time_budget_s=16))
-    assert next(ticks) == 18  # building the partial result read no clock
-    assert str(exc.value) == "enumeration budget exceeded: time budget 16s reached"
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=34.5))
+    assert next(ticks) == 37  # the cut walk's read, then the assembly's
+    assert str(exc.value) == ("enumeration budget exceeded: time budget 34.5s reached "
+                              "(10000 actions found, 0 assembled)")
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (40, 10, 10)
-    expect = sorted(t for c in _classes_in_search_order("z2", 3)[:10] for t in c)
-    assert [a.table for a in partial.actions] == expect
-    assert partial.distributive_count == sum(
-        oracle_is_distributive(z2.cayley, t, 3) for t in expect)
-    _assert_whole_classes(partial)
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
+    assert partial.actions == ()
 
 
 def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
@@ -881,16 +884,48 @@ def test_unclosed_hom_list_raises(z2, monkeypatch):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
 
-def test_a_class_met_twice_raises(z2, monkeypatch):
-    """Without the prefix test every index tuple reaches a leaf, so the
-    second member of a class met is refused: z2 on 3 points has the rows
-    0 (the identity), 1, 2 and 3 (the transpositions fixing 0, 2 and 1),
-    and its leaves (0, 0, 1) and (0, 0, 3) swap into each other with the
-    points 0 and 1, so the fourth leaf settles the class of the second."""
+def test_a_class_met_twice_raises(s3, monkeypatch):
+    """A key that comes back is refused. With classify patched to give
+    every leaf of s3 on 3 points the key of the first, whose class the
+    second leaf is then taken for, the second leaf is refused."""
+    classify = search._Relabelling.classify
+    first = []
+
+    def same_key(self, leaf):
+        key, canon, aut, orbit = classify(self, leaf)
+        first.append(key)
+        return first[0], canon, aut, orbit
+
+    monkeypatch.setattr(search._Relabelling, "classify", same_key)
+    with pytest.raises(InternalInconsistency, match=r"^class of \(.*\) met twice$"):
+        enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
+    assert len(first) == 2
+
+
+def test_a_search_without_the_prefix_test_trips_the_sum_check(z2, monkeypatch):
+    """Without the prefix test every index tuple reaches a leaf. For z2 each
+    leaf is taken as its own representative, with no ties, so no key comes
+    back, but the 64 leaves of 3 points claim 64 * 3! actions, not
+    |Hom(G, S_3)|^3 = 64."""
     monkeypatch.setattr(search._Relabelling, "prefix_moves",
                         lambda self: [[] for _ in self.places])
-    with pytest.raises(InternalInconsistency, match=r"^class of \(.*\) met twice$"):
+    with pytest.raises(InternalInconsistency, match=r"hold 384 actions, not .* = 64$"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+
+
+@pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4)])
+def test_an_aut_miscount_trips_the_sum_check(name, m, monkeypatch):
+    """Each move listed twice at the leaf depth counts every tie twice, so
+    every class with a non-trivial automorphism gets a wrong |Aut|. The
+    leaves reached are the same, and z2 builds no orbit, with dedupe or
+    without, so only the sum of m!/|Aut| over the classes shows it."""
+    prefix_moves = search._Relabelling.prefix_moves
+    monkeypatch.setattr(search._Relabelling, "prefix_moves",
+                        lambda self: [*prefix_moves(self)[:-1], prefix_moves(self)[-1] * 2])
+    for dedupe in (False, True):
+        with pytest.raises(InternalInconsistency, match=r"^the classes hold \d+ actions, not"):
+            enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m,
+                                              dedupe=dedupe))
 
 
 @pytest.mark.parametrize("name, m, dedupe", [
@@ -942,7 +977,9 @@ def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
         search._Relabelling(z2, homs, 3)
 
 
-def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
+def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
+    """s3 has two deciding elements, so each class's leaf is classified,
+    once per class; no action passes through validate_action."""
     calls = []
     classify = search._Relabelling.classify
     monkeypatch.setattr(search._Relabelling, "classify",
@@ -954,13 +991,16 @@ def test_least_runs_once_per_class_without_validate_action(z2, monkeypatch):
     # search no longer imports validate_action, so refusing it where it is
     # defined covers every path
     monkeypatch.setattr(binact.actions, "validate_action", refuse)
-    result = enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
-    assert (result.raw_count, result.canonical_count) == (64, 16)
-    assert len(calls) == len(set(calls)) == 16
+    result = enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
+    assert (result.raw_count, result.canonical_count) == (1000, 180)
+    assert len(calls) == len(set(calls)) == 180
 
 
-def test_per_class_orbit_stabilizer_check(z2, monkeypatch):
-    """An orbit that loses one relabelling no longer has m!/|Aut| members."""
+def test_per_class_orbit_stabilizer_check(s3, z2, monkeypatch):
+    """An orbit that loses one relabelling no longer has m!/|Aut| members:
+    at the leaf, where s3's classify builds the orbit, and in the assembly
+    of a budget-stopped partial, which recomputes each orbit from its
+    representative."""
     classify = search._Relabelling.classify
 
     def lose_one(self, leaf):
@@ -969,7 +1009,89 @@ def test_per_class_orbit_stabilizer_check(z2, monkeypatch):
 
     monkeypatch.setattr(search._Relabelling, "classify", lose_one)
     with pytest.raises(InternalInconsistency, match="relabellings times"):
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+        enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
+    relabellings = search._Relabelling.relabellings
+    monkeypatch.setattr(search._Relabelling, "relabellings",
+                        lambda self, leaf: sorted(set(relabellings(self, leaf)))[1:])
+    with pytest.raises(InternalInconsistency, match="relabellings times"):
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40))
+
+
+def _settled_classes(task, monkeypatch):
+    """The run's relabelling tables and the classes its search settled, as
+    handed to the assembly: key -> (representative, |Aut|, distributive)."""
+    seen = []
+    assemble = search._assemble
+
+    def spy(task, rel, classes, *args, **kwargs):
+        seen.append((rel, dict(classes)))
+        return assemble(task, rel, classes, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_assemble", spy)
+    result = enumerate_actions(task)
+    monkeypatch.setattr(search, "_assemble", assemble)
+    assert result.exhaustive
+    (rel, classes), = seen
+    return rel, classes
+
+
+@pytest.mark.parametrize("name, m, dist", [
+    ("z2", 3, False), ("z2", 4, False), ("z3", 3, False), ("z3", 4, False),
+    ("z3", 5, True), ("z60", 5, True)])
+def test_leaf_shortcut_matches_classify(name, m, dist, monkeypatch):
+    """For a group with one deciding element each class is settled at its
+    leaf without classify: its key, representative and |Aut| (the ties at
+    the leaf, plus one) are classify's on every class."""
+    calls = []
+    classify = search._Relabelling.classify
+    monkeypatch.setattr(search._Relabelling, "classify",
+                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
+    rel, classes = _settled_classes(EnumerationTask(
+        group=builtin_group(name), carrier_size=m, require_distributive=dist), monkeypatch)
+    assert rel.leaf_is_canonical and calls == []
+    for key, (canon, aut, _) in classes.items():
+        assert classify(rel, canon)[:3] == (key, canon, aut), canon
+
+
+@pytest.mark.parametrize("name, m, dist", [
+    ("k4", 3, False), ("s3", 3, False), ("k4", 4, True), ("s3", 4, True)])
+def test_leaf_ties_give_aut_for_every_group(name, m, dist, monkeypatch):
+    """For a group with more deciding elements classify still settles each
+    class, and its |Aut| must equal the ties at the leaf plus one: the
+    run checks that on every class, and refuses a classify that counts
+    one automorphism more."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m, require_distributive=dist)
+    calls = []
+    classify = search._Relabelling.classify
+    monkeypatch.setattr(search._Relabelling, "classify",
+                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
+    rel, classes = _settled_classes(task, monkeypatch)
+    assert not rel.leaf_is_canonical
+    assert len(calls) == len(classes) > 1
+
+    def one_more(self, leaf):
+        key, canon, aut, orbit = classify(self, leaf)
+        return key, canon, aut + 1, orbit
+
+    monkeypatch.setattr(search._Relabelling, "classify", one_more)
+    with pytest.raises(InternalInconsistency, match="automorphisms, but .* ties at its leaf"):
+        enumerate_actions(task)
+
+
+@pytest.mark.parametrize("name, m", [
+    *[(name, m) for name in ("z1", "z2", "z3", "k4", "s3") for m in (1, 2, 3)],
+    ("z2", 4), ("z3", 4), ("q8", 3), ("d4", 3)])
+def test_the_walk_lists_every_table_in_order(name, m):
+    """The full listing without dedupe is walked over the generator blocks,
+    with no key and no sort, and lists the oracle's tables in sorted order
+    at every full size tier-1 runs, and for q8 (three greedy generators)
+    and d4 (two) on 3 points."""
+    g = builtin_group(name)
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m))
+    homs = oracle_permutation_homomorphisms(g.cayley, g.identity, m)
+    want = sorted(tuple(zip(*rows)) for rows in itertools.product(homs, repeat=m))
+    assert [a.table for a in result.actions] == want
+    assert result.exhaustive and result.raw_count == len(want)
 
 
 def test_task_validation(z2):
