@@ -15,8 +15,11 @@ build_parser() builds a fresh one on every call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -52,7 +55,7 @@ from .errors import (
 )
 from .groups import builtin_group, group_from_json, group_to_json, subgroup_closure
 from .orbits import orbit_report_json, orbit_space
-from .search import EnumerationTask, enumerate_actions, mine_counterexamples
+from .search import EnumerationTask, _enumerate, enumerate_actions, mine_counterexamples
 from .topology import (
     _battery,
     points_of,
@@ -237,59 +240,84 @@ def _report_budget_stop(exc: BudgetExceeded) -> int:
     return 1
 
 
-def _enumerate(args, **flags):
-    """The enumeration that the group, carrier and budget arguments name; a
-    budget stop propagates to main, which reports it."""
-    return enumerate_actions(EnumerationTask(
+def _task(args, **flags) -> EnumerationTask:
+    """The enumeration that the group, carrier and budget arguments name."""
+    return EnumerationTask(
         group=_resolve_group(args.group), carrier_size=args.carrier,
-        node_budget=args.node_budget, time_budget_s=args.time_budget, **flags))
+        node_budget=args.node_budget, time_budget_s=args.time_budget, **flags)
 
 
 def _cmd_enumerate(args) -> int:
-    result = _enumerate(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
-    print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
-          f"distributive_count={result.distributive_count} exhaustive=yes")
-    if args.out:
-        path = Path(args.out)
-        summary = {
-            "raw_count": result.raw_count,
-            "canonical_count": result.canonical_count,
-            "distributive_count": result.distributive_count,
-            "witnesses": None,
-            "exhaustive": result.exhaustive,
-        }
+    """The counts, and with --out the JSONL listing and its summary line.
+
+    A full listing without dedupe or the filter is written run by run as
+    the walk yields it, and with no --out it is not walked at all. The
+    file is opened when the first lines are ready, so a budget stop in the
+    search writes none; a deadline that cuts the walk leaves the lines
+    written so far, whole and in table order, with no summary line. A
+    budget stop propagates to main, which reports it."""
+    task = _task(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
+    path = Path(args.out) if args.out else None
+    out = None
+    with contextlib.ExitStack() as stack:
+        def write(homs, runs):
+            nonlocal out
+            if out is None:
+                out = stack.enter_context(path.open("w"))
+            lines = _action_lines(task.group, task.carrier_size, homs)
+            out.writelines(itertools.starmap(lines, runs))
+
         try:
-            with path.open("w") as fh:
-                fh.writelines(_action_lines(result.task.group, args.carrier, result.homs,
-                                            result.rows))
-                fh.write(json.dumps(summary) + "\n")
+            result = _enumerate(task, write if path else None)
+            if path:
+                write(result.homs, ((row[:-1], row[-1:]) for row in result.rows))
+                summary = {
+                    "raw_count": result.raw_count,
+                    "canonical_count": result.canonical_count,
+                    "distributive_count": result.distributive_count,
+                    "witnesses": None,
+                    "exhaustive": result.exhaustive,
+                }
+                out.write(json.dumps(summary) + "\n")
         except OSError as exc:
             raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
+    print(f"raw_count={result.raw_count} canonical_count={result.canonical_count} "
+          f"distributive_count={result.distributive_count} exhaustive=yes")
     return 0
 
 
-def _action_lines(g, m: int, homs, rows):
-    """The JSONL line of the action of g on m points whose row at point t
-    is homs[row[t]], for each index tuple row: byte for byte
-    json.dumps(action_to_json(a)) + "\n" for the action a with no
-    group_embedding that EnumerationResult.actions builds from it.
+def _action_lines(g, m: int, homs):
+    """The writer of runs (outer, last) of index tuples into homs: the
+    JSONL lines of the actions of g on m points whose row at point t is
+    homs[row[t]], for the rows outer + (i,) with i in last, as one string.
+    Each line is byte for byte json.dumps(action_to_json(a)) + "\n" for the
+    action a with no group_embedding that EnumerationResult.actions builds
+    from its row.
 
     The record head, group included, is encoded once. json.dumps with its
     default separators writes a list as its items' encodings joined by
     ", " inside brackets, so the slice of element h is written by joining
     the encodings of rho(h) over the rows rho. texts[i] holds them for
-    homs[i], one per element, encoded the first time a row uses it.
+    homs[i], one per element, encoded the first time a row uses it. Per
+    run, the slices' shared starts, the texts at points 0..m-2 joined and
+    followed by ", ", are joined once; each line then adds the texts of
+    its homomorphism at point m - 1.
     """
     head = f'{{"group": {json.dumps(group_to_json(g))}, "carrier": {m}, "table": [['
     texts = [None] * len(homs)
+    blank = [""] * g.order  # the starts of a run on one point
 
     def encode(i: int) -> list[str]:
         texts[i] = [json.dumps(list(p)) for p in homs[i]]
         return texts[i]
 
-    for row in rows:
-        slices = zip(*[texts[i] or encode(i) for i in row])
-        yield head + "], [".join(map(", ".join, slices)) + "]]}\n"
+    def lines(outer, last) -> str:
+        prefixes = [", ".join(sl) + ", " for sl in zip(*[texts[i] or encode(i) for i in outer])]
+        prefixes = prefixes or blank
+        return "".join([head + "], [".join(map(operator.add, prefixes, texts[i] or encode(i)))
+                        + "]]}\n" for i in last])
+
+    return lines
 
 
 def _cmd_topology_check(args) -> int:
@@ -305,7 +333,7 @@ def _cmd_topology_check(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    report = mine_counterexamples(_enumerate(args))
+    report = mine_counterexamples(enumerate_actions(_task(args)))
     w = report.intersecting_orbits
     if w is None:
         print("intersecting_orbits: none at this scale")

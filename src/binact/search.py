@@ -130,13 +130,22 @@ that share the images chosen so far are a contiguous run, split by
 their next image into runs in ascending order; the walk takes them in
 that order, one product over the points per block.
 
+The walk yields runs: in the last block point m - 1 varies fastest, so
+the rows that share their indices at points 0..m-2 come together, with
+the indices at m - 1 ascending. A run is that shared outer tuple and the
+list of those last indices, which the walk already holds; no row tuple
+is built. enumerate_actions extends the result's rows from the runs, and
+the CLI's enumerate --out writes each run's lines as the walk yields it,
+so a full listing written to a file holds no list of rows, and one that
+is only counted is not walked.
+
 The emitted actions stay index tuples through the search, the walk or
 the assembly, and the EnumerationResult that holds them; the only
-BinaryAction built
-in enumerate_actions is the representative of each class, for its
-distributivity scan. The result builds one per emitted tuple the first
-time its actions are read, and the CLI's enumerate --out reads none: it
-joins each JSON line from per-element texts of the rows' homomorphisms.
+BinaryAction built in enumerate_actions is the representative of each
+class, for its distributivity scan. The result builds one per emitted
+tuple the first time its actions are read, and the CLI's enumerate --out
+builds none: it joins each JSON line from per-element texts of the rows'
+homomorphisms.
 
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
@@ -385,8 +394,9 @@ class EnumerationResult:
     instead, sorted, when dedupe was on), each as its tuple of
     indices into homs, the row homomorphisms the run checked once. actions
     builds them as BinaryActions the first time it is read, none
-    re-validated, and keeps them; the CLI's enumerate --out writes the
-    same actions from rows without building them.
+    re-validated, and keeps them. The CLI's enumerate --out writes the
+    same actions without building them: a walked listing straight from
+    the walk's runs, with no rows list, and the others from rows.
     """
 
     task: EnumerationTask
@@ -626,24 +636,48 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     and otherwise only the rows that pass the instances (h, t, t) are
     tried. A full search that finishes must have found m!/|Aut| actions
     per class summing to |Hom(G, S_m)|^m. Without dedupe or the filter, the
-    listing is then walked in table order (_walk); otherwise _assemble
-    builds it from the classes. Emitted actions are held as index tuples
-    into the row homomorphisms, checked once per run when the relabelling
-    tables are built; the result builds BinaryActions from them on first
-    use.
+    listing is then walked in table order (_walk), run by run, into the
+    result's rows; otherwise _assemble builds it from the classes. Emitted
+    actions are held as index tuples into the row homomorphisms, checked
+    once per run when the relabelling tables are built; the result builds
+    BinaryActions from them on first use.
 
     The time budget counts from before the row homomorphisms are
     generated and bounds their generation, the subgroup lattice it starts
     from (all_subgroups reads the deadline), the relabelling tables, the
     search, the walk and the expansion of classes. Every budget check
-    raises _BudgetStop, caught here alone: the classes settled so far
-    (none if it came before the search) are assembled under the deadline,
-    and one BudgetExceeded carries them, so a partial result is a union of
-    whole classes. A deadline that cuts the walk has passed, so that
-    assembly keeps none. The message names the budget that stopped the
-    run, and the time budget if the deadline then cut the assembly, with
-    the actions found and assembled; it names only the time budget when
-    the search and any walk had finished.
+    raises _BudgetStop, caught in _enumerate alone: the classes settled so
+    far (none if it came before the search) are assembled under the
+    deadline, and one BudgetExceeded carries them, so a partial result is
+    a union of whole classes. A deadline that cuts the walk has passed, so
+    that assembly keeps none, and the rows walked so far are dropped. The
+    message names the budget that stopped the run, and the time budget if
+    the deadline then cut the assembly, with the actions found and
+    assembled; it names only the time budget when the search and any walk
+    had finished.
+    """
+    rows = []
+
+    def gather(homs, runs):
+        for outer, last in runs:
+            rows.extend([outer + (i,) for i in last])
+
+    return _enumerate(task, gather, rows)
+
+
+def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult:
+    """enumerate_actions, with the walk's runs handed to emit.
+
+    After a full search without dedupe or the filter has finished, emit,
+    if given, is called once as emit(homs, runs), with the row
+    homomorphisms and the runs (outer, last) of _walk, which it consumes
+    in order; with no emit no walk is made. rows, if given, is the list
+    emit extends, and the result lists it. Otherwise the result lists no
+    walked row: emit writes them elsewhere, as enumerate --out does, and
+    a deadline that cuts the walk leaves them written, so its message says
+    how many: (N actions found, K written), K being the rows of the runs
+    emit took. The listings that _assemble builds are in the result's rows
+    either way.
     """
     g = task.group
     m = task.carrier_size
@@ -652,7 +686,14 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     nodes = 0
     classes: dict[int, tuple] = {}  # key -> (representative, |Aut|, distributive)
     chosen_idx = [0] * m
-    rel = reason = rows = None
+    rel = reason = walked = written = None
+
+    def counted(runs):
+        nonlocal written
+        written = 0
+        for run in runs:
+            yield run
+            written += len(run[1])
 
     def distributivity_ok(t: int) -> bool:
         # the law instances that row t adds, one per distinct non-identity
@@ -763,10 +804,12 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
                     f"the classes hold {found} actions, not |Hom(G, S_{m})|^{m} = "
                     f"{len(rowhoms) ** m}")
             if not task.dedupe:
-                rows = _walk(g, rowhoms, m, deadline)
+                if emit is not None:
+                    emit(rowhoms, counted(_walk(g, rowhoms, m, deadline)))
+                walked = [] if rows is None else rows
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, classes, rows, search_complete=reason is None,
+    result = _assemble(task, rel, classes, walked, search_complete=reason is None,
                        deadline=deadline)
     if result.exhaustive:
         return result
@@ -774,7 +817,9 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     if reason is not None:  # None: the search finished, the deadline cut its assembly
         if result.raw_count < found and reason != time_reason:
             reason += f"; {time_reason}"
-        reason += f" ({found} actions found, {result.raw_count} assembled)"
+        kept = (f"{written} written" if written is not None and rows is None
+                else f"{result.raw_count} assembled")
+        reason += f" ({found} actions found, {kept})"
     raise BudgetExceeded(reason or time_reason, partial=result)
 
 
@@ -785,9 +830,12 @@ def _check_orbit(canon, size: int, aut: int, m: int) -> None:
             f"class of {canon}: {size} relabellings times {aut} automorphisms is not {m}!")
 
 
-def _walk(g: FiniteGroup, homs, m: int, deadline: float) -> list[tuple[int, ...]]:
+def _walk(g: FiniteGroup, homs, m: int, deadline: float):
     """Every index tuple over homs, in table order, with no key and no
-    sort; the proof is in the module docstring.
+    sort, as runs (outer, last): outer is the index tuple at points
+    0..m-2, last the ascending list of indices at point m - 1, and the
+    run's rows are outer + (i,) for each i in last. The proof is in the
+    module docstring.
 
     homs is sorted on the images of the greedy generators gens, so the
     homomorphisms that share their images of gens[:k] are a contiguous
@@ -797,36 +845,38 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float) -> list[tuple[int, ...]
     depth len(gens) is one homomorphism, its start its index. Block k
     picks a run of depth k + 1 at every point, one product over the
     points, and each choice of the block is completed by the later blocks.
-    The clock is read before every 1024 rows, and _BudgetStop raised once
-    the deadline has passed.
+    Point m - 1 varies fastest in the last block, so a choice there at
+    points 0..m-2 is one run, with last the list runs[-1] holds. The clock
+    is read before the first row and then before the first run past each
+    further 1024 rows, and _BudgetStop raised once the deadline has
+    passed.
     """
-    gens = greedy_generators(g)
-    if not gens:  # the trivial group: one homomorphism, one action
-        return [(0,) * m]
     runs = []
     starts = [0]
-    for s in gens:
+    for s in greedy_generators(g):
         level = {}
         for lo, hi in zip(starts, [*starts[1:], len(homs)]):
             level[lo] = [i for i in range(lo, hi) if i == lo or homs[i][s] != homs[i - 1][s]]
         runs.append(level)
         starts = [i for kids in level.values() for i in kids]
+    runs = runs or [{0: [0]}]  # the trivial group: one homomorphism
 
     def block(k: int, state):
-        choices = itertools.product(*map(runs[k].__getitem__, state))
+        level = runs[k]
         if k == len(runs) - 1:
-            return choices
-        return itertools.chain.from_iterable(block(k + 1, c) for c in choices)
+            outers = itertools.product(*map(level.__getitem__, state[:-1]))
+            return zip(outers, itertools.repeat(level[state[-1]]))
+        return itertools.chain.from_iterable(
+            block(k + 1, c) for c in itertools.product(*map(level.__getitem__, state)))
 
-    walk = block(0, (0,) * m)
-    rows = []
-    while True:
-        if time.monotonic() > deadline:
-            raise _BudgetStop()
-        held = len(rows)
-        rows += itertools.islice(walk, 1024)
-        if len(rows) - held < 1024:
-            return rows
+    walked = due = 0
+    for run in block(0, (0,) * m):
+        if walked >= due:
+            if time.monotonic() > deadline:
+                raise _BudgetStop()
+            due = walked - walked % 1024 + 1024
+        yield run
+        walked += len(run[1])
 
 
 def _assemble(task, rel: _Relabelling | None, classes: dict, rows, search_complete: bool,

@@ -25,6 +25,7 @@ from binact import (
     make_binary_op,
     topology_to_json,
     trivial_action,
+    validate_action,
 )
 from binact.cli import _action_lines, build_parser, main
 
@@ -286,6 +287,70 @@ def test_enumerate_out_lines_are_action_records(name, m, flags, tmp_path, capsys
     assert text.split("\n")[:-1] == _enumerated_lines(g, m, **flags)
 
 
+@pytest.mark.parametrize("name, m", [
+    *[(name, m) for name in ("z1", "z2", "z3", "k4", "s3") for m in (1, 2, 3)],
+    ("z2", 4), ("z3", 4), ("q8", 3), ("d4", 3)])
+def test_streamed_out_matches_the_api_listing(name, m, monkeypatch, tmp_path, capsys):
+    """The full listing is written run by run as the walk yields it, not
+    through enumerate_actions, and matches the API's listing line for line
+    at every full size tier-1 runs, on one point, and for q8 (three greedy
+    generators), d4 (two) and z1 (none) on 3 points."""
+    g = builtin_group(name)
+    want = _enumerated_lines(g, m)
+
+    def refuse(task):
+        raise AssertionError("enumerate must not gather the listing")
+
+    monkeypatch.setattr(binact.cli, "enumerate_actions", refuse)
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", name, "--carrier", str(m), "--out", str(out)]) == 0
+    assert out.read_text().split("\n") == [*want, ""]
+    summary = json.loads(want[-1])
+    assert capsys.readouterr().out == (
+        f"raw_count={summary['raw_count']} canonical_count={summary['canonical_count']} "
+        f"distributive_count={summary['distributive_count']} exhaustive=yes\n")
+
+
+@pytest.mark.parametrize("budget, written", [(34.5, 9220), (25.5, 0)])
+def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, monkeypatch,
+                                                            tmp_path, capsys):
+    """Every clock read advances one second. z2 on 4 points reads the
+    clock once when the run starts, 24 times for the relabellings and once
+    in the search, then before its first row and before the first run of
+    ten rows past each further 1024. A 34.5 s budget cuts the stream at
+    its tenth read, at row 9220, and a 25.5 s one at its first: the run
+    exits 1, the message counts the rows written, and the file holds
+    those lines whole, in table order, with no summary line."""
+    import itertools
+
+    import binact.search
+
+    want = _enumerated_lines(builtin_group("z2"), 4)[:-1]
+    ticks = itertools.count()
+    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", "z2", "--carrier", "4", "--time-budget", str(budget),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        f"non-exhaustive: enumeration budget exceeded: time budget {budget}s reached "
+        f"(10000 actions found, {written} written)\n"
+        "raw_count=0 canonical_count=0 distributive_count=0 exhaustive=no\n")
+    assert out.read_text() == "".join(line + "\n" for line in want[:written])
+
+
+def test_count_only_enumerate_walks_nothing(monkeypatch, capsys):
+    """Without --out the full listing is counted, never walked."""
+    import binact.search
+
+    def refuse(*args):
+        raise AssertionError("a count-only run must not walk the listing")
+
+    monkeypatch.setattr(binact.search, "_walk", refuse)
+    assert main(["enumerate", "--group", "s3", "--carrier", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "raw_count=1000 canonical_count=180 distributive_count=11 exhaustive=yes\n")
+
+
 def test_enumerate_out_builds_one_action_per_class(monkeypatch, tmp_path, capsys):
     """enumerate --out writes its lines from index tuples: of the 10000
     actions of z2 on 4 points, only the first of each of the 475 classes
@@ -320,15 +385,21 @@ def test_enumerate_out_escapes_group_labels(tmp_path, capsys):
 
 def test_action_lines_write_multi_digit_entries():
     """Entries of ten and more, on a carrier too large to enumerate
-    (11! relabellings), are encoded like json.dumps encodes them; each
-    line is written from the action's index tuple into the homomorphisms."""
+    (11! relabellings), are encoded like json.dumps encodes them; the
+    lines of a run (outer, last) are written as one string, from the
+    index tuples outer + (i,) into the homomorphisms, i in last."""
     z2 = builtin_group("z2")
     identity = tuple(range(11))
     swap = (10,) + tuple(range(1, 10)) + (0,)
     homs = [(identity, identity), (identity, swap)]
-    actions = [trivial_action(z2, 11), from_ordinary(make_ordinary_action(z2, homs[1]))]
-    assert list(_action_lines(z2, 11, homs, [(0,) * 11, (1,) * 11])) == [
-        json.dumps(action_to_json(a)) + "\n" for a in actions]
+    lines = _action_lines(z2, 11, homs)
+    for outer, last in [((0,) * 10, [0, 1]), ((1,) * 10, [1]), ((0, 1) * 5, [0, 1])]:
+        actions = [validate_action(z2, tuple(zip(*[homs[i] for i in (*outer, i)])))
+                   for i in last]
+        assert lines(outer, last) == "".join(
+            json.dumps(action_to_json(a)) + "\n" for a in actions)
+    assert lines((1,) * 10, [1]) == (
+        json.dumps(action_to_json(from_ordinary(make_ordinary_action(z2, homs[1])))) + "\n")
 
 
 def test_enumerate_out_unwritable_exits_two(tmp_path, capsys):

@@ -551,10 +551,12 @@ def test_node_budget_exhaustion_carries_partial(s3):
 
 def test_time_budget_bounds_assembly(z2, monkeypatch):
     """The full listing without dedupe is walked, and the walk reads the
-    deadline before every 1024 rows. z2 on 4 points reads the clock once
-    when the run starts, once per relabelling (24), once in the search (at
-    node 1024) and ten times in the walk of its 10000 rows: a 35 s budget
-    lets the walk finish, a 34.5 s one cuts it before its last 784 rows.
+    deadline before its first row and before the first run past each
+    further 1024 rows. z2 on 4 points reads the clock once when the run
+    starts, once per relabelling (24), once in the search (at node 1024)
+    and ten times in the walk of its 10000 rows, in runs of ten: a 35 s
+    budget lets the walk finish, a 34.5 s one cuts it before its last 780
+    rows.
     A cut walk keeps no rows: the assembly's first clock read is past the
     deadline too, so the partial is the empty union of classes, and the
     message counts what the search found."""
