@@ -34,7 +34,7 @@ instance with x, x' < t lands on t, the search tries that index alone,
 still through the full check; only when none does are all homomorphisms
 tried. No leaf is lost, leaves come in the same order, and every node
 visited is checked as before; the node budget counts fewer nodes (k4 on
-4 points: 13364 -> 2093).
+4 points, searched in one block: 13364 -> 2093).
 
 The instances with x = x' = t filter the rows at t before any other row
 matters. If h(t, t) = t, then c = h(t, -) fixes t, and (h, t, t) reads
@@ -44,7 +44,14 @@ once per point t, the ascending list of indices i with conj[i] == i for
 every h != e with rho_i(h)(t) = t, and tries only those when no row is
 forced. A dropped index is one the check rejects at the same depth
 through (h, t, t), so no leaf is lost and leaves come in the same order;
-only fewer nodes are counted (s3 on 5 points: 4602 -> 882).
+only fewer nodes are counted (s3 on 5 points, searched in one block:
+4602 -> 882). The layered search below checks, forces and filters the
+same way in each block k, on the rows' restrictions to a subgroup H_k in
+place of G: the law for g, h in H_k is the law of the restricted
+action, so a distributive action passes it, and c = rho(h), h in H_k,
+is the same for every rho in a run, whose conjugates by c are a run. A
+forced run outside the point's run of the block before leaves no
+candidate.
 
 A homomorphism G -> S_m is a labelled G-set, a disjoint union of coset
 spaces G/H with x (yH) = (xy)H, and is generated as one: the least point
@@ -61,61 +68,16 @@ to sigma rho sigma^-1 at row sigma(t), so one table of conjugate indices,
 built once per run, turns every relabelling of an action into m index
 lookups; a conjugate of a homomorphism is a homomorphism, so no relabelled
 table is rebuilt or re-validated. The canonical form of an action is its
-lexicographically least relabelled table, found by comparing relabellings
-through one int per table, whose digits are the permutation ranks of
-its first slices, each rank a place in the lexicographic list of
-relabellings (see _Relabelling). The number of
-relabellings that reach the least table is the order of the action's
-automorphism group. canonicalize finds the same form for one action
-without these tables: a minimum over the relabellings of its slices over
-_deciding_elements.
+lexicographically least relabelled table, which the search reaches as a
+leaf; the number of relabellings that reach it is the order of the
+action's automorphism group. One int per table, whose digits are the
+permutation ranks of its first slices (see _Relabelling), sorts the
+relabellings of a class when they are listed. canonicalize finds the
+same form for one action without these tables: a minimum over the
+relabellings of its slices over _deciding_elements.
 
-The search is orderly: it reaches one leaf per class, the least index
-tuple among the class's relabellings (an order on index tuples, not the
-table order of the canonical form). After row t is chosen, the prefix
-is rejected when some relabelling sigma with sigma({0..t}) = {0..t}
-maps it to a smaller prefix. The entry of sigma.L at s is
-conj_sigma[L[inv[s]]], inv = sigma^-1, and for s <= t it has
-inv[s] <= t, so the entries of sigma.L at 0..t read only the prefix; if
-they are smaller, every completion L has sigma.L < L and is not the
-least of its class. No relabelling of the least leaf of a class is
-smaller than it, so no prefix of it is rejected and it is always
-reached. At t = m - 1 every relabelling keeps 0..m-1, so a leaf that
-passes is the least of its class, and the search meets each class
-exactly once. The forced rows and the stabiliser filter prune only
-branches without a distributive leaf, and this test only branches
-without a least one, so under require_distributive the two compose:
-every least distributive leaf is reached.
-
-Each class is settled at its leaf, from what the leaf test found. At
-t = m - 1 every relabelling maps 0..m-1 onto itself, so the test
-compares the leaf whole with every relabelling but the identity, and a
-leaf that passes was mapped below itself by none. One that maps it onto
-itself fixes its index tuple, so fixes the action (one tuple is one
-action): an automorphism. The ties, counted at the leaf depth alone,
-plus the identity are therefore |Aut|, for every group.
-
-When P = _deciding_elements(G) is one element g1 (z2, z3, z60: a cyclic
-group generated by its least non-identity element), the leaf is the
-canonical form. Then g1 is the only greedy generator, so the
-homomorphism list is sorted on rho(g1), each image once; a rank is a
-place in the lexicographic order of permutations, so index order on
-homomorphisms is the order of rank(rho(g1)), and the key of an index
-tuple, its ranks over g1 read as digits, orders index tuples
-lexicographically. The least index tuple of a class, the one leaf the
-search reaches, is then its least table: the representative, with key
-rel.key(leaf), and no pass over the relabellings is made. For other
-groups the least index tuple need not be the least table, and one
-classify, a pass over the leaf's m! relabelled tuples, gives the
-representative and the orbit; its |Aut| must equal the ties + 1, and the
-orbit's size times |Aut| must be m!. A key met before means the search
-reached a class twice. Summing m!/|Aut| over the classes gives the
-actions found, and no leaf list is kept; after a full search that sum
-must be |Hom(G, S_m)|^m, every action being in one class. That check
-covers the classes whose orbit no one builds.
-
-A full listing without dedupe is walked in table order (_walk), with no
-class, key or sort. Two different tables first differ in a slice of P.
+Table order is the order of generator blocks. Two different tables
+first differ in a slice of P.
 Let gens[k] be the first greedy generator whose images differ at some
 point. Every element below gens[k] is in the closure of gens[:k] (the
 greedy choice took the least element outside it), where both rows at
@@ -127,8 +89,65 @@ order is thus the lexicographic order of the blocks (rho_t(gens[0]) for
 t < m), (rho_t(gens[1]) for t < m), .... The homomorphism list is sorted
 on the generator images, so at each block and point the homomorphisms
 that share the images chosen so far are a contiguous run, split by
-their next image into runs in ascending order; the walk takes them in
-that order, one product over the points per block.
+their next image into runs in ascending order (_runs). A full listing
+without dedupe is walked in that order (_walk), with no class, key or
+sort: one product over the points per block.
+
+The search is orderly and layered, in the line of Read's orderly
+generation ("Every one a winner", 1978) and McKay's isomorph-free
+generation (1998). Block k gives each point t a run of depth k + 1,
+the homomorphisms that share their images of gens[:k + 1], inside the
+run the point got in block k - 1: the restriction of its row to H_k =
+<gens[:k + 1]>. Blocks 0..k of an index tuple L are then the first
+k + 1 blocks of its table, and block k compares as the run ids do,
+runs inside one run being in the order of their gens[k] images. The
+search fills block 0 at points 0..m-1, then block 1, and so on; after
+the last block every point holds one homomorphism. Two facts make it
+reach one leaf per class, the class's least table.
+
+(a) The first k + 1 blocks of the least table of a class are the least
+such blocks over the class: a relabelling with smaller blocks 0..k
+would have a smaller table. (b) Past block k - 1, only the moves that
+fix the earlier blocks can tie. Let blocks 0..k-1 of L be least over
+its class, and A_{k-1} the relabellings sigma with sigma.L equal to L
+on them (A_{-1} is all of S_m). Any other sigma gives sigma.L different,
+so larger, blocks 0..k-1, and sigma.L > L whatever block k holds. So
+blocks 0..k of L are least over the class exactly when block k is least
+among its images under A_{k-1}.
+
+Block k's prefix test rejects the prefix after point t when some sigma
+in A_{k-1} with sigma({0..t}) = {0..t} maps block k at 0..t lower. The
+entry of sigma.L at s is table_sigma[L[inv[s]]], inv = sigma^-1; for
+s <= t it has inv[s] <= t, so it reads only the prefix, and sigma fixes
+the run of depth k at s, so the entry is a run inside the same run as
+L's own and the ids compare as the gens[k] images do. If the entries
+are smaller, every completion is mapped below itself and is not least.
+No prefix of the least blocks of a class is rejected, so they are
+always reached; at t = m - 1 every sigma in A_{k-1} keeps 0..m-1, so a
+block that passes is least among its A_{k-1} images, and by (b) blocks
+0..k are least over the class, and met once. The moves that tie there
+map blocks 0..k onto themselves: with the identity they are A_k, the
+moves of block k + 1's test. Block 0 starts from all m! moves
+(_prefix_moves lists, per point t, a block's moves that keep 0..t). The
+forced rows and the stabiliser filter prune only branches without a
+distributive leaf, and this test only branches without a least one, so
+under require_distributive the two compose: every least distributive
+leaf is reached.
+
+A homomorphism is fixed by its images of the generators, so the leaf of
+the last block is the least table of its class by (a): the
+representative, settled there with no pass over its relabellings. A
+tie there fixes the leaf's index tuple, so the action (one tuple is one
+action): the ties plus the identity are |Aut|. The leaves come in table
+order, the blocks in generator order, the points in order and each
+point's runs ascending, so no key is compared and no class list sorted.
+Summing m!/|Aut| over the classes gives the actions found; after a full
+search that sum must be |Hom(G, S_m)|^m, every action being in one
+class, and a filtered search re-scans each representative for
+distributivity. A cyclic group generated by its least non-identity
+element (z2, z3, z60) has one block, whose runs are single
+homomorphisms. The trivial group has no block: its one action is fixed
+by all m! relabellings, so it is settled with |Aut| = m! and no move.
 
 The walk yields runs: in the last block point m - 1 varies fastest, so
 the rows that share their indices at points 0..m-2 come together, with
@@ -171,7 +190,7 @@ from dataclasses import dataclass, field
 from .actions import BinaryAction, OrdinaryAction, _table_json, is_distributive
 from .binops import _int, _ints, _size, invert_perm
 from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
-from .groups import FiniteGroup, all_subgroups, greedy_generators
+from .groups import FiniteGroup, all_subgroups, greedy_generators, subgroup_closure
 from .orbits import _record, closure_masks, points_of
 
 
@@ -378,10 +397,11 @@ class EnumerationResult:
     without rebuilding relabelled tables; distributive_count counts
     distributive emissions, from one scan per class. raw_count is the sum
     of m!/|Aut(a)| over the classes, and distributive_count the same sum
-    over the distributive ones. Each class whose orbit was built (by
-    classify, or to expand it) has passed the check that its m!/|Aut(a)|
-    relabellings times |Aut(a)| make m!, and a finished full search the
-    check that raw_count is |Hom(G, S_m)|^m. After a budget stop,
+    over the distributive ones. Each class whose orbit was expanded has
+    passed the check that its m!/|Aut(a)| relabellings times |Aut(a)|
+    make m!, and a finished full search the check that raw_count is
+    |Hom(G, S_m)|^m. nodes counts the search nodes, the count the node
+    budget bounds, and is not compared. After a budget stop,
     the one BudgetExceeded carries a result with exhaustive false, and
     its message says how many actions the search found. That result is a
     union of whole classes, every relabelling of each action in it being
@@ -391,7 +411,8 @@ class EnumerationResult:
     rows holds every emitted action in lexicographic table order, walked
     in that order when the listing is full and finished and otherwise
     expanded from the classes and sorted (the canonical representatives
-    instead, sorted, when dedupe was on), each as its tuple of
+    instead, in the order the search met them, when dedupe was on), each
+    as its tuple of
     indices into homs, the row homomorphisms the run checked once. actions
     builds them as BinaryActions the first time it is read, none
     re-validated, and keeps them. The CLI's enumerate --out writes the
@@ -406,6 +427,7 @@ class EnumerationResult:
     exhaustive: bool
     homs: tuple
     rows: list[tuple[int, ...]] = field(hash=False)  # a list: compared, not hashed
+    nodes: int = field(default=0, compare=False)
 
     @functools.cached_property
     def actions(self) -> tuple[BinaryAction, ...]:
@@ -465,8 +487,8 @@ class _Relabelling:
     of itertools.permutations, each with the conjugation table that gives
     the index of sigma rho sigma^-1 for every rho, and its inverse; rank
     maps each permutation a homomorphism uses to its position in moves.
-    classify() relabels an index tuple by every move in one pass and keys
-    only the distinct results. Every homomorphism is checked once
+    The trivial group has one homomorphism, which every relabelling fixes,
+    so its moves are the identity alone. Every homomorphism is checked once
     first, on the greedy generators by _homomorphism_check, which proves it
     a homomorphism G -> S_m; that is what lets _action skip validation on
     its rows. Only with a finite deadline, checking the homomorphisms reads
@@ -483,7 +505,7 @@ class _Relabelling:
     places[t][i] is the value of the digits that homs[i] puts at point t:
     its ranks over P, one every m places, so a number in base (m!)^m,
     shifted m - 1 - t places. So key(leaf) is the sum of m lookups, and it
-    is injective, so the moves reaching the least key number |Aut|.
+    is injective.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
@@ -516,7 +538,10 @@ class _Relabelling:
         self.index = {rho: i for i, rho in enumerate(homs)}
         self.moves = []
         swaps = {}  # j -> conjugation table of the transposition of j and j + 1
-        for sigma in itertools.permutations(range(m)):
+        # the trivial group has one homomorphism, which every relabelling
+        # fixes: the identity move stands for all m! of them
+        perms = itertools.permutations(range(m)) if greedy_generators(group) else [tuple(range(m))]
+        for sigma in perms:
             if deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
             if sigma in rank:
@@ -537,7 +562,6 @@ class _Relabelling:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
         prefix = _deciding_elements(group)
-        self.leaf_is_canonical = len(prefix) == 1  # see the module docstring
         base = math.factorial(m)
         values = []  # per homomorphism, its ranks over the prefix as digits in base (m!)^m
         for rho in homs:
@@ -547,51 +571,13 @@ class _Relabelling:
             values.append(v)
         self.places = [[v * base ** (m - 1 - t) for v in values] for t in range(m)]
 
-    def law_rows(self):
-        """For each homomorphism rho, the pair (c, conjugation table of c)
-        for every distinct permutation c = rho(h) other than the identity,
-        in the order of the first h that reaches it: c is the row h(x, -)
-        at a point x holding rho, and the table is the index map
-        rho' -> c rho' c^-1.
-
-        The search reads each law instance (h, x, x') through c alone, so
-        the h sharing one c give one instance, and an identity c (h = e,
-        or h in the kernel of rho) gives one that always holds, forces no
-        row and filters no candidate. Keeping each c once, at its first h,
-        gives every check the same verdict, and the same first forced row,
-        at the same node."""
-        identity = tuple(range(len(self.places)))  # places holds one table per point
-        return [[(c, self.moves[self.rank[c]][0]) for c in dict.fromkeys(rho) if c != identity]
-                for rho in self.homs]
-
-    def prefix_moves(self):
-        """Per point t, the relabellings other than the identity that map
-        0..t onto itself, each as its conjugation table and the first t + 1
-        entries of its inverse: the entries of the relabelled index tuple
-        at 0..t, conj[leaf[inv[s]]] for s <= t, read only the leaf's own
-        entries at 0..t."""
-        return [[(conj, inv[:t + 1]) for conj, inv in self.moves[1:] if max(inv[:t + 1]) == t]
-                for t in range(len(self.places))]
-
     def key(self, leaf) -> int:
         """Sort key of the action's table, the sum of its points' place values."""
         return sum(map(list.__getitem__, self.places, leaf))
 
     def relabellings(self, leaf) -> list[tuple[int, ...]]:
-        """The m! relabelled index tuples of leaf, one per move."""
+        """The relabelled index tuples of leaf, one per move."""
         return [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
-
-    def classify(self, leaf):
-        """One pass over the m! relabellings of leaf: the key and index tuple
-        of the least one, the number of relabellings reaching it, which is
-        |Aut| of the action, and the set of all of them, its class."""
-        images = self.relabellings(leaf)
-        orbit = set(images)
-        places = self.places  # key() inlined: one call per relabelling costs more
-        keyed = {sum(map(list.__getitem__, places, image)): image for image in orbit}
-        least = min(keyed)
-        canon = keyed[least]
-        return least, canon, images.count(canon), orbit
 
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
@@ -625,15 +611,15 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
 def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
-    The search reaches one leaf per relabelling class, the least index
-    tuple of the class, and settles the class there: the leaf test's ties
-    give |Aut|; when one slice decides table order the leaf is the
-    representative, and otherwise one classify gives it, with an orbit
-    whose size times |Aut| must be m! and an |Aut| that must equal the
-    ties + 1. The representative is scanned for distributivity, which
-    settles the class. Under require_distributive a non-distributive one
-    raises, a row the law forces is the only candidate tried at its depth,
-    and otherwise only the rows that pass the instances (h, t, t) are
+    The layered search, one block per greedy generator, reaches one leaf
+    per relabelling class, the class's least table, in table order, and
+    settles the class there: the leaf is the representative, and the
+    moves that tie with it at the last point of the last block, with the
+    identity, are its automorphisms. The representative is scanned for
+    distributivity, which settles the class. Under require_distributive a
+    non-distributive one raises, and in each block a run the law of the
+    block's subgroup forces is the only candidate tried at its point, and
+    otherwise only the runs that pass its instances (h, t, t) are
     tried. A full search that finishes must have found m!/|Aut| actions
     per class summing to |Hom(G, S_m)|^m. Without dedupe or the filter, the
     listing is then walked in table order (_walk), run by run, into the
@@ -684,8 +670,9 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     deadline = time.monotonic() + task.time_budget_s
     time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
-    classes: dict[int, tuple] = {}  # key -> (representative, |Aut|, distributive)
-    chosen_idx = [0] * m
+    classes = []  # (representative, |Aut|, distributive), in table order
+    chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
+    law = task.require_distributive
     rel = reason = walked = written = None
 
     def counted(runs):
@@ -695,7 +682,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
             yield run
             written += len(run[1])
 
-    def distributivity_ok(t: int) -> bool:
+    def distributivity_ok(law_rows, t: int) -> bool:
         # the law instances that row t adds, one per distinct non-identity
         # c = h(x, -) and x', each one comparison: row c(x') is row x'
         # conjugated by c
@@ -713,92 +700,96 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
                     return False
         return True
 
-    def forced_row(t: int):
-        # the index the law dictates at row t through some instance
-        # (h, x, x') with x, x' < t and h(x, x') = t, or None if none does
+    def forced_rows(block, t: int, parent: int):
+        # the run the law dictates at row t through some instance
+        # (h, x, x') with x, x' < t and h(x, x') = t, as the one candidate
+        # left (none if it is not a run inside parent), or None if no
+        # instance lands on t
         for x in range(t):
-            for c, conj in law_rows[chosen_idx[x]]:
+            for c, conj in block.law_rows[chosen_idx[x]]:
                 xp = c.index(t)
                 if xp < t:
-                    return conj[chosen_idx[xp]]
+                    i = conj[chosen_idx[xp]]
+                    return (i,) if block.parent[i] == parent else ()
         return None
 
-    def least_so_far(t: int) -> bool:
-        # no relabelling that keeps 0..t as a set maps the prefix below itself
+    def least_so_far(moves, t: int) -> bool:
+        # no move that keeps 0..t as a set maps the prefix below itself
         prefix = chosen_idx[:t + 1]
         first = prefix[0]
-        for conj, inv in prefix_moves[t]:
+        for conj, inv in moves:
             y = conj[chosen_idx[inv[0]]]
             if y < first or y == first and [conj[chosen_idx[s]] for s in inv] < prefix:
                 return False
         return True
 
-    def leaf_ties():
-        # least_so_far at t = m - 1, counting the relabellings that fix the
-        # leaf: None if one maps it below itself
+    def leaf_ties(moves):
+        # least_so_far at t = m - 1, listing the ranks of the moves that
+        # fix the block: None if one maps it below itself
         first = chosen_idx[0]
-        ties = 0
-        for conj, inv in prefix_moves[-1]:
+        ties = []
+        for conj, inv, r in moves:
             y = conj[chosen_idx[inv[0]]]
             if y == first:
                 image = [conj[chosen_idx[s]] for s in inv]
                 if image < chosen_idx:
                     return None
-                ties += image == chosen_idx
+                if image == chosen_idx:
+                    ties.append(r)
             elif y < first:
                 return None
         return ties
 
-    def settle(ties: int):
+    def settle(aut: int):
         leaf = tuple(chosen_idx)
-        if rel.leaf_is_canonical:
-            key, canon, aut = rel.key(leaf), leaf, ties + 1
-        else:
-            key, canon, aut, orbit = rel.classify(leaf)
-            if aut != ties + 1:
-                raise InternalInconsistency(
-                    f"class of {canon}: {aut} automorphisms, but {ties} ties at its leaf")
-            _check_orbit(canon, len(orbit), aut, m)
-        if key in classes:
-            raise InternalInconsistency(f"class of {canon} met twice")
-        w = is_distributive(_action(g, rel.homs, canon))
-        if w is not True and task.require_distributive:
+        w = is_distributive(_action(g, rel.homs, leaf))
+        if w is not True and law:
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
-        classes[key] = (canon, aut, w is True)
+        classes.append((leaf, aut, w is True))
 
-    def fill(t: int):
+    def fill(k: int, t: int, moves):
         nonlocal nodes
-        forced = forced_row(t) if task.require_distributive else None
-        for i in candidates[t] if forced is None else (forced,):
-            nodes += 1
-            if nodes > task.node_budget:
+        block = blocks[k]
+        parent = chosen_idx[t]
+        forced = forced_rows(block, t, parent) if law else None
+        for i in block.candidates[t][parent] if forced is None else forced:
+            if nodes == task.node_budget:
                 raise _BudgetStop(f"node budget {task.node_budget} reached")
+            nodes += 1
             if nodes % 1024 == 0 and time.monotonic() > deadline:
                 raise _BudgetStop()
             chosen_idx[t] = i
-            if task.require_distributive and not distributivity_ok(t):
+            if law and not distributivity_ok(block.law_rows, t):
                 continue
             if t < m - 1:
-                if least_so_far(t):
-                    fill(t + 1)
+                if least_so_far(moves[t], t):
+                    fill(k, t + 1, moves)
+                continue
+            ties = leaf_ties(moves[-1])
+            if ties is None:
+                continue
+            if k == len(blocks) - 1:
+                settle(len(ties) + 1)
             else:
-                ties = leaf_ties()
-                if ties is not None:
-                    settle(ties)
+                start(k + 1, ties)
+        chosen_idx[t] = parent
+
+    def start(k: int, ranks):
+        # fill block k, its prefix test over the moves of these ranks
+        table = blocks[k].table
+        fill(k, 0, _prefix_moves([(table(r), rel.moves[r][1], r) for r in ranks], m))
 
     try:
         rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
         rel = _Relabelling(g, rowhoms, m, deadline)
-        prefix_moves = rel.prefix_moves()
-        law_rows = rel.law_rows() if task.require_distributive else None
-        # per point t, the rows that pass the instances (h, t, t) with h(t, t) = t
-        candidates = [[i for i, row in enumerate(law_rows)
-                       if all(conj[i] == i for c, conj in row if c[t] == t)]
-                      for t in range(m)] if law_rows else [range(len(rowhoms))] * m
-        fill(0)
-        if not task.require_distributive:
-            found = sum(math.factorial(m) // aut for _, aut, _ in classes.values())
+        blocks = _blocks(g, rel, m, law)
+        if blocks:
+            start(0, range(1, len(rel.moves)))  # every move but the identity
+        else:  # the trivial group: one action, which every relabelling fixes
+            settle(math.factorial(m))
+        if not law:
+            found = sum(math.factorial(m) // aut for _, aut, _ in classes)
             if found != len(rowhoms) ** m:
                 raise InternalInconsistency(
                     f"the classes hold {found} actions, not |Hom(G, S_{m})|^{m} = "
@@ -809,11 +800,11 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
                 walked = [] if rows is None else rows
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, classes, walked, search_complete=reason is None,
+    result = _assemble(task, rel, classes, walked, nodes, search_complete=reason is None,
                        deadline=deadline)
     if result.exhaustive:
         return result
-    found = sum(math.factorial(m) // aut for _, aut, _ in classes.values())
+    found = sum(math.factorial(m) // aut for _, aut, _ in classes)
     if reason is not None:  # None: the search finished, the deadline cut its assembly
         if result.raw_count < found and reason != time_reason:
             reason += f"; {time_reason}"
@@ -823,11 +814,99 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     raise BudgetExceeded(reason or time_reason, partial=result)
 
 
-def _check_orbit(canon, size: int, aut: int, m: int) -> None:
-    """Orbit-stabilizer for one class: its size times |Aut| is m!."""
-    if size * aut != math.factorial(m):
-        raise InternalInconsistency(
-            f"class of {canon}: {size} relabellings times {aut} automorphisms is not {m}!")
+def _prefix_moves(moves, m: int):
+    """Per point t, the moves (table, inv, r) that map 0..t onto itself,
+    in the order given, for the prefix test of one block: (table,
+    inv[:t + 1]) for t < m - 1, whose entries of the relabelled tuple,
+    table[leaf[inv[s]]] for s <= t, read only the leaf's entries at 0..t,
+    and the whole (table, inv, r) at t = m - 1, which every move keeps."""
+    out = [[] for _ in range(m)]
+    for table, inv, r in moves:
+        top = -1
+        for t in range(m - 1):
+            top = max(top, inv[t])
+            if top == t:
+                out[t].append((table, inv[:t + 1]))
+        out[-1].append((table, inv, r))
+    return out
+
+
+def _runs(g: FiniteGroup, homs):
+    """Per greedy generator gens[k], a dict from the start of each run of
+    depth k to the starts of its runs of depth k + 1, ascending. homs is
+    sorted on the images of gens, so the homomorphisms that share their
+    images of gens[:k] are a contiguous run, and those that also share
+    their gens[k] image are contiguous runs inside it, in ascending order
+    of that image. The one run of depth 0 starts at 0; a run of depth
+    len(gens) is one homomorphism."""
+    runs = []
+    starts = [0]
+    for s in greedy_generators(g):
+        level = {}
+        for lo, hi in zip(starts, [*starts[1:], len(homs)]):
+            level[lo] = [i for i in range(lo, hi) if i == lo or homs[i][s] != homs[i - 1][s]]
+        runs.append(level)
+        starts = [i for kids in level.values() for i in kids]
+    return runs
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Block k of the layered search, over the runs of depth k + 1: the
+    homomorphisms that share their images of gens[:k + 1], that is their
+    restrictions to H_k = <gens[:k + 1]>. A run's id is its place among
+    them, which orders them as their images of gens[k] within each run of
+    depth k; in the last block a run is one homomorphism and its id its
+    index.
+
+    table(r) maps each id to the id of its conjugate by move r. parent[i]
+    is the id of run i's run of depth k in the block before (0 in block
+    0). candidates[t][p] lists, in ascending order, the runs inside run p
+    tried at point t. law_rows[i], under the filter, holds (c, table) for
+    each distinct non-identity c = rho(h), h in H_k, in the order of the
+    first h reaching it, rho being any homomorphism in run i.
+    """
+
+    table: object
+    parent: list
+    candidates: list
+    law_rows: list | None
+
+
+def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block]:
+    """The blocks of the layered search, one per greedy generator. Under
+    the filter a point's candidates are the runs that pass the instances
+    (h, t, t) of H_k with h(t, t) = t; otherwise every run inside p."""
+    homs = rel.homs
+    runs = _runs(g, homs)
+    gens = greedy_generators(g)
+    identity = tuple(range(m))
+    blocks = []
+    for k, level in enumerate(runs):  # level's keys are the runs of the block before, in id order
+        starts = [i for kids in level.values() for i in kids]
+        parent = [p for p, kids in enumerate(level.values()) for _ in kids]
+        children = [[] for _ in level]
+        for d, p in enumerate(parent):
+            children[p].append(d)
+        if k == len(runs) - 1:
+            def table(r):
+                return rel.moves[r][0]
+        else:
+            runid = [d for d, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(homs)]))
+                     for _ in range(lo, hi)]
+            table = functools.cache(
+                lambda r, runid=runid, starts=starts: [runid[rel.moves[r][0][i]] for i in starts])
+        if law:
+            members = sorted(subgroup_closure(g, gens[:k + 1]))
+            law_rows = [[(c, table(rel.rank[c])) for c in dict.fromkeys(homs[i][h] for h in members)
+                         if c != identity] for i in starts]
+            candidates = [[[d for d in kids if all(conj[d] == d for c, conj in law_rows[d]
+                                                   if c[t] == t)] for kids in children]
+                          for t in range(m)]
+        else:
+            law_rows, candidates = None, [children] * m
+        blocks.append(_Block(table, parent, candidates, law_rows))
+    return blocks
 
 
 def _walk(g: FiniteGroup, homs, m: int, deadline: float):
@@ -837,13 +916,10 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float):
     run's rows are outer + (i,) for each i in last. The proof is in the
     module docstring.
 
-    homs is sorted on the images of the greedy generators gens, so the
-    homomorphisms that share their images of gens[:k] are a contiguous
-    run, and those that also share their gens[k] image are contiguous runs
-    inside it, in ascending order of that image. runs[k] maps the start of
-    each run of depth k to the starts of its runs of depth k + 1; a run of
-    depth len(gens) is one homomorphism, its start its index. Block k
-    picks a run of depth k + 1 at every point, one product over the
+    runs[k] maps the start of each run of depth k to the starts of its
+    runs of depth k + 1 (_runs); a run of depth len(gens) is one
+    homomorphism, its start its index. Block k picks a run of depth k + 1
+    at every point, one product over the
     points, and each choice of the block is completed by the later blocks.
     Point m - 1 varies fastest in the last block, so a choice there at
     points 0..m-2 is one run, with last the list runs[-1] holds. The clock
@@ -851,15 +927,7 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float):
     further 1024 rows, and _BudgetStop raised once the deadline has
     passed.
     """
-    runs = []
-    starts = [0]
-    for s in greedy_generators(g):
-        level = {}
-        for lo, hi in zip(starts, [*starts[1:], len(homs)]):
-            level[lo] = [i for i in range(lo, hi) if i == lo or homs[i][s] != homs[i - 1][s]]
-        runs.append(level)
-        starts = [i for kids in level.values() for i in kids]
-    runs = runs or [{0: [0]}]  # the trivial group: one homomorphism
+    runs = _runs(g, homs) or [{0: [0]}]  # the trivial group: one homomorphism
 
     def block(k: int, state):
         level = runs[k]
@@ -879,29 +947,30 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float):
         walked += len(run[1])
 
 
-def _assemble(task, rel: _Relabelling | None, classes: dict, rows, search_complete: bool,
-              deadline: float) -> EnumerationResult:
+def _assemble(task, rel: _Relabelling | None, classes: list, rows, nodes: int,
+              search_complete: bool, deadline: float) -> EnumerationResult:
     """The result over the classes the search settled, each held as
-    classes[key] = (representative, |Aut|, distributive).
+    (representative, |Aut|, distributive), in table order, after nodes
+    search nodes.
 
     rows, when given, is the walked listing of a finished full search
     without dedupe, and every class is kept. Under dedupe the rows are the
-    representatives sorted by key. Otherwise each class's orbit is
-    recomputed from its representative, in the order the classes were
-    met, the clock read before each one; past the deadline, the classes
-    expanded so far make the result, so it is a union of whole classes.
-    Each orbit's size times |Aut| must be m!. The expanded rows are then
-    sorted by key, which is table order. The counts are those of the
-    classes kept: raw_count sums m!/|Aut| over them, distributive_count
-    over the distributive ones. The result is exhaustive when the search
-    was complete and every class was kept.
+    representatives, as met. Otherwise each class's orbit is recomputed
+    from its representative, in the order the classes were met, the clock
+    read before each one; past the deadline, the classes expanded so far
+    make the result, so it is a union of whole classes. Each orbit's size
+    times |Aut| must be m!. The expanded rows are then sorted by key,
+    which is table order. The counts are those of the classes kept:
+    raw_count sums m!/|Aut| over them, distributive_count over the
+    distributive ones. The result is exhaustive when the search was
+    complete and every class was kept.
     """
     m = task.carrier_size
-    kept = list(classes.values())
+    kept = list(classes)
     if rows is not None:
         pass
     elif task.dedupe:
-        rows = [classes[k][0] for k in sorted(classes)]
+        rows = [canon for canon, _, _ in classes]
     else:
         rows = []
         for n, (canon, aut, _) in enumerate(kept):
@@ -909,7 +978,9 @@ def _assemble(task, rel: _Relabelling | None, classes: dict, rows, search_comple
                 del kept[n:]
                 break
             orbit = set(rel.relabellings(canon))
-            _check_orbit(canon, len(orbit), aut, m)
+            if len(orbit) * aut != math.factorial(m):  # orbit-stabilizer
+                raise InternalInconsistency(f"class of {canon}: {len(orbit)} relabellings "
+                                            f"times {aut} automorphisms is not {m}!")
             rows += orbit
         if rows:
             rows.sort(key=rel.key)
@@ -918,7 +989,7 @@ def _assemble(task, rel: _Relabelling | None, classes: dict, rows, search_comple
                              canonical_count=len(kept),
                              distributive_count=sum(n for n, d in sizes if d),
                              exhaustive=search_complete and len(kept) == len(classes),
-                             homs=rel.homs if rel else (), rows=rows)
+                             homs=rel.homs if rel else (), rows=rows, nodes=nodes)
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

@@ -18,6 +18,7 @@ from binact import (
     conjugation_coset_action,
     enumerate_actions,
     greedy_generators,
+    is_biequivariant,
     is_distributive,
     make_group,
     make_ordinary_action,
@@ -182,10 +183,11 @@ def _distributive_classes(name, m):
 def _classes_in_search_order(name, m):
     """The relabelling classes of the group's binary actions on m points,
     each a frozenset of tables from the oracles, in the order of their
-    least index tuples into the oracle's homomorphism list: the order in
-    which the search meets them. An action is one homomorphism per point,
-    and the product lists the index tuples in order, so each class is met
-    first at its least one."""
+    least index tuples into the oracle's homomorphism list: for a cyclic
+    group, searched in one block, the order in which the search meets
+    them. An action is one homomorphism per point, and the product lists
+    the index tuples in order, so each class is met first at its least
+    one."""
     g = builtin_group(name)
     classes = []
     held = set()
@@ -223,9 +225,9 @@ def test_require_distributive_matches_filter():
 
 
 @pytest.mark.parametrize("name, m, budget, raw, canonical", [
-    ("k4", 4, 1_000, 499, 64),
+    ("k4", 4, 1_000, 874, 127),
     ("z3", 5, 150, 191, 8),
-    ("s3", 4, 60, 47, 7),
+    ("s3", 4, 60, 31, 5),
 ])
 def test_node_budget_partial_under_require_distributive(name, m, budget, raw, canonical):
     """A node passes the pruned check exactly when every law instance over
@@ -234,32 +236,36 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
     tried, and otherwise only the rows that pass the instances (h, t, t),
     so the nodes counted before a budget stop, and the partial result, are
     those of that search (the counts were recorded with it; the full
-    searches take 2093, 275 and 127 nodes). The partial holds whole
-    classes, every action distributive by the oracle."""
+    searches take 1178, 275 and 179 nodes). The partial holds whole
+    classes, every action distributive by the oracle, and says it took
+    the budget's nodes."""
     g = builtin_group(name)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
                                           node_budget=budget))
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert (partial.raw_count, partial.canonical_count) == (raw, canonical)
+    assert (partial.raw_count, partial.canonical_count, partial.nodes) == (raw, canonical, budget)
     assert partial.distributive_count == raw == len(partial.actions)
     assert all(oracle_is_distributive(g.cayley, a.table, m) for a in partial.actions)
     _assert_whole_classes(partial)
 
 
 @pytest.mark.parametrize("name, m, nodes", [
-    ("k4", 4, 2093), ("z3", 5, 275), ("s3", 4, 127), ("s3", 5, 882), ("s3", 6, 18196)])
+    ("k4", 4, 1178), ("z3", 5, 275), ("s3", 4, 179), ("s3", 5, 1092), ("s3", 6, 8748)])
 def test_distributive_node_counts_at_the_budget_edge(name, m, nodes):
-    """The distributive searches take exactly these many nodes: a node
-    budget of that many finishes them, one fewer stops them. s3 on 5
-    points is the count the search module's docstring quotes."""
+    """The distributive searches take exactly these many nodes, which the
+    result reports: a node budget of that many finishes them, one fewer
+    stops them, and the partial reports the nodes it took. z3 on 5 points
+    has one block; the others have two, one per greedy generator."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m,
                            require_distributive=True, dedupe=True, node_budget=nodes)
-    assert enumerate_actions(task).exhaustive
+    result = enumerate_actions(task)
+    assert result.exhaustive and result.nodes == nodes
     with pytest.raises(BudgetExceeded, match=f"^enumeration budget exceeded: node budget "
-                                             f"{nodes - 1} reached"):
+                                             f"{nodes - 1} reached") as exc:
         enumerate_actions(dataclasses.replace(task, node_budget=nodes - 1))
+    assert exc.value.partial.nodes == nodes - 1
 
 
 @pytest.mark.parametrize("name, m, raw, canonical", [
@@ -661,21 +667,28 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
     assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
 
 
-def test_time_budget_bounds_relabelling_memory():
+def test_time_budget_bounds_relabelling_memory(monkeypatch):
     """The m! relabellings are generated one at a time under the deadline,
-    and the ranks are kept in a dict keyed on the permutations
-    the homomorphisms use, not on all of them: the trivial group on 8
-    points stops within a 0.01 s budget with an empty partial, where
-    building all 8! permutations and their rank dict first peaked at
-    about 7 MB traced."""
+    and the ranks are kept in a dict keyed on the permutations the
+    homomorphisms use, not on all of them. z2 on 8 points reads the clock
+    at the start, once while generating its 764 homomorphisms and then
+    once per relabelling table, so a 12 s budget on a clock that ticks
+    once per read stops it before its twelfth table, with an empty
+    partial, well under 1 MB traced: all 8! permutations would take about
+    5 MB, and their 8! tables about 250 MB. (The trivial group on 8
+    points, which this once ran, builds no relabelling table now: see
+    test_the_trivial_group_builds_no_relabelling.)"""
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_actions(EnumerationTask(
-                group=builtin_group("z1"), carrier_size=8, time_budget_s=0.01))
+                group=builtin_group("z2"), carrier_size=8, time_budget_s=12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert next(ticks) == 14
     partial = exc.value.partial
     assert not partial.exhaustive
     assert partial.actions == ()
@@ -742,14 +755,14 @@ def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
 
 @pytest.mark.parametrize("name, m, total", [("z60", 5, 351), ("k4", 4, 99), ("s3", 4, 129)])
 def test_law_rows_keep_each_distinct_nonidentity_image_once(name, m, total):
-    """Per homomorphism rho, law_rows holds each permutation rho(h) other
-    than the identity once, in the order of the first h reaching it, with
+    """Per homomorphism rho, the last block's law_rows hold each
+    permutation rho(h) other than the identity once, in the order of the first h reaching it, with
     its conjugation table, the move at its place in the lexicographic
     order (one entry per non-identity h would make 7080, 156 and 170)."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
-    rows = rel.law_rows()
+    rows = search._blocks(g, rel, m, True)[-1].law_rows
     perms = list(itertools.permutations(range(m)))
     for rho, row in zip(homs, rows):
         images = [c for c, _ in row]
@@ -777,16 +790,17 @@ def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
     assert [a.table for a in actions] == [canonicalize(a).table for a in actions]
 
 
-@pytest.mark.parametrize("name, m, budget, classes", [("k4", 3, 200, 93),
-                                                       ("s3", 3, 200, 91)])
+@pytest.mark.parametrize("name, m, budget, classes", [("k4", 3, 200, 91),
+                                                       ("s3", 3, 200, 102)])
 def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, classes,
                                                              monkeypatch):
-    """A budget-stopped partial under dedupe lists its representatives in
-    table order, not in the order their classes were met, which is the
-    order of their least index tuples; each class is scanned once, at its
-    representative, so the scans give the order met. On these partials the
-    orders differ. The partial without dedupe holds exactly those classes,
-    whole."""
+    """The layered search meets the classes in table order: it fills the
+    blocks in generator order, the points in order and each point's runs
+    ascending, and its leaf is the least table. Each class is scanned
+    once, at its representative, so the scans give the order met, and a
+    budget-stopped partial under dedupe lists the first classes of the
+    full listing, as met, with no sort. The partial without dedupe holds
+    exactly those classes, whole."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, node_budget=budget)
     with pytest.raises(BudgetExceeded, match=f"node budget {budget} reached") as raw:
         enumerate_actions(task)
@@ -795,10 +809,11 @@ def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, cl
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(dataclasses.replace(task, dedupe=True))
     met = [a.table for a in calls]
-    assert len(met) == classes and met != sorted(met)
-    assert met == [min(c) for c in _classes_in_search_order(name, m)[:classes]]
-    assert [a.table for a in exc.value.partial.actions] == sorted(met)
-    assert sorted(met) == oracle_canonical_representatives(
+    assert len(met) == classes and met == sorted(met)
+    assert [a.table for a in exc.value.partial.actions] == met
+    full = enumerate_actions(dataclasses.replace(task, dedupe=True, node_budget=10**6))
+    assert met == [a.table for a in full.actions[:classes]]
+    assert met == oracle_canonical_representatives(
         [a.table for a in raw.value.partial.actions], m)
 
 
@@ -886,22 +901,20 @@ def test_unclosed_hom_list_raises(z2, monkeypatch):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
 
-def test_a_class_met_twice_raises(s3, monkeypatch):
-    """A key that comes back is refused. With classify patched to give
-    every leaf of s3 on 3 points the key of the first, whose class the
-    second leaf is then taken for, the second leaf is refused."""
-    classify = search._Relabelling.classify
-    first = []
-
-    def same_key(self, leaf):
-        key, canon, aut, orbit = classify(self, leaf)
-        first.append(key)
-        return first[0], canon, aut, orbit
-
-    monkeypatch.setattr(search._Relabelling, "classify", same_key)
-    with pytest.raises(InternalInconsistency, match=r"^class of \(.*\) met twice$"):
-        enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
-    assert len(first) == 2
+def test_a_class_met_twice_raises(monkeypatch):
+    """With the prefix test emptied (no move in any block), a distributive
+    run with dedupe has no runtime check that fails: no sum is checked,
+    and every class is distributive. The oracles catch it: k4 on 3 points
+    then settles every distributive index tuple as its own class, so
+    classes come back, leaves that are not the least table are taken as
+    representatives, and no tie is counted."""
+    task = EnumerationTask(group=builtin_group("k4"), carrier_size=3,
+                           require_distributive=True, dedupe=True)
+    _check_settled_classes(task, monkeypatch)
+    monkeypatch.setattr(search, "_prefix_moves", lambda moves, m: [[] for _ in range(m)])
+    with pytest.raises(AssertionError, match="met twice") as exc:
+        _check_settled_classes(task, monkeypatch)
+    assert "not canonical" in str(exc.value) and "automorphisms" in str(exc.value)
 
 
 def test_a_search_without_the_prefix_test_trips_the_sum_check(z2, monkeypatch):
@@ -909,21 +922,23 @@ def test_a_search_without_the_prefix_test_trips_the_sum_check(z2, monkeypatch):
     leaf is taken as its own representative, with no ties, so no key comes
     back, but the 64 leaves of 3 points claim 64 * 3! actions, not
     |Hom(G, S_3)|^3 = 64."""
-    monkeypatch.setattr(search._Relabelling, "prefix_moves",
-                        lambda self: [[] for _ in self.places])
+    monkeypatch.setattr(search, "_prefix_moves", lambda moves, m: [[] for _ in range(m)])
     with pytest.raises(InternalInconsistency, match=r"hold 384 actions, not .* = 64$"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
 
 
-@pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4)])
+@pytest.mark.parametrize("name, m", [("z2", 3), ("z2", 4), ("k4", 3)])
 def test_an_aut_miscount_trips_the_sum_check(name, m, monkeypatch):
-    """Each move listed twice at the leaf depth counts every tie twice, so
-    every class with a non-trivial automorphism gets a wrong |Aut|. The
-    leaves reached are the same, and z2 builds no orbit, with dedupe or
-    without, so only the sum of m!/|Aut| over the classes shows it."""
-    prefix_moves = search._Relabelling.prefix_moves
-    monkeypatch.setattr(search._Relabelling, "prefix_moves",
-                        lambda self: [*prefix_moves(self)[:-1], prefix_moves(self)[-1] * 2])
+    """Each move listed twice at the last point of a block counts every tie
+    twice, so every class with a non-trivial automorphism gets a wrong
+    |Aut| (in k4's two blocks, the first block's doubled ties double the
+    second block's moves again). The leaves reached are the same, and no
+    orbit is built, with dedupe or without, so only the sum of m!/|Aut|
+    over the classes shows it."""
+    prefix_moves = search._prefix_moves
+    monkeypatch.setattr(search, "_prefix_moves",
+                        lambda moves, m: [*prefix_moves(moves, m)[:-1],
+                                          prefix_moves(moves, m)[-1] * 2])
     for dedupe in (False, True):
         with pytest.raises(InternalInconsistency, match=r"^the classes hold \d+ actions, not"):
             enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m,
@@ -980,12 +995,10 @@ def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
 
 
 def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
-    """s3 has two deciding elements, so each class's leaf is classified,
-    once per class; no action passes through validate_action."""
-    calls = []
-    classify = search._Relabelling.classify
-    monkeypatch.setattr(search._Relabelling, "classify",
-                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
+    """Each class is settled once, at its least table, the leaf of the
+    last block: s3 on 3 points scans 180 distinct representatives, one per
+    class, and no action passes through validate_action."""
+    calls = _counting_is_distributive(monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("validate_action called during enumeration")
@@ -995,38 +1008,34 @@ def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
     monkeypatch.setattr(binact.actions, "validate_action", refuse)
     result = enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
     assert (result.raw_count, result.canonical_count) == (1000, 180)
-    assert len(calls) == len(set(calls)) == 180
+    tables = [a.table for a in calls]
+    assert len(set(tables)) == 180 and tables == sorted(tables)
+    assert tables == [canonicalize(a).table for a in calls]
 
 
 def test_per_class_orbit_stabilizer_check(s3, z2, monkeypatch):
-    """An orbit that loses one relabelling no longer has m!/|Aut| members:
-    at the leaf, where s3's classify builds the orbit, and in the assembly
-    of a budget-stopped partial, which recomputes each orbit from its
-    representative."""
-    classify = search._Relabelling.classify
-
-    def lose_one(self, leaf):
-        key, canon, aut, orbit = classify(self, leaf)
-        return key, canon, aut, set(sorted(orbit)[1:])
-
-    monkeypatch.setattr(search._Relabelling, "classify", lose_one)
-    with pytest.raises(InternalInconsistency, match="relabellings times"):
-        enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
+    """An orbit that loses one relabelling no longer has m!/|Aut| members,
+    wherever an orbit is built from a representative: in a filtered
+    listing without dedupe, and in the assembly of a budget-stopped
+    partial."""
     relabellings = search._Relabelling.relabellings
     monkeypatch.setattr(search._Relabelling, "relabellings",
                         lambda self, leaf: sorted(set(relabellings(self, leaf)))[1:])
+    with pytest.raises(InternalInconsistency, match="relabellings times"):
+        enumerate_actions(EnumerationTask(group=s3, carrier_size=3, require_distributive=True))
     with pytest.raises(InternalInconsistency, match="relabellings times"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40))
 
 
 def _settled_classes(task, monkeypatch):
     """The run's relabelling tables and the classes its search settled, as
-    handed to the assembly: key -> (representative, |Aut|, distributive)."""
+    handed to the assembly: (representative, |Aut|, distributive), in the
+    order met."""
     seen = []
     assemble = search._assemble
 
     def spy(task, rel, classes, *args, **kwargs):
-        seen.append((rel, dict(classes)))
+        seen.append((rel, list(classes)))
         return assemble(task, rel, classes, *args, **kwargs)
 
     monkeypatch.setattr(search, "_assemble", spy)
@@ -1037,47 +1046,99 @@ def _settled_classes(task, monkeypatch):
     return rel, classes
 
 
+def _check_settled_classes(task, monkeypatch):
+    """The classes a run settled, against oracles that share nothing with
+    the search: every representative is the least table of its class
+    (canonicalize, a direct minimum over the m! bijections), no two are
+    in one class, and each |Aut|, the ties at the leaf plus one, is the number of
+    bijections f with is_biequivariant(a, a, f). Raises AssertionError
+    naming every fault."""
+    rel, classes = _settled_classes(task, monkeypatch)
+    g, m = task.group, task.carrier_size
+    faults = []
+    seen = set()
+    for leaf, aut, _ in classes:
+        a = search._action(g, rel.homs, leaf)
+        least = canonicalize(a).table
+        if least in seen:
+            faults.append(f"class of {leaf} met twice")
+        seen.add(least)
+        if least != a.table:
+            faults.append(f"representative {leaf} not canonical")
+        biequivariant = sum(is_biequivariant(a, a, f) is True
+                            for f in itertools.permutations(range(m)))
+        if aut != biequivariant:
+            faults.append(f"{leaf}: {aut} automorphisms, {biequivariant} biequivariant bijections")
+    assert not faults, "; ".join(faults)
+    return classes
+
+
+# every full size and the distributive sizes at which tier-1 enumerates the
+# groups with two or more greedy generators (z4xz2 on 3 points has more
+# homomorphisms to S_3 than k4), and the one-block cases the leaf of item 2
+# was checked on
+SETTLED_CASES = [
+    *[(name, 3, False) for name in ("z2", "z3", "k4", "s3", "d4", "q8", "z4xz2")],
+    ("z2", 4, False), ("z3", 4, False),
+    *[(name, 4, True) for name in ("z2", "z3", "k4", "s3", "d4", "q8", "z4xz2")],
+    ("z3", 5, True), ("s3", 5, True), ("z60", 5, True),
+]
+
+
 @pytest.mark.parametrize("name, m, dist", [
     ("z2", 3, False), ("z2", 4, False), ("z3", 3, False), ("z3", 4, False),
-    ("z3", 5, True), ("z60", 5, True)])
-def test_leaf_shortcut_matches_classify(name, m, dist, monkeypatch):
-    """For a group with one deciding element each class is settled at its
-    leaf without classify: its key, representative and |Aut| (the ties at
-    the leaf, plus one) are classify's on every class."""
-    calls = []
-    classify = search._Relabelling.classify
-    monkeypatch.setattr(search._Relabelling, "classify",
-                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
-    rel, classes = _settled_classes(EnumerationTask(
-        group=builtin_group(name), carrier_size=m, require_distributive=dist), monkeypatch)
-    assert rel.leaf_is_canonical and calls == []
-    for key, (canon, aut, _) in classes.items():
-        assert classify(rel, canon)[:3] == (key, canon, aut), canon
+    ("z3", 5, True), ("z60", 5, True),
+    *[case for case in SETTLED_CASES if case[0] not in ("z2", "z3", "z60")]])
+def test_leaf_is_the_canonical_form(name, m, dist, monkeypatch):
+    """For every group the leaf of the last block is its class's least
+    table, settled with no pass over the class: each representative is
+    canonicalize's, each class is met once, and the classes come in table
+    order; the counts are the oracles'."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m, require_distributive=dist)
+    classes = _check_settled_classes(task, monkeypatch)
+    assert [leaf for leaf, _, _ in classes] == sorted(
+        (leaf for leaf, _, _ in classes), key=search._Relabelling(
+            task.group, permutation_homomorphisms(task.group, m), m).key)
 
 
 @pytest.mark.parametrize("name, m, dist", [
-    ("k4", 3, False), ("s3", 3, False), ("k4", 4, True), ("s3", 4, True)])
+    ("k4", 3, False), ("s3", 3, False), ("k4", 4, True), ("s3", 4, True),
+    *[case for case in SETTLED_CASES if case not in (
+        ("k4", 3, False), ("s3", 3, False), ("k4", 4, True), ("s3", 4, True))]])
 def test_leaf_ties_give_aut_for_every_group(name, m, dist, monkeypatch):
-    """For a group with more deciding elements classify still settles each
-    class, and its |Aut| must equal the ties at the leaf plus one: the
-    run checks that on every class, and refuses a classify that counts
-    one automorphism more."""
+    """The moves that tie at the last point of the last block, plus the
+    identity, are the automorphisms: ties + 1 is the number of bijective
+    biequivariant self-maps on every class. Over a full run the classes'
+    m!/|Aut| then sum to |Hom(G, S_m)|^m, which the run checks itself."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, require_distributive=dist)
-    calls = []
-    classify = search._Relabelling.classify
-    monkeypatch.setattr(search._Relabelling, "classify",
-                        lambda self, leaf: calls.append(leaf) or classify(self, leaf))
-    rel, classes = _settled_classes(task, monkeypatch)
-    assert not rel.leaf_is_canonical
-    assert len(calls) == len(classes) > 1
+    classes = _check_settled_classes(task, monkeypatch)
+    result = enumerate_actions(task)
+    assert result.raw_count == sum(math.factorial(m) // aut for _, aut, _ in classes)
+    if not dist:
+        assert (result.raw_count, result.canonical_count) == oracle_burnside_counts(
+            task.group.cayley, task.group.identity, m)
 
-    def one_more(self, leaf):
-        key, canon, aut, orbit = classify(self, leaf)
-        return key, canon, aut + 1, orbit
 
-    monkeypatch.setattr(search._Relabelling, "classify", one_more)
-    with pytest.raises(InternalInconsistency, match="automorphisms, but .* ties at its leaf"):
-        enumerate_actions(task)
+def test_the_trivial_group_builds_no_relabelling(monkeypatch):
+    """The trivial group has no greedy generator: its search has no block,
+    and its one class, the one action, is settled with |Aut| = m!. Its
+    relabelling tables hold the identity move alone, so z1 on 9 points
+    enumerates, with dedupe or without, filtered or not, in well under a
+    megabyte traced (all 9! moves took 116 MB RSS)."""
+    z1 = builtin_group("z1")
+    tracemalloc.start()
+    try:
+        for dedupe, dist in itertools.product((False, True), repeat=2):
+            result = enumerate_actions(EnumerationTask(
+                group=z1, carrier_size=9, dedupe=dedupe, require_distributive=dist))
+            assert result.exhaustive and result.nodes == 0
+            assert (result.raw_count, result.canonical_count, result.distributive_count) == (
+                1, 1, 1)
+            assert result.rows == [(0,) * 9]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("name, m", [
