@@ -333,7 +333,7 @@ def _cmd_topology_check(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    report = mine_counterexamples(enumerate_actions(_task(args)))
+    report = mine_counterexamples(enumerate_actions(_task(args, dedupe=True)))
     w = report.intersecting_orbits
     if w is None:
         print("intersecting_orbits: none at this scale")

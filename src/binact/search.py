@@ -70,23 +70,22 @@ lookups; a conjugate of a homomorphism is a homomorphism, so no relabelled
 table is rebuilt or re-validated. The canonical form of an action is its
 lexicographically least relabelled table, which the search reaches as a
 leaf; the number of relabellings that reach it is the order of the
-action's automorphism group. One int per table, whose digits are the
-permutation ranks of its first slices (see _Relabelling), sorts the
-relabellings of a class when they are listed. canonicalize finds the
-same form for one action without these tables: a minimum over the
-relabellings of its slices over _deciding_elements.
+action's automorphism group.
 
-Table order is the order of generator blocks. Two different tables
-first differ in a slice of P.
-Let gens[k] be the first greedy generator whose images differ at some
-point. Every element below gens[k] is in the closure of gens[:k] (the
-greedy choice took the least element outside it), where both rows at
-every point agree, a homomorphism being fixed on a subgroup by its
-images of the subgroup's generators. So the first slice that differs is
-that of gens[k], and in it the first point t where rho_t(gens[k])
-differs decides, by the permutation order of the two images. Table
-order is thus the lexicographic order of the blocks (rho_t(gens[0]) for
-t < m), (rho_t(gens[1]) for t < m), .... The homomorphism list is sorted
+Table order is the order of generator blocks. Slice g of a table holds
+rho_t(g) as its row t, so two slices compare as their rows' permutations
+do, point by point. Two different tables differ in the homomorphism at
+some point, and a homomorphism is fixed by its images of the greedy
+generators; let gens[k] be the first generator whose images differ at
+some point. Every element below gens[k] is in <gens[:k]> (the greedy
+choice took the least element outside it), where both rows at every
+point agree, a homomorphism being fixed on a subgroup by its images of
+the subgroup's generators. So the first slice that differs lies at or
+after gens[k]: it is that of gens[k], and in it the first point t where
+rho_t(gens[k]) differs decides, by the permutation order of the two
+images. Table order is thus the lexicographic order of the blocks
+(rho_t(gens[0]) for t < m), (rho_t(gens[1]) for t < m), ..., which
+_Relabelling.key and canonicalize compare. The homomorphism list is sorted
 on the generator images, so at each block and point the homomorphisms
 that share the images chosen so far are a contiguous run, split by
 their next image into runs in ascending order (_runs). A full listing
@@ -454,24 +453,6 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
                         group_embedding=a.group_embedding)
 
 
-def _deciding_elements(g: FiniteGroup) -> list[int]:
-    """P, the elements whose slices decide the order of two g-major action
-    tables on one carrier: the non-identity elements up to the largest
-    greedy generator s, in element order.
-
-    The identity slice is the same in every table, by axiom (2). P holds
-    every greedy generator, and the elements below s lie in the closure of
-    the earlier generators, so P is the shortest such prefix that
-    generates G. Two different actions differ in the row homomorphism at
-    some point t, and a homomorphism is fixed by its images of the
-    generators, so their tables differ in some slice of P. The first slice
-    where they differ is therefore in P and decides their order; and two
-    tables that agree on every slice of P are equal.
-    """
-    gens = greedy_generators(g)
-    return [x for x in g.elements() if x != g.identity and x <= max(gens, default=-1)]
-
-
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     """sigma rho sigma^-1, elementwise over the homomorphism rho."""
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
@@ -496,16 +477,16 @@ class _Relabelling:
     relabelling, raising _BudgetStop once it has passed.
 
     key() is one int that orders index tuples as their g-major tables are
-    ordered. Two different tuples are two different actions, so the first
-    slice where their tables differ is one of P = _deciding_elements(group)
-    and decides both the order of the tables and the order of the rank
-    tuples (rank(rho_t(g)) for g in P for t < m), since a slice compares
-    as the ranks of its rows do. That tuple is read as a
-    number in base m!, each rank being below m!, which keeps its order.
-    places[t][i] is the value of the digits that homs[i] puts at point t:
-    its ranks over P, one every m places, so a number in base (m!)^m,
-    shifted m - 1 - t places. So key(leaf) is the sum of m lookups, and it
-    is injective.
+    ordered. Table order is the lexicographic order of the generator
+    blocks (module docstring), and a block compares as the ranks of its
+    rows' images do, so it is the order of the rank tuples
+    (rank(rho_t(s)) for t < m, for s in the greedy generators). That tuple
+    is read as a number in base m!, each rank being below m!, which keeps
+    its order. places[t][i] is the value of the digits that homs[i] puts
+    at point t: its ranks over the generators, one every m places, so a
+    number in base (m!)^m, shifted m - 1 - t places. So key(leaf) is the
+    sum of m lookups, and it is injective: two different tuples are two
+    different tables.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
@@ -528,6 +509,7 @@ class _Relabelling:
 
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.homs = homs
+        gens = greedy_generators(group)
         check = _homomorphism_check(group, m)
         self.rank = rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
         for i, rho in enumerate(homs):
@@ -540,7 +522,7 @@ class _Relabelling:
         swaps = {}  # j -> conjugation table of the transposition of j and j + 1
         # the trivial group has one homomorphism, which every relabelling
         # fixes: the identity move stands for all m! of them
-        perms = itertools.permutations(range(m)) if greedy_generators(group) else [tuple(range(m))]
+        perms = itertools.permutations(range(m)) if gens else [tuple(range(m))]
         for sigma in perms:
             if deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
@@ -561,13 +543,12 @@ class _Relabelling:
                 else:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
-        prefix = _deciding_elements(group)
         base = math.factorial(m)
-        values = []  # per homomorphism, its ranks over the prefix as digits in base (m!)^m
+        values = []  # per homomorphism, its ranks over the generators as digits in base (m!)^m
         for rho in homs:
             v = 0
-            for g in prefix:
-                v = v * base ** m + rank[rho[g]]
+            for s in gens:
+                v = v * base ** m + rank[rho[s]]
             values.append(v)
         self.places = [[v * base ** (m - 1 - t) for v in values] for t in range(m)]
 
@@ -593,13 +574,13 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     classes and idempotent.
 
     A direct minimum over the m! carrier bijections sigma. Each is compared
-    by the slices of its relabelled table over _deciding_elements, the
-    only slices that can decide table order; equal slices there mean equal
-    tables, so a tie is the same table. The winner is built once by
+    by the slices of its relabelled table at the greedy generators, whose
+    blocks decide table order (module docstring); equal slices there mean
+    equal tables, so a tie is the same table. The winner is built once by
     relabel_action, which keeps the acting group and its group_embedding:
     a carrier bijection leaves them alone.
     """
-    slices = [a.table[g] for g in _deciding_elements(a.group)]
+    slices = [a.table[s] for s in greedy_generators(a.group)]
 
     def relabelled(sigma):  # slice g of the relabelled table holds sigma g(inv x, inv x')
         inv = invert_perm(sigma)
@@ -1014,8 +995,14 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
 
     Actions are scanned in their deterministic result order and pairs in
     lexicographic order, so the reported witnesses are the smallest ones.
-    Each is built from its index tuple only when scanned. Fields are None
-    when the scale admits no witness.
+    Both properties are invariant under relabelling, and a deduplicated
+    result lists each class's least table in table order, so the first
+    representative with a property is the least action with it: mining
+    the representatives gives the full listing's witnesses. Each action is
+    built from its index tuple only when scanned. actions_scanned is the
+    result's raw_count, the actions its rows stand for (len(rows) when
+    they are not deduplicated). Fields are None when the scale admits no
+    witness.
     """
     intersecting = None
     union = None
@@ -1044,5 +1031,5 @@ def mine_counterexamples(result: EnumerationResult) -> WitnessReport:
     return WitnessReport(
         intersecting_orbits=intersecting,
         non_bi_invariant_union=union,
-        actions_scanned=len(result.rows),
+        actions_scanned=result.raw_count,
     )

@@ -501,22 +501,16 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
     assert capsys.readouterr().out == "MalformedTable: carrier size must be >= 1\n"
 
 
-def test_witnesses_budget_stop_reports_partial_counts(monkeypatch, capsys):
-    """Every clock read advances one second, so a 6.5 s budget (six reads
-    for the relabellings of 3 points, then one before the walk's first
-    row) runs out as the 64 actions of z2 on 3 points are walked; the stop
-    is reported like enumerate's, and the cut walk keeps no action."""
-    import itertools
-
-    import binact.search
-
-    ticks = itertools.count()
-    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
-    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--time-budget", "6.5"]) == 1
+def test_witnesses_budget_stop_reports_partial_counts(capsys):
+    """witnesses mines the class representatives, so there is no walk to
+    cut: the node budget stops the search of z2 on 3 points after 14 of
+    its 16 classes, 56 of its 64 actions, and every class settled is
+    kept. The stop is reported like enumerate's."""
+    assert main(["witnesses", "--group", "z2", "--carrier", "3", "--node-budget", "40"]) == 1
     assert capsys.readouterr().out == (
-        "non-exhaustive: enumeration budget exceeded: time budget 6.5s reached "
-        "(64 actions found, 0 assembled)\n"
-        "raw_count=0 canonical_count=0 distributive_count=0 exhaustive=no\n")
+        "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
+        "(56 actions found, 56 assembled)\n"
+        "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
 
 
 def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):

@@ -214,7 +214,7 @@ def test_require_distributive_matches_filter():
     """The pruned search keeps exactly the distributive actions of the
     unfiltered one, in the same order. Of these cases only z2 on 4 points
     needs the instances (h, t, x') with x' < t."""
-    for name, m in [("z2", 3), ("s3", 3), ("z2", 4), ("z3", 3), ("k4", 3)]:
+    for name, m in [("z2", 3), ("s3", 3), ("z2", 4), ("z3", 3), ("k4", 3), ("q8", 3), ("d4", 3)]:
         g = builtin_group(name)
         filt = enumerate_actions(
             EnumerationTask(group=g, carrier_size=m, require_distributive=True))
@@ -309,9 +309,18 @@ def test_is_distributive_matches_witness_oracle_on_relabelled_groups(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_canonicalize_idempotent_and_relabel_invariant(data):
-    name, m = data.draw(st.sampled_from(
-        [("z2", 2), ("z2", 3), ("z3", 3), ("k4", 3), ("s3", 3), ("z2", 4)]))
-    a = data.draw(st.sampled_from(_all_actions(name, m)))
+    """On an action with one drawn row homomorphism per point, canonicalize
+    gives the oracle's least relabelled table, also for groups with
+    non-generators between their greedy generators (d4, q8, z2xz2xz2) and
+    for rotated groups of KEY_CASES; the key compares only generator
+    slices."""
+    name, k, m = data.draw(st.sampled_from(
+        [("z2", None, 2), ("z2", None, 3), ("z3", None, 3), ("k4", None, 3), ("s3", None, 3),
+         ("z2", None, 4), ("d4", None, 3), ("q8", None, 3), ("z2xz2xz2", None, 2),
+         ("d4", 6, 3), ("q8", 4, 3)]))
+    g = _rotated_group(name, k)
+    homs = permutation_homomorphisms(g, m)
+    a = validate_action(g, tuple(zip(*[data.draw(st.sampled_from(homs)) for _ in range(m)])))
     sigma = data.draw(st.permutations(range(m)))
     c = canonicalize(a)
     assert c.table == oracle_canonical_form(a.table, m)
@@ -701,8 +710,8 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
     itertools.permutations; rank holds each permutation's position in that
-    order, and places the positions of rho(g) over the key's prefix, read
-    g-major as digits in base m!."""
+    order, and places the positions of rho(s) over the greedy generators,
+    read generator-major as digits in base m!."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
@@ -715,36 +724,42 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     position = {p: r for r, p in enumerate(perms)}
     assert rel.rank == {p: position[p] for rho in homs for p in rho}
     gens = greedy_generators(g)
-    prefix = [x for x in g.elements() if x != g.identity and x <= max(gens)]
     base = math.factorial(m)
     assert len(rel.places) == m
     for t, place in enumerate(rel.places):
-        assert place == [sum(position[rho[x]] * base ** ((len(prefix) - p) * m - 1 - t)
-                             for p, x in enumerate(prefix)) for rho in homs]
+        assert place == [sum(position[rho[s]] * base ** ((len(gens) - p) * m - 1 - t)
+                             for p, s in enumerate(gens)) for rho in homs]
 
 
-# (group, relabelling of its elements or None, carrier size, prefix length):
-# the rotations x -> x + k move the identity off index 0 and give the
-# greedy generators, and so the key's prefix, other sizes than the catalog's
+def _rotated_group(name, k):
+    """The catalog group, its elements renamed x -> x + k unless k is None."""
+    g = builtin_group(name)
+    if k is None:
+        return g
+    g = _relabelled_group(g, [(x + k) % g.order for x in g.elements()])
+    assert g.identity == k
+    return g
+
+
+# (group, relabelling of its elements or None, carrier size, number of
+# greedy generators): the rotations x -> x + k move the identity off index
+# 0 and give the greedy generators other sizes than the catalog's, and
+# non-generators between them (d4, q8, z2xz2xz2)
 KEY_CASES = [
     ("z1", None, 3, 0), ("z2", None, 3, 1), ("z3", None, 3, 1), ("z4", None, 3, 1),
     ("k4", None, 3, 2), ("z6", None, 3, 1), ("s3", None, 3, 2), ("z8", None, 3, 1),
-    ("z4xz2", None, 3, 2), ("z2xz2xz2", None, 2, 4), ("d4", None, 3, 4), ("q8", None, 3, 4),
-    ("s3", 1, 3, 2), ("s3", 3, 3, 3), ("d4", 6, 3, 3), ("q8", 3, 3, 2), ("q8", 4, 3, 3),
+    ("z4xz2", None, 3, 2), ("z2xz2xz2", None, 2, 3), ("d4", None, 3, 2), ("q8", None, 3, 3),
+    ("s3", 1, 3, 2), ("s3", 3, 3, 2), ("d4", 6, 3, 3), ("q8", 3, 3, 2), ("q8", 4, 3, 2),
 ]
 
 
 @pytest.mark.parametrize("name, k, m, length", KEY_CASES)
 def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
     """Sorting every index tuple by the int key gives the order of their
-    g-major tables, and no two tuples share a key, whatever the prefix of
-    slices the key ranks: empty for z1, one to four elements otherwise."""
-    g = builtin_group(name)
-    if k is not None:
-        g = _relabelled_group(g, [(x + k) % g.order for x in g.elements()])
-        assert g.identity == k
-    gens = greedy_generators(g)
-    assert len([x for x in g.elements() if x != g.identity and x <= max(gens, default=-1)]) == length
+    g-major tables, and no two tuples share a key, whatever the number of
+    generator slices the key ranks: none for z1, one to three otherwise."""
+    g = _rotated_group(name, k)
+    assert len(greedy_generators(g)) == length
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
     leaves = list(itertools.product(range(len(homs)), repeat=m))
@@ -1227,13 +1242,27 @@ def _brute_force_witnesses(actions):
 
 @pytest.mark.parametrize("name", ["z2", "s3"])
 def test_mined_witnesses_match_a_brute_force_miner(name):
-    """On every action of z2 and of s3 on 3 points, alone and as the whole
-    enumeration, the miner's witnesses are the brute-force miner's."""
+    """On every action of z2 and of s3 on 3 points, alone (a result of one
+    action, so its raw count is 1) and as the whole enumeration, the
+    miner's witnesses are the brute-force miner's."""
     result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=3))
     assert mine_counterexamples(result) == _brute_force_witnesses(result.actions)
     for a, row in zip(result.actions, result.rows):
-        alone = dataclasses.replace(result, rows=[row])
+        alone = dataclasses.replace(result, rows=[row], raw_count=1)
         assert mine_counterexamples(alone) == _brute_force_witnesses((a,))
+
+
+@pytest.mark.parametrize("name, m", [("s3", 3), ("z2", 4), ("k4", 3), ("z3", 4)])
+def test_witnesses_from_representatives_match_the_full_scan(name, m):
+    """Both witness properties are invariant under relabelling, and the
+    representatives are each class's least table, in table order, so
+    mining them gives the full listing's report: the same witnesses, and
+    actions_scanned the raw count."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m)
+    full = mine_counterexamples(enumerate_actions(task))
+    reps = enumerate_actions(dataclasses.replace(task, dedupe=True))
+    assert mine_counterexamples(reps) == full
+    assert full.actions_scanned == reps.raw_count
 
 
 @pytest.mark.parametrize("name, m, built, scanned", [("s3", 3, 6, 1000), ("z2", 4, 3, 10000)])
