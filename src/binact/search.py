@@ -142,11 +142,20 @@ order, the blocks in generator order, the points in order and each
 point's runs ascending, so no key is compared and no class list sorted.
 Summing m!/|Aut| over the classes gives the actions found; after a full
 search that sum must be |Hom(G, S_m)|^m, every action being in one
-class, and a filtered search re-scans each representative for
-distributivity. A cyclic group generated by its least non-identity
-element (z2, z3, z60) has one block, whose runs are single
-homomorphisms. The trivial group has no block: its one action is fixed
-by all m! relabellings, so it is settled with |Aut| = m! and no move.
+class. Whether a class is distributive is settled on its leaf's index
+tuple (_law_holds), with no action built: the last block's law rows hold
+each distinct non-identity image c of G under each homomorphism, with
+its conjugation table, and each instance (h, x, x') is the search's own
+comparison leaf[c[x']] == table[leaf[x']]. A full search needs the
+verdict for distributive_count, so the last block has law rows with or
+without the filter. Under require_distributive the leaf passed every
+instance on its way down, so a failure is a fault: only then is its
+action built, and is_distributive names the witness in the error. A
+cyclic group generated by its least non-identity element (z2, z3, z60)
+has one block, whose runs are single homomorphisms. The trivial group
+has no block: its one action is fixed by all m! relabellings, so it is
+settled with |Aut| = m! and no move, and it is distributive, every row
+being the identity.
 
 The walk yields runs: in the last block point m - 1 varies fastest, so
 the rows that share their indices at points 0..m-2 come together, with
@@ -158,9 +167,9 @@ so a full listing written to a file holds no list of rows, and one that
 is only counted is not walked.
 
 The emitted actions stay index tuples through the search, the walk or
-the assembly, and the EnumerationResult that holds them; the only
-BinaryAction built in enumerate_actions is the representative of each
-class, for its distributivity scan. The result builds one per emitted
+the assembly, and the EnumerationResult that holds them: enumerate_actions
+builds no BinaryAction but the scanned one of a filtered leaf that fails
+the law, which raises. The result builds one per emitted
 tuple the first time its actions are read, and the CLI's enumerate --out
 builds none: it joins each JSON line from per-element texts of the rows'
 homomorphisms.
@@ -394,7 +403,8 @@ class EnumerationResult:
     biequimorphism classes among them, each represented by its
     lexicographically least table and found on homomorphism indices
     without rebuilding relabelled tables; distributive_count counts
-    distributive emissions, from one scan per class. raw_count is the sum
+    distributive emissions, from one law check per class on its
+    representative's index tuple. raw_count is the sum
     of m!/|Aut(a)| over the classes, and distributive_count the same sum
     over the distributive ones. Each class whose orbit was expanded has
     passed the check that its m!/|Aut(a)| relabellings times |Aut(a)|
@@ -454,7 +464,8 @@ def relabel_action(a: BinaryAction, sigma) -> BinaryAction:
 
 
 def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
-    """sigma rho sigma^-1, elementwise over the homomorphism rho."""
+    """sigma p sigma^-1 for each permutation p of rho, a homomorphism or
+    its images of the greedy generators."""
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
@@ -490,7 +501,15 @@ class _Relabelling:
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
-    conjugate is in the list. Every other sigma has some value j + 1
+    conjugate is in the list. index keys each homomorphism on its images
+    of the greedy generators, so a table conjugates |S| permutations per
+    homomorphism, not |G|. That finds the same index: every entry has
+    passed the check, so it is a homomorphism, and so is its conjugate
+    s_j rho s_j^-1, conjugation by s_j being an automorphism of S_m. A
+    homomorphism is fixed by its images of a generating set, so an entry
+    whose generator images are the conjugate's is the conjugate, and when
+    no entry has them the conjugate is not in the list, which raises as a
+    lookup of the whole tuple would. Every other sigma has some value j + 1
     before j. Swapping those two values gives q with sigma = s_j o q and
     q < sigma, and s_j <= sigma (the first place they differ holds a
     larger value in sigma), so both tables are built and
@@ -517,7 +536,8 @@ class _Relabelling:
                 raise _BudgetStop()
             check(rho)
             rank.update(dict.fromkeys(rho))
-        self.index = {rho: i for i, rho in enumerate(homs)}
+        images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
+        self.index = {key: i for i, key in enumerate(images)}
         self.moves = []
         swaps = {}  # j -> conjugation table of the transposition of j and j + 1
         # the trivial group has one homomorphism, which every relabelling
@@ -535,7 +555,7 @@ class _Relabelling:
             else:
                 r = len(self.moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q
                 if r == 0:  # sigma is the transposition of j and j + 1, an involution
-                    conj = [self.index.get(_conjugate(sigma, sigma, rho)) for rho in homs]
+                    conj = [self.index.get(_conjugate(sigma, sigma, key)) for key in images]
                     if None in conj:
                         raise InternalInconsistency(
                             f"homomorphism list not closed under conjugation by {sigma}")
@@ -596,18 +616,20 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     per relabelling class, the class's least table, in table order, and
     settles the class there: the leaf is the representative, and the
     moves that tie with it at the last point of the last block, with the
-    identity, are its automorphisms. The representative is scanned for
-    distributivity, which settles the class. Under require_distributive a
-    non-distributive one raises, and in each block a run the law of the
-    block's subgroup forces is the only candidate tried at its point, and
-    otherwise only the runs that pass its instances (h, t, t) are
-    tried. A full search that finishes must have found m!/|Aut| actions
-    per class summing to |Hom(G, S_m)|^m. Without dedupe or the filter, the
-    listing is then walked in table order (_walk), run by run, into the
-    result's rows; otherwise _assemble builds it from the classes. Emitted
-    actions are held as index tuples into the row homomorphisms, checked
-    once per run when the relabelling tables are built; the result builds
-    BinaryActions from them on first use.
+    identity, are its automorphisms. Every law instance is checked on the
+    representative's index tuple, which settles whether the class is
+    distributive. Under require_distributive a representative that fails
+    raises, with the witness is_distributive finds on it, and in each
+    block a run the law of the block's subgroup forces is the only
+    candidate tried at its point, and otherwise only the runs that pass
+    its instances (h, t, t) are tried. A full search that finishes must
+    have found m!/|Aut| actions per class summing to |Hom(G, S_m)|^m.
+    Without dedupe or the filter, the listing is then walked in table
+    order (_walk), run by run, into the result's rows; otherwise _assemble
+    builds it from the classes. Emitted actions are held as index tuples
+    into the row homomorphisms, checked once per run when the relabelling
+    tables are built; the result builds BinaryActions from them on first
+    use.
 
     The time budget counts from before the row homomorphisms are
     generated and bounds their generation, the subgroup lattice it starts
@@ -723,11 +745,12 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
 
     def settle(aut: int):
         leaf = tuple(chosen_idx)
-        w = is_distributive(_action(g, rel.homs, leaf))
-        if w is not True and law:
+        lawful = not blocks or _law_holds(leaf, blocks[-1].law_rows)
+        if not lawful and law:
+            w = is_distributive(_action(g, rel.homs, leaf))
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
-        classes.append((leaf, aut, w is True))
+        classes.append((leaf, aut, lawful))
 
     def fill(k: int, t: int, moves):
         nonlocal nodes
@@ -843,9 +866,10 @@ class _Block:
     table(r) maps each id to the id of its conjugate by move r. parent[i]
     is the id of run i's run of depth k in the block before (0 in block
     0). candidates[t][p] lists, in ascending order, the runs inside run p
-    tried at point t. law_rows[i], under the filter, holds (c, table) for
-    each distinct non-identity c = rho(h), h in H_k, in the order of the
-    first h reaching it, rho being any homomorphism in run i.
+    tried at point t. law_rows[i], under the filter and always in the last
+    block, holds (c, table) for each distinct non-identity c = rho(h), h
+    in H_k, in the order of the first h reaching it, rho being any
+    homomorphism in run i; None otherwise.
     """
 
     table: object
@@ -877,17 +901,32 @@ def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block
                      for _ in range(lo, hi)]
             table = functools.cache(
                 lambda r, runid=runid, starts=starts: [runid[rel.moves[r][0][i]] for i in starts])
-        if law:
+        law_rows = None
+        if law or k == len(runs) - 1:  # the last block's settle each leaf's verdict too
             members = sorted(subgroup_closure(g, gens[:k + 1]))
             law_rows = [[(c, table(rel.rank[c])) for c in dict.fromkeys(homs[i][h] for h in members)
                          if c != identity] for i in starts]
+        if law:
             candidates = [[[d for d in kids if all(conj[d] == d for c, conj in law_rows[d]
                                                    if c[t] == t)] for kids in children]
                           for t in range(m)]
         else:
-            law_rows, candidates = None, [children] * m
+            candidates = [children] * m
         blocks.append(_Block(table, parent, candidates, law_rows))
     return blocks
+
+
+def _law_holds(leaf, law_rows) -> bool:
+    """Whether every law instance (h, x, x') holds on the index tuple leaf,
+    law_rows being the last block's: leaf[c[x']] == table[leaf[x']] for
+    each entry (c, table) of law_rows[leaf[x]] (module docstring). An
+    identity c passes every instance. The instances at x depend on x only
+    through its index, so each distinct index is read once."""
+    for i in set(leaf):
+        for c, conj in law_rows[i]:
+            if list(map(leaf.__getitem__, c)) != list(map(conj.__getitem__, leaf)):
+                return False
+    return True
 
 
 def _walk(g: FiniteGroup, homs, m: int, deadline: float):

@@ -405,20 +405,34 @@ def test_relabelling_preserves_validity_and_distributivity(data):
     assert (is_distributive(a) is True) == (is_distributive(b) is True)
 
 
-def _counting_is_distributive(monkeypatch):
+def _counting_law_checks(monkeypatch):
+    """The index tuples whose law the run settles, in the order settled."""
     calls = []
-    scan = search.is_distributive
-    monkeypatch.setattr(search, "is_distributive", lambda a: calls.append(a) or scan(a))
+    holds = search._law_holds
+    monkeypatch.setattr(search, "_law_holds",
+                        lambda leaf, law_rows: calls.append(leaf) or holds(leaf, law_rows))
     return calls
+
+
+def _refuse_is_distributive(monkeypatch):
+    def refuse(a):
+        raise AssertionError("is_distributive called during enumeration")
+
+    monkeypatch.setattr(search, "is_distributive", refuse)
 
 
 @pytest.mark.parametrize("name, m, classes", [("z2", 3, 16), ("z2", 4, 475)])
 def test_distributivity_scanned_once_per_class(name, m, classes, monkeypatch):
-    calls = _counting_is_distributive(monkeypatch)
-    result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=m))
+    """The law is checked once per class, on its representative's index
+    tuple, and is_distributive scans none of them."""
+    calls = _counting_law_checks(monkeypatch)
+    _refuse_is_distributive(monkeypatch)
+    g = builtin_group(name)
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m))
     assert result.canonical_count == classes
     assert len(calls) == classes
-    assert len({canonicalize(a).table for a in calls}) == classes
+    assert len({canonicalize(search._action(g, result.homs, leaf)).table
+                for leaf in calls}) == classes
 
 
 @pytest.mark.parametrize("name, m", [("z2", 4), ("z3", 3), ("s3", 3), ("k4", 3)])
@@ -524,26 +538,57 @@ def test_distributive_cyclic_actions_count_racks_and_quandles(name, m):
     assert (result.canonical_count, quandles) == RACK_QUANDLE_COUNTS[name, m]
 
 
+@pytest.mark.parametrize("name, m, dist", [
+    *[(name, 3, False) for name in ("s3", "k4", "d4", "q8")], ("z2", 4, False), ("z3", 4, False),
+    ("k4", 4, True), ("z3", 5, True), ("z60", 5, True)])
+def test_index_space_law_verdict_matches_the_scans(name, m, dist, monkeypatch):
+    """The verdict settle takes on each class, every law instance checked
+    on the representative's index tuple through the last block's law rows,
+    is is_distributive's and the brute-force oracle's (every g, h, x, x',
+    x'') on every class representative: of the full runs with dedupe,
+    which meet both verdicts, and of the filtered ones, which must meet
+    only True."""
+    verdicts = []
+    holds = search._law_holds
+
+    def spy(leaf, law_rows):
+        verdicts.append((leaf, holds(leaf, law_rows)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(search, "_law_holds", spy)
+    g = builtin_group(name)
+    result = enumerate_actions(EnumerationTask(group=g, carrier_size=m, dedupe=True,
+                                               require_distributive=dist))
+    assert result.exhaustive
+    assert [leaf for leaf, _ in verdicts] == result.rows
+    for leaf, verdict in verdicts:
+        a = search._action(g, result.homs, leaf)
+        assert verdict == (is_distributive(a) is True), leaf
+        assert verdict == oracle_is_distributive(g.cayley, a.table, m), leaf
+    assert {verdict for _, verdict in verdicts} == ({True} if dist else {True, False})
+
+
 def test_filter_recheck_raises_with_the_scan_witness(z2, monkeypatch):
-    """Under require_distributive, a class the scan calls non-distributive
-    stops the run at its representative, its first action in table order,
-    with the witness the scan gave."""
+    """Under require_distributive, a class whose law check fails stops the
+    run at its representative, its first action in table order, which
+    is_distributive then scans, alone, for the witness in the message."""
     filtered = enumerate_actions(
         EnumerationTask(group=z2, carrier_size=4, require_distributive=True))
     target = canonicalize(filtered.actions[-1]).table
     first = next(a for a in filtered.actions if canonicalize(a).table == target)
-    calls = []
-    scan = search.is_distributive
+    checked, scanned = [], []
+    holds = search._law_holds
 
-    def scan_with_fault(a):
-        calls.append(a)
-        return (1, 1, 0, 2, 3) if canonicalize(a).table == target else scan(a)
+    def holds_with_fault(leaf, law_rows):
+        checked.append(leaf)
+        return search._action(z2, filtered.homs, leaf).table != target and holds(leaf, law_rows)
 
-    monkeypatch.setattr(search, "is_distributive", scan_with_fault)
+    monkeypatch.setattr(search, "_law_holds", holds_with_fault)
+    monkeypatch.setattr(search, "is_distributive", lambda a: scanned.append(a) or (1, 1, 0, 2, 3))
     with pytest.raises(InternalInconsistency, match=r"witness \(1, 1, 0, 2, 3\)$"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=4, require_distributive=True))
-    assert calls[-1] == first
-    assert len(calls) == filtered.canonical_count
+    assert scanned == [first]
+    assert len(checked) == filtered.canonical_count
 
 
 def test_dedupe_keeps_one_per_class(z2):
@@ -705,7 +750,8 @@ def test_time_budget_bounds_relabelling_memory(monkeypatch):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("name, m", [("s3", 4), ("z2", 5), ("z3", 5), ("k4", 4), ("q8", 5)])
+@pytest.mark.parametrize("name, m", [("s3", 4), ("z2", 5), ("z3", 5), ("k4", 4), ("q8", 5),
+                                     ("z60", 5)])
 def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
@@ -729,6 +775,22 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     for t, place in enumerate(rel.places):
         assert place == [sum(position[rho[s]] * base ** ((len(gens) - p) * m - 1 - t)
                              for p, s in enumerate(gens)) for rho in homs]
+
+
+@pytest.mark.parametrize("name, m", [("z60", 5), ("q8", 4), ("s3", 4)])
+def test_transposition_tables_conjugate_generator_images_only(name, m, monkeypatch):
+    """The m - 1 transposition tables look each conjugate up by its images
+    of the greedy generators: _conjugate gets |S| permutations per
+    homomorphism (1 for z60, 2 for s3, 3 for q8), not |G|, once per
+    homomorphism and transposition."""
+    g = builtin_group(name)
+    homs = permutation_homomorphisms(g, m)
+    seen = []
+    conjugate = search._conjugate
+    monkeypatch.setattr(search, "_conjugate",
+                        lambda sigma, inv, rho: seen.append(len(rho)) or conjugate(sigma, inv, rho))
+    search._Relabelling(g, homs, m)
+    assert seen == [len(greedy_generators(g))] * ((m - 1) * len(homs))
 
 
 def _rotated_group(name, k):
@@ -786,22 +848,23 @@ def test_law_rows_keep_each_distinct_nonidentity_image_once(name, m, total):
     assert sum(map(len, rows)) == total
 
 
-def test_dedupe_builds_first_of_class_and_representatives_only(z2, monkeypatch):
+def test_dedupe_builds_representatives_only(z2, monkeypatch):
     """z2 on 4 points: 10000 actions in 475 classes. Under dedupe the run
-    builds one BinaryAction for the first action of each class, and the
-    first read of result.actions one for each representative; a second
-    read builds none. The counts and representatives are unchanged."""
+    builds no BinaryAction, each class's law being settled on its index
+    tuple, and the first read of result.actions builds one for each
+    representative; a second read builds none. The counts and
+    representatives are unchanged."""
     calls = []
     action = search._action
     monkeypatch.setattr(search, "_action",
                         lambda group, homs, leaf: calls.append(leaf) or action(group, homs, leaf))
     result = enumerate_actions(EnumerationTask(group=z2, carrier_size=4, dedupe=True))
     assert (result.raw_count, result.canonical_count, result.distributive_count) == (10000, 475, 74)
-    assert len(calls) == 475
+    assert calls == []
     actions = result.actions
-    assert len(calls) == 2 * 475
+    assert len(calls) == 475
     assert result.actions is actions
-    assert len(calls) == 2 * 475
+    assert len(calls) == 475
     assert [a.table for a in actions] == [canonicalize(a).table for a in actions]
 
 
@@ -811,19 +874,20 @@ def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, cl
                                                              monkeypatch):
     """The layered search meets the classes in table order: it fills the
     blocks in generator order, the points in order and each point's runs
-    ascending, and its leaf is the least table. Each class is scanned
-    once, at its representative, so the scans give the order met, and a
-    budget-stopped partial under dedupe lists the first classes of the
-    full listing, as met, with no sort. The partial without dedupe holds
-    exactly those classes, whole."""
+    ascending, and its leaf is the least table. Each class's law is
+    checked once, at its representative, so the checks give the order
+    met, and a budget-stopped partial under dedupe lists the first classes
+    of the full listing, as met, with no sort. The partial without dedupe
+    holds exactly those classes, whole."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, node_budget=budget)
     with pytest.raises(BudgetExceeded, match=f"node budget {budget} reached") as raw:
         enumerate_actions(task)
     _assert_whole_classes(raw.value.partial)
-    calls = _counting_is_distributive(monkeypatch)
+    calls = _counting_law_checks(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(dataclasses.replace(task, dedupe=True))
-    met = [a.table for a in calls]
+    homs = exc.value.partial.homs
+    met = [search._action(task.group, homs, leaf).table for leaf in calls]
     assert len(met) == classes and met == sorted(met)
     assert [a.table for a in exc.value.partial.actions] == met
     full = enumerate_actions(dataclasses.replace(task, dedupe=True, node_budget=10**6))
@@ -1011,9 +1075,11 @@ def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
 
 def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
     """Each class is settled once, at its least table, the leaf of the
-    last block: s3 on 3 points scans 180 distinct representatives, one per
-    class, and no action passes through validate_action."""
-    calls = _counting_is_distributive(monkeypatch)
+    last block: s3 on 3 points checks the law of 180 distinct
+    representatives, one per class, and no action passes through
+    validate_action or is_distributive."""
+    calls = _counting_law_checks(monkeypatch)
+    _refuse_is_distributive(monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("validate_action called during enumeration")
@@ -1023,9 +1089,10 @@ def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
     monkeypatch.setattr(binact.actions, "validate_action", refuse)
     result = enumerate_actions(EnumerationTask(group=s3, carrier_size=3))
     assert (result.raw_count, result.canonical_count) == (1000, 180)
-    tables = [a.table for a in calls]
+    tables = [search._action(s3, result.homs, leaf).table for leaf in calls]
     assert len(set(tables)) == 180 and tables == sorted(tables)
-    assert tables == [canonicalize(a).table for a in calls]
+    assert tables == [canonicalize(search._action(s3, result.homs, leaf)).table
+                      for leaf in calls]
 
 
 def test_per_class_orbit_stabilizer_check(s3, z2, monkeypatch):
