@@ -251,20 +251,22 @@ def _cmd_enumerate(args) -> int:
     """The counts, and with --out the JSONL listing and its summary line.
 
     A full listing without dedupe or the filter is written run by run as
-    the walk yields it, and with no --out it is not walked at all. The
-    file is opened when the first lines are ready, so a budget stop in the
-    search writes none; a deadline that cuts the walk leaves the lines
-    written so far, whole and in table order, with no summary line. A
-    budget stop propagates to main, which reports it."""
+    the walk yields it, and with no --out it is not walked at all; under
+    dedupe each representative is written as the search settles it. The
+    file is opened when the first lines are ready, so without dedupe a
+    budget stop in the search writes none. A stop that cuts the walk or
+    the deduplicated search leaves the lines written so far, whole and in
+    table order, with no summary line. A budget stop propagates to main,
+    which reports it."""
     task = _task(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
     path = Path(args.out) if args.out else None
-    out = None
+    out = lines = None
     with contextlib.ExitStack() as stack:
         def write(homs, runs):
-            nonlocal out
+            nonlocal out, lines
             if out is None:
                 out = stack.enter_context(path.open("w"))
-            lines = _action_lines(task.group, task.carrier_size, homs)
+                lines = _action_lines(task.group, task.carrier_size, homs)
             out.writelines(itertools.starmap(lines, runs))
 
         try:

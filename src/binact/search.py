@@ -164,10 +164,11 @@ list of those last indices, which the walk already holds; no row tuple
 is built. enumerate_actions extends the result's rows from the runs, and
 the CLI's enumerate --out writes each run's lines as the walk yields it,
 so a full listing written to a file holds no list of rows, and one that
-is only counted is not walked.
+is only counted is not walked. Under dedupe each class is one such run
+as it settles, its representative, and a count keeps no class.
 
 The emitted actions stay index tuples through the search, the walk or
-the assembly, and the EnumerationResult that holds them: enumerate_actions
+the expansion, and the EnumerationResult that holds them: enumerate_actions
 builds no BinaryAction but the scanned one of a filtered leaf that fails
 the law, which raises. The result builds one per emitted
 tuple the first time its actions are read, and the CLI's enumerate --out
@@ -417,16 +418,13 @@ class EnumerationResult:
     in it too: under dedupe every class the search settled before the
     stop, and without it those of them expanded before the deadline.
 
-    rows holds every emitted action in lexicographic table order, walked
-    in that order when the listing is full and finished and otherwise
-    expanded from the classes and sorted (the canonical representatives
-    instead, in the order the search met them, when dedupe was on), each
-    as its tuple of
-    indices into homs, the row homomorphisms the run checked once. actions
-    builds them as BinaryActions the first time it is read, none
-    re-validated, and keeps them. The CLI's enumerate --out writes the
-    same actions without building them: a walked listing straight from
-    the walk's runs, with no rows list, and the others from rows.
+    rows holds the emitted actions in lexicographic table order, each as
+    its tuple of indices into homs, the row homomorphisms the run checked
+    once: under dedupe the representatives, as the search settles them; a
+    finished full listing as walked; otherwise the classes' orbits,
+    expanded and sorted. actions builds them as BinaryActions the first
+    time it is read, none re-validated, and keeps them; enumerate --out
+    writes them without building any.
     """
 
     task: EnumerationTask
@@ -618,32 +616,29 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     moves that tie with it at the last point of the last block, with the
     identity, are its automorphisms. Every law instance is checked on the
     representative's index tuple, which settles whether the class is
-    distributive. Under require_distributive a representative that fails
-    raises, with the witness is_distributive finds on it, and in each
-    block a run the law of the block's subgroup forces is the only
-    candidate tried at its point, and otherwise only the runs that pass
-    its instances (h, t, t) are tried. A full search that finishes must
-    have found m!/|Aut| actions per class summing to |Hom(G, S_m)|^m.
-    Without dedupe or the filter, the listing is then walked in table
-    order (_walk), run by run, into the result's rows; otherwise _assemble
-    builds it from the classes. Emitted actions are held as index tuples
-    into the row homomorphisms, checked once per run when the relabelling
-    tables are built; the result builds BinaryActions from them on first
-    use.
+    distributive. Under require_distributive the search forces and
+    filters rows by the law (module docstring), and a representative that
+    fails raises, with the witness is_distributive finds on it. The counts
+    are running sums over the classes as they settle, and a full search
+    that finishes must have found |Hom(G, S_m)|^m actions. Under
+    dedupe each representative goes to the result's rows as it settles,
+    and no class is kept; without it the listing is walked in table order
+    (_walk) when the filter is off, and otherwise _expand lists the
+    classes' orbits, all as index tuples into the row homomorphisms.
 
     The time budget counts from before the row homomorphisms are
     generated and bounds their generation, the subgroup lattice it starts
     from (all_subgroups reads the deadline), the relabelling tables, the
     search, the walk and the expansion of classes. Every budget check
-    raises _BudgetStop, caught in _enumerate alone: the classes settled so
-    far (none if it came before the search) are assembled under the
-    deadline, and one BudgetExceeded carries them, so a partial result is
-    a union of whole classes. A deadline that cuts the walk has passed, so
-    that assembly keeps none, and the rows walked so far are dropped. The
-    message names the budget that stopped the run, and the time budget if
-    the deadline then cut the assembly, with the actions found and
-    assembled; it names only the time budget when the search and any walk
-    had finished.
+    raises _BudgetStop, caught in _enumerate alone. One BudgetExceeded
+    carries the classes settled so far (none if it came before the
+    search), a union of whole classes: their representatives under dedupe,
+    and otherwise their orbits, expanded under the deadline. A deadline
+    that cuts the walk has passed, so that expansion keeps none, and the
+    rows walked so far are dropped. The message names the budget that
+    stopped the run, and the time budget if the deadline then cut the
+    expansion, with the actions found and assembled; it names only the
+    time budget when the search and any walk had finished.
     """
     rows = []
 
@@ -655,28 +650,29 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
 
 
 def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult:
-    """enumerate_actions, with the walk's runs handed to emit.
+    """enumerate_actions, with the listing handed to emit.
 
-    After a full search without dedupe or the filter has finished, emit,
-    if given, is called once as emit(homs, runs), with the row
-    homomorphisms and the runs (outer, last) of _walk, which it consumes
-    in order; with no emit no walk is made. rows, if given, is the list
-    emit extends, and the result lists it. Otherwise the result lists no
-    walked row: emit writes them elsewhere, as enumerate --out does, and
-    a deadline that cuts the walk leaves them written, so its message says
-    how many: (N actions found, K written), K being the rows of the runs
-    emit took. The listings that _assemble builds are in the result's rows
-    either way.
+    emit, if given, is called as emit(homs, runs), with the row
+    homomorphisms and runs (outer, last) whose rows are outer + (i,) for
+    i in last: under dedupe once per class as it settles, with its
+    representative, and once with the runs of _walk, which it consumes in
+    order, after a full search without dedupe or the filter has finished;
+    with no emit no walk is made. rows, if given, is the list emit
+    extends, and the result lists it. Otherwise the result lists neither:
+    emit writes them elsewhere, as enumerate --out does, and a deadline
+    that cuts the walk leaves them written, so its message says how many:
+    (N actions found, K written), K being the rows of the runs emit took.
+    The orbits _expand lists are in the result's rows either way.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
-    classes = []  # (representative, |Aut|, distributive), in table order
+    settled = _Settled(m, None if task.dedupe else [])
     chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
     law = task.require_distributive
-    rel = reason = walked = written = None
+    rel = reason = written = None
 
     def counted(runs):
         nonlocal written
@@ -750,7 +746,9 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
             w = is_distributive(_action(g, rel.homs, leaf))
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
-        classes.append((leaf, aut, lawful))
+        settled.add(leaf, aut, lawful)
+        if task.dedupe and emit is not None:
+            emit(rel.homs, ((leaf[:-1], leaf[-1:]),))
 
     def fill(k: int, t: int, moves):
         nonlocal nodes
@@ -793,28 +791,32 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
         else:  # the trivial group: one action, which every relabelling fixes
             settle(math.factorial(m))
         if not law:
-            found = sum(math.factorial(m) // aut for _, aut, _ in classes)
-            if found != len(rowhoms) ** m:
+            if settled.actions != len(rowhoms) ** m:
                 raise InternalInconsistency(
-                    f"the classes hold {found} actions, not |Hom(G, S_{m})|^{m} = "
+                    f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
                     f"{len(rowhoms) ** m}")
             if not task.dedupe:
                 if emit is not None:
                     emit(rowhoms, counted(_walk(g, rowhoms, m, deadline)))
-                walked = [] if rows is None else rows
+                settled.classes = None  # a finished full listing is walked, not expanded
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
-    result = _assemble(task, rel, classes, walked, nodes, search_complete=reason is None,
-                       deadline=deadline)
+    listed, kept = [] if rows is None else rows, settled
+    if settled.classes:
+        listed, kept = _expand(rel, settled.classes, m, deadline)
+    result = EnumerationResult(
+        task=task, raw_count=kept.actions, canonical_count=kept.count,
+        distributive_count=kept.distributive,
+        exhaustive=reason is None and kept.count == settled.count,
+        homs=rel.homs if rel else (), rows=listed, nodes=nodes)
     if result.exhaustive:
         return result
-    found = sum(math.factorial(m) // aut for _, aut, _ in classes)
-    if reason is not None:  # None: the search finished, the deadline cut its assembly
-        if result.raw_count < found and reason != time_reason:
+    if reason is not None:  # None: the search finished, the deadline cut its expansion
+        if kept.actions < settled.actions and reason != time_reason:
             reason += f"; {time_reason}"
-        kept = (f"{written} written" if written is not None and rows is None
-                else f"{result.raw_count} assembled")
-        reason += f" ({found} actions found, {kept})"
+        counted_as = (f"{written} written" if written is not None and rows is None
+                      else f"{kept.actions} assembled")
+        reason += f" ({settled.actions} actions found, {counted_as})"
     raise BudgetExceeded(reason or time_reason, partial=result)
 
 
@@ -967,49 +969,44 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float):
         walked += len(run[1])
 
 
-def _assemble(task, rel: _Relabelling | None, classes: list, rows, nodes: int,
-              search_complete: bool, deadline: float) -> EnumerationResult:
-    """The result over the classes the search settled, each held as
-    (representative, |Aut|, distributive), in table order, after nodes
-    search nodes.
+class _Settled:
+    """Running sums over classes (representative, |Aut|, distributive):
+    actions of m!/|Aut| over all, distributive over the distributive ones,
+    and count; classes, a list or None, keeps them in order, or none."""
 
-    rows, when given, is the walked listing of a finished full search
-    without dedupe, and every class is kept. Under dedupe the rows are the
-    representatives, as met. Otherwise each class's orbit is recomputed
-    from its representative, in the order the classes were met, the clock
-    read before each one; past the deadline, the classes expanded so far
-    make the result, so it is a union of whole classes. Each orbit's size
-    times |Aut| must be m!. The expanded rows are then sorted by key,
-    which is table order. The counts are those of the classes kept:
-    raw_count sums m!/|Aut| over them, distributive_count over the
-    distributive ones. The result is exhaustive when the search was
-    complete and every class was kept.
-    """
-    m = task.carrier_size
-    kept = list(classes)
-    if rows is not None:
-        pass
-    elif task.dedupe:
-        rows = [canon for canon, _, _ in classes]
-    else:
-        rows = []
-        for n, (canon, aut, _) in enumerate(kept):
-            if time.monotonic() > deadline:
-                del kept[n:]
-                break
-            orbit = set(rel.relabellings(canon))
-            if len(orbit) * aut != math.factorial(m):  # orbit-stabilizer
-                raise InternalInconsistency(f"class of {canon}: {len(orbit)} relabellings "
-                                            f"times {aut} automorphisms is not {m}!")
-            rows += orbit
-        if rows:
-            rows.sort(key=rel.key)
-    sizes = [(math.factorial(m) // aut, distributive) for _, aut, distributive in kept]
-    return EnumerationResult(task=task, raw_count=sum(n for n, _ in sizes),
-                             canonical_count=len(kept),
-                             distributive_count=sum(n for n, d in sizes if d),
-                             exhaustive=search_complete and len(kept) == len(classes),
-                             homs=rel.homs if rel else (), rows=rows, nodes=nodes)
+    def __init__(self, m: int, classes=None):
+        self.unit = math.factorial(m)
+        self.actions = self.count = self.distributive = 0
+        self.classes = classes
+
+    def add(self, leaf, aut: int, lawful: bool) -> None:
+        n = self.unit // aut
+        self.actions += n
+        self.count += 1
+        self.distributive += n if lawful else 0
+        if self.classes is not None:
+            self.classes.append((leaf, aut, lawful))
+
+
+def _expand(rel: _Relabelling, classes: list, m: int, deadline: float):
+    """(rows, kept): the orbits of the classes, each recomputed from its
+    representative in the order met, the clock read before each one, its
+    size times |Aut| checked to be m!, and sorted by key (table order).
+    Past the deadline the classes expanded so far make the rows, a union
+    of whole classes, and kept sums over them alone."""
+    rows = []
+    kept = _Settled(m)
+    for canon, aut, lawful in classes:
+        if time.monotonic() > deadline:
+            break
+        orbit = set(rel.relabellings(canon))
+        if len(orbit) * aut != kept.unit:  # orbit-stabilizer
+            raise InternalInconsistency(f"class of {canon}: {len(orbit)} relabellings "
+                                        f"times {aut} automorphisms is not {m}!")
+        rows += orbit
+        kept.add(canon, aut, lawful)
+    rows.sort(key=rel.key)
+    return rows, kept
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

@@ -404,8 +404,12 @@ def test_action_lines_write_multi_digit_entries():
 
 
 def test_enumerate_out_unwritable_exits_two(tmp_path, capsys):
-    assert main(["enumerate", "--group", "z2", "--carrier", "2", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"cannot write {tmp_path}: ")
+    """With --dedupe the file is opened inside the search, at the first
+    class it settles; an OSError there still exits 2."""
+    for flags in ([], ["--dedupe"]):
+        assert main(["enumerate", "--group", "z2", "--carrier", "2", *flags,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write {tmp_path}: ")
 
 
 def test_enumerate_accepts_group_file(files, capsys):
@@ -414,12 +418,31 @@ def test_enumerate_accepts_group_file(files, capsys):
 
 
 def test_enumerate_budget_exhaustion_exits_one(tmp_path, capsys):
-    """A budget stop exits 1 and writes no --out file."""
+    """Without dedupe, a budget stop in the search exits 1 and writes no
+    --out file."""
     out = tmp_path / "enum.jsonl"
     assert main(["enumerate", "--group", "s3", "--carrier", "3",
                  "--node-budget", "5", "--out", str(out)]) == 1
     assert "non-exhaustive" in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_a_budget_stop_leaves_the_deduplicated_lines_settled(tmp_path, capsys):
+    """With --dedupe each representative is written as the search settles
+    it. The node budget stops the search of z2 on 3 points after 14 of
+    its 16 classes: the run exits 1 and reports the stop as a count-only
+    run does, and the file holds the finished run's first 14 lines,
+    whole, with no summary line."""
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", "z2", "--carrier", "3", "--dedupe",
+                 "--node-budget", "40", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
+        "(56 actions found, 56 assembled)\n"
+        "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
+    want = _enumerated_lines(builtin_group("z2"), 3, dedupe=True)
+    assert len(want) == 17
+    assert out.read_text() == "".join(line + "\n" for line in want[:14])
 
 
 def test_unknown_group_exits_two(capsys):

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import pathlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -279,6 +281,23 @@ def test_forced_rows_finish_under_default_budgets(name, m, raw, canonical):
     assert result.exhaustive
     assert (result.raw_count, result.canonical_count) == (raw, canonical)
     assert result.distributive_count == raw
+
+
+@pytest.mark.parametrize("name, m", [
+    ("k4", 5), ("z2", 6), ("s3", 5), ("d4", 5), ("q8", 5), ("s3", 6)])
+def test_readme_search_table_matches_the_search(name, m):
+    """The README's search table quotes, for the distributive run with
+    dedupe under the default budgets, the actions, the classes and, first
+    in its nodes column, the search nodes; each row read here is the
+    run's."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    rows = [match for line in readme.read_text().splitlines()
+            if (match := re.match(rf"\| {name}, {m} \| (\d+) / (\d+)\b[^|]*\| (\d+)\b", line))]
+    assert len(rows) == 1
+    raw, canonical, nodes = map(int, rows[0].groups())
+    result = _distributive_classes(name, m)
+    assert result.exhaustive
+    assert (result.raw_count, result.canonical_count, result.nodes) == (raw, canonical, nodes)
 
 
 def test_is_distributive_matches_witness_oracle():
@@ -1110,22 +1129,24 @@ def test_per_class_orbit_stabilizer_check(s3, z2, monkeypatch):
 
 
 def _settled_classes(task, monkeypatch):
-    """The run's relabelling tables and the classes its search settled, as
-    handed to the assembly: (representative, |Aut|, distributive), in the
-    order met."""
+    """The run's row homomorphisms and the classes its search settled, as
+    counted by _Settled.add: (representative, |Aut|, distributive), in
+    the order met. The search counts into the first _Settled made, on
+    dedupe, walked and expanded runs alike; _expand counts the classes it
+    expands into one of its own."""
     seen = []
-    assemble = search._assemble
+    add = search._Settled.add
 
-    def spy(task, rel, classes, *args, **kwargs):
-        seen.append((rel, list(classes)))
-        return assemble(task, rel, classes, *args, **kwargs)
+    def spy(self, *settled):
+        seen.append((self, settled))
+        return add(self, *settled)
 
-    monkeypatch.setattr(search, "_assemble", spy)
+    monkeypatch.setattr(search._Settled, "add", spy)
     result = enumerate_actions(task)
-    monkeypatch.setattr(search, "_assemble", assemble)
+    monkeypatch.setattr(search._Settled, "add", add)
     assert result.exhaustive
-    (rel, classes), = seen
-    return rel, classes
+    first = seen[0][0]
+    return result.homs, [settled for tally, settled in seen if tally is first]
 
 
 def _check_settled_classes(task, monkeypatch):
@@ -1135,12 +1156,12 @@ def _check_settled_classes(task, monkeypatch):
     in one class, and each |Aut|, the ties at the leaf plus one, is the number of
     bijections f with is_biequivariant(a, a, f). Raises AssertionError
     naming every fault."""
-    rel, classes = _settled_classes(task, monkeypatch)
+    homs, classes = _settled_classes(task, monkeypatch)
     g, m = task.group, task.carrier_size
     faults = []
     seen = set()
     for leaf, aut, _ in classes:
-        a = search._action(g, rel.homs, leaf)
+        a = search._action(g, homs, leaf)
         least = canonicalize(a).table
         if least in seen:
             faults.append(f"class of {leaf} met twice")
