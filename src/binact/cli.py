@@ -7,9 +7,12 @@ subcommand uses randomness. The BINACT_THREADS environment variable caps
 worker parallelism; evaluation is currently sequential, which respects
 any cap, and the variable is still validated so misuse fails loudly.
 
-main() builds its argument parser on its first call and keeps it for the
-rest of the process, since parsing leaves no state on a parser;
-build_parser() builds a fresh one on every call.
+main() parses a call whose first argument names a subcommand with a tree
+that holds that subcommand alone, and any other call (--help, --version,
+no argument, an unknown command) with the whole tree; help, usage errors
+and exit codes are the same either way. Each tree is built on its first
+use and kept for the rest of the process, since parsing leaves no state
+on a parser; build_parser() builds a fresh one on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import contextlib
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -301,23 +303,31 @@ def _action_lines(g, m: int, homs):
     ", " inside brackets, so the slice of element h is written by joining
     the encodings of rho(h) over the rows rho. texts[i] holds them for
     homs[i], one per element, encoded the first time a row uses it. Per
-    run, the slices' shared starts, the texts at points 0..m-2 joined and
-    followed by ", ", are joined once; each line then adds the texts of
-    its homomorphism at point m - 1.
+    run, one template is built: the head with any % doubled, then each
+    slice's start, the texts at points 0..m-2 joined and followed by ", ",
+    with %s where the text at point m - 1 goes. The run's lines are that
+    template repeated len(last) times, filled by one % from the texts of
+    last, flattened; the flat tuple is kept for the last list seen, which
+    _walk passes unchanged to every run that shares it.
     """
     head = f'{{"group": {json.dumps(group_to_json(g))}, "carrier": {m}, "table": [['
+    head = head.replace("%", "%%")
     texts = [None] * len(homs)
     blank = [""] * g.order  # the starts of a run on one point
+    seen = flat = None
 
-    def encode(i: int) -> list[str]:
-        texts[i] = [json.dumps(list(p)) for p in homs[i]]
+    def text(i: int) -> list[str]:
+        if texts[i] is None:
+            texts[i] = [json.dumps(list(p)) for p in homs[i]]
         return texts[i]
 
     def lines(outer, last) -> str:
-        prefixes = [", ".join(sl) + ", " for sl in zip(*[texts[i] or encode(i) for i in outer])]
-        prefixes = prefixes or blank
-        return "".join([head + "], [".join(map(operator.add, prefixes, texts[i] or encode(i)))
-                        + "]]}\n" for i in last])
+        nonlocal seen, flat
+        if last is not seen:
+            seen, flat = last, tuple(itertools.chain.from_iterable(map(text, last)))
+        starts = [", ".join(sl) + ", " for sl in zip(*map(text, outer))] or blank
+        template = head + "%s], [".join(starts) + "%s]]}\n"
+        return (template * len(last)) % flat
 
     return lines
 
@@ -391,85 +401,64 @@ def _cmd_conjugation(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser; the budget options take EnumerationTask's defaults as
-    they are at this call."""
+def _commands() -> list:
+    """The subcommands as (name, handler, help, options), each option a
+    flag and its add_argument keywords; the budget options take
+    EnumerationTask's defaults as they are at this call."""
+    flag = {"action": "store_true"}
+    action, topology = ("--action", {"required": True}), ("--topology", {"required": True})
+    out = ("--out", {})
+    group_carrier = [("--group", {"required": True}),
+                     ("--carrier", {"type": int, "required": True})]
+    budgets = [("--node-budget", {"type": int, "default": EnumerationTask.node_budget}),
+               ("--time-budget", {"type": float, "default": EnumerationTask.time_budget_s})]
+    return [
+        ("validate", _cmd_validate, "validate a group/op/action/topology file",
+         [("--action", {}), ("--group", {}), ("--op", {}), ("--topology", {})]),
+        ("distributive", _cmd_distributive, "check the distributivity law", [action]),
+        ("orbits", _cmd_orbits, "orbit classes and projection of a distributive action",
+         [action, out]),
+        ("quotient", _cmd_quotient, "quotient topology of the orbit space",
+         [action, topology, out]),
+        ("monoid", _cmd_monoid, "star-monoid utilities",
+         [("--size", {"type": int}), ("--cap", {"type": int, "default": 4}), ("--op", {}),
+          ("--invert", flag), ("--star", {}), out]),
+        ("enumerate", _cmd_enumerate, "enumerate all binary actions of a group",
+         [*group_carrier, ("--require-distributive", flag), ("--dedupe", flag), *budgets, out]),
+        ("topology-check", _cmd_topology_check, "run the theorem battery on a model",
+         [action, topology, ("--probe-non-hausdorff", flag), out]),
+        ("witnesses", _cmd_witnesses, "mine counterexamples from an enumeration",
+         [*group_carrier, *budgets, out]),
+        ("induce", _cmd_induce, "ordinary action induced at a carrier point",
+         [action, ("--point", {"type": int, "required": True}), out]),
+        ("embed", _cmd_embed, "embed an ordinary action as a binary action",
+         [("--ordinary", {"required": True}), out]),
+        ("conjugation", _cmd_conjugation, "conjugation-coset action of a subgroup",
+         [("--group", {"required": True}), ("--subgroup", {}), ("--generators", {}), out]),
+    ]
+
+
+_COMMAND_NAMES = tuple(name for name, *_ in _commands())
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """A new parser: with only None the whole tree, else one that holds
+    only that subcommand, whose top-level usage still lists every one."""
     parser = argparse.ArgumentParser(
         prog="binact",
         description="Binary actions of finite groups: validation, orbits, "
                     "quotients, topology checks, enumeration.",
     )
     parser.add_argument("--version", action="version", version=f"binact {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("validate", _cmd_validate, "validate a group/op/action/topology file")
-    p.add_argument("--action")
-    p.add_argument("--group")
-    p.add_argument("--op")
-    p.add_argument("--topology")
-
-    p = command("distributive", _cmd_distributive, "check the distributivity law")
-    p.add_argument("--action", required=True)
-
-    p = command("orbits", _cmd_orbits, "orbit classes and projection of a distributive action")
-    p.add_argument("--action", required=True)
-    p.add_argument("--out")
-
-    p = command("quotient", _cmd_quotient, "quotient topology of the orbit space")
-    p.add_argument("--action", required=True)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--out")
-
-    p = command("monoid", _cmd_monoid, "star-monoid utilities")
-    p.add_argument("--size", type=int)
-    p.add_argument("--cap", type=int, default=4)
-    p.add_argument("--op")
-    p.add_argument("--invert", action="store_true")
-    p.add_argument("--star")
-    p.add_argument("--out")
-
-    p = command("enumerate", _cmd_enumerate, "enumerate all binary actions of a group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--carrier", type=int, required=True)
-    p.add_argument("--require-distributive", action="store_true")
-    p.add_argument("--dedupe", action="store_true")
-    p.add_argument("--node-budget", type=int, default=EnumerationTask.node_budget)
-    p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
-    p.add_argument("--out")
-
-    p = command("topology-check", _cmd_topology_check, "run the theorem battery on a model")
-    p.add_argument("--action", required=True)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--probe-non-hausdorff", action="store_true")
-    p.add_argument("--out")
-
-    p = command("witnesses", _cmd_witnesses, "mine counterexamples from an enumeration")
-    p.add_argument("--group", required=True)
-    p.add_argument("--carrier", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=EnumerationTask.node_budget)
-    p.add_argument("--time-budget", type=float, default=EnumerationTask.time_budget_s)
-    p.add_argument("--out")
-
-    p = command("induce", _cmd_induce, "ordinary action induced at a carrier point")
-    p.add_argument("--action", required=True)
-    p.add_argument("--point", type=int, required=True)
-    p.add_argument("--out")
-
-    p = command("embed", _cmd_embed, "embed an ordinary action as a binary action")
-    p.add_argument("--ordinary", required=True)
-    p.add_argument("--out")
-
-    p = command("conjugation", _cmd_conjugation, "conjugation-coset action of a subgroup")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup")
-    p.add_argument("--generators")
-    p.add_argument("--out")
-
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(_COMMAND_NAMES) + "}")
+    for name, handler, help, options in _commands():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(handler=handler)
+            for option, keywords in options:
+                p.add_argument(option, **keywords)
     return parser
 
 
@@ -477,12 +466,17 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code. The parser is built on the
-    first call and shared by every later call in the process: each parse
-    fills a fresh Namespace, and the defaults and handlers are fixed when
-    the parser is built."""
+    """Run one command and return its exit code. A first argument that
+    names a subcommand is parsed by a tree that holds that subcommand
+    alone; any other argv (--help, --version, none, an unknown command)
+    by the whole tree, whose help and errors the one-command trees repeat
+    byte for byte. Each tree is built on its first use and shared by every
+    later call in the process: each parse fills a fresh Namespace, and the
+    defaults and handlers are fixed when the tree is built."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _shared_parser(only).parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors with code 2
         return int(exc.code or 0)
 

@@ -662,16 +662,21 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     emit writes them elsewhere, as enumerate --out does, and a deadline
     that cuts the walk leaves them written, so its message says how many:
     (N actions found, K written), K being the rows of the runs emit took.
-    The orbits _expand lists are in the result's rows either way.
+    Without dedupe the classes are kept, and _expand lists their orbits
+    in the result's rows, only where rows are built from them: when rows
+    is given, and otherwise at the end of a filtered search with emit
+    that finished. Any other run, a stop without rows included, counts
+    every class it settled and lists none.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
-    settled = _Settled(m, None if task.dedupe else [])
-    chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
     law = task.require_distributive
+    keep = not task.dedupe and (rows is not None or law and emit is not None)
+    settled = _Settled(m, [] if keep else None)
+    chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
     rel = reason = written = None
 
     def counted(runs):
@@ -802,7 +807,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     except _BudgetStop as stop:
         reason = str(stop) or time_reason
     listed, kept = [] if rows is None else rows, settled
-    if settled.classes:
+    if settled.classes and (reason is None or rows is not None):
         listed, kept = _expand(rel, settled.classes, m, deadline)
     result = EnumerationResult(
         task=task, raw_count=kept.actions, canonical_count=kept.count,

@@ -23,6 +23,7 @@ from binact import (
     make_ordinary_action,
     op_to_json,
     make_binary_op,
+    permutation_homomorphisms,
     topology_to_json,
     trivial_action,
     validate_action,
@@ -265,11 +266,17 @@ def _relabelled_group_file(tmp_path, g):
     ("s3", 3, {"dedupe": True}),
     ("k4", 3, {"require_distributive": True}),
     ("z3", 4, {}),
+    ("s3", 3, {"require_distributive": True, "dedupe": True}),
+    ("q8", 3, {"dedupe": True}),
+    ("q8", 3, {"require_distributive": True}),
+    ("q8", 3, {"require_distributive": True, "dedupe": True}),
     pytest.param("s3", 3, {"relabelled": True}, id="s3-3-relabelled-group-file"),
 ])
 def test_enumerate_out_lines_are_action_records(name, m, flags, tmp_path, capsys):
     """relabelled: the group is read from a JSON file in which its
-    non-identity elements are numbered in reverse."""
+    non-identity elements are numbered in reverse. s3 and q8 (two and
+    three greedy generators) under dedupe or the filter are written one
+    line per run."""
     flags = dict(flags)
     g = builtin_group(name)
     ref = name
@@ -319,8 +326,9 @@ def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, mon
     in the search, then before its first row and before the first run of
     ten rows past each further 1024. A 34.5 s budget cuts the stream at
     its tenth read, at row 9220, and a 25.5 s one at its first: the run
-    exits 1, the message counts the rows written, and the file holds
-    those lines whole, in table order, with no summary line."""
+    exits 1, the message counts the rows written, the counts are those of
+    every class the finished search settled, and the file holds those
+    lines whole, in table order, with no summary line."""
     import itertools
 
     import binact.search
@@ -334,7 +342,7 @@ def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, mon
     assert capsys.readouterr().out == (
         f"non-exhaustive: enumeration budget exceeded: time budget {budget}s reached "
         f"(10000 actions found, {written} written)\n"
-        "raw_count=0 canonical_count=0 distributive_count=0 exhaustive=no\n")
+        "raw_count=10000 canonical_count=475 distributive_count=74 exhaustive=no\n")
     assert out.read_text() == "".join(line + "\n" for line in want[:written])
 
 
@@ -401,6 +409,49 @@ def test_action_lines_write_multi_digit_entries():
             json.dumps(action_to_json(a)) + "\n" for a in actions)
     assert lines((1,) * 10, [1]) == (
         json.dumps(action_to_json(from_ordinary(make_ordinary_action(z2, homs[1])))) + "\n")
+
+
+def test_action_lines_fill_each_run_from_its_last_list():
+    """A run's lines are one template filled from the texts of last,
+    which are kept for the last list seen: runs that share a list, runs
+    between which another list with the same entries comes, and a list
+    seen again after another are each written as json.dumps writes their
+    actions. On z1 (order 1) every run has one slice, and on one point
+    no outer tuple."""
+    for name, m in [("s3", 3), ("q8", 3), ("z1", 1), ("z1", 3)]:
+        g = builtin_group(name)
+        homs = permutation_homomorphisms(g, m)
+        lines = _action_lines(g, m, homs)
+        shared, other = [0, len(homs) - 1], [len(homs) - 1]
+        for outer, last in [((0,) * (m - 1), shared), ((len(homs) - 1,) * (m - 1), shared),
+                            ((0,) * (m - 1), [0, len(homs) - 1]), ((0,) * (m - 1), other),
+                            ((len(homs) - 1,) * (m - 1), shared)]:
+            actions = [validate_action(g, tuple(zip(*[homs[i] for i in (*outer, i)])))
+                       for i in last]
+            assert lines(outer, last) == "".join(
+                json.dumps(action_to_json(a)) + "\n" for a in actions)
+
+
+@pytest.mark.parametrize("name, labels", [
+    ("z2 %s %d %% 100%", ["%s", "%(x)s"]),
+    ("%", ["%%", "%s%"]),
+])
+def test_enumerate_out_writes_percent_signs_in_the_group(name, labels, tmp_path, capsys):
+    """The run template doubles every % of the group's JSON, so a name and
+    labels that hold %, %s or %% are written as json.dumps writes them, in
+    the full listing, under dedupe and under the filter."""
+    g = make_group(builtin_group("z2").cayley, name=name, labels=labels)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_to_json(g)))
+    g = group_from_json(json.loads(path.read_text()))
+    for flags in ({}, {"dedupe": True}, {"require_distributive": True}):
+        out = tmp_path / "enum.jsonl"
+        argv = ["enumerate", "--group", str(path), "--carrier", "3", "--out", str(out)]
+        assert main(argv + ["--" + flag.replace("_", "-") for flag in flags]) == 0
+        lines = out.read_text().splitlines()
+        assert lines == _enumerated_lines(g, 3, **flags)
+        assert action_from_json(json.loads(lines[0])).group.name == name
+    capsys.readouterr()
 
 
 def test_enumerate_out_unwritable_exits_two(tmp_path, capsys):
@@ -537,25 +588,61 @@ def test_witnesses_budget_stop_reports_partial_counts(capsys):
         "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
 
 
+def test_orbits_are_expanded_only_for_rows(monkeypatch, tmp_path, capsys):
+    """_expand runs only where rows are built from the classes: the
+    result's rows of enumerate_actions, and the filtered --out listing of
+    a search that finished. k4 on 5 points under the filter, counted
+    without --out, expands no orbit and prints the line of the run with
+    --dedupe; a node-budget stop of the filtered --out run expands none
+    and writes no file."""
+    import binact.search
+
+    calls = []
+    expand = binact.search._expand
+    monkeypatch.setattr(binact.search, "_expand",
+                        lambda *args: calls.append(args[2]) or expand(*args))
+    argv = ["enumerate", "--group", "k4", "--carrier", "5", "--require-distributive"]
+    assert main(argv) == main([*argv, "--dedupe"]) == 0
+    plain, deduped = capsys.readouterr().out.splitlines()
+    assert plain == deduped
+    assert calls == []
+    out = tmp_path / "enum.jsonl"
+    assert main(["enumerate", "--group", "k4", "--carrier", "3", "--require-distributive",
+                 "--node-budget", "3", "--out", str(out)]) == 1
+    assert calls == [] and not out.exists()
+    assert main(["enumerate", "--group", "k4", "--carrier", "3", "--require-distributive",
+                 "--out", str(out)]) == 0
+    assert calls == [3]
+    enumerate_actions(EnumerationTask(group=builtin_group("k4"), carrier_size=3,
+                                      require_distributive=True))
+    assert calls == [3, 3]
+    capsys.readouterr()
+
+
 def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
     """The node budget stops the search of z2 on 3 points after 14 of its
-    16 classes, 56 of its 64 actions; every clock read then advances one
-    second, so a 10 s budget (six reads for the relabellings and one per
-    class) cuts the assembly after 4 classes, 13 actions. The line names
-    both budgets, the node budget first. Of those 13 actions, 7 are
-    distributive (by the oracles in tests/oracles.py)."""
+    16 classes, 56 of its 64 actions. Without --out no row is built, so
+    no orbit is expanded: with every clock read advancing one second, a
+    10 s budget cuts nothing, the line names the node budget alone, and
+    the counts are the tally of the 14 classes, as the run with --dedupe
+    prints them."""
     import itertools
 
     import binact.search
 
-    ticks = itertools.count()
-    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
-    assert main(["enumerate", "--group", "z2", "--carrier", "3",
-                 "--node-budget", "40", "--time-budget", "10"]) == 1
-    assert capsys.readouterr().out == (
-        "non-exhaustive: enumeration budget exceeded: node budget 40 reached; "
-        "time budget 10.0s reached (56 actions found, 13 assembled)\n"
-        "raw_count=13 canonical_count=4 distributive_count=7 exhaustive=no\n")
+    def refuse(*args):
+        raise AssertionError("a count-only run must expand no orbit")
+
+    monkeypatch.setattr(binact.search, "_expand", refuse)
+    for flags in ([], ["--dedupe"]):
+        ticks = itertools.count()
+        monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
+        assert main(["enumerate", "--group", "z2", "--carrier", "3", *flags,
+                     "--node-budget", "40", "--time-budget", "10"]) == 1
+        assert capsys.readouterr().out == (
+            "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
+            "(56 actions found, 56 assembled)\n"
+            "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -584,8 +671,11 @@ def test_budget_defaults_are_the_tasks(command, monkeypatch):
 
 
 def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
-    """Only the first main() call builds parsers (the top-level one and one
-    per subcommand); build_parser() still builds a new one each call."""
+    """A call whose first argument names a subcommand builds, on its
+    first use, a tree of two parsers: the top-level one and that
+    subcommand's. Any other argv builds the whole tree (the top-level
+    parser and one per subcommand) on its first use. build_parser()
+    still builds a new one each call."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -599,19 +689,24 @@ def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
     for argv in (["enumerate", "--group", "z2", "--carrier", "2"],
                  ["witnesses", "--group", "z2", "--carrier", "2"],
                  ["validate", "--group", "z2"],
-                 ["enumerate", "--group", "z2", "--carrier", "2"]):
+                 ["enumerate", "--group", "z2", "--carrier", "2"],
+                 ["--version"],
+                 ["--version"],
+                 ["witnesses", "--group", "z2", "--carrier", "2"]):
         before = len(built)
         assert main(argv) == 0
         per_call.append(len(built) - before)
     capsys.readouterr()
-    assert per_call == [12, 0, 0, 0]
+    assert per_call == [2, 2, 2, 0, 12, 0, 0]
     assert build_parser() is not build_parser()
 
 
 def test_shared_parser_calls_match_fresh_parser_calls(tmp_path, monkeypatch, capsys):
-    """Usage errors, --version, a budget stop and a refused BINACT_THREADS
-    between two identical enumerations leave the shared parser as it was:
-    every call gives the exit code and output it gives on a fresh parser."""
+    """Usage errors, --version, help, a budget stop and a refused
+    BINACT_THREADS between two identical enumerations leave the shared
+    trees as they were: every call gives the exit code, stdout and stderr
+    it gives on a fresh whole tree from build_parser(), so a one-command
+    tree repeats the whole tree's help and errors byte for byte."""
     out = tmp_path / "actions.jsonl"
     enumerate_argv = ["enumerate", "--group", "z2", "--carrier", "3", "--out", str(out)]
     calls = [
@@ -619,6 +714,10 @@ def test_shared_parser_calls_match_fresh_parser_calls(tmp_path, monkeypatch, cap
         (["enumerate", "--group", "z2"], None),  # missing --carrier
         (["no-such-command"], None),
         (["--version"], None),
+        (["--help"], None),
+        (["enumerate", "--help"], None),
+        (["witnesses", "-h"], None),
+        (["enumerate", "--group", "z2", "--carrier", "3", "--bogus"], None),
         (["enumerate", "--group", "z2", "--carrier", "3", "--node-budget", "40"], None),
         (["validate", "--group", "z2"], "0"),  # BINACT_THREADS
         (enumerate_argv, None),
@@ -626,9 +725,9 @@ def test_shared_parser_calls_match_fresh_parser_calls(tmp_path, monkeypatch, cap
 
     def run_all(fresh):
         results = []
+        if fresh:
+            monkeypatch.setattr(binact.cli, "_shared_parser", lambda only=None: build_parser())
         for argv, threads in calls:
-            if fresh:
-                binact.cli._shared_parser.cache_clear()
             if threads is None:
                 monkeypatch.delenv("BINACT_THREADS", raising=False)
             else:
@@ -640,7 +739,7 @@ def test_shared_parser_calls_match_fresh_parser_calls(tmp_path, monkeypatch, cap
         return results
 
     shared = run_all(fresh=False)
-    assert [r[0] for r in shared] == [0, 2, 2, 0, 1, 2, 0]
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 0, 0, 0, 2, 1, 2, 0]
     counts = "raw_count=64 canonical_count=16 distributive_count=11 exhaustive=yes\n"
     assert shared[0][1] == shared[-1][1] == counts
     assert shared[0][3] == shared[-1][3]
