@@ -252,14 +252,12 @@ def _task(args, **flags) -> EnumerationTask:
 def _cmd_enumerate(args) -> int:
     """The counts, and with --out the JSONL listing and its summary line.
 
-    A full listing without dedupe or the filter is written run by run as
-    the walk yields it, and with no --out it is not walked at all; under
-    dedupe each representative is written as the search settles it. The
-    file is opened when the first lines are ready, so without dedupe a
-    budget stop in the search writes none. A stop that cuts the walk or
-    the deduplicated search leaves the lines written so far, whole and in
-    table order, with no summary line. A budget stop propagates to main,
-    which reports it."""
+    The lines are written run by run as _enumerate emits them; with no
+    --out nothing is listed, and a full listing is not walked. The file is
+    opened when the first lines are ready. A budget stop leaves the lines
+    written so far, whole, a table-order prefix of the finished listing
+    and the rows of the API's partial result, with no summary line; it
+    propagates to main, which reports it."""
     task = _task(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
     path = Path(args.out) if args.out else None
     out = lines = None
@@ -274,7 +272,6 @@ def _cmd_enumerate(args) -> int:
         try:
             result = _enumerate(task, write if path else None)
             if path:
-                write(result.homs, ((row[:-1], row[-1:]) for row in result.rows))
                 summary = {
                     "raw_count": result.raw_count,
                     "canonical_count": result.canonical_count,

@@ -165,7 +165,9 @@ is built. enumerate_actions extends the result's rows from the runs, and
 the CLI's enumerate --out writes each run's lines as the walk yields it,
 so a full listing written to a file holds no list of rows, and one that
 is only counted is not walked. Under dedupe each class is one such run
-as it settles, its representative, and a count keeps no class.
+as it settles, its representative, and a count keeps no class; a
+filtered listing is its classes' orbits, expanded and sorted (_expand),
+one run per row.
 
 The emitted actions stay index tuples through the search, the walk or
 the expansion, and the EnumerationResult that holds them: enumerate_actions
@@ -411,20 +413,20 @@ class EnumerationResult:
     passed the check that its m!/|Aut(a)| relabellings times |Aut(a)|
     make m!, and a finished full search the check that raw_count is
     |Hom(G, S_m)|^m. nodes counts the search nodes, the count the node
-    budget bounds, and is not compared. After a budget stop,
-    the one BudgetExceeded carries a result with exhaustive false, and
-    its message says how many actions the search found. That result is a
-    union of whole classes, every relabelling of each action in it being
-    in it too: under dedupe every class the search settled before the
-    stop, and without it those of them expanded before the deadline.
+    budget bounds, and is not compared. After a budget stop, the one
+    BudgetExceeded carries a result with exhaustive false whose counts are
+    the tally of every class the search settled, and its message says how
+    many actions that is.
 
     rows holds the emitted actions in lexicographic table order, each as
     its tuple of indices into homs, the row homomorphisms the run checked
     once: under dedupe the representatives, as the search settles them; a
-    finished full listing as walked; otherwise the classes' orbits,
-    expanded and sorted. actions builds them as BinaryActions the first
-    time it is read, none re-validated, and keeps them; enumerate --out
-    writes them without building any.
+    full listing as walked; a filtered one as the classes' orbits,
+    expanded and sorted. After a stop it holds the rows emitted before
+    it, a prefix of the finished run's rows and the lines enumerate --out
+    leaves. actions builds them as BinaryActions the first time it is
+    read, none re-validated, and keeps them; enumerate --out writes them
+    without building any.
     """
 
     task: EnumerationTask
@@ -630,15 +632,11 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     generated and bounds their generation, the subgroup lattice it starts
     from (all_subgroups reads the deadline), the relabelling tables, the
     search, the walk and the expansion of classes. Every budget check
-    raises _BudgetStop, caught in _enumerate alone. One BudgetExceeded
-    carries the classes settled so far (none if it came before the
-    search), a union of whole classes: their representatives under dedupe,
-    and otherwise their orbits, expanded under the deadline. A deadline
-    that cuts the walk has passed, so that expansion keeps none, and the
-    rows walked so far are dropped. The message names the budget that
-    stopped the run, and the time budget if the deadline then cut the
-    expansion, with the actions found and assembled; it names only the
-    time budget when the search and any walk had finished.
+    raises _BudgetStop, caught in _enumerate alone, which ends the run:
+    one BudgetExceeded carries the tally of every class settled (none if
+    the stop came before the search) and the rows emitted before the
+    stop, as _enumerate says. Its message is "<budget> reached (N actions
+    found)", naming the budget that stopped the run.
     """
     rows = []
 
@@ -650,41 +648,30 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
 
 
 def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult:
-    """enumerate_actions, with the listing handed to emit.
+    """enumerate_actions, with the listing handed to emit, the only way
+    rows leave the run.
 
     emit, if given, is called as emit(homs, runs), with the row
     homomorphisms and runs (outer, last) whose rows are outer + (i,) for
-    i in last: under dedupe once per class as it settles, with its
-    representative, and once with the runs of _walk, which it consumes in
-    order, after a full search without dedupe or the filter has finished;
-    with no emit no walk is made. rows, if given, is the list emit
-    extends, and the result lists it. Otherwise the result lists neither:
-    emit writes them elsewhere, as enumerate --out does, and a deadline
-    that cuts the walk leaves them written, so its message says how many:
-    (N actions found, K written), K being the rows of the runs emit took.
-    Without dedupe the classes are kept, and _expand lists their orbits
-    in the result's rows, only where rows are built from them: when rows
-    is given, and otherwise at the end of a filtered search with emit
-    that finished. Any other run, a stop without rows included, counts
-    every class it settled and lists none.
+    i in last, in table order: under dedupe once per class as it settles,
+    with its representative; without it once, after the search has
+    finished, with the runs of _walk, which it consumes in order, or
+    under the filter with _expand's one-row runs, the one case that keeps
+    a class list. With no emit nothing is listed, walked or expanded.
+    rows, if given, is the list emit extends, and the result lists it;
+    otherwise its rows are empty, emit writing them elsewhere, as
+    enumerate --out does. A budget stop ends the run where it comes, so
+    the rows emitted before it are a prefix of the finished listing, and
+    the counts are the tally of every class settled.
     """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
-    time_reason = f"time budget {task.time_budget_s}s reached"
     nodes = 0
     law = task.require_distributive
-    keep = not task.dedupe and (rows is not None or law and emit is not None)
-    settled = _Settled(m, [] if keep else None)
+    settled = _Settled(m, [] if law and not task.dedupe and emit is not None else None)
     chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
-    rel = reason = written = None
-
-    def counted(runs):
-        nonlocal written
-        written = 0
-        for run in runs:
-            yield run
-            written += len(run[1])
+    rel = reason = None
 
     def distributivity_ok(law_rows, t: int) -> bool:
         # the law instances that row t adds, one per distinct non-identity
@@ -795,34 +782,22 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
             start(0, range(1, len(rel.moves)))  # every move but the identity
         else:  # the trivial group: one action, which every relabelling fixes
             settle(math.factorial(m))
-        if not law:
-            if settled.actions != len(rowhoms) ** m:
-                raise InternalInconsistency(
-                    f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
-                    f"{len(rowhoms) ** m}")
-            if not task.dedupe:
-                if emit is not None:
-                    emit(rowhoms, counted(_walk(g, rowhoms, m, deadline)))
-                settled.classes = None  # a finished full listing is walked, not expanded
+        if not law and settled.actions != len(rowhoms) ** m:
+            raise InternalInconsistency(
+                f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
+                f"{len(rowhoms) ** m}")
+        if emit is not None and not task.dedupe:
+            emit(rowhoms, _expand(rel, settled.classes, m, deadline) if law
+                 else _walk(g, rowhoms, m, deadline))
     except _BudgetStop as stop:
-        reason = str(stop) or time_reason
-    listed, kept = [] if rows is None else rows, settled
-    if settled.classes and (reason is None or rows is not None):
-        listed, kept = _expand(rel, settled.classes, m, deadline)
+        reason = str(stop) or f"time budget {task.time_budget_s}s reached"
     result = EnumerationResult(
-        task=task, raw_count=kept.actions, canonical_count=kept.count,
-        distributive_count=kept.distributive,
-        exhaustive=reason is None and kept.count == settled.count,
-        homs=rel.homs if rel else (), rows=listed, nodes=nodes)
-    if result.exhaustive:
+        task=task, raw_count=settled.actions, canonical_count=settled.count,
+        distributive_count=settled.distributive, exhaustive=reason is None,
+        homs=rel.homs if rel else (), rows=[] if rows is None else rows, nodes=nodes)
+    if reason is None:
         return result
-    if reason is not None:  # None: the search finished, the deadline cut its expansion
-        if kept.actions < settled.actions and reason != time_reason:
-            reason += f"; {time_reason}"
-        counted_as = (f"{written} written" if written is not None and rows is None
-                      else f"{kept.actions} assembled")
-        reason += f" ({settled.actions} actions found, {counted_as})"
-    raise BudgetExceeded(reason or time_reason, partial=result)
+    raise BudgetExceeded(f"{reason} ({settled.actions} actions found)", partial=result)
 
 
 def _prefix_moves(moves, m: int):
@@ -977,7 +952,8 @@ def _walk(g: FiniteGroup, homs, m: int, deadline: float):
 class _Settled:
     """Running sums over classes (representative, |Aut|, distributive):
     actions of m!/|Aut| over all, distributive over the distributive ones,
-    and count; classes, a list or None, keeps them in order, or none."""
+    and count; classes, a list or None, keeps each (representative,
+    |Aut|) in order, or none."""
 
     def __init__(self, m: int, classes=None):
         self.unit = math.factorial(m)
@@ -990,28 +966,27 @@ class _Settled:
         self.count += 1
         self.distributive += n if lawful else 0
         if self.classes is not None:
-            self.classes.append((leaf, aut, lawful))
+            self.classes.append((leaf, aut))
 
 
 def _expand(rel: _Relabelling, classes: list, m: int, deadline: float):
-    """(rows, kept): the orbits of the classes, each recomputed from its
-    representative in the order met, the clock read before each one, its
-    size times |Aut| checked to be m!, and sorted by key (table order).
-    Past the deadline the classes expanded so far make the rows, a union
-    of whole classes, and kept sums over them alone."""
+    """The orbits of the classes as one-row runs (row[:-1], row[-1:]) in
+    table order: each orbit recomputed from its representative in the
+    order met, the clock read before each one, its size times |Aut|
+    checked to be m!, and the rows sorted by key. _BudgetStop is raised
+    once the deadline has passed, before any run is returned."""
     rows = []
-    kept = _Settled(m)
-    for canon, aut, lawful in classes:
+    unit = math.factorial(m)
+    for canon, aut in classes:
         if time.monotonic() > deadline:
-            break
+            raise _BudgetStop()
         orbit = set(rel.relabellings(canon))
-        if len(orbit) * aut != kept.unit:  # orbit-stabilizer
+        if len(orbit) * aut != unit:  # orbit-stabilizer
             raise InternalInconsistency(f"class of {canon}: {len(orbit)} relabellings "
                                         f"times {aut} automorphisms is not {m}!")
         rows += orbit
-        kept.add(canon, aut, lawful)
     rows.sort(key=rel.key)
-    return rows, kept
+    return ((row[:-1], row[-1:]) for row in rows)
 
 
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):

@@ -1,5 +1,8 @@
 import argparse
+import dataclasses
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import binact.cli
+import binact.search
 from binact import (
     EnumerationTask,
     action_from_json,
@@ -29,6 +33,7 @@ from binact import (
     validate_action,
 )
 from binact.cli import _action_lines, build_parser, main
+from binact.errors import BudgetExceeded
 
 
 @pytest.fixture
@@ -326,8 +331,8 @@ def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, mon
     in the search, then before its first row and before the first run of
     ten rows past each further 1024. A 34.5 s budget cuts the stream at
     its tenth read, at row 9220, and a 25.5 s one at its first: the run
-    exits 1, the message counts the rows written, the counts are those of
-    every class the finished search settled, and the file holds those
+    exits 1, the message counts the actions found, the counts are those
+    of every class the finished search settled, and the file holds those
     lines whole, in table order, with no summary line."""
     import itertools
 
@@ -341,7 +346,7 @@ def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, mon
                  "--out", str(out)]) == 1
     assert capsys.readouterr().out == (
         f"non-exhaustive: enumeration budget exceeded: time budget {budget}s reached "
-        f"(10000 actions found, {written} written)\n"
+        f"(10000 actions found)\n"
         "raw_count=10000 canonical_count=475 distributive_count=74 exhaustive=no\n")
     assert out.read_text() == "".join(line + "\n" for line in want[:written])
 
@@ -468,6 +473,107 @@ def test_enumerate_accepts_group_file(files, capsys):
     assert "raw_count=4" in capsys.readouterr().out
 
 
+def _tally_run(task, monkeypatch):
+    """task run through enumerate_actions: its result, or the partial of
+    its BudgetExceeded, whose message must count the partial's actions,
+    and the classes its search settled, as _Settled.add counted them."""
+    settled = []
+    add = binact.search._Settled.add
+    monkeypatch.setattr(binact.search._Settled, "add",
+                        lambda self, *leaf: settled.append(leaf) or add(self, *leaf))
+    try:
+        result = enumerate_actions(task)
+    except BudgetExceeded as exc:
+        result = exc.partial
+        assert str(exc).endswith(f" reached ({result.raw_count} actions found)")
+    monkeypatch.setattr(binact.search._Settled, "add", add)
+    return result, settled
+
+
+def _out_lines(argv, path, code):
+    """The lines main(argv) leaves in the --out file path, none if it
+    writes no file, after it exits with code."""
+    assert main([*argv, "--out", str(path)]) == code
+    if not path.exists():
+        return []
+    lines = path.read_text().split("\n")
+    path.unlink()
+    assert lines.pop() == ""
+    return lines
+
+
+def _records(result):
+    return [json.dumps(action_to_json(a)) for a in result.actions]
+
+
+def _tick(monkeypatch):
+    """A fresh clock that advances one second a read, from 0."""
+    ticks = itertools.count()
+    monkeypatch.setattr(binact.search.time, "monotonic", lambda: next(ticks))
+
+
+# each group in all four modes: the full and deduplicated listings on the
+# sizes whose full listing tier-1 can hold, the filtered ones on 4 points;
+# the fake-clock deadlines cut the search of z2 on 4 points (24.5 s), its
+# walk at the first row (25.5 s) and at row 9220 (34.5 s), and the
+# expansion of k4 on 4 points under the filter (100.5 s)
+PREFIX_CASES = [
+    pytest.param(name, 4 if dist else m, dist, dedupe, {
+        ("z2", False, False): (24.5, 25.5, 34.5), ("z2", False, True): (24.5,),
+        ("k4", True, False): (100.5,)}.get((name, dist, dedupe), ()),
+        id=f"{name}-{4 if dist else m}{'-filtered' * dist}{'-dedupe' * dedupe}")
+    for name, m in [("z1", 3), ("z2", 4), ("z3", 4), ("k4", 3), ("s3", 3), ("q8", 3)]
+    for dist, dedupe in itertools.product((False, True), repeat=2)]
+
+
+@pytest.mark.parametrize("name, m, dist, dedupe, deadlines", PREFIX_CASES)
+def test_a_stopped_run_keeps_a_prefix_of_its_listing(name, m, dist, dedupe, deadlines,
+                                                     monkeypatch, tmp_path, capsys):
+    """Rows leave a run only as it emits them, so a budget stop at node
+    budgets spread across the search, or at a deadline, keeps the rows
+    emitted before it: a prefix of the finished run's rows, and the lines
+    the same run's --out file holds. Its counts are the tally of the
+    classes its search settled, the first ones the finished search
+    settles. A finished run's --out file holds its actions' records and
+    the summary line."""
+    task = EnumerationTask(group=builtin_group(name), carrier_size=m,
+                           require_distributive=dist, dedupe=dedupe)
+    argv = ["enumerate", "--group", name, "--carrier", str(m),
+            *["--require-distributive"] * dist, *["--dedupe"] * dedupe]
+    out = tmp_path / "enum.jsonl"
+    unit = math.factorial(m)
+
+    def check_tally(result, settled):
+        assert (result.raw_count, result.canonical_count, result.distributive_count) == (
+            sum(unit // aut for _, aut, _ in settled), len(settled),
+            sum(unit // aut for _, aut, lawful in settled if lawful))
+
+    finished, classes = _tally_run(task, monkeypatch)
+    assert finished.exhaustive
+    check_tally(finished, classes)
+    summary = {"raw_count": finished.raw_count, "canonical_count": finished.canonical_count,
+               "distributive_count": finished.distributive_count, "witnesses": None,
+               "exhaustive": True}
+    assert _out_lines(argv, out, 0) == [*_records(finished), json.dumps(summary)]
+    stops = [(dataclasses.replace(task, node_budget=budget), ["--node-budget", str(budget)])
+             for budget in sorted({finished.nodes * j // 4 for j in (1, 2, 3)} - {0})]
+    stops += [(dataclasses.replace(task, time_budget_s=budget), ["--time-budget", str(budget)])
+              for budget in deadlines]
+    for stopped, flags in stops:
+        fake_clock = flags[0] == "--time-budget"
+        if fake_clock:
+            _tick(monkeypatch)
+        partial, settled = _tally_run(stopped, monkeypatch)
+        assert not partial.exhaustive
+        assert partial.rows == finished.rows[:len(partial.rows)]
+        assert settled == classes[:len(settled)]
+        check_tally(partial, settled)
+        if fake_clock:
+            _tick(monkeypatch)
+        assert _out_lines([*argv, *flags], out, 1) == _records(partial)
+    capsys.readouterr()
+
+
 def test_enumerate_budget_exhaustion_exits_one(tmp_path, capsys):
     """Without dedupe, a budget stop in the search exits 1 and writes no
     --out file."""
@@ -489,7 +595,7 @@ def test_a_budget_stop_leaves_the_deduplicated_lines_settled(tmp_path, capsys):
                  "--node-budget", "40", "--out", str(out)]) == 1
     assert capsys.readouterr().out == (
         "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
-        "(56 actions found, 56 assembled)\n"
+        "(56 actions found)\n"
         "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
     want = _enumerated_lines(builtin_group("z2"), 3, dedupe=True)
     assert len(want) == 17
@@ -580,18 +686,18 @@ def test_witnesses_budget_stop_reports_partial_counts(capsys):
     """witnesses mines the class representatives, so there is no walk to
     cut: the node budget stops the search of z2 on 3 points after 14 of
     its 16 classes, 56 of its 64 actions, and every class settled is
-    kept. The stop is reported like enumerate's."""
+    counted. The stop is reported like enumerate's."""
     assert main(["witnesses", "--group", "z2", "--carrier", "3", "--node-budget", "40"]) == 1
     assert capsys.readouterr().out == (
         "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
-        "(56 actions found, 56 assembled)\n"
+        "(56 actions found)\n"
         "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
 
 
 def test_orbits_are_expanded_only_for_rows(monkeypatch, tmp_path, capsys):
     """_expand runs only where rows are built from the classes: the
-    result's rows of enumerate_actions, and the filtered --out listing of
-    a search that finished. k4 on 5 points under the filter, counted
+    filtered listing of enumerate_actions, and the filtered --out listing,
+    of a search that finished. k4 on 5 points under the filter, counted
     without --out, expands no orbit and prints the line of the run with
     --dedupe; a node-budget stop of the filtered --out run expands none
     and writes no file."""
@@ -621,11 +727,10 @@ def test_orbits_are_expanded_only_for_rows(monkeypatch, tmp_path, capsys):
 
 def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
     """The node budget stops the search of z2 on 3 points after 14 of its
-    16 classes, 56 of its 64 actions. Without --out no row is built, so
-    no orbit is expanded: with every clock read advancing one second, a
-    10 s budget cuts nothing, the line names the node budget alone, and
-    the counts are the tally of the 14 classes, as the run with --dedupe
-    prints them."""
+    16 classes, 56 of its 64 actions, and ends the run: no orbit is
+    expanded, so with every clock read advancing one second a 10 s budget
+    is never reached, the line names the node budget, and the counts are
+    the tally of the 14 classes, as the run with --dedupe prints them."""
     import itertools
 
     import binact.search
@@ -641,7 +746,7 @@ def test_enumerate_budget_stop_names_the_node_budget(monkeypatch, capsys):
                      "--node-budget", "40", "--time-budget", "10"]) == 1
         assert capsys.readouterr().out == (
             "non-exhaustive: enumeration budget exceeded: node budget 40 reached "
-            "(56 actions found, 56 assembled)\n"
+            "(56 actions found)\n"
             "raw_count=56 canonical_count=14 distributive_count=11 exhaustive=no\n")
 
 

@@ -202,16 +202,6 @@ def _classes_in_search_order(name, m):
     return classes
 
 
-def _assert_whole_classes(result):
-    """Every relabelling of every action in result is in it too, and its
-    actions come in table order."""
-    tables = [a.table for a in result.actions]
-    held = set(tables)
-    for table in tables:
-        assert oracle_relabellings(table, result.task.carrier_size) <= held
-    assert tables == sorted(held)
-
-
 def test_require_distributive_matches_filter():
     """The pruned search keeps exactly the distributive actions of the
     unfiltered one, in the same order. Of these cases only z2 on 4 points
@@ -238,19 +228,26 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
     tried, and otherwise only the rows that pass the instances (h, t, t),
     so the nodes counted before a budget stop, and the partial result, are
     those of that search (the counts were recorded with it; the full
-    searches take 1178, 275 and 179 nodes). The partial holds whole
-    classes, every action distributive by the oracle, and says it took
-    the budget's nodes."""
+    searches take 1178, 275 and 179 nodes). The partial counts every class
+    settled, all distributive, and says it took the budget's nodes; it
+    lists no row, the filtered listing being expanded only after the
+    search. The same stop under dedupe lists the classes' representatives,
+    each distributive by the oracle."""
     g = builtin_group(name)
+    task = EnumerationTask(group=g, carrier_size=m, require_distributive=True,
+                           node_budget=budget)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
-                                          node_budget=budget))
+        enumerate_actions(task)
     partial = exc.value.partial
     assert not partial.exhaustive
     assert (partial.raw_count, partial.canonical_count, partial.nodes) == (raw, canonical, budget)
-    assert partial.distributive_count == raw == len(partial.actions)
-    assert all(oracle_is_distributive(g.cayley, a.table, m) for a in partial.actions)
-    _assert_whole_classes(partial)
+    assert partial.distributive_count == raw
+    assert partial.rows == []
+    with pytest.raises(BudgetExceeded) as deduped:
+        enumerate_actions(dataclasses.replace(task, dedupe=True))
+    reps = deduped.value.partial
+    assert (reps.raw_count, reps.canonical_count, len(reps.rows)) == (raw, canonical, canonical)
+    assert all(oracle_is_distributive(g.cayley, a.table, m) for a in reps.actions)
 
 
 @pytest.mark.parametrize("name, m, nodes", [
@@ -628,17 +625,16 @@ def test_node_budget_exhaustion_carries_partial(s3):
     assert partial.raw_count < 1000
 
 
-def test_time_budget_bounds_assembly(z2, monkeypatch):
+def test_a_deadline_that_cuts_the_walk_keeps_the_rows_walked(z2, monkeypatch):
     """The full listing without dedupe is walked, and the walk reads the
     deadline before its first row and before the first run past each
     further 1024 rows. z2 on 4 points reads the clock once when the run
     starts, once per relabelling (24), once in the search (at node 1024)
     and ten times in the walk of its 10000 rows, in runs of ten: a 35 s
     budget lets the walk finish, a 34.5 s one cuts it before its last 780
-    rows.
-    A cut walk keeps no rows: the assembly's first clock read is past the
-    deadline too, so the partial is the empty union of classes, and the
-    message counts what the search found."""
+    rows. The cut ends the run with no further clock read: the partial
+    holds the 9220 rows walked, the first rows of the finished listing,
+    and the tally of every class the finished search settled."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     result = enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=35))
@@ -647,43 +643,85 @@ def test_time_budget_bounds_assembly(z2, monkeypatch):
     ticks = itertools.count()
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=34.5))
-    assert next(ticks) == 37  # the cut walk's read, then the assembly's
+    assert next(ticks) == 36  # the cut walk's read was the last
     assert str(exc.value) == ("enumeration budget exceeded: time budget 34.5s reached "
-                              "(10000 actions found, 0 assembled)")
+                              "(10000 actions found)")
     partial = exc.value.partial
     assert not partial.exhaustive
-    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (0, 0, 0)
-    assert partial.actions == ()
+    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (
+        10000, 475, 74)
+    assert partial.rows == result.rows[:9220]
 
 
-def test_node_budget_stop_assembles_under_the_deadline(z2, monkeypatch):
-    """After a node-budget stop the partial result is assembled under the
-    run's deadline: the clock is read once when the run starts, six times
-    for the relabellings and once before each class is expanded, so of
-    the 14 classes (56 actions) settled by 40 nodes, the first 4 (13
-    actions) make the partial after 12 reads. The message names the node
-    budget, which stopped the search, and the time budget, which cut the
-    assembly, with both counts."""
-    with pytest.raises(BudgetExceeded, match="node budget 40 reached") as stop:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40))
-    assert str(stop.value).endswith("node budget 40 reached (56 actions found, 56 assembled)")
-    full = stop.value.partial
-    assert (full.raw_count, full.canonical_count) == (56, 14)
-    classes = _classes_in_search_order("z2", 3)
-    assert [a.table for a in full.actions] == sorted(t for c in classes[:14] for t in c)
-    ticks = itertools.count()
-    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
-    with pytest.raises(BudgetExceeded, match="time budget 10s reached") as exc:
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40,
-                                          time_budget_s=10))
-    assert next(ticks) == 12
-    assert str(exc.value) == ("enumeration budget exceeded: node budget 40 reached; "
-                              "time budget 10s reached (56 actions found, 13 assembled)")
-    partial = exc.value.partial
-    assert not partial.exhaustive
-    assert (partial.raw_count, partial.canonical_count, partial.distributive_count) == (13, 4, 7)
-    assert [a.table for a in partial.actions] == sorted(t for c in classes[:4] for t in c)
-    _assert_whole_classes(partial)
+def test_a_stop_ends_the_run(monkeypatch):
+    """A budget stop ends the run where it comes: no clock is read after
+    it, no orbit is expanded and nothing is walked. With every clock read
+    advancing one second, z2 on 3 points reads the clock once when the run
+    starts and once per relabelling (6), and its searches take fewer than
+    1024 nodes, so a node budget of half the nodes stops each of the four
+    modes after those 7 reads, and a 10 s budget is never reached. A
+    deadline reads the clock no further than the read past it, in the
+    search of z2 on 4 points and of k4 on 4 points under the filter, in
+    the walk of z2 on 4 points, and in the expansion of k4 on 4 points
+    under the filter (its 26 reads before the expansion, then one per
+    class). _expand runs for none of these runs but the last."""
+    expanded = []
+    expand = search._expand
+    monkeypatch.setattr(search, "_expand",
+                        lambda *args: expanded.append(args[2]) or expand(*args))
+    z2 = builtin_group("z2")
+    tasks = [EnumerationTask(group=z2, carrier_size=3, require_distributive=dist,
+                             dedupe=dedupe, time_budget_s=10)
+             for dist, dedupe in itertools.product((False, True), repeat=2)]
+    budgets = [enumerate_actions(task).nodes // 2 for task in tasks]
+    assert expanded == [3]  # the finished filtered listing's
+    expanded.clear()
+    for task, budget in zip(tasks, budgets):
+        ticks = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+        with pytest.raises(BudgetExceeded, match=rf"node budget {budget} reached \(\d+ actions "
+                                                 rf"found\)$") as exc:
+            enumerate_actions(dataclasses.replace(task, node_budget=budget))
+        assert next(ticks) == 7
+        assert exc.value.partial.rows == [] or task.dedupe
+    k4 = builtin_group("k4")
+    for group, dist, budget in [(z2, False, 24.5), (k4, True, 24.5), (z2, False, 34.5),
+                                (k4, True, 100.5)]:
+        reads = []
+
+        def clock():
+            assert not reads or reads[-1] <= budget, "clock read after the deadline passed"
+            reads.append(len(reads))
+            return reads[-1]
+
+        monkeypatch.setattr(search.time, "monotonic", clock)
+        with pytest.raises(BudgetExceeded, match=f"time budget {budget}s reached"):
+            enumerate_actions(EnumerationTask(group=group, carrier_size=4,
+                                              require_distributive=dist, time_budget_s=budget))
+        assert reads[-1] == math.ceil(budget)
+    assert expanded == [4]  # the run cut in its expansion
+
+
+def test_only_a_filtered_listing_keeps_a_class_list(monkeypatch):
+    """The classes are kept in a list only where a filtered listing
+    without dedupe expands them, in enumerate_actions and with --out: a
+    full listing is walked, and a count or a deduplicated listing needs
+    no class. So enumerate_actions builds its one _Settled with
+    classes=None but for the filtered listing."""
+    made = []
+    init = search._Settled.__init__
+
+    def spy(self, m, classes=None):
+        made.append(classes is not None)
+        init(self, m, classes)
+
+    monkeypatch.setattr(search._Settled, "__init__", spy)
+    k4 = builtin_group("k4")
+    for dist, dedupe in itertools.product((False, True), repeat=2):
+        made.clear()
+        enumerate_actions(EnumerationTask(group=k4, carrier_size=3,
+                                          require_distributive=dist, dedupe=dedupe))
+        assert made == [dist and not dedupe], (dist, dedupe)
 
 
 def test_time_budget_stop_in_the_search_reports_actions_found(z2, monkeypatch):
@@ -691,26 +729,32 @@ def test_time_budget_stop_in_the_search_reports_actions_found(z2, monkeypatch):
     clock once, at node 1024, when it has settled 383 classes of
     8116 actions (the first ones by the oracles). The clock is read at
     the start and for the 24 relabellings before that, so a 24.5 s budget
-    stops the search there; the assembly's first read is past the deadline
-    too, and expands none of them. A node budget of 1023 stops the search
-    at the same node, and its partial holds those classes."""
+    stops the search there, and a node budget of 1023 at the same node:
+    both partials count those classes and list no row, the walk coming
+    after the search. Under dedupe the same stop lists the classes'
+    representatives."""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=4, time_budget_s=24.5))
-    assert next(ticks) == 27
+    assert next(ticks) == 26
     assert str(exc.value) == ("enumeration budget exceeded: time budget 24.5s reached "
-                              "(8116 actions found, 0 assembled)")
-    partial = exc.value.partial
-    assert not partial.exhaustive
-    assert (partial.raw_count, partial.canonical_count, partial.actions) == (0, 0, ())
+                              "(8116 actions found)")
     monkeypatch.undo()
     with pytest.raises(BudgetExceeded) as stop:
         enumerate_actions(EnumerationTask(group=z2, carrier_size=4, node_budget=1023))
-    found = stop.value.partial
-    assert (found.raw_count, found.canonical_count) == (8116, 383)
-    assert [a.table for a in found.actions] == sorted(
-        t for c in _classes_in_search_order("z2", 4)[:383] for t in c)
+    assert str(stop.value) == ("enumeration budget exceeded: node budget 1023 reached "
+                               "(8116 actions found)")
+    for partial in (exc.value.partial, stop.value.partial):
+        assert not partial.exhaustive
+        assert (partial.raw_count, partial.canonical_count, partial.rows) == (8116, 383, [])
+    with pytest.raises(BudgetExceeded) as deduped:
+        enumerate_actions(EnumerationTask(group=z2, carrier_size=4, node_budget=1023,
+                                          dedupe=True))
+    classes = _classes_in_search_order("z2", 4)[:383]
+    reps = deduped.value.partial.actions
+    assert len(reps) == 383 and all(a.table in c for a, c in zip(reps, classes))
+    assert sum(map(len, classes)) == 8116
 
 
 def test_canonicalize_reads_no_clock(monkeypatch):
@@ -896,12 +940,13 @@ def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, cl
     ascending, and its leaf is the least table. Each class's law is
     checked once, at its representative, so the checks give the order
     met, and a budget-stopped partial under dedupe lists the first classes
-    of the full listing, as met, with no sort. The partial without dedupe
-    holds exactly those classes, whole."""
+    of the full listing, as met, with no sort, each the least table of its
+    class by the oracle. The partial without dedupe counts the same
+    classes and lists no row, the walk coming after the search."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, node_budget=budget)
     with pytest.raises(BudgetExceeded, match=f"node budget {budget} reached") as raw:
         enumerate_actions(task)
-    _assert_whole_classes(raw.value.partial)
+    assert raw.value.partial.rows == []
     calls = _counting_law_checks(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_actions(dataclasses.replace(task, dedupe=True))
@@ -911,8 +956,10 @@ def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, cl
     assert [a.table for a in exc.value.partial.actions] == met
     full = enumerate_actions(dataclasses.replace(task, dedupe=True, node_budget=10**6))
     assert met == [a.table for a in full.actions[:classes]]
-    assert met == oracle_canonical_representatives(
-        [a.table for a in raw.value.partial.actions], m)
+    assert met == [oracle_canonical_form(table, m) for table in met]
+    counts = [(r.raw_count, r.canonical_count, r.distributive_count)
+              for r in (raw.value.partial, exc.value.partial)]
+    assert counts[0] == counts[1]
 
 
 def test_time_budget_covers_hom_generation(z2, monkeypatch):
@@ -1114,39 +1161,33 @@ def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
                       for leaf in calls]
 
 
-def test_per_class_orbit_stabilizer_check(s3, z2, monkeypatch):
-    """An orbit that loses one relabelling no longer has m!/|Aut| members,
-    wherever an orbit is built from a representative: in a filtered
-    listing without dedupe, and in the assembly of a budget-stopped
-    partial."""
+def test_per_class_orbit_stabilizer_check(s3, monkeypatch):
+    """An orbit that loses one relabelling no longer has m!/|Aut| members
+    where an orbit is built from a representative, in a filtered listing
+    without dedupe."""
     relabellings = search._Relabelling.relabellings
     monkeypatch.setattr(search._Relabelling, "relabellings",
                         lambda self, leaf: sorted(set(relabellings(self, leaf)))[1:])
     with pytest.raises(InternalInconsistency, match="relabellings times"):
         enumerate_actions(EnumerationTask(group=s3, carrier_size=3, require_distributive=True))
-    with pytest.raises(InternalInconsistency, match="relabellings times"):
-        enumerate_actions(EnumerationTask(group=z2, carrier_size=3, node_budget=40))
 
 
 def _settled_classes(task, monkeypatch):
     """The run's row homomorphisms and the classes its search settled, as
     counted by _Settled.add: (representative, |Aut|, distributive), in
-    the order met. The search counts into the first _Settled made, on
-    dedupe, walked and expanded runs alike; _expand counts the classes it
-    expands into one of its own."""
+    the order met, on dedupe, walked and expanded runs alike."""
     seen = []
     add = search._Settled.add
 
     def spy(self, *settled):
-        seen.append((self, settled))
+        seen.append(settled)
         return add(self, *settled)
 
     monkeypatch.setattr(search._Settled, "add", spy)
     result = enumerate_actions(task)
     monkeypatch.setattr(search._Settled, "add", add)
     assert result.exhaustive
-    first = seen[0][0]
-    return result.homs, [settled for tally, settled in seen if tally is first]
+    return result.homs, seen
 
 
 def _check_settled_classes(task, monkeypatch):
