@@ -85,12 +85,14 @@ after gens[k]: it is that of gens[k], and in it the first point t where
 rho_t(gens[k]) differs decides, by the permutation order of the two
 images. Table order is thus the lexicographic order of the blocks
 (rho_t(gens[0]) for t < m), (rho_t(gens[1]) for t < m), ..., which
-_Relabelling.key and canonicalize compare. The homomorphism list is sorted
-on the generator images, so at each block and point the homomorphisms
-that share the images chosen so far are a contiguous run, split by
-their next image into runs in ascending order (_runs). A full listing
-without dedupe is walked in that order (_walk), with no class, key or
-sort: one product over the points per block.
+canonicalize compares. The homomorphism list is sorted on the generator
+images, so at each block and point the homomorphisms that share the
+images chosen so far are a contiguous run, split by their next image
+into runs in ascending order; _blocks splits the list so, one pass per
+generator, and numbers each block's runs in that order. A full listing
+without dedupe is walked in that order (_walk), over the blocks' lists
+of the runs inside each run, with no class, key or sort: one product
+over the points per block.
 
 The search is orderly and layered, in the line of Read's orderly
 generation ("Every one a winner", 1978) and McKay's isomorph-free
@@ -166,8 +168,8 @@ the CLI's enumerate --out writes each run's lines as the walk yields it,
 so a full listing written to a file holds no list of rows, and one that
 is only counted is not walked. Under dedupe each class is one such run
 as it settles, its representative, and a count keeps no class; a
-filtered listing is its classes' orbits, expanded and sorted (_expand),
-one run per row.
+filtered listing is its classes' orbits, expanded and sorted on the
+rows' run ids (_expand), one run per row.
 
 The emitted actions stay index tuples through the search, the walk or
 the expansion, and the EnumerationResult that holds them: enumerate_actions
@@ -478,7 +480,8 @@ class _Relabelling:
     point t. moves lists the relabellings sigma in the lexicographic order
     of itertools.permutations, each with the conjugation table that gives
     the index of sigma rho sigma^-1 for every rho, and its inverse; rank
-    maps each permutation a homomorphism uses to its position in moves.
+    maps each permutation a homomorphism uses to its position in moves,
+    for the blocks' law rows.
     The trivial group has one homomorphism, which every relabelling fixes,
     so its moves are the identity alone. Every homomorphism is checked once
     first, on the greedy generators by _homomorphism_check, which proves it
@@ -486,18 +489,6 @@ class _Relabelling:
     its rows. Only with a finite deadline, checking the homomorphisms reads
     the clock every 1024 of them and building the m! tables once per
     relabelling, raising _BudgetStop once it has passed.
-
-    key() is one int that orders index tuples as their g-major tables are
-    ordered. Table order is the lexicographic order of the generator
-    blocks (module docstring), and a block compares as the ranks of its
-    rows' images do, so it is the order of the rank tuples
-    (rank(rho_t(s)) for t < m, for s in the greedy generators). That tuple
-    is read as a number in base m!, each rank being below m!, which keeps
-    its order. places[t][i] is the value of the digits that homs[i] puts
-    at point t: its ranks over the generators, one every m places, so a
-    number in base (m!)^m, shifted m - 1 - t places. So key(leaf) is the
-    sum of m lookups, and it is injective: two different tuples are two
-    different tables.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
@@ -537,7 +528,7 @@ class _Relabelling:
             check(rho)
             rank.update(dict.fromkeys(rho))
         images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
-        self.index = {key: i for i, key in enumerate(images)}
+        index = {key: i for i, key in enumerate(images)}
         self.moves = []
         swaps = {}  # j -> conjugation table of the transposition of j and j + 1
         # the trivial group has one homomorphism, which every relabelling
@@ -555,7 +546,7 @@ class _Relabelling:
             else:
                 r = len(self.moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q
                 if r == 0:  # sigma is the transposition of j and j + 1, an involution
-                    conj = [self.index.get(_conjugate(sigma, sigma, key)) for key in images]
+                    conj = [index.get(_conjugate(sigma, sigma, key)) for key in images]
                     if None in conj:
                         raise InternalInconsistency(
                             f"homomorphism list not closed under conjugation by {sigma}")
@@ -563,22 +554,6 @@ class _Relabelling:
                 else:
                     conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
             self.moves.append((conj, inv))
-        base = math.factorial(m)
-        values = []  # per homomorphism, its ranks over the generators as digits in base (m!)^m
-        for rho in homs:
-            v = 0
-            for s in gens:
-                v = v * base ** m + rank[rho[s]]
-            values.append(v)
-        self.places = [[v * base ** (m - 1 - t) for v in values] for t in range(m)]
-
-    def key(self, leaf) -> int:
-        """Sort key of the action's table, the sum of its points' place values."""
-        return sum(map(list.__getitem__, self.places, leaf))
-
-    def relabellings(self, leaf) -> list[tuple[int, ...]]:
-        """The relabelled index tuples of leaf, one per move."""
-        return [tuple([conj[leaf[t]] for t in inv]) for conj, inv in self.moves]
 
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
@@ -787,8 +762,8 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
                 f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
                 f"{len(rowhoms) ** m}")
         if emit is not None and not task.dedupe:
-            emit(rowhoms, _expand(rel, settled.classes, m, deadline) if law
-                 else _walk(g, rowhoms, m, deadline))
+            emit(rowhoms, _expand(blocks, rel.moves, settled.classes, m, deadline) if law
+                 else _walk(blocks, m, deadline))
     except _BudgetStop as stop:
         reason = str(stop) or f"time budget {task.time_budget_s}s reached"
     result = EnumerationResult(
@@ -817,25 +792,6 @@ def _prefix_moves(moves, m: int):
     return out
 
 
-def _runs(g: FiniteGroup, homs):
-    """Per greedy generator gens[k], a dict from the start of each run of
-    depth k to the starts of its runs of depth k + 1, ascending. homs is
-    sorted on the images of gens, so the homomorphisms that share their
-    images of gens[:k] are a contiguous run, and those that also share
-    their gens[k] image are contiguous runs inside it, in ascending order
-    of that image. The one run of depth 0 starts at 0; a run of depth
-    len(gens) is one homomorphism."""
-    runs = []
-    starts = [0]
-    for s in greedy_generators(g):
-        level = {}
-        for lo, hi in zip(starts, [*starts[1:], len(homs)]):
-            level[lo] = [i for i in range(lo, hi) if i == lo or homs[i][s] != homs[i - 1][s]]
-        runs.append(level)
-        starts = [i for kids in level.values() for i in kids]
-    return runs
-
-
 @dataclass(frozen=True)
 class _Block:
     """Block k of the layered search, over the runs of depth k + 1: the
@@ -847,44 +803,51 @@ class _Block:
 
     table(r) maps each id to the id of its conjugate by move r. parent[i]
     is the id of run i's run of depth k in the block before (0 in block
-    0). candidates[t][p] lists, in ascending order, the runs inside run p
-    tried at point t. law_rows[i], under the filter and always in the last
-    block, holds (c, table) for each distinct non-identity c = rho(h), h
-    in H_k, in the order of the first h reaching it, rho being any
-    homomorphism in run i; None otherwise.
+    0), and children[p] lists the runs inside run p, ascending.
+    candidates[t][p] lists, in ascending order, those of them tried at
+    point t. law_rows[i], under the filter and always in the last block,
+    holds (c, table) for each distinct non-identity c = rho(h), h in H_k,
+    in the order of the first h reaching it, rho being any homomorphism in
+    run i; None otherwise.
     """
 
     table: object
     parent: list
+    children: list
     candidates: list
     law_rows: list | None
 
 
 def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block]:
-    """The blocks of the layered search, one per greedy generator. Under
-    the filter a point's candidates are the runs that pass the instances
-    (h, t, t) of H_k with h(t, t) = t; otherwise every run inside p."""
+    """The blocks of the layered search, one per greedy generator gens[k].
+    homs is sorted on the images of gens, so a run of depth k + 1 is a
+    stretch of homs that lie in one run of depth k and share their
+    gens[k] image; a run starts where either changes. Under the filter a
+    point's candidates are the runs that pass the instances (h, t, t) of
+    H_k with h(t, t) = t; otherwise every run inside p."""
     homs = rel.homs
-    runs = _runs(g, homs)
     gens = greedy_generators(g)
     identity = tuple(range(m))
     blocks = []
-    for k, level in enumerate(runs):  # level's keys are the runs of the block before, in id order
-        starts = [i for kids in level.values() for i in kids]
-        parent = [p for p, kids in enumerate(level.values()) for _ in kids]
-        children = [[] for _ in level]
+    runid = [0] * len(homs)  # per homomorphism, the id of its run in the block before
+    for k, s in enumerate(gens):
+        up, runid, starts, parent = runid, [], [], []
+        for i, rho in enumerate(homs):
+            if not i or up[i] != up[i - 1] or rho[s] != homs[i - 1][s]:
+                starts.append(i)
+                parent.append(up[i])
+            runid.append(len(starts) - 1)
+        children = [[] for _ in range(parent[-1] + 1)]
         for d, p in enumerate(parent):
             children[p].append(d)
-        if k == len(runs) - 1:
+        if k == len(gens) - 1:
             def table(r):
                 return rel.moves[r][0]
         else:
-            runid = [d for d, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(homs)]))
-                     for _ in range(lo, hi)]
             table = functools.cache(
                 lambda r, runid=runid, starts=starts: [runid[rel.moves[r][0][i]] for i in starts])
         law_rows = None
-        if law or k == len(runs) - 1:  # the last block's settle each leaf's verdict too
+        if law or k == len(gens) - 1:  # the last block's settle each leaf's verdict too
             members = sorted(subgroup_closure(g, gens[:k + 1]))
             law_rows = [[(c, table(rel.rank[c])) for c in dict.fromkeys(homs[i][h] for h in members)
                          if c != identity] for i in starts]
@@ -894,7 +857,7 @@ def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block
                           for t in range(m)]
         else:
             candidates = [children] * m
-        blocks.append(_Block(table, parent, candidates, law_rows))
+        blocks.append(_Block(table, parent, children, candidates, law_rows))
     return blocks
 
 
@@ -911,33 +874,31 @@ def _law_holds(leaf, law_rows) -> bool:
     return True
 
 
-def _walk(g: FiniteGroup, homs, m: int, deadline: float):
-    """Every index tuple over homs, in table order, with no key and no
+def _walk(blocks: list[_Block], m: int, deadline: float):
+    """Every index tuple of m points, in table order, with no key and no
     sort, as runs (outer, last): outer is the index tuple at points
     0..m-2, last the ascending list of indices at point m - 1, and the
     run's rows are outer + (i,) for each i in last. The proof is in the
     module docstring.
 
-    runs[k] maps the start of each run of depth k to the starts of its
-    runs of depth k + 1 (_runs); a run of depth len(gens) is one
-    homomorphism, its start its index. Block k picks a run of depth k + 1
-    at every point, one product over the
-    points, and each choice of the block is completed by the later blocks.
-    Point m - 1 varies fastest in the last block, so a choice there at
-    points 0..m-2 is one run, with last the list runs[-1] holds. The clock
-    is read before the first row and then before the first run past each
-    further 1024 rows, and _BudgetStop raised once the deadline has
-    passed.
+    Block k picks, at every point, a run inside the run the point holds
+    from the block before (children), one product over the points, and
+    each choice of the block is completed by the later blocks. Point
+    m - 1 varies fastest in the last block, whose runs are single
+    homomorphisms, so a choice there at points 0..m-2 is one run, with
+    last the children list at point m - 1. The clock is read before the
+    first row and then before the first run past each further 1024 rows,
+    and _BudgetStop raised once the deadline has passed.
     """
-    runs = _runs(g, homs) or [{0: [0]}]  # the trivial group: one homomorphism
+    levels = [block.children for block in blocks] or [[[0]]]  # the trivial group: one homomorphism
 
     def block(k: int, state):
-        level = runs[k]
-        if k == len(runs) - 1:
-            outers = itertools.product(*map(level.__getitem__, state[:-1]))
-            return zip(outers, itertools.repeat(level[state[-1]]))
+        kids = levels[k]
+        if k == len(levels) - 1:
+            outers = itertools.product(*map(kids.__getitem__, state[:-1]))
+            return zip(outers, itertools.repeat(kids[state[-1]]))
         return itertools.chain.from_iterable(
-            block(k + 1, c) for c in itertools.product(*map(level.__getitem__, state)))
+            block(k + 1, c) for c in itertools.product(*map(kids.__getitem__, state)))
 
     walked = due = 0
     for run in block(0, (0,) * m):
@@ -969,23 +930,45 @@ class _Settled:
             self.classes.append((leaf, aut))
 
 
-def _expand(rel: _Relabelling, classes: list, m: int, deadline: float):
+def _table_key(blocks: list[_Block], m: int):
+    """The sort key of index tuples of m points, an int per tuple, in
+    table order. Table order is the lexicographic order of a tuple's run
+    ids, block by block and point by point in each block (module
+    docstring). The key reads them as digits in that order, block k's in
+    base its number of runs, so keys compare as the id sequences do; the
+    last block's ids are the tuple's indices, so no two tuples share a
+    key. place[t][i] is the value of the digits that homs[i] puts at point
+    t, and the key of a tuple the sum of its m lookups."""
+    ids = range(len(blocks[-1].parent)) if blocks else [0]  # the last block's ids are indices
+    place = [[0] * len(ids) for _ in range(m)]
+    weight = 1
+    for block in reversed(blocks):
+        n = len(block.parent)
+        for t in range(m):
+            w = weight * n ** (m - 1 - t)
+            place[t] = [v + w * d for v, d in zip(place[t], ids)]
+        weight *= n ** m
+        ids = [block.parent[d] for d in ids]
+    return lambda row: sum(map(list.__getitem__, place, row))
+
+
+def _expand(blocks: list[_Block], moves, classes: list, m: int, deadline: float):
     """The orbits of the classes as one-row runs (row[:-1], row[-1:]) in
-    table order: each orbit recomputed from its representative in the
-    order met, the clock read before each one, its size times |Aut|
-    checked to be m!, and the rows sorted by key. _BudgetStop is raised
-    once the deadline has passed, before any run is returned."""
+    table order: each orbit recomputed from its representative under the
+    moves in the order met, the clock read before each one, its size times
+    |Aut| checked to be m!, and the rows sorted by _table_key. _BudgetStop
+    is raised once the deadline has passed, before any run is returned."""
     rows = []
     unit = math.factorial(m)
     for canon, aut in classes:
         if time.monotonic() > deadline:
             raise _BudgetStop()
-        orbit = set(rel.relabellings(canon))
+        orbit = {tuple([conj[canon[t]] for t in inv]) for conj, inv in moves}
         if len(orbit) * aut != unit:  # orbit-stabilizer
             raise InternalInconsistency(f"class of {canon}: {len(orbit)} relabellings "
                                         f"times {aut} automorphisms is not {m}!")
         rows += orbit
-    rows.sort(key=rel.key)
+    rows.sort(key=_table_key(blocks, m))
     return ((row[:-1], row[-1:]) for row in rows)
 
 

@@ -706,7 +706,7 @@ def test_orbits_are_expanded_only_for_rows(monkeypatch, tmp_path, capsys):
     calls = []
     expand = binact.search._expand
     monkeypatch.setattr(binact.search, "_expand",
-                        lambda *args: calls.append(args[2]) or expand(*args))
+                        lambda *args: calls.append(args[3]) or expand(*args))
     argv = ["enumerate", "--group", "k4", "--carrier", "5", "--require-distributive"]
     assert main(argv) == main([*argv, "--dedupe"]) == 0
     plain, deduped = capsys.readouterr().out.splitlines()

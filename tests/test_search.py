@@ -668,7 +668,7 @@ def test_a_stop_ends_the_run(monkeypatch):
     expanded = []
     expand = search._expand
     monkeypatch.setattr(search, "_expand",
-                        lambda *args: expanded.append(args[2]) or expand(*args))
+                        lambda *args: expanded.append(args[3]) or expand(*args))
     z2 = builtin_group("z2")
     tasks = [EnumerationTask(group=z2, carrier_size=3, require_distributive=dist,
                              dedupe=dedupe, time_budget_s=10)
@@ -819,8 +819,7 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
     itertools.permutations; rank holds each permutation's position in that
-    order, and places the positions of rho(s) over the greedy generators,
-    read generator-major as digits in base m!."""
+    order."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
     rel = search._Relabelling(g, homs, m)
@@ -832,12 +831,6 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     assert rel.moves == direct
     position = {p: r for r, p in enumerate(perms)}
     assert rel.rank == {p: position[p] for rho in homs for p in rho}
-    gens = greedy_generators(g)
-    base = math.factorial(m)
-    assert len(rel.places) == m
-    for t, place in enumerate(rel.places):
-        assert place == [sum(position[rho[s]] * base ** ((len(gens) - p) * m - 1 - t)
-                             for p, s in enumerate(gens)) for rho in homs]
 
 
 @pytest.mark.parametrize("name, m", [("z60", 5), ("q8", 4), ("s3", 4)])
@@ -880,17 +873,21 @@ KEY_CASES = [
 
 @pytest.mark.parametrize("name, k, m, length", KEY_CASES)
 def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
-    """Sorting every index tuple by the int key gives the order of their
-    g-major tables, and no two tuples share a key, whatever the number of
-    generator slices the key ranks: none for z1, one to three otherwise."""
+    """Sorting every index tuple by the int key the expansion sorts on,
+    read off the blocks' run ids, gives the order of their g-major tables
+    as the oracle builds them, and no two tuples share a key, whatever the
+    number of blocks: none for z1, one to three otherwise."""
     g = _rotated_group(name, k)
     assert len(greedy_generators(g)) == length
     homs = permutation_homomorphisms(g, m)
-    rel = search._Relabelling(g, homs, m)
+    blocks = search._blocks(g, search._Relabelling(g, homs, m), m, False)
+    key = search._table_key(blocks, m)
+    oracle = oracle_permutation_homomorphisms(g.cayley, g.identity, m)
+    assert homs == oracle
     leaves = list(itertools.product(range(len(homs)), repeat=m))
-    tables = {leaf: search._action(g, homs, leaf).table for leaf in leaves}
-    assert sorted(leaves, key=rel.key) == sorted(leaves, key=tables.__getitem__)
-    assert len({rel.key(leaf) for leaf in leaves}) == len(leaves)
+    tables = {leaf: tuple(zip(*[oracle[i] for i in leaf])) for leaf in leaves}
+    assert sorted(leaves, key=key) == sorted(leaves, key=tables.__getitem__)
+    assert len({key(leaf) for leaf in leaves}) == len(leaves)
 
 
 @pytest.mark.parametrize("name, m, total", [("z60", 5, 351), ("k4", 4, 99), ("s3", 4, 129)])
@@ -1162,12 +1159,15 @@ def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
 
 
 def test_per_class_orbit_stabilizer_check(s3, monkeypatch):
-    """An orbit that loses one relabelling no longer has m!/|Aut| members
+    """An orbit that loses relabellings no longer has m!/|Aut| members
     where an orbit is built from a representative, in a filtered listing
-    without dedupe."""
-    relabellings = search._Relabelling.relabellings
-    monkeypatch.setattr(search._Relabelling, "relabellings",
-                        lambda self, leaf: sorted(set(relabellings(self, leaf)))[1:])
+    without dedupe. Dropping one move loses no row of a distributive
+    class, each h(x, -) being an automorphism, so _expand is handed the
+    identity move alone: each orbit has one member, and the first class
+    with |Aut| below m! raises."""
+    expand = search._expand
+    monkeypatch.setattr(search, "_expand",
+                        lambda blocks, moves, *args: expand(blocks, moves[:1], *args))
     with pytest.raises(InternalInconsistency, match="relabellings times"):
         enumerate_actions(EnumerationTask(group=s3, carrier_size=3, require_distributive=True))
 
@@ -1240,9 +1240,9 @@ def test_leaf_is_the_canonical_form(name, m, dist, monkeypatch):
     order; the counts are the oracles'."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m, require_distributive=dist)
     classes = _check_settled_classes(task, monkeypatch)
-    assert [leaf for leaf, _, _ in classes] == sorted(
-        (leaf for leaf, _, _ in classes), key=search._Relabelling(
-            task.group, permutation_homomorphisms(task.group, m), m).key)
+    homs = permutation_homomorphisms(task.group, m)
+    tables = [search._action(task.group, homs, leaf).table for leaf, _, _ in classes]
+    assert tables == sorted(tables)
 
 
 @pytest.mark.parametrize("name, m, dist", [
