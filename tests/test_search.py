@@ -131,6 +131,30 @@ def test_permutation_homomorphisms_relabel_property(data):
         make_ordinary_action(h, rho)
 
 
+@pytest.mark.parametrize("name, degree", [
+    ("z2", 4), ("s3", 5), ("k4", 6), ("d4", 5), ("q8", 5), ("z60", 5)])
+def test_homomorphisms_share_their_rows(name, degree):
+    """Equal permutations in the homomorphism list are one object, and the
+    ordinary actions built on the list reuse those objects."""
+    g = builtin_group(name)
+    homs = permutation_homomorphisms(g, degree)
+    distinct = len({p for rho in homs for p in rho})
+    assert len({id(p) for rho in homs for p in rho}) == distinct, (name, degree)
+    tables = [a.table for a in all_ordinary_actions(g, degree)]
+    assert tables == list(homs), (name, degree)
+    assert len({id(p) for table in tables for p in table}) == distinct, (name, degree)
+
+
+def test_enumerated_actions_share_the_homomorphism_rows():
+    """The slices of a deduplicated run's actions hold the run's own
+    permutation objects, one per distinct row."""
+    result = enumerate_actions(EnumerationTask(
+        group=builtin_group("q8"), carrier_size=5, require_distributive=True, dedupe=True))
+    shared = {id(p) for rho in result.homs for p in rho}
+    assert len(shared) == len({p for rho in result.homs for p in rho})
+    assert {id(p) for a in result.actions for sl in a.table for p in sl} <= shared
+
+
 def test_enumeration_counts():
     for (name, m), (raw, canon, dist) in EXPECTED_COUNTS.items():
         g = builtin_group(name)
