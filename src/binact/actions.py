@@ -40,8 +40,9 @@ class BinaryAction:
     """A binary action: its table satisfies axioms (1) and (2).
 
     validate_action checks them on any table. The enumerator in
-    binact.search builds actions directly, from row homomorphisms it checked
-    once per run; those axioms hold row by row, so no other check is needed.
+    binact.search builds actions directly, from row homomorphisms proven by
+    checking each coset action G/H they are assembled from once; those
+    axioms hold row by row, so no other check is needed.
     from_ordinary, trivial_action and binact.search.relabel_action build
     them directly too, from actions whose axioms carry over.
 
@@ -86,8 +87,9 @@ class OrdinaryAction:
     """A left action table[g][x] = g.x.
 
     make_ordinary_action checks any table. binact.search.all_ordinary_actions
-    builds these directly, from row homomorphisms it checked once each on
-    the greedy generators (the proof is at search._homomorphism_check).
+    builds these directly, from row homomorphisms assembled from coset
+    actions G/H that each passed make_ordinary_action once (the proof is
+    at search.permutation_homomorphisms).
     """
 
     group: FiniteGroup

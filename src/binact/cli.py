@@ -59,8 +59,9 @@ from .groups import builtin_group, group_from_json, group_to_json, subgroup_clos
 from .orbits import orbit_report_json, orbit_space
 from .search import EnumerationTask, _enumerate, enumerate_actions, mine_counterexamples
 from .topology import (
-    _battery,
+    make_space,
     points_of,
+    quotient_topology,
     run_topology_battery,
     topology_from_json,
     topology_to_json,
@@ -193,9 +194,8 @@ def _cmd_quotient(args) -> int:
     a = _load(args.action, action_from_json)
     t = topology_from_json(_read_json(args.topology))
     model_id = f"action={args.action};topology={args.topology}"
-    qt, witness, records = _battery(a, t, model_id)
-    if qt is None:
-        raise NotDistributive(witness)
+    records = run_topology_battery(a, t, model_id)
+    qt = quotient_topology(make_space(a, t))
     print(f"quotient classes: {qt.carrier_size}")
     print("quotient opens: " + "; ".join(
         "{" + ",".join(str(p) for p in points_of(u)) + "}" for u in qt.opens))

@@ -184,14 +184,13 @@ homomorphisms.
 
 Validity is carried, not re-derived. Axioms (1) and (2) hold row by row:
 (gh)(t, -) = g(t, -) h(t, -) and e(t, -) = id say exactly that the row at
-t is a homomorphism G -> S_m. Each homomorphism in the list is checked
-once, when the relabelling tables are built, and every table assembled
-from the list is then a binary action without passing through
-validate_action. The check (_homomorphism_check, where the proof is)
-compares rho[x s] with rho[x] o rho[s] for every x and each greedy
-generator s, and the identity row: |G| |S| row compositions that prove
-what make_ordinary_action's |G|^2 m cell comparisons do.
-all_ordinary_actions runs the same check once per homomorphism.
+t is a homomorphism G -> S_m. permutation_homomorphisms passes each coset
+action G/H through make_ordinary_action once, as it builds it, and every
+homomorphism it assembles from them is then one by construction (the
+proof is in its docstring). So every table assembled from the list is a
+binary action, and every entry of all_ordinary_actions an ordinary one,
+with no homomorphism checked on its own and no table passing through
+validate_action.
 """
 
 from __future__ import annotations
@@ -199,64 +198,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
-from .actions import BinaryAction, OrdinaryAction, _table_json, is_distributive
+from .actions import (BinaryAction, OrdinaryAction, _table_json, is_distributive,
+                      make_ordinary_action)
 from .binops import _int, _ints, _size, invert_perm
-from .errors import BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
+from .errors import BinactError, BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, greedy_generators, subgroup_closure
 from .orbits import _record, closure_masks, points_of
-
-
-def _homomorphism_check(g: FiniteGroup, m: int):
-    """A check that rho is a homomorphism G -> S_m, for the lists that
-    permutation_homomorphisms builds. The returned function raises
-    InternalInconsistency unless len(rho) == |G|, rho[e] is the identity
-    row and rho[x s] == rho[x] o rho[s] (rho[s] applied first) for every x
-    in G and every greedy generator s; a malformed row never leaks an
-    IndexError or TypeError.
-
-    That proves it. The x = e instances read rho[s] = rho[e] o rho[s], so
-    every entry v of rho[s] has rho[e][v] == v: it lies in 0..m-1 (a
-    negative v reads v + m, a larger one raises IndexError). The x = s^-1
-    instances give rho[s] the length of rho[e], m, so every row rho[x s]
-    has length m; and its entries are entries of rho[x], so by induction
-    on the length of a word for x s every row maps 0..m-1 into itself. In
-    a finite group the inverse of a generator is one of its powers, so the
-    generators generate G as a monoid, and induction on the length of a
-    word for h gives rho(x h) = rho(x) rho(h) for all x and h. Then
-    rho(g) rho(g^-1) = rho(e) = id = rho(g^-1) rho(g), so every row is a
-    bijection: rho is what make_ordinary_action accepts. Per homomorphism
-    that is |G| |S| row compositions, each an itemgetter over a whole row,
-    in place of its |G|^2 m cell comparisons. Entries compare with ==, so
-    unlike make_ordinary_action, which reads outside tables, this does not
-    refuse a float equal to an int outside the generator rows.
-    """
-    identity_row = tuple(range(m))
-    # per generator s, the getter that lists rho[x s] in x order; |G| >= 2
-    # when there is a generator, so it returns a tuple
-    right = [(s, operator.itemgetter(*[g.mul(x, s) for x in g.elements()]))
-             for s in greedy_generators(g)]
-
-    def check(rho) -> None:
-        try:
-            ok = len(rho) == g.order and rho[g.identity] == identity_row
-            for s, times_s in right:
-                if not ok:
-                    break
-                row = rho[s]
-                images = map(operator.itemgetter(*row), rho)
-                if len(row) == 1:  # a one-index itemgetter returns the entry itself
-                    images = zip(images)
-                ok = tuple(images) == times_s(rho)
-        except (IndexError, TypeError):
-            ok = False
-        if not ok:
-            raise InternalInconsistency(f"row {rho} is not a homomorphism G -> S_{m}")
-
-    return check
 
 
 class _Interned(dict):
@@ -288,6 +238,17 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
     shares them. Given a finite deadline, the clock is read every 1024
     subgroup closures (in all_subgroups) and every 1024 placements, and
     _BudgetStop is raised once it has passed; the default reads no clock.
+
+    Each coset action A of G on the k cosets of H passes
+    make_ordinary_action once, as it is built, or InternalInconsistency is
+    raised: |G|^2 k cell comparisons, no more than make_group's
+    associativity scan of G. That proves every homomorphism in the list.
+    At a leaf of the placement, the injective labellings p chosen on the
+    way down have images that partition 0..degree-1, so every entry of
+    every row was written; on the image of p, rho(x) = p A(x) p^-1 for a
+    checked A. So each rho(x) is a permutation, rho(e) is the identity
+    and rho(x y) = rho(x) rho(y) on every image: rho is a homomorphism
+    G -> S_degree, and no homomorphism is checked on its own.
     """
     degree = _size(degree, "degree")
     # per subgroup H of index at most degree, coset_actions[x][c] is the
@@ -303,7 +264,11 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
                 for z in h:
                     coset_of[g.mul(y, z)] = len(reps)
                 reps.append(y)
-        coset_actions.append([[coset_of[g.mul(x, y)] for y in reps] for x in g.elements()])
+        try:
+            coset_actions.append(make_ordinary_action(
+                g, [[coset_of[g.mul(x, y)] for y in reps] for x in g.elements()]).table)
+        except BinactError as exc:  # impossible for a subgroup H
+            raise InternalInconsistency(f"coset action of {sorted(h)} invalid: {exc}") from exc
     rows = [[0] * degree for _ in g.elements()]
     out = []
     shared = _Interned()
@@ -437,14 +402,15 @@ class EnumerationResult:
     many actions that is.
 
     rows holds the emitted actions in lexicographic table order, each as
-    its tuple of indices into homs, the row homomorphisms the run checked
-    once: under dedupe the representatives, as the search settles them; a
-    full listing as walked; a filtered one as the classes' orbits,
-    expanded and sorted. After a stop it holds the rows emitted before
-    it, a prefix of the finished run's rows and the lines enumerate --out
-    leaves. actions builds them as BinaryActions the first time it is
-    read, none re-validated, and keeps them; enumerate --out writes them
-    without building any.
+    its tuple of indices into homs, the row homomorphisms, each proven by
+    permutation_homomorphisms' coset-action check: under dedupe the
+    representatives, as the search settles them; a full listing as
+    walked; a filtered one as the classes' orbits, expanded and sorted.
+    After a stop it holds the rows emitted before it, a prefix of the
+    finished run's rows and the lines enumerate --out leaves. actions
+    builds them as BinaryActions the first time it is read, none
+    re-validated, and keeps them; enumerate --out writes them without
+    building any.
     """
 
     task: EnumerationTask
@@ -499,19 +465,19 @@ class _Relabelling:
     maps each permutation a homomorphism uses to its position in moves,
     for the blocks' law rows.
     The trivial group has one homomorphism, which every relabelling fixes,
-    so its moves are the identity alone. Every homomorphism is checked once
-    first, on the greedy generators by _homomorphism_check, which proves it
-    a homomorphism G -> S_m; that is what lets _action skip validation on
-    its rows. Only with a finite deadline, checking the homomorphisms reads
-    the clock every 1024 of them and building the m! tables once per
+    so its moves are the identity alone. homs is the list
+    permutation_homomorphisms built, each entry a homomorphism by that
+    list's coset-action check, so no entry is checked here. Only with a
+    finite deadline, ranking the homomorphisms' permutations reads the
+    clock every 1024 homomorphisms and building the m! tables once per
     relabelling, raising _BudgetStop once it has passed.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
     conjugate is in the list. index keys each homomorphism on its images
     of the greedy generators, so a table conjugates |S| permutations per
-    homomorphism, not |G|. That finds the same index: every entry has
-    passed the check, so it is a homomorphism, and so is its conjugate
+    homomorphism, not |G|. That finds the same index: every entry is a
+    homomorphism, by the coset-action check, and so is its conjugate
     s_j rho s_j^-1, conjugation by s_j being an automorphism of S_m. A
     homomorphism is fixed by its images of a generating set, so an entry
     whose generator images are the conjugate's is the conjugate, and when
@@ -536,12 +502,10 @@ class _Relabelling:
     def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
         self.homs = homs
         gens = greedy_generators(group)
-        check = _homomorphism_check(group, m)
         self.rank = rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
         for i, rho in enumerate(homs):
             if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
                 raise _BudgetStop()
-            check(rho)
             rank.update(dict.fromkeys(rho))
         images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
         index = {key: i for i, key in enumerate(images)}
@@ -575,7 +539,8 @@ class _Relabelling:
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
     """The action with row homs[leaf[t]] at each point t, unvalidated: its
     g-major table has slice g hold rho(g) of the row at each point, and it
-    is a binary action because _Relabelling checked every row."""
+    is a binary action because every row is a homomorphism, proven by
+    permutation_homomorphisms' coset-action check."""
     return BinaryAction(group=group, carrier_size=len(leaf),
                         table=tuple(zip(*[homs[i] for i in leaf])))
 
@@ -991,16 +956,13 @@ def _expand(blocks: list[_Block], moves, classes: list, m: int, deadline: float)
 def all_ordinary_actions(g: FiniteGroup, carrier_size: int):
     """Every ordinary action of g on the carrier, via row homomorphisms.
 
-    Each homomorphism passes _homomorphism_check once, which proves it an
-    ordinary action, and its immutable table is shared, not copied.
+    Each homomorphism is an ordinary action by permutation_homomorphisms'
+    coset-action check, so none is checked again, and its immutable table
+    is shared, not copied.
     """
     m = _size(carrier_size, "carrier size")
-    check = _homomorphism_check(g, m)
-    out = []
-    for rho in permutation_homomorphisms(g, m):
-        check(rho)
-        out.append(OrdinaryAction(group=g, carrier_size=m, table=rho))
-    return tuple(out)
+    return tuple([OrdinaryAction(group=g, carrier_size=m, table=rho)
+                  for rho in permutation_homomorphisms(g, m)])
 
 
 def mine_counterexamples(result: EnumerationResult) -> WitnessReport:

@@ -387,9 +387,9 @@ _model = lru_cache(maxsize=16)(_ModelRecord)
 # read from its record (orbits._record), what the model determines from the
 # model's record (_model): the continuity verdict and the quotient, so a
 # model met again, by the same check or by another, is neither scanned for
-# continuity nor given a second quotient. _battery, behind
-# run_topology_battery and `binact quotient`, reads both records and runs
-# every check on the model.
+# continuity nor given a second quotient. run_topology_battery, behind
+# `binact quotient` too, reads both records and runs every check on the
+# model.
 
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
@@ -519,28 +519,20 @@ def run_topology_battery(
     only on Hausdorff (= discrete) models: G(U, U) open, G(A, A) closed,
     and Hausdorffness of the quotient; elsewhere those are recorded as
     probes (dropped entirely when include_probes is false). An asserted
-    check that comes back false raises InternalInconsistency.
+    check that comes back false raises InternalInconsistency. On an action
+    that is not distributive only G(U, U) and G(A, A) are checked, and
+    quotient_topology on the model raises NotDistributive.
 
     Distributivity is scanned once per action (its record carries the
     verdict), and continuity and the quotient topology once per model (its
     record, _model, carries both), so a repeat call or a quotient_topology
-    call on the same model scans and builds nothing again.
-    """
-    return _battery(action, topology, model_id, include_probes)[2]
-
-
-def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | None = None,
-             include_probes: bool = True):
-    """run_topology_battery, returning (quotient topology, True, records) for
-    a distributive action and (None, distributivity witness, records) for
-    any other: the model's record (make_space, the continuity verdict and
-    the quotient), and the checks, which read the distributivity verdict,
+    call on the same model scans and builds nothing again. The checks read
     G(A, A), the saturations G(A) and the diagonals from the action's
-    record and its orbit space."""
+    record and its orbit space.
+    """
     model = _model(action, topology)
     model.require_continuous()
     record = _record(action)
-    witness = record.distributive
     haus = is_hausdorff(topology)
     if model_id is None:
         model_id = record.table_id + topology._opens_id
@@ -559,8 +551,8 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     closed = closed_sets(topology)
     add("guu_open", frozenset(topology.opens).issuperset(map(square, topology.opens)), haus)
     add("gaa_closed", closed.issuperset(map(square, closed)), haus)
-    if witness is not True:
-        return None, witness, records
+    if record.distributive is not True:
+        return records
 
     # d_g and d_{g^-1} run over the same maps as g does, so testing each
     # distinct diagonal's continuity once tests every inverse
@@ -579,7 +571,7 @@ def _battery(action: BinaryAction, topology: FiniteTopology, model_id: str | Non
     add("quotient_hausdorff", is_hausdorff(qt), haus)
     add("quotient_compact", is_compact(qt), True)
     add("quotient_locally_compact", is_locally_compact(qt), True)
-    return qt, witness, records
+    return records
 
 
 # --- serialization -----------------------------------------------------------

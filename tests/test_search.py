@@ -30,7 +30,7 @@ from binact import (
     subgroup_closure,
     validate_action,
 )
-from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable, ShapeMismatch
+from binact.errors import BudgetExceeded, InternalInconsistency, MalformedTable
 from binact.binops import invert_perm
 from binact.search import all_ordinary_actions, relabel_action
 
@@ -1043,20 +1043,20 @@ def test_enumeration_stops_inside_hom_generation(z2, monkeypatch):
 
 
 def test_relabelling_checks_stop_at_a_passed_deadline(z2, monkeypatch):
-    """Checking the homomorphisms reads the clock every 1024 of them, so a
-    passed deadline stops it before the rest of z2's 2620 on 9 points."""
-    homs = permutation_homomorphisms(z2, 9)
-    checked = []
-    factory = search._homomorphism_check
+    """Ranking the homomorphisms' permutations reads the clock every 1024
+    of them, so a passed deadline stops z2's 2620 on 9 points after 1023."""
+    ranked = []
 
-    def counting_check(g, m):
-        check = factory(g, m)
-        return lambda rho: checked.append(rho) or check(rho)
+    class Counted(tuple):  # a homomorphism that notes when its rows are ranked
+        def __iter__(self):
+            ranked.append(self)
+            return super().__iter__()
 
-    monkeypatch.setattr(search, "_homomorphism_check", counting_check)
+    homs = [Counted(rho) for rho in permutation_homomorphisms(z2, 9)]
+    assert len(homs) == 2620
     with pytest.raises(search._BudgetStop):
         search._Relabelling(z2, homs, 9, deadline=-math.inf)
-    assert len(checked) == 1023
+    assert ranked == homs[:1023]
 
 
 def test_unclosed_hom_list_raises(z2, monkeypatch):
@@ -1065,6 +1065,26 @@ def test_unclosed_hom_list_raises(z2, monkeypatch):
                         lambda g, m, deadline: homs[:-1])
     with pytest.raises(InternalInconsistency, match="not closed under conjugation"):
         enumerate_actions(EnumerationTask(group=z2, carrier_size=3))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("z3", {0, 1}), ("z3", {1, 2}), ("s3", {0, 1, 2}), ("s3", {3, 4})])
+def test_a_bad_coset_action_raises(name, bad, monkeypatch):
+    """Each coset action passes make_ordinary_action as it is built, so a
+    set that is not a subgroup (not closed, or without the identity) in
+    the subgroup list raises before any homomorphism is listed, in every
+    entry point that builds the list."""
+    g = builtin_group(name)
+    subgroups = search.all_subgroups(g)
+    monkeypatch.setattr(search, "all_subgroups",
+                        lambda g, deadline=math.inf: [*subgroups, frozenset(bad)])
+    message = re.escape(f"coset action of {sorted(bad)} invalid")
+    with pytest.raises(InternalInconsistency, match=message):
+        permutation_homomorphisms(g, 3)
+    with pytest.raises(InternalInconsistency, match="coset action"):
+        all_ordinary_actions(g, 3)
+    with pytest.raises(InternalInconsistency, match="coset action"):
+        enumerate_actions(EnumerationTask(group=g, carrier_size=3))
 
 
 def test_a_class_met_twice_raises(monkeypatch):
@@ -1151,13 +1171,6 @@ def test_emitted_actions_pass_validate_action(name, m):
         assert result.actions, (dedupe, dist)
         for a in result.actions:
             assert validate_action(g, a.table) == a, (dedupe, dist)
-
-
-def test_relabelling_rejects_a_corrupted_row_homomorphism(z2):
-    homs = list(permutation_homomorphisms(z2, 3))
-    homs[-1] = ((0, 1, 2), (1, 2, 0))  # a 3-cycle squares to itself^-1, not e
-    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
-        search._Relabelling(z2, homs, 3)
 
 
 def test_least_runs_once_per_class_without_validate_action(s3, monkeypatch):
@@ -1479,111 +1492,12 @@ def test_all_ordinary_actions_match_make_ordinary_action(name, m):
         make_ordinary_action(g, rho) for rho in permutation_homomorphisms(g, m))
 
 
-def _accepts(check, rho) -> bool:
-    try:
-        check(rho)
-    except InternalInconsistency:
-        return False
-    return True
-
-
-def _make_ordinary_accepts(g, rho) -> bool:
-    try:
-        make_ordinary_action(g, rho)
-    except (MalformedTable, ShapeMismatch):
-        return False
-    return True
-
-
-@functools.cache
-def _homs(name, m):
-    return permutation_homomorphisms(builtin_group(name), m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_homomorphism_check_accepts_what_make_ordinary_action_accepts(data):
-    """On random tuples of permutations, and on homomorphisms with one
-    entry changed (to a value in -1..m, so negative and out-of-range ones
-    too, or to itself), the check on the greedy generators accepts exactly
-    the inputs that make_ordinary_action's full check accepts."""
-    name = data.draw(st.sampled_from(["z2", "z3", "k4", "s3"]))
-    m = data.draw(st.integers(1, 4))
-    g = builtin_group(name)
-    if data.draw(st.booleans()):
-        rho = tuple(tuple(data.draw(st.permutations(range(m)))) for _ in g.elements())
-    else:
-        rows = [list(row) for row in data.draw(st.sampled_from(_homs(name, m)))]
-        rows[data.draw(st.sampled_from(g.elements()))][data.draw(
-            st.integers(0, m - 1))] = data.draw(st.integers(-1, m))
-        rho = tuple(map(tuple, rows))
-    check = search._homomorphism_check(g, m)
-    assert _accepts(check, rho) == _make_ordinary_accepts(g, rho)
-
-
-def _corrupted(rho, g, m, case):
-    """rho with one fault: a changed row of the first greedy generator or of
-    a group element that is no generator, a short or long rho, a short or
-    long row, a negative or out-of-range entry, or a row that is no
-    permutation."""
-    rows = list(rho)
-    s = greedy_generators(g)[0]
-    y = max(set(g.elements()) - set(greedy_generators(g)) - {g.identity})
-    if case == "generator row":
-        rows[s] = rows[s][1:] + rows[s][:1]
-    elif case == "non-generator row":
-        rows[y] = rows[y][1:] + rows[y][:1]
-    elif case == "short rho":
-        rows.pop()
-    elif case == "long rho":
-        rows.append(rows[0])
-    elif case == "short row":
-        rows[y] = rows[y][:-1]
-    elif case == "long row":
-        rows[s] = rows[s] + (0,)
-    elif case == "negative entry":
-        rows[y] = (-1, *rows[y][1:])
-    elif case == "out-of-range entry":
-        rows[s] = (*rows[s][:-1], m)
-    elif case == "not a permutation":
-        rows[y] = (0,) * m
-    return tuple(rows)
-
-
-CORRUPTIONS = ["generator row", "non-generator row", "short rho", "long rho", "short row",
-               "long row", "negative entry", "out-of-range entry", "not a permutation"]
-
-
-@pytest.mark.parametrize("case", CORRUPTIONS)
-def test_relabelling_rejects_each_malformed_row(s3, case):
-    homs = permutation_homomorphisms(s3, 3)
-    bad = _corrupted(homs[-1], s3, 3, case)
-    assert not _make_ordinary_accepts(s3, bad)
-    with pytest.raises(InternalInconsistency, match="not a homomorphism G -> S_3"):
-        search._Relabelling(s3, [*homs[:-1], bad], 3)
-
-
-@pytest.mark.parametrize("case", CORRUPTIONS)
-def test_all_ordinary_actions_rejects_each_malformed_row(s3, case, monkeypatch):
-    homs = permutation_homomorphisms(s3, 3)
-    bad = _corrupted(homs[-1], s3, 3, case)
-    monkeypatch.setattr(search, "permutation_homomorphisms", lambda g, m: [*homs[:-1], bad])
-    with pytest.raises(InternalInconsistency, match="not a homomorphism G -> S_3"):
-        all_ordinary_actions(s3, 3)
-
-
 def test_homomorphism_check_on_the_trivial_group_and_one_point(z2):
+    """Where the coset-action check meets only trivial coset actions: the
+    trivial group, and any group on one point."""
     z1 = builtin_group("z1")
     assert all_ordinary_actions(z1, 3) == (make_ordinary_action(z1, ((0, 1, 2),)),)
     assert all_ordinary_actions(z1, 1) == (make_ordinary_action(z1, ((0,),)),)
     assert all_ordinary_actions(z2, 1) == (make_ordinary_action(z2, ((0,), (0,))),)
     assert all_ordinary_actions(builtin_group("s3"), 1) == (
         make_ordinary_action(builtin_group("s3"), ((0,),) * 6),)
-    on_z1 = search._homomorphism_check(z1, 3)
-    assert _accepts(on_z1, ((0, 1, 2),))
-    for bad in [((1, 0, 2),), ((0, 1),), ((0, 1, 2), (0, 1, 2)), ()]:
-        assert not _accepts(on_z1, bad), bad
-    on_one_point = search._homomorphism_check(z2, 1)
-    assert _accepts(on_one_point, ((0,), (0,)))
-    for bad in [((0,), (1,)), ((0,), (-1,)), ((0,), (0, 0)), ((0,), ()), ((0,), 0), ((1,), (0,))]:
-        assert not _accepts(on_one_point, bad), bad
