@@ -267,26 +267,13 @@ def dihedral(n: int) -> FiniteGroup:
 
 def quaternion_group() -> FiniteGroup:
     """The quaternion group of order 8: +-1, +-i, +-j, +-k."""
-    # axis products for 1, i, j, k as (sign, axis)
-    prod = {}
-    for a in range(4):
-        prod[(0, a)] = (1, a)
-        prod[(a, 0)] = (1, a)
-    for a in (1, 2, 3):
-        prod[(a, a)] = (-1, 0)
-    prod[(1, 2)] = (1, 3)
-    prod[(2, 1)] = (-1, 3)
-    prod[(2, 3)] = (1, 1)
-    prod[(3, 2)] = (-1, 1)
-    prod[(3, 1)] = (1, 2)
-    prod[(1, 3)] = (-1, 2)
 
     def mul(e1, e2):
+        # 2a + s is (-1)^s times unit a of (1, i, j, k); units multiply as
+        # a ^ b, negated when a == b != 0 and for ji, kj and ik
         a, s1 = divmod(e1, 2)
         b, s2 = divmod(e2, 2)
-        sign, axis = prod[(a, b)]
-        neg = (s1 + s2 + (1 if sign < 0 else 0)) % 2
-        return axis * 2 + neg
+        return (a ^ b) * 2 + (s1 ^ s2 ^ (a == b != 0 or (a, b) in ((2, 1), (3, 2), (1, 3))))
 
     cayley = [[mul(a, b) for b in range(8)] for a in range(8)]
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]

@@ -61,9 +61,10 @@ yH -> y . point recover both choices from the homomorphism, so each comes
 out once, and the terms are those of Dey's formula for |Hom(G, S_m)|. The
 list is then sorted on the images of a greedily chosen generating set,
 which fix the homomorphism. Its |Hom(G, S_m)| |G| rows take at most m!
-values, so each row is interned as it is built: equal rows are one tuple,
-shared by the action tables, conjugation ranks and law rows built on the
-list (z420 on 7 points: 5040 tuples in place of 2116800).
+values, so each row is interned as it is built, by one dict's setdefault
+with the row as key and value: equal rows are one tuple, the first built,
+shared by the action tables and law rows built on the list (z420 on 7
+points: 5040 tuples in place of 2116800).
 
 Each found action is kept as a tuple of indices into that homomorphism
 list. Relabelling the carrier by sigma sends the homomorphism rho at row t
@@ -209,16 +210,6 @@ from .groups import FiniteGroup, all_subgroups, greedy_generators, subgroup_clos
 from .orbits import _record, closure_masks, points_of
 
 
-class _Interned(dict):
-    """A dict from each key to the first key equal to it that was looked
-    up, so that equal tuples become one object: d[k] stores k when no
-    equal key is there, in the one hash and probe of the lookup."""
-
-    def __missing__(self, key):
-        self[key] = key
-        return key
-
-
 def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = math.inf,
                               ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All homomorphisms G -> S_degree, each as a tuple of permutations
@@ -271,7 +262,7 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
             raise InternalInconsistency(f"coset action of {sorted(h)} invalid: {exc}") from exc
     rows = [[0] * degree for _ in g.elements()]
     out = []
-    shared = _Interned()
+    shared = {}  # each row -> the first equal row built
     placed = 0
 
     def place(free):
@@ -280,7 +271,8 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
         if placed % 1024 == 0 and deadline < math.inf and time.monotonic() > deadline:
             raise _BudgetStop()
         if not free:
-            out.append(tuple(map(shared.__getitem__, map(tuple, rows))))
+            built = list(map(tuple, rows))
+            out.append(tuple(map(shared.setdefault, built, built)))
             return
         for action in coset_actions:
             k = len(action[0])
@@ -453,24 +445,16 @@ def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
-class _Relabelling:
-    """The carrier relabellings acting on actions held as index tuples, the
-    enumerator's alone: its m! tables serve a whole run, not one action.
-
-    homs is a list of row homomorphisms G -> S_m closed under conjugation;
-    an action is a tuple whose entry t indexes the homomorphism at carrier
-    point t. moves lists the relabellings sigma in the lexicographic order
-    of itertools.permutations, each with the conjugation table that gives
-    the index of sigma rho sigma^-1 for every rho, and its inverse; rank
-    maps each permutation a homomorphism uses to its position in moves,
-    for the blocks' law rows.
-    The trivial group has one homomorphism, which every relabelling fixes,
-    so its moves are the identity alone. homs is the list
-    permutation_homomorphisms built, each entry a homomorphism by that
-    list's coset-action check, so no entry is checked here. Only with a
-    finite deadline, ranking the homomorphisms' permutations reads the
-    clock every 1024 homomorphisms and building the m! tables once per
-    relabelling, raising _BudgetStop once it has passed.
+def _moves(group: FiniteGroup, homs, m: int, deadline: float = math.inf) -> list:
+    """The carrier relabellings sigma, the moves, in the lexicographic order
+    of itertools.permutations (a move's place is its _rank), each as
+    (table, inv): table[i] is the index of sigma homs[i] sigma^-1 and inv
+    is sigma^-1. An action is the tuple of its rows' indices into homs, so
+    a move relabels it in m lookups, and the m! tables serve a whole run.
+    homs is the list permutation_homomorphisms built, each entry proven by
+    its coset-action check, so none is checked here. Only with a finite
+    deadline, the clock is read once per relabelling, raising _BudgetStop
+    once it has passed.
 
     Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
     conjugated rho by rho; each of these tables checks that every
@@ -490,50 +474,53 @@ class _Relabelling:
     table(sigma)[i] = table(s_j)[table(q)[i]]. A composition of total
     index maps is total, so closure under the transpositions, which
     generate S_m, gives closure under every conjugation.
-
-    The rank of q, its place in moves, is read off sigma's. In the Lehmer
-    code, digit i counts the later entries below entry i and weighs
-    (m - 1 - i)!. sigma and q differ only at a = inv[j + 1] < b = inv[j],
-    which hold j + 1 and j in sigma and the reverse in q; any other value
-    is below j exactly when it is below j + 1, so only digit a changes,
-    losing the j at b: rank(q) = rank(sigma) - (m - 1 - a)!.
     """
-
-    def __init__(self, group: FiniteGroup, homs, m: int, deadline: float = math.inf):
-        self.homs = homs
-        gens = greedy_generators(group)
-        self.rank = rank = {}  # permutation a homomorphism uses -> its rank, once the loop meets it
-        for i, rho in enumerate(homs):
-            if i % 1024 == 1023 and deadline < math.inf and time.monotonic() > deadline:
-                raise _BudgetStop()
-            rank.update(dict.fromkeys(rho))
-        images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
-        index = {key: i for i, key in enumerate(images)}
-        self.moves = []
-        swaps = {}  # j -> conjugation table of the transposition of j and j + 1
-        # the trivial group has one homomorphism, which every relabelling
-        # fixes: the identity move stands for all m! of them
-        perms = itertools.permutations(range(m)) if gens else [tuple(range(m))]
-        for sigma in perms:
-            if deadline < math.inf and time.monotonic() > deadline:
-                raise _BudgetStop()
-            if sigma in rank:
-                rank[sigma] = len(self.moves)
-            inv = invert_perm(sigma)
-            j = next((j for j in range(m - 1) if inv[j + 1] < inv[j]), None)
-            if j is None:  # the identity
-                conj = list(range(len(homs)))
+    gens = greedy_generators(group)
+    images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
+    index = {key: i for i, key in enumerate(images)}
+    moves = []
+    swaps = {}  # j -> conjugation table of the transposition of j and j + 1
+    # the trivial group has one homomorphism, which every relabelling
+    # fixes: the identity move stands for all m! of them
+    perms = itertools.permutations(range(m)) if gens else [tuple(range(m))]
+    for sigma in perms:
+        if deadline < math.inf and time.monotonic() > deadline:
+            raise _BudgetStop()
+        inv = invert_perm(sigma)
+        j = next((j for j in range(m - 1) if inv[j + 1] < inv[j]), None)
+        if j is None:  # the identity
+            conj = list(range(len(homs)))
+        else:
+            r = len(moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q (_rank)
+            if r == 0:  # sigma is the transposition of j and j + 1, an involution
+                conj = [index.get(_conjugate(sigma, sigma, key)) for key in images]
+                if None in conj:
+                    raise InternalInconsistency(
+                        f"homomorphism list not closed under conjugation by {sigma}")
+                swaps[j] = conj
             else:
-                r = len(self.moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q
-                if r == 0:  # sigma is the transposition of j and j + 1, an involution
-                    conj = [index.get(_conjugate(sigma, sigma, key)) for key in images]
-                    if None in conj:
-                        raise InternalInconsistency(
-                            f"homomorphism list not closed under conjugation by {sigma}")
-                    swaps[j] = conj
-                else:
-                    conj = list(map(swaps[j].__getitem__, self.moves[r][0]))
-            self.moves.append((conj, inv))
+                conj = list(map(swaps[j].__getitem__, moves[r][0]))
+        moves.append((conj, inv))
+    return moves
+
+
+def _rank(p) -> int:
+    """The place of the permutation p of 0..m-1 in the lexicographic order
+    of itertools.permutations(range(m)): its Lehmer code, whose digit i
+    counts the later entries below entry i and weighs (m - 1 - i)!. For
+    every group that has a block, the moves are all m! permutations in
+    that order (_moves), so a rank is the place of that move.
+
+    _moves reads q's rank off sigma's: sigma and q differ only at
+    a = inv[j + 1] < b = inv[j], which hold j + 1 and j in sigma and the
+    reverse in q; any other value is below j exactly when it is below
+    j + 1, so only digit a changes, losing the j at b:
+    rank(q) = rank(sigma) - (m - 1 - a)!.
+    """
+    r = 0
+    for i, x in enumerate(p):
+        r = r * (len(p) - i) + sum(y < x for y in p[i + 1:])
+    return r
 
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
@@ -627,7 +614,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     law = task.require_distributive
     settled = _Settled(m, [] if law and not task.dedupe and emit is not None else None)
     chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
-    rel = reason = None
+    rowhoms = moves = reason = None
 
     def distributivity_ok(law_rows, t: int) -> bool:
         # the law instances that row t adds, one per distinct non-identity
@@ -691,12 +678,12 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
         leaf = tuple(chosen_idx)
         lawful = not blocks or _law_holds(leaf, blocks[-1].law_rows)
         if not lawful and law:
-            w = is_distributive(_action(g, rel.homs, leaf))
+            w = is_distributive(_action(g, rowhoms, leaf))
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
         settled.add(leaf, aut, lawful)
         if task.dedupe and emit is not None:
-            emit(rel.homs, ((leaf[:-1], leaf[-1:]),))
+            emit(rowhoms, ((leaf[:-1], leaf[-1:]),))
 
     def fill(k: int, t: int, moves):
         nonlocal nodes
@@ -728,14 +715,14 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     def start(k: int, ranks):
         # fill block k, its prefix test over the moves of these ranks
         table = blocks[k].table
-        fill(k, 0, _prefix_moves([(table(r), rel.moves[r][1], r) for r in ranks], m))
+        fill(k, 0, _prefix_moves([(table(r), moves[r][1], r) for r in ranks], m))
 
     try:
         rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
-        rel = _Relabelling(g, rowhoms, m, deadline)
-        blocks = _blocks(g, rel, m, law)
+        moves = _moves(g, rowhoms, m, deadline)
+        blocks = _blocks(g, rowhoms, moves, m, law)
         if blocks:
-            start(0, range(1, len(rel.moves)))  # every move but the identity
+            start(0, range(1, len(moves)))  # every move but the identity
         else:  # the trivial group: one action, which every relabelling fixes
             settle(math.factorial(m))
         if not law and settled.actions != len(rowhoms) ** m:
@@ -743,14 +730,14 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
                 f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
                 f"{len(rowhoms) ** m}")
         if emit is not None and not task.dedupe:
-            emit(rowhoms, _expand(blocks, rel.moves, settled.classes, m, deadline) if law
+            emit(rowhoms, _expand(blocks, moves, settled.classes, m, deadline) if law
                  else _walk(blocks, m, deadline))
     except _BudgetStop as stop:
         reason = str(stop) or f"time budget {task.time_budget_s}s reached"
     result = EnumerationResult(
         task=task, raw_count=settled.actions, canonical_count=settled.count,
         distributive_count=settled.distributive, exhaustive=reason is None,
-        homs=rel.homs if rel else (), rows=[] if rows is None else rows, nodes=nodes)
+        homs=rowhoms if moves else (), rows=[] if rows is None else rows, nodes=nodes)
     if reason is None:
         return result
     raise BudgetExceeded(f"{reason} ({settled.actions} actions found)", partial=result)
@@ -799,14 +786,15 @@ class _Block:
     law_rows: list | None
 
 
-def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block]:
+def _blocks(g: FiniteGroup, homs, moves, m: int, law: bool) -> list[_Block]:
     """The blocks of the layered search, one per greedy generator gens[k].
     homs is sorted on the images of gens, so a run of depth k + 1 is a
     stretch of homs that lie in one run of depth k and share their
     gens[k] image; a run starts where either changes. Under the filter a
     point's candidates are the runs that pass the instances (h, t, t) of
-    H_k with h(t, t) = t; otherwise every run inside p."""
-    homs = rel.homs
+    H_k with h(t, t) = t; otherwise every run inside p. A law row's table
+    is the move table of c, at c's rank, memoised for this call."""
+    rank = functools.cache(_rank)
     gens = greedy_generators(g)
     identity = tuple(range(m))
     blocks = []
@@ -823,14 +811,14 @@ def _blocks(g: FiniteGroup, rel: _Relabelling, m: int, law: bool) -> list[_Block
             children[p].append(d)
         if k == len(gens) - 1:
             def table(r):
-                return rel.moves[r][0]
+                return moves[r][0]
         else:
             table = functools.cache(
-                lambda r, runid=runid, starts=starts: [runid[rel.moves[r][0][i]] for i in starts])
+                lambda r, runid=runid, starts=starts: [runid[moves[r][0][i]] for i in starts])
         law_rows = None
         if law or k == len(gens) - 1:  # the last block's settle each leaf's verdict too
             members = sorted(subgroup_closure(g, gens[:k + 1]))
-            law_rows = [[(c, table(rel.rank[c])) for c in dict.fromkeys(homs[i][h] for h in members)
+            law_rows = [[(c, table(rank(c))) for c in dict.fromkeys(homs[i][h] for h in members)
                          if c != identity] for i in starts]
         if law:
             candidates = [[[d for d in kids if all(conj[d] == d for c, conj in law_rows[d]

@@ -405,7 +405,7 @@ def test_canonicalize_builds_no_relabelling_tables(monkeypatch):
 
     actions = [*_all_actions("z2", 3)[::9], *_all_actions("s3", 3)[::97],
                *_distributive_classes("z3", 5).actions]
-    monkeypatch.setattr(search, "_Relabelling", refuse)
+    monkeypatch.setattr(search, "_moves", refuse)
     for a in actions:
         assert canonicalize(a).table == oracle_canonical_form(a.table, a.carrier_size)
 
@@ -810,14 +810,13 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
 
 def test_time_budget_bounds_relabelling_memory(monkeypatch):
     """The m! relabellings are generated one at a time under the deadline,
-    and the ranks are kept in a dict keyed on the permutations the
-    homomorphisms use, not on all of them. z2 on 8 points reads the clock
-    at the start, once while generating its 764 homomorphisms and then
-    once per relabelling table, so a 12 s budget on a clock that ticks
-    once per read stops it before its twelfth table, with an empty
-    partial, well under 1 MB traced: all 8! permutations would take about
-    5 MB, and their 8! tables about 250 MB. (The trivial group on 8
-    points, which this once ran, builds no relabelling table now: see
+    and no rank is kept: a law row's move is found by its Lehmer code. z2
+    on 8 points reads the clock at the start, once while generating its
+    764 homomorphisms and then once per relabelling table, so a 12 s
+    budget on a clock that ticks once per read stops it before its
+    twelfth table, with an empty partial, well under 1 MB traced: the 8!
+    tables would take about 250 MB. (The trivial group on 8 points, which
+    this once ran, builds no relabelling table now: see
     test_the_trivial_group_builds_no_relabelling.)"""
     ticks = itertools.count()
     monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
@@ -842,19 +841,24 @@ def test_time_budget_bounds_relabelling_memory(monkeypatch):
 def test_composed_conjugation_tables_match_direct_ones(name, m):
     """The tables built from the adjacent transpositions are those of
     conjugating every homomorphism by every relabelling, in the order of
-    itertools.permutations; rank holds each permutation's position in that
-    order."""
+    itertools.permutations."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
-    rel = search._Relabelling(g, homs, m)
+    moves = search._moves(g, homs, m)
     perms = list(itertools.permutations(range(m)))
     direct = []
     for sigma in perms:
         inv = invert_perm(sigma)
         direct.append(([homs.index(search._conjugate(sigma, inv, rho)) for rho in homs], inv))
-    assert rel.moves == direct
-    position = {p: r for r, p in enumerate(perms)}
-    assert rel.rank == {p: position[p] for rho in homs for p in rho}
+    assert moves == direct
+
+
+def test_rank_is_the_place_in_itertools_order():
+    """_rank, the Lehmer code, of every permutation of S_m is its index in
+    itertools.permutations(range(m)), the order of the moves, m = 1..7."""
+    for m in range(1, 8):
+        perms = itertools.permutations(range(m))
+        assert all(search._rank(p) == r for r, p in enumerate(perms)), m
 
 
 @pytest.mark.parametrize("name, m", [("z60", 5), ("q8", 4), ("s3", 4)])
@@ -869,7 +873,7 @@ def test_transposition_tables_conjugate_generator_images_only(name, m, monkeypat
     conjugate = search._conjugate
     monkeypatch.setattr(search, "_conjugate",
                         lambda sigma, inv, rho: seen.append(len(rho)) or conjugate(sigma, inv, rho))
-    search._Relabelling(g, homs, m)
+    search._moves(g, homs, m)
     assert seen == [len(greedy_generators(g))] * ((m - 1) * len(homs))
 
 
@@ -904,7 +908,7 @@ def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
     g = _rotated_group(name, k)
     assert len(greedy_generators(g)) == length
     homs = permutation_homomorphisms(g, m)
-    blocks = search._blocks(g, search._Relabelling(g, homs, m), m, False)
+    blocks = search._blocks(g, homs, search._moves(g, homs, m), m, False)
     key = search._table_key(blocks, m)
     oracle = oracle_permutation_homomorphisms(g.cayley, g.identity, m)
     assert homs == oracle
@@ -922,13 +926,13 @@ def test_law_rows_keep_each_distinct_nonidentity_image_once(name, m, total):
     order (one entry per non-identity h would make 7080, 156 and 170)."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
-    rel = search._Relabelling(g, homs, m)
-    rows = search._blocks(g, rel, m, True)[-1].law_rows
+    moves = search._moves(g, homs, m)
+    rows = search._blocks(g, homs, moves, m, True)[-1].law_rows
     perms = list(itertools.permutations(range(m)))
     for rho, row in zip(homs, rows):
         images = [c for c, _ in row]
         assert images == sorted(set(rho) - {perms[0]}, key=rho.index)
-        assert all(conj == rel.moves[perms.index(c)][0] for c, conj in row)
+        assert all(conj == moves[perms.index(c)][0] for c, conj in row)
     assert sum(map(len, rows)) == total
 
 
@@ -1040,23 +1044,6 @@ def test_enumeration_stops_inside_hom_generation(z2, monkeypatch):
     assert not partial.exhaustive
     assert partial.raw_count == 0 and partial.actions == ()
     assert returned == []
-
-
-def test_relabelling_checks_stop_at_a_passed_deadline(z2, monkeypatch):
-    """Ranking the homomorphisms' permutations reads the clock every 1024
-    of them, so a passed deadline stops z2's 2620 on 9 points after 1023."""
-    ranked = []
-
-    class Counted(tuple):  # a homomorphism that notes when its rows are ranked
-        def __iter__(self):
-            ranked.append(self)
-            return super().__iter__()
-
-    homs = [Counted(rho) for rho in permutation_homomorphisms(z2, 9)]
-    assert len(homs) == 2620
-    with pytest.raises(search._BudgetStop):
-        search._Relabelling(z2, homs, 9, deadline=-math.inf)
-    assert ranked == homs[:1023]
 
 
 def test_unclosed_hom_list_raises(z2, monkeypatch):
@@ -1492,7 +1479,7 @@ def test_all_ordinary_actions_match_make_ordinary_action(name, m):
         make_ordinary_action(g, rho) for rho in permutation_homomorphisms(g, m))
 
 
-def test_homomorphism_check_on_the_trivial_group_and_one_point(z2):
+def test_ordinary_actions_of_the_trivial_group_and_on_one_point(z2):
     """Where the coset-action check meets only trivial coset actions: the
     trivial group, and any group on one point."""
     z1 = builtin_group("z1")
