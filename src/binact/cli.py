@@ -22,13 +22,13 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .actions import (
-    _table_json,
     action_from_json,
     action_to_json,
     conjugation_coset_action,
@@ -39,6 +39,7 @@ from .actions import (
     ordinary_to_json,
 )
 from .binops import (
+    DEFAULT_INVERTIBLE_CAP,
     identity_op,
     invertible_group_order,
     op_from_json,
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .groups import builtin_group, group_from_json, group_to_json, subgroup_closure
 from .orbits import orbit_report_json, orbit_space
-from .search import EnumerationTask, _enumerate, enumerate_actions, mine_counterexamples
+from .search import EnumerationTask, enumerate_actions, mine_counterexamples
 from .topology import (
     make_space,
     points_of,
@@ -207,7 +208,12 @@ def _cmd_quotient(args) -> int:
 def _cmd_monoid(args) -> int:
     if args.size is not None:
         order = invertible_group_order(args.size, cap=args.cap)
-        print(f"carrier={args.size} invertible_operations={order}")
+        try:
+            text = str(order)
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            raise CapExceeded(math.floor(math.log10(order)) + 1, sys.get_int_max_str_digits(),
+                              "digit count of (N!)^N") from None
+        print(f"carrier={args.size} invertible_operations={text}")
         return 0
     if not args.op:
         raise CliFailure(2, "monoid needs --size or --op")
@@ -252,13 +258,15 @@ def _task(args, **flags) -> EnumerationTask:
 def _cmd_enumerate(args) -> int:
     """The counts, and with --out the JSONL listing and its summary line.
 
-    The lines are written run by run as _enumerate emits them; with no
-    --out nothing is listed, and a full listing is not walked. The file is
-    opened when the first lines are ready. A budget stop leaves the lines
-    written so far, whole, a table-order prefix of the finished listing
-    and the rows of the API's partial result, with no summary line; it
-    propagates to main, which reports it."""
-    task = _task(args, require_distributive=args.require_distributive, dedupe=args.dedupe)
+    The lines are written run by run as enumerate_actions emits them. With
+    no --out the run is the --dedupe one, whose counts are the same, with
+    each representative dropped: no class is kept and nothing is walked or
+    expanded. The file is opened when the first lines are ready. A budget
+    stop leaves the lines written so far, whole, a table-order prefix of
+    the finished listing and the rows of the API's partial result, with no
+    summary line; it propagates to main, which reports it."""
+    task = _task(args, require_distributive=args.require_distributive,
+                 dedupe=args.dedupe or not args.out)
     path = Path(args.out) if args.out else None
     out = lines = None
     with contextlib.ExitStack() as stack:
@@ -270,7 +278,7 @@ def _cmd_enumerate(args) -> int:
             out.writelines(itertools.starmap(lines, runs))
 
         try:
-            result = _enumerate(task, write if path else None)
+            result = enumerate_actions(task, write if path else lambda homs, runs: None)
             if path:
                 summary = {
                     "raw_count": result.raw_count,
@@ -342,23 +350,22 @@ def _cmd_topology_check(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    report = mine_counterexamples(enumerate_actions(_task(args, dedupe=True)))
-    w = report.intersecting_orbits
+    report = mine_counterexamples(enumerate_actions(_task(args, dedupe=True))).to_json()
+    w = report["intersecting_orbits"]
     if w is None:
         print("intersecting_orbits: none at this scale")
     else:
-        print(f"intersecting_orbits: x={w.x} x'={w.xp} "
-              f"sets {sorted(w.set_x)} vs {sorted(w.set_xp)} "
-              f"action_table={_table_json(w.action)}")
-    u = report.non_bi_invariant_union
+        print(f"intersecting_orbits: x={w['x']} x'={w['x_prime']} "
+              f"sets {w['minimal_set_x']} vs {w['minimal_set_x_prime']} "
+              f"action_table={w['action_table']}")
+    u = report["non_bi_invariant_union"]
     if u is None:
         print("non_bi_invariant_union: none at this scale")
     else:
-        print(f"non_bi_invariant_union: A={sorted(u.set_a)} B={sorted(u.set_b)} "
-              f"G(AuB,AuB)={sorted(u.union_image)} "
-              f"action_table={_table_json(u.action)}")
-    print(f"actions_scanned: {report.actions_scanned}")
-    _emit(args, report.to_json())
+        print(f"non_bi_invariant_union: A={u['set_a']} B={u['set_b']} "
+              f"G(AuB,AuB)={u['union_image']} action_table={u['action_table']}")
+    print(f"actions_scanned: {report['actions_scanned']}")
+    _emit(args, report)
     return 0
 
 
@@ -418,8 +425,8 @@ def _commands() -> list:
         ("quotient", _cmd_quotient, "quotient topology of the orbit space",
          [action, topology, out]),
         ("monoid", _cmd_monoid, "star-monoid utilities",
-         [("--size", {"type": int}), ("--cap", {"type": int, "default": 4}), ("--op", {}),
-          ("--invert", flag), ("--star", {}), out]),
+         [("--size", {"type": int}), ("--cap", {"type": int, "default": DEFAULT_INVERTIBLE_CAP}),
+          ("--op", {}), ("--invert", flag), ("--star", {}), out]),
         ("enumerate", _cmd_enumerate, "enumerate all binary actions of a group",
          [*group_carrier, ("--require-distributive", flag), ("--dedupe", flag), *budgets, out]),
         ("topology-check", _cmd_topology_check, "run the theorem battery on a model",

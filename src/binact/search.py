@@ -167,13 +167,13 @@ The walk yields runs: in the last block point m - 1 varies fastest, so
 the rows that share their indices at points 0..m-2 come together, with
 the indices at m - 1 ascending. A run is that shared outer tuple and the
 list of those last indices, which the walk already holds; no row tuple
-is built. enumerate_actions extends the result's rows from the runs, and
-the CLI's enumerate --out writes each run's lines as the walk yields it,
-so a full listing written to a file holds no list of rows, and one that
-is only counted is not walked. Under dedupe each class is one such run
-as it settles, its representative, and a count keeps no class; a
-filtered listing is its classes' orbits, expanded and sorted on the
-rows' run ids (_expand), one run per row.
+is built. The runs go to enumerate_actions' one sink, emit: by default
+it extends the result's rows, and enumerate --out writes each run's
+lines as the walk yields it, so a full listing written to a file holds
+no list of rows. Under dedupe each class is one such run as it settles,
+its representative, and no class is kept; a count-only enumerate drops
+it and walks nothing. A filtered listing is its classes' orbits,
+expanded and sorted on the rows' run ids (_expand), one run per row.
 
 The emitted actions stay index tuples through the search, the walk or
 the expansion, and the EnumerationResult that holds them: enumerate_actions
@@ -398,6 +398,7 @@ class EnumerationResult:
     permutation_homomorphisms' coset-action check: under dedupe the
     representatives, as the search settles them; a full listing as
     walked; a filtered one as the classes' orbits, expanded and sorted.
+    It is empty when enumerate_actions was given a sink, which took them.
     After a stop it holds the rows emitted before it, a prefix of the
     finished run's rows and the lines enumerate --out leaves. actions
     builds them as BinaryActions the first time it is read, none
@@ -552,7 +553,7 @@ def canonicalize(a: BinaryAction) -> BinaryAction:
     return relabel_action(a, min(itertools.permutations(range(a.carrier_size)), key=relabelled))
 
 
-def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
+def enumerate_actions(task: EnumerationTask, emit=None) -> EnumerationResult:
     """Enumerate every binary action of the task's group on its carrier.
 
     The layered search, one block per greedy generator, reaches one leaf
@@ -565,54 +566,41 @@ def enumerate_actions(task: EnumerationTask) -> EnumerationResult:
     filters rows by the law (module docstring), and a representative that
     fails raises, with the witness is_distributive finds on it. The counts
     are running sums over the classes as they settle, and a full search
-    that finishes must have found |Hom(G, S_m)|^m actions. Under
-    dedupe each representative goes to the result's rows as it settles,
-    and no class is kept; without it the listing is walked in table order
-    (_walk) when the filter is off, and otherwise _expand lists the
-    classes' orbits, all as index tuples into the row homomorphisms.
+    that finishes must have found |Hom(G, S_m)|^m actions.
+
+    The listing goes to emit, the only way rows leave the run, called as
+    emit(homs, runs) with the row homomorphisms and runs (outer, last)
+    whose rows, index tuples into homs, are outer + (i,) for i in last,
+    in table order: under dedupe once per class as it settles, with its
+    representative, and no class is kept; without it once, after the
+    search has finished, with the runs of _walk, which it consumes in
+    order, or under the filter with _expand's one-row runs of the
+    classes' orbits, the one case that keeps a class list. With no emit
+    the rows are gathered into the result's rows; given one, as by
+    enumerate --out, the result's rows stay empty.
 
     The time budget counts from before the row homomorphisms are
     generated and bounds their generation, the subgroup lattice it starts
     from (all_subgroups reads the deadline), the relabelling tables, the
     search, the walk and the expansion of classes. Every budget check
-    raises _BudgetStop, caught in _enumerate alone, which ends the run:
-    one BudgetExceeded carries the tally of every class settled (none if
-    the stop came before the search) and the rows emitted before the
-    stop, as _enumerate says. Its message is "<budget> reached (N actions
-    found)", naming the budget that stopped the run.
+    raises _BudgetStop, caught here alone, which ends the run where it
+    comes: one BudgetExceeded carries the tally of every class settled
+    (none if the stop came before the search) and the rows emitted before
+    the stop, a prefix of the finished listing. Its message is "<budget>
+    reached (N actions found)", naming the budget that stopped the run.
     """
     rows = []
+    if emit is None:
+        def emit(homs, runs):
+            for outer, last in runs:
+                rows.extend([outer + (i,) for i in last])
 
-    def gather(homs, runs):
-        for outer, last in runs:
-            rows.extend([outer + (i,) for i in last])
-
-    return _enumerate(task, gather, rows)
-
-
-def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult:
-    """enumerate_actions, with the listing handed to emit, the only way
-    rows leave the run.
-
-    emit, if given, is called as emit(homs, runs), with the row
-    homomorphisms and runs (outer, last) whose rows are outer + (i,) for
-    i in last, in table order: under dedupe once per class as it settles,
-    with its representative; without it once, after the search has
-    finished, with the runs of _walk, which it consumes in order, or
-    under the filter with _expand's one-row runs, the one case that keeps
-    a class list. With no emit nothing is listed, walked or expanded.
-    rows, if given, is the list emit extends, and the result lists it;
-    otherwise its rows are empty, emit writing them elsewhere, as
-    enumerate --out does. A budget stop ends the run where it comes, so
-    the rows emitted before it are a prefix of the finished listing, and
-    the counts are the tally of every class settled.
-    """
     g = task.group
     m = task.carrier_size
     deadline = time.monotonic() + task.time_budget_s
     nodes = 0
     law = task.require_distributive
-    settled = _Settled(m, [] if law and not task.dedupe and emit is not None else None)
+    settled = _Settled(m, [] if law and not task.dedupe else None)
     chosen_idx = [0] * m  # per point, its run id in the block being filled or the block before
     rowhoms = moves = reason = None
 
@@ -682,7 +670,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
             raise InternalInconsistency(
                 f"search emitted a non-distributive action under the filter, witness {w}")
         settled.add(leaf, aut, lawful)
-        if task.dedupe and emit is not None:
+        if task.dedupe:
             emit(rowhoms, ((leaf[:-1], leaf[-1:]),))
 
     def fill(k: int, t: int, moves):
@@ -729,7 +717,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
             raise InternalInconsistency(
                 f"the classes hold {settled.actions} actions, not |Hom(G, S_{m})|^{m} = "
                 f"{len(rowhoms) ** m}")
-        if emit is not None and not task.dedupe:
+        if not task.dedupe:
             emit(rowhoms, _expand(blocks, moves, settled.classes, m, deadline) if law
                  else _walk(blocks, m, deadline))
     except _BudgetStop as stop:
@@ -737,7 +725,7 @@ def _enumerate(task: EnumerationTask, emit=None, rows=None) -> EnumerationResult
     result = EnumerationResult(
         task=task, raw_count=settled.actions, canonical_count=settled.count,
         distributive_count=settled.distributive, exhaustive=reason is None,
-        homs=rowhoms if moves else (), rows=[] if rows is None else rows, nodes=nodes)
+        homs=rowhoms if moves else (), rows=rows, nodes=nodes)
     if reason is None:
         return result
     raise BudgetExceeded(f"{reason} ({settled.actions} actions found)", partial=result)

@@ -41,6 +41,7 @@ from binact import (
     restrict,
     star,
     subgroup_closure,
+    symmetric,
     trivial_action,
     validate_action,
     validate_topology,
@@ -265,6 +266,14 @@ def test_equivariant_maps_between_ordinary_actions(z2):
     assert w == (1, 0)
 
 
+def test_maps_between_actions_of_different_groups_are_refused(xor_action):
+    other = trivial_action(builtin_group("z3"), 2)
+    with pytest.raises(ShapeMismatch, match="^actions are over different groups$"):
+        is_biequivariant(xor_action, other, (0, 1))
+    with pytest.raises(ShapeMismatch, match="^actions are over different groups$"):
+        is_equivariant(induced_action(xor_action, 0), induced_action(other, 0), (0, 1))
+
+
 def test_is_equivariant_refuses_maps_off_the_target(z2):
     """A value outside the target carrier is refused, not read through
     Python's negative indexing or left to raise IndexError."""
@@ -320,6 +329,8 @@ def test_json_loaders_share_group_and_carrier_handling(z2, load, table):
     record = {"group": "local-z2", "carrier": 2, "table": table}
     assert load(record, group_resolver=resolver).group is z2
     assert asked == ["local-z2"]
+    with pytest.raises(ShapeMismatch, match="^action record must be an object"):
+        load([table], group_resolver=resolver)
     for carrier in (3, "2", 2.0):
         with pytest.raises(ShapeMismatch):
             load(dict(record, carrier=carrier), group_resolver=resolver)
@@ -366,6 +377,8 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
 
 @pytest.mark.parametrize("call, error", [
     (lambda a: cyclic(2.0), MalformedTable),
+    (lambda a: symmetric(5), MalformedTable),
+    (lambda a: relabel_action(a, (0, 0)), MalformedTable),
     (lambda a: cyclic("2"), MalformedTable),
     (lambda a: dihedral(2.5), MalformedTable),
     (lambda a: element_order(a.group, 5), MalformedTable),
@@ -406,7 +419,8 @@ def test_integer_maps_refuse_floats_and_digit_strings(xor_action, f):
      MalformedTable),
     (lambda a: validate_topology(2, [0, True, 3]), MalformedTable),
     (lambda a: validate_topology(2, [[], [True], [0, 1]]), MalformedTable),
-], ids=["cyclic-float", "cyclic-string", "dihedral-float", "element_order-range",
+], ids=["cyclic-float", "symmetric-range", "relabel-not-bijection", "cyclic-string",
+        "dihedral-float", "element_order-range",
         "subgroup_closure-string", "restrict-string", "restrict-int", "restrict-dict",
         "builtin_group-int", "validate_topology-float",
         "all_topologies-float", "discrete-float", "discrete-negative", "discrete-zero",

@@ -151,6 +151,16 @@ Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
      "ShapeMismatch: group_embedding[1] = 3 is a repeat"),
     ("action", {"group": "z2", "group_embedding": [3, 3], "table": [[[0, 1]], "x"]},
      "ShapeMismatch: group_embedding[1] = 3 is a repeat"),
+    ("action", [Z2_ACTION],
+     "ShapeMismatch: action record must be an object with 'group' and 'table'"),
+    ("group", [[0]], "MalformedTable: group record must be an object with a 'cayley' field"),
+    ("op", [[0]], "MalformedTable: operation record must be an object with a 'table' field"),
+    ("topology", [[], [0]],
+     "MalformedTable: topology record must be an object with 'size' and 'opens'"),
+    ("group", {"cayley": [[0, 1], [1, 0]], "labels": ["e"]},
+     "MalformedTable: got 1 labels for 2 elements"),
+    ("action", {"group": "z2", "table": [[[0, 1], [0, 1]], [[1, 0]]]},
+     "ShapeMismatch: table[1] has length 1, expected 2"),
 ], ids=["action-string", "action-float", "action-carrier", "action-embedding",
         "group-string", "group-float", "op-string", "op-float", "op-size",
         "topology-string-point", "topology-float-point", "topology-float-open",
@@ -158,7 +168,8 @@ Z2_ACTION = [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
         "group-labels-mapping", "topology-opens-string", "topology-opens-mapping",
         "action-embedding-string", "topology-point-string", "topology-point-mapping",
         "action-embedding-length", "action-embedding-negative", "action-embedding-repeat",
-        "action-embedding-before-table"])
+        "action-embedding-before-table", "action-not-object", "group-not-object",
+        "op-not-object", "topology-not-object", "group-labels-length", "action-ragged-slice"])
 def test_validate_refuses_non_integer_entries(tmp_path, capsys, kind, record, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
@@ -303,17 +314,22 @@ def test_enumerate_out_lines_are_action_records(name, m, flags, tmp_path, capsys
     *[(name, m) for name in ("z1", "z2", "z3", "k4", "s3") for m in (1, 2, 3)],
     ("z2", 4), ("z3", 4), ("q8", 3), ("d4", 3)])
 def test_streamed_out_matches_the_api_listing(name, m, monkeypatch, tmp_path, capsys):
-    """The full listing is written run by run as the walk yields it, not
-    through enumerate_actions, and matches the API's listing line for line
-    at every full size tier-1 runs, on one point, and for q8 (three greedy
-    generators), d4 (two) and z1 (none) on 3 points."""
+    """The full listing is written run by run as the walk yields it, through
+    the sink enumerate hands enumerate_actions, with no listing gathered in
+    the result, and matches the API's listing line for line at every full
+    size tier-1 runs, on one point, and for q8 (three greedy generators),
+    d4 (two) and z1 (none) on 3 points."""
     g = builtin_group(name)
     want = _enumerated_lines(g, m)
+    real = binact.cli.enumerate_actions
 
-    def refuse(task):
-        raise AssertionError("enumerate must not gather the listing")
+    def spy(task, emit=None):
+        assert emit is not None, "enumerate must not gather the listing"
+        result = real(task, emit)
+        assert result.rows == []
+        return result
 
-    monkeypatch.setattr(binact.cli, "enumerate_actions", refuse)
+    monkeypatch.setattr(binact.cli, "enumerate_actions", spy)
     out = tmp_path / "enum.jsonl"
     assert main(["enumerate", "--group", name, "--carrier", str(m), "--out", str(out)]) == 0
     assert out.read_text().split("\n") == [*want, ""]
@@ -352,7 +368,8 @@ def test_a_deadline_that_cuts_the_stream_leaves_whole_lines(budget, written, mon
 
 
 def test_count_only_enumerate_walks_nothing(monkeypatch, capsys):
-    """Without --out the full listing is counted, never walked."""
+    """Without --out the run is the --dedupe one with each representative
+    dropped, so the full listing is never walked."""
     import binact.search
 
     def refuse(*args):
@@ -643,6 +660,44 @@ def test_conjugation_subcommand(files, capsys):
     assert main(["conjugation", "--group", "s3", "--subgroup", "0,1,3"]) == 1
 
 
+@pytest.mark.parametrize("argv, threads, err", [
+    (["enumerate", "--group", "{bad}", "--carrier", "2"], None, "invalid JSON in {bad}: "),
+    (["orbits", "--action", "{conj}", "--out", "{dir}"], None, "cannot write {dir}: "),
+    (["conjugation", "--group", "s3", "--subgroup", "0 x"], None,
+     "expected a list of integers, got '0 x'\n"),
+    (["conjugation", "--group", "s3"], None, "conjugation needs --subgroup or --generators\n"),
+    (["monoid"], None, "monoid needs --size or --op\n"),
+    (["monoid", "--op", "{op}"], None, "monoid --op needs --invert or --star\n"),
+    (["validate", "--group", "z2"], "x", "BINACT_THREADS must be a positive integer, got 'x'\n"),
+], ids=["group-invalid-json", "orbits-unwritable-out", "conjugation-bad-member",
+        "conjugation-no-members", "monoid-no-input", "monoid-op-no-mode", "threads-not-integer"])
+def test_usage_and_io_errors_exit_two(files, capsys, monkeypatch, argv, threads, err):
+    """Each usage or IO error exits 2 with its message on stderr."""
+    bad = Path(files["dir"]) / "bad.json"
+    bad.write_text("{")
+    paths = {"bad": str(bad), "conj": files["s3_a3_conj.json"], "op": files["xorop.json"],
+             "dir": files["dir"]}
+    if threads is not None:
+        monkeypatch.setenv("BINACT_THREADS", threads)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(err.format(**paths))
+
+
+def test_action_record_reads_its_group_from_a_file_beside_it(tmp_path, monkeypatch, capsys):
+    """A group name in an action record names a file in the record's own
+    directory when there is one, not in the working directory."""
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "mine.json").write_text(json.dumps(group_to_json(
+        make_group([[0, 1], [1, 0]], name="mine"))))
+    record = models / "xor.json"
+    record.write_text(json.dumps({"group": "mine.json", "table": Z2_ACTION}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["induce", "--action", str(record), "--point", "0"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "induced ordinary action at t=0: group=mine carrier=2\n")
+
+
 def test_bad_threads_env_exits_two(files, capsys, monkeypatch):
     monkeypatch.setenv("BINACT_THREADS", "-2")
     assert main(["validate", "--group", "z2"]) == 2
@@ -680,6 +735,25 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
     assert capsys.readouterr().out == "CapExceeded: carrier size 5 exceeds configured cap 4\n"
     assert main(["monoid", "--size", "0"]) == 1
     assert capsys.readouterr().out == "MalformedTable: carrier size must be >= 1\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_monoid_size_past_the_digit_limit_is_refused(capsys):
+    """(N!)^N has 4192 digits at N = 56 and 4367 at N = 57. Under the
+    interpreter's default limit of 4300 digits, 56 prints and 57 is
+    refused in one line with exit code 1, as a cap is."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["monoid", "--size", "56", "--cap", "56"]) == 0
+        assert capsys.readouterr().out == (
+            f"carrier=56 invertible_operations={math.factorial(56) ** 56}\n")
+        assert main(["monoid", "--size", "57", "--cap", "57"]) == 1
+        assert capsys.readouterr() == (
+            "CapExceeded: digit count of (N!)^N 4367 exceeds configured cap 4300\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_witnesses_budget_stop_reports_partial_counts(capsys):
