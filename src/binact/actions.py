@@ -12,11 +12,10 @@ is an ordinary action in its own right (the action induced at t).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .binops import (BinaryOp, _composition_failure, _int, _int_map, _int_table, _ints, _size,
-                     identity_op, star)
+from .binops import (BinaryOp, _Value, _composition_failure, _int, _int_map, _int_table, _ints,
+                     _set, _size, identity_op, star)
 from .errors import (
     AxiomOneViolated,
     AxiomTwoViolated,
@@ -35,8 +34,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class BinaryAction:
+class BinaryAction(_Value):
     """A binary action: its table satisfies axioms (1) and (2).
 
     validate_action checks them on any table. The enumerator in
@@ -57,10 +55,16 @@ class BinaryAction:
     copies: a str hash differs between processes.
     """
 
-    group: FiniteGroup
-    carrier_size: int
-    table: tuple[tuple[tuple[int, ...], ...], ...]
-    group_embedding: tuple[int, ...] | None = None
+    _fields = ("group", "carrier_size", "table", "group_embedding")
+    group_embedding = None
+
+    def __init__(self, group: FiniteGroup, carrier_size: int,
+                 table: tuple[tuple[tuple[int, ...], ...], ...],
+                 group_embedding: tuple[int, ...] | None = group_embedding):
+        _set(self, "group", group)
+        _set(self, "carrier_size", carrier_size)
+        _set(self, "table", table)
+        _set(self, "group_embedding", group_embedding)
 
     def __hash__(self) -> int:
         return self._hash
@@ -70,7 +74,8 @@ class BinaryAction:
         return hash((self.group, self.carrier_size, self.table, self.group_embedding))
 
     def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"group": self.group, "carrier_size": self.carrier_size, "table": self.table,
+                "group_embedding": self.group_embedding}
 
     def __call__(self, g: int, x: int, xp: int) -> int:
         return self.table[g][x][xp]
@@ -82,8 +87,7 @@ class BinaryAction:
         return f"BinaryAction({self.group.name}, carrier={self.carrier_size})"
 
 
-@dataclass(frozen=True)
-class OrdinaryAction:
+class OrdinaryAction(_Value):
     """A left action table[g][x] = g.x.
 
     make_ordinary_action checks any table. binact.search.all_ordinary_actions
@@ -92,9 +96,12 @@ class OrdinaryAction:
     at search.permutation_homomorphisms).
     """
 
-    group: FiniteGroup
-    carrier_size: int
-    table: tuple[tuple[int, ...], ...]
+    _fields = ("group", "carrier_size", "table")
+
+    def __init__(self, group: FiniteGroup, carrier_size: int, table: tuple[tuple[int, ...], ...]):
+        _set(self, "group", group)
+        _set(self, "carrier_size", carrier_size)
+        _set(self, "table", table)
 
     def __call__(self, g: int, x: int) -> int:
         return self.table[g][x]

@@ -22,7 +22,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -41,6 +40,7 @@ from .actions import (
 from .binops import (
     DEFAULT_INVERTIBLE_CAP,
     identity_op,
+    invertible_group_digits,
     invertible_group_order,
     op_from_json,
     op_to_json,
@@ -207,13 +207,12 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_monoid(args) -> int:
     if args.size is not None:
-        order = invertible_group_order(args.size, cap=args.cap)
-        try:
-            text = str(order)
-        except ValueError:  # more digits than the interpreter's int-to-str limit
-            raise CapExceeded(math.floor(math.log10(order)) + 1, sys.get_int_max_str_digits(),
-                              "digit count of (N!)^N") from None
-        print(f"carrier={args.size} invertible_operations={text}")
+        digits = invertible_group_digits(args.size, cap=args.cap)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and digits > limit:  # str() would refuse the order, once computed
+            raise CapExceeded(digits, limit, "digit count of (N!)^N")
+        print(f"carrier={args.size} "
+              f"invertible_operations={invertible_group_order(args.size, cap=args.cap)}")
         return 0
     if not args.op:
         raise CliFailure(2, "monoid needs --size or --op")

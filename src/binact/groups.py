@@ -11,10 +11,9 @@ import itertools
 import math
 import re
 import time
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binops import _composition_failure, _int, _int_table, _ints, _list, _size
+from .binops import _Value, _set, _composition_failure, _int, _int_table, _ints, _list, _size
 from .errors import (
     CapExceeded,
     MalformedTable,
@@ -26,20 +25,26 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(_Value):
     """Group given by its Cayley table; construct through make_group.
 
     Element arithmetic is index arithmetic: mul(a, b) = cayley[a][b].
     Instances are immutable, hashable, and safe to share.
     """
 
-    order: int
-    cayley: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    name: str = "G"
-    labels: tuple[str, ...] | None = None
+    _fields = ("order", "cayley", "identity", "inverse", "name", "labels")
+    name = "G"
+    labels = None
+
+    def __init__(self, order: int, cayley: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: tuple[int, ...], name: str = name,
+                 labels: tuple[str, ...] | None = labels):
+        _set(self, "order", order)
+        _set(self, "cayley", cayley)
+        _set(self, "identity", identity)
+        _set(self, "inverse", inverse)
+        _set(self, "name", name)
+        _set(self, "labels", labels)
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]

@@ -23,12 +23,11 @@ sets asked of it, never all 2^m subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .actions import BinaryAction, is_biequivariant, is_distributive
-from .binops import _int, _int_map, _ints, _list, identity_perm
+from .binops import _Value, _set, _int, _int_map, _ints, _list, identity_perm
 from .errors import (
     IllDefined,
     LawViolated,
@@ -209,17 +208,20 @@ def orbit(a: BinaryAction, x: int) -> frozenset[int]:
     return frozenset(points_of(record.square.diagonal[x]))
 
 
-@dataclass(frozen=True)
-class OrbitSpace:
+class OrbitSpace(_Value):
     """The quotient of a distributive action: disjoint classes covering the
     carrier, ordered by smallest member, the projection map, and the orbit
     of each point as a bitmask. The saturation G(A) = saturated[A] and the
     projection pi(A) = projected[A] are UnionTables built on first use."""
 
-    source: BinaryAction
-    classes: tuple[tuple[int, ...], ...]
-    projection: tuple[int, ...]
-    orbit_masks: tuple[int, ...]
+    _fields = ("source", "classes", "projection", "orbit_masks")
+
+    def __init__(self, source: BinaryAction, classes: tuple[tuple[int, ...], ...],
+                 projection: tuple[int, ...], orbit_masks: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "classes", classes)
+        _set(self, "projection", projection)
+        _set(self, "orbit_masks", orbit_masks)
 
     def class_of(self, x: int) -> int:
         return self.projection[_int(x, ShapeMismatch, "point", len(self.projection))]
@@ -294,17 +296,18 @@ def induced_quotient_map(a: BinaryAction, b: BinaryAction, f) -> tuple[int, ...]
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CarrierMap:
+class CarrierMap(_Value):
     """A carrier map packaged with its source and target actions."""
 
-    source: BinaryAction
-    target: BinaryAction
-    mapping: tuple[int, ...]
+    _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: BinaryAction, target: BinaryAction, mapping: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mapping", mapping)
 
 
-@dataclass(frozen=True)
-class FunctorLawsReport:
+class FunctorLawsReport(_Value):
     """What the functor-law check actually covered.
 
     identity_checks holds one entry per distinct action seen, as
@@ -312,8 +315,12 @@ class FunctorLawsReport:
     composable input pair, as (i, j) meaning maps[j] after maps[i].
     """
 
-    identity_checks: tuple[tuple[int, int], ...]
-    composition_checks: tuple[tuple[int, int], ...]
+    _fields = ("identity_checks", "composition_checks")
+
+    def __init__(self, identity_checks: tuple[tuple[int, int], ...],
+                 composition_checks: tuple[tuple[int, int], ...]):
+        _set(self, "identity_checks", identity_checks)
+        _set(self, "composition_checks", composition_checks)
 
 
 def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:

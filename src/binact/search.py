@@ -200,11 +200,10 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 
 from .actions import (BinaryAction, OrdinaryAction, _table_json, is_distributive,
                       make_ordinary_action)
-from .binops import _int, _ints, _size, invert_perm
+from .binops import _Value, _set, _int, _ints, _size, invert_perm
 from .errors import BinactError, BudgetExceeded, InternalInconsistency, MalformedTable, _BudgetStop
 from .groups import FiniteGroup, all_subgroups, greedy_generators, subgroup_closure
 from .orbits import _record, closure_masks, points_of
@@ -291,39 +290,47 @@ def permutation_homomorphisms(g: FiniteGroup, degree: int, deadline: float = mat
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
+class EnumerationTask(_Value):
     """What to enumerate and under which budgets."""
 
-    group: FiniteGroup
-    carrier_size: int
-    require_distributive: bool = False
-    dedupe: bool = False
-    node_budget: int = 2_000_000
-    time_budget_s: float = 120.0
+    _fields = ("group", "carrier_size", "require_distributive", "dedupe", "node_budget",
+               "time_budget_s")
+    require_distributive = dedupe = False
+    node_budget = 2_000_000
+    time_budget_s = 120.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier_size", _size(self.carrier_size, "carrier size"))
-        for name in ("require_distributive", "dedupe"):
-            if type(getattr(self, name)) is not bool:
-                raise MalformedTable(f"{name} = {getattr(self, name)!r} is not a bool")
-        budget = _int(self.node_budget, MalformedTable, "node budget")
-        object.__setattr__(self, "node_budget", budget)
-        if type(self.time_budget_s) is bool or not isinstance(self.time_budget_s, (int, float)):
-            raise MalformedTable(f"time budget = {self.time_budget_s!r} is not a number")
-        if self.node_budget < 1 or not self.time_budget_s > 0:
+    def __init__(self, group: FiniteGroup, carrier_size: int,
+                 require_distributive: bool = require_distributive, dedupe: bool = dedupe,
+                 node_budget: int = node_budget, time_budget_s: float = time_budget_s):
+        carrier_size = _size(carrier_size, "carrier size")
+        for name, value in (("require_distributive", require_distributive), ("dedupe", dedupe)):
+            if type(value) is not bool:
+                raise MalformedTable(f"{name} = {value!r} is not a bool")
+        node_budget = _int(node_budget, MalformedTable, "node budget")
+        if type(time_budget_s) is bool or not isinstance(time_budget_s, (int, float)):
+            raise MalformedTable(f"time budget = {time_budget_s!r} is not a number")
+        if node_budget < 1 or not time_budget_s > 0:
             raise MalformedTable("budgets must be positive")
+        _set(self, "group", group)
+        _set(self, "carrier_size", carrier_size)
+        _set(self, "require_distributive", require_distributive)
+        _set(self, "dedupe", dedupe)
+        _set(self, "node_budget", node_budget)
+        _set(self, "time_budget_s", time_budget_s)
 
 
-@dataclass(frozen=True)
-class IntersectingOrbitsWitness:
+class IntersectingOrbitsWitness(_Value):
     """Two points whose minimal bi-invariant sets intersect without coinciding."""
 
-    action: BinaryAction
-    x: int
-    xp: int
-    set_x: frozenset[int]
-    set_xp: frozenset[int]
+    _fields = ("action", "x", "xp", "set_x", "set_xp")
+
+    def __init__(self, action: BinaryAction, x: int, xp: int, set_x: frozenset[int],
+                 set_xp: frozenset[int]):
+        _set(self, "action", action)
+        _set(self, "x", x)
+        _set(self, "xp", xp)
+        _set(self, "set_x", set_x)
+        _set(self, "set_xp", set_xp)
 
     def to_json(self) -> dict:
         return {
@@ -336,14 +343,17 @@ class IntersectingOrbitsWitness:
         }
 
 
-@dataclass(frozen=True)
-class UnionWitness:
+class UnionWitness(_Value):
     """Two bi-invariant sets whose union is not bi-invariant."""
 
-    action: BinaryAction
-    set_a: frozenset[int]
-    set_b: frozenset[int]
-    union_image: frozenset[int]
+    _fields = ("action", "set_a", "set_b", "union_image")
+
+    def __init__(self, action: BinaryAction, set_a: frozenset[int], set_b: frozenset[int],
+                 union_image: frozenset[int]):
+        _set(self, "action", action)
+        _set(self, "set_a", set_a)
+        _set(self, "set_b", set_b)
+        _set(self, "union_image", union_image)
 
     def to_json(self) -> dict:
         return {
@@ -355,11 +365,14 @@ class UnionWitness:
         }
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    intersecting_orbits: IntersectingOrbitsWitness | None
-    non_bi_invariant_union: UnionWitness | None
-    actions_scanned: int
+class WitnessReport(_Value):
+    _fields = ("intersecting_orbits", "non_bi_invariant_union", "actions_scanned")
+
+    def __init__(self, intersecting_orbits: IntersectingOrbitsWitness | None,
+                 non_bi_invariant_union: UnionWitness | None, actions_scanned: int):
+        _set(self, "intersecting_orbits", intersecting_orbits)
+        _set(self, "non_bi_invariant_union", non_bi_invariant_union)
+        _set(self, "actions_scanned", actions_scanned)
 
     def to_json(self) -> dict:
         return {
@@ -373,8 +386,7 @@ class WitnessReport:
         }
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Value):
     """Outcome of one enumeration run.
 
     raw_count counts emissions before dedupe; canonical_count counts
@@ -406,14 +418,33 @@ class EnumerationResult:
     building any.
     """
 
-    task: EnumerationTask
-    raw_count: int
-    canonical_count: int
-    distributive_count: int
-    exhaustive: bool
-    homs: tuple
-    rows: list[tuple[int, ...]] = field(hash=False)  # a list: compared, not hashed
-    nodes: int = field(default=0, compare=False)
+    _fields = ("task", "raw_count", "canonical_count", "distributive_count", "exhaustive",
+               "homs", "rows", "nodes")
+    nodes = 0
+
+    def __init__(self, task: EnumerationTask, raw_count: int, canonical_count: int,
+                 distributive_count: int, exhaustive: bool, homs: tuple,
+                 rows: list[tuple[int, ...]], nodes: int = nodes):
+        _set(self, "task", task)
+        _set(self, "raw_count", raw_count)
+        _set(self, "canonical_count", canonical_count)
+        _set(self, "distributive_count", distributive_count)
+        _set(self, "exhaustive", exhaustive)
+        _set(self, "homs", homs)
+        _set(self, "rows", rows)
+        _set(self, "nodes", nodes)
+
+    def _counts(self) -> tuple:
+        return (self.task, self.raw_count, self.canonical_count, self.distributive_count,
+                self.exhaustive, self.homs)
+
+    def __eq__(self, other):  # nodes is not compared, and rows, a list, not hashed
+        if other.__class__ is self.__class__:
+            return self._counts() == other._counts() and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._counts())
 
     @functools.cached_property
     def actions(self) -> tuple[BinaryAction, ...]:
@@ -748,8 +779,7 @@ def _prefix_moves(moves, m: int):
     return out
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(_Value):
     """Block k of the layered search, over the runs of depth k + 1: the
     homomorphisms that share their images of gens[:k + 1], that is their
     restrictions to H_k = <gens[:k + 1]>. A run's id is its place among
@@ -767,11 +797,15 @@ class _Block:
     run i; None otherwise.
     """
 
-    table: object
-    parent: list
-    children: list
-    candidates: list
-    law_rows: list | None
+    _fields = ("table", "parent", "children", "candidates", "law_rows")
+
+    def __init__(self, table: object, parent: list, children: list, candidates: list,
+                 law_rows: list | None):
+        _set(self, "table", table)
+        _set(self, "parent", parent)
+        _set(self, "children", children)
+        _set(self, "candidates", candidates)
+        _set(self, "law_rows", law_rows)
 
 
 def _blocks(g: FiniteGroup, homs, moves, m: int, law: bool) -> list[_Block]:

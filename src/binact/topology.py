@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import lt
 from typing import Iterable, NamedTuple
@@ -39,15 +38,14 @@ from .errors import (
     NotContinuous,
     ShapeMismatch,
 )
-from .binops import _int, _int_map, _ints, _list, _size
+from .binops import _Value, _set, _int, _int_map, _ints, _list, _size
 from .orbits import (OrbitSpace, UnionTable, _coerce_mask, _mask, _record, _require_distributive,
                      image_table, points_of)
 
 TOPOLOGY_ENUM_CAP = 5
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(_Value):
     """A topology on points 0..carrier_size-1; construct via validate_topology.
 
     opens is ascending without repeats, as every constructor here builds
@@ -59,8 +57,11 @@ class FiniteTopology:
     model id (_opens_id).
     """
 
-    carrier_size: int
-    opens: tuple[int, ...]
+    _fields = ("carrier_size", "opens")
+
+    def __init__(self, carrier_size: int, opens: tuple[int, ...]):
+        _set(self, "carrier_size", carrier_size)
+        _set(self, "opens", opens)
 
     @property
     def full_mask(self) -> int:
@@ -239,8 +240,7 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
     return out
 
 
-@dataclass(frozen=True)
-class TopologicalBinaryGSpace:
+class TopologicalBinaryGSpace(_Value):
     """A binary action paired with a topology on its carrier.
 
     The acting group always carries the discrete topology. Continuity is
@@ -248,8 +248,11 @@ class TopologicalBinaryGSpace:
     the theorem checks below refuse non-continuous models instead.
     """
 
-    action: BinaryAction
-    topology: FiniteTopology
+    _fields = ("action", "topology")
+
+    def __init__(self, action: BinaryAction, topology: FiniteTopology):
+        _set(self, "action", action)
+        _set(self, "topology", topology)
 
 
 def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBinaryGSpace:
@@ -449,10 +452,12 @@ def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
         raise InternalInconsistency(f"quotient opens do not form a topology: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ProjectionChecks:
-    closed: bool
-    proper: bool
+class ProjectionChecks(_Value):
+    _fields = ("closed", "proper")
+
+    def __init__(self, closed: bool, proper: bool):
+        _set(self, "closed", closed)
+        _set(self, "proper", proper)
 
 
 def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChecks:
@@ -467,12 +472,16 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
     return ProjectionChecks(closed=closed, proper=closed)
 
 
-@dataclass(frozen=True)
-class QuotientChecks:
-    hausdorff: bool
-    compact: bool
-    locally_compact: bool
-    compactness_degenerate: bool = True
+class QuotientChecks(_Value):
+    _fields = ("hausdorff", "compact", "locally_compact", "compactness_degenerate")
+    compactness_degenerate = True
+
+    def __init__(self, hausdorff: bool, compact: bool, locally_compact: bool,
+                 compactness_degenerate: bool = compactness_degenerate):
+        _set(self, "hausdorff", hausdorff)
+        _set(self, "compact", compact)
+        _set(self, "locally_compact", locally_compact)
+        _set(self, "compactness_degenerate", compactness_degenerate)
 
 
 def check_quotient_hausdorff_compact(s: TopologicalBinaryGSpace) -> QuotientChecks:

@@ -1,11 +1,12 @@
 import argparse
-import dataclasses
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -572,9 +573,11 @@ def test_a_stopped_run_keeps_a_prefix_of_its_listing(name, m, dist, dedupe, dead
                "distributive_count": finished.distributive_count, "witnesses": None,
                "exhaustive": True}
     assert _out_lines(argv, out, 0) == [*_records(finished), json.dumps(summary)]
-    stops = [(dataclasses.replace(task, node_budget=budget), ["--node-budget", str(budget)])
+    stops = [(EnumerationTask(group=task.group, carrier_size=m, require_distributive=dist,
+                              dedupe=dedupe, node_budget=budget), ["--node-budget", str(budget)])
              for budget in sorted({finished.nodes * j // 4 for j in (1, 2, 3)} - {0})]
-    stops += [(dataclasses.replace(task, time_budget_s=budget), ["--time-budget", str(budget)])
+    stops += [(EnumerationTask(group=task.group, carrier_size=m, require_distributive=dist,
+                               dedupe=dedupe, time_budget_s=budget), ["--time-budget", str(budget)])
               for budget in deadlines]
     for stopped, flags in stops:
         fake_clock = flags[0] == "--time-budget"
@@ -742,7 +745,13 @@ def test_monoid_size_counts_without_building(monkeypatch, capsys):
 def test_monoid_size_past_the_digit_limit_is_refused(capsys):
     """(N!)^N has 4192 digits at N = 56 and 4367 at N = 57. Under the
     interpreter's default limit of 4300 digits, 56 prints and 57 is
-    refused in one line with exit code 1, as a cap is."""
+    refused in one line with exit code 1, as a cap is. The digit count is
+    read off N log10(N!) before any power is taken, so N = 4000 is refused
+    at once, not after the two minutes taking the power costs, with the
+    count that decimal's 50-digit logarithm gives."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        digits = int(Decimal(math.factorial(4000)).log10() * 4000) + 1
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -752,6 +761,11 @@ def test_monoid_size_past_the_digit_limit_is_refused(capsys):
         assert main(["monoid", "--size", "57", "--cap", "57"]) == 1
         assert capsys.readouterr() == (
             "CapExceeded: digit count of (N!)^N 4367 exceeds configured cap 4300\n", "")
+        start = time.perf_counter()
+        assert main(["monoid", "--size", "4000", "--cap", "4000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            f"CapExceeded: digit count of (N!)^N {digits} exceeds configured cap 4300\n", "")
     finally:
         sys.set_int_max_str_digits(limit)
 

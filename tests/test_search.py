@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import binact.actions
 from binact import (
+    EnumerationResult,
     EnumerationTask,
     action_to_json,
     builtin_group,
@@ -268,7 +268,8 @@ def test_node_budget_partial_under_require_distributive(name, m, budget, raw, ca
     assert partial.distributive_count == raw
     assert partial.rows == []
     with pytest.raises(BudgetExceeded) as deduped:
-        enumerate_actions(dataclasses.replace(task, dedupe=True))
+        enumerate_actions(EnumerationTask(group=g, carrier_size=m, require_distributive=True,
+                                          dedupe=True, node_budget=budget))
     reps = deduped.value.partial
     assert (reps.raw_count, reps.canonical_count, len(reps.rows)) == (raw, canonical, canonical)
     assert all(oracle_is_distributive(g.cayley, a.table, m) for a in reps.actions)
@@ -287,7 +288,9 @@ def test_distributive_node_counts_at_the_budget_edge(name, m, nodes):
     assert result.exhaustive and result.nodes == nodes
     with pytest.raises(BudgetExceeded, match=f"^enumeration budget exceeded: node budget "
                                              f"{nodes - 1} reached") as exc:
-        enumerate_actions(dataclasses.replace(task, node_budget=nodes - 1))
+        enumerate_actions(EnumerationTask(group=task.group, carrier_size=m,
+                                          require_distributive=True, dedupe=True,
+                                          node_budget=nodes - 1))
     assert exc.value.partial.nodes == nodes - 1
 
 
@@ -705,7 +708,9 @@ def test_a_stop_ends_the_run(monkeypatch):
         monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
         with pytest.raises(BudgetExceeded, match=rf"node budget {budget} reached \(\d+ actions "
                                                  rf"found\)$") as exc:
-            enumerate_actions(dataclasses.replace(task, node_budget=budget))
+            enumerate_actions(EnumerationTask(
+                group=z2, carrier_size=3, require_distributive=task.require_distributive,
+                dedupe=task.dedupe, node_budget=budget, time_budget_s=10))
         assert next(ticks) == 7
         assert exc.value.partial.rows == [] or task.dedupe
     k4 = builtin_group("k4")
@@ -974,12 +979,14 @@ def test_dedupe_partial_holds_representatives_in_table_order(name, m, budget, cl
     assert raw.value.partial.rows == []
     calls = _counting_law_checks(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_actions(dataclasses.replace(task, dedupe=True))
+        enumerate_actions(EnumerationTask(group=task.group, carrier_size=m, dedupe=True,
+                                          node_budget=budget))
     homs = exc.value.partial.homs
     met = [search._action(task.group, homs, leaf).table for leaf in calls]
     assert len(met) == classes and met == sorted(met)
     assert [a.table for a in exc.value.partial.actions] == met
-    full = enumerate_actions(dataclasses.replace(task, dedupe=True, node_budget=10**6))
+    full = enumerate_actions(EnumerationTask(group=task.group, carrier_size=m, dedupe=True,
+                                             node_budget=10**6))
     assert met == [a.table for a in full.actions[:classes]]
     assert met == [oracle_canonical_form(table, m) for table in met]
     counts = [(r.raw_count, r.canonical_count, r.distributive_count)
@@ -1401,7 +1408,9 @@ def test_mined_witnesses_match_a_brute_force_miner(name):
     result = enumerate_actions(EnumerationTask(group=builtin_group(name), carrier_size=3))
     assert mine_counterexamples(result) == _brute_force_witnesses(result.actions)
     for a, row in zip(result.actions, result.rows):
-        alone = dataclasses.replace(result, rows=[row], raw_count=1)
+        alone = EnumerationResult(result.task, 1, result.canonical_count,
+                                  result.distributive_count, result.exhaustive, result.homs,
+                                  [row], result.nodes)
         assert mine_counterexamples(alone) == _brute_force_witnesses((a,))
 
 
@@ -1413,7 +1422,7 @@ def test_witnesses_from_representatives_match_the_full_scan(name, m):
     actions_scanned the raw count."""
     task = EnumerationTask(group=builtin_group(name), carrier_size=m)
     full = mine_counterexamples(enumerate_actions(task))
-    reps = enumerate_actions(dataclasses.replace(task, dedupe=True))
+    reps = enumerate_actions(EnumerationTask(group=task.group, carrier_size=m, dedupe=True))
     assert mine_counterexamples(reps) == full
     assert full.actions_scanned == reps.raw_count
 
