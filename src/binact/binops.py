@@ -70,12 +70,30 @@ class _Value:
     """Base of binact's immutable value classes, written out rather than
     made frozen dataclasses, whose methods are generated and exec()ed at
     every import. A subclass names its fields in _fields, in constructor
-    order, and its __init__ stores each with _set; a field's default is
-    a class attribute too, as a dataclass's is. Equality (same class,
-    equal fields), the hash and the repr Name(field=value, ...) go by them,
-    as a frozen dataclass's do, and no attribute can be set or deleted.
-    pickle, copy and cached_property write to __dict__ directly, so they
-    keep working; __slots__ would break them."""
+    order, and a field's default is a class attribute, as a dataclass's
+    is. The records binact builds and returns take their fields through
+    __init__ here; the classes callers build, some thousands per sweep,
+    write their own, which keeps their signatures and skips the generic
+    argument handling. Both store each field with _set. Equality (same
+    class, equal fields), the hash and the repr Name(field=value, ...) go
+    by the fields, and no attribute can be set or deleted. pickle, copy
+    and cached_property write to __dict__ directly, so they keep working;
+    __slots__ would break them."""
+
+    def __init__(self, *args, **kwargs):
+        """The fields by position or by name; one given neither way takes
+        its default. Any other call raises TypeError."""
+        cls = self.__class__
+        values = dict(zip(cls._fields, args))
+        if len(args) > len(cls._fields) or values.keys() & kwargs or kwargs.keys() - cls._fields:
+            raise TypeError(f"{cls.__qualname__}() takes each of {', '.join(cls._fields)} "
+                            "at most once, by position or by name")
+        values.update(kwargs)
+        for name in cls._fields:
+            value = values.get(name, getattr(cls, name, _set))  # _set: no default
+            if value is _set:
+                raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+            _set(self, name, value)
 
     def __init_subclass__(cls):
         cls._key = operator.attrgetter(*cls._fields)  # the tuple of the fields

@@ -85,7 +85,7 @@ def _read_json(path: str):
         raise CliFailure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise CliFailure(2, f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -96,10 +96,18 @@ def _write_text(path: Path, text: str):
         raise CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _resolve_group(ref: str):
-    """A group argument is a path if such a file exists, else a catalog name."""
-    if Path(ref).is_file():
-        return group_from_json(_read_json(ref))
+def _group(path: Path, name: str, catalog=builtin_group):
+    """A group reference: the JSON file at path if one exists, else the
+    catalog's name. A path the file system cannot stat (too long a name,
+    say) is no file."""
+    try:
+        found = path.is_file()
+    except OSError:
+        found = False
+    return group_from_json(_read_json(str(path))) if found else catalog(name)
+
+
+def _catalog_group(ref: str):
     try:
         return builtin_group(ref)
     except CapExceeded:
@@ -108,18 +116,16 @@ def _resolve_group(ref: str):
         raise CliFailure(2, f"group {ref!r} is neither a readable file nor a known name") from None
 
 
+def _resolve_group(ref: str):
+    """A group argument is a path if such a file exists, else a catalog name."""
+    return _group(Path(ref), ref, _catalog_group)
+
+
 def _load(path: str, from_json):
     """An action record read by from_json; a group name in it is a file
     beside the record if one exists, else a catalog name."""
     data = _read_json(path)
-
-    def resolver(name: str):
-        rel = Path(path).parent / name
-        if rel.is_file():
-            return group_from_json(_read_json(str(rel)))
-        return builtin_group(name)
-
-    return from_json(data, group_resolver=resolver)
+    return from_json(data, group_resolver=lambda name: _group(Path(path).parent / name, name))
 
 
 def _dump(obj) -> str:

@@ -332,18 +332,21 @@ def builtin_group(name: str) -> FiniteGroup:
         return klein_four()
     if key == "q8":
         return quaternion_group()
-    m = re.fullmatch(r"z(\d+)", key)
-    if m:
-        _check_catalog_order(int(m.group(1)))
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"s(\d+)", key)
-    if m:
-        return symmetric(int(m.group(1)))
-    m = re.fullmatch(r"d(\d+)", key)
-    if m:
-        _check_catalog_order(2 * int(m.group(1)))
-        return dihedral(int(m.group(1)))
-    raise MalformedTable(f"unknown group name {name!r}")
+    m = re.fullmatch(r"([zsd])0*(\d+)", key)
+    if not m:
+        raise MalformedTable(f"unknown group name {name!r}")
+    kind, digits = m.groups()
+    try:
+        n = int(digits)
+    except ValueError:  # past the int-to-str digit limit, so past every cap
+        if kind == "s":
+            raise MalformedTable("symmetric(n) supported for 1 <= n <= 4") from None
+        raise CapExceeded(f"of {len(digits)}+ digits", CATALOG_ORDER_CAP,
+                          "catalog group order") from None
+    if kind == "s":
+        return symmetric(n)
+    _check_catalog_order(n if kind == "z" else 2 * n)
+    return cyclic(n) if kind == "z" else dihedral(n)
 
 
 # --- serialization -----------------------------------------------------------

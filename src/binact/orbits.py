@@ -216,13 +216,6 @@ class OrbitSpace(_Value):
 
     _fields = ("source", "classes", "projection", "orbit_masks")
 
-    def __init__(self, source: BinaryAction, classes: tuple[tuple[int, ...], ...],
-                 projection: tuple[int, ...], orbit_masks: tuple[int, ...]):
-        _set(self, "source", source)
-        _set(self, "classes", classes)
-        _set(self, "projection", projection)
-        _set(self, "orbit_masks", orbit_masks)
-
     def class_of(self, x: int) -> int:
         return self.projection[_int(x, ShapeMismatch, "point", len(self.projection))]
 
@@ -316,11 +309,6 @@ class FunctorLawsReport(_Value):
     """
 
     _fields = ("identity_checks", "composition_checks")
-
-    def __init__(self, identity_checks: tuple[tuple[int, int], ...],
-                 composition_checks: tuple[tuple[int, int], ...]):
-        _set(self, "identity_checks", identity_checks)
-        _set(self, "composition_checks", composition_checks)
 
 
 def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:

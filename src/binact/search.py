@@ -324,14 +324,6 @@ class IntersectingOrbitsWitness(_Value):
 
     _fields = ("action", "x", "xp", "set_x", "set_xp")
 
-    def __init__(self, action: BinaryAction, x: int, xp: int, set_x: frozenset[int],
-                 set_xp: frozenset[int]):
-        _set(self, "action", action)
-        _set(self, "x", x)
-        _set(self, "xp", xp)
-        _set(self, "set_x", set_x)
-        _set(self, "set_xp", set_xp)
-
     def to_json(self) -> dict:
         return {
             "kind": "intersecting_orbits",
@@ -348,13 +340,6 @@ class UnionWitness(_Value):
 
     _fields = ("action", "set_a", "set_b", "union_image")
 
-    def __init__(self, action: BinaryAction, set_a: frozenset[int], set_b: frozenset[int],
-                 union_image: frozenset[int]):
-        _set(self, "action", action)
-        _set(self, "set_a", set_a)
-        _set(self, "set_b", set_b)
-        _set(self, "union_image", union_image)
-
     def to_json(self) -> dict:
         return {
             "kind": "non_bi_invariant_union",
@@ -367,12 +352,6 @@ class UnionWitness(_Value):
 
 class WitnessReport(_Value):
     _fields = ("intersecting_orbits", "non_bi_invariant_union", "actions_scanned")
-
-    def __init__(self, intersecting_orbits: IntersectingOrbitsWitness | None,
-                 non_bi_invariant_union: UnionWitness | None, actions_scanned: int):
-        _set(self, "intersecting_orbits", intersecting_orbits)
-        _set(self, "non_bi_invariant_union", non_bi_invariant_union)
-        _set(self, "actions_scanned", actions_scanned)
 
     def to_json(self) -> dict:
         return {
@@ -421,18 +400,6 @@ class EnumerationResult(_Value):
     _fields = ("task", "raw_count", "canonical_count", "distributive_count", "exhaustive",
                "homs", "rows", "nodes")
     nodes = 0
-
-    def __init__(self, task: EnumerationTask, raw_count: int, canonical_count: int,
-                 distributive_count: int, exhaustive: bool, homs: tuple,
-                 rows: list[tuple[int, ...]], nodes: int = nodes):
-        _set(self, "task", task)
-        _set(self, "raw_count", raw_count)
-        _set(self, "canonical_count", canonical_count)
-        _set(self, "distributive_count", distributive_count)
-        _set(self, "exhaustive", exhaustive)
-        _set(self, "homs", homs)
-        _set(self, "rows", rows)
-        _set(self, "nodes", nodes)
 
     def _counts(self) -> tuple:
         return (self.task, self.raw_count, self.canonical_count, self.distributive_count,
@@ -798,14 +765,6 @@ class _Block(_Value):
     """
 
     _fields = ("table", "parent", "children", "candidates", "law_rows")
-
-    def __init__(self, table: object, parent: list, children: list, candidates: list,
-                 law_rows: list | None):
-        _set(self, "table", table)
-        _set(self, "parent", parent)
-        _set(self, "children", children)
-        _set(self, "candidates", candidates)
-        _set(self, "law_rows", law_rows)
 
 
 def _blocks(g: FiniteGroup, homs, moves, m: int, law: bool) -> list[_Block]:

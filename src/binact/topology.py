@@ -455,10 +455,6 @@ def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
 class ProjectionChecks(_Value):
     _fields = ("closed", "proper")
 
-    def __init__(self, closed: bool, proper: bool):
-        _set(self, "closed", closed)
-        _set(self, "proper", proper)
-
 
 def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChecks:
     """Does the orbit projection send closed sets to closed sets?
@@ -475,13 +471,6 @@ def check_projection_closed_proper(s: TopologicalBinaryGSpace) -> ProjectionChec
 class QuotientChecks(_Value):
     _fields = ("hausdorff", "compact", "locally_compact", "compactness_degenerate")
     compactness_degenerate = True
-
-    def __init__(self, hausdorff: bool, compact: bool, locally_compact: bool,
-                 compactness_degenerate: bool = compactness_degenerate):
-        _set(self, "hausdorff", hausdorff)
-        _set(self, "compact", compact)
-        _set(self, "locally_compact", locally_compact)
-        _set(self, "compactness_degenerate", compactness_degenerate)
 
 
 def check_quotient_hausdorff_compact(s: TopologicalBinaryGSpace) -> QuotientChecks:

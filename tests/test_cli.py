@@ -672,14 +672,23 @@ def test_conjugation_subcommand(files, capsys):
     (["monoid"], None, "monoid needs --size or --op\n"),
     (["monoid", "--op", "{op}"], None, "monoid --op needs --invert or --star\n"),
     (["validate", "--group", "z2"], "x", "BINACT_THREADS must be a positive integer, got 'x'\n"),
+    (["enumerate", "--group", "q" + "9" * 300, "--carrier", "2"], None,
+     "group 'q" + "9" * 300 + "' is neither a readable file nor a known name\n"),
+    pytest.param(["validate", "--group", "{huge}"], None,
+                 "invalid JSON in {huge}: ",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this interpreter has no int-to-str digit limit")),
 ], ids=["group-invalid-json", "orbits-unwritable-out", "conjugation-bad-member",
-        "conjugation-no-members", "monoid-no-input", "monoid-op-no-mode", "threads-not-integer"])
+        "conjugation-no-members", "monoid-no-input", "monoid-op-no-mode", "threads-not-integer",
+        "group-name-too-long-for-a-file", "group-integer-past-the-digit-limit"])
 def test_usage_and_io_errors_exit_two(files, capsys, monkeypatch, argv, threads, err):
     """Each usage or IO error exits 2 with its message on stderr."""
     bad = Path(files["dir"]) / "bad.json"
     bad.write_text("{")
+    huge = Path(files["dir"]) / "huge.json"
+    huge.write_text('{"cayley": [[' + "9" * 5000 + "]]}")
     paths = {"bad": str(bad), "conj": files["s3_a3_conj.json"], "op": files["xorop.json"],
-             "dir": files["dir"]}
+             "dir": files["dir"], "huge": str(huge)}
     if threads is not None:
         monkeypatch.setenv("BINACT_THREADS", threads)
     assert main([arg.format(**paths) for arg in argv]) == 2
@@ -699,6 +708,24 @@ def test_action_record_reads_its_group_from_a_file_beside_it(tmp_path, monkeypat
     assert main(["induce", "--action", str(record), "--point", "0"]) == 0
     assert capsys.readouterr().out.startswith(
         "induced ordinary action at t=0: group=mine carrier=2\n")
+
+
+def test_group_names_too_long_for_a_file_are_catalog_names(tmp_path, capsys):
+    """A group name longer than the file system allows for a file name is
+    no file, as an argument or in an action record: z2 written with 300
+    leading zeros is z2, and an unknown long name in a record is the same
+    MalformedTable as a short one."""
+    z2 = "z" + "0" * 300 + "2"
+    assert main(["enumerate", "--group", z2, "--carrier", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "raw_count=4 canonical_count=3 distributive_count=2 exhaustive=yes\n")
+    for name, code, out in ((z2, 0, "distributive: yes\n"),
+                            ("q" + "9" * 300, 1, "MalformedTable: unknown group name 'q{}'\n"),
+                            ("q9", 1, "MalformedTable: unknown group name 'q{}'\n")):
+        record = tmp_path / "a.json"
+        record.write_text(json.dumps({"group": name, "table": Z2_ACTION}))
+        assert main(["distributive", "--action", str(record)]) == code
+        assert capsys.readouterr() == (out.format(name[1:]), "")
 
 
 def test_bad_threads_env_exits_two(files, capsys, monkeypatch):

@@ -189,6 +189,30 @@ def test_catalog_order_cap_refuses_before_building(monkeypatch):
         assert exc.value.requested == order
 
 
+def test_catalog_numbers_past_the_digit_limit_are_past_every_cap(monkeypatch):
+    """A number too long to read as an int (5000 digits, past the default
+    limit of 4300) is past every cap: z and d, alone or in a product, are
+    refused with CapExceeded before any table is built, and s with the
+    MalformedTable an s past 4 gets. Leading zeros are not digits of the
+    number: z2 with 5000 of them is z2."""
+    assert builtin_group("z" + "0" * 5000 + "2").order == 2
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for constructor in ("cyclic", "dihedral", "symmetric", "direct_product", "make_group"):
+        monkeypatch.setattr(groups, constructor, no_table)
+    digits = "9" * 5000
+    for name in ("z" + digits, "d" + digits, "z" + digits + "xz2"):
+        with pytest.raises(CapExceeded, match="catalog group order"):
+            builtin_group(name)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="catalog group order"):
+        builtin_group("z2xz" + digits)
+    with pytest.raises(MalformedTable, match=r"1 <= n <= 4"):
+        builtin_group("s" + digits)
+
+
 def test_group_json_round_trip():
     for name in ("z4", "s3", "q8"):
         g = builtin_group(name)

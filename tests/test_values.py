@@ -21,7 +21,8 @@ from binact import (
     TopologicalBinaryGSpace,
     builtin_group,
 )
-from binact.search import IntersectingOrbitsWitness, UnionWitness, WitnessReport
+from binact.binops import _Value
+from binact.search import IntersectingOrbitsWitness, UnionWitness, WitnessReport, _Block
 from binact.topology import ProjectionChecks, QuotientChecks
 
 Z2 = builtin_group("z2")
@@ -163,3 +164,31 @@ def test_importing_binact_generates_no_class_code():
     out = subprocess.run([sys.executable, "-E", "-s", "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# the records binact builds and returns take their fields through _Value's
+# one constructor; the classes callers build keep a constructor of their own
+RECORDS = (OrbitSpace, FunctorLawsReport, IntersectingOrbitsWitness, UnionWitness, WitnessReport,
+           EnumerationResult, _Block, ProjectionChecks, QuotientChecks)
+INPUTS = (BinaryOp, FiniteGroup, BinaryAction, OrdinaryAction, CarrierMap, FiniteTopology,
+          TopologicalBinaryGSpace, EnumerationTask)
+
+
+def test_records_share_one_constructor_and_inputs_keep_their_own():
+    for cls in RECORDS:
+        assert "__init__" not in vars(cls) and cls.__init__ is _Value.__init__, cls
+    for cls in INPUTS:
+        assert "__init__" in vars(cls), cls
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((True, True, False, True, False), {}),
+    ((True, True, False), {"separable": True}),
+    ((True, True, False), {"hausdorff": True}),
+    ((True, True), {}),
+], ids=["too-many-positional", "unknown-keyword", "by-position-and-by-name", "missing-field"])
+def test_shared_constructor_refuses_what_a_signature_would(args, kwargs):
+    """More positional fields than _fields, an unknown name, a field given
+    twice, or a missing field with no default each raise TypeError."""
+    with pytest.raises(TypeError, match=r"^QuotientChecks\(\) "):
+        QuotientChecks(*args, **kwargs)
