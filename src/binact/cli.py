@@ -83,6 +83,8 @@ def _read_json(path: str):
         text = p.read_text()
     except OSError as exc:
         raise CliFailure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:  # a file that is not UTF-8 text
+        raise CliFailure(2, f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

@@ -359,14 +359,33 @@ def functor_laws_check(maps: Sequence[CarrierMap]) -> FunctorLawsReport:
     )
 
 
+def _packed_pairs(maps: set[tuple[int, ...]], m: int) -> tuple[UnionTable, ...]:
+    """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
+    bitmask U and the maps f of 0..m-1 into itself: bit y m + v says that
+    some map sends w to y and some u in U to v. Each pairs[w] is a
+    UnionTable over u."""
+    pairs = []
+    for w in range(m):
+        row = [0] * m
+        for f in maps:
+            base = f[w] * m
+            for u in range(m):
+                row[u] |= 1 << (base + f[u])
+        pairs.append(UnionTable(row))
+    return tuple(pairs)
+
+
 class _ActionRecord:
     """What one action determines: G(A, A) = square[A] and, each built on
     first use, the distributivity verdict (True or the first witness), the
     pair images of its one-argument maps (pairs), the orbit space (orbits),
-    the distinct verified diagonals, each with the UnionTable of its images
-    (diagonals), and the table part of the default model id. orbits and
-    diagonals raise NotDistributive unless the action is distributive, so
-    the partition check is never run on an action that may fail it."""
+    the pair images of its distinct verified diagonals (diagonal_pairs),
+    and the table part of the default model id. pairs and diagonal_pairs
+    are packed alike (_packed_pairs), so topology.is_continuous and the
+    battery's diagonal check read them with one lookup per point. orbits
+    and diagonal_pairs raise NotDistributive unless the action is
+    distributive, so the partition check is never run on an action that
+    may fail it."""
 
     def __init__(self, action: BinaryAction):
         self.action = action
@@ -384,29 +403,18 @@ class _ActionRecord:
 
     @cached_property
     def pairs(self) -> tuple[UnionTable, ...]:
-        """pairs[w][U] = OR of 1 << (f(w) m + f(u)) over the points u of the
-        bitmask U and the table's distinct one-argument maps f: the rows
-        x' -> g(x, x') and the columns x -> g(x, x') of every slice g, the
-        identity's too (topology.is_continuous says why they change
-        nothing). Bit y m + v says that some map sends w to y and some u in
-        U to v. Each pairs[w] is a UnionTable over u, filled in for the sets
-        U = N(w) - {w} the topologies met so far asked for. Derived from the
-        table alone, never a verdict about a topology."""
-        table = self.action.table
-        m = self.action.carrier_size
+        """The packed pair images (_packed_pairs) of the table's distinct
+        one-argument maps: the rows x' -> g(x, x') and the columns
+        x -> g(x, x') of every slice g, the identity's too
+        (topology.is_continuous says why they change nothing). Each pairs[w]
+        is filled in for the sets U = N(w) - {w} the topologies met so far
+        asked for. Derived from the table alone, never a verdict about a
+        topology."""
         maps = set()
-        for tg in table:
+        for tg in self.action.table:
             maps.update(tg)
             maps.update(zip(*tg))
-        pairs = []
-        for w in range(m):
-            row = [0] * m
-            for f in maps:
-                base = f[w] * m
-                for u in range(m):
-                    row[u] |= 1 << (base + f[u])
-            pairs.append(UnionTable(row))
-        return tuple(pairs)
+        return _packed_pairs(maps, self.action.carrier_size)
 
     @cached_property
     def orbits(self) -> OrbitSpace:
@@ -423,12 +431,12 @@ class _ActionRecord:
                           projection=tuple([index[o] for o in orbits]), orbit_masks=orbits)
 
     @cached_property
-    def diagonals(self) -> dict[tuple[int, ...], UnionTable]:
-        """d -> images, images[A] = d(A), for each distinct diagonal d."""
+    def diagonal_pairs(self) -> tuple[UnionTable, ...]:
+        """The packed pair images (_packed_pairs) of the distinct diagonals
+        x -> g(x, x), each verified a bijection by _diagonal."""
         a = self.action
         _require_distributive(a)
-        ds = dict.fromkeys(_diagonal(a, g) for g in a.group.elements())
-        return {d: UnionTable([1 << y for y in d]) for d in ds}
+        return _packed_pairs({_diagonal(a, g) for g in a.group.elements()}, a.carrier_size)
 
 
 # _record(action): the records of the 16 actions met last; battery-sized runs

@@ -50,11 +50,11 @@ class FiniteTopology(_Value):
 
     opens is ascending without repeats, as every constructor here builds
     it; is_open and is_closed look masks up in it by binary search.
-    Three values are computed on first use and carried outside the
-    fields, which alone decide equality, hashing and repr: the minimal
-    neighbourhoods, the masks is_continuous reads them through
-    (_continuity_masks), and the opens part of the battery's default
-    model id (_opens_id).
+    Four values are computed on first use and carried outside the
+    fields, which alone decide equality, hashing and repr: the full
+    carrier as a mask, the minimal neighbourhoods, the masks is_continuous
+    and the battery's diagonal check read them through (_continuity_masks),
+    and the opens part of the battery's default model id (_opens_id).
     """
 
     _fields = ("carrier_size", "opens")
@@ -63,7 +63,7 @@ class FiniteTopology(_Value):
         _set(self, "carrier_size", carrier_size)
         _set(self, "opens", opens)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.carrier_size) - 1
 
@@ -227,9 +227,10 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
 
     def fill(x: int):
         if x == n:
-            hull = UnionTable(chosen)  # hull[u] = the union of N(p) over p in u
-            opens = tuple(u for u in range(1 << n) if hull[u] == u)
-            out.append(FiniteTopology(carrier_size=n, opens=opens))
+            opens = {0}  # the unions of the N-values, each added in turn
+            for nx in chosen:
+                opens.update([u | nx for u in opens])
+            out.append(FiniteTopology(n, tuple(sorted(opens))))
             return
         for mask in candidates[x]:
             chosen[x] = mask
@@ -260,6 +261,20 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
         raise ShapeMismatch(
             f"action carrier {action.carrier_size} != topology carrier {topology.carrier_size}")
     return TopologicalBinaryGSpace(action=action, topology=topology)
+
+
+# the space of the last is_continuous call that returned True, or None
+_last_continuous: TopologicalBinaryGSpace | None = None
+
+
+def _reach(pairs: tuple[UnionTable, ...], punctured: tuple[int, ...]) -> int:
+    """The OR over the points w of pairs[w][punctured[w]]: with pairs packed
+    as orbits._record(a).pairs is and punctured[w] = N(w) - {w}, reach[y]
+    at bits y m .. y m + m - 1 for every point y (is_continuous)."""
+    reach = 0
+    for w, pw in enumerate(punctured):
+        reach |= pairs[w][pw]
+    return reach
 
 
 def is_continuous(s: TopologicalBinaryGSpace):
@@ -299,16 +314,19 @@ def is_continuous(s: TopologicalBinaryGSpace):
     ``is True``.
 
     Each call scans: a sweep meets most models once, so keeping every
-    verdict would cost more than it saves. The quotient and the battery
-    read the verdict their model record (_model) took from one scan.
+    verdict would cost more than it saves. A True verdict is kept one
+    slot deep, with its space (_last_continuous): the model record
+    (_model) built next for that same action and topology object, as a
+    sweep asks for the quotient right after the verdict, takes it from
+    there and does not scan again. A failing verdict is never kept, so
+    its witness open is always the one a fresh scan finds.
     """
+    global _last_continuous
     t = s.topology
     punctured, allowed = t._continuity_masks
-    pairs = _record(s.action).pairs
-    reach = 0
-    for w, pw in enumerate(punctured):
-        reach |= pairs[w][pw]
+    reach = _reach(_record(s.action).pairs, punctured)
     if reach & ~allowed == 0:
+        _last_continuous = s
         return True
     m, full = t.carrier_size, t.full_mask
     bad = []  # (bit of y, reach[y]) for the bad points y
@@ -346,19 +364,26 @@ def _sends_into(f: tuple[int, ...], images: UnionTable, src_nbhd: tuple[int, ...
 
 class _ModelRecord:
     """What one model (action, topology) determines: the continuity verdict
-    (continuous, True or the first failing open, from the one is_continuous
-    scan made when the record is built) and the quotient topology (quotient,
-    built and checked by _family on first read). make_space refuses a
-    carrier mismatch when the record is built; quotient raises
-    NotDistributive, then NotContinuous, before it builds anything. A
-    slotted class with plain attributes: a sweep builds one record per
-    continuous model."""
+    (continuous, True or the first failing open) and the quotient topology
+    (quotient, built and checked by _family on first read). The verdict is
+    carried when the last True verdict of is_continuous (_last_continuous)
+    was for this very action and topology object on one carrier, and is
+    scanned by is_continuous once otherwise, after make_space refuses a
+    carrier mismatch; a sweep that scans a model and then asks for its
+    quotient scans it once. quotient raises NotDistributive, then
+    NotContinuous, before it builds anything. A slotted class with plain
+    attributes: a sweep builds one record per continuous model."""
 
     __slots__ = ("space", "continuous", "_quotient")
 
     def __init__(self, action: BinaryAction, topology: FiniteTopology):
-        self.space = make_space(action, topology)
-        self.continuous = is_continuous(self.space)
+        last = _last_continuous
+        if (last is not None and last.action is action and last.topology is topology
+                and action.carrier_size == topology.carrier_size):
+            self.space, self.continuous = last, True
+        else:
+            self.space = make_space(action, topology)
+            self.continuous = is_continuous(self.space)
         self._quotient = None
 
     def require_continuous(self) -> None:
@@ -523,10 +548,11 @@ def run_topology_battery(
 
     Distributivity is scanned once per action (its record carries the
     verdict), and continuity and the quotient topology once per model (its
-    record, _model, carries both), so a repeat call or a quotient_topology
-    call on the same model scans and builds nothing again. The checks read
-    G(A, A), the saturations G(A) and the diagonals from the action's
-    record and its orbit space.
+    record, _model, carries both, and takes a True verdict is_continuous
+    has just given for the same objects), so a repeat call or a
+    quotient_topology call on the same model scans and builds nothing
+    again. The checks read G(A, A), the saturations G(A) and the packed
+    diagonal images from the action's record and its orbit space.
     """
     model = _model(action, topology)
     model.require_continuous()
@@ -541,7 +567,8 @@ def run_topology_battery(
         if asserted and not outcome:
             raise InternalInconsistency(f"{model_id}: asserted check {check} came back false")
         if asserted or include_probes:
-            records.append(ProbeRecord(model_id, check, outcome, asserted))
+            # the fields in order, past the named tuple's Python-level __new__
+            records.append(tuple.__new__(ProbeRecord, (model_id, check, outcome, asserted)))
 
     # each family check is one set inclusion, which stops at the first
     # image outside the family, so the lazy tables fill only what is asked
@@ -553,12 +580,12 @@ def run_topology_battery(
         return records
 
     # d_g and d_{g^-1} run over the same maps as g does, so testing each
-    # distinct diagonal's continuity once tests every inverse
+    # distinct diagonal's continuity once tests every inverse: every d sends
+    # each N(w) into N(d(w)) iff the packed diagonal images of the punctured
+    # neighbourhoods stay inside the packed neighbourhoods, as in is_continuous
     space = record.orbits
-    nbhd = topology.minimal_neighborhoods
-    add("delta_homeomorphism",
-        all(_sends_into(d, images, nbhd, nbhd) for d, images in record.diagonals.items()),
-        True)
+    punctured, allowed = topology._continuity_masks
+    add("delta_homeomorphism", not _reach(record.diagonal_pairs, punctured) & ~allowed, True)
     # the saturation G(A) is the union of the orbits of A's points
     add("ka_closed", closed.issuperset(map(space.saturated.__getitem__, closed)), True)
 

@@ -11,11 +11,13 @@ from binact import orbits, topology
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Every test starts with no action records and no model records, so a
-    verdict carried from one test never answers for another, for example
-    past a monkeypatched is_distributive or is_continuous."""
+    """Every test starts with no action records, no model records and no
+    kept continuity verdict, so a verdict carried from one test never
+    answers for another, for example past a monkeypatched is_distributive
+    or is_continuous."""
     orbits._record.cache_clear()
     topology._model.cache_clear()
+    topology._last_continuous = None
 
 
 @pytest.fixture(scope="session")

@@ -672,6 +672,7 @@ def test_conjugation_subcommand(files, capsys):
     (["monoid"], None, "monoid needs --size or --op\n"),
     (["monoid", "--op", "{op}"], None, "monoid --op needs --invert or --star\n"),
     (["validate", "--group", "z2"], "x", "BINACT_THREADS must be a positive integer, got 'x'\n"),
+    (["validate", "--group", "{latin}"], None, "cannot read {latin}: "),
     (["enumerate", "--group", "q" + "9" * 300, "--carrier", "2"], None,
      "group 'q" + "9" * 300 + "' is neither a readable file nor a known name\n"),
     pytest.param(["validate", "--group", "{huge}"], None,
@@ -680,15 +681,18 @@ def test_conjugation_subcommand(files, capsys):
                                           reason="this interpreter has no int-to-str digit limit")),
 ], ids=["group-invalid-json", "orbits-unwritable-out", "conjugation-bad-member",
         "conjugation-no-members", "monoid-no-input", "monoid-op-no-mode", "threads-not-integer",
-        "group-name-too-long-for-a-file", "group-integer-past-the-digit-limit"])
+        "group-file-not-utf8", "group-name-too-long-for-a-file",
+        "group-integer-past-the-digit-limit"])
 def test_usage_and_io_errors_exit_two(files, capsys, monkeypatch, argv, threads, err):
     """Each usage or IO error exits 2 with its message on stderr."""
     bad = Path(files["dir"]) / "bad.json"
     bad.write_text("{")
     huge = Path(files["dir"]) / "huge.json"
     huge.write_text('{"cayley": [[' + "9" * 5000 + "]]}")
+    latin = Path(files["dir"]) / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")  # not UTF-8 text
     paths = {"bad": str(bad), "conj": files["s3_a3_conj.json"], "op": files["xorop.json"],
-             "dir": files["dir"], "huge": str(huge)}
+             "dir": files["dir"], "huge": str(huge), "latin": str(latin)}
     if threads is not None:
         monkeypatch.setenv("BINACT_THREADS", threads)
     assert main([arg.format(**paths) for arg in argv]) == 2

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import signal
 import sys
@@ -50,8 +51,8 @@ from binact import (
 from binact.cli import main
 from binact.search import relabel_action
 from binact import orbits, topology
-from binact.topology import (FiniteTopology, ProjectionChecks, QuotientChecks, closed_sets,
-                             is_closed, is_open)
+from binact.topology import (FiniteTopology, ProjectionChecks, QuotientChecks,
+                             TopologicalBinaryGSpace, closed_sets, is_closed, is_open)
 from binact.errors import (
     CapExceeded,
     InternalInconsistency,
@@ -165,10 +166,12 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
         ("quotient_locally_compact", True, True)]
     assert (qt.carrier_size, qt.opens) == (64, (0, 1, full))
     # 64 pair-image rows, the saturation and projection tables, the
-    # square table with its 64 cross tables, and the image table of the
-    # action's one diagonal, the identity
+    # square table with its 64 cross tables, and the 64 diagonal pair-image
+    # rows the battery's diagonal check reads, one per point, as the
+    # continuity scan reads the pair images (the action's one diagonal is
+    # the identity)
     built = union.built + square.built
-    assert len(square.built) == 1 and len(built) == 64 + 2 + 1 + 64 + 1
+    assert len(square.built) == 1 and len(built) == 64 + 2 + 1 + 64 + 64
     for table in built:
         # a table starts with the empty set stored
         assert len(table) <= 64 * max(1, len(table.asked))
@@ -255,6 +258,19 @@ def test_topology_counts_match_preorder_oracle():
 
 def test_topology_count_five_points():
     assert len(all_topologies(5)) == 6942
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "b5286129040e555d073e6f65684f32f3c944a1d38d677416c99eea96745daa36"),
+    (5, "a68306e9eb587a53ed0d9103034a0bf34c6ed7d2e039c8cb4af7ed98055ffba2"),
+])
+def test_all_topologies_order_is_pinned(n, digest):
+    """The topologies on 4 and 5 points come in the order, each with its
+    opens in the order, they came in when the opens were read off a union
+    table over all 2^n subsets: the sha256 of the repr of the list of opens
+    tuples is the one taken then."""
+    opens = [t.opens for t in all_topologies(n)]
+    assert hashlib.sha256(repr(opens).encode()).hexdigest() == digest
 
 
 def test_all_topologies_cap():
@@ -678,10 +694,13 @@ def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
     quotient_topology, check_projection_closed_proper,
     check_quotient_hausdorff_compact and run_topology_battery, in a row:
     every verdict, witness, quotient and record is the oracles', every
-    refusal is NotDistributive before NotContinuous, and a meeting scans
-    continuity twice and builds the quotient once (continuous distributive
-    models only) on fresh records, and no more when met again, whether its
-    record was evicted in between or not."""
+    refusal is NotDistributive before NotContinuous, and a meeting builds
+    the quotient once (continuous distributive models only) on fresh
+    records and no more when met again, whether its record was evicted in
+    between or not. is_continuous scans at every meeting; the model record
+    takes its True verdict without a scan, so a continuous model is
+    scanned once per meeting, and a model that is not is scanned again
+    when its record is built, for the witness open."""
     orbits._record.cache_clear()
     topology._model.cache_clear()
     size = topology._model.cache_info().maxsize
@@ -733,30 +752,36 @@ def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
                 records = run_topology_battery(a, t)
                 assert [(r.check, r.outcome) for r in records] == list(want.items())
             built = int(w is True and v is True)
+            once = 1 if v is True else 2
             if (i, j) in met:
-                assert 1 <= len(scans) <= 2 and len(quotients) <= built
+                assert 1 <= len(scans) <= once and len(quotients) <= built
             else:
-                assert (len(scans), len(quotients)) == (2, built)
+                assert (len(scans), len(quotients)) == (once, built)
             met.add((i, j))
     assert topology._model.cache_info().currsize <= size
 
 
 def test_diagonal_image_tables_match_the_continuity_oracle():
-    """Every distinct diagonal of every distributive action of z2, z3 and
-    s3 on 3 points, with the image table its action record carries, under
-    every topology on 3 points: the battery's one lookup per point gives
-    the open-by-open preimage scan's verdict, and both verdicts occur."""
+    """Every distributive action of z2, z3 and s3 on 3 points under every
+    topology on 3 points: the battery's packed check, one lookup per point
+    in the diagonal pair images its action record carries, gives the
+    verdict of testing each distinct diagonal alone with _sends_into, and
+    that is the open-by-open preimage scan's verdict on every diagonal;
+    both verdicts occur."""
     verdicts = set()
     for name in ("z2", "z3", "s3"):
         for a in _distributive_actions(name, 3):
-            diagonals = orbits._record(a).diagonals
-            assert list(diagonals) == list(dict.fromkeys(delta(a, g) for g in a.group.elements()))
+            diagonal_pairs = orbits._record(a).diagonal_pairs
+            ds = list(dict.fromkeys(delta(a, g) for g in a.group.elements()))
             for t in _topologies(3):
+                punctured, allowed = t._continuity_masks
+                packed = not topology._reach(diagonal_pairs, punctured) & ~allowed
                 nbhd = t.minimal_neighborhoods
-                for d, images in diagonals.items():
-                    got = topology._sends_into(d, images, nbhd, nbhd)
-                    assert got == oracle_is_continuous_map(3, t.opens, t.opens, d)
-                    verdicts.add(got)
+                each = [topology._sends_into(d, orbits.UnionTable([1 << y for y in d]), nbhd, nbhd)
+                        for d in ds]
+                assert each == [oracle_is_continuous_map(3, t.opens, t.opens, d) for d in ds]
+                assert packed == all(each)
+                verdicts.add(packed)
     assert verdicts == {True, False}
 
 
@@ -874,7 +899,9 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
     `binact quotient` and `binact orbits` commands, scan distributivity
     once on cleared action and model records and never on a repeat; each
     call that needs continuity scans it once there and never on a repeat,
-    with unchanged results."""
+    with unchanged results. is_continuous scans on every call, and the
+    quotient or the battery asked right after it on the same objects
+    takes its True verdict, so the pair scans once, on a repeat too."""
     if model == "xor-discrete":
         a, t = xor_action, discrete_topology(2)
     else:
@@ -891,29 +918,71 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         return code, capsys.readouterr().out
 
     closed = min(closed_sets(t))
-    calls = {  # entry point: (call, continuity scans on cleared records)
-        "orbit_space": (lambda: orbit_space(a), 0),
-        "delta": (lambda: delta(a, 1), 0),
-        "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), 0),
-        "battery": (lambda: run_topology_battery(a, t, model_id="m"), 1),
-        "quotient": (lambda: quotient_topology(s), 1),
-        "projection": (lambda: check_projection_closed_proper(s), 1),
-        "hausdorff": (lambda: check_quotient_hausdorff_compact(s), 1),
-        "quotient command": (lambda: command("quotient", "--topology", str(topology_file)), 1),
-        "orbits command": (lambda: command("orbits"), 0),
+    calls = {  # entry point: (call, continuity scans on cleared records, on a repeat)
+        "orbit_space": (lambda: orbit_space(a), 0, 0),
+        "delta": (lambda: delta(a, 1), 0, 0),
+        "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), 0, 0),
+        "battery": (lambda: run_topology_battery(a, t, model_id="m"), 1, 0),
+        "quotient": (lambda: quotient_topology(s), 1, 0),
+        "projection": (lambda: check_projection_closed_proper(s), 1, 0),
+        "hausdorff": (lambda: check_quotient_hausdorff_compact(s), 1, 0),
+        "quotient command": (lambda: command("quotient", "--topology", str(topology_file)), 1, 0),
+        "orbits command": (lambda: command("orbits"), 0, 0),
+        "continuity, then battery": (
+            lambda: (topology.is_continuous(s), run_topology_battery(a, t, model_id="m")), 1, 1),
+        "continuity, then quotient": (
+            lambda: (topology.is_continuous(s), quotient_topology(s)), 1, 1),
     }
-    expected = {name: call() for name, (call, _) in calls.items()}
+    expected = {name: call() for name, (call, *_) in calls.items()}
     assert expected["quotient command"][0] == expected["orbits command"][0] == 0
     distributive = _count_calls(monkeypatch, is_distributive)
     continuous = _count_calls(monkeypatch, is_continuous)
-    for name, (call, continuity) in calls.items():
+    for name, (call, *continuity) in calls.items():
         orbits._record.cache_clear()
         topology._model.cache_clear()
-        for scans in (1, 0):
+        topology._last_continuous = None
+        for scans, continuity_scans in zip((1, 0), continuity):
             distributive.clear()
             continuous.clear()
             assert call() == expected[name]
-            assert (len(distributive), len(continuous)) == (scans, continuity * scans), name
+            assert (len(distributive), len(continuous)) == (scans, continuity_scans), name
+
+
+def test_only_a_true_verdict_for_the_same_objects_is_carried(z2, xor_action, monkeypatch):
+    """The model record takes is_continuous's last True verdict only for
+    the very action and topology objects it was given on one carrier: an
+    equal but distinct action or topology is scanned again, a failing
+    verdict is never kept (the record scans for its witness open), and a
+    space whose carriers differ, which is_continuous may call continuous,
+    is still refused with ShapeMismatch."""
+    t = discrete_topology(2)
+    continuous = _count_calls(monkeypatch, is_continuous)
+    want = quotient_topology(make_space(xor_action, t))
+    equal_action = validate_action(z2, xor_action.table)
+    equal_topology = FiniteTopology(2, t.opens)
+    assert equal_action == xor_action and equal_action is not xor_action
+    for a, u in ((equal_action, t), (xor_action, equal_topology)):
+        topology._model.cache_clear()
+        assert topology.is_continuous(make_space(xor_action, t)) is True
+        continuous.clear()
+        assert quotient_topology(make_space(a, u)) == want
+        assert len(continuous) == 1
+    # the slot still holds the last True verdict when a failing one comes
+    kept = topology._last_continuous
+    sierpinski = validate_topology(2, SIERPINSKI)
+    bad = make_space(xor_action, sierpinski)
+    witness = topology.is_continuous(bad)
+    assert witness is not True and topology._last_continuous is kept
+    continuous.clear()
+    with pytest.raises(NotContinuous) as exc:
+        quotient_topology(bad)
+    assert exc.value.witness_open == witness and len(continuous) == 1
+    a3, t2 = trivial_action(z2, 3), discrete_topology(2)
+    mismatched = TopologicalBinaryGSpace(a3, t2)
+    assert topology.is_continuous(mismatched) is True
+    for call in (lambda: quotient_topology(mismatched), lambda: run_topology_battery(a3, t2)):
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
@@ -953,7 +1022,7 @@ def test_battery_on_a_non_distributive_action_builds_no_orbit_part(mixed_action,
             records = run_topology_battery(mixed_action, t)
             assert [r.check for r in records] == ["guu_open", "gaa_closed"]
         built = vars(orbits._record(mixed_action))
-        assert "orbits" not in built and "diagonals" not in built
+        assert "orbits" not in built and "diagonal_pairs" not in built
         assert built["distributive"] == (1, 1, 1, 0, 0)
     finally:
         orbits._record.cache_clear()
