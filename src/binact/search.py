@@ -197,6 +197,7 @@ validate_action.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import time
@@ -444,82 +445,58 @@ def _conjugate(sigma, inv, rho) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sigma[p[x]] for x in inv) for p in rho)
 
 
-def _moves(group: FiniteGroup, homs, m: int, deadline: float = math.inf) -> list:
-    """The carrier relabellings sigma, the moves, in the lexicographic order
-    of itertools.permutations (a move's place is its _rank), each as
-    (table, inv): table[i] is the index of sigma homs[i] sigma^-1 and inv
-    is sigma^-1. An action is the tuple of its rows' indices into homs, so
-    a move relabels it in m lookups, and the m! tables serve a whole run.
-    homs is the list permutation_homomorphisms built, each entry proven by
-    its coset-action check, so none is checked here. Only with a finite
-    deadline, the clock is read once per relabelling, raising _BudgetStop
-    once it has passed.
+def _moves(group: FiniteGroup, homs, m: int, deadline: float = math.inf) -> tuple[list, dict]:
+    """The carrier relabellings sigma, the moves, as (moves, rank): moves
+    lists each as (table, inv) in the order of itertools.permutations, and
+    rank maps sigma to its place there. table[i] is the index of sigma
+    homs[i] sigma^-1 and inv is sigma^-1. An action is the tuple of its
+    rows' indices into homs, so a move relabels it in m lookups, and the m!
+    tables serve a whole run. The clock is read before each table, under a
+    finite deadline only, raising _BudgetStop once it has passed.
 
-    Only the m - 1 adjacent transpositions s_j, swapping j and j + 1, are
-    conjugated rho by rho; each of these tables checks that every
-    conjugate is in the list. index keys each homomorphism on its images
-    of the greedy generators, so a table conjugates |S| permutations per
-    homomorphism, not |G|. That finds the same index: every entry is a
-    homomorphism, by the coset-action check, and so is its conjugate
-    s_j rho s_j^-1, conjugation by s_j being an automorphism of S_m. A
-    homomorphism is fixed by its images of a generating set, so an entry
-    whose generator images are the conjugate's is the conjugate, and when
-    no entry has them the conjugate is not in the list, which raises as a
-    lookup of the whole tuple would. Every other sigma has some value j + 1
-    before j. Swapping those two values gives q with sigma = s_j o q and
-    q < sigma, and s_j <= sigma (the first place they differ holds a
-    larger value in sigma), so both tables are built and
-    sigma rho sigma^-1 = s_j (q rho q^-1) s_j^-1 gives
-    table(sigma)[i] = table(s_j)[table(q)[i]]. A composition of total
-    index maps is total, so closure under the transpositions, which
-    generate S_m, gives closure under every conjugation.
+    Only the m - 1 adjacent transpositions s_j, swapping j and j + 1,
+    conjugate the homomorphisms one by one, each conjugate looked up in
+    index by its images of the greedy generators (|S| permutations per
+    homomorphism, not |G|). Every entry is a homomorphism (the coset-action
+    check), so is its conjugate, and one is fixed by its images of a
+    generating set: the entry found is the conjugate, and a conjugate with
+    none raises. The moves are the closure of the identity under the s_j,
+    which generate S_m; conjugation by s_j sigma is conjugation by sigma,
+    then by s_j, so table(s_j sigma)[i] = table(s_j)[table(sigma)[i]].
+    Each move is taken from a heap, least first, and its table built then,
+    so they come in lexicographic order: the least sigma not yet taken, if
+    not the identity, has some value j + 1 before j, and s_j sigma, which
+    swaps the two, is smaller, so it was taken and put sigma on the heap.
     """
     gens = greedy_generators(group)
     images = [tuple([rho[s] for s in gens]) for rho in homs]  # the key of each homomorphism
     index = {key: i for i, key in enumerate(images)}
-    moves = []
-    swaps = {}  # j -> conjugation table of the transposition of j and j + 1
-    # the trivial group has one homomorphism, which every relabelling
-    # fixes: the identity move stands for all m! of them
-    perms = itertools.permutations(range(m)) if gens else [tuple(range(m))]
-    for sigma in perms:
+    identity = tuple(range(m))
+    swaps = []  # per j, the conjugation table of s_j; none for the trivial group (one move)
+    for j in range(m - 1 if gens else 0):
+        s = identity[:j] + (j + 1, j) + identity[j + 2:]
+        swaps.append([index.get(_conjugate(s, s, key)) for key in images])
+        if None in swaps[j]:
+            raise InternalInconsistency(f"homomorphism list not closed under conjugation by {s}")
+    # least first: tables built in the order least_so_far and leaf_ties scan them
+    # (built in another order and sorted after, the same tables ran z420/7 slower)
+    unit = range(len(homs))  # the identity's table, and the swap that copies it
+    heap = [(identity, unit, unit)]  # (sigma, the table it was found from, that swap)
+    moves, rank = [], {identity: None}  # rank: the closure's seen test, then each place
+    while heap:
+        sigma, found_from, swap = heapq.heappop(heap)
         if deadline < math.inf and time.monotonic() > deadline:
             raise _BudgetStop()
-        inv = invert_perm(sigma)
-        j = next((j for j in range(m - 1) if inv[j + 1] < inv[j]), None)
-        if j is None:  # the identity
-            conj = list(range(len(homs)))
-        else:
-            r = len(moves) - math.factorial(m - 1 - inv[j + 1])  # the rank of q (_rank)
-            if r == 0:  # sigma is the transposition of j and j + 1, an involution
-                conj = [index.get(_conjugate(sigma, sigma, key)) for key in images]
-                if None in conj:
-                    raise InternalInconsistency(
-                        f"homomorphism list not closed under conjugation by {sigma}")
-                swaps[j] = conj
-            else:
-                conj = list(map(swaps[j].__getitem__, moves[r][0]))
-        moves.append((conj, inv))
-    return moves
-
-
-def _rank(p) -> int:
-    """The place of the permutation p of 0..m-1 in the lexicographic order
-    of itertools.permutations(range(m)): its Lehmer code, whose digit i
-    counts the later entries below entry i and weighs (m - 1 - i)!. For
-    every group that has a block, the moves are all m! permutations in
-    that order (_moves), so a rank is the place of that move.
-
-    _moves reads q's rank off sigma's: sigma and q differ only at
-    a = inv[j + 1] < b = inv[j], which hold j + 1 and j in sigma and the
-    reverse in q; any other value is below j exactly when it is below
-    j + 1, so only digit a changes, losing the j at b:
-    rank(q) = rank(sigma) - (m - 1 - a)!.
-    """
-    r = 0
-    for i, x in enumerate(p):
-        r = r * (len(p) - i) + sum(y < x for y in p[i + 1:])
-    return r
+        table, inv = list(map(swap.__getitem__, found_from)), invert_perm(sigma)
+        rank[sigma] = len(moves)
+        moves.append((table, inv))
+        for j, swap in enumerate(swaps):
+            tau = list(sigma)
+            tau[inv[j]], tau[inv[j + 1]] = j + 1, j
+            if (tau := tuple(tau)) not in rank:  # s_j sigma
+                rank[tau] = None
+                heapq.heappush(heap, (tau, table, swap))
+    return moves, rank
 
 
 def _action(group: FiniteGroup, homs, leaf) -> BinaryAction:
@@ -705,8 +682,8 @@ def enumerate_actions(task: EnumerationTask, emit=None) -> EnumerationResult:
 
     try:
         rowhoms = permutation_homomorphisms(g, m, deadline=deadline)
-        moves = _moves(g, rowhoms, m, deadline)
-        blocks = _blocks(g, rowhoms, moves, m, law)
+        moves, rank = _moves(g, rowhoms, m, deadline)
+        blocks = _blocks(g, rowhoms, moves, rank, m, law)
         if blocks:
             start(0, range(1, len(moves)))  # every move but the identity
         else:  # the trivial group: one action, which every relabelling fixes
@@ -767,15 +744,14 @@ class _Block(_Value):
     _fields = ("table", "parent", "children", "candidates", "law_rows")
 
 
-def _blocks(g: FiniteGroup, homs, moves, m: int, law: bool) -> list[_Block]:
+def _blocks(g: FiniteGroup, homs, moves, rank: dict, m: int, law: bool) -> list[_Block]:
     """The blocks of the layered search, one per greedy generator gens[k].
     homs is sorted on the images of gens, so a run of depth k + 1 is a
     stretch of homs that lie in one run of depth k and share their
     gens[k] image; a run starts where either changes. Under the filter a
     point's candidates are the runs that pass the instances (h, t, t) of
     H_k with h(t, t) = t; otherwise every run inside p. A law row's table
-    is the move table of c, at c's rank, memoised for this call."""
-    rank = functools.cache(_rank)
+    is the move table of c, at its place rank[c] in moves."""
     gens = greedy_generators(g)
     identity = tuple(range(m))
     blocks = []
@@ -799,7 +775,7 @@ def _blocks(g: FiniteGroup, homs, moves, m: int, law: bool) -> list[_Block]:
         law_rows = None
         if law or k == len(gens) - 1:  # the last block's settle each leaf's verdict too
             members = sorted(subgroup_closure(g, gens[:k + 1]))
-            law_rows = [[(c, table(rank(c))) for c in dict.fromkeys(homs[i][h] for h in members)
+            law_rows = [[(c, table(rank[c])) for c in dict.fromkeys(homs[i][h] for h in members)
                          if c != identity] for i in starts]
         if law:
             candidates = [[[d for d in kids if all(conj[d] == d for c, conj in law_rows[d]

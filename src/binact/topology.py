@@ -242,7 +242,7 @@ def all_topologies(n: int, cap: int = TOPOLOGY_ENUM_CAP) -> list[FiniteTopology]
 
 
 class TopologicalBinaryGSpace(_Value):
-    """A binary action paired with a topology on its carrier.
+    """A binary action and a topology on one carrier (else ShapeMismatch).
 
     The acting group always carries the discrete topology. Continuity is
     not forced at construction so that is_continuous can report witnesses;
@@ -252,15 +252,15 @@ class TopologicalBinaryGSpace(_Value):
     _fields = ("action", "topology")
 
     def __init__(self, action: BinaryAction, topology: FiniteTopology):
+        if action.carrier_size != topology.carrier_size:
+            raise ShapeMismatch(
+                f"action carrier {action.carrier_size} != topology carrier {topology.carrier_size}")
         _set(self, "action", action)
         _set(self, "topology", topology)
 
 
 def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBinaryGSpace:
-    if action.carrier_size != topology.carrier_size:
-        raise ShapeMismatch(
-            f"action carrier {action.carrier_size} != topology carrier {topology.carrier_size}")
-    return TopologicalBinaryGSpace(action=action, topology=topology)
+    return TopologicalBinaryGSpace(action, topology)
 
 
 # the space of the last is_continuous call that returned True, or None
@@ -367,19 +367,18 @@ class _ModelRecord:
     (continuous, True or the first failing open) and the quotient topology
     (quotient, built and checked by _family on first read). The verdict is
     carried when the last True verdict of is_continuous (_last_continuous)
-    was for this very action and topology object on one carrier, and is
-    scanned by is_continuous once otherwise, after make_space refuses a
-    carrier mismatch; a sweep that scans a model and then asks for its
-    quotient scans it once. quotient raises NotDistributive, then
-    NotContinuous, before it builds anything. A slotted class with plain
-    attributes: a sweep builds one record per continuous model."""
+    was for this very action and topology object, and is scanned by
+    is_continuous once otherwise, after make_space refuses a carrier
+    mismatch; a sweep that scans a model and then asks for its quotient
+    scans it once. quotient raises NotDistributive, then NotContinuous,
+    before it builds anything. A slotted class with plain attributes: a
+    sweep builds one record per continuous model."""
 
     __slots__ = ("space", "continuous", "_quotient")
 
     def __init__(self, action: BinaryAction, topology: FiniteTopology):
         last = _last_continuous
-        if (last is not None and last.action is action and last.topology is topology
-                and action.carrier_size == topology.carrier_size):
+        if last is not None and last.action is action and last.topology is topology:
             self.space, self.continuous = last, True
         else:
             self.space = make_space(action, topology)

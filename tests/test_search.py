@@ -814,9 +814,8 @@ def test_time_budget_covers_relabelling_tables(z2, monkeypatch):
 
 
 def test_time_budget_bounds_relabelling_memory(monkeypatch):
-    """The m! relabellings are generated one at a time under the deadline,
-    and no rank is kept: a law row's move is found by its Lehmer code. z2
-    on 8 points reads the clock at the start, once while generating its
+    """The m! relabellings are generated one at a time under the deadline.
+    z2 on 8 points reads the clock at the start, once while generating its
     764 homomorphisms and then once per relabelling table, so a 12 s
     budget on a clock that ticks once per read stops it before its
     twelfth table, with an empty partial, well under 1 MB traced: the 8!
@@ -849,7 +848,7 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     itertools.permutations."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
-    moves = search._moves(g, homs, m)
+    moves, rank = search._moves(g, homs, m)
     perms = list(itertools.permutations(range(m)))
     direct = []
     for sigma in perms:
@@ -858,12 +857,19 @@ def test_composed_conjugation_tables_match_direct_ones(name, m):
     assert moves == direct
 
 
-def test_rank_is_the_place_in_itertools_order():
-    """_rank, the Lehmer code, of every permutation of S_m is its index in
-    itertools.permutations(range(m)), the order of the moves, m = 1..7."""
-    for m in range(1, 8):
-        perms = itertools.permutations(range(m))
-        assert all(search._rank(p) == r for r, p in enumerate(perms)), m
+def test_moves_are_s_m_in_itertools_order_with_their_ranks():
+    """The moves of a group with a block are the m! permutations of S_m,
+    each once, in the order of itertools.permutations(range(m)), the
+    identity first, and rank maps each permutation to its place there,
+    m = 1..7; the trivial group gets the identity move alone."""
+    for name, m in [("z2", m) for m in range(1, 8)] + [("z1", 4)]:
+        g = builtin_group(name)
+        homs = permutation_homomorphisms(g, m)
+        moves, rank = search._moves(g, homs, m)
+        perms = list(itertools.permutations(range(m))) if name != "z1" else [tuple(range(m))]
+        assert [invert_perm(inv) for _, inv in moves] == perms, (name, m)
+        assert moves[0] == (list(range(len(homs))), tuple(range(m)))
+        assert rank == {p: r for r, p in enumerate(perms)}, (name, m)
 
 
 @pytest.mark.parametrize("name, m", [("z60", 5), ("q8", 4), ("s3", 4)])
@@ -913,7 +919,8 @@ def test_key_orders_index_tuples_as_their_tables(name, k, m, length):
     g = _rotated_group(name, k)
     assert len(greedy_generators(g)) == length
     homs = permutation_homomorphisms(g, m)
-    blocks = search._blocks(g, homs, search._moves(g, homs, m), m, False)
+    moves, rank = search._moves(g, homs, m)
+    blocks = search._blocks(g, homs, moves, rank, m, False)
     key = search._table_key(blocks, m)
     oracle = oracle_permutation_homomorphisms(g.cayley, g.identity, m)
     assert homs == oracle
@@ -931,8 +938,8 @@ def test_law_rows_keep_each_distinct_nonidentity_image_once(name, m, total):
     order (one entry per non-identity h would make 7080, 156 and 170)."""
     g = builtin_group(name)
     homs = permutation_homomorphisms(g, m)
-    moves = search._moves(g, homs, m)
-    rows = search._blocks(g, homs, moves, m, True)[-1].law_rows
+    moves, rank = search._moves(g, homs, m)
+    rows = search._blocks(g, homs, moves, rank, m, True)[-1].law_rows
     perms = list(itertools.permutations(range(m)))
     for rho, row in zip(homs, rows):
         images = [c for c, _ in row]

@@ -950,11 +950,11 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
 
 def test_only_a_true_verdict_for_the_same_objects_is_carried(z2, xor_action, monkeypatch):
     """The model record takes is_continuous's last True verdict only for
-    the very action and topology objects it was given on one carrier: an
-    equal but distinct action or topology is scanned again, a failing
-    verdict is never kept (the record scans for its witness open), and a
-    space whose carriers differ, which is_continuous may call continuous,
-    is still refused with ShapeMismatch."""
+    the very action and topology objects it was given: an equal but
+    distinct action or topology is scanned again, a failing verdict is
+    never kept (the record scans for its witness open), and a space whose
+    carriers differ, either way round, is refused with ShapeMismatch at
+    construction, so no verdict is ever given for one."""
     t = discrete_topology(2)
     continuous = _count_calls(monkeypatch, is_continuous)
     want = quotient_topology(make_space(xor_action, t))
@@ -978,9 +978,9 @@ def test_only_a_true_verdict_for_the_same_objects_is_carried(z2, xor_action, mon
         quotient_topology(bad)
     assert exc.value.witness_open == witness and len(continuous) == 1
     a3, t2 = trivial_action(z2, 3), discrete_topology(2)
-    mismatched = TopologicalBinaryGSpace(a3, t2)
-    assert topology.is_continuous(mismatched) is True
-    for call in (lambda: quotient_topology(mismatched), lambda: run_topology_battery(a3, t2)):
+    for call in (lambda: TopologicalBinaryGSpace(a3, t2),
+                 lambda: TopologicalBinaryGSpace(trivial_action(z2, 2), discrete_topology(3)),
+                 lambda: run_topology_battery(a3, t2)):
         with pytest.raises(ShapeMismatch):
             call()
 
