@@ -139,6 +139,14 @@ def _emit(args, obj) -> None:
         _write_text(Path(args.out), _dump(obj))
 
 
+def _print_record(args, obj) -> None:
+    """Write obj's record to stdout, and the same text to --out when given."""
+    text = _dump(obj)
+    sys.stdout.write(text)
+    if args.out:
+        _write_text(Path(args.out), text)
+
+
 def _print_records(records) -> None:
     for rec in records:
         print(f"check={rec.check} outcome={'true' if rec.outcome else 'false'} "
@@ -229,8 +237,7 @@ def _cmd_monoid(args) -> int:
         g = op_from_json(_read_json(args.star))
         result = star(f, g)
         print(f"star: size={result.size}")
-        sys.stdout.write(_dump(op_to_json(result)))
-        _emit(args, op_to_json(result))
+        _print_record(args, op_to_json(result))
         return 0
     if args.invert:
         try:
@@ -240,8 +247,7 @@ def _cmd_monoid(args) -> int:
             return 1
         check = star(f, inv) == identity_op(f.size) and star(inv, f) == identity_op(f.size)
         print(f"invertible: yes (two-sided check {'passed' if check else 'failed'})")
-        sys.stdout.write(_dump(op_to_json(inv)))
-        _emit(args, op_to_json(inv))
+        _print_record(args, op_to_json(inv))
         return 0 if check else 1
     raise CliFailure(2, "monoid --op needs --invert or --star")
 
@@ -380,8 +386,7 @@ def _cmd_induce(args) -> int:
     a = _load(args.action, action_from_json)
     o = induced_action(a, args.point)
     print(f"induced ordinary action at t={args.point}: group={o.group.name} carrier={o.carrier_size}")
-    sys.stdout.write(_dump(ordinary_to_json(o)))
-    _emit(args, ordinary_to_json(o))
+    _print_record(args, ordinary_to_json(o))
     return 0
 
 
@@ -389,8 +394,7 @@ def _cmd_embed(args) -> int:
     o = _load(args.ordinary, ordinary_from_json)
     a = from_ordinary(o)
     print(f"embedded binary action: group={a.group.name} carrier={a.carrier_size}")
-    sys.stdout.write(_dump(action_to_json(a)))
-    _emit(args, action_to_json(a))
+    _print_record(args, action_to_json(a))
     return 0
 
 
@@ -405,8 +409,7 @@ def _cmd_conjugation(args) -> int:
     a = conjugation_coset_action(g, members)
     print(f"conjugation-coset action: subgroup_size={a.group.order} carrier={a.carrier_size} "
           f"distributive=yes")
-    sys.stdout.write(_dump(action_to_json(a)))
-    _emit(args, action_to_json(a))
+    _print_record(args, action_to_json(a))
     return 0
 
 

@@ -6,7 +6,9 @@ and the per-check re-verification that the battery used before it verified
 each fact once, and the two raw `--require-distributive` enumerations
 (no --dedupe, so the raw order is pinned) with the search that re-checked
 every assigned law instance at each depth, before it checked only the
-instances a new row adds. A change to any of them changes the output format, the
+instances a new row adds. The monoid, induce, embed and conjugation digests were
+recorded while each of those commands dumped its record twice, once for stdout
+and once for --out. A change to any of them changes the output format, the
 enumeration order, the canonical representatives or a check's verdict, and
 needs a deliberate new recording."""
 
@@ -48,6 +50,11 @@ GOLDEN = [
         "8cada431d8cce24b3fdd1c9e4c8c8a87d070e81e6c64206c41a1e95b355f4089",
         "284fd5e54f9b22e88f4529dbb8699262ed4362e6ca6c8251fe88f9cc24684c08",
         id="witnesses-s3-3"),
+    pytest.param(
+        ["conjugation", "--group", "s3", "--generators", "3"],
+        "23eb0d16ebb18eeb61b36d23859bcb0ca1d418ddc9bec8884cd4ae510da236e4",
+        "6f2f84c7671a8a0abeb5176a1129972bca55f7d5b68c8ebeb9af63cc7cdbe6f3",
+        id="conjugation-s3-3"),
 ]
 
 
@@ -68,6 +75,11 @@ MODEL_ACTION = {"group": "z2", "carrier": 4,
                           [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 3, 2]]]}
 CONTINUOUS_TOPOLOGY = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 2, 3], [0, 1, 2, 3]]}
 BROKEN_TOPOLOGY = {"size": 4, "opens": [[], [0], [2], [0, 2], [0, 1, 2, 3]]}
+# An invertible operation on three points, a second one to star it with, and
+# an ordinary action of z2 on three points to embed.
+MODEL_OP = {"size": 3, "table": [[1, 2, 0], [0, 2, 1], [2, 1, 0]]}
+STAR_OP = {"size": 3, "table": [[0, 0, 1], [2, 1, 0], [1, 1, 1]]}
+MODEL_ORDINARY = {"group": "z2", "carrier": 3, "table": [[0, 1, 2], [1, 0, 2]]}
 
 GOLDEN_MODELS = [
     pytest.param(
@@ -87,6 +99,26 @@ GOLDEN_MODELS = [
         "68c66813afd16cf786dc1e3b863bca146642d276c830402c1070eec040fd8876",
         None,
         id="topology-check-not-continuous"),
+    pytest.param(
+        ["monoid", "--op", "op.json", "--star", "star.json"], 0,
+        "4601c5a1f476fe273effdbe0d64556f695bf339f2e9cb480edc43561fb7ca8ea",
+        "a33c0981e9623d522d29f386292a5322cec085c583c436d8e40889c649f27b91",
+        id="monoid-star"),
+    pytest.param(
+        ["monoid", "--op", "op.json", "--invert"], 0,
+        "eee392f6c3ef054255f044b1425611cd74b71505b39f249b90bf425312681eec",
+        "c879f68fde4f295a625e6a5ac6c27eba6206d6559bbe4ca342f021eafd8b6b39",
+        id="monoid-invert"),
+    pytest.param(
+        ["induce", "--action", "action.json", "--point", "2"], 0,
+        "8e013b95165a2892ef02cf637b1eb9ddeab3c92e3520051057f62f10022c4262",
+        "763b6abb5dd4918e5dde76b70e7067d677489c922b71a2bab5476a79b8a45a06",
+        id="induce-2"),
+    pytest.param(
+        ["embed", "--ordinary", "ordinary.json"], 0,
+        "13be152ffe578517ddc6ee9cbc9e272628980d8a1f0581e1b7e3d311a1f619a4",
+        "da25117ae1a063d706187db6c6ea1f551f8d6e6984516b1b771807bbd9a5e578",
+        id="embed"),
 ]
 
 
@@ -95,7 +127,8 @@ def test_golden_model_output(argv, code, stdout_sha256, out_sha256, tmp_path,
                              monkeypatch, capsys):
     """Relative paths keep the model ids, which name the input files, fixed."""
     for name, obj in (("action.json", MODEL_ACTION), ("continuous.json", CONTINUOUS_TOPOLOGY),
-                      ("broken.json", BROKEN_TOPOLOGY)):
+                      ("broken.json", BROKEN_TOPOLOGY), ("op.json", MODEL_OP),
+                      ("star.json", STAR_OP), ("ordinary.json", MODEL_ORDINARY)):
         (tmp_path / name).write_text(json.dumps(obj))
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == code
