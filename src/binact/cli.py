@@ -400,9 +400,9 @@ def _cmd_embed(args) -> int:
 
 def _cmd_conjugation(args) -> int:
     g = _resolve_group(args.group)
-    if args.subgroup:
+    if args.subgroup is not None:
         members = _parse_members(args.subgroup)
-    elif args.generators:
+    elif args.generators is not None:
         members = sorted(subgroup_closure(g, _parse_members(args.generators)))
     else:
         raise CliFailure(2, "conjugation needs --subgroup or --generators")

@@ -385,11 +385,14 @@ class _ActionRecord:
     battery's diagonal check read them with one lookup per point. orbits
     and diagonal_pairs raise NotDistributive unless the action is
     distributive, so the partition check is never run on an action that
-    may fail it."""
+    may fail it. The last model met, which only binact.topology sets
+    (topology._model), is a topology object, its continuity verdict (True
+    or the first failing open) and its quotient once built, else None."""
 
     def __init__(self, action: BinaryAction):
         self.action = action
         self.square = SquareTable(image_table(action))
+        self.topology = self.continuous = self.quotient = None
 
     @cached_property
     def distributive(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import lt
 from typing import Iterable, NamedTuple
 
@@ -260,10 +260,6 @@ def make_space(action: BinaryAction, topology: FiniteTopology) -> TopologicalBin
     return TopologicalBinaryGSpace(action, topology)
 
 
-# the space of the last is_continuous call that returned True, or None
-_last_continuous: TopologicalBinaryGSpace | None = None
-
-
 def _reach(pairs: tuple[UnionTable, ...], punctured: tuple[int, ...]) -> int:
     """The OR over the points w of pairs[w][punctured[w]]: with pairs packed
     as orbits._record(a).pairs is and punctured[w] = N(w) - {w}, reach[y]
@@ -291,8 +287,8 @@ def is_continuous(s: TopologicalBinaryGSpace):
     identity and its columns are constant, so they never fail, and they
     add to reach[y] below only points of N(y).
 
-    So the scan collects reach[y], the union of f(N(w) - {w}) over the
-    distinct rows and columns f and the points w with f(w) = y; V fails
+    So the scan (_scan) collects reach[y], the union of f(N(w) - {w}) over
+    the distinct rows and columns f and the points w with f(w) = y; V fails
     iff some y in V has reach[y] outside V, the same opens as an
     open-by-open scan of the product. Every reach[y] is read at once from
     the pair images the action's record carries (orbits._record(a).pairs):
@@ -310,21 +306,28 @@ def is_continuous(s: TopologicalBinaryGSpace):
     the open N(y) of a bad point y fails. Compare the result with
     ``is True``.
 
-    Each call scans: a sweep meets most models once, so keeping every
-    verdict would cost more than it saves. A True verdict is kept one
-    slot deep, with its space (_last_continuous): the model record
-    (_model) built next for that same action and topology object, as a
-    sweep asks for the quotient right after the verdict, takes it from
-    there and does not scan again. A failing verdict is never kept, so
-    its witness open is always the one a fresh scan finds.
+    The verdict, True or the witness open, is kept on the action's record
+    as its last model (_scan), so asking again for this very topology
+    object, or for the model's quotient or battery, scans nothing.
     """
-    global _last_continuous
-    t = s.topology
+    record, t = _record(s.action), s.topology
+    return record.continuous if record.topology is t else _scan(record, t)
+
+
+def _scan(record, t: FiniteTopology):
+    """is_continuous's verdict for the model (record.action, t), kept as
+    the record's last model with no quotient yet: the one function that
+    scans. The record changes only once the verdict is found."""
     punctured, allowed = t._continuity_masks
-    reach = _reach(_record(s.action).pairs, punctured)
-    if reach & ~allowed == 0:
-        _last_continuous = s
-        return True
+    reach = _reach(record.pairs, punctured)
+    verdict = True if reach & ~allowed == 0 else _first_failing_open(t, reach)
+    record.topology, record.continuous, record.quotient = t, verdict, None
+    return verdict
+
+
+def _first_failing_open(t: FiniteTopology, reach: int) -> int:
+    """The first open of t that fails at a bad point, one whose reach[y]
+    leaves N(y) (is_continuous)."""
     m, full = t.carrier_size, t.full_mask
     bad = []  # (bit of y, reach[y]) for the bad points y
     for y, ny in enumerate(t.minimal_neighborhoods):
@@ -336,6 +339,29 @@ def is_continuous(s: TopologicalBinaryGSpace):
             if v & bit and reach_y & ~v:
                 return v
     raise InternalInconsistency("no open fails at a point whose reach leaves its neighbourhood")
+
+
+def _model(action: BinaryAction, topology: FiniteTopology):
+    """action's record (orbits._record), holding the model (action,
+    topology) as its last: unless topology is the very object it holds,
+    the carriers are checked (make_space, ShapeMismatch) and the model
+    scanned."""
+    record = _record(action)
+    if record.topology is not topology:
+        make_space(action, topology)
+        _scan(record, topology)
+    return record
+
+
+def _model_quotient(record) -> FiniteTopology:
+    """The quotient of the record's last model, built and checked by
+    _family on first read after NotDistributive, then NotContinuous."""
+    if record.quotient is None:
+        _require_distributive(record.action)
+        if record.continuous is not True:
+            raise NotContinuous(record.continuous)
+        record.quotient = _quotient(record.topology, record.orbits)
+    return record.quotient
 
 
 def is_continuous_map(src: FiniteTopology, dst: FiniteTopology, f) -> bool:
@@ -359,47 +385,6 @@ def _sends_into(f: tuple[int, ...], images: UnionTable, src_nbhd: tuple[int, ...
     return all(not images[nx] & ~dst_nbhd[y] for nx, y in zip(src_nbhd, f))
 
 
-class _ModelRecord:
-    """What one model (action, topology) determines: the continuity verdict
-    (continuous, True or the first failing open) and the quotient topology
-    (quotient, built and checked by _family on first read). The verdict is
-    carried when the last True verdict of is_continuous (_last_continuous)
-    was for this very action and topology object, and is scanned by
-    is_continuous once otherwise, after make_space refuses a carrier
-    mismatch; a sweep that scans a model and then asks for its quotient
-    scans it once. quotient raises NotDistributive, then NotContinuous,
-    before it builds anything. A slotted class with plain attributes: a
-    sweep builds one record per continuous model."""
-
-    __slots__ = ("space", "continuous", "_quotient")
-
-    def __init__(self, action: BinaryAction, topology: FiniteTopology):
-        last = _last_continuous
-        if last is not None and last.action is action and last.topology is topology:
-            self.space, self.continuous = last, True
-        else:
-            self.space = make_space(action, topology)
-            self.continuous = is_continuous(self.space)
-        self._quotient = None
-
-    def require_continuous(self) -> None:
-        if self.continuous is not True:
-            raise NotContinuous(self.continuous)
-
-    @property
-    def quotient(self) -> FiniteTopology:
-        if self._quotient is None:
-            record = _require_distributive(self.space.action)
-            self.require_continuous()
-            self._quotient = _quotient(self.space.topology, record.orbits)
-        return self._quotient
-
-
-# _model(action, topology): the records of the 16 models met last, keyed like
-# _record; a caller meets one model for a few checks in a row
-_model = lru_cache(maxsize=16)(_ModelRecord)
-
-
 # --- checks ------------------------------------------------------------------
 #
 # Each public check verifies its own hypotheses, and none of check_guu_open,
@@ -407,13 +392,13 @@ _model = lru_cache(maxsize=16)(_ModelRecord)
 # that their set is open or closed, check_ka_closed that its set is closed
 # and the action distributive. quotient_topology,
 # check_projection_closed_proper and check_quotient_hausdorff_compact check
-# distributivity and then continuity. What the action alone determines is
-# read from its record (orbits._record), what the model determines from the
-# model's record (_model): the continuity verdict and the quotient, so a
-# model met again, by the same check or by another, is neither scanned for
-# continuity nor given a second quotient. run_topology_battery, behind
-# `binact quotient` too, reads both records and runs every check on the
-# model.
+# distributivity and then continuity. What the action determines is read
+# from its record (orbits._record), and so is what its last model (_model)
+# determines: the continuity verdict and the quotient, so a model met again
+# before its action meets another topology, by the same check or by another,
+# is neither scanned for continuity nor given a second quotient.
+# run_topology_battery, behind `binact quotient` too, reads the record and
+# runs every check on the model.
 
 
 def check_guu_open(s: TopologicalBinaryGSpace, u_mask: int) -> bool:
@@ -453,9 +438,9 @@ def quotient_topology(s: TopologicalBinaryGSpace) -> FiniteTopology:
     a class set is open iff its preimage is open.
 
     Distributivity, then continuity, is checked and the quotient built once
-    per model, by its record (_model); a repeat call, or the battery on the
-    same model, reads them from there."""
-    return _model(s.action, s.topology).quotient
+    per model, kept on the action's record (_model); a repeat call, or the
+    battery on the same model, reads them from there."""
+    return _model_quotient(_model(s.action, s.topology))
 
 
 def _quotient(t: FiniteTopology, space: OrbitSpace) -> FiniteTopology:
@@ -542,17 +527,16 @@ def run_topology_battery(
     that is not distributive only G(U, U) and G(A, A) are checked, and
     quotient_topology on the model raises NotDistributive.
 
-    Distributivity is scanned once per action (its record carries the
-    verdict), and continuity and the quotient topology once per model (its
-    record, _model, carries both, and takes a True verdict is_continuous
-    has just given for the same objects), so a repeat call or a
-    quotient_topology call on the same model scans and builds nothing
-    again. The checks read G(A, A), the saturations G(A) and the packed
-    diagonal images from the action's record and its orbit space.
+    Distributivity is scanned once per action, and continuity and the
+    quotient topology once per model, all kept on the action's record
+    (_model), so is_continuous, quotient_topology or a repeat call on the
+    same action and topology object scans and builds nothing again. The
+    checks read G(A, A), the saturations G(A) and the packed diagonal
+    images from the action's record and its orbit space.
     """
-    model = _model(action, topology)
-    model.require_continuous()
-    record = _record(action)
+    record = _model(action, topology)
+    if record.continuous is not True:
+        raise NotContinuous(record.continuous)
     haus = is_hausdorff(topology)
     if model_id is None:
         model_id = record.table_id + topology._opens_id
@@ -585,7 +569,7 @@ def run_topology_battery(
     # the saturation G(A) is the union of the orbits of A's points
     add("ka_closed", closed.issuperset(map(space.saturated.__getitem__, closed)), True)
 
-    qt = model.quotient
+    qt = _model_quotient(record)
     closed_map = closed_sets(qt).issuperset(map(space.projected.__getitem__, closed))
     add("projection_closed", closed_map, True)
     add("projection_proper", closed_map, True)

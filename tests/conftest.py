@@ -6,18 +6,15 @@ from binact import (
     make_ordinary_action,
     validate_action,
 )
-from binact import orbits, topology
+from binact import orbits
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Every test starts with no action records, no model records and no
-    kept continuity verdict, so a verdict carried from one test never
-    answers for another, for example past a monkeypatched is_distributive
-    or is_continuous."""
+    """Every test starts with no action records, so no verdict, and no
+    last model, is carried from one test into another, for example past a
+    monkeypatched is_distributive or continuity scan."""
     orbits._record.cache_clear()
-    topology._model.cache_clear()
-    topology._last_continuous = None
 
 
 @pytest.fixture(scope="session")

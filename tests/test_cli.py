@@ -661,6 +661,14 @@ def test_conjugation_subcommand(files, capsys):
     data = json.loads(out.split("\n", 1)[1])
     assert data["group_embedding"] == [0, 3, 4]
     assert main(["conjugation", "--group", "s3", "--subgroup", "0,1,3"]) == 1
+    capsys.readouterr()
+    # no generators close to the trivial subgroup; an empty member list is no subgroup
+    assert main(["conjugation", "--group", "s3", "--generators", ""]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("conjugation-coset action: subgroup_size=1 carrier=6 distributive=yes\n")
+    assert json.loads(out.split("\n", 1)[1])["group_embedding"] == [0]
+    assert main(["conjugation", "--group", "s3", "--subgroup", ""]) == 1
+    assert capsys.readouterr().out == "NotASubgroup: element set [] is not a subgroup\n"
 
 
 @pytest.mark.parametrize("argv, threads, err", [

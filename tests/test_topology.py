@@ -146,9 +146,7 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
     monkeypatch.setattr(orbits, "UnionTable", union)
     monkeypatch.setattr(topology, "UnionTable", union)
     monkeypatch.setattr(orbits, "SquareTable", square)
-    caches = (orbits._record, topology._model)
-    for cache in caches:
-        cache.cache_clear()
+    orbits._record.cache_clear()
     a = trivial_action(z2, 64)
     t = validate_topology(64, [[], [0], range(64)])
     full = (1 << 64) - 1
@@ -156,8 +154,7 @@ def test_large_carrier_battery_tables_follow_the_masks_asked(z2, monkeypatch):
         records = run_topology_battery(a, t, model_id="trivial z2/64")
         qt = quotient_topology(make_space(a, t))
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        orbits._record.cache_clear()
     assert [(r.check, r.outcome, r.hypotheses_met) for r in records] == [
         ("guu_open", True, False), ("gaa_closed", True, False),
         ("delta_homeomorphism", True, True), ("ka_closed", True, True),
@@ -687,23 +684,20 @@ def _models_by_kind(name):
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
-    """More models on 3 points than the model-record cache holds, at least
-    one of each kind (distributive or not, continuous or not), each met
-    twice in different orders. A meeting is is_continuous,
-    quotient_topology, check_projection_closed_proper,
+def test_carried_model_verdicts_match_oracles_as_actions_interleave(data):
+    """Models on 3 points, at least one of each kind (distributive or not,
+    continuous or not), on more actions than the action-record cache holds
+    whenever the draw allows, each met twice in different orders. A meeting
+    is is_continuous, quotient_topology, check_projection_closed_proper,
     check_quotient_hausdorff_compact and run_topology_battery, in a row:
-    every verdict, witness, quotient and record is the oracles', every
-    refusal is NotDistributive before NotContinuous, and a meeting builds
-    the quotient once (continuous distributive models only) on fresh
-    records and no more when met again, whether its record was evicted in
-    between or not. is_continuous scans at every meeting; the model record
-    takes its True verdict without a scan, so a continuous model is
-    scanned once per meeting, and a model that is not is scanned again
-    when its record is built, for the witness open."""
+    every verdict, witness, quotient and record is the oracles', and every
+    refusal is NotDistributive before NotContinuous. Each action's record
+    keeps its last model, so a meeting scans continuity once, and builds
+    the quotient once on a continuous distributive model, unless the
+    action's last meeting was with the same topology object and its record
+    has not been evicted since; then it scans and builds nothing."""
     orbits._record.cache_clear()
-    topology._model.cache_clear()
-    size = topology._model.cache_info().maxsize
+    size = orbits._record.cache_info().maxsize
     name = data.draw(st.sampled_from(["z2", "z3", "s3"]))
     pool, tops, kinds = _actions(name, 3), _topologies(3), _models_by_kind(name)
     cayley = builtin_group(name).cayley
@@ -714,9 +708,9 @@ def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
     models = list(dict.fromkeys(models))
     first = data.draw(st.permutations(models))
     again = data.draw(st.permutations(models))
-    met = set()
+    held = {}  # action index -> topology index of its last meeting, in LRU order
     with pytest.MonkeyPatch.context() as mp:
-        scans = _count_calls(mp, is_continuous)
+        scans = _count_calls(mp, topology._scan)
         quotients = _count_calls(mp, topology._quotient)
         for i, j in [*first, *again]:
             a, t = pool[i], tops[j]
@@ -726,7 +720,7 @@ def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
             want = oracle_battery(cayley, a.table, 3, t.opens) if v is True else None
             scans.clear()
             quotients.clear()
-            assert topology.is_continuous(s) == v
+            assert _verdict(topology.is_continuous(s)) == _verdict(v)
             for check in (quotient_topology, check_projection_closed_proper,
                           check_quotient_hausdorff_compact):
                 if w is not True:
@@ -751,14 +745,13 @@ def test_carried_model_verdicts_match_oracles_past_the_model_record_cache(data):
             else:
                 records = run_topology_battery(a, t)
                 assert [(r.check, r.outcome) for r in records] == list(want.items())
-            built = int(w is True and v is True)
-            once = 1 if v is True else 2
-            if (i, j) in met:
-                assert 1 <= len(scans) <= once and len(quotients) <= built
-            else:
-                assert (len(scans), len(quotients)) == (once, built)
-            met.add((i, j))
-    assert topology._model.cache_info().currsize <= size
+            fresh = held.pop(i, None) != j
+            held[i] = j
+            if len(held) > size:
+                del held[next(iter(held))]
+            assert len(scans) == fresh
+            assert len(quotients) == (fresh and w is True and v is True)
+    assert orbits._record.cache_info().currsize <= size
 
 
 def test_diagonal_image_tables_match_the_continuity_oracle():
@@ -897,11 +890,14 @@ def _count_calls(monkeypatch, fn):
 def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_path, capsys):
     """On a continuous distributive model every public entry point, and the
     `binact quotient` and `binact orbits` commands, scan distributivity
-    once on cleared action and model records and never on a repeat; each
-    call that needs continuity scans it once there and never on a repeat,
-    with unchanged results. is_continuous scans on every call, and the
-    quotient or the battery asked right after it on the same objects
-    takes its True verdict, so the pair scans once, on a repeat too."""
+    once on cleared action records and never on a repeat; each call that
+    needs continuity scans it once there, and builds the quotient once if
+    it needs that, and neither on a repeat on the same objects, with
+    unchanged results. So is_continuous, quotient_topology,
+    run_topology_battery and is_continuous again on one model scan once
+    and build one quotient. The `binact quotient` command reads its files
+    again on a repeat: the action's record is found by equality, but the
+    new topology object is scanned, and its quotient built, once more."""
     if model == "xor-discrete":
         a, t = xor_action, discrete_topology(2)
     else:
@@ -918,71 +914,94 @@ def test_each_entry_point_scans_once(model, xor_action, z2, monkeypatch, tmp_pat
         return code, capsys.readouterr().out
 
     closed = min(closed_sets(t))
-    calls = {  # entry point: (call, continuity scans on cleared records, on a repeat)
-        "orbit_space": (lambda: orbit_space(a), 0, 0),
-        "delta": (lambda: delta(a, 1), 0, 0),
-        "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), 0, 0),
-        "battery": (lambda: run_topology_battery(a, t, model_id="m"), 1, 0),
-        "quotient": (lambda: quotient_topology(s), 1, 0),
-        "projection": (lambda: check_projection_closed_proper(s), 1, 0),
-        "hausdorff": (lambda: check_quotient_hausdorff_compact(s), 1, 0),
-        "quotient command": (lambda: command("quotient", "--topology", str(topology_file)), 1, 0),
-        "orbits command": (lambda: command("orbits"), 0, 0),
+    calls = {  # entry point: (call, (continuity scans, quotient builds) on cleared records,
+               #               the same on a repeat)
+        "orbit_space": (lambda: orbit_space(a), (0, 0), (0, 0)),
+        "delta": (lambda: delta(a, 1), (0, 0), (0, 0)),
+        "ka_closed": (lambda: check_ka_closed(s, [0, 1], closed), (0, 0), (0, 0)),
+        "battery": (lambda: run_topology_battery(a, t, model_id="m"), (1, 1), (0, 0)),
+        "quotient": (lambda: quotient_topology(s), (1, 1), (0, 0)),
+        "projection": (lambda: check_projection_closed_proper(s), (1, 1), (0, 0)),
+        "hausdorff": (lambda: check_quotient_hausdorff_compact(s), (1, 1), (0, 0)),
+        "quotient command": (lambda: command("quotient", "--topology", str(topology_file)),
+                             (1, 1), (1, 1)),
+        "orbits command": (lambda: command("orbits"), (0, 0), (0, 0)),
         "continuity, then battery": (
-            lambda: (topology.is_continuous(s), run_topology_battery(a, t, model_id="m")), 1, 1),
+            lambda: (topology.is_continuous(s), run_topology_battery(a, t, model_id="m")),
+            (1, 1), (0, 0)),
         "continuity, then quotient": (
-            lambda: (topology.is_continuous(s), quotient_topology(s)), 1, 1),
+            lambda: (topology.is_continuous(s), quotient_topology(s)), (1, 1), (0, 0)),
+        "continuity, quotient, battery, continuity": (
+            lambda: (topology.is_continuous(s), quotient_topology(s),
+                     run_topology_battery(a, t, model_id="m"), topology.is_continuous(s)),
+            (1, 1), (0, 0)),
     }
     expected = {name: call() for name, (call, *_) in calls.items()}
     assert expected["quotient command"][0] == expected["orbits command"][0] == 0
     distributive = _count_calls(monkeypatch, is_distributive)
-    continuous = _count_calls(monkeypatch, is_continuous)
-    for name, (call, *continuity) in calls.items():
+    continuous = _count_calls(monkeypatch, topology._scan)
+    quotients = _count_calls(monkeypatch, topology._quotient)
+    for name, (call, *counts) in calls.items():
         orbits._record.cache_clear()
-        topology._model.cache_clear()
-        topology._last_continuous = None
-        for scans, continuity_scans in zip((1, 0), continuity):
+        for scans, (continuity_scans, builds) in zip((1, 0), counts):
             distributive.clear()
             continuous.clear()
+            quotients.clear()
             assert call() == expected[name]
-            assert (len(distributive), len(continuous)) == (scans, continuity_scans), name
+            assert (len(distributive), len(continuous), len(quotients)) == (
+                scans, continuity_scans, builds), name
 
 
-def test_only_a_true_verdict_for_the_same_objects_is_carried(z2, xor_action, monkeypatch):
-    """The model record takes is_continuous's last True verdict only for
-    the very action and topology objects it was given: an equal but
-    distinct action or topology is scanned again, a failing verdict is
-    never kept (the record scans for its witness open), and a space whose
-    carriers differ, either way round, is refused with ShapeMismatch at
-    construction, so no verdict is ever given for one."""
-    t = discrete_topology(2)
-    continuous = _count_calls(monkeypatch, is_continuous)
-    want = quotient_topology(make_space(xor_action, t))
+def test_a_verdict_is_carried_for_the_same_topology_object_only(z2, xor_action, monkeypatch):
+    """Each action's record keeps the verdict of its last model, True or
+    the witness open, for that very topology object. is_continuous asked
+    twice scans once; meeting another action in between, (A, T), (B, T),
+    (A, T), scans nothing at the third meeting; an equal but distinct
+    topology is scanned again and gets the same verdict and witness; an
+    equal but distinct action finds the same record, since a verdict is
+    its table's. A kept failing verdict refuses the quotient with its
+    witness and no scan. A space whose carriers differ, either way round,
+    is refused with ShapeMismatch, and a refused battery, like a scan that
+    raises, leaves the record's last model as it was."""
+    b = trivial_action(z2, 2)
     equal_action = validate_action(z2, xor_action.table)
-    equal_topology = FiniteTopology(2, t.opens)
     assert equal_action == xor_action and equal_action is not xor_action
-    for a, u in ((equal_action, t), (xor_action, equal_topology)):
-        topology._model.cache_clear()
-        assert topology.is_continuous(make_space(xor_action, t)) is True
-        continuous.clear()
-        assert quotient_topology(make_space(a, u)) == want
-        assert len(continuous) == 1
-    # the slot still holds the last True verdict when a failing one comes
-    kept = topology._last_continuous
-    sierpinski = validate_topology(2, SIERPINSKI)
-    bad = make_space(xor_action, sierpinski)
-    witness = topology.is_continuous(bad)
-    assert witness is not True and topology._last_continuous is kept
-    continuous.clear()
+    scans = _count_calls(monkeypatch, topology._scan)
+    for u in (discrete_topology(2), validate_topology(2, SIERPINSKI)):
+        orbits._record.cache_clear()
+        equal = FiniteTopology(2, u.opens)
+        assert equal == u and equal is not u
+        s = make_space(xor_action, u)
+        for space, n in ((s, 1), (s, 0), (make_space(b, u), 1), (s, 0),
+                         (make_space(xor_action, equal), 1), (make_space(equal_action, equal), 0)):
+            scans.clear()
+            want = oracle_is_continuous(space.action.table, 2, space.topology.opens)
+            assert _verdict(topology.is_continuous(space)) == _verdict(want)
+            assert len(scans) == n
+    # the record of xor_action now holds its failing verdict on `equal`
+    witness = topology.is_continuous(make_space(xor_action, equal))
+    assert witness is not True
+    scans.clear()
     with pytest.raises(NotContinuous) as exc:
-        quotient_topology(bad)
-    assert exc.value.witness_open == witness and len(continuous) == 1
+        quotient_topology(make_space(xor_action, equal))
+    assert exc.value.witness_open == witness and not scans
     a3, t2 = trivial_action(z2, 3), discrete_topology(2)
     for call in (lambda: TopologicalBinaryGSpace(a3, t2),
                  lambda: TopologicalBinaryGSpace(trivial_action(z2, 2), discrete_topology(3)),
-                 lambda: run_topology_battery(a3, t2)):
+                 lambda: run_topology_battery(a3, t2),
+                 lambda: run_topology_battery(xor_action, discrete_topology(3))):
         with pytest.raises(ShapeMismatch):
             call()
+    assert orbits._record(xor_action).topology is equal and not scans
+
+    def broken(pairs, punctured):
+        raise RuntimeError("scan interrupted")
+
+    monkeypatch.setattr(topology, "_reach", broken)
+    with pytest.raises(RuntimeError):
+        topology.is_continuous(make_space(xor_action, discrete_topology(2)))
+    assert topology.is_continuous(make_space(xor_action, equal)) == witness
+    assert orbits._record(xor_action).topology is equal and len(scans) == 1
 
 
 def test_action_record_is_built_once_over_many_topologies(z2, monkeypatch):
